@@ -6,8 +6,8 @@
 //   ./build/examples/capi_quickstart 127.0.0.1:4242 # remote dstore_serverd
 //
 // Shows: ds_session_open, per-tenant namespaces, put/get/delete,
-// per-session error reporting, metrics, and the v3 replacement for every
-// v2 call (migration map in dstore/dstore_c.h).
+// per-session error reporting and metrics (the Table-2 call map is in
+// DESIGN.md §15.4).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
          n < 0 ? ds_session_last_error(sess) : "unexpectedly present");
 
   // 4. Errors are per-session — concurrent sessions never clobber each
-  //    other's last-error slot (the v2 global-slot bug).
+  //    other's last-error slot.
   printf("session last error code: %d\n", ds_session_last_error_code(sess));
 
   // 5. Housekeeping: scrub runs everywhere; checkpoint is embedded-only

@@ -114,7 +114,7 @@ bool PmemLog::decode_image(const void* bytes, uint32_t slot, LogRecordView* out)
   // Copy into an aligned Slot so the atomics are loadable regardless of the
   // source buffer's alignment (wire bodies are arbitrary byte strings).
   Slot s;
-  std::memcpy(&s, bytes, kSlotSize);
+  std::memcpy(static_cast<void*>(&s), bytes, kSlotSize);
   uint64_t lsn = s.lsn.load(std::memory_order_relaxed);
   if (lsn == 0) return false;
   if (s.crc != record_crc(&s, slot, lsn)) return false;

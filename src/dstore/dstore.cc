@@ -1256,7 +1256,7 @@ Result<DStore::ReadView> DStore::oget_zc(ds_ctx_t* /*ctx*/, std::string_view nam
   view.size_ = e->size;
   if (e->size == 0) {
     trace.succeed();
-    return std::move(view);
+    return view;
   }
   const uint64_t* bl = v.zone.blocks(*e);
   const size_t bs = block_size();
@@ -1295,7 +1295,7 @@ Result<DStore::ReadView> DStore::oget_zc(ds_ctx_t* /*ctx*/, std::string_view nam
     DSTORE_RETURN_IF_ERROR(cs);
   }
   trace.succeed();
-  return std::move(view);
+  return view;
 }
 
 Status DStore::odelete(ds_ctx_t* ctx, std::string_view name) {

@@ -10,31 +10,17 @@
 #include "dstore/dstore.h"
 #include "net/client.h"
 
-// Opaque wrapper types (global-scope, C linkage side).
-struct dstore_t {
-  dstore::DStoreConfig cfg;
+// A session: either an embedded store (pool + device + store) or a remote
+// client, plus the per-session error slot. The slot has its own lock so
+// ds_session_last_error*() can be called while another thread still runs
+// the session's last op — the rest of a session is single-threaded by
+// contract.
+struct ds_session {
+  // Embedded ("mem:", "dir:"); declared so the store is destroyed before
+  // the pool and device it sits on.
   std::unique_ptr<dstore::pmem::Pool> pool;
   std::unique_ptr<dstore::ssd::BlockDevice> device;
   std::unique_ptr<dstore::DStore> store;
-};
-
-struct ds_ctx {
-  dstore_t* owner;
-  dstore::ds_ctx_t* ctx;
-};
-
-struct ds_obj {
-  dstore_t* owner;
-  dstore::Object* obj;
-};
-
-// A v3 session: exactly one of {store, client} is set (embedded vs
-// remote), plus the per-session error slot. The slot has its own lock so
-// ds_session_last_error*() can be called while another thread still runs
-// the session's last op — the rest of a session is single-threaded by
-// contract, like a ds_ctx_t.
-struct ds_session {
-  std::unique_ptr<dstore_t> store;             // embedded ("mem:", "dir:")
   std::unique_ptr<dstore::net::Client> client; // remote ("host:port")
 
   mutable dstore::SpinLock err_mu{"capi.session_err"};
@@ -53,32 +39,20 @@ struct ds_namespace {
   uint32_t ns_id = 0;               // remote
 };
 
+struct ds_object {
+  ds_session_t* owner;
+  dstore::Object* obj;
+};
+
 namespace {
 
 constexpr char kNsSep = '\x1f';
 
-// ds_last_error state: one slot per thread, overwritten by every v2
-// binding call (and by ds_session_open failures, which have no session).
-thread_local int tls_last_code = DS_OK;
-thread_local std::string tls_last_msg;
+// ds_open_error state: one slot per thread, written by ds_session_open.
+thread_local std::string tls_open_error;
 
-int record(const dstore::Status& s) {
-  tls_last_code = dstore::errno_of(s.code());
-  if (s.is_ok()) {
-    tls_last_msg.clear();
-  } else {
-    tls_last_msg = s.to_string();
-  }
-  return tls_last_code;
-}
+void open_failed(const dstore::Status& s) { tls_open_error = s.to_string(); }
 
-int record_errno(int code, const char* msg) {
-  tls_last_code = code;
-  tls_last_msg = code == DS_OK ? "" : msg;
-  return code;
-}
-
-// Per-session recording (v3): sessions never observe each other's errors.
 int srecord(ds_session_t* s, const dstore::Status& st) {
   int code = dstore::errno_of(st.code());
   dstore::LockGuard<dstore::SpinLock> g(s->err_mu);
@@ -94,7 +68,7 @@ int srecord(ds_session_t* s, const dstore::Status& st) {
 int srecord_errno(ds_session_t* s, int code, const char* msg) {
   dstore::LockGuard<dstore::SpinLock> g(s->err_mu);
   s->err_code = code;
-  s->err_msg = code == DS_OK ? "" : msg;
+  s->err_msg = msg;
   return code;
 }
 
@@ -109,48 +83,34 @@ dstore::DStoreConfig config_from(const dstore_options* o) {
   return cfg;
 }
 
-// Shared by v2 dstore_open and v3 embedded sessions. `dir` overrides the
-// options' backing_dir (v3 carries the path in the target string).
-dstore_t* open_store(const dstore_options* options, const char* dir, int create) {
-  auto s = std::make_unique<dstore_t>();
-  s->cfg = config_from(options);
-  size_t pool_bytes = dstore::DStoreConfig::required_pool_bytes(s->cfg);
-  if (dir == nullptr && options != nullptr) dir = options->backing_dir;
+// Brings up an embedded store on `s`: RAM-backed when `dir` is null, else
+// file-backed under `dir`.
+dstore::Status open_store(ds_session* s, const dstore_options* options, const char* dir,
+                          bool create) {
+  dstore::DStoreConfig cfg = config_from(options);
+  size_t pool_bytes = dstore::DStoreConfig::required_pool_bytes(cfg);
+  dstore::ssd::DeviceConfig dc;
+  dc.num_blocks = cfg.num_blocks;
   if (dir != nullptr) {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     auto pool = dstore::pmem::Pool::open_file(std::string(dir) + "/pmem.img", pool_bytes,
-                                              dstore::LatencyModel::none(), create != 0);
-    if (!pool.is_ok()) {
-      record(pool.status());
-      return nullptr;
-    }
+                                              dstore::LatencyModel::none(), create);
+    if (!pool.is_ok()) return pool.status();
     s->pool = std::move(pool).value();
-    dstore::ssd::DeviceConfig dc;
-    dc.num_blocks = s->cfg.num_blocks;
-    auto dev = dstore::ssd::FileBlockDevice::open(std::string(dir) + "/data.img", dc,
-                                                  create != 0);
-    if (!dev.is_ok()) {
-      record(dev.status());
-      return nullptr;
-    }
+    auto dev = dstore::ssd::FileBlockDevice::open(std::string(dir) + "/data.img", dc, create);
+    if (!dev.is_ok()) return dev.status();
     s->device = std::move(dev).value();
   } else {
     s->pool = std::make_unique<dstore::pmem::Pool>(pool_bytes,
                                                    dstore::pmem::Pool::Mode::kDirect);
-    dstore::ssd::DeviceConfig dc;
-    dc.num_blocks = s->cfg.num_blocks;
     s->device = std::make_unique<dstore::ssd::RamBlockDevice>(dc);
   }
-  auto store = create != 0 ? dstore::DStore::create(s->pool.get(), s->device.get(), s->cfg)
-                           : dstore::DStore::recover(s->pool.get(), s->device.get(), s->cfg);
-  if (!store.is_ok()) {
-    record(store.status());
-    return nullptr;
-  }
+  auto store = create ? dstore::DStore::create(s->pool.get(), s->device.get(), cfg)
+                      : dstore::DStore::recover(s->pool.get(), s->device.get(), cfg);
+  if (!store.is_ok()) return store.status();
   s->store = std::move(store).value();
-  record(dstore::Status::ok());
-  return s.release();
+  return dstore::Status::ok();
 }
 
 std::string tenant_key(const std::string& ns_name, const char* key) {
@@ -166,6 +126,10 @@ bool valid_ns_name(const char* name) {
   return name != nullptr && name[0] != '\0' && strchr(name, kNsSep) == nullptr;
 }
 
+dstore::Status embedded_only(const char* what) {
+  return dstore::Status::unsupported(std::string(what) + " needs an embedded session");
+}
+
 }  // namespace
 
 extern "C" {
@@ -174,30 +138,22 @@ uint32_t ds_api_version(void) {
   return ((uint32_t)DS_API_VERSION_MAJOR << 16) | (uint32_t)DS_API_VERSION_MINOR;
 }
 
-/* ======================================================================
- * v3: sessions and namespaces
- * ====================================================================== */
-
 ds_session_t* ds_session_open(const char* target, const ds_session_options* options) {
   if (target == nullptr) {
-    record_errno(DS_EINVAL, "null target");
+    open_failed(dstore::Status::invalid_argument("null target"));
     return nullptr;
   }
   std::string t = target;
   auto session = std::make_unique<ds_session>();
   const dstore_options* store_opts = options != nullptr ? &options->store : nullptr;
+  dstore::Status st;
   if (t == "mem:" || t == "mem") {
-    session->store.reset(open_store(store_opts, nullptr, 1));
-    if (!session->store) return nullptr;  // open_store recorded the reason
+    st = open_store(session.get(), store_opts, nullptr, true);
   } else if (t.rfind("dir:", 0) == 0) {
     std::string dir = t.substr(4);
-    if (dir.empty()) {
-      record_errno(DS_EINVAL, "dir: target needs a path");
-      return nullptr;
-    }
-    session->store.reset(
-        open_store(store_opts, dir.c_str(), options == nullptr ? 1 : options->create));
-    if (!session->store) return nullptr;
+    st = dir.empty() ? dstore::Status::invalid_argument("dir: target needs a path")
+                     : open_store(session.get(), store_opts, dir.c_str(),
+                                  options == nullptr || options->create != 0);
   } else {
     // Remote: "tcp:host:port" or bare "host:port".
     std::string hostport = t.rfind("tcp:", 0) == 0 ? t.substr(4) : t;
@@ -206,23 +162,26 @@ ds_session_t* ds_session_open(const char* target, const ds_session_options* opti
       cfg.pipeline_depth = options->pipeline_depth;
     }
     auto client = dstore::net::Client::connect(hostport, cfg);
-    if (!client.is_ok()) {
-      record(client.status());
-      return nullptr;
+    if (client.is_ok()) {
+      session->client = std::move(client).value();
+    } else {
+      st = client.status();
     }
-    session->client = std::move(client).value();
   }
-  record(dstore::Status::ok());
+  if (!st.is_ok()) {
+    open_failed(st);
+    return nullptr;
+  }
+  tls_open_error.clear();
   return session.release();
 }
 
 void ds_session_close(ds_session_t* session) { delete session; }
 
+const char* ds_open_error(void) { return tls_open_error.c_str(); }
+
 ds_namespace_t* ds_namespace_open(ds_session_t* session, const char* name) {
-  if (session == nullptr) {
-    record_errno(DS_EINVAL, "null session");
-    return nullptr;
-  }
+  if (session == nullptr) return nullptr;
   if (!valid_ns_name(name)) {
     srecord_errno(session, DS_EINVAL, "malformed namespace name");
     return nullptr;
@@ -238,7 +197,7 @@ ds_namespace_t* ds_namespace_open(ds_session_t* session, const char* name) {
     }
     ns->ns_id = info.value().ns_id;
   } else {
-    ns->ctx = session->store->store->ds_init();
+    ns->ctx = session->store->ds_init();
   }
   srecord(session, dstore::Status::ok());
   return ns.release();
@@ -246,24 +205,23 @@ ds_namespace_t* ds_namespace_open(ds_session_t* session, const char* name) {
 
 void ds_namespace_close(ds_namespace_t* ns) {
   if (ns == nullptr) return;
-  if (ns->ctx != nullptr) ns->owner->store->store->ds_finalize(ns->ctx);
+  if (ns->ctx != nullptr) ns->owner->store->ds_finalize(ns->ctx);
   delete ns;
 }
 
 ssize_t ds_put(ds_namespace_t* ns, const char* key, const void* value, size_t size) {
-  if (ns == nullptr) return record_errno(DS_EINVAL, "null namespace");
+  if (ns == nullptr) return DS_EINVAL;
   if (key == nullptr) return srecord_errno(ns->owner, DS_EINVAL, "null key");
   ds_session_t* s = ns->owner;
   dstore::Status st = s->client
                           ? s->client->put(ns->ns_id, key, value, size)
-                          : s->store->store->oput(ns->ctx, tenant_key(ns->name, key),
-                                                  value, size);
+                          : s->store->oput(ns->ctx, tenant_key(ns->name, key), value, size);
   int code = srecord(s, st);
   return st.is_ok() ? (ssize_t)size : code;
 }
 
 ssize_t ds_get(ds_namespace_t* ns, const char* key, void* value, size_t value_cap) {
-  if (ns == nullptr) return record_errno(DS_EINVAL, "null namespace");
+  if (ns == nullptr) return DS_EINVAL;
   if (key == nullptr) return srecord_errno(ns->owner, DS_EINVAL, "null key");
   ds_session_t* s = ns->owner;
   if (s->client) {
@@ -274,42 +232,107 @@ ssize_t ds_get(ds_namespace_t* ns, const char* key, void* value, size_t value_ca
     srecord(s, dstore::Status::ok());
     return (ssize_t)r.value().size();
   }
-  auto r = s->store->store->oget(ns->ctx, tenant_key(ns->name, key), value, value_cap);
+  auto r = s->store->oget(ns->ctx, tenant_key(ns->name, key), value, value_cap);
   if (!r.is_ok()) return srecord(s, r.status());
   srecord(s, dstore::Status::ok());
   return (ssize_t)r.value();
 }
 
 int ds_delete(ds_namespace_t* ns, const char* key) {
-  if (ns == nullptr) return record_errno(DS_EINVAL, "null namespace");
+  if (ns == nullptr) return DS_EINVAL;
   if (key == nullptr) return srecord_errno(ns->owner, DS_EINVAL, "null key");
   ds_session_t* s = ns->owner;
   return srecord(s, s->client ? s->client->del(ns->ns_id, key)
-                              : s->store->store->odelete(ns->ctx, tenant_key(ns->name, key)));
+                              : s->store->odelete(ns->ctx, tenant_key(ns->name, key)));
+}
+
+ds_object_t* ds_object_open(ds_namespace_t* ns, const char* name, size_t size_hint,
+                            uint32_t flags) {
+  if (ns == nullptr) return nullptr;
+  ds_session_t* s = ns->owner;
+  if (name == nullptr) {
+    srecord_errno(s, DS_EINVAL, "null name");
+    return nullptr;
+  }
+  if (s->client) {
+    srecord(s, embedded_only("ds_object_open"));
+    return nullptr;
+  }
+  uint32_t mode = 0;
+  if (flags & DS_O_READ) mode |= dstore::kRead;
+  if (flags & DS_O_WRITE) mode |= dstore::kWrite;
+  if (flags & DS_O_CREATE) mode |= dstore::kCreate;
+  auto r = s->store->oopen(ns->ctx, tenant_key(ns->name, name), size_hint, mode);
+  if (!r.is_ok()) {
+    srecord(s, r.status());
+    return nullptr;
+  }
+  srecord(s, dstore::Status::ok());
+  return new ds_object{s, r.value()};
+}
+
+void ds_object_close(ds_object_t* obj) {
+  if (obj == nullptr) return;
+  obj->owner->store->oclose(obj->obj);
+  delete obj;
+}
+
+ssize_t ds_object_read(ds_object_t* obj, void* buf, size_t size, off_t offset) {
+  if (obj == nullptr) return DS_EINVAL;
+  if (offset < 0) return srecord_errno(obj->owner, DS_EINVAL, "negative offset");
+  auto r = obj->owner->store->oread(obj->obj, buf, size, (uint64_t)offset);
+  if (!r.is_ok()) return srecord(obj->owner, r.status());
+  srecord(obj->owner, dstore::Status::ok());
+  return (ssize_t)r.value();
+}
+
+ssize_t ds_object_write(ds_object_t* obj, const void* buf, size_t size, off_t offset) {
+  if (obj == nullptr) return DS_EINVAL;
+  if (offset < 0) return srecord_errno(obj->owner, DS_EINVAL, "negative offset");
+  auto r = obj->owner->store->owrite(obj->obj, buf, size, (uint64_t)offset);
+  if (!r.is_ok()) return srecord(obj->owner, r.status());
+  srecord(obj->owner, dstore::Status::ok());
+  return (ssize_t)r.value();
+}
+
+int ds_lock(ds_namespace_t* ns, const char* name) {
+  if (ns == nullptr) return DS_EINVAL;
+  ds_session_t* s = ns->owner;
+  if (name == nullptr) return srecord_errno(s, DS_EINVAL, "null name");
+  if (s->client) return srecord(s, embedded_only("ds_lock"));
+  return srecord(s, s->store->olock(ns->ctx, tenant_key(ns->name, name)));
+}
+
+int ds_unlock(ds_namespace_t* ns, const char* name) {
+  if (ns == nullptr) return DS_EINVAL;
+  ds_session_t* s = ns->owner;
+  if (name == nullptr) return srecord_errno(s, DS_EINVAL, "null name");
+  if (s->client) return srecord(s, embedded_only("ds_unlock"));
+  return srecord(s, s->store->ounlock(ns->ctx, tenant_key(ns->name, name)));
 }
 
 int ds_scrub(ds_session_t* session) {
-  if (session == nullptr) return record_errno(DS_EINVAL, "null session");
+  if (session == nullptr) return DS_EINVAL;
   if (session->client) {
     auto r = session->client->scrub();
     return srecord(session, r.is_ok() ? dstore::Status::ok() : r.status());
   }
-  return srecord(session, session->store->store->scrub_now());
+  return srecord(session, session->store->scrub_now());
 }
 
 int ds_checkpoint(ds_session_t* session) {
-  if (session == nullptr) return record_errno(DS_EINVAL, "null session");
+  if (session == nullptr) return DS_EINVAL;
   if (session->client) {
     return srecord(session, dstore::Status::unsupported(
                                 "remote servers checkpoint at the log watermark"));
   }
-  return srecord(session, session->store->store->checkpoint_now());
+  return srecord(session, session->store->checkpoint_now());
 }
 
 char* ds_session_metrics(ds_session_t* session, int format) {
-  if (session == nullptr ||
-      (format != DS_METRICS_JSON && format != DS_METRICS_PROMETHEUS)) {
-    record_errno(DS_EINVAL, "null session or bad format");
+  if (session == nullptr) return nullptr;
+  if (format != DS_METRICS_JSON && format != DS_METRICS_PROMETHEUS) {
+    srecord_errno(session, DS_EINVAL, "bad metrics format");
     return nullptr;
   }
   std::string out;
@@ -321,8 +344,8 @@ char* ds_session_metrics(ds_session_t* session, int format) {
     }
     out = std::move(r).value();
   } else {
-    out = format == DS_METRICS_JSON ? session->store->store->metrics_json()
-                                    : session->store->store->metrics_prometheus();
+    out = format == DS_METRICS_JSON ? session->store->metrics_json()
+                                    : session->store->metrics_prometheus();
   }
   char* buf = static_cast<char*>(malloc(out.size() + 1));
   if (buf == nullptr) {
@@ -346,139 +369,5 @@ const char* ds_session_last_error(const ds_session_t* session) {
   dstore::LockGuard<dstore::SpinLock> g(session->err_mu);
   return session->err_msg.c_str();
 }
-
-/* ======================================================================
- * v2: deprecated shims (same engine underneath)
- * ====================================================================== */
-
-dstore_t* dstore_open(const dstore_options* options, int create) {
-  return open_store(options, nullptr, create);
-}
-
-void dstore_close(dstore_t* store) {
-  delete store;
-}
-
-ds_ctx_t* ds_init(dstore_t* store) {
-  if (store == nullptr) return nullptr;
-  auto* c = new ds_ctx;
-  c->owner = store;
-  c->ctx = store->store->ds_init();
-  return c;
-}
-
-void ds_finalize(ds_ctx_t* ctx) {
-  if (ctx == nullptr) return;
-  ctx->owner->store->ds_finalize(ctx->ctx);
-  delete ctx;
-}
-
-OBJECT* oopen(ds_ctx_t* ctx, const char* name, size_t size, uint32_t op) {
-  if (ctx == nullptr || name == nullptr) {
-    record_errno(DS_EINVAL, "null context or name");
-    return nullptr;
-  }
-  uint32_t mode = 0;
-  if (op & DS_O_READ) mode |= dstore::kRead;
-  if (op & DS_O_WRITE) mode |= dstore::kWrite;
-  if (op & DS_O_CREATE) mode |= dstore::kCreate;
-  auto r = ctx->owner->store->oopen(ctx->ctx, name, size, mode);
-  if (!r.is_ok()) {
-    record(r.status());
-    return nullptr;
-  }
-  record(dstore::Status::ok());
-  auto* o = new ds_obj;
-  o->owner = ctx->owner;
-  o->obj = r.value();
-  return o;
-}
-
-void oclose(OBJECT* object) {
-  if (object == nullptr) return;
-  object->owner->store->oclose(object->obj);
-  delete object;
-}
-
-ssize_t oread(OBJECT* object, void* buf, size_t size, off_t offset) {
-  if (object == nullptr) return record_errno(DS_EINVAL, "null object");
-  auto r = object->owner->store->oread(object->obj, buf, size, (uint64_t)offset);
-  if (!r.is_ok()) return record(r.status());
-  record(dstore::Status::ok());
-  return (ssize_t)r.value();
-}
-
-ssize_t owrite(OBJECT* object, const void* buf, size_t size, off_t offset) {
-  if (object == nullptr) return record_errno(DS_EINVAL, "null object");
-  auto r = object->owner->store->owrite(object->obj, buf, size, (uint64_t)offset);
-  if (!r.is_ok()) return record(r.status());
-  record(dstore::Status::ok());
-  return (ssize_t)r.value();
-}
-
-ssize_t oget(ds_ctx_t* ctx, const char* key, void* value, size_t value_cap) {
-  if (ctx == nullptr || key == nullptr) return record_errno(DS_EINVAL, "null context or key");
-  auto r = ctx->owner->store->oget(ctx->ctx, key, value, value_cap);
-  if (!r.is_ok()) return record(r.status());
-  record(dstore::Status::ok());
-  return (ssize_t)r.value();
-}
-
-ssize_t oput(ds_ctx_t* ctx, const char* key, const void* value, size_t size) {
-  if (ctx == nullptr || key == nullptr) return record_errno(DS_EINVAL, "null context or key");
-  dstore::Status s = ctx->owner->store->oput(ctx->ctx, key, value, size);
-  if (!s.is_ok()) return record(s);
-  record(s);
-  return (ssize_t)size;
-}
-
-int odelete(ds_ctx_t* ctx, const char* name) {
-  if (ctx == nullptr || name == nullptr) return record_errno(DS_EINVAL, "null context or name");
-  return record(ctx->owner->store->odelete(ctx->ctx, name));
-}
-
-int olock(ds_ctx_t* ctx, const char* name) {
-  if (ctx == nullptr || name == nullptr) return record_errno(DS_EINVAL, "null context or name");
-  return record(ctx->owner->store->olock(ctx->ctx, name));
-}
-
-int ounlock(ds_ctx_t* ctx, const char* name) {
-  if (ctx == nullptr || name == nullptr) return record_errno(DS_EINVAL, "null context or name");
-  return record(ctx->owner->store->ounlock(ctx->ctx, name));
-}
-
-int dstore_checkpoint(dstore_t* store) {
-  if (store == nullptr) return record_errno(DS_EINVAL, "null store");
-  return record(store->store->checkpoint_now());
-}
-
-uint64_t dstore_object_count(dstore_t* store) {
-  if (store == nullptr) return 0;
-  return store->store->object_count();
-}
-
-char* ds_metrics_dump(dstore_t* store, int format) {
-  if (store == nullptr || (format != DS_METRICS_JSON && format != DS_METRICS_PROMETHEUS)) {
-    record_errno(DS_EINVAL, "null store or bad format");
-    return nullptr;
-  }
-  std::string out = format == DS_METRICS_JSON ? store->store->metrics_json()
-                                              : store->store->metrics_prometheus();
-  char* buf = static_cast<char*>(malloc(out.size() + 1));
-  if (buf == nullptr) {
-    record_errno(DS_EINTERNAL, "out of memory");
-    return nullptr;
-  }
-  memcpy(buf, out.data(), out.size());
-  buf[out.size()] = '\0';
-  record(dstore::Status::ok());
-  return buf;
-}
-
-int ds_last_error_code(void) { return tls_last_code; }
-
-const char* ds_last_error(void) { return tls_last_msg.c_str(); }
-
-const char* ds_open_error(void) { return tls_last_msg.c_str(); }
 
 }  // extern "C"

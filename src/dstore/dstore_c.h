@@ -1,8 +1,7 @@
 /* dstore_c.h — C bindings for DStore.
  *
- * v3 (current): handle-based sessions and namespaces. ds_session_open()
- * is ONE surface for embedded and remote stores — the target string picks
- * the transport:
+ * Handle-based sessions and namespaces. ds_session_open() is ONE surface
+ * for embedded and remote stores — the target string picks the transport:
  *
  *     ds_session_t* s = ds_session_open("mem:", NULL);          // embedded, RAM
  *     ds_session_t* s = ds_session_open("dir:/var/db", &opt);   // embedded, files
@@ -10,22 +9,20 @@
  *     ds_namespace_t* ns = ds_namespace_open(s, "tenant-a");
  *     ssize_t n = ds_put(ns, "key", buf, len);
  *
- * A namespace is a tenant: its keys are isolated from every other
- * namespace (remotely it maps onto one ShardedStore shard; DESIGN.md
- * §15). Errors are per-session: ds_session_last_error_code/_error report
- * the session's most recent outcome, so concurrent sessions never see
- * each other's failures. A session and its namespaces are intended for
- * one thread at a time (like ds_ctx_t); open one session per worker.
- *
- * v2 (deprecated, kept as shims): the flat Table-2 surface —
- * ds_init/ds_finalize, oopen/oclose/oread/owrite, oget/oput/odelete,
- * olock/ounlock over a dstore_t. Every v2 entry point still works but is
- * marked DS_DEPRECATED; see DESIGN.md §15 for the v2→v3 migration map.
+ * A namespace is a tenant: its keys, objects and locks are isolated from
+ * every other namespace (remotely it maps onto one ShardedStore shard;
+ * DESIGN.md §15). The paper's Table-2 calls map onto namespaces: key-value
+ * ds_put/ds_get/ds_delete, filesystem-style ds_object_*, and ds_lock/
+ * ds_unlock. Errors are per-session: ds_session_last_error_code/_error
+ * report the session's most recent outcome, so concurrent sessions never
+ * see each other's failures. A session and its namespaces are intended for
+ * one thread at a time; open one session per worker.
  *
  * Error reporting: functions returning int use 0 for success and a
  * negative dstore error code otherwise (DS_E*, generated from
  * common/status_codes.h); byte-count functions return >= 0 or a negative
- * error code, mirroring POSIX ssize_t conventions.
+ * error code, mirroring POSIX ssize_t conventions. A NULL handle yields
+ * DS_EINVAL (or NULL) without touching any error slot.
  */
 #ifndef DSTORE_DSTORE_C_H_
 #define DSTORE_DSTORE_C_H_
@@ -46,43 +43,35 @@ extern "C" {
  * tools/dstore_lint additionally rejects discarded Status returns in src/. */
 #if defined(__GNUC__) || defined(__clang__)
 #define DS_NODISCARD __attribute__((warn_unused_result))
-#define DS_DEPRECATED(msg) __attribute__((deprecated(msg)))
 #else
 #define DS_NODISCARD
-#define DS_DEPRECATED(msg)
 #endif
 
 /* Binding version, bumped whenever this header's contract changes.
+ * 4.0: removed the flat v2 surface, its thread-local error slot and its
+ * store-options directory knob ("dir:" targets replace it); added
+ * ds_object_* and ds_lock/ds_unlock on namespaces.
  * 3.0: handle-based ds_session_t/ds_namespace_t API, one open surface for
- * embedded and remote stores, per-session error slots; the v2 flat
- * surface is retained as deprecated wrappers.
+ * embedded and remote stores, per-session error slots.
  * 2.0: removed the DStore::Stats/StageStats C++ getters the bindings sat
- * on; added ds_api_version() and ds_metrics_dump(). */
-#define DS_API_VERSION_MAJOR 3
+ * on; added ds_api_version(). */
+#define DS_API_VERSION_MAJOR 4
 #define DS_API_VERSION_MINOR 0
 
 /* Runtime version of the linked library: (major << 16) | minor. Compare
  * the major against DS_API_VERSION_MAJOR before using anything else. */
 uint32_t ds_api_version(void);
 
-typedef struct dstore_t dstore_t; /* the store (opaque; v2 and embedded v3) */
-typedef struct ds_ctx ds_ctx_t;   /* per-thread context (opaque; v2) */
-typedef struct ds_obj OBJECT;     /* open-object handle (opaque; v2) */
+typedef struct ds_session ds_session_t;     /* a store connection (opaque) */
+typedef struct ds_namespace ds_namespace_t; /* a tenant keyspace (opaque) */
+typedef struct ds_object ds_object_t;       /* an open object (opaque) */
 
 typedef struct dstore_options {
   uint64_t max_objects;   /* metadata capacity (default 16384 if 0) */
   uint64_t num_blocks;    /* SSD blocks (default 65536 if 0) */
   uint32_t log_slots;     /* DIPPER log capacity (default 8192 if 0) */
   int background_checkpointing; /* nonzero = run the checkpoint thread */
-  const char* backing_dir; /* NULL = in-memory; else persistent files here */
 } dstore_options;
-
-/* ======================================================================
- * v3: sessions and namespaces
- * ====================================================================== */
-
-typedef struct ds_session ds_session_t;     /* a store connection (opaque) */
-typedef struct ds_namespace ds_namespace_t; /* a tenant keyspace (opaque) */
 
 typedef struct ds_session_options {
   dstore_options store;    /* embedded targets: sizing knobs (0 = defaults) */
@@ -96,14 +85,12 @@ typedef struct ds_session_options {
  *   "dir:PATH"       file-backed embedded store at PATH
  *   "HOST:PORT"      remote dstore_serverd (also "tcp:HOST:PORT")
  * options may be NULL for defaults. Returns NULL on failure; the reason
- * is readable via ds_open_error() (a thread-local slot — there is no
- * session to carry it yet). */
+ * is readable via ds_open_error(). */
 ds_session_t* ds_session_open(const char* target, const ds_session_options* options);
 void ds_session_close(ds_session_t* session);
 
-/* Why the most recent ds_session_open() on this thread returned NULL.
- * (The v3 face of the thread-local slot the deprecated ds_last_error()
- * also reads.) */
+/* Why the most recent ds_session_open() on this thread returned NULL. A
+ * thread-local slot, since there is no session to carry the reason. */
 const char* ds_open_error(void);
 
 /* Open (creating on first use) a tenant namespace. Names must be non-empty
@@ -122,6 +109,30 @@ DS_NODISCARD ssize_t ds_get(ds_namespace_t* ns, const char* key, void* value,
                             size_t value_cap);
 DS_NODISCARD int ds_delete(ds_namespace_t* ns, const char* key);
 
+/* Filesystem-style objects (embedded sessions only; remote sessions return
+ * NULL / DS_ENOTSUP). An object shares its namespace's keyspace, so
+ * ds_get sees what ds_object_write wrote under the same name.
+ * ds_object_open returns NULL on failure (reason on the session's error
+ * slot); close every object before its namespace. Reads past EOF return 0;
+ * a negative offset, or writing through a handle opened without
+ * DS_O_WRITE, is DS_EINVAL. */
+#define DS_O_READ 0x1u
+#define DS_O_WRITE 0x2u
+#define DS_O_CREATE 0x4u /* create if absent (requires DS_O_WRITE) */
+ds_object_t* ds_object_open(ds_namespace_t* ns, const char* name, size_t size_hint,
+                            uint32_t flags);
+void ds_object_close(ds_object_t* obj);
+DS_NODISCARD ssize_t ds_object_read(ds_object_t* obj, void* buf, size_t size, off_t offset);
+DS_NODISCARD ssize_t ds_object_write(ds_object_t* obj, const void* buf, size_t size,
+                                     off_t offset);
+
+/* Object locks for inter-object dependencies (embedded sessions only;
+ * remote sessions return DS_ENOTSUP). Locks are not recursive: a second
+ * ds_lock is DS_EBUSY; the holding namespace may still write the object.
+ * Unlocking a name that is not held is DS_ENOTFOUND. */
+DS_NODISCARD int ds_lock(ds_namespace_t* ns, const char* name);
+DS_NODISCARD int ds_unlock(ds_namespace_t* ns, const char* name);
+
 /* Maintenance. ds_scrub runs one full integrity pass (every shard, for a
  * remote session). ds_checkpoint forces a checkpoint on embedded sessions
  * and returns DS_ENOTSUP on remote ones (servers checkpoint themselves at
@@ -136,95 +147,14 @@ DS_NODISCARD int ds_checkpoint(ds_session_t* session);
 #define DS_METRICS_PROMETHEUS 1
 char* ds_session_metrics(ds_session_t* session, int format);
 
-/* Per-session error slot: the outcome of the most recent v3 call made
- * through this session or its namespaces. Sessions never observe each
- * other's errors (unlike the deprecated thread-local ds_last_error()),
- * which is what makes error handling sane with several remote sessions
- * on one thread — or one session per thread. The returned pointer refers
- * to session-owned storage and is invalidated by the session's next
- * failing call; copy it out if you need it longer. */
+/* Per-session error slot: the outcome of the most recent call made through
+ * this session or its namespaces and objects. Sessions never observe each
+ * other's errors, which is what makes error handling sane with several
+ * remote sessions on one thread — or one session per thread. The returned
+ * pointer refers to session-owned storage and is invalidated by the
+ * session's next failing call; copy it out if you need it longer. */
 int ds_session_last_error_code(const ds_session_t* session);
 const char* ds_session_last_error(const ds_session_t* session);
-
-/* ======================================================================
- * v2: deprecated flat surface (Table 2 of the paper)
- *
- * Every function below is a compatibility shim over the same engine the
- * v3 surface drives. Migration map (see DESIGN.md §15):
- *   dstore_open/dstore_close      -> ds_session_open("mem:"|"dir:...")/
- *                                    ds_session_close
- *   ds_init/ds_finalize           -> ds_namespace_open/ds_namespace_close
- *   oput/oget/odelete             -> ds_put/ds_get/ds_delete
- *   dstore_checkpoint             -> ds_checkpoint
- *   ds_metrics_dump               -> ds_session_metrics
- *   ds_last_error[_code]          -> ds_session_last_error[_code]
- * ====================================================================== */
-
-/* Open-mode flags for oopen (op_t in Table 2). */
-#define DS_O_READ 0x1u
-#define DS_O_WRITE 0x2u
-#define DS_O_CREATE 0x4u
-
-/* Create (create=nonzero) or recover (create=0) a store. Returns NULL on
- * failure. */
-DS_DEPRECATED("v2 surface; use ds_session_open()")
-dstore_t* dstore_open(const dstore_options* options, int create);
-DS_DEPRECATED("v2 surface; use ds_session_close()")
-void dstore_close(dstore_t* store);
-
-/* ---- environment (Table 2) ---- */
-DS_DEPRECATED("v2 surface; use ds_namespace_open()")
-ds_ctx_t* ds_init(dstore_t* store);
-DS_DEPRECATED("v2 surface; use ds_namespace_close()")
-void ds_finalize(ds_ctx_t* ctx);
-
-/* ---- filesystem style (Table 2) ---- */
-DS_DEPRECATED("v2 surface; no v3 equivalent yet — stays until one exists")
-OBJECT* oopen(ds_ctx_t* ctx, const char* name, size_t size, uint32_t op);
-DS_DEPRECATED("v2 surface; no v3 equivalent yet — stays until one exists")
-void oclose(OBJECT* object);
-DS_DEPRECATED("v2 surface; no v3 equivalent yet — stays until one exists")
-DS_NODISCARD ssize_t oread(OBJECT* object, void* buf, size_t size, off_t offset);
-DS_DEPRECATED("v2 surface; no v3 equivalent yet — stays until one exists")
-DS_NODISCARD ssize_t owrite(OBJECT* object, const void* buf, size_t size, off_t offset);
-
-/* ---- key-value style (Table 2) ---- */
-/* oget copies up to value_cap bytes and returns the full value size. */
-DS_DEPRECATED("v2 surface; use ds_get()")
-DS_NODISCARD ssize_t oget(ds_ctx_t* ctx, const char* key, void* value, size_t value_cap);
-DS_DEPRECATED("v2 surface; use ds_put()")
-DS_NODISCARD ssize_t oput(ds_ctx_t* ctx, const char* key, const void* value, size_t size);
-DS_DEPRECATED("v2 surface; use ds_delete()")
-DS_NODISCARD int odelete(ds_ctx_t* ctx, const char* name);
-
-/* ---- concurrency control (Table 2) ---- */
-DS_DEPRECATED("v2 surface; no v3 equivalent yet — stays until one exists")
-DS_NODISCARD int olock(ds_ctx_t* ctx, const char* name);
-DS_DEPRECATED("v2 surface; no v3 equivalent yet — stays until one exists")
-DS_NODISCARD int ounlock(ds_ctx_t* ctx, const char* name);
-
-/* ---- maintenance ---- */
-DS_DEPRECATED("v2 surface; use ds_checkpoint()")
-DS_NODISCARD int dstore_checkpoint(dstore_t* store);
-DS_DEPRECATED("v2 surface")
-uint64_t dstore_object_count(dstore_t* store);
-
-/* ---- observability ---- */
-/* Scrape the store's metrics registry. Returns a NUL-terminated malloc()ed
- * string the caller must free(), or NULL on invalid arguments. */
-DS_DEPRECATED("v2 surface; use ds_session_metrics()")
-char* ds_metrics_dump(dstore_t* store, int format);
-
-/* ---- error reporting ---- */
-/* Outcome of the calling thread's most recent v2 binding call (and of
- * ds_session_open() failures, which have no session to report through).
- * The slot is THREAD-LOCAL: each thread observes only its own calls. The
- * returned pointer is invalidated by the same thread's next binding call.
- * v3 code should read the per-session slot instead. */
-DS_DEPRECATED("v2 surface; use ds_session_last_error_code()")
-int ds_last_error_code(void);
-DS_DEPRECATED("v2 surface; use ds_session_last_error()")
-const char* ds_last_error(void);
 
 #ifdef __cplusplus
 } /* extern "C" */

@@ -562,6 +562,8 @@ struct Server::Impl {
         slow_cv.notify_one();
         return;
       }
+      case Op::kReplAck:  // a response opcode; never a request
+        break;
     }
     respond_status(c, f.hdr.op, f.hdr.req_id,
                    Status::unsupported("opcode " + std::to_string((int)f.hdr.op)));

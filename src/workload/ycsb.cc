@@ -41,7 +41,7 @@ RunResult run_workload(KVStore& store, const WorkloadSpec& spec, TimeSeries* thr
   std::atomic<uint64_t> failed_ops{0};
   std::atomic<uint64_t> inserts{0};
   std::atomic<uint64_t> next_key{spec.num_objects};   // insert reservation (YCSB D)
-  std::atomic<uint64_t> published{spec.num_objects};  // keys guaranteed written
+  std::atomic<uint64_t> published{spec.num_objects};  // inserts below this are done
   std::atomic<bool> stop{false};
   ScrambledZipfianGenerator zipf(spec.num_objects);
 
@@ -101,15 +101,16 @@ RunResult run_workload(KVStore& store, const WorkloadSpec& spec, TimeSeries* thr
           std::string fresh_key = ycsb_key(fresh);
           if (spec.value_size >= 8) std::memcpy(value.data(), &fresh, sizeof(fresh));
           ok = store.put(ctx, fresh_key, value.data(), value.size()).is_ok();
-          if (ok) {
-            inserts.fetch_add(1, std::memory_order_relaxed);
-            // Publish the contiguous prefix of written keys so read-latest
-            // never targets an in-flight insert.
-            uint64_t expect = fresh;
-            while (!published.compare_exchange_weak(expect, fresh + 1,
-                                                    std::memory_order_release) &&
-                   expect < fresh + 1) {
-            }
+          if (ok) inserts.fetch_add(1, std::memory_order_relaxed);
+          // Publish the contiguous prefix of finished inserts so read-latest
+          // never targets an in-flight one: wait until every earlier key is
+          // published, then advance past this one. A failed insert publishes
+          // too, or the inserts queued behind it would wait forever.
+          uint64_t expect = fresh;
+          while (!published.compare_exchange_weak(expect, fresh + 1,
+                                                  std::memory_order_release)) {
+            expect = fresh;
+            std::this_thread::yield();
           }
         } else if (is_rmw) {
           auto r = store.get(ctx, key, buf.data(), buf.size());

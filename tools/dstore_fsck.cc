@@ -1,5 +1,5 @@
 // dstore_fsck — offline consistency checker for a persistent DStore
-// directory (as created by dstore_cli or the C API's backing_dir).
+// directory (as created by dstore_cli or a C API "dir:" session).
 //
 // Opens the store read-only-in-spirit (it runs recovery, which is
 // idempotent and only completes work that a crash interrupted), then
