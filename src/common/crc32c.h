@@ -1,11 +1,23 @@
 // CRC32C (Castagnoli) — the end-to-end integrity checksum.
 //
 // Every persistence tier carries one: DIPPER log slots, metadata-zone
-// entries, and the block device's per-4KB-page sidecar. The Castagnoli
-// polynomial was chosen (over CRC32/ISO) because x86 has carried a
-// dedicated instruction for it since SSE4.2 — a 4 KB page checksums in
-// ~500ns on the hardware path vs ~2µs for the slice-by-8 software path,
-// which matters on the read path where every page is verified.
+// entries, the block device's per-4KB-page sidecar, and each object's
+// whole-content CRC. The Castagnoli polynomial was chosen (over CRC32/ISO)
+// because x86 has carried a dedicated instruction for it since SSE4.2.
+//
+// Kernel: `crc32q` has a 3-cycle latency but a 1-cycle throughput, so one
+// dependent chain runs at a third of the instruction's rate. Inputs of at
+// least three blocks therefore run three independent chains over adjacent
+// blocks and merge them by shifting the earlier chain's state over the
+// later block's length (x^(8·L) mod P, applied through compile-time
+// tables) — the Adler crc32c.c / Intel crc_pcl scheme. Blocks are 1360 B,
+// so a 4 KB page is one round plus a 16 B tail; inputs shorter than
+// 3 × 1360 B (log records, metadata entries) keep the single-chain loop.
+// Measured (micro_primitives BM_Crc32c, medians of 12 runs, 4-vCPU Xeon,
+// GCC 12 Release), single chain → 3-way: 4 KB 597 → 244 ns, 16 KB
+// 2.49 → 0.99 µs (6.6 → 16.6 GB/s); 64 B (~11 ns) and 128 B (~17 ns) run
+// the same single chain as before. The slice-by-8 software fallback runs
+// at ~1 GB/s.
 //
 // Seeding: checksums are *location-seeded* (slot index, entry index,
 // absolute page number) so a structurally valid record or page read from
@@ -63,10 +75,68 @@ inline uint32_t extend_sw(uint32_t crc, const void* data, size_t n) {
   return crc;
 }
 
+// Shift operators for the 3-way merge. Over GF(2) the raw CRC state is
+// linear, so extend(c, A‖B) == shift(extend(c, A), |B|) ^ extend(0, B),
+// where shift(x, L) feeds L zero bytes through state x. ShiftTable holds
+// that operator for one fixed L as four byte-indexed lookups; the matrix
+// powers are built at compile time, so no call ever pays for them.
+struct ShiftTable {
+  uint32_t t[4][256];
+};
+
+struct Gf2Matrix {
+  uint32_t col[32];  // col[i] = image of state bit i
+};
+
+constexpr uint32_t gf2_times(const Gf2Matrix& m, uint32_t v) {
+  uint32_t r = 0;
+  for (int i = 0; v != 0; i++, v >>= 1) {
+    if (v & 1) r ^= m.col[i];
+  }
+  return r;
+}
+
+constexpr Gf2Matrix gf2_mul(const Gf2Matrix& a, const Gf2Matrix& b) {
+  Gf2Matrix r{};
+  for (int i = 0; i < 32; i++) r.col[i] = gf2_times(a, b.col[i]);
+  return r;
+}
+
+constexpr ShiftTable make_shift_table(uint64_t zero_bytes) {
+  Gf2Matrix bit{};  // one zero bit: state >> 1, folding the polynomial in
+  bit.col[0] = 0x82F63B78u;
+  for (int i = 1; i < 32; i++) bit.col[i] = 1u << (i - 1);
+  Gf2Matrix sq = gf2_mul(bit, bit);
+  sq = gf2_mul(sq, sq);
+  sq = gf2_mul(sq, sq);  // one zero byte
+  Gf2Matrix op{};
+  for (int i = 0; i < 32; i++) op.col[i] = 1u << i;
+  for (; zero_bytes != 0; zero_bytes >>= 1, sq = gf2_mul(sq, sq)) {
+    if (zero_bytes & 1) op = gf2_mul(sq, op);
+  }
+  ShiftTable out{};
+  for (int k = 0; k < 4; k++) {
+    for (uint32_t b = 0; b < 256; b++) out.t[k][b] = gf2_times(op, b << (8 * k));
+  }
+  return out;
+}
+
+inline uint32_t shift(const ShiftTable& s, uint32_t crc) {
+  return s.t[0][crc & 0xff] ^ s.t[1][(crc >> 8) & 0xff] ^ s.t[2][(crc >> 16) & 0xff] ^
+         s.t[3][crc >> 24];
+}
+
+// 3-way block size (a multiple of 8): one 3 × 1360 B round covers a 4 KB
+// page but for a 16 B tail.
+inline constexpr size_t kBlock = 1360;
+inline constexpr ShiftTable kShift = make_shift_table(kBlock);
+
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-__attribute__((target("sse4.2"))) inline uint32_t extend_hw(uint32_t crc, const void* data,
-                                                            size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
+// The single dependent chain: the whole of a short input, and the tail
+// (< 3 × kBlock) of a long one.
+__attribute__((target("sse4.2"))) inline uint32_t extend_hw_serial(uint32_t crc,
+                                                                   const unsigned char* p,
+                                                                   size_t n) {
   uint64_t c = crc;
   while (n >= 8) {
     uint64_t w;
@@ -80,6 +150,41 @@ __attribute__((target("sse4.2"))) inline uint32_t extend_hw(uint32_t crc, const 
   return crc;
 }
 
+// Out of line so the short-input path inlined at every call site stays a
+// compare and the serial loop.
+__attribute__((target("sse4.2"), noinline)) inline uint32_t extend_hw_3way(
+    uint32_t crc, const unsigned char* p, size_t n) {
+  uint64_t c0 = crc;
+  for (; n >= 3 * kBlock; p += 3 * kBlock, n -= 3 * kBlock) {
+    uint64_t c1 = 0;
+    uint64_t c2 = 0;
+    for (size_t i = 0; i < kBlock; i += 8) {
+      uint64_t w0, w1, w2;
+      __builtin_memcpy(&w0, p + i, 8);
+      __builtin_memcpy(&w1, p + kBlock + i, 8);
+      __builtin_memcpy(&w2, p + 2 * kBlock + i, 8);
+      c0 = __builtin_ia32_crc32di(c0, w0);
+      c1 = __builtin_ia32_crc32di(c1, w1);
+      c2 = __builtin_ia32_crc32di(c2, w2);
+    }
+    c0 = shift(kShift, static_cast<uint32_t>(c0)) ^ c1;
+    c0 = shift(kShift, static_cast<uint32_t>(c0)) ^ c2;
+  }
+  return extend_hw_serial(static_cast<uint32_t>(c0), p, n);
+}
+
+__attribute__((target("sse4.2"))) inline uint32_t extend_hw(uint32_t crc, const void* data,
+                                                            size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  if (__builtin_expect(n >= 3 * kBlock, 0)) return extend_hw_3way(crc, p, n);
+  return extend_hw_serial(crc, p, n);
+}
+
+// One 8-byte word: the location seeds and record fields hashed field by field.
+__attribute__((target("sse4.2"))) inline uint32_t extend_hw_u64(uint32_t crc, uint64_t v) {
+  return static_cast<uint32_t>(__builtin_ia32_crc32di(crc, v));
+}
+
 inline bool have_hw_crc() {
   static const bool ok = __builtin_cpu_supports("sse4.2");
   return ok;
@@ -89,20 +194,22 @@ inline bool have_hw_crc() { return false; }
 inline uint32_t extend_hw(uint32_t crc, const void* data, size_t n) {
   return extend_sw(crc, data, n);
 }
+inline uint32_t extend_hw_u64(uint32_t crc, uint64_t v) { return extend_sw(crc, &v, sizeof(v)); }
 #endif
 
 }  // namespace crc32c_detail
 
 // Raw extension: feed `n` bytes into a running (non-inverted) CRC state.
-// Compose location seeds and data by chaining calls; finish with
-// crc32c_finish() (a plain xor keeps composition associative).
+// Compose location seeds and data by chaining calls; finish with the
+// final xor crc32c() applies (a plain xor keeps composition associative).
 inline uint32_t crc32c_extend(uint32_t crc, const void* data, size_t n) {
   return crc32c_detail::have_hw_crc() ? crc32c_detail::extend_hw(crc, data, n)
                                       : crc32c_detail::extend_sw(crc, data, n);
 }
 
 inline uint32_t crc32c_extend_u64(uint32_t crc, uint64_t v) {
-  return crc32c_extend(crc, &v, sizeof(v));
+  return crc32c_detail::have_hw_crc() ? crc32c_detail::extend_hw_u64(crc, v)
+                                      : crc32c_detail::extend_sw(crc, &v, sizeof(v));
 }
 
 // One-shot checksum of a buffer with an optional integer location seed.

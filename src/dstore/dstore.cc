@@ -745,14 +745,11 @@ Status DStore::write_data(const std::vector<uint64_t>& blocks, const void* data,
   return finish_io(q, /*is_write=*/true, trace);
 }
 
-Status DStore::write_data_range(View& v, uint64_t meta_idx, const void* data, size_t size,
-                                uint64_t offset, obs::OpTrace* trace) {
-  if (size == 0) return Status::ok();
+Status DStore::submit_write_range(View& v, uint64_t meta_idx, ssd::IoQueue& q,
+                                  const void* data, size_t size, uint64_t offset,
+                                  obs::OpTrace* trace) {
   const MetaEntry* e = v.zone.entry(meta_idx);
-  const uint64_t* bl = v.zone.blocks(*e);
-  ssd::IoQueue q(device_, cfg_.ssd_qd);
-  DSTORE_RETURN_IF_ERROR(submit_io_range(q, bl, e->nblocks, data, nullptr, size, offset, trace));
-  return finish_io(q, /*is_write=*/true, trace);
+  return submit_io_range(q, v.zone.blocks(*e), e->nblocks, data, nullptr, size, offset, trace);
 }
 
 Status DStore::read_data_range(View& v, uint64_t meta_idx, void* buf, size_t size,
@@ -1147,6 +1144,11 @@ Status DStore::oput(ds_ctx_t* ctx, std::string_view name, const void* value, siz
   // already posted, no context, no PLP) takes the synchronous reap with its
   // bounded-retry policy.
   trace.enter(obs::kStageSsdBatch);
+  // The whole-object content CRC, hashed before the reap while the data IOs
+  // are still in flight — the caller's buffer is stable for the whole call,
+  // so the hash overlaps the device instead of following it. It is
+  // published into the entry only after the completions (below).
+  const uint32_t value_crc = crc32c(value, size);
   bool parked = false;
   if (s.is_ok() && ws.is_ok()) {
     if (early_ack && !ioq.any_failed()) {
@@ -1161,13 +1163,14 @@ Status DStore::oput(ds_ctx_t* ctx, std::string_view name, const void* value, siz
     engine_->abort(h);
     return s;
   }
-  // Record the whole-object content CRC — the tier that catches internally
+  // Publish the whole-object content CRC — the tier that catches internally
   // consistent stale pages (lost and misdirected writes) the per-page
-  // sidecar cannot see. Frontend-only: replay has no data bytes, so shadow
-  // entries keep data_crc_valid = 0.
+  // sidecar cannot see — now that the bytes it covers have landed.
+  // Frontend-only: replay has no data bytes, so shadow entries keep
+  // data_crc_valid = 0.
   if (size > 0) {
     MetaEntry* e = v.zone.entry(plan.meta_idx);
-    e->data_crc = crc32c(value, size);
+    e->data_crc = value_crc;
     e->data_crc_valid = 1;
     v.zone.seal_entry(plan.meta_idx);
   }
@@ -1571,6 +1574,10 @@ Result<size_t> DStore::owrite(Object* object, const void* buf, size_t size, uint
         trace.leave();
       }
       trace.enter(obs::kStageSsdBatch);
+      // A whole-object write re-establishes the content CRC: hash it while
+      // the IOs are in flight (as in oput).
+      const bool whole = offset == 0 && size == new_size;
+      const uint32_t value_crc = whole ? crc32c(buf, size) : 0;
       if (s.is_ok() && ws.is_ok()) ws = finish_io(ioq, /*is_write=*/true, &trace);
       if (s.is_ok()) s = ws;
       if (!s.is_ok()) {
@@ -1579,9 +1586,9 @@ Result<size_t> DStore::owrite(Object* object, const void* buf, size_t size, uint
       }
       // Whole-object writes re-establish the content CRC; partial ones left
       // it invalidated by extend_phase2.
-      if (offset == 0 && size == new_size) {
+      if (whole) {
         MetaEntry* e2 = v.zone.entry(plan.meta_idx);
-        e2->data_crc = crc32c(buf, size);
+        e2->data_crc = value_crc;
         e2->data_crc_valid = 1;
         v.zone.seal_entry(plan.meta_idx);
       }
@@ -1604,10 +1611,15 @@ Result<size_t> DStore::owrite(Object* object, const void* buf, size_t size, uint
     v.zone.seal_entry(*found);
     pipeline_mu_.unlock();
     trace.enter(obs::kStageSsdBatch);
-    Status s = write_data_range(v, *found, buf, size, offset, &trace);
+    ssd::IoQueue ioq(device_, cfg_.ssd_qd);
+    Status s = submit_write_range(v, *found, ioq, buf, size, offset, &trace);
+    // Hashed during the IOs; published only once they complete.
+    const bool whole = offset == 0 && size == e->size;
+    const uint32_t value_crc = whole ? crc32c(buf, size) : 0;
+    if (s.is_ok()) s = finish_io(ioq, /*is_write=*/true, &trace);
     trace.leave();
-    if (s.is_ok() && offset == 0 && size == e->size) {
-      e->data_crc = crc32c(buf, size);
+    if (s.is_ok() && whole) {
+      e->data_crc = value_crc;
       e->data_crc_valid = 1;
       v.zone.seal_entry(*found);
     }
@@ -1681,6 +1693,21 @@ Result<uint64_t> DStore::object_size(std::string_view name) {
   }
   if (!found.has_value()) return Status::not_found(k.str());
   return (uint64_t)v.zone.entry(*found)->size;
+}
+
+Result<uint32_t> DStore::content_crc(std::string_view name) {
+  if (!Key::fits(name)) return Status::invalid_argument("name too long");
+  Key k = Key::from(name);
+  ReaderGuard guard(*this, k);  // no writer mid-publish
+  View v = view_of(engine_->space());
+  std::optional<uint64_t> found;
+  {
+    SharedLockGuard g(btree_mu_);
+    found = v.btree.find(k);
+  }
+  if (!found.has_value()) return Status::not_found(k.str());
+  const MetaEntry* e = v.zone.entry(*found);
+  return e->data_crc_valid ? e->data_crc : 0u;
 }
 
 void DStore::list(const std::function<bool(std::string_view, uint64_t)>& fn) {

@@ -22,7 +22,9 @@
 //   5 unlock the pools                        ┘ replay
 //   6 write metadata in the metadata zone     ┐ parallel across requests
 //   7 write the btree record                  ┘ (observational equivalence)
-//   8 write data to SSD
+//   8 write data to SSD: submit the IOs, hash the value (content CRC)
+//     while they are in flight, reap the completions, then publish the
+//     CRC into the metadata entry
 //   9 commit and flush the log record  → op is durable
 //
 // Replay (checkpoint/recovery) runs steps 2-4, 6-7 from the log with the
@@ -245,6 +247,10 @@ class DStore final : public dipper::SpaceClient {
 
   // ---- introspection ------------------------------------------------------
   Result<uint64_t> object_size(std::string_view name);
+  // Test hook, not supported API: the whole-object content CRC recorded for
+  // `name` (DESIGN.md §11), i.e. crc32c(content); 0 while none is recorded
+  // (a partial write cleared it). Readers verify it through oget.
+  Result<uint32_t> content_crc(std::string_view name);
   uint64_t object_count();
   // Visit every object in name order. Return false from `fn` to stop.
   // Holds the index shared lock for the duration; writers wait.
@@ -419,8 +425,10 @@ class DStore final : public dipper::SpaceClient {
 
   Status write_data(const std::vector<uint64_t>& blocks, const void* data, size_t size,
                     obs::OpTrace* trace = nullptr);
-  Status write_data_range(View& v, uint64_t meta_idx, const void* data, size_t size,
-                          uint64_t offset, obs::OpTrace* trace = nullptr);
+  // Submit half of a ranged write into the object's existing blocks; the
+  // caller overlaps its own work with the IOs, then reaps them (finish_io).
+  Status submit_write_range(View& v, uint64_t meta_idx, ssd::IoQueue& q, const void* data,
+                            size_t size, uint64_t offset, obs::OpTrace* trace);
   Status read_data_range(View& v, uint64_t meta_idx, void* buf, size_t size, uint64_t offset,
                          size_t* out_len, obs::OpTrace* trace = nullptr);
 

@@ -330,6 +330,8 @@ uint64_t Node::prepare(Mutation m) {
   // exclusion (repl.node is never held across store ops, but writers here
   // still hold store-side exclusions).
   if (a_role_.load(std::memory_order_relaxed) != (uint64_t)Role::kPrimary) return 0;
+  // Hashed before the lock, so concurrent writers do not queue behind it.
+  const uint32_t value_crc = crc32c(m.value.data(), m.value.size());
   MutexGuard g(mu_);
   if (role_ != Role::kPrimary) return 0;
   Entry e;
@@ -344,7 +346,7 @@ uint64_t Node::prepare(Mutation m) {
   if (m.unlogged) e.eflags |= net::ReplEntryWire::kUnlogged;
   e.key = std::move(m.key);
   e.value = std::move(m.value);
-  e.value_crc = crc32c(e.value.data(), e.value.size());
+  e.value_crc = value_crc;
   if (m.slot_image != nullptr && !m.unlogged)
     e.slot_image.assign((const char*)m.slot_image, dipper::PmemLog::kSlotSize);
   tl_last_seq = e.seq;

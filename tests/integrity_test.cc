@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "dipper/log.h"
 #include "dstore/dstore.h"
 #include "fault/crash_rig.h"
@@ -314,6 +315,45 @@ TEST(Integrity, BackgroundScrubberRunsOnInterval) {
 // Misdirected writes (the sidecar is location-seeded; the content CRC
 // catches the stale-but-consistent intended location)
 // ---------------------------------------------------------------------------
+
+// Every write path publishes crc32c(content) as the object's content CRC,
+// hashed while its data IOs were in flight; a partial overwrite clears it.
+TEST(Integrity, EveryWritePathPublishesTheContentCrc) {
+  Fixture f;
+  f.build(/*repair_logging=*/false);
+  auto pattern = [](size_t n, char seed) {
+    std::string v(n, '\0');
+    for (size_t i = 0; i < n; i++) v[i] = (char)(i * 131 + seed);
+    return v;
+  };
+  auto content_crc = [&](const std::string& k) {
+    auto c = f.store->content_crc(k);
+    EXPECT_TRUE(c.is_ok()) << c.status().to_string();
+    return c.is_ok() ? c.value() : 0u;
+  };
+
+  // oput (16 KB: multi-block, 3-way kernel).
+  std::string v1 = pattern(16384, 1);
+  ASSERT_TRUE(f.put("obj", v1).is_ok());
+  EXPECT_EQ(content_crc("obj"), crc32c(v1.data(), v1.size()));
+
+  auto opened = f.store->oopen(f.ctx, "obj", 0, kRead | kWrite);
+  ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
+  Object* obj = opened.value();
+  // Pure whole-object overwrite (unlogged).
+  std::string v2 = pattern(16384, 2);
+  ASSERT_TRUE(f.store->owrite(obj, v2.data(), v2.size(), 0).is_ok());
+  EXPECT_EQ(content_crc("obj"), crc32c(v2.data(), v2.size()));
+  // Partial overwrite.
+  std::string patch = pattern(50, 3);
+  ASSERT_TRUE(f.store->owrite(obj, patch.data(), patch.size(), 100).is_ok());
+  EXPECT_EQ(content_crc("obj"), 0u);
+  // Growing whole-object write (logged).
+  std::string v3 = pattern(20000, 4);
+  ASSERT_TRUE(f.store->owrite(obj, v3.data(), v3.size(), 0).is_ok());
+  EXPECT_EQ(content_crc("obj"), crc32c(v3.data(), v3.size()));
+  f.store->oclose(obj);
+}
 
 TEST(Integrity, MisdirectedWriteNeverReturnsStaleBytes) {
   Fixture f;

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "common/crc32c.h"
+#include "common/rng.h"
 #include "dipper/log.h"
 #include "dstore/sharded.h"
 #include "fault/dist_rig.h"
@@ -539,6 +540,89 @@ TEST(ReplConcurrency, ConcurrentWritersAllReachQuorum) {
         << "writer " << i << ": " << results[i].to_string();
   EXPECT_EQ(n1->commit_seq(), (uint64_t)(kThreads * kPerThread));
   EXPECT_EQ(n2->applied_seq(), (uint64_t)(kThreads * kPerThread));
+}
+
+// ---------------------------------------------------------------------------
+// Value checksums: the stream's equals the primary's content CRC
+// ---------------------------------------------------------------------------
+
+std::string pattern_value(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::string v(n, '\0');
+  for (char& c : v) c = (char)rng.next();
+  return v;
+}
+
+// Forwards to a real link, keeping a copy of every shipped entry.
+struct TapPeer : PeerRpc {
+  PeerRpc* inner;
+  std::vector<net::ReplEntryWire> shipped;
+  explicit TapPeer(PeerRpc* p) : inner(p) {}
+  Result<net::ReplAck> append(const net::ReplEntryWire& e) override {
+    shipped.push_back(e);
+    return inner->append(e);
+  }
+  Result<net::ReplSubscribeResult> subscribe(const net::ReplHello& h) override {
+    return inner->subscribe(h);
+  }
+  Result<net::SnapChunk> snap_pull(const net::ReplHello& h, std::string* storage) override {
+    return inner->snap_pull(h, storage);
+  }
+  Result<net::ReplAck> heartbeat(const net::Heartbeat& hb) override {
+    return inner->heartbeat(hb);
+  }
+  Result<net::PromoteResp> promote(const net::PromoteReq& p) override {
+    return inner->promote(p);
+  }
+};
+
+TEST(ReplValueCrc, ShippedEntryCarriesThePrimarysContentCrc) {
+  auto make_store = [](Node* n) {
+    ShardedConfig scfg;
+    scfg.num_shards = 1;
+    scfg.shard.max_objects = 64;
+    scfg.shard.num_blocks = 512;
+    scfg.shard.engine.log_slots = 64;
+    scfg.repl_sink = n;
+    auto r = ShardedStore::create(scfg);
+    EXPECT_TRUE(r.is_ok()) << r.status().to_string();
+    return std::move(r).value();
+  };
+  NodeConfig c1;
+  c1.node_id = 1;
+  c1.start_as_primary = true;
+  auto n1 = std::make_unique<Node>(c1);
+  auto s1 = make_store(n1.get());
+  n1->attach_store(s1.get());
+  NodeConfig c2;
+  c2.node_id = 2;
+  c2.initial_primary = 1;
+  auto n2 = std::make_unique<Node>(c2);
+  auto s2 = make_store(n2.get());
+  n2->attach_store(s2.get());
+
+  MemHub hub;
+  hub.add_node(1, n1.get(), nullptr);
+  hub.add_node(2, n2.get(), nullptr);
+  auto p12 = hub.peer(1, 2);
+  auto p21 = hub.peer(2, 1);
+  TapPeer tap(p12.get());
+  n1->add_peer(2, &tap);
+  n2->add_peer(1, p21.get());
+  n2->on_tick();  // follower subscribes to the seed primary
+
+  std::string value = pattern_value(16384, 5);
+  ASSERT_TRUE(n1->put("k", value.data(), value.size()).is_ok());
+  ASSERT_EQ(n2->applied_seq(), 1u);
+  ASSERT_EQ(tap.shipped.size(), 1u);
+  const uint32_t want = crc32c(value.data(), value.size());
+  EXPECT_EQ(tap.shipped[0].value_crc, want);
+  auto primary = s1->shard(0).content_crc("k");
+  ASSERT_TRUE(primary.is_ok()) << primary.status().to_string();
+  EXPECT_EQ(primary.value(), want);
+  auto follower = s2->shard(0).content_crc("k");
+  ASSERT_TRUE(follower.is_ok()) << follower.status().to_string();
+  EXPECT_EQ(follower.value(), want);
 }
 
 // ---------------------------------------------------------------------------
