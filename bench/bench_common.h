@@ -1,53 +1,132 @@
-// Shared plumbing for the per-figure/table bench binaries.
+// Shared plumbing for the benches: validated env knobs, the run parameters
+// of the paper experiments, and the one result schema every bench writes.
 //
-// Every bench prints the series/rows of one paper figure or table. The
-// emulated devices inject latencies calibrated to the paper's testbed
-// (LatencyModel::calibrated), so the *shape* of each result — who wins, by
-// roughly what factor, where crossovers fall — is comparable to the paper;
-// absolute numbers are not (this is an emulated single machine, not a
-// 2x28-core Optane server).
-//
-// Environment knobs (all optional):
+// Environment knobs (all optional; a value must parse as a positive number,
+// otherwise the bench names the variable and exits 64):
 //   DSTORE_BENCH_THREADS    worker threads            (default 4)
 //   DSTORE_BENCH_OBJECTS    preloaded keyspace        (default 20000)
-//   DSTORE_BENCH_OPS        ops per thread            (default 5000)
+//   DSTORE_BENCH_OPS        ops per thread            (default 12500)
 //   DSTORE_BENCH_WINDOW_S   Fig 7 window seconds      (default 10)
 //   DSTORE_BENCH_SCALE      latency-injection scale   (default 1.0 =
 //                           full calibrated device latencies)
 //   DSTORE_BENCH_SSD_QD     NVMe queue-pair depth     (default 16; 1 =
 //                           the historical synchronous data plane)
 //   DSTORE_BENCH_JSON_DIR   where BENCH_<name>.json lands (default cwd)
+// Some experiments use other defaults or extra knobs; paper_bench.cc lists
+// them, and each report records the values in effect.
 #pragma once
 
+#include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "baselines/backends.h"
+#include "common/histogram.h"
 #include "common/latency_model.h"
 #include "workload/ycsb.h"
 
+#ifndef DSTORE_GIT_SHA
+#define DSTORE_GIT_SHA "none"
+#endif
+#ifndef DSTORE_BUILD_TYPE
+#define DSTORE_BUILD_TYPE "none"
+#endif
+
 namespace dstore::bench {
 
-inline uint64_t env_u64(const char* name, uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? strtoull(v, nullptr, 10) : fallback;
+// sysexits EX_USAGE: a bad flag or knob value.
+constexpr int kExitUsage = 64;
+
+inline std::string json_str(const std::string& s) {
+  std::string out = "\"";
+  for (char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + "\"";
 }
+
+// Integral values print as integers, everything else with 3 decimals.
+inline std::string json_num(double v) {
+  char buf[64];
+  bool integral = std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15;
+  snprintf(buf, sizeof(buf), integral ? "%.0f" : "%.3f", v);
+  return buf;
+}
+
+// Every knob a bench resolved (name -> JSON value, defaults included), in
+// first-read order: the "env" block of the report's provenance.
+inline std::vector<std::pair<std::string, std::string>>& knobs_in_effect() {
+  static std::vector<std::pair<std::string, std::string>> knobs;
+  return knobs;
+}
+
+inline void note_knob(const std::string& name, std::string json_value) {
+  for (auto& [n, v] : knobs_in_effect()) {
+    if (n == name) {
+      v = std::move(json_value);
+      return;
+    }
+  }
+  knobs_in_effect().emplace_back(name, std::move(json_value));
+}
+
+[[noreturn]] inline void bad_knob(const char* name, const char* value) {
+  fprintf(stderr, "%s: invalid value '%s' (want a positive number)\n", name, value);
+  exit(kExitUsage);
+}
+
+inline uint64_t env_u64(const char* name, uint64_t fallback) {
+  uint64_t x = fallback;
+  if (const char* v = std::getenv(name)) {
+    char* end = nullptr;
+    errno = 0;
+    x = strtoull(v, &end, 10);
+    if (*v < '0' || *v > '9' || *end != '\0' || errno != 0 || x == 0) bad_knob(name, v);
+  }
+  note_knob(name, std::to_string(x));
+  return x;
+}
+
 inline double env_f64(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? strtod(v, nullptr) : fallback;
+  double x = fallback;
+  if (const char* v = std::getenv(name)) {
+    char* end = nullptr;
+    errno = 0;
+    x = strtod(v, &end);
+    if (end == v || *end != '\0' || errno != 0 || !std::isfinite(x) || x <= 0) bad_knob(name, v);
+  }
+  note_knob(name, json_num(x));
+  return x;
+}
+
+inline double median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return xs[xs.size() / 2];
 }
 
 struct BenchParams {
-  int threads = (int)env_u64("DSTORE_BENCH_THREADS", 4);
-  uint64_t objects = env_u64("DSTORE_BENCH_OBJECTS", 20000);
-  uint64_t ops_per_thread = env_u64("DSTORE_BENCH_OPS", 12500);
-  uint64_t window_s = env_u64("DSTORE_BENCH_WINDOW_S", 10);
-  double scale = env_f64("DSTORE_BENCH_SCALE", 1.0);
-  uint32_t ssd_qd = (uint32_t)env_u64("DSTORE_BENCH_SSD_QD", 16);
+  int threads;
+  uint64_t objects;
+  uint64_t ops_per_thread;
+  uint64_t window_s;
+  double scale;
+  uint32_t ssd_qd;
+
+  BenchParams(int default_threads = 4, uint64_t default_objects = 20000,
+              uint64_t default_ops = 12500)
+      : threads((int)env_u64("DSTORE_BENCH_THREADS", (uint64_t)default_threads)),
+        objects(env_u64("DSTORE_BENCH_OBJECTS", default_objects)),
+        ops_per_thread(env_u64("DSTORE_BENCH_OPS", default_ops)),
+        window_s(env_u64("DSTORE_BENCH_WINDOW_S", 10)),
+        scale(env_f64("DSTORE_BENCH_SCALE", 1.0)),
+        ssd_qd((uint32_t)env_u64("DSTORE_BENCH_SSD_QD", 16)) {}
 
   LatencyModel latency() const { return LatencyModel::calibrated(scale); }
 
@@ -59,87 +138,85 @@ struct BenchParams {
   }
 };
 
-// Machine-readable results: a bench collects rows and writes them as
-// BENCH_<name>.json into $DSTORE_BENCH_JSON_DIR (default cwd), one object
-// per row with op / system / qd / threads / value_size / percentiles /
-// throughput — the schema CI archives and the before/after latency
-// comparisons in bench/results/ are made of.
-class JsonReport {
+// The one result schema of bench/ (BENCH_<name>.json in
+// $DSTORE_BENCH_JSON_DIR):
+//   {"bench": name,
+//    "provenance": {"git_sha", "build_type", "nproc", "latency_scale",
+//                   "reps", "env": {every knob in effect}},
+//    "rows": [flat objects]}
+// A value measured over reps > 1 repetitions holds the median, with the
+// extremes in <key>_min / <key>_max.
+class Report {
  public:
-  explicit JsonReport(std::string bench) : bench_(std::move(bench)) {}
+  class Row {
+   public:
+    Row& str(const char* key, const std::string& v) { return field(key, json_str(v)); }
+    Row& num(const char* key, double v) { return field(key, json_num(v)); }
+    Row& percentiles(const LatencyHistogram& h) {
+      num("p50_us", h.p50() / 1e3).num("p99_us", h.p99() / 1e3);
+      return num("p999_us", h.p999() / 1e3);
+    }
+    // One value per repetition: the median, plus min/max when reps > 1.
+    Row& stat(const std::string& key, const std::vector<double>& reps) {
+      field(key, json_num(median(reps)));
+      if (reps.size() > 1) {
+        field(key + "_min", json_num(*std::min_element(reps.begin(), reps.end())));
+        field(key + "_max", json_num(*std::max_element(reps.begin(), reps.end())));
+      }
+      return *this;
+    }
 
-  struct Row {
-    std::string op;      // "put", "read", "update", ...
-    std::string system;  // evaluated system / variant
-    uint64_t qd = 0;     // NVMe queue-pair depth in effect
-    int threads = 1;
-    uint64_t value_size = 0;
-    double p50_us = 0, p99_us = 0, p999_us = 0;
-    double throughput_iops = 0;
+   private:
+    friend class Report;
+    Row& field(const std::string& key, const std::string& json) {
+      json_.append(json_.empty() ? "" : ", ").append(json_str(key)).append(": ").append(json);
+      return *this;
+    }
+    std::string json_;
   };
 
-  void add(Row r) { rows_.push_back(std::move(r)); }
+  Report(std::string bench, double latency_scale, int reps = 1)
+      : bench_(std::move(bench)), latency_scale_(latency_scale), reps_(reps) {}
 
-  void add(const std::string& op, const std::string& system, uint64_t qd, int threads,
-           uint64_t value_size, const LatencyHistogram& h, double iops) {
-    add(Row{op, system, qd, threads, value_size, h.p50() / 1000.0, h.p99() / 1000.0,
-            h.p999() / 1000.0, iops});
-  }
+  // The reference is valid until the next row() call.
+  Row& row() { return rows_.emplace_back(); }
 
-  std::string path() const {
-    const char* dir = std::getenv("DSTORE_BENCH_JSON_DIR");
-    std::string base = dir != nullptr ? std::string(dir) + "/" : std::string();
-    return base + "BENCH_" + bench_ + ".json";
-  }
-
-  // Write the report; prints the path so CI logs show where it landed.
+  // Writes the report and prints where it landed; false (with a stderr
+  // diagnostic) if the file cannot be written.
   bool write() const {
-    FILE* f = fopen(path().c_str(), "w");
+    const char* dir = std::getenv("DSTORE_BENCH_JSON_DIR");
+    note_knob("DSTORE_BENCH_JSON_DIR", json_str(dir != nullptr ? dir : "."));
+    std::string path = (dir != nullptr ? std::string(dir) + "/" : "") + "BENCH_" + bench_ + ".json";
+    FILE* f = fopen(path.c_str(), "w");
     if (f == nullptr) {
-      fprintf(stderr, "JsonReport: cannot write %s\n", path().c_str());
+      fprintf(stderr, "cannot write %s\n", path.c_str());
       return false;
     }
-    fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n", bench_.c_str());
+    std::string env;
+    for (const auto& [name, value] : knobs_in_effect()) {
+      env.append(env.empty() ? "" : ", ").append(json_str(name)).append(": ").append(value);
+    }
+    fprintf(f,
+            "{\n  \"bench\": %s,\n  \"provenance\": {\"git_sha\": %s, \"build_type\": %s, "
+            "\"nproc\": %u, \"latency_scale\": %s, \"reps\": %d,\n    \"env\": {%s}},\n"
+            "  \"rows\": [\n",
+            json_str(bench_).c_str(), json_str(DSTORE_GIT_SHA).c_str(),
+            json_str(DSTORE_BUILD_TYPE).c_str(), std::thread::hardware_concurrency(),
+            json_num(latency_scale_).c_str(), reps_, env.c_str());
     for (size_t i = 0; i < rows_.size(); i++) {
-      const Row& r = rows_[i];
-      fprintf(f,
-              "    {\"op\": \"%s\", \"system\": \"%s\", \"qd\": %llu, \"threads\": %d, "
-              "\"value_size\": %llu, \"p50_us\": %.3f, \"p99_us\": %.3f, \"p999_us\": %.3f, "
-              "\"throughput_iops\": %.1f}%s\n",
-              r.op.c_str(), r.system.c_str(), (unsigned long long)r.qd, r.threads,
-              (unsigned long long)r.value_size, r.p50_us, r.p99_us, r.p999_us,
-              r.throughput_iops, i + 1 < rows_.size() ? "," : "");
+      fprintf(f, "    {%s}%s\n", rows_[i].json_.c_str(), i + 1 < rows_.size() ? "," : "");
     }
     fprintf(f, "  ]\n}\n");
     fclose(f);
-    printf("# wrote %s\n", path().c_str());
+    printf("# wrote %s\n", path.c_str());
     return true;
   }
 
  private:
   std::string bench_;
+  double latency_scale_;
+  int reps_;
   std::vector<Row> rows_;
 };
-
-// Factory for each evaluated system, sized for `p` (thin wrapper over the
-// shared backend table in baselines/backends.h).
-inline std::unique_ptr<workload::KVStore> make_system(const std::string& which,
-                                                      const BenchParams& p) {
-  baselines::BackendParams bp;
-  bp.objects = p.objects;
-  bp.ssd_qd = p.ssd_qd;
-  bp.latency = p.latency();
-  return baselines::make_backend(which, bp);
-}
-
-inline workload::WorkloadSpec spec_for(const BenchParams& p, double read_fraction) {
-  workload::WorkloadSpec s;
-  s.num_objects = p.objects;
-  s.value_size = 4096;
-  s.read_fraction = read_fraction;
-  s.threads = p.threads;
-  s.ops_per_thread = p.ops_per_thread;
-  return s;
-}
 
 }  // namespace dstore::bench

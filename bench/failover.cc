@@ -18,9 +18,9 @@
 // Flags: --duration-ms N (default 4000), --kill-at-ms N (in-process only),
 // --keys N (default 256), --value-bytes N (default 256).
 //
-// Output: BENCH_failover.json in $DSTORE_BENCH_JSON_DIR (default cwd) with
-// the standard latency rows plus the failover verdict; exit 1 on lost
-// acked writes or an unbounded outage.
+// Output: BENCH_failover.json in $DSTORE_BENCH_JSON_DIR (default cwd,
+// bench_common.h's schema): a summary row with the failover verdict plus
+// the put latency rows; exit 1 on lost acked writes or an unbounded outage.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/histogram.h"
 #include "dstore/sharded.h"
 #include "net/client.h"
@@ -282,36 +283,21 @@ int main(int argc, char** argv) {
   printf("# before-kill put %s\n", drv.before.summary_us().c_str());
   printf("# after-failover put %s\n", drv.after.summary_us().c_str());
 
-  const char* dir = std::getenv("DSTORE_BENCH_JSON_DIR");
-  std::string path =
-      (dir != nullptr ? std::string(dir) + "/" : std::string()) + "BENCH_failover.json";
-  FILE* f = fopen(path.c_str(), "w");
-  if (f != nullptr) {
-    fprintf(f,
-            "{\n  \"bench\": \"failover\",\n"
-            "  \"note\": \"3-node fleet over loopback TCP, primary killed under "
-            "live load; unavailability = worst ack-to-ack gap\",\n"
-            "  \"acked_writes\": %llu,\n  \"failed_calls\": %llu,\n"
-            "  \"unavailability_ms\": %lld,\n  \"acked_writes_lost\": %s,\n"
-            "  \"rows\": [\n",
-            (unsigned long long)drv.ok_ops, (unsigned long long)drv.failed_ops,
-            (long long)drv.worst_gap_ms, ok ? "0" : "1");
-    auto row = [&](const char* sys, const LatencyHistogram& h, bool last) {
-      fprintf(f,
-              "    {\"op\": \"put\", \"system\": \"%s\", \"qd\": 1, \"threads\": 1, "
-              "\"value_size\": %llu, \"p50_us\": %.3f, \"p99_us\": %.3f, "
-              "\"p999_us\": %.3f, \"throughput_iops\": %.1f}%s\n",
-              sys, (unsigned long long)value_bytes, h.p50() / 1000.0, h.p99() / 1000.0,
-              h.p999() / 1000.0,
-              duration_ms > 0 ? (double)h.count() * 1000.0 / (double)duration_ms : 0.0,
-              last ? "" : ",");
-    };
-    row("repl-3x-before-kill", drv.before, false);
-    row("repl-3x-after-failover", drv.after, true);
-    fprintf(f, "  ]\n}\n");
-    fclose(f);
-    printf("# wrote %s\n", path.c_str());
+  // Unavailability = the worst ack-to-ack gap while the primary was killed
+  // under live load.
+  bench::Report report("failover", /*latency_scale=*/0);
+  report.row().str("op", "summary").str("system", "repl-3x")
+      .num("acked_writes", (double)drv.ok_ops).num("failed_calls", (double)drv.failed_ops)
+      .num("unavailability_ms", (double)drv.worst_gap_ms).num("acked_writes_lost", ok ? 0 : 1);
+  for (bool after : {false, true}) {
+    const LatencyHistogram& h = after ? drv.after : drv.before;
+    report.row().str("op", "put")
+        .str("system", after ? "repl-3x-after-failover" : "repl-3x-before-kill")
+        .num("qd", 1).num("threads", 1).num("value_size", (double)value_bytes).percentiles(h)
+        .num("throughput_iops",
+             duration_ms > 0 ? (double)h.count() * 1000.0 / (double)duration_ms : 0.0);
   }
+  report.write();
 
   for (auto& fn : fleet) {
     fn->node->stop_ticker();

@@ -33,8 +33,8 @@ int main() {
   const size_t kValue = env_u64("DSTORE_BENCH_VALUE", 256);
 
   auto cfg = baselines::DStoreAdapter::dipper_variant();
-  cfg.max_objects = 1 << 14;
-  cfg.num_blocks = 1 << 16;
+  cfg.store.max_objects = 1 << 14;
+  cfg.store.num_blocks = 1 << 16;
   auto adapter = baselines::DStoreAdapter::make(cfg, LatencyModel::none());
   if (!adapter.is_ok()) {
     fprintf(stderr, "make failed: %s\n", adapter.status().to_string().c_str());
@@ -84,9 +84,10 @@ int main() {
          kValue, (unsigned long long)exact(0.50), (unsigned long long)exact(0.99),
          (unsigned long long)exact(0.999), iops);
 
-  JsonReport report("metrics_overhead");
-  report.add("put", variant, cfg.ssd_qd, 1, kValue, lat, iops);
-  report.write();
   store.ds_finalize(ctx);
-  return 0;
+  Report report("metrics_overhead", /*latency_scale=*/0);
+  report.row().str("op", "put").str("system", variant).num("qd", cfg.store.ssd_qd)
+      .num("threads", 1).num("value_size", (double)kValue).percentiles(lat)
+      .num("throughput_iops", iops);
+  return report.write() ? 0 : 1;
 }

@@ -10,7 +10,7 @@
 // into put/get histograms.
 //
 // Output: one line per op with throughput + p50/p99/p999, and
-// BENCH_net_latency.json (JsonReport schema) for bench/results/.
+// BENCH_net_latency.json (bench_common.h's schema) for bench/results/.
 //
 // Usage:
 //   net_loadgen [--conns N] [--depth D] [--ops N] [--threads T]
@@ -303,6 +303,12 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  // The report's provenance records the values in effect, flags included.
+  bench::note_knob("DSTORE_NET_CONNS", std::to_string(opt.conns));
+  bench::note_knob("DSTORE_NET_DEPTH", std::to_string(opt.depth));
+  bench::note_knob("DSTORE_NET_OPS", std::to_string(opt.ops_per_conn));
+  bench::note_knob("DSTORE_NET_THREADS", std::to_string(opt.threads));
+  bench::note_knob("DSTORE_NET_VALUE", std::to_string(opt.value_size));
   if (const char* addr = std::getenv("DSTORE_REMOTE_ADDR"); addr && opt.addr.empty()) {
     opt.addr = addr;
   }
@@ -386,14 +392,18 @@ int main(int argc, char** argv) {
   printf("put  %s\n", put_hist.summary_us().c_str());
   printf("get  %s\n", get_hist.summary_us().c_str());
 
-  bench::JsonReport report("net_latency");
+  // Latency scale 0: the self-hosted store injects no device latency (an
+  // external server's model is not visible from here).
+  bench::Report report("net_latency", /*latency_scale=*/0);
   double put_share = total_ops > 0 ? (double)put_hist.count() / (double)total_ops : 0;
-  report.add("put", "serverd", (uint64_t)opt.depth, opt.threads, opt.value_size, put_hist,
-             iops * put_share);
-  report.add("get", "serverd", (uint64_t)opt.depth, opt.threads, opt.value_size, get_hist,
-             iops * (1.0 - put_share));
-  report.add(bench::JsonReport::Row{"mixed", "serverd", (uint64_t)opt.depth, opt.threads,
-                                    opt.value_size, 0, 0, 0, iops});
+  auto row = [&](const char* op, double throughput) -> bench::Report::Row& {
+    return report.row().str("op", op).str("system", "serverd").num("qd", opt.depth)
+        .num("threads", opt.threads).num("value_size", (double)opt.value_size)
+        .num("throughput_iops", throughput);
+  };
+  row("put", iops * put_share).percentiles(put_hist);
+  row("get", iops * (1.0 - put_share)).percentiles(get_hist);
+  row("mixed", iops);
   if (!report.write()) return 1;
 
   if (opt.scrape) {

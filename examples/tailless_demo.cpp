@@ -25,9 +25,9 @@ int main() {
          "p9999(us)", "ckpts taken");
   for (bool dipper : {true, false}) {
     auto cfg = dipper ? DStoreAdapter::dipper_variant() : DStoreAdapter::cow_variant();
-    cfg.max_objects = spec.num_objects * 2;
-    cfg.num_blocks = spec.num_objects * 6;
-    cfg.log_slots = 2048;  // small log => frequent checkpoints
+    cfg.store.max_objects = spec.num_objects * 2;
+    cfg.store.num_blocks = spec.num_objects * 6;
+    cfg.store.engine.log_slots = 2048;  // small log => frequent checkpoints
     auto store = DStoreAdapter::make(cfg, lat);
     if (!store.is_ok()) return 1;
     if (!workload::load_objects(*store.value(), spec).is_ok()) return 1;

@@ -20,16 +20,30 @@ using Factory =
 std::unique_ptr<workload::KVStore> make_dstore_variant(DStoreVariantConfig cfg,
                                                        const BackendParams& p) {
   // Capacity: keyspace + 50% churn headroom.
-  cfg.max_objects = p.objects * 2;
-  cfg.num_blocks = p.objects * 6;
-  cfg.log_slots = 16384;
-  cfg.ssd_qd = p.ssd_qd;
+  cfg.store.max_objects = p.objects * 2;
+  cfg.store.num_blocks = p.objects * 6;
+  cfg.store.ssd_qd = p.ssd_qd;
   auto r = DStoreAdapter::make(cfg, p.latency);
   if (!r.is_ok()) {
     fprintf(stderr, "make %s failed: %s\n", cfg.display_name, r.status().to_string().c_str());
     return nullptr;
   }
   return std::move(r).value();
+}
+
+// "Sharded" and "remote" fleet sizing: the single store's headroom split
+// across shards (rounded up and doubled so hash skew cannot run a shard out
+// of space at small scales).
+ShardedConfig sharded_config(const BackendParams& p) {
+  ShardedConfig cfg;
+  cfg.num_shards = p.num_shards > 0 ? p.num_shards : 4;
+  uint64_t shards = (uint64_t)cfg.num_shards;
+  cfg.shard.max_objects = (p.objects * 2 + shards - 1) / shards * 2;
+  cfg.shard.num_blocks = (p.objects * 6 + shards - 1) / shards * 2;
+  cfg.shard.ssd_qd = p.ssd_qd;
+  cfg.ckpt_workers = p.ckpt_workers;
+  cfg.latency = p.latency;
+  return cfg;
 }
 
 struct Entry {
@@ -54,17 +68,8 @@ const Entry kBackends[] = {
      }},
     {"Sharded",
      [](const BackendParams& p) -> std::unique_ptr<workload::KVStore> {
-       ShardedConfig cfg;
-       cfg.num_shards = p.num_shards > 0 ? p.num_shards : 4;
-       uint64_t shards = (uint64_t)cfg.num_shards;
-       // Same headroom as the single store, split across shards (rounded up
-       // so hash skew cannot run a shard out of space at small scales).
-       cfg.shard.max_objects = (p.objects * 2 + shards - 1) / shards * 2;
-       cfg.shard.num_blocks = (p.objects * 6 + shards - 1) / shards * 2;
-       cfg.shard.ssd_qd = p.ssd_qd;
-       cfg.ckpt_workers = p.ckpt_workers;
+       ShardedConfig cfg = sharded_config(p);
        cfg.affinity = p.affinity;
-       cfg.latency = p.latency;
        auto r = ShardedAdapter::make(cfg);
        if (!r.is_ok()) {
          fprintf(stderr, "make Sharded failed: %s\n", r.status().to_string().c_str());
@@ -76,14 +81,7 @@ const Entry kBackends[] = {
      [](const BackendParams& p) -> std::unique_ptr<workload::KVStore> {
        // Same fleet sizing as "Sharded"; the store just sits behind the
        // wire (or behind DSTORE_REMOTE_ADDR, which ignores this config).
-       ShardedConfig cfg;
-       cfg.num_shards = p.num_shards > 0 ? p.num_shards : 4;
-       uint64_t shards = (uint64_t)cfg.num_shards;
-       cfg.shard.max_objects = (p.objects * 2 + shards - 1) / shards * 2;
-       cfg.shard.num_blocks = (p.objects * 6 + shards - 1) / shards * 2;
-       cfg.shard.ssd_qd = p.ssd_qd;
-       cfg.ckpt_workers = p.ckpt_workers;
-       cfg.latency = p.latency;
+       ShardedConfig cfg = sharded_config(p);
        auto r = RemoteAdapter::make(cfg);
        if (!r.is_ok()) {
          fprintf(stderr, "make remote failed: %s\n", r.status().to_string().c_str());

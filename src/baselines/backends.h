@@ -1,5 +1,5 @@
 // One factory for every evaluated backend, keyed by name. The YCSB runner
-// and the per-figure benches construct systems exclusively through here, so
+// and paper_bench construct systems exclusively through here, so
 // adding a backend is one table row — not a new `if` chain in each binary.
 #pragma once
 

@@ -51,13 +51,15 @@ class CachedBtreeStore final : public workload::KVStore {
   Status del(void* ctx, std::string_view key) override;
   const char* name() const override { return cfg_.display_name; }
   workload::SpaceBreakdown space_usage() override;
+  void attach_bandwidth_series(TimeSeries* ssd, TimeSeries* pmem) override {
+    device_->set_bandwidth_series(ssd);
+    pool_->set_bandwidth_series(pmem);
+  }
   void set_checkpoints_enabled(bool enabled) override;
   void prepare_run() override;
   Result<RecoveryTiming> crash_and_recover() override;
 
   uint64_t checkpoint_count() const { return checkpoints_; }
-  ssd::RamBlockDevice& device() { return *device_; }
-  pmem::Pool& pool() { return *pool_; }
 
  private:
   explicit CachedBtreeStore(CachedBtreeConfig cfg) : cfg_(cfg) {}

@@ -55,14 +55,16 @@ class CachedLsmStore final : public workload::KVStore {
   Status del(void* ctx, std::string_view key) override;
   const char* name() const override { return cfg_.display_name; }
   workload::SpaceBreakdown space_usage() override;
+  void attach_bandwidth_series(TimeSeries* ssd, TimeSeries* pmem) override {
+    device_->set_bandwidth_series(ssd);
+    pool_->set_bandwidth_series(pmem);
+  }
   void set_checkpoints_enabled(bool enabled) override;
   void prepare_run() override;
   Result<RecoveryTiming> crash_and_recover() override;
 
   uint64_t flush_count() const { return flushes_; }
   uint64_t compaction_count() const { return compactions_; }
-  ssd::RamBlockDevice& device() { return *device_; }
-  pmem::Pool& pool() { return *pool_; }
 
  private:
   explicit CachedLsmStore(CachedLsmConfig cfg) : cfg_(cfg) {}

@@ -8,24 +8,15 @@ Result<std::unique_ptr<DStoreAdapter>> DStoreAdapter::make(DStoreVariantConfig c
                                                            const LatencyModel& latency) {
   auto a = std::unique_ptr<DStoreAdapter>(new DStoreAdapter());
   a->cfg_ = cfg;
-  a->store_cfg_.max_objects = cfg.max_objects;
-  a->store_cfg_.num_blocks = cfg.num_blocks;
-  a->store_cfg_.observational_equivalence = cfg.observational_equivalence;
-  a->store_cfg_.ssd_qd = cfg.ssd_qd;
-  a->store_cfg_.early_ack = cfg.early_ack;
-  a->store_cfg_.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.max_objects);
-  a->store_cfg_.engine.log_slots = cfg.log_slots;
-  a->store_cfg_.engine.background_checkpointing = cfg.background_checkpointing;
-  a->store_cfg_.engine.ckpt_mode = cfg.ckpt_mode;
-  a->store_cfg_.engine.physical_logging = cfg.physical_logging;
+  a->cfg_.store.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.store.max_objects);
 
-  a->pool_ = std::make_unique<pmem::Pool>(DStoreConfig::required_pool_bytes(a->store_cfg_),
+  a->pool_ = std::make_unique<pmem::Pool>(DStoreConfig::required_pool_bytes(a->cfg_.store),
                                           pmem::Pool::Mode::kDirect, latency);
   ssd::DeviceConfig dc;
-  dc.num_blocks = cfg.num_blocks;
+  dc.num_blocks = cfg.store.num_blocks;
   dc.latency = latency;
   a->device_ = std::make_unique<ssd::RamBlockDevice>(dc);
-  auto s = DStore::create(a->pool_.get(), a->device_.get(), a->store_cfg_);
+  auto s = DStore::create(a->pool_.get(), a->device_.get(), a->cfg_.store);
   if (!s.is_ok()) return s.status();
   a->store_ = std::move(s).value();
   return a;
@@ -63,7 +54,7 @@ Result<workload::KVStore::RecoveryTiming> DStoreAdapter::crash_and_recover() {
   // (replay). The engine does both inside recover(); we time the whole and
   // attribute by the engine's internal proportions: the dominant metadata
   // cost is the PMEM->DRAM copy, measured separately below.
-  auto r = DStore::recover(pool_.get(), device_.get(), store_cfg_);
+  auto r = DStore::recover(pool_.get(), device_.get(), cfg_.store);
   if (!r.is_ok()) return r.status();
   store_ = std::move(r).value();
   t.metadata_ms = store_->engine().stats().recovery_metadata_ns.load() / 1e6;
@@ -71,36 +62,42 @@ Result<workload::KVStore::RecoveryTiming> DStoreAdapter::crash_and_recover() {
   return t;
 }
 
-DStoreVariantConfig DStoreAdapter::dipper_variant() {
+namespace {
+
+// The sizing every variant starts from; callers resize for their keyspace.
+DStoreVariantConfig variant(const char* display_name) {
   DStoreVariantConfig c;
-  c.display_name = "DStore";
+  c.store.max_objects = 1 << 16;
+  c.store.num_blocks = 1 << 17;
+  c.store.engine.log_slots = 16384;
+  c.display_name = display_name;
   return c;
 }
+
+}  // namespace
+
+DStoreVariantConfig DStoreAdapter::dipper_variant() { return variant("DStore"); }
 DStoreVariantConfig DStoreAdapter::cow_variant() {
-  DStoreVariantConfig c;
-  c.ckpt_mode = dipper::EngineConfig::CkptMode::kCow;
-  c.display_name = "DStore-CoW";
+  DStoreVariantConfig c = variant("DStore-CoW");
+  c.store.engine.ckpt_mode = dipper::EngineConfig::CkptMode::kCow;
   return c;
 }
 DStoreVariantConfig DStoreAdapter::no_oe_variant() {
-  DStoreVariantConfig c;
-  c.observational_equivalence = false;
-  c.display_name = "DStore-noOE";
+  DStoreVariantConfig c = variant("DStore-noOE");
+  c.store.observational_equivalence = false;
   return c;
 }
 DStoreVariantConfig DStoreAdapter::logical_cow_variant() {
-  DStoreVariantConfig c;
-  c.ckpt_mode = dipper::EngineConfig::CkptMode::kCow;
-  c.observational_equivalence = false;
-  c.display_name = "LogicalLog+CoW";
+  DStoreVariantConfig c = variant("LogicalLog+CoW");
+  c.store.engine.ckpt_mode = dipper::EngineConfig::CkptMode::kCow;
+  c.store.observational_equivalence = false;
   return c;
 }
 DStoreVariantConfig DStoreAdapter::naive_physical_variant() {
-  DStoreVariantConfig c;
-  c.ckpt_mode = dipper::EngineConfig::CkptMode::kCow;
-  c.observational_equivalence = false;
-  c.physical_logging = true;
-  c.display_name = "PhysLog+CoW";
+  DStoreVariantConfig c = variant("PhysLog+CoW");
+  c.store.engine.ckpt_mode = dipper::EngineConfig::CkptMode::kCow;
+  c.store.observational_equivalence = false;
+  c.store.engine.physical_logging = true;
   return c;
 }
 

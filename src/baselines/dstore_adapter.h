@@ -16,20 +16,11 @@
 
 namespace dstore::baselines {
 
+// One evaluated DStore variant: the store configuration it runs with
+// (DStoreAdapter::make only derives the arena size from max_objects) and
+// the name it reports.
 struct DStoreVariantConfig {
-  uint64_t max_objects = 1 << 16;
-  uint64_t num_blocks = 1 << 17;
-  uint32_t log_slots = 16384;
-  bool background_checkpointing = true;
-  dipper::EngineConfig::CkptMode ckpt_mode = dipper::EngineConfig::CkptMode::kDipper;
-  bool physical_logging = false;
-  bool observational_equivalence = true;
-  // NVMe queue-pair depth of the data plane (DStoreConfig::ssd_qd):
-  // qd=1 is the historical synchronous one-block-at-a-time data plane.
-  uint32_t ssd_qd = 16;
-  // Acknowledge puts at log commit, draining SSD data IO after the ack
-  // (DStoreConfig::early_ack; requires device power-loss protection).
-  bool early_ack = false;
+  DStoreConfig store;
   const char* display_name = "DStore";
 };
 
@@ -53,13 +44,15 @@ class DStoreAdapter final : public workload::KVStore {
   void set_checkpoints_enabled(bool enabled) override {
     store_->engine().set_checkpointing_enabled(enabled);
   }
+  void attach_bandwidth_series(TimeSeries* ssd, TimeSeries* pmem) override {
+    device_->set_bandwidth_series(ssd);
+    pool_->set_bandwidth_series(pmem);
+  }
   std::string metrics_json() override { return store_->metrics_json(); }
   std::string metrics_prometheus() override { return store_->metrics_prometheus(); }
   Result<RecoveryTiming> crash_and_recover() override;
 
   DStore& store() { return *store_; }
-  pmem::Pool& pool() { return *pool_; }
-  ssd::RamBlockDevice& device() { return *device_; }
 
   // Canonical variant factories.
   static DStoreVariantConfig dipper_variant();
@@ -72,7 +65,6 @@ class DStoreAdapter final : public workload::KVStore {
   DStoreAdapter() = default;
 
   DStoreVariantConfig cfg_;
-  DStoreConfig store_cfg_;
   std::unique_ptr<pmem::Pool> pool_;
   std::unique_ptr<ssd::RamBlockDevice> device_;
   std::unique_ptr<DStore> store_;

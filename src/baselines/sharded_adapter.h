@@ -1,5 +1,5 @@
 // workload::KVStore adapter over ShardedStore, so the sharded configuration
-// is driveable from ycsb_runner and the per-figure benches exactly like the
+// is driveable from ycsb_runner and paper_bench exactly like the
 // single-store backends.
 #pragma once
 

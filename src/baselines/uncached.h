@@ -50,9 +50,11 @@ class UncachedStore final : public workload::KVStore {
   Status del(void* ctx, std::string_view key) override;
   const char* name() const override { return cfg_.display_name; }
   workload::SpaceBreakdown space_usage() override;
+  void attach_bandwidth_series(TimeSeries* /*ssd*/, TimeSeries* pmem) override {
+    pool_->set_bandwidth_series(pmem);
+  }
   Result<RecoveryTiming> crash_and_recover() override;
 
-  pmem::Pool& pool() { return *pool_; }
 
  private:
   explicit UncachedStore(UncachedConfig cfg) : cfg_(cfg) {}

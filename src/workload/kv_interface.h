@@ -1,5 +1,5 @@
 // Uniform key-value interface over every system in the evaluation, so the
-// YCSB harness and the per-figure benches can sweep systems identically
+// YCSB harness and paper_bench can sweep systems identically
 // (DStore, DStore-CoW, the cached-LSM / cached-btree / uncached archetypes,
 // and the physical-logging ablation).
 #pragma once
@@ -9,6 +9,10 @@
 #include <string_view>
 
 #include "common/status.h"
+
+namespace dstore {
+class TimeSeries;
+}
 
 namespace dstore::workload {
 
@@ -54,6 +58,10 @@ class KVStore {
   // obs types to keep this interface dependency-light.
   virtual std::string metrics_json() { return "{\n  \"version\": 1,\n  \"metrics\": []\n}\n"; }
   virtual std::string metrics_prometheus() { return ""; }
+
+  // Route the backend's SSD and PMEM write bytes into the given series
+  // (Fig 7's bandwidth plots). Backends without a device leave it empty.
+  virtual void attach_bandwidth_series(TimeSeries* /*ssd*/, TimeSeries* /*pmem*/) {}
 
   // Checkpoint / maintenance control for the Fig 1 on/off comparison.
   virtual void set_checkpoints_enabled(bool /*enabled*/) {}

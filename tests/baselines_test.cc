@@ -39,18 +39,18 @@ std::unique_ptr<KVStore> make_store(System s) {
   switch (s) {
     case System::kDStore: {
       auto cfg = DStoreAdapter::dipper_variant();
-      cfg.max_objects = 4096;
-      cfg.num_blocks = 16384;
-      cfg.log_slots = 1024;
+      cfg.store.max_objects = 4096;
+      cfg.store.num_blocks = 16384;
+      cfg.store.engine.log_slots = 1024;
       auto r = DStoreAdapter::make(cfg, none);
       EXPECT_TRUE(r.is_ok()) << r.status().to_string();
       return std::move(r).value();
     }
     case System::kDStoreCow: {
       auto cfg = DStoreAdapter::cow_variant();
-      cfg.max_objects = 4096;
-      cfg.num_blocks = 16384;
-      cfg.log_slots = 1024;
+      cfg.store.max_objects = 4096;
+      cfg.store.num_blocks = 16384;
+      cfg.store.engine.log_slots = 1024;
       auto r = DStoreAdapter::make(cfg, none);
       EXPECT_TRUE(r.is_ok()) << r.status().to_string();
       return std::move(r).value();
@@ -320,11 +320,12 @@ TEST(Uncached, SlotReuseAfterOverwrite) {
 }
 
 TEST(DStoreVariants, AblationFactoriesDiffer) {
-  EXPECT_TRUE(DStoreAdapter::dipper_variant().observational_equivalence);
-  EXPECT_FALSE(DStoreAdapter::no_oe_variant().observational_equivalence);
-  EXPECT_EQ(DStoreAdapter::cow_variant().ckpt_mode, dipper::EngineConfig::CkptMode::kCow);
-  EXPECT_TRUE(DStoreAdapter::naive_physical_variant().physical_logging);
-  EXPECT_FALSE(DStoreAdapter::logical_cow_variant().physical_logging);
+  EXPECT_TRUE(DStoreAdapter::dipper_variant().store.observational_equivalence);
+  EXPECT_FALSE(DStoreAdapter::no_oe_variant().store.observational_equivalence);
+  EXPECT_EQ(DStoreAdapter::cow_variant().store.engine.ckpt_mode,
+            dipper::EngineConfig::CkptMode::kCow);
+  EXPECT_TRUE(DStoreAdapter::naive_physical_variant().store.engine.physical_logging);
+  EXPECT_FALSE(DStoreAdapter::logical_cow_variant().store.engine.physical_logging);
 }
 
 }  // namespace

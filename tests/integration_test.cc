@@ -22,10 +22,10 @@ using baselines::DStoreVariantConfig;
 
 std::unique_ptr<DStoreAdapter> small_adapter(bool background = true) {
   DStoreVariantConfig cfg = DStoreAdapter::dipper_variant();
-  cfg.max_objects = 2048;
-  cfg.num_blocks = 8192;
-  cfg.log_slots = 512;
-  cfg.background_checkpointing = background;
+  cfg.store.max_objects = 2048;
+  cfg.store.num_blocks = 8192;
+  cfg.store.engine.log_slots = 512;
+  cfg.store.engine.background_checkpointing = background;
   auto r = DStoreAdapter::make(cfg, LatencyModel::none());
   EXPECT_TRUE(r.is_ok());
   return std::move(r).value();

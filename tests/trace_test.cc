@@ -62,9 +62,9 @@ TEST(Trace, MissingFileFails) {
 TEST(Trace, TracingStoreRecordsWorkload) {
   std::string path = temp_trace("decorator");
   auto cfg = baselines::DStoreAdapter::dipper_variant();
-  cfg.max_objects = 1024;
-  cfg.num_blocks = 4096;
-  cfg.log_slots = 2048;
+  cfg.store.max_objects = 1024;
+  cfg.store.num_blocks = 4096;
+  cfg.store.engine.log_slots = 2048;
   auto inner = baselines::DStoreAdapter::make(cfg, LatencyModel::none());
   ASSERT_TRUE(inner.is_ok());
   {
@@ -93,9 +93,9 @@ TEST(Trace, ReplayReproducesFinalState) {
   // fresh store B; both must hold the same object set and sizes.
   std::string path = temp_trace("replay");
   auto cfg = baselines::DStoreAdapter::dipper_variant();
-  cfg.max_objects = 512;
-  cfg.num_blocks = 4096;
-  cfg.log_slots = 4096;
+  cfg.store.max_objects = 512;
+  cfg.store.num_blocks = 4096;
+  cfg.store.engine.log_slots = 4096;
   auto a = baselines::DStoreAdapter::make(cfg, LatencyModel::none());
   auto b = baselines::DStoreAdapter::make(cfg, LatencyModel::none());
   ASSERT_TRUE(a.is_ok());
@@ -143,8 +143,8 @@ TEST(Trace, ReplayReproducesFinalState) {
 TEST(Trace, ReplayThreadValidation) {
   std::vector<TraceRecord> empty;
   auto cfg = baselines::DStoreAdapter::dipper_variant();
-  cfg.max_objects = 64;
-  cfg.num_blocks = 256;
+  cfg.store.max_objects = 64;
+  cfg.store.num_blocks = 256;
   auto s = baselines::DStoreAdapter::make(cfg, LatencyModel::none());
   ASSERT_TRUE(s.is_ok());
   EXPECT_EQ(replay_trace(*s.value(), empty, 0).status().code(), Code::kInvalidArgument);
