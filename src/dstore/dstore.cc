@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
-#include <mutex>
 #include <thread>
 
 #include "common/clock.h"
@@ -300,213 +297,120 @@ Status DStore::format(SlabAllocator& space) {
   return Status::ok();
 }
 
-DStore::View DStore::view_of(SlabAllocator& space) {
+DStore::View DStore::view_of(SlabAllocator& space, SharedSpinLock* btree_mu) {
   auto* root = reinterpret_cast<StoreRoot*>(space.arena().at(space.user_root()));
   return View{&space,
               BTree(space, OffPtr<BTree::Header>(root->btree)),
               MetadataZone(space, OffPtr<MetadataZone::Header>(root->meta_zone)),
               CircularPool(space, OffPtr<CircularPool::Header>(root->block_pool)),
-              CircularPool(space, OffPtr<CircularPool::Header>(root->meta_pool))};
+              CircularPool(space, OffPtr<CircularPool::Header>(root->meta_pool)),
+              btree_mu};
+}
+
+namespace {
+// Holds a view's btree lock (shared or exclusive) for its scope, or nothing
+// when the view has none.
+class BtreeGuard {
+ public:
+  BtreeGuard(SharedSpinLock* mu, bool shared) : mu_(mu), shared_(shared) {
+    if (mu_ == nullptr) return;
+    if (shared_) {
+      mu_->lock_shared();
+    } else {
+      mu_->lock();
+    }
+  }
+  ~BtreeGuard() {
+    if (mu_ == nullptr) return;
+    if (shared_) {
+      mu_->unlock_shared();
+    } else {
+      mu_->unlock();
+    }
+  }
+  BtreeGuard(const BtreeGuard&) = delete;
+  BtreeGuard& operator=(const BtreeGuard&) = delete;
+
+ private:
+  SharedSpinLock* mu_;
+  bool shared_;
+};
+}  // namespace
+
+std::optional<uint64_t> DStore::View::find(const Key& name) {
+  BtreeGuard g(btree_mu, /*shared=*/true);
+  return btree.find(name);
+}
+
+Status DStore::View::insert(const Key& name, uint64_t meta_idx) {
+  BtreeGuard g(btree_mu, /*shared=*/false);
+  return btree.insert(name, meta_idx);
+}
+
+Status DStore::View::erase(const Key& name) {
+  BtreeGuard g(btree_mu, /*shared=*/false);
+  return btree.erase(name);
 }
 
 Status DStore::replay(SlabAllocator& space, std::span<const LogRecordView> records) {
   // §3.5: "the shadow copies iterate through the same states that the
   // volatile copies went through" — the identical phase functions run here,
-  // without frontend locks (replay owns the space).
-  View v = view_of(space);
-  if (cfg_.parallel_replay && records.size() >= 128) {
-    return replay_parallel(v, records);
-  }
+  // in log order, without frontend locks (replay owns the space).
+  // Checkpoints of different shards run in parallel on the CheckpointPool.
+  View v = view_of(space, nullptr);
+  Plan plan;
   uint64_t processed = 0;
   for (const LogRecordView& rec : records) {
     // Background replay shares cores with the frontend on small hosts;
     // yield periodically so checkpointing stays quiescent-free in practice.
     if ((++processed & 63) == 0) std::this_thread::yield();
     DSTORE_FAULT_POINT(cfg_.engine.fault, "dstore.replay.record");
-    switch (rec.op) {
-      case OpType::kPut: {
-        PutPlan plan;
-        DSTORE_RETURN_IF_ERROR(put_phase1(v, rec.name, rec.arg0, nullptr, &plan));
-        DSTORE_RETURN_IF_ERROR(put_phase2(v, rec.name, rec.arg0, plan, nullptr));
-        break;
-      }
-      case OpType::kDelete: {
-        DeletePlan plan;
-        DSTORE_RETURN_IF_ERROR(delete_phase1(v, rec.name, nullptr, &plan));
-        DSTORE_RETURN_IF_ERROR(delete_phase2(v, plan, nullptr));
-        break;
-      }
-      case OpType::kCreate: {
-        uint64_t meta_idx = 0;
-        DSTORE_RETURN_IF_ERROR(create_phase1(v, &meta_idx));
-        DSTORE_RETURN_IF_ERROR(create_phase2(v, rec.name, meta_idx, nullptr));
-        break;
-      }
-      case OpType::kWrite: {
-        ExtendPlan plan;
-        DSTORE_RETURN_IF_ERROR(extend_phase1(v, rec.name, rec.arg0, nullptr, &plan));
-        DSTORE_RETURN_IF_ERROR(extend_phase2(v, rec.name, rec.arg0, plan, nullptr));
-        break;
-      }
-      case OpType::kNoop:
-        break;  // olock markers: ignored by replay (§4.5)
-    }
+    if (rec.op == OpType::kNoop) continue;  // olock markers: ignored by replay (§4.5)
+    DSTORE_RETURN_IF_ERROR(phase1(v, rec.op, rec.name, rec.arg0, &plan));
+    DSTORE_RETURN_IF_ERROR(phase2(v, rec.op, rec.name, rec.arg0, plan));
   }
   return Status::ok();
-}
-
-Status DStore::replay_parallel(View& v, std::span<const LogRecordView> records) {
-  // Two-lane pipeline (§3.5's checkpoint thread pool, powered by §3.7's
-  // observational equivalence): lane 1 — this thread — executes each
-  // record's phase 1 (pool pops/pushes) in STRICT log order, preserving
-  // the determinism the data plane depends on; lane 2 applies the
-  // metadata-zone and btree updates one record behind. Records on the same
-  // object are ordered end-to-end through `pending` (a record's phase 1
-  // may read state its predecessor's phase 2 writes); everything else
-  // commutes, so the lanes overlap freely.
-  struct WorkItem {
-    const LogRecordView* rec;
-    PutPlan put;
-    DeletePlan del;
-    ExtendPlan ext;
-    uint64_t create_idx = 0;
-  };
-  std::deque<WorkItem> queue;
-  Mutex queue_mu{"dstore.replay_queue"};
-  CondVar queue_cv;
-  bool done = false;
-  Status lane2_status;
-  std::atomic<bool> failed{false};
-  ReadCountTable pending(1 << 14);
-  SharedSpinLock replay_btree_mu{"dstore.replay_btree"};
-
-  // Lane 2 inherits this thread's lockdep role (recovery when called from
-  // recover(), checkpoint when called from the shadow replay) so the
-  // quiescence gate attributes its lock holds correctly.
-  const lockdep::Role lane2_role = lockdep::current_role();
-  std::thread lane2([&, lane2_role] {
-    lockdep::RoleScope role(lane2_role);
-    for (;;) {
-      WorkItem item;
-      {
-        UniqueLock g(queue_mu);
-        queue_cv.wait(g, [&] { return !queue.empty() || done; });
-        if (queue.empty()) {
-          if (done) return;
-          continue;
-        }
-        item = std::move(queue.front());
-        queue.pop_front();
-      }
-      Status s;
-      switch (item.rec->op) {
-        case OpType::kPut:
-          s = put_phase2(v, item.rec->name, item.rec->arg0, item.put, &replay_btree_mu);
-          break;
-        case OpType::kDelete:
-          s = delete_phase2(v, item.del, &replay_btree_mu);
-          break;
-        case OpType::kCreate:
-          s = create_phase2(v, item.rec->name, item.create_idx, &replay_btree_mu);
-          break;
-        case OpType::kWrite:
-          s = extend_phase2(v, item.rec->name, item.rec->arg0, item.ext, &replay_btree_mu);
-          break;
-        case OpType::kNoop:
-          break;
-      }
-      pending.dec(item.rec->name);
-      if (!s.is_ok() && !failed.exchange(true)) {
-        MutexGuard g(queue_mu);
-        lane2_status = s;
-      }
-    }
-  });
-
-  Status lane1_status;
-  uint64_t processed = 0;
-  for (const LogRecordView& rec : records) {
-    if (failed.load(std::memory_order_acquire)) break;
-    if ((++processed & 63) == 0) std::this_thread::yield();
-    DSTORE_FAULT_POINT(cfg_.engine.fault, "dstore.replay.record_par");
-    if (rec.op == OpType::kNoop) continue;
-    // A record's phase 1 may depend on its same-object predecessor's
-    // phase 2 (e.g. a put reads the btree entry a create inserted): wait
-    // until lane 2 has drained this object.
-    pending.wait_until_unread(rec.name);
-    WorkItem item;
-    item.rec = &rec;
-    Status s;
-    switch (rec.op) {
-      case OpType::kPut:
-        s = put_phase1(v, rec.name, rec.arg0, &replay_btree_mu, &item.put);
-        break;
-      case OpType::kDelete:
-        s = delete_phase1(v, rec.name, &replay_btree_mu, &item.del);
-        break;
-      case OpType::kCreate:
-        s = create_phase1(v, &item.create_idx);
-        break;
-      case OpType::kWrite:
-        s = extend_phase1(v, rec.name, rec.arg0, &replay_btree_mu, &item.ext);
-        break;
-      case OpType::kNoop:
-        break;
-    }
-    if (!s.is_ok()) {
-      lane1_status = s;
-      break;
-    }
-    pending.inc(rec.name);
-    {
-      MutexGuard g(queue_mu);
-      queue.push_back(std::move(item));
-    }
-    queue_cv.notify_one();
-  }
-  {
-    MutexGuard g(queue_mu);
-    done = true;
-  }
-  queue_cv.notify_one();
-  lane2.join();
-  DSTORE_RETURN_IF_ERROR(lane1_status);
-  return lane2_status;
 }
 
 // ---------------------------------------------------------------------------
 // Metadata phases (the "same code for both spaces" core)
 // ---------------------------------------------------------------------------
 
-Status DStore::put_phase1(View& v, const Key& name, uint64_t size, SharedSpinLock* btree_mu,
-                          PutPlan* plan) {
+Status DStore::phase1(View& v, OpType op, const Key& name, uint64_t arg0, Plan* plan) {
   // Steps 3-4 of the pipeline: everything whose ORDER matters for replay
   // determinism (circular-pool pops/pushes) happens here, in log order.
+  plan->existed = false;
+  plan->blocks.clear();
   std::optional<uint64_t> found;
-  if (btree_mu != nullptr) {
-    SharedLockGuard g(*btree_mu);
-    found = v.btree.find(name);
-  } else {
-    found = v.btree.find(name);
-  }
-  plan->existed = found.has_value();
-  if (plan->existed) {
+  if (op != OpType::kCreate) found = v.find(name);
+  if (found.has_value()) {
+    plan->existed = true;
     plan->meta_idx = *found;
-    MetaEntry* e = v.zone.entry(plan->meta_idx);
-    if (e == nullptr || !e->in_use) return Status::corruption("btree points at free entry");
-    const uint64_t* bl = v.zone.blocks(*e);
-    for (uint32_t i = 0; i < e->nblocks; i++) {
-      DSTORE_RETURN_IF_ERROR(v.block_pool.free(bl[i]));
-    }
-  } else {
+  } else if (op == OpType::kCreate || op == OpType::kPut) {
     auto idx = v.meta_pool.alloc();
     if (!idx.has_value()) return Status::out_of_space("metadata pool exhausted");
     plan->meta_idx = *idx;
+  } else {
+    return Status::not_found(name.str());
   }
-  uint64_t nb = blocks_needed(size);
-  plan->blocks.clear();
-  plan->blocks.reserve(nb);
-  for (uint64_t i = 0; i < nb; i++) {
+  uint64_t have = 0;  // blocks the new content keeps
+  if (plan->existed) {
+    const MetaEntry* e = v.zone.entry(plan->meta_idx);
+    if (e == nullptr || !e->in_use) return Status::corruption("btree points at free entry");
+    if (op == OpType::kWrite) {
+      have = e->nblocks;
+    } else {
+      // Put and delete release the old content's blocks.
+      const uint64_t* bl = v.zone.blocks(*e);
+      for (uint32_t i = 0; i < e->nblocks; i++) {
+        DSTORE_RETURN_IF_ERROR(v.block_pool.free(bl[i]));
+      }
+    }
+  }
+  if (op == OpType::kDelete) return v.meta_pool.free(plan->meta_idx);
+  uint64_t need = blocks_needed(arg0);
+  if (need > have) plan->blocks.reserve(need - have);
+  for (uint64_t i = have; i < need; i++) {
     auto b = v.block_pool.alloc();
     if (!b.has_value()) return Status::out_of_space("block pool exhausted");
     plan->blocks.push_back(*b);
@@ -514,129 +418,37 @@ Status DStore::put_phase1(View& v, const Key& name, uint64_t size, SharedSpinLoc
   return Status::ok();
 }
 
-Status DStore::put_phase2(View& v, const Key& name, uint64_t size, const PutPlan& plan,
-                          SharedSpinLock* btree_mu, obs::OpTrace* trace) {
+Status DStore::phase2(View& v, OpType op, const Key& name, uint64_t arg0, const Plan& plan,
+                      obs::OpTrace* trace) {
   // Steps 6-7: metadata-zone entry + btree record. Under OE these run
   // outside the synchronous region, in parallel across requests.
   if (trace != nullptr) trace->enter(obs::kStageMetaZone);
-  MetaEntry* e = v.zone.entry(plan.meta_idx);
-  if (plan.existed) {
-    e->nblocks = 0;  // block array retained; refilled below
-  } else {
-    DSTORE_RETURN_IF_ERROR(v.zone.init_entry(plan.meta_idx, name));
-    e = v.zone.entry(plan.meta_idx);
+  if (op == OpType::kDelete) {
+    if (trace != nullptr) trace->enter(obs::kStageBtree);
+    DSTORE_RETURN_IF_ERROR(v.erase(name));
+    return v.zone.release_entry(plan.meta_idx);
   }
+  const bool fresh = op == OpType::kCreate || (op == OpType::kPut && !plan.existed);
+  if (fresh) DSTORE_RETURN_IF_ERROR(v.zone.init_entry(plan.meta_idx, name));
+  MetaEntry* e = v.zone.entry(plan.meta_idx);
+  if (op == OpType::kPut && plan.existed) e->nblocks = 0;  // array retained; refilled below
   for (uint64_t b : plan.blocks) {
     DSTORE_RETURN_IF_ERROR(v.zone.append_block(plan.meta_idx, b));
   }
-  e->size = size;
-  e->generation++;
-  // Content is changing: the frontend re-records the whole-object CRC once
-  // its data IOs complete; replay (no data bytes) leaves it invalid.
-  e->data_crc_valid = 0;
-  v.zone.seal_entry(plan.meta_idx);
+  // A put replaces the content; a write only ever grows it. Per-object CC
+  // makes the entry exclusive, so no structure-wide lock is needed (the
+  // block-array growth locks the allocator internally).
+  if (op == OpType::kPut || arg0 > e->size) e->size = arg0;
+  if (op != OpType::kCreate) {
+    e->generation++;
+    // Content is changing: the frontend re-records the whole-object CRC
+    // once its data IOs complete; replay (no data bytes) leaves it invalid.
+    e->data_crc_valid = 0;
+    v.zone.seal_entry(plan.meta_idx);
+  }
+  if (op == OpType::kWrite) return Status::ok();
   if (trace != nullptr) trace->enter(obs::kStageBtree);
-  if (!plan.existed) {
-    if (btree_mu != nullptr) {
-      LockGuard<SharedSpinLock> g(*btree_mu);
-      DSTORE_RETURN_IF_ERROR(v.btree.insert(name, plan.meta_idx));
-    } else {
-      DSTORE_RETURN_IF_ERROR(v.btree.insert(name, plan.meta_idx));
-    }
-  }
-  if (trace != nullptr) trace->leave();
-  return Status::ok();
-}
-
-Status DStore::delete_phase1(View& v, const Key& name, SharedSpinLock* btree_mu,
-                             DeletePlan* plan) {
-  std::optional<uint64_t> found;
-  if (btree_mu != nullptr) {
-    SharedLockGuard g(*btree_mu);
-    found = v.btree.find(name);
-  } else {
-    found = v.btree.find(name);
-  }
-  if (!found.has_value()) return Status::not_found(name.str());
-  plan->meta_idx = *found;
-  MetaEntry* e = v.zone.entry(plan->meta_idx);
-  if (e == nullptr || !e->in_use) return Status::corruption("btree points at free entry");
-  const uint64_t* bl = v.zone.blocks(*e);
-  for (uint32_t i = 0; i < e->nblocks; i++) {
-    DSTORE_RETURN_IF_ERROR(v.block_pool.free(bl[i]));
-  }
-  DSTORE_RETURN_IF_ERROR(v.meta_pool.free(plan->meta_idx));
-  return Status::ok();
-}
-
-Status DStore::delete_phase2(View& v, const DeletePlan& plan, SharedSpinLock* btree_mu) {
-  MetaEntry* e = v.zone.entry(plan.meta_idx);
-  Key name = e->name;
-  if (btree_mu != nullptr) {
-    LockGuard<SharedSpinLock> g(*btree_mu);
-    DSTORE_RETURN_IF_ERROR(v.btree.erase(name));
-  } else {
-    DSTORE_RETURN_IF_ERROR(v.btree.erase(name));
-  }
-  return v.zone.release_entry(plan.meta_idx);
-}
-
-Status DStore::create_phase1(View& v, uint64_t* meta_idx) {
-  auto idx = v.meta_pool.alloc();
-  if (!idx.has_value()) return Status::out_of_space("metadata pool exhausted");
-  *meta_idx = *idx;
-  return Status::ok();
-}
-
-Status DStore::create_phase2(View& v, const Key& name, uint64_t meta_idx,
-                             SharedSpinLock* btree_mu) {
-  DSTORE_RETURN_IF_ERROR(v.zone.init_entry(meta_idx, name));
-  v.zone.entry(meta_idx)->size = 0;
-  if (btree_mu != nullptr) {
-    LockGuard<SharedSpinLock> g(*btree_mu);
-    return v.btree.insert(name, meta_idx);
-  }
-  return v.btree.insert(name, meta_idx);
-}
-
-Status DStore::extend_phase1(View& v, const Key& name, uint64_t new_size,
-                             SharedSpinLock* btree_mu, ExtendPlan* plan) {
-  std::optional<uint64_t> found;
-  if (btree_mu != nullptr) {
-    SharedLockGuard g(*btree_mu);
-    found = v.btree.find(name);
-  } else {
-    found = v.btree.find(name);
-  }
-  if (!found.has_value()) return Status::not_found(name.str());
-  plan->meta_idx = *found;
-  MetaEntry* e = v.zone.entry(plan->meta_idx);
-  uint64_t need = blocks_needed(new_size);
-  plan->new_blocks.clear();
-  for (uint64_t i = e->nblocks; i < need; i++) {
-    auto b = v.block_pool.alloc();
-    if (!b.has_value()) return Status::out_of_space("block pool exhausted");
-    plan->new_blocks.push_back(*b);
-  }
-  return Status::ok();
-}
-
-Status DStore::extend_phase2(View& v, const Key& /*name*/, uint64_t new_size,
-                             const ExtendPlan& plan, SharedSpinLock* /*btree_mu*/) {
-  // Entry mutation only; per-object CC makes the entry exclusive, so no
-  // structure-wide lock is needed (the block-array growth locks the
-  // allocator internally).
-  for (uint64_t b : plan.new_blocks) {
-    DSTORE_RETURN_IF_ERROR(v.zone.append_block(plan.meta_idx, b));
-  }
-  MetaEntry* e = v.zone.entry(plan.meta_idx);
-  if (new_size > e->size) e->size = new_size;
-  e->generation++;
-  // A (possibly partial) write invalidates the recorded content CRC; the
-  // frontend re-records it when the write covers the whole object.
-  e->data_crc_valid = 0;
-  v.zone.seal_entry(plan.meta_idx);
-  return Status::ok();
+  return fresh ? v.insert(name, plan.meta_idx) : Status::ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -736,22 +548,6 @@ Status DStore::submit_io_range(ssd::IoQueue& q, const uint64_t* bl, uint64_t nbl
   return Status::ok();
 }
 
-Status DStore::write_data(const std::vector<uint64_t>& blocks, const void* data, size_t size,
-                          obs::OpTrace* trace) {
-  if (size == 0) return Status::ok();
-  ssd::IoQueue q(device_, cfg_.ssd_qd);
-  DSTORE_RETURN_IF_ERROR(
-      submit_io_range(q, blocks.data(), blocks.size(), data, nullptr, size, 0, trace));
-  return finish_io(q, /*is_write=*/true, trace);
-}
-
-Status DStore::submit_write_range(View& v, uint64_t meta_idx, ssd::IoQueue& q,
-                                  const void* data, size_t size, uint64_t offset,
-                                  obs::OpTrace* trace) {
-  const MetaEntry* e = v.zone.entry(meta_idx);
-  return submit_io_range(q, v.zone.blocks(*e), e->nblocks, data, nullptr, size, offset, trace);
-}
-
 Status DStore::read_data_range(View& v, uint64_t meta_idx, void* buf, size_t size,
                                uint64_t offset, size_t* out_len, obs::OpTrace* trace) {
   DSTORE_RETURN_IF_ERROR(verify_meta(v, meta_idx));
@@ -837,9 +633,10 @@ Status DStore::repair_object(View& v, uint64_t meta_idx, obs::OpTrace* trace) {
   if (e->data_crc_valid && crc32c(data.data(), data.size()) != e->data_crc) {
     return Status::corruption("log payload does not match the object's content checksum");
   }
-  const uint64_t* bl = v.zone.blocks(*e);
-  std::vector<uint64_t> blocks(bl, bl + e->nblocks);
-  return write_data(blocks, data.data(), data.size(), trace);
+  ssd::IoQueue q(device_, cfg_.ssd_qd);
+  DSTORE_RETURN_IF_ERROR(submit_io_range(q, v.zone.blocks(*e), e->nblocks, data.data(), nullptr,
+                                         data.size(), 0, trace));
+  return finish_io(q, /*is_write=*/true, trace);
 }
 
 Status DStore::contain_corruption(View& v, uint64_t meta_idx, obs::OpTrace* trace,
@@ -904,18 +701,30 @@ void DStore::scrub_loop() {
 // Reader-side concurrency control (§4.4)
 // ---------------------------------------------------------------------------
 
+namespace {
+// In-flight records on `name` that `ctx`'s own ops tolerate: its olock's
+// NOOP record, when it holds one (§4.5). Writers and readers share it.
+int64_t allowed_inflight(const ds_ctx_t* ctx, const Key& name) {
+  if (ctx == nullptr || ctx->held_locks.empty()) return 0;
+  return ctx->held_locks.count(name.str()) != 0 ? 1 : 0;
+}
+}  // namespace
+
 // Reader protocol: register in the read-count table FIRST, then check for
-// in-flight writes; retreat and retry if one exists. Combined with the
-// writer's append-then-poll order this guarantees mutual exclusion without
-// locks (flag/flag protocol; the reader side retreats, so no deadlock).
+// in-flight writes (beyond the caller's own olock); retreat and retry if
+// one exists. Combined with the writer's append-then-poll order this
+// guarantees mutual exclusion without locks (flag/flag protocol; the
+// reader side retreats, so no deadlock).
 class DStore::ReaderGuard {
  public:
-  ReaderGuard(DStore& store, const Key& name) : store_(store), name_(name) {
+  ReaderGuard(DStore& store, const ds_ctx_t* ctx, const Key& name)
+      : store_(store), name_(name) {
+    const int64_t allowed = allowed_inflight(ctx, name_);
     for (;;) {
       store_.read_counts_.inc(name_);
-      if (!store_.engine_->has_inflight_write(name_)) return;
+      if (store_.engine_->inflight_count(name_) <= allowed) return;
       store_.read_counts_.dec(name_);
-      store_.engine_->wait_no_inflight_write(name_);
+      store_.engine_->wait_inflight_at_most(name_, allowed);
     }
   }
   ~ReaderGuard() { store_.read_counts_.dec(name_); }
@@ -939,7 +748,7 @@ Status DStore::scrub_now(ScrubReport* report) {
   ScrubReport local;
   ScrubReport* rep = report != nullptr ? report : &local;
   uint64_t t0 = now_ns();
-  View v = view_of(engine_->space());
+  View v = live_view();
   Status worst;
   const uint64_t n_entries = v.zone.num_entries();
   for (uint64_t idx = 0; idx < n_entries; idx++) {
@@ -947,7 +756,7 @@ Status DStore::scrub_now(ScrubReport* report) {
     if (!v.zone.peek_live(idx, &k)) continue;  // free entry
     // Per-object read exclusion: writers of this object wait, everything
     // else proceeds — the scrubber never stalls the store globally.
-    ReaderGuard guard(*this, k);
+    ReaderGuard guard(*this, nullptr, k);
     // Re-validate the (idx -> k) binding under the guard: the entry may
     // have been deleted — or released and re-initialized for a different
     // object, leaving the peeked name torn — between the peek and the
@@ -1002,202 +811,288 @@ Status DStore::scrub_now(ScrubReport* report) {
 }
 
 // ---------------------------------------------------------------------------
-// Key-value API
+// The write pipeline (§4.3, §4.4)
 // ---------------------------------------------------------------------------
 
 namespace {
-int64_t allowed_inflight(const ds_ctx_t* ctx, const Key& name) {
-  // A writer holding an olock on the object tolerates its own NOOP record.
-  if (ctx == nullptr) return 0;
-  return ctx->held_locks.count(name.str()) != 0 ? 1 : 0;
-}
-
-// Replication prepare (DESIGN.md §16): mirror a logged mutation into the
-// sink while the op's in-flight exclusion still holds, so the stream
-// position it is assigned equals the per-key commit order. Called after the
-// data is durable and immediately before engine commit; the returned ticket
-// is settled (sink commit) right after.
+// Replication prepare (DESIGN.md §16): mirror a mutation into the sink
+// while the op's in-flight exclusion still holds, so the stream position it
+// is assigned equals the per-key commit order. Called after the data is
+// durable and immediately before the commit; the returned ticket is settled
+// (sink commit) right after. A null `h` is a pure overwrite: no log record,
+// so the entry ships unlogged, without a slot image.
 uint64_t repl_prepare(const DStoreConfig& cfg, dipper::Engine* eng,
-                      const dipper::Engine::RecordHandle& h, dipper::OpType op,
+                      const dipper::Engine::RecordHandle* h, dipper::OpType op,
                       const Key& k, const void* value, size_t size, uint64_t arg0,
                       uint64_t arg1) {
   if (cfg.repl_sink == nullptr) return 0;
   ReplSink::Mutation m;
   m.op = (uint8_t)op;
   m.shard = cfg.repl_shard_id;
-  m.side = h.side;
-  m.slot = h.slot;
-  m.lsn = h.lsn;
+  m.unlogged = h == nullptr;
+  if (h != nullptr) {
+    m.side = h->side;
+    m.slot = h->slot;
+    m.lsn = h->lsn;
+    m.slot_image = eng->slot_image(*h);
+  }
   m.arg0 = arg0;
   m.arg1 = arg1;
   m.key = k.str();
   if (size > 0) m.value.assign((const char*)value, size);
-  m.slot_image = eng->slot_image(h);
   return cfg.repl_sink->prepare(std::move(m));
 }
 }  // namespace
 
-Status DStore::oput(ds_ctx_t* ctx, std::string_view name, const void* value, size_t size) {
-  if (!Key::fits(name)) return Status::invalid_argument("name too long");
-  if (size > 0 && value == nullptr) return Status::invalid_argument("null value");
-  if (read_only()) return Status::read_only("store degraded after ssd write failures");
-  Key k = Key::from(name);
-  int64_t allowed = allowed_inflight(ctx, k);
-  reap_pending(ctx);
-  View v = view_of(engine_->space());
+Status DStore::admit(View& v, Mutation& m) {
+  auto found = v.find(m.key);
+  const MetaEntry* e = found.has_value() ? v.zone.entry(*found) : nullptr;
+  switch (m.op) {
+    case OpType::kPut:
+      if (e == nullptr && v.meta_pool.free_count() == 0) {
+        return Status::out_of_space("metadata pool exhausted");
+      }
+      if (v.block_pool.free_count() + (e != nullptr ? e->nblocks : 0) < blocks_needed(m.size)) {
+        return Status::out_of_space("block pool exhausted");
+      }
+      return Status::ok();
+    case OpType::kDelete:
+      return e != nullptr ? Status::ok() : Status::not_found(m.key.str());
+    case OpType::kCreate:
+      m.done = e != nullptr;  // another writer created it first; just open it
+      if (!m.done && v.meta_pool.free_count() == 0) {
+        return Status::out_of_space("metadata pool exhausted");
+      }
+      return Status::ok();
+    case OpType::kWrite: {
+      if (e == nullptr) return Status::not_found(m.key.str());
+      m.plan.meta_idx = *found;
+      m.arg0 = std::max<uint64_t>(e->size, m.arg1 + m.size);
+      // Only a metadata change is a logged operation (§4.3). repair_logging
+      // routes pure overwrites through the logged path too, so their
+      // payloads reach the physical log and stay repairable (§11); that
+      // kWrite record replays as a metadata no-op.
+      m.unlogged = m.arg0 == e->size && !cfg_.repair_logging;
+      uint64_t need = blocks_needed(m.arg0);
+      if (need > e->nblocks && v.block_pool.free_count() < need - e->nblocks) {
+        return Status::out_of_space("block pool exhausted");
+      }
+      return Status::ok();
+    }
+    case OpType::kNoop:
+      break;
+  }
+  return Status::invalid_argument("not a mutation");
+}
 
-  dipper::Engine::RecordHandle h;
-  PutPlan plan;
-  obs::OpTrace trace(put_metrics_, pool_);
+Status DStore::mutate(ds_ctx_t* ctx, Mutation& m) {
+  if (read_only()) return Status::read_only("store degraded after ssd write failures");
+  const Key& k = m.key;
+  const int64_t allowed = allowed_inflight(ctx, k);
+  reap_pending(ctx);
+  View v = live_view();
+  obs::OpTrace trace(m.op == OpType::kDelete  ? delete_metrics_
+                     : m.op == OpType::kWrite ? write_metrics_
+                                              : put_metrics_,
+                     pool_);
+  // Write-write CC (§4.4): conflicting writers serialize on the log's
+  // in-flight state before entering the synchronous region (step 1).
+  // Readers are pre-drained here too so the in-region residual wait is
+  // ~zero.
   for (;;) {
-    // Write-write CC (§4.4): conflicting writers serialize on the log's
-    // in-flight state before entering the synchronous region. Readers are
-    // pre-drained here too so the in-region residual wait is ~zero.
     engine_->wait_inflight_at_most(k, allowed);
     read_counts_.wait_until_unread(k);
     pipeline_mu_.lock();
-    if (engine_->inflight_count(k) > allowed) {
-      pipeline_mu_.unlock();
-      continue;
-    }
-    // Capacity checks BEFORE the log append: an appended record must never
-    // fail, so replay sees only executable operations.
-    uint64_t old_blocks = 0;
-    {
-      SharedLockGuard g(btree_mu_);
-      auto found = v.btree.find(k);
-      if (found.has_value()) {
-        old_blocks = v.zone.entry(*found)->nblocks;
-      } else if (v.meta_pool.free_count() == 0) {
-        pipeline_mu_.unlock();
-        return Status::out_of_space("metadata pool exhausted");
-      }
-    }
-    if (v.block_pool.free_count() + old_blocks < blocks_needed(size)) {
-      pipeline_mu_.unlock();
-      return Status::out_of_space("block pool exhausted");
-    }
-    // Step 2a: reserve the log record — this fixes its conflict-order
-    // position; the in-flight marker becomes visible here. The record's
-    // PMEM write happens outside the synchronous region (step 2b below).
+    if (engine_->inflight_count(k) <= allowed) break;
+    pipeline_mu_.unlock();
+  }
+  Status s = admit(v, m);
+  if (!s.is_ok() || m.done) {
+    pipeline_mu_.unlock();
+    if (s.is_ok()) trace.succeed();
+    return s;
+  }
+  // Step 2a: reserve the log record — this fixes its conflict-order
+  // position; the in-flight marker becomes visible here. The record's PMEM
+  // write happens outside the synchronous region (step 2b below). A pure
+  // overwrite has no record but raises the same marker.
+  dipper::Engine::RecordHandle h;
+  if (m.unlogged) {
+    engine_->register_external_write(k);
+  } else {
     auto hr = engine_->reserve(k);
     if (!hr.is_ok()) {
       pipeline_mu_.unlock();
       return hr.status();
     }
     h = hr.value();
-    // Read-write CC (§4.4): residual poll of the read count. New readers
-    // see our in-flight record and retreat; the pre-drain above already
-    // cleared existing ones, so this is almost always zero iterations.
-    read_counts_.wait_until_unread(k);
+  }
+  // A failed op must drop its marker: a record left in flight would wedge
+  // every later writer of this object.
+  auto abandon = [&](Status st) {
+    if (m.unlogged) {
+      engine_->unregister_external_write(k);
+    } else {
+      engine_->abort(h);
+    }
+    return st;
+  };
+  // Read-write CC (§4.4): residual poll of the read count. New readers see
+  // the in-flight marker and retreat; the pre-drain above already cleared
+  // existing ones, so this is almost always zero iterations.
+  read_counts_.wait_until_unread(k);
+  if (m.unlogged) {
+    // Content is about to change: drop the recorded CRC first, so a torn
+    // write can never leave a stale-but-"valid" content checksum behind.
+    v.zone.entry(m.plan.meta_idx)->data_crc_valid = 0;
+    v.zone.seal_entry(m.plan.meta_idx);
+  } else {
     // Steps 3-4.
     trace.enter(obs::kStagePoolAlloc);
-    Status s = put_phase1(v, k, size, &btree_mu_, &plan);
+    s = phase1(v, m.op, k, m.arg0, &m.plan);
     trace.leave();
     if (!s.is_ok()) {
       pipeline_mu_.unlock();
-      engine_->abort(h);
-      return s;  // unreachable given the capacity checks; fail loudly
+      return abandon(s);  // unreachable given admit's checks; fail loudly
     }
-    break;
+  }
+  // The data range's blocks: a put's freshly planned ones; for an owrite,
+  // the object's own plus any phase 1 appended. Phase 2 appends those to
+  // the entry (possibly reallocating its block array) after the unlock, so
+  // the full list is snapshotted now, while the entry is stable.
+  const uint64_t* bl = m.plan.blocks.data();
+  uint64_t nbl = m.plan.blocks.size();
+  std::vector<uint64_t> grown;
+  if (m.op == OpType::kWrite) {
+    const MetaEntry* e = v.zone.entry(m.plan.meta_idx);
+    bl = v.zone.blocks(*e);
+    nbl = e->nblocks;
+    if (!m.plan.blocks.empty()) {
+      grown.assign(bl, bl + nbl);
+      grown.insert(grown.end(), m.plan.blocks.begin(), m.plan.blocks.end());
+      bl = grown.data();
+      nbl = grown.size();
+    }
   }
   // Steps 8a/2b: submit the op's data IOs through the NVMe queue-pair,
   // then persist the log record while they are in flight — the record
   // write and the data writes are independent until the commit point
-  // (step 9), so their latencies overlap instead of adding up.
-  // Heap-owned so the early-ack path can park it on the context; the
+  // (step 9), so their latencies overlap instead of adding up. The queue is
+  // heap-owned so the early-ack path can park it on the context; the
   // allocation is noise next to the device's per-IO base latency.
-  const bool early_ack =
-      cfg_.early_ack && ctx != nullptr && device_->config().power_loss_protection;
-  auto ioq_owner = std::make_unique<ssd::IoQueue>(device_, cfg_.ssd_qd);
-  ssd::IoQueue& ioq = *ioq_owner;
-  Status s;
+  const bool has_data = m.op == OpType::kPut || m.op == OpType::kWrite;
+  std::unique_ptr<ssd::IoQueue> ioq;
   Status ws;
+  auto issue = [&] {
+    if (has_data) {
+      ioq = std::make_unique<ssd::IoQueue>(device_, cfg_.ssd_qd);
+      trace.enter(obs::kStageSsdBatch);
+      ws = submit_io_range(*ioq, bl, nbl, m.data, nullptr, m.size, m.arg1, &trace);
+    }
+    if (!m.unlogged) {
+      trace.enter(obs::kStageLogAppend);
+      engine_->write_reserved(h, m.op, m.arg0, m.arg1, m.data, m.size);
+    }
+    trace.leave();
+  };
+  auto metadata = [&] {
+    Status ps = m.unlogged ? Status::ok() : phase2(v, m.op, k, m.arg0, m.plan, &trace);
+    trace.leave();
+    return ps;
+  };
   if (cfg_.observational_equivalence) {
-    // Step 5, then 8a (IO submission), 2b (record write+flush) and 6-7
-    // outside the region.
+    // Step 5, then 8a, 2b and 6-7 outside the region.
     pipeline_mu_.unlock();
-    trace.enter(obs::kStageSsdBatch);
-    ws = submit_io_range(ioq, plan.blocks.data(), plan.blocks.size(), value, nullptr, size, 0, &trace);
-    trace.enter(obs::kStageLogAppend);
-    engine_->write_reserved(h, OpType::kPut, size, 0, value, size);
-    s = put_phase2(v, k, size, plan, &btree_mu_, &trace);
+    issue();
+    s = metadata();
   } else {
     // Fig 9 ablation (no OE): steps 6-7 stay inside the synchronous region.
-    s = put_phase2(v, k, size, plan, &btree_mu_, &trace);
+    s = metadata();
     pipeline_mu_.unlock();
-    trace.enter(obs::kStageSsdBatch);
-    ws = submit_io_range(ioq, plan.blocks.data(), plan.blocks.size(), value, nullptr, size, 0, &trace);
-    trace.enter(obs::kStageLogAppend);
-    engine_->write_reserved(h, OpType::kPut, size, 0, value, size);
-    trace.leave();
+    issue();
   }
   // Step 8b: reap the data completions (device-cache durable once acked).
-  // A failed write must abort the reserved record: it was never committed,
-  // and leaving it in-flight would wedge every later writer of this object.
   //
-  // Early ack (DESIGN.md §13): with a PLP device, every submission already
-  // landed in the capacitor-backed write cache — acknowledged == durable —
-  // and in this emulation a failure completes at submission time, so a
-  // queue with none observed will drain clean. Skip the latency wait,
-  // commit now, and park the queue on the context; anything else (a failure
-  // already posted, no context, no PLP) takes the synchronous reap with its
-  // bounded-retry policy.
-  trace.enter(obs::kStageSsdBatch);
-  // The whole-object content CRC, hashed before the reap while the data IOs
-  // are still in flight — the caller's buffer is stable for the whole call,
-  // so the hash overlaps the device instead of following it. It is
-  // published into the entry only after the completions (below).
-  const uint32_t value_crc = crc32c(value, size);
+  // Early ack (DESIGN.md §13, puts only): with a PLP device, every
+  // submission already landed in the capacitor-backed write cache —
+  // acknowledged == durable — and in this emulation a failure completes at
+  // submission time, so a queue with none observed will drain clean. Skip
+  // the latency wait, commit now, and park the queue on the context;
+  // anything else (a failure already posted, no context, no PLP) takes the
+  // synchronous reap with its bounded-retry policy.
+  //
+  // A write covering the whole object re-establishes its content CRC. It is
+  // hashed before the reap, while the data IOs are still in flight — the
+  // caller's buffer is stable for the whole call, so the hash overlaps the
+  // device instead of following it — and published only after the
+  // completions (below).
+  const bool whole = m.size > 0 && m.arg1 == 0 && m.size == m.arg0;
+  uint32_t value_crc = 0;
   bool parked = false;
-  if (s.is_ok() && ws.is_ok()) {
-    if (early_ack && !ioq.any_failed()) {
-      trace.add_io(ioq.size(), ioq.resubmits());
-      parked = true;
-    } else {
-      ws = finish_io(ioq, /*is_write=*/true, &trace);
+  if (has_data) {
+    trace.enter(obs::kStageSsdBatch);
+    if (whole) value_crc = crc32c(m.data, m.size);
+    const bool early_ack = m.op == OpType::kPut && cfg_.early_ack && ctx != nullptr &&
+                           device_->config().power_loss_protection;
+    if (s.is_ok() && ws.is_ok()) {
+      if (early_ack && !ioq->any_failed()) {
+        trace.add_io(ioq->size(), ioq->resubmits());
+        parked = true;
+      } else {
+        ws = finish_io(*ioq, /*is_write=*/true, &trace);
+      }
     }
   }
   if (s.is_ok()) s = ws;
-  if (!s.is_ok()) {
-    engine_->abort(h);
-    return s;
-  }
+  if (!s.is_ok()) return abandon(s);
   // Publish the whole-object content CRC — the tier that catches internally
   // consistent stale pages (lost and misdirected writes) the per-page
-  // sidecar cannot see — now that the bytes it covers have landed.
-  // Frontend-only: replay has no data bytes, so shadow entries keep
-  // data_crc_valid = 0.
-  if (size > 0) {
-    MetaEntry* e = v.zone.entry(plan.meta_idx);
+  // sidecar cannot see — now that the bytes it covers have landed. Partial
+  // writes leave it invalid. Frontend-only: replay has no data bytes, so
+  // shadow entries keep data_crc_valid = 0.
+  if (whole) {
+    MetaEntry* e = v.zone.entry(m.plan.meta_idx);
     e->data_crc = value_crc;
     e->data_crc_valid = 1;
-    v.zone.seal_entry(plan.meta_idx);
+    v.zone.seal_entry(m.plan.meta_idx);
   }
   // Step 9: commit — the op is durable from here on.
-  uint64_t ticket =
-      repl_prepare(cfg_, engine_.get(), h, OpType::kPut, k, value, size, size, 0);
-  trace.enter(obs::kStageCommitFlush);
-  engine_->commit(h);
+  uint64_t ticket = repl_prepare(cfg_, engine_.get(), m.unlogged ? nullptr : &h, m.op, k, m.data,
+                                 m.size, m.arg0, m.arg1);
+  if (m.unlogged) {
+    engine_->unregister_external_write(k);
+  } else {
+    trace.enter(obs::kStageCommitFlush);
+    engine_->commit(h);
+  }
   trace.leave();
   if (ticket != 0) cfg_.repl_sink->commit(ticket);
-  if (parked) ctx->pending_io.push_back(std::move(ioq_owner));
+  if (parked) ctx->pending_io.push_back(std::move(ioq));
   trace.succeed();
   return Status::ok();
 }
 
-Result<size_t> DStore::oget(ds_ctx_t* /*ctx*/, std::string_view name, void* buf,
-                            size_t buf_cap) {
+// ---------------------------------------------------------------------------
+// Key-value API
+// ---------------------------------------------------------------------------
+
+Status DStore::oput(ds_ctx_t* ctx, std::string_view name, const void* value, size_t size) {
+  if (!Key::fits(name)) return Status::invalid_argument("name too long");
+  if (size > 0 && value == nullptr) return Status::invalid_argument("null value");
+  Mutation m{OpType::kPut, Key::from(name)};
+  m.arg0 = size;
+  m.data = value;
+  m.size = size;
+  return mutate(ctx, m);
+}
+
+Result<size_t> DStore::oget(ds_ctx_t* ctx, std::string_view name, void* buf, size_t buf_cap) {
   if (!Key::fits(name)) return Status::invalid_argument("name too long");
   Key k = Key::from(name);
   obs::OpTrace trace(get_metrics_, pool_);
-  ReaderGuard guard(*this, k);
-  View v = view_of(engine_->space());
-  std::optional<uint64_t> found;
-  {
-    SharedLockGuard g(btree_mu_);
-    found = v.btree.find(k);
-  }
+  ReaderGuard guard(*this, ctx, k);
+  View v = live_view();
+  auto found = v.find(k);
   if (!found.has_value()) return Status::not_found(k.str());
   const MetaEntry* e = v.zone.entry(*found);
   size_t value_size = e->size;
@@ -1241,18 +1136,14 @@ uint32_t crc_over_pieces(const std::vector<DStore::ReadView::Piece>& pieces) {
 }
 }  // namespace
 
-Result<DStore::ReadView> DStore::oget_zc(ds_ctx_t* /*ctx*/, std::string_view name) {
+Result<DStore::ReadView> DStore::oget_zc(ds_ctx_t* ctx, std::string_view name) {
   if (!Key::fits(name)) return Status::invalid_argument("name too long");
   Key k = Key::from(name);
   obs::OpTrace trace(get_metrics_, pool_);
   ReadView view;
-  view.pin_ = std::make_unique<ReaderGuard>(*this, k);  // pin before lookup
-  View v = view_of(engine_->space());
-  std::optional<uint64_t> found;
-  {
-    SharedLockGuard g(btree_mu_);
-    found = v.btree.find(k);
-  }
+  view.pin_ = std::make_unique<ReaderGuard>(*this, ctx, k);  // pin before lookup
+  View v = live_view();
+  auto found = v.find(k);
   if (!found.has_value()) return Status::not_found(k.str());
   DSTORE_RETURN_IF_ERROR(verify_meta(v, *found));
   const MetaEntry* e = v.zone.entry(*found);
@@ -1303,65 +1194,8 @@ Result<DStore::ReadView> DStore::oget_zc(ds_ctx_t* /*ctx*/, std::string_view nam
 
 Status DStore::odelete(ds_ctx_t* ctx, std::string_view name) {
   if (!Key::fits(name)) return Status::invalid_argument("name too long");
-  if (read_only()) return Status::read_only("store degraded after ssd write failures");
-  Key k = Key::from(name);
-  int64_t allowed = allowed_inflight(ctx, k);
-  reap_pending(ctx);
-  View v = view_of(engine_->space());
-
-  dipper::Engine::RecordHandle h;
-  DeletePlan plan;
-  obs::OpTrace trace(delete_metrics_, pool_);
-  for (;;) {
-    engine_->wait_inflight_at_most(k, allowed);
-    read_counts_.wait_until_unread(k);
-    pipeline_mu_.lock();
-    if (engine_->inflight_count(k) > allowed) {
-      pipeline_mu_.unlock();
-      continue;
-    }
-    {
-      SharedLockGuard g(btree_mu_);
-      if (!v.btree.find(k).has_value()) {
-        pipeline_mu_.unlock();
-        return Status::not_found(k.str());
-      }
-    }
-    auto hr = engine_->reserve(k);
-    if (!hr.is_ok()) {
-      pipeline_mu_.unlock();
-      return hr.status();
-    }
-    h = hr.value();
-    read_counts_.wait_until_unread(k);
-    Status s = delete_phase1(v, k, &btree_mu_, &plan);
-    if (!s.is_ok()) {
-      pipeline_mu_.unlock();
-      engine_->abort(h);
-      return s;
-    }
-    break;
-  }
-  Status s;
-  if (cfg_.observational_equivalence) {
-    pipeline_mu_.unlock();
-    engine_->write_reserved(h, OpType::kDelete, 0, 0);
-    s = delete_phase2(v, plan, &btree_mu_);
-  } else {
-    s = delete_phase2(v, plan, &btree_mu_);
-    pipeline_mu_.unlock();
-    engine_->write_reserved(h, OpType::kDelete, 0, 0);
-  }
-  if (!s.is_ok()) {
-    engine_->abort(h);
-    return s;
-  }
-  uint64_t ticket =
-      repl_prepare(cfg_, engine_.get(), h, OpType::kDelete, k, nullptr, 0, 0, 0);
-  engine_->commit(h);
-  if (ticket != 0) cfg_.repl_sink->commit(ticket);
-  trace.succeed();
-  return Status::ok();
+  Mutation m{OpType::kDelete, Key::from(name)};
+  return mutate(ctx, m);
 }
 
 // ---------------------------------------------------------------------------
@@ -1376,83 +1210,14 @@ Result<Object*> DStore::oopen(ds_ctx_t* ctx, std::string_view name, size_t /*siz
     return Status::invalid_argument("kCreate requires kWrite");
   }
   Key k = Key::from(name);
-  View v = view_of(engine_->space());
-
-  bool exists;
-  {
-    SharedLockGuard g(btree_mu_);
-    exists = v.btree.find(k).has_value();
-  }
-  if (!exists) {
+  if (!live_view().find(k).has_value()) {
     if ((mode & kCreate) == 0) return Status::not_found(k.str());
-    if (read_only()) return Status::read_only("store degraded after ssd write failures");
     // Create path: a logged metadata operation (§4.3: "log records for
     // oopen ... are only written if they modify any metadata").
-    int64_t allowed = allowed_inflight(ctx, k);
-    obs::OpTrace trace(put_metrics_, pool_);
-    for (;;) {
-      engine_->wait_inflight_at_most(k, allowed);
-      pipeline_mu_.lock();
-      if (engine_->inflight_count(k) > allowed) {
-        pipeline_mu_.unlock();
-        continue;
-      }
-      {
-        SharedLockGuard g(btree_mu_);
-        exists = v.btree.find(k).has_value();
-      }
-      if (exists) {
-        pipeline_mu_.unlock();
-        trace.succeed();
-        break;  // someone else created it; open it
-      }
-      if (v.meta_pool.free_count() == 0) {
-        pipeline_mu_.unlock();
-        return Status::out_of_space("metadata pool exhausted");
-      }
-      auto hr = engine_->reserve(k);
-      if (!hr.is_ok()) {
-        pipeline_mu_.unlock();
-        return hr.status();
-      }
-      read_counts_.wait_until_unread(k);
-      // Pool allocation is phase-1 work; the zone/btree updates are
-      // phase-2 but cheap enough to fold here (create has no data phase).
-      Status s;
-      if (cfg_.observational_equivalence) {
-        auto idx = v.meta_pool.alloc();
-        pipeline_mu_.unlock();
-        engine_->write_reserved(hr.value(), OpType::kCreate, 0, 0);
-        if (!idx.has_value()) {
-          s = Status::out_of_space("metadata pool exhausted");
-        } else {
-          s = v.zone.init_entry(*idx, k);
-          if (s.is_ok()) {
-            v.zone.entry(*idx)->size = 0;
-            LockGuard<SharedSpinLock> g(btree_mu_);
-            s = v.btree.insert(k, *idx);
-          }
-        }
-      } else {
-        uint64_t meta_idx = 0;
-        s = create_phase1(v, &meta_idx);
-        if (s.is_ok()) s = create_phase2(v, k, meta_idx, &btree_mu_);
-        pipeline_mu_.unlock();
-        engine_->write_reserved(hr.value(), OpType::kCreate, 0, 0);
-      }
-      if (!s.is_ok()) {
-        engine_->abort(hr.value());
-        return s;
-      }
-      uint64_t ticket = repl_prepare(cfg_, engine_.get(), hr.value(), OpType::kCreate, k,
-                                     nullptr, 0, 0, 0);
-      engine_->commit(hr.value());
-      if (ticket != 0) cfg_.repl_sink->commit(ticket);
-      trace.succeed();
-      break;
-    }
+    Mutation m{OpType::kCreate, k};
+    DSTORE_RETURN_IF_ERROR(mutate(ctx, m));
   }
-  auto* obj = new Object{this, k, mode};
+  auto* obj = new Object{this, k, mode, ctx};
   open_objects_.fetch_add(1, std::memory_order_relaxed);
   return obj;
 }
@@ -1468,13 +1233,9 @@ Result<size_t> DStore::oread(Object* object, void* buf, size_t size, uint64_t of
     return Status::invalid_argument("object not open for reading");
   }
   obs::OpTrace trace(get_metrics_, pool_);
-  ReaderGuard guard(*this, object->name);
-  View v = view_of(engine_->space());
-  std::optional<uint64_t> found;
-  {
-    SharedLockGuard g(btree_mu_);
-    found = v.btree.find(object->name);
-  }
+  ReaderGuard guard(*this, object->ctx, object->name);
+  View v = live_view();
+  auto found = v.find(object->name);
   if (!found.has_value()) return Status::not_found(object->name.str());
   size_t out_len = 0;
   DSTORE_RETURN_IF_ERROR(read_data_range(v, *found, buf, size, offset, &out_len, &trace));
@@ -1487,162 +1248,12 @@ Result<size_t> DStore::owrite(Object* object, const void* buf, size_t size, uint
     return Status::invalid_argument("object not open for writing");
   }
   if (size == 0) return (size_t)0;
-  if (read_only()) return Status::read_only("store degraded after ssd write failures");
-  Key k = object->name;
-  View v = view_of(engine_->space());
-  int64_t allowed = 0;
-  obs::OpTrace trace(write_metrics_, pool_);
-
-  for (;;) {
-    engine_->wait_inflight_at_most(k, allowed);
-    pipeline_mu_.lock();
-    if (engine_->inflight_count(k) > allowed) {
-      pipeline_mu_.unlock();
-      continue;
-    }
-    std::optional<uint64_t> found;
-    {
-      SharedLockGuard g(btree_mu_);
-      found = v.btree.find(k);
-    }
-    if (!found.has_value()) {
-      pipeline_mu_.unlock();
-      return Status::not_found(k.str());
-    }
-    MetaEntry* e = v.zone.entry(*found);
-    uint64_t new_size = std::max<uint64_t>(e->size, offset + size);
-    // repair_logging routes pure overwrites through the logged path too, so
-    // their payloads reach the physical log and stay repairable (§11); the
-    // kWrite record replays as a metadata no-op.
-    if (new_size > e->size || cfg_.repair_logging) {
-      // Metadata changes: logged operation (§4.3).
-      uint64_t need = blocks_needed(new_size);
-      if (need > e->nblocks &&
-          v.block_pool.free_count() < need - e->nblocks) {
-        pipeline_mu_.unlock();
-        return Status::out_of_space("block pool exhausted");
-      }
-      auto hr = engine_->reserve(k);
-      if (!hr.is_ok()) {
-        pipeline_mu_.unlock();
-        return hr.status();
-      }
-      read_counts_.wait_until_unread(k);
-      ExtendPlan plan;
-      trace.enter(obs::kStagePoolAlloc);
-      Status s = extend_phase1(v, k, new_size, &btree_mu_, &plan);
-      trace.leave();
-      if (!s.is_ok()) {
-        pipeline_mu_.unlock();
-        engine_->abort(hr.value());
-        return s;
-      }
-      // Snapshot the full physical block list while the entry is stable
-      // under the pipeline lock: phase 2 appends plan.new_blocks to the
-      // entry (possibly reallocating its block array) after we unlock, and
-      // the data IOs below must not race that growth.
-      std::vector<uint64_t> all_blocks;
-      {
-        const uint64_t* bl = v.zone.blocks(*e);
-        all_blocks.assign(bl, bl + e->nblocks);
-      }
-      all_blocks.insert(all_blocks.end(), plan.new_blocks.begin(), plan.new_blocks.end());
-      // Submit the data IOs, then persist the log record while they are in
-      // flight (independent until commit — same overlap as oput step 8a/2b).
-      ssd::IoQueue ioq(device_, cfg_.ssd_qd);
-      Status ws;
-      if (cfg_.observational_equivalence) {
-        pipeline_mu_.unlock();
-        trace.enter(obs::kStageSsdBatch);
-        ws = submit_io_range(ioq, all_blocks.data(), all_blocks.size(), buf, nullptr, size,
-                             offset, &trace);
-        trace.enter(obs::kStageLogAppend);
-        engine_->write_reserved(hr.value(), OpType::kWrite, new_size, offset, buf, size);
-        trace.enter(obs::kStageMetaZone);
-        s = extend_phase2(v, k, new_size, plan, &btree_mu_);
-        trace.leave();
-      } else {
-        trace.enter(obs::kStageMetaZone);
-        s = extend_phase2(v, k, new_size, plan, &btree_mu_);
-        trace.leave();
-        pipeline_mu_.unlock();
-        trace.enter(obs::kStageSsdBatch);
-        ws = submit_io_range(ioq, all_blocks.data(), all_blocks.size(), buf, nullptr, size,
-                             offset, &trace);
-        trace.enter(obs::kStageLogAppend);
-        engine_->write_reserved(hr.value(), OpType::kWrite, new_size, offset, buf, size);
-        trace.leave();
-      }
-      trace.enter(obs::kStageSsdBatch);
-      // A whole-object write re-establishes the content CRC: hash it while
-      // the IOs are in flight (as in oput).
-      const bool whole = offset == 0 && size == new_size;
-      const uint32_t value_crc = whole ? crc32c(buf, size) : 0;
-      if (s.is_ok() && ws.is_ok()) ws = finish_io(ioq, /*is_write=*/true, &trace);
-      if (s.is_ok()) s = ws;
-      if (!s.is_ok()) {
-        engine_->abort(hr.value());
-        return s;
-      }
-      // Whole-object writes re-establish the content CRC; partial ones left
-      // it invalidated by extend_phase2.
-      if (whole) {
-        MetaEntry* e2 = v.zone.entry(plan.meta_idx);
-        e2->data_crc = value_crc;
-        e2->data_crc_valid = 1;
-        v.zone.seal_entry(plan.meta_idx);
-      }
-      uint64_t ticket = repl_prepare(cfg_, engine_.get(), hr.value(), OpType::kWrite, k,
-                                     buf, size, new_size, offset);
-      trace.enter(obs::kStageCommitFlush);
-      engine_->commit(hr.value());
-      trace.leave();
-      if (ticket != 0) cfg_.repl_sink->commit(ticket);
-      trace.succeed();
-      return size;
-    }
-    // Pure data overwrite: no metadata change, no log record — but still
-    // visible to CC so readers and conflicting writers serialize.
-    engine_->register_external_write(k);
-    read_counts_.wait_until_unread(k);
-    // Content is about to change: drop the recorded CRC first, so a torn
-    // write can never leave a stale-but-"valid" content checksum behind.
-    e->data_crc_valid = 0;
-    v.zone.seal_entry(*found);
-    pipeline_mu_.unlock();
-    trace.enter(obs::kStageSsdBatch);
-    ssd::IoQueue ioq(device_, cfg_.ssd_qd);
-    Status s = submit_write_range(v, *found, ioq, buf, size, offset, &trace);
-    // Hashed during the IOs; published only once they complete.
-    const bool whole = offset == 0 && size == e->size;
-    const uint32_t value_crc = whole ? crc32c(buf, size) : 0;
-    if (s.is_ok()) s = finish_io(ioq, /*is_write=*/true, &trace);
-    trace.leave();
-    if (s.is_ok() && whole) {
-      e->data_crc = value_crc;
-      e->data_crc_valid = 1;
-      v.zone.seal_entry(*found);
-    }
-    // Replication: a pure overwrite leaves no log record, so the stream
-    // entry ships unlogged (no slot image) — still inside the external-write
-    // exclusion window, so its stream position matches the per-key order.
-    if (s.is_ok() && cfg_.repl_sink != nullptr) {
-      ReplSink::Mutation m;
-      m.op = (uint8_t)OpType::kWrite;
-      m.shard = cfg_.repl_shard_id;
-      m.unlogged = true;
-      m.arg0 = e->size;  // size unchanged by a pure overwrite
-      m.arg1 = offset;
-      m.key = k.str();
-      m.value.assign((const char*)buf, size);
-      uint64_t ticket = cfg_.repl_sink->prepare(std::move(m));
-      if (ticket != 0) cfg_.repl_sink->commit(ticket);
-    }
-    engine_->unregister_external_write(k);
-    DSTORE_RETURN_IF_ERROR(s);
-    trace.succeed();
-    return size;
-  }
+  Mutation m{OpType::kWrite, object->name};
+  m.arg1 = offset;  // admit() sets arg0, the new size
+  m.data = buf;
+  m.size = size;
+  DSTORE_RETURN_IF_ERROR(mutate(object->ctx, m));
+  return size;
 }
 
 // ---------------------------------------------------------------------------
@@ -1685,12 +1296,8 @@ Status DStore::ounlock(ds_ctx_t* ctx, std::string_view name) {
 Result<uint64_t> DStore::object_size(std::string_view name) {
   if (!Key::fits(name)) return Status::invalid_argument("name too long");
   Key k = Key::from(name);
-  View v = view_of(engine_->space());
-  std::optional<uint64_t> found;
-  {
-    SharedLockGuard g(btree_mu_);
-    found = v.btree.find(k);
-  }
+  View v = live_view();
+  auto found = v.find(k);
   if (!found.has_value()) return Status::not_found(k.str());
   return (uint64_t)v.zone.entry(*found)->size;
 }
@@ -1698,20 +1305,16 @@ Result<uint64_t> DStore::object_size(std::string_view name) {
 Result<uint32_t> DStore::content_crc(std::string_view name) {
   if (!Key::fits(name)) return Status::invalid_argument("name too long");
   Key k = Key::from(name);
-  ReaderGuard guard(*this, k);  // no writer mid-publish
-  View v = view_of(engine_->space());
-  std::optional<uint64_t> found;
-  {
-    SharedLockGuard g(btree_mu_);
-    found = v.btree.find(k);
-  }
+  ReaderGuard guard(*this, nullptr, k);  // no writer mid-publish
+  View v = live_view();
+  auto found = v.find(k);
   if (!found.has_value()) return Status::not_found(k.str());
   const MetaEntry* e = v.zone.entry(*found);
   return e->data_crc_valid ? e->data_crc : 0u;
 }
 
 void DStore::list(const std::function<bool(std::string_view, uint64_t)>& fn) {
-  View v = view_of(engine_->space());
+  View v = live_view();
   SharedLockGuard g(btree_mu_);
   v.btree.for_each([&](const Key& key, uint64_t idx) {
     const MetaEntry* e = v.zone.entry(idx);
@@ -1720,13 +1323,13 @@ void DStore::list(const std::function<bool(std::string_view, uint64_t)>& fn) {
 }
 
 uint64_t DStore::object_count() {
-  View v = view_of(engine_->space());
+  View v = live_view();
   SharedLockGuard g(btree_mu_);
   return v.btree.size();
 }
 
 DStore::SpaceUsage DStore::space_usage() {
-  View v = view_of(engine_->space());
+  View v = live_view();
   SpaceUsage u{};
   u.dram_bytes = engine_->space().used_bytes();
   u.pmem_bytes = engine_->pmem_used_bytes();
@@ -1736,7 +1339,7 @@ DStore::SpaceUsage DStore::space_usage() {
 }
 
 Status DStore::validate() {
-  View v = view_of(engine_->space());
+  View v = live_view();
   LockGuard<SharedSpinLock> g(btree_mu_);
   DSTORE_RETURN_IF_ERROR(v.btree.validate());
   uint64_t visited = 0;

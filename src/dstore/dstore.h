@@ -14,7 +14,8 @@
 // olock/ounlock for inter-object dependencies and ds_init/ds_finalize
 // thread contexts.
 //
-// Write pipeline (§4.3, Figure 4):
+// Write pipeline (§4.3, Figure 4), written once in DStore::mutate() for
+// oput, odelete, oopen(kCreate) and owrite:
 //   1 lock the block and metadata pools       ┐ synchronous region,
 //   2 allocate and write the log record       │ <300ns of real work —
 //   3 allocate blocks from the block pool     │ everything that must be
@@ -26,11 +27,14 @@
 //     while they are in flight, reap the completions, then publish the
 //     CRC into the metadata entry
 //   9 commit and flush the log record  → op is durable
+// Each op supplies only its record type and args, its data range, and its
+// metadata steps (phase1 = steps 3-4, phase2 = steps 6-7).
 //
-// Replay (checkpoint/recovery) runs steps 2-4, 6-7 from the log with the
-// SAME functions, against a shadow space. Determinism of the circular
-// pools guarantees replay allocates the identical SSD blocks, which is why
-// block lists never appear in the 32-byte log records.
+// Replay (checkpoint/recovery) is one sequential loop that runs steps 3-4
+// and 6-7 from the log with the SAME phase functions, against a shadow
+// space. Determinism of the circular pools guarantees replay allocates the
+// identical SSD blocks, which is why block lists never appear in the
+// 32-byte log records.
 #pragma once
 
 #include <atomic>
@@ -101,9 +105,6 @@ struct DStoreConfig {
   // (Fig 9 ablation), the synchronous region extends over the metadata and
   // btree updates, serializing steps 6-7 under the pipeline lock.
   bool observational_equivalence = true;
-  // OE-parallel checkpoint replay (§3.5): pipeline pool allocations and
-  // metadata/btree updates across two lanes for large record batches.
-  bool parallel_replay = true;
   // Transient SSD errors (IO_ERROR / BUSY) are retried with exponential
   // backoff: attempt i sleeps io_retry_backoff_ns << i. After
   // io_max_retries failed retries a write marks the store read-only and the
@@ -345,56 +346,58 @@ class DStore final : public dipper::SpaceClient {
     MetadataZone zone;
     CircularPool block_pool;
     CircularPool meta_pool;
+    // The readers-writer lock guarding `btree`: the volatile tree's for
+    // frontend views, null for replay's (replay owns its shadow space).
+    // find() holds it shared, insert()/erase() exclusive.
+    SharedSpinLock* btree_mu;
+    std::optional<uint64_t> find(const Key& name);
+    Status insert(const Key& name, uint64_t meta_idx);
+    Status erase(const Key& name);
   };
-  View view_of(SlabAllocator& space);
+  View view_of(SlabAllocator& space, SharedSpinLock* btree_mu);
+  View live_view() { return view_of(engine_->space(), &btree_mu_); }
 
   size_t block_size() const { return device_->config().block_size(); }
   uint64_t blocks_needed(uint64_t bytes) const {
     return (bytes + block_size() - 1) / block_size();
   }
 
-  // Metadata phases shared by the frontend and replay. `btree_mu` is the
-  // readers-writer lock guarding the space's btree: the frontend passes the
-  // volatile tree's lock, sequential replay passes nullptr (it owns the
-  // space), and OE-parallel replay passes a lock shared by its two lanes.
-  struct PutPlan {
-    bool existed = false;
-    uint64_t meta_idx = 0;
-    std::vector<uint64_t> blocks;  // blocks backing the (new) value
+  // The metadata steps of one logged op, shared by the frontend and replay
+  // (the "same code on both spaces" core), dispatched on the record type.
+  // `arg0` is the record's arg0 (put: size; write: new size).
+  struct Plan {
+    bool existed = false;          // the object already had an entry
+    uint64_t meta_idx = 0;         // the object's metadata entry
+    std::vector<uint64_t> blocks;  // put: the new value's; write: appended
   };
-  // Steps 3-4 (+ old-block frees). Caller holds the pipeline lock for the
-  // frontend; capacity must have been checked.
-  Status put_phase1(View& v, const Key& name, uint64_t size, SharedSpinLock* btree_mu,
-                    PutPlan* plan);
+  // Steps 3-4 (+ old-block frees), in log order. The frontend holds the
+  // pipeline lock and has checked capacity (admit).
+  Status phase1(View& v, dipper::OpType op, const Key& name, uint64_t arg0, Plan* plan);
   // Steps 6-7. `trace` (optional, frontend only) splits zone vs btree time.
-  Status put_phase2(View& v, const Key& name, uint64_t size, const PutPlan& plan,
-                    SharedSpinLock* btree_mu, obs::OpTrace* trace = nullptr);
+  Status phase2(View& v, dipper::OpType op, const Key& name, uint64_t arg0, const Plan& plan,
+                obs::OpTrace* trace = nullptr);
 
-  struct DeletePlan {
-    uint64_t meta_idx = 0;
+  // One mutation through the write pipeline. The op fills in its record
+  // type, key and data range; admit() completes the rest under the
+  // pipeline lock.
+  struct Mutation {
+    Mutation(dipper::OpType o, const Key& k) : op(o), key(k) {}
+    dipper::OpType op;
+    Key key;
+    uint64_t arg0 = 0;           // record arg0 (put: size; write: new size)
+    uint64_t arg1 = 0;           // record arg1 = the data's object offset
+    const void* data = nullptr;  // the op's data bytes (put/write)
+    size_t size = 0;
+    bool unlogged = false;  // owrite pure overwrite: no record, no phases
+    bool done = false;      // oopen(kCreate) lost the race: nothing to log
+    Plan plan;
   };
-  Status delete_phase1(View& v, const Key& name, SharedSpinLock* btree_mu,
-                       DeletePlan* plan);
-  Status delete_phase2(View& v, const DeletePlan& plan, SharedSpinLock* btree_mu);
-
-  Status create_phase1(View& v, uint64_t* meta_idx);
-  Status create_phase2(View& v, const Key& name, uint64_t meta_idx, SharedSpinLock* btree_mu);
-
-  struct ExtendPlan {
-    uint64_t meta_idx = 0;
-    std::vector<uint64_t> new_blocks;
-  };
-  Status extend_phase1(View& v, const Key& name, uint64_t new_size, SharedSpinLock* btree_mu,
-                       ExtendPlan* plan);
-  Status extend_phase2(View& v, const Key& name, uint64_t new_size, const ExtendPlan& plan,
-                       SharedSpinLock* btree_mu);
-
-  // OE-parallel checkpoint replay (§3.5 "dedicated checkpoint thread
-  // pool", §3.7): lane 1 (the calling thread) performs each record's pool
-  // allocations in strict log order; lane 2 applies the metadata-zone and
-  // btree updates, pipelined behind lane 1. Conflicting records are
-  // ordered through a pending-name table.
-  Status replay_parallel(View& v, std::span<const dipper::LogRecordView> records);
+  // The one §4.3/§4.4 pipeline: conflict wait, synchronous region, record
+  // reserve, phases, data IO, early ack, abort or commit, replication.
+  Status mutate(ds_ctx_t* ctx, Mutation& m);
+  // Capacity and existence checks under the pipeline lock, before the
+  // append: an appended record must never fail.
+  Status admit(View& v, Mutation& m);
 
   // Reader-side CC (§4.4 + the symmetric check) is class ReaderGuard,
   // declared with the public API above (ReadView holds one); defined in
@@ -423,12 +426,6 @@ class DStore final : public dipper::SpaceClient {
   // bound the still-spinning ones (oldest waited out past a small cap).
   void reap_pending(ds_ctx_t* ctx);
 
-  Status write_data(const std::vector<uint64_t>& blocks, const void* data, size_t size,
-                    obs::OpTrace* trace = nullptr);
-  // Submit half of a ranged write into the object's existing blocks; the
-  // caller overlaps its own work with the IOs, then reaps them (finish_io).
-  Status submit_write_range(View& v, uint64_t meta_idx, ssd::IoQueue& q, const void* data,
-                            size_t size, uint64_t offset, obs::OpTrace* trace);
   Status read_data_range(View& v, uint64_t meta_idx, void* buf, size_t size, uint64_t offset,
                          size_t* out_len, obs::OpTrace* trace = nullptr);
 
@@ -513,6 +510,7 @@ struct Object {
   DStore* store = nullptr;
   Key name;
   uint32_t mode = 0;
+  ds_ctx_t* ctx = nullptr;  // the opening context: its olocks cover this handle's IO
 };
 
 }  // namespace dstore

@@ -58,8 +58,8 @@ struct ShardedConfig {
   bool affinity = false;
 
   // Recover shards concurrently on the pool (the default). The serial path
-  // is kept as the bench baseline (bench/shard_scaling.cc) and for
-  // apples-to-apples timing comparisons.
+  // is kept as the bench baseline (`paper_bench --exp shard_scaling`) and
+  // for apples-to-apples timing comparisons.
   bool parallel_recovery = true;
 
   // Fault injection for crash-schedule sweeps: wired into shard

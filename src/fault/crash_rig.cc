@@ -12,9 +12,6 @@ Status CrashRig::build_store() {
   cfg_ = DStoreConfig{};
   cfg_.max_objects = opt_.max_objects;
   cfg_.num_blocks = opt_.num_blocks;
-  // Two-lane replay never triggers below 128 records anyway; single-lane
-  // keeps fault-point hit ordering exactly reproducible.
-  cfg_.parallel_replay = false;
   cfg_.engine.log_slots = opt_.log_slots;
   cfg_.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(opt_.max_objects);
   // The rig is single-threaded by design: checkpoints run inline via

@@ -173,10 +173,8 @@ Status DistRig::build(const DistPlan& plan) {
     scfg.num_shards = 1;
     scfg.shard.max_objects = opt_.max_objects;
     scfg.shard.num_blocks = opt_.num_blocks;
-    // Deterministic hit ordering: single-lane replay, no background
-    // checkpoint thread (the rig checkpoints inline at checkpoint_at), one
-    // pool worker.
-    scfg.shard.parallel_replay = false;
+    // Deterministic hit ordering: no background checkpoint thread (the rig
+    // checkpoints inline at checkpoint_at), one pool worker.
     scfg.shard.engine.log_slots = opt_.log_slots;
     scfg.shard.engine.arena_bytes = 0;  // auto-size
     scfg.shard.engine.background_checkpointing = false;

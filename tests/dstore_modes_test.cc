@@ -22,11 +22,10 @@ struct ModeRig {
   ds_ctx_t* ctx = nullptr;
 
   explicit ModeRig(bool oe = true, bool physical = false, uint32_t log_slots = 256,
-                   bool background = false, bool parallel_replay = true) {
+                   bool background = false) {
     cfg.max_objects = 512;
     cfg.num_blocks = 4096;
     cfg.observational_equivalence = oe;
-    cfg.parallel_replay = parallel_replay;
     cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.max_objects);
     cfg.engine.log_slots = log_slots;
     cfg.engine.background_checkpointing = background;
@@ -204,77 +203,76 @@ TEST(DStoreModes, LongNamesTwoLineRecordsSurviveCrashes) {
   }
 }
 
-// The OE-parallel two-lane replay must produce a state observationally
-// equivalent to sequential replay — same objects, same sizes, and (because
-// pool order is preserved) the IDENTICAL SSD block assignment.
-TEST(DStoreModes, ParallelReplayEquivalentToSequential) {
-  for (bool parallel : {false, true}) {
-    ModeRig rig(true, false, /*log_slots=*/512, false, parallel);
-    Rng rng(2026);
-    std::map<std::string, std::pair<char, size_t>> model;
-    for (int i = 0; i < 400; i++) {
-      std::string name = "pr" + std::to_string(rng.next_below(60));
-      if (rng.next_bool(0.7) || model.count(name) == 0) {
-        char seed = (char)('a' + rng.next_below(26));
-        size_t size = 1 + rng.next_below(8000);
-        std::string v(size, seed);
-        ASSERT_TRUE(rig.store->oput(rig.ctx, name, v.data(), v.size()).is_ok());
-        model[name] = {seed, size};
-      } else {
-        ASSERT_TRUE(rig.store->odelete(rig.ctx, name).is_ok());
-        model.erase(name);
-      }
-    }
-    // The 400 records exceed the parallel threshold (128), so parallel=true
-    // exercises the two-lane path in this checkpoint.
-    ASSERT_TRUE(rig.store->checkpoint_now().is_ok());
-    rig.crash_and_recover();
-    ASSERT_TRUE(rig.store->validate().is_ok());
-    ASSERT_EQ(rig.store->object_count(), model.size()) << "parallel=" << parallel;
-    std::string out(8000, 0);
-    for (const auto& [name, sv] : model) {
-      auto r = rig.store->oget(rig.ctx, name, out.data(), out.size());
-      ASSERT_TRUE(r.is_ok()) << name << " parallel=" << parallel;
-      ASSERT_EQ(r.value(), sv.second);
-      EXPECT_EQ(out[0], sv.first);
-      EXPECT_EQ(out[sv.second - 1], sv.first);
-    }
-  }
-}
-
-TEST(DStoreModes, ParallelReplayUnderCrashChurn) {
-  // Heavy churn with frequent crashes, parallel replay on: the end-to-end
-  // crash-consistency property must hold exactly as with sequential replay.
-  ModeRig rig(true, false, /*log_slots=*/512, false, /*parallel_replay=*/true);
+TEST(DStoreModes, ReplayUnderCrashChurn) {
+  // Heavy churn of every mutation type — put, delete, oopen(kCreate), and
+  // extending and pure-overwrite owrite — with frequent crashes. Every op
+  // goes through the write pipeline; checkpoints replay them in batches of
+  // hundreds of records and recovery replays the rest, and the end-to-end
+  // crash-consistency property must hold exactly.
+  ModeRig rig(true, false, /*log_slots=*/512);
   Rng rng(777);
-  std::map<std::string, std::pair<char, size_t>> model;
+  std::map<std::string, std::string> model;
+  constexpr size_t kMaxSize = 8000;
+  int checkpoints = 0;
   for (int round = 0; round < 6; round++) {
     for (int i = 0; i < 150; i++) {
       std::string name = "pc" + std::to_string(rng.next_below(80));
-      if (rng.next_bool(0.7) || model.count(name) == 0) {
-        char seed = (char)('a' + rng.next_below(26));
-        size_t size = 1 + rng.next_below(6000);
-        std::string v(size, seed);
+      auto it = model.find(name);
+      const char seed = (char)('a' + rng.next_below(26));
+      const uint64_t pick = rng.next_below(100);
+      if (it == model.end() && pick < 20) {
+        auto o = rig.store->oopen(rig.ctx, name, 0, kWrite | kCreate);
+        ASSERT_TRUE(o.is_ok()) << o.status().to_string();
+        rig.store->oclose(o.value());
+        model[name].clear();
+      } else if (it == model.end() || pick < 45) {
+        std::string v(1 + rng.next_below(6000), seed);
         ASSERT_TRUE(rig.store->oput(rig.ctx, name, v.data(), v.size()).is_ok());
-        model[name] = {seed, size};
-      } else {
+        model[name] = v;
+      } else if (pick < 60) {
         ASSERT_TRUE(rig.store->odelete(rig.ctx, name).is_ok());
-        model.erase(name);
+        model.erase(it);
+      } else {
+        // Extending (offset + len past the end) or, when the object has
+        // bytes to overwrite, pure-overwrite (inside them) owrite.
+        std::string& cur = it->second;
+        const bool extend = cur.empty() || pick < 80;
+        size_t off, len;
+        if (extend) {
+          off = rng.next_below(cur.size() + 1);
+          len = cur.size() - off + 1 + rng.next_below(2000);
+          if (off + len > kMaxSize) len = kMaxSize - off;
+        } else {
+          off = rng.next_below(cur.size());
+          len = 1 + rng.next_below(cur.size() - off);
+        }
+        std::string v(len, seed);
+        auto o = rig.store->oopen(rig.ctx, name, 0, kWrite);
+        ASSERT_TRUE(o.is_ok()) << o.status().to_string();
+        auto w = rig.store->owrite(o.value(), v.data(), v.size(), off);
+        rig.store->oclose(o.value());
+        ASSERT_TRUE(w.is_ok()) << w.status().to_string();
+        if (off + len > cur.size()) cur.resize(off + len);
+        cur.replace(off, len, v);
       }
       if (rig.store->engine().log_fill() > 0.75) {
         ASSERT_TRUE(rig.store->checkpoint_now().is_ok());
+        checkpoints++;
       }
     }
     rig.crash_and_recover();
     ASSERT_TRUE(rig.store->validate().is_ok());
-    std::string out(6000, 0);
-    for (const auto& [name, sv] : model) {
+    ASSERT_EQ(rig.store->object_count(), model.size()) << "round " << round;
+    std::string out(kMaxSize, 0);
+    for (const auto& [name, want] : model) {
       auto r = rig.store->oget(rig.ctx, name, out.data(), out.size());
       ASSERT_TRUE(r.is_ok()) << name << " round " << round;
-      ASSERT_EQ(r.value(), sv.second);
-      EXPECT_EQ(out[sv.second - 1], sv.first);
+      ASSERT_EQ(r.value(), want.size()) << name;
+      EXPECT_EQ(out.compare(0, want.size(), want), 0) << name << " round " << round;
     }
   }
+  // 512-slot log, checkpointed at 75% fill: each replays ~384 records.
+  EXPECT_GT(checkpoints, 0);
 }
 
 TEST(DStoreModes, StageMetricsAccumulateSanely) {

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -485,11 +486,59 @@ TEST(DStoreLock, LockBlocksOtherWriters) {
   EXPECT_TRUE(other_done.load());
 }
 
+// The olock holder's own writes and reads tolerate its lock record (§4.5),
+// through the key-value and the filesystem API alike.
 TEST(DStoreLock, HolderCanStillWrite) {
   TestStore t;
   char buf[16] = {};
   ASSERT_TRUE(t.store->olock(t.ctx, "mine").is_ok());
-  EXPECT_TRUE(t.store->oput(t.ctx, "mine", buf, sizeof(buf)).is_ok());
+  // Each op runs on its own thread with a bounded wait, so a self-deadlock
+  // fails the case instead of hanging the test: on a timeout the lock is
+  // dropped, which frees the stuck op, and then retaken for the next case.
+  auto completes = [&](const char* what, auto op) {
+    auto f = std::async(std::launch::async, op);
+    if (f.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+      ADD_FAILURE() << what << " by the lock holder did not finish";
+      EXPECT_TRUE(t.store->ounlock(t.ctx, "mine").is_ok());
+      f.wait();
+      EXPECT_TRUE(t.store->olock(t.ctx, "mine").is_ok());
+      return false;
+    }
+    return f.get();
+  };
+  EXPECT_TRUE(completes("oput", [&] {
+    return t.store->oput(t.ctx, "mine", buf, sizeof(buf)).is_ok();
+  }));
+  auto obj = t.store->oopen(t.ctx, "mine", 0, kRead | kWrite);
+  ASSERT_TRUE(obj.is_ok());
+  EXPECT_TRUE(completes("pure-overwrite owrite", [&] {
+    return t.store->owrite(obj.value(), buf, 8, 0).is_ok();
+  }));
+  EXPECT_TRUE(completes("extending owrite", [&] {
+    return t.store->owrite(obj.value(), buf, sizeof(buf), 8).is_ok();
+  }));
+  EXPECT_TRUE(completes("oread", [&] {
+    char out[32];
+    auto r = t.store->oread(obj.value(), out, sizeof(out), 0);
+    return r.is_ok() && r.value() == 24;
+  }));
+  t.store->oclose(obj.value());
+  EXPECT_TRUE(completes("oget", [&] {
+    char out[32];
+    auto r = t.store->oget(t.ctx, "mine", out, sizeof(out));
+    return r.is_ok() && r.value() == 24;
+  }));
+  EXPECT_TRUE(completes("oget_zc", [&] {
+    auto r = t.store->oget_zc(t.ctx, "mine");
+    return r.is_ok() && r.value().size() == 24;
+  }));
+  EXPECT_TRUE(completes("odelete", [&] { return t.store->odelete(t.ctx, "mine").is_ok(); }));
+  EXPECT_TRUE(completes("oopen(kCreate)", [&] {
+    auto r = t.store->oopen(t.ctx, "mine", 0, kWrite | kCreate);
+    if (!r.is_ok()) return false;
+    t.store->oclose(r.value());
+    return true;
+  }));
   EXPECT_TRUE(t.store->ounlock(t.ctx, "mine").is_ok());
 }
 

@@ -333,7 +333,7 @@ TEST_F(LockdepDetector, StoreLifecycleProducesZeroReports) {
   EXPECT_TRUE(store->scrub_now(&rep).is_ok());
   EXPECT_GT(rep.objects_scanned, 0u);
 
-  // Crash-recover: recovery replay (parallel two-lane) must also be clean.
+  // Crash-recover: recovery replay must also be clean.
   store.reset();
   auto recovered = DStore::recover(pool.get(), device.get(), cfg);
   ASSERT_TRUE(recovered.is_ok()) << recovered.status().to_string();

@@ -21,16 +21,13 @@ struct SweepRig {
   std::unique_ptr<DStore> store;
   ds_ctx_t* ctx = nullptr;
 
-  explicit SweepRig(dipper::EngineConfig::CkptMode mode, uint64_t seed) {
+  explicit SweepRig(dipper::EngineConfig::CkptMode mode) {
     cfg.max_objects = 128;
     cfg.num_blocks = 1024;
     cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.max_objects);
     cfg.engine.log_slots = 48;  // small: checkpoints happen constantly
     cfg.engine.background_checkpointing = false;
     cfg.engine.ckpt_mode = mode;
-    // Vary parallel replay by seed so both replay paths see every seed's
-    // traffic shape over the sweep.
-    cfg.parallel_replay = (seed % 2) == 0;
     pool = std::make_unique<pmem::Pool>(dipper::Engine::required_pool_bytes(cfg.engine),
                                         pmem::Pool::Mode::kCrashSim);
     ssd::DeviceConfig dc;
@@ -63,7 +60,7 @@ struct SweepRig {
 using Model = std::map<std::string, std::pair<char, size_t>>;
 
 void run_sweep(dipper::EngineConfig::CkptMode mode, uint64_t seed) {
-  SweepRig rig(mode, seed);
+  SweepRig rig(mode);
   Rng rng(seed);
   Model model;
   const char* points[] = {"ckpt:after_swap", "ckpt:after_drain", "ckpt:after_replay",

@@ -1,6 +1,6 @@
 // ycsb_runner — run any YCSB workload mix against any evaluated system and
-// print throughput + the full latency profile. The Swiss-army knife behind
-// the per-figure benches, exposed directly.
+// print throughput + the full latency profile: the YCSB loop behind
+// `paper_bench`'s experiments, exposed directly.
 //
 //   ycsb_runner [--backend NAME] [--workload A|B|C|D|F] [--objects N]
 //               [--threads N] [--ops N] [--value BYTES] [--scale F]
