@@ -77,31 +77,45 @@ inline void note_knob(const std::string& name, std::string json_value) {
   knobs_in_effect().emplace_back(name, std::move(json_value));
 }
 
-[[noreturn]] inline void bad_knob(const char* name, const char* value) {
-  fprintf(stderr, "%s: invalid value '%s' (want a positive number)\n", name, value);
+[[noreturn]] inline void bad_knob(const char* name, const char* value, bool zero_ok) {
+  fprintf(stderr, "%s: invalid value '%s' (want a %s number)\n", name, value,
+          zero_ok ? "non-negative" : "positive");
   exit(kExitUsage);
 }
 
-inline uint64_t env_u64(const char* name, uint64_t fallback) {
-  uint64_t x = fallback;
-  if (const char* v = std::getenv(name)) {
-    char* end = nullptr;
-    errno = 0;
-    x = strtoull(v, &end, 10);
-    if (*v < '0' || *v > '9' || *end != '\0' || errno != 0 || x == 0) bad_knob(name, v);
+// Validated parses of a knob or flag value: anything unparsable, negative,
+// or zero (unless zero_ok) names `name` and exits 64.
+inline uint64_t parse_u64(const char* name, const char* v, bool zero_ok = false) {
+  char* end = nullptr;
+  errno = 0;
+  uint64_t x = strtoull(v, &end, 10);
+  if (*v < '0' || *v > '9' || *end != '\0' || errno != 0 || (x == 0 && !zero_ok)) {
+    bad_knob(name, v, zero_ok);
   }
+  return x;
+}
+
+inline double parse_f64(const char* name, const char* v, bool zero_ok = false) {
+  char* end = nullptr;
+  errno = 0;
+  double x = strtod(v, &end);
+  if (end == v || *end != '\0' || errno != 0 || !std::isfinite(x) || x < 0 ||
+      (x == 0 && !zero_ok)) {
+    bad_knob(name, v, zero_ok);
+  }
+  return x;
+}
+
+inline uint64_t env_u64(const char* name, uint64_t fallback) {
+  const char* v = std::getenv(name);
+  uint64_t x = v != nullptr ? parse_u64(name, v) : fallback;
   note_knob(name, std::to_string(x));
   return x;
 }
 
 inline double env_f64(const char* name, double fallback) {
-  double x = fallback;
-  if (const char* v = std::getenv(name)) {
-    char* end = nullptr;
-    errno = 0;
-    x = strtod(v, &end);
-    if (end == v || *end != '\0' || errno != 0 || !std::isfinite(x) || x <= 0) bad_knob(name, v);
-  }
+  const char* v = std::getenv(name);
+  double x = v != nullptr ? parse_f64(name, v) : fallback;
   note_knob(name, json_num(x));
   return x;
 }

@@ -766,14 +766,8 @@ void Engine::checkpoint_thread_main() {
                ckpt_requested_.load(std::memory_order_acquire);
       });
       if (stop_.load(std::memory_order_acquire)) return;
-      ckpt_requested_.store(false, std::memory_order_release);
     }
-    Status s = do_checkpoint();
-    if (!s.is_ok() && !s.is_busy()) {
-      stats_.ckpt_failures.fetch_add(1, std::memory_order_relaxed);
-      MutexGuard g(err_mu_);
-      last_ckpt_error_ = s;
-    }
+    (void)checkpoint_step();  // lint: allow-discard — counted in ckpt_failures
   }
 }
 
@@ -790,19 +784,20 @@ bool Engine::checkpoint_due() const {
 Status Engine::checkpoint_step() {
   ckpt_requested_.store(false, std::memory_order_release);
   Status s = do_checkpoint();
-  if (!s.is_ok() && !s.is_busy()) {
-    stats_.ckpt_failures.fetch_add(1, std::memory_order_relaxed);
-    MutexGuard g(err_mu_);
-    last_ckpt_error_ = s;
-  }
+  if (!s.is_ok() && !s.is_busy()) stats_.ckpt_failures.fetch_add(1, std::memory_order_relaxed);
   return s;
 }
 
 Status Engine::checkpoint_abandon_at(const char* point) {
-  abandon_point_.store(point, std::memory_order_release);
+  abort_checkpoints_at(point);
   Status s = do_checkpoint();
-  abandon_point_.store(nullptr, std::memory_order_release);
+  abort_checkpoints_at(nullptr);
   return s;
+}
+
+bool Engine::step_allowed(const char* point) const {
+  const char* abort_at = abandon_point_.load(std::memory_order_acquire);
+  return abort_at == nullptr || std::strcmp(abort_at, point) != 0;
 }
 
 Status Engine::swap_logs() {
@@ -1016,11 +1011,6 @@ Status Engine::do_checkpoint() {
     return Status::busy("checkpoint already running");
   }
   DSTORE_FAULT_POINT(cfg_.fault, "engine.ckpt.begin");
-  auto test_point = [this](const char* p) {
-    const char* abandon = abandon_point_.load(std::memory_order_acquire);
-    if (abandon != nullptr && std::strcmp(abandon, p) == 0) return false;
-    return !cfg_.test_point_hook || cfg_.test_point_hook(p);
-  };
   StopWatch watch;
   uint8_t archived_idx;
   uint64_t phase_mark = now_ns();
@@ -1076,24 +1066,24 @@ Status Engine::do_checkpoint() {
   end_phase(stats_.ckpt_swap_ns);
 
   Status result;
-  if (!test_point("ckpt:after_swap")) {
+  if (!step_allowed("ckpt:after_swap")) {
     result = Status::internal("abandoned at ckpt:after_swap");
   } else if (cfg_.ckpt_mode == EngineConfig::CkptMode::kDipper) {
     drain_archived(archived_idx);
     end_phase(stats_.ckpt_drain_ns);
-    if (!test_point("ckpt:after_drain")) {
+    if (!step_allowed("ckpt:after_drain")) {
       result = Status::internal("abandoned at ckpt:after_drain");
     } else {
       result = replay_onto_spare(archived_idx);
       end_phase(stats_.ckpt_replay_ns);
-      if (result.is_ok() && !test_point("ckpt:after_replay")) {
+      if (result.is_ok() && !step_allowed("ckpt:after_replay")) {
         result = Status::internal("abandoned at ckpt:after_replay");
       }
     }
   } else {
     result = cow_copy_into_spare();
     end_phase(stats_.ckpt_replay_ns);
-    if (result.is_ok() && !test_point("ckpt:after_replay")) {
+    if (result.is_ok() && !step_allowed("ckpt:after_replay")) {
       result = Status::internal("abandoned at ckpt:after_replay");
     }
   }
@@ -1101,7 +1091,7 @@ Status Engine::do_checkpoint() {
     phase_mark = now_ns();
     install_spare(archived_idx);
     stats_.checkpoints.fetch_add(1, std::memory_order_relaxed);
-    if (test_point("ckpt:after_install")) {
+    if (step_allowed("ckpt:after_install")) {
       recycle_archived(archived_idx);
     }
     end_phase(stats_.ckpt_install_ns);
@@ -1131,8 +1121,8 @@ Status Engine::cow_copy_into_spare() {
   // is exactly why clients' fault copies queue behind it on real PMEM.
   constexpr size_t kBatch = 16;
   for (size_t base = 0; base < cow_pages_; base += kBatch) {
-    if (base <= cow_pages_ / 2 && base + kBatch > cow_pages_ / 2 && cfg_.test_point_hook &&
-        !cfg_.test_point_hook("ckpt:cow_mid_copy")) {
+    if (base <= cow_pages_ / 2 && base + kBatch > cow_pages_ / 2 &&
+        !step_allowed("ckpt:cow_mid_copy")) {
       cow_unprotect_all();
       return Status::internal("abandoned at ckpt:cow_mid_copy");
     }

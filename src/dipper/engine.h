@@ -129,19 +129,12 @@ struct EngineConfig {
   // run them serially on the checkpointing thread.
   BulkExecutor* bulk_exec = nullptr;
 
-  // Test-only crash-point hook. Called at named points inside the
-  // checkpoint ("ckpt:after_swap", "ckpt:after_drain", "ckpt:after_replay",
-  // "ckpt:after_install", "ckpt:cow_mid_copy"). Returning false abandons
-  // the checkpoint at that point — combined with pmem::Pool::crash() this
-  // simulates a process kill at a precise protocol step.
-  std::function<bool(const char*)> test_point_hook;
-
   // Deterministic fault injection (src/fault): every step of the
   // swap/drain/clone/replay/root-flip sequence and of recovery is a named
   // fault point (see DESIGN.md §8 for the full catalogue). Unlike
-  // test_point_hook — which abandons the checkpoint cooperatively — an
-  // injected crash here freezes the pool/device persistence mid-protocol,
-  // which is what a real power failure does.
+  // Engine::abort_checkpoints_at — which abandons the checkpoint
+  // cooperatively — an injected crash here freezes the pool/device
+  // persistence mid-protocol, which is what a real power failure does.
   fault::FaultInjector* fault = nullptr;
 };
 
@@ -264,10 +257,18 @@ class Engine {
   // ---- checkpointing ------------------------------------------------------
   // Run one full checkpoint synchronously (tests/benches).
   Status checkpoint_now();
-  // Run a checkpoint that deliberately dies at the named protocol point
-  // (see EngineConfig::test_point_hook for point names). Used by recovery
-  // benches to stage the paper's "crash just before the checkpoint process
-  // is complete" worst case.
+  // Abandon every checkpoint at the named protocol step until cleared
+  // (nullptr clears): "ckpt:after_swap", "ckpt:after_drain",
+  // "ckpt:after_replay", CoW's "ckpt:cow_mid_copy", or "ckpt:after_install"
+  // (which skips only the archived-log recycle, so the checkpoint still
+  // succeeds). Combined with pmem::Pool::crash() this simulates a process
+  // kill at a precise protocol step. `point` must outlive the setting.
+  void abort_checkpoints_at(const char* point) {
+    abandon_point_.store(point, std::memory_order_release);
+  }
+  // One checkpoint abandoned at `point`: abort_checkpoints_at(point), run,
+  // clear. Stages the paper's "crash just before the checkpoint process is
+  // complete" worst case for the recovery benches.
   Status checkpoint_abandon_at(const char* point);
   // Disable/enable automatic checkpoint triggering (Fig 1's "w/o ckpt"
   // comparison). With checkpointing disabled the log is never swapped; a
@@ -282,8 +283,8 @@ class Engine {
   bool checkpoint_due() const;
   // Run one checkpoint on the calling thread, clearing the request flag
   // first (any append that still finds the log past the watermark re-sets
-  // it and re-notifies). Failures are recorded exactly like the internal
-  // thread records them: ckpt_failures + last_checkpoint_error().
+  // it and re-notifies). A failure other than busy counts in
+  // stats().ckpt_failures.
   Status checkpoint_step();
   // Fraction of active-log slots in use.
   double log_fill() const;
@@ -292,14 +293,6 @@ class Engine {
 
   const EngineStats& stats() const { return stats_; }
   pmem::Pool& pool() { return *pool_; }
-
-  // The last error a *background* checkpoint hit (background failures have
-  // no caller to return to; quietly dropping them would hide injected —
-  // or real — persistence errors). ok() if none since construction.
-  Status last_checkpoint_error() const {
-    MutexGuard g(err_mu_);
-    return last_ckpt_error_;
-  }
 
   // Test accessors: the fault/crash harness tampers with exact log slots.
   const PmemLog& log_for_testing(uint8_t side) const { return sides_[side].log; }
@@ -364,6 +357,8 @@ class Engine {
   // Checkpoint machinery.
   void checkpoint_thread_main();
   Status do_checkpoint();
+  // False when abort_checkpoints_at() names this checkpoint step.
+  bool step_allowed(const char* point) const;
   Status swap_logs();                           // flip active log (root transition)
   void drain_archived(uint8_t archived_idx);    // wait for in-flight commits
   // Gathers the log's committed records in LSN order. Fails with
@@ -428,13 +423,11 @@ class Engine {
   std::atomic<bool> ckpt_requested_{false};
   std::atomic<bool> ckpt_running_{false};
   std::atomic<bool> checkpointing_enabled_{true};
-  std::atomic<const char*> abandon_point_{nullptr};
+  std::atomic<const char*> abandon_point_{nullptr};  // abort_checkpoints_at
   std::atomic<bool> stop_{false};
 
   mutable std::vector<InflightSlot> inflight_;
   EngineStats stats_;
-  mutable Mutex err_mu_{"dipper.err"};
-  Status last_ckpt_error_ = Status::ok();
 
   // CoW state.
   std::vector<std::atomic<uint8_t>> cow_page_done_;  // 1 = copied this round

@@ -733,64 +733,51 @@ struct Server::Impl {
     while (!conns_by_fd.empty()) drop_conn(conns_by_fd.begin()->second.get());
   }
 
-  void slow_loop() {
+  // One off-loop worker: pop a job from `in`, run it unlocked, post its
+  // completion to slow_out and wake the loop. SCRUB and the replicated-write
+  // quorum waits each get their own worker and queue, so a scrub never
+  // delays an ack. The repl queue is FIFO per server, so one round-trip
+  // typically covers every write queued behind it (shipping drains the
+  // whole decided backlog and the watermark is monotone).
+  template <typename Job>
+  void worker_loop(std::deque<Job>& in, CondVar& cv, SlowDone (Impl::*run)(const Job&)) {
     for (;;) {
-      SlowReq req;
+      Job job;
       {
         UniqueLock l(slow_mu);
-        slow_cv.wait(l, [this] {
-          return stopping.load(std::memory_order_acquire) || !slow_in.empty();
-        });
+        cv.wait(l, [&] { return stopping.load(std::memory_order_acquire) || !in.empty(); });
         if (stopping.load(std::memory_order_acquire)) return;
-        req = slow_in.front();
-        slow_in.pop_front();
+        job = in.front();
+        in.pop_front();
         workers_busy++;
       }
-      DStore::ScrubReport report;
-      Status s = store->scrub_all(&report);
-      ScrubSummary sum;
-      sum.objects_scanned = report.objects_scanned;
-      sum.pages_verified = report.pages_verified;
-      sum.checksum_failures = report.checksum_failures;
-      sum.repaired = report.repaired;
-      sum.quarantined_pages = report.quarantined_pages;
+      SlowDone done = (this->*run)(job);
       {
         UniqueLock l(slow_mu);
         workers_busy--;
-        slow_out.push_back({req.conn_id, req.req_id, Op::kScrub,
-                            wire_byte_of(s.code()),
-                            s.is_ok() ? scrub_resp_body(sum) : s.message()});
+        slow_out.push_back(std::move(done));
       }
       wake();
     }
   }
 
-  // Replicated-write completions: await the quorum off-loop, post the ack
-  // back through the completion queue. FIFO per server, so one worker
-  // round-trip typically covers every write queued behind it (shipping
-  // drains the whole decided backlog and the watermark is monotone).
-  void repl_loop() {
-    for (;;) {
-      ReplWait w;
-      {
-        UniqueLock l(slow_mu);
-        repl_cv.wait(l, [this] {
-          return stopping.load(std::memory_order_acquire) || !repl_in.empty();
-        });
-        if (stopping.load(std::memory_order_acquire)) return;
-        w = repl_in.front();
-        repl_in.pop_front();
-        workers_busy++;
-      }
-      Status s = repl->await_ticket(w.ticket);
-      {
-        UniqueLock l(slow_mu);
-        workers_busy--;
-        slow_out.push_back({w.conn_id, w.req_id, w.op, wire_byte_of(s.code()),
-                            s.is_ok() ? std::string() : s.message()});
-      }
-      wake();
-    }
+  SlowDone run_scrub(const SlowReq& req) {
+    DStore::ScrubReport report;
+    Status s = store->scrub_all(&report);
+    ScrubSummary sum;
+    sum.objects_scanned = report.objects_scanned;
+    sum.pages_verified = report.pages_verified;
+    sum.checksum_failures = report.checksum_failures;
+    sum.repaired = report.repaired;
+    sum.quarantined_pages = report.quarantined_pages;
+    return {req.conn_id, req.req_id, Op::kScrub, wire_byte_of(s.code()),
+            s.is_ok() ? scrub_resp_body(sum) : s.message()};
+  }
+
+  SlowDone await_quorum(const ReplWait& w) {
+    Status s = repl->await_ticket(w.ticket);
+    return {w.conn_id, w.req_id, w.op, wire_byte_of(s.code()),
+            s.is_ok() ? std::string() : s.message()};
   }
 };
 
@@ -811,8 +798,11 @@ Result<std::unique_ptr<Server>> Server::start(ShardedStore* store, ServerConfig 
   Status s = im.setup();
   if (!s.is_ok()) return s;
   im.loop_thread = std::thread([&im] { im.loop(); });
-  im.slow_thread = std::thread([&im] { im.slow_loop(); });
-  if (repl != nullptr) im.repl_thread = std::thread([&im] { im.repl_loop(); });
+  im.slow_thread = std::thread([&im] { im.worker_loop(im.slow_in, im.slow_cv, &Impl::run_scrub); });
+  if (repl != nullptr) {
+    im.repl_thread =
+        std::thread([&im] { im.worker_loop(im.repl_in, im.repl_cv, &Impl::await_quorum); });
+  }
   return srv;
 }
 

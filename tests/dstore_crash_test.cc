@@ -56,23 +56,6 @@ struct CrashRig {
     device->crash();
     DStoreConfig rcfg = cfg;
     rcfg.engine.ckpt_mode = mode;
-    rcfg.engine.test_point_hook = nullptr;
-    auto r = DStore::recover(pool.get(), device.get(), rcfg);
-    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-    store = std::move(r).value();
-    ctx = store->ds_init();
-  }
-
-  // Reinstall a test hook by rebuilding the store in place (no crash).
-  void set_hook(std::function<bool(const char*)> hook,
-                dipper::EngineConfig::CkptMode mode) {
-    if (ctx != nullptr) store->ds_finalize(ctx);
-    ctx = nullptr;
-    store->engine().shutdown();
-    store.reset();
-    DStoreConfig rcfg = cfg;
-    rcfg.engine.ckpt_mode = mode;
-    rcfg.engine.test_point_hook = std::move(hook);
     auto r = DStore::recover(pool.get(), device.get(), rcfg);
     ASSERT_TRUE(r.is_ok()) << r.status().to_string();
     store = std::move(r).value();
@@ -136,7 +119,7 @@ TEST_P(CrashModeSweep, AcknowledgedOpsSurviveRandomCrashes) {
       const char* points[] = {"ckpt:after_swap", "ckpt:after_drain", "ckpt:after_replay",
                               "ckpt:after_install", "ckpt:cow_mid_copy"};
       const char* pt = points[rng.next_below(5)];
-      rig.set_hook([pt](const char* p) { return std::string(p) != pt; }, mode);
+      rig.store->engine().abort_checkpoints_at(pt);
       (void)rig.store->checkpoint_now();
     }
     rig.crash_and_recover(mode);
@@ -220,8 +203,7 @@ TEST(DStoreCrash, DoubleCrashDuringRecoveryCheckpointRedo) {
     ASSERT_TRUE(rig.store->oput(rig.ctx, name, buf, sizeof(buf)).is_ok());
     model[name] = {(char)('a' + i % 26), sizeof(buf)};
   }
-  rig.set_hook([](const char* p) { return std::string(p) != "ckpt:after_replay"; },
-               dipper::EngineConfig::CkptMode::kDipper);
+  rig.store->engine().abort_checkpoints_at("ckpt:after_replay");
   EXPECT_FALSE(rig.store->checkpoint_now().is_ok());
   rig.crash_and_recover(dipper::EngineConfig::CkptMode::kDipper);
   verify_model(rig, model);

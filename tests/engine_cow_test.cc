@@ -133,12 +133,9 @@ TEST(EngineCow, WriterDuringCheckpointTriggersFaultCopies) {
 }
 
 TEST(EngineCow, CrashMidCopyRecoversFromOldCopy) {
-  EngineConfig cfg = cow_cfg();
-  cfg.test_point_hook = [](const char* p) { return std::string(p) != "ckpt:cow_mid_copy"; };
-  CowRig rig(cfg);
+  CowRig rig(cow_cfg());
   for (int i = 0; i < 80; i++) rig.put("x" + std::to_string(i), i * 7);
-  EXPECT_FALSE(rig.engine->checkpoint_now().is_ok());  // dies mid-copy
-  rig.cfg.test_point_hook = nullptr;  // the "restarted process" has no hook
+  EXPECT_FALSE(rig.engine->checkpoint_abandon_at("ckpt:cow_mid_copy").is_ok());  // dies mid-copy
   rig.crash_and_recover();
   for (int i = 0; i < 80; i++) {
     auto v = rig.get("x" + std::to_string(i));

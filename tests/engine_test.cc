@@ -306,12 +306,10 @@ TEST_P(CkptCrashPoint, StateConsistentAfterCrashDuringCheckpoint) {
   cfg.arena_bytes = 4 << 20;
   cfg.log_slots = 128;
   cfg.background_checkpointing = false;
-  cfg.test_point_hook = [crash_at](const char* point) {
-    return std::string(point) != crash_at;
-  };
   pmem::Pool pool(Engine::required_pool_bytes(cfg), pmem::Pool::Mode::kCrashSim);
   auto engine = std::make_unique<Engine>(&pool, &client, cfg);
   ASSERT_TRUE(engine->init_fresh().is_ok());
+  if (std::string(crash_at) != "none") engine->abort_checkpoints_at(crash_at);
 
   auto put = [&](const std::string& name, uint64_t value) {
     Key k = Key::from(name);
@@ -334,9 +332,7 @@ TEST_P(CkptCrashPoint, StateConsistentAfterCrashDuringCheckpoint) {
   // Crash and recover.
   engine->stop_background();
   pool.crash();
-  EngineConfig recover_cfg = cfg;
-  recover_cfg.test_point_hook = nullptr;
-  auto recovered = std::make_unique<Engine>(&pool, &client, recover_cfg);
+  auto recovered = std::make_unique<Engine>(&pool, &client, cfg);
   ASSERT_TRUE(recovered->recover().is_ok());
   BTree tree(recovered->space(), OffPtr<BTree::Header>(recovered->space().user_root()));
   ASSERT_TRUE(tree.validate().is_ok());
@@ -405,12 +401,7 @@ TEST(EngineCrashProperty, RandomOpsCheckpointsCrashesMatchModel) {
         const char* points[] = {"ckpt:after_swap", "ckpt:after_drain", "ckpt:after_replay",
                                 "ckpt:after_install"};
         const char* pt = points[rng.next_below(4)];
-        EngineConfig crash_cfg = cfg;
-        crash_cfg.test_point_hook = [pt](const char* p) { return std::string(p) != pt; };
-        engine->stop_background();
-        engine = std::make_unique<Engine>(&pool, &client, crash_cfg);
-        ASSERT_TRUE(engine->recover().is_ok());
-        (void)engine->checkpoint_now();  // aborts at pt
+        (void)engine->checkpoint_abandon_at(pt);
       }
       engine->stop_background();
       pool.crash();

@@ -6,9 +6,11 @@
 // and recovery is held to a zero-acked-write-loss oracle.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <map>
@@ -452,17 +454,22 @@ struct ServerFixture {
   std::unique_ptr<ShardedStore> store;
   std::unique_ptr<Server> server;
 
+  // Two shards of `objects_per_shard` objects each. The default 256 fits
+  // 2048 blocks and a 1 MB arena; larger stores take DStore's own arena
+  // estimate.
   explicit ServerFixture(fault::FaultInjector* inj = nullptr,
                          pmem::Pool::Mode mode = pmem::Pool::Mode::kDirect,
-                         ServerConfig srv_cfg = {}) {
+                         ServerConfig srv_cfg = {}, uint64_t objects_per_shard = 256) {
     cfg.num_shards = 2;
     cfg.pool_mode = mode;
     cfg.affinity = true;
     cfg.ckpt_workers = 1;
-    cfg.shard.max_objects = 256;
-    cfg.shard.num_blocks = 2048;
+    cfg.shard.max_objects = objects_per_shard;
+    cfg.shard.num_blocks = std::max<uint64_t>(2048, 2 * objects_per_shard);
     cfg.shard.engine.log_slots = 64;
-    cfg.shard.engine.arena_bytes = 1 << 20;
+    cfg.shard.engine.arena_bytes = objects_per_shard <= 256
+                                       ? 1 << 20
+                                       : DStoreConfig::suggested_arena_bytes(objects_per_shard);
     cfg.shard.engine.background_checkpointing = true;  // watermark -> pool
     cfg.fault = inj;
     cfg.fault_shard = 0;
@@ -632,6 +639,71 @@ TEST(NetEndToEnd, SlowOpsCompleteOutOfOrder) {
   ASSERT_TRUE(parse_scrub_resp(f.body, &sum));
   EXPECT_GE(sum.objects_scanned, 0u);
   close(fd);
+}
+
+TEST(NetEndToEnd, ThousandConcurrentPipelinedConnections) {
+  // From one thread: 1000 connections open at once over 64 tenants, each
+  // with 8 puts and then 8 gets in flight. Every connection holds an fd on
+  // both ends, so the soft fd limit must cover twice the connections.
+  constexpr int kConns = 1000, kTenants = 64, kDepth = 8;
+  constexpr rlim_t kFdsNeeded = 2 * kConns + 100;
+  rlimit lim{};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &lim), 0);
+  if (lim.rlim_max < kFdsNeeded) {
+    GTEST_SKIP() << "RLIMIT_NOFILE hard limit is " << lim.rlim_max << ", below the "
+                 << kFdsNeeded << " fds " << kConns << " loopback connections need";
+  }
+  lim.rlim_cur = lim.rlim_max;
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &lim), 0);
+
+  ServerFixture fx(nullptr, pmem::Pool::Mode::kDirect, {}, /*objects_per_shard=*/8192);
+  std::vector<std::unique_ptr<Client>> clients;
+  std::vector<uint32_t> ns;
+  for (int c = 0; c < kConns; c++) {
+    clients.push_back(fx.connect());
+    ASSERT_NE(clients.back(), nullptr) << "connection " << c;
+    auto info = clients.back()->open_namespace("tenant-" + std::to_string(c % kTenants));
+    ASSERT_TRUE(info.is_ok()) << "connection " << c << ": " << info.status().to_string();
+    ns.push_back(info.value().ns_id);
+  }
+  EXPECT_GE(fx.server->metrics()
+                .gauge("net_connections", "currently open client connections")
+                ->value(),
+            kConns);
+
+  auto key = [](int c, int i) { return "conn" + std::to_string(c) + "/" + std::to_string(i); };
+  auto value = [&](int c, int i) { return key(c, i) + std::string(48, (char)('a' + i)); };
+  std::vector<std::vector<uint64_t>> ids(kConns);
+  for (int c = 0; c < kConns; c++) {
+    for (int i = 0; i < kDepth; i++) {
+      std::string v = value(c, i);
+      auto id = clients[c]->submit_put(ns[c], key(c, i), v.data(), v.size());
+      ASSERT_TRUE(id.is_ok()) << id.status().to_string();
+      ids[c].push_back(id.value());
+    }
+  }
+  for (int c = 0; c < kConns; c++) {
+    for (uint64_t id : ids[c]) ASSERT_TRUE(clients[c]->wait(id).is_ok()) << "connection " << c;
+    ids[c].clear();
+  }
+  for (int c = 0; c < kConns; c++) {
+    for (int i = 0; i < kDepth; i++) {
+      auto id = clients[c]->submit_get(ns[c], key(c, i));
+      ASSERT_TRUE(id.is_ok()) << id.status().to_string();
+      ids[c].push_back(id.value());
+    }
+  }
+  for (int c = 0; c < kConns; c++) {
+    for (int i = 0; i < kDepth; i++) {
+      std::string got;
+      ASSERT_TRUE(clients[c]->wait(ids[c][i], &got).is_ok()) << key(c, i);
+      EXPECT_EQ(got, value(c, i));
+    }
+  }
+  EXPECT_EQ(fx.server->metrics()
+                .counter("net_frame_errors_total", "connections dropped for protocol errors")
+                ->value(),
+            0u);
 }
 
 TEST(NetEndToEnd, MetricsScrapeOverTheWire) {

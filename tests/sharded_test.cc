@@ -352,32 +352,27 @@ TEST(Sharded, CheckpointAllAttemptsEveryShardOnFailure) {
   // One shard's checkpoint fails (cooperative abandon at ckpt:after_swap);
   // checkpoint_all must still attempt — and complete — every other shard,
   // and only then surface the error.
-  ShardedConfig cfg = small_cfg(4, /*crashsim=*/false);
-  auto abort_one = std::make_shared<std::atomic<bool>>(false);
-  cfg.shard.engine.test_point_hook = [abort_one](const char* point) {
-    if (std::string_view(point) != "ckpt:after_swap") return true;
-    bool expected = true;
-    // First checkpoint to reach the point while armed is abandoned.
-    return !abort_one->compare_exchange_strong(expected, false);
-  };
-  auto sr = ShardedStore::create(cfg);
+  auto sr = ShardedStore::create(small_cfg(4, /*crashsim=*/false));
   ASSERT_TRUE(sr.is_ok());
   auto& s = *sr.value();
   std::string v(512, 'e');
   for (int i = 0; i < 64; i++) {  // every shard gets work to checkpoint
     ASSERT_TRUE(s.put("err" + std::to_string(i), v.data(), v.size()).is_ok());
   }
-  abort_one->store(true);
+  const int failing = 2;
+  s.shard(failing).engine().abort_checkpoints_at("ckpt:after_swap");
   Status st = s.checkpoint_all();
   EXPECT_FALSE(st.is_ok());
   EXPECT_EQ(st.code(), Code::kInternal) << st.to_string();
-  EXPECT_FALSE(abort_one->load());  // exactly one shard failed
+  // Exactly the armed shard failed.
+  EXPECT_EQ(s.shard(failing).engine().stats().checkpoints.load(), 0u);
   int completed = 0;
   for (int sh = 0; sh < 4; sh++) {
     completed += s.shard(sh).engine().stats().checkpoints.load() > 0 ? 1 : 0;
   }
   EXPECT_EQ(completed, 3);  // the three healthy shards were still checkpointed
   // The fleet stays serviceable and a retry heals the failed shard.
+  s.shard(failing).engine().abort_checkpoints_at(nullptr);
   ASSERT_TRUE(s.checkpoint_all().is_ok());
   ASSERT_TRUE(s.validate_all().is_ok());
 }

@@ -5,20 +5,20 @@
 //   ycsb_runner [--backend NAME] [--workload A|B|C|D|F] [--objects N]
 //               [--threads N] [--ops N] [--value BYTES] [--scale F]
 //               [--ssd-qd N] [--shards N] [--ckpt-workers N] [--affinity]
-//               [--metrics-json FILE] [--trace-out FILE | --trace-in FILE]
+//               [--metrics-json FILE]
 //
 // Backends come from the shared registry (baselines/backends.h); run with
-// `--backend help` to list them. Default: DStore. `--system` is accepted as
-// a legacy alias for `--backend`. `--metrics-json FILE` scrapes the
-// backend's obs::MetricsRegistry after the run and writes the JSON export
-// (a valid empty scrape for backends without instrumentation).
+// `--backend help` to list them. Default: DStore. `--metrics-json FILE`
+// scrapes the backend's obs::MetricsRegistry after the run and writes the
+// JSON export (a valid empty scrape for backends without instrumentation).
+// A bad flag or an unparsable, negative or zero number exits 64, naming
+// the flag.
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "workload/trace.h"
 
 using namespace dstore;
 using namespace dstore::bench;
@@ -41,8 +41,7 @@ static void usage() {
   printf(
       "ycsb_runner — run a YCSB workload mix against an evaluated backend\n"
       "\n"
-      "  --backend NAME      backend to drive (default DStore; 'help' lists all;\n"
-      "                      --system is a legacy alias)\n"
+      "  --backend NAME      backend to drive (default DStore; 'help' lists all)\n"
       "  --workload A|B|C|D|F  YCSB mix (default A: 50/50 read/update)\n"
       "  --objects N         preloaded keyspace (default %llu)\n"
       "  --threads N         loadgen threads\n"
@@ -58,16 +57,14 @@ static void usage() {
       "                      a pinned session, skipping per-op routing (Sharded\n"
       "                      backend; inserts are demoted to updates)\n"
       "  --metrics-json FILE scrape the backend's metrics registry after the run\n"
-      "                      (Sharded: per-shard rollup + sharded_ckpt_* gauges)\n"
-      "  --trace-out FILE    record the run as a replayable trace\n"
-      "  --trace-in FILE     replay a recorded trace instead of generating load\n",
+      "                      (Sharded: per-shard rollup + sharded_ckpt_* gauges)\n",
       (unsigned long long)dstore::bench::BenchParams{}.objects);
 }
 
 int main(int argc, char** argv) {
   std::string backend = "DStore";
   std::string wl = "A";
-  std::string trace_out, trace_in, metrics_json;
+  std::string metrics_json;
   BenchParams p;
   baselines::BackendParams bp;
   size_t value_size = 4096;
@@ -84,25 +81,25 @@ int main(int argc, char** argv) {
     }
     if (i + 1 >= args.size()) {
       fprintf(stderr, "flag %s needs a value (see --help)\n", args[i].c_str());
-      return 2;
+      return kExitUsage;
     }
-    const std::string& v = args[i + 1];
-    if (args[i] == "--backend" || args[i] == "--system") backend = v;
+    const char* flag = args[i].c_str();
+    const char* v = args[i + 1].c_str();
+    if (args[i] == "--backend") backend = v;
     else if (args[i] == "--workload") wl = v;
-    else if (args[i] == "--objects") p.objects = strtoull(v.c_str(), nullptr, 10);
-    else if (args[i] == "--threads") p.threads = (int)strtoul(v.c_str(), nullptr, 10);
-    else if (args[i] == "--ops") p.ops_per_thread = strtoull(v.c_str(), nullptr, 10);
-    else if (args[i] == "--value") value_size = strtoull(v.c_str(), nullptr, 10);
-    else if (args[i] == "--scale") p.scale = strtod(v.c_str(), nullptr);
-    else if (args[i] == "--ssd-qd") p.ssd_qd = (uint32_t)strtoul(v.c_str(), nullptr, 10);
-    else if (args[i] == "--shards") bp.num_shards = (int)strtoul(v.c_str(), nullptr, 10);
-    else if (args[i] == "--ckpt-workers") bp.ckpt_workers = (int)strtoul(v.c_str(), nullptr, 10);
+    else if (args[i] == "--objects") p.objects = parse_u64(flag, v);
+    else if (args[i] == "--threads") p.threads = (int)parse_u64(flag, v);
+    else if (args[i] == "--ops") p.ops_per_thread = parse_u64(flag, v);
+    else if (args[i] == "--value") value_size = parse_u64(flag, v);
+    else if (args[i] == "--scale") p.scale = parse_f64(flag, v, /*zero_ok=*/true);  // 0 = off
+    else if (args[i] == "--ssd-qd") p.ssd_qd = (uint32_t)parse_u64(flag, v);
+    else if (args[i] == "--shards") bp.num_shards = (int)parse_u64(flag, v);
+    else if (args[i] == "--ckpt-workers")
+      bp.ckpt_workers = (int)parse_u64(flag, v, /*zero_ok=*/true);  // 0 = auto
     else if (args[i] == "--metrics-json") metrics_json = v;
-    else if (args[i] == "--trace-out") trace_out = v;
-    else if (args[i] == "--trace-in") trace_in = v;
     else {
-      fprintf(stderr, "unknown flag %s (see --help)\n", args[i].c_str());
-      return 2;
+      fprintf(stderr, "unknown flag %s (see --help)\n", flag);
+      return kExitUsage;
     }
     i++;
   }
@@ -119,24 +116,6 @@ int main(int argc, char** argv) {
   auto store = baselines::make_backend(backend, bp);
   if (!store) return 1;
 
-  if (!trace_in.empty()) {
-    auto trace = read_trace(trace_in);
-    if (!trace.is_ok()) {
-      fprintf(stderr, "trace: %s\n", trace.status().to_string().c_str());
-      return 1;
-    }
-    printf("replaying %zu-record trace against %s with %d threads...\n",
-           trace.value().size(), store->name(), p.threads);
-    auto r = replay_trace(*store, trace.value(), p.threads);
-    if (!r.is_ok()) return 1;
-    printf("%llu ops in %.2fs (%.0f ops/s), %llu failures\n",
-           (unsigned long long)r.value().ops, r.value().elapsed_s,
-           r.value().ops / r.value().elapsed_s, (unsigned long long)r.value().failures);
-    printf("latency: %s\n", r.value().latency.summary_us().c_str());
-    if (!metrics_json.empty() && !dump_metrics(*store, metrics_json)) return 1;
-    return 0;
-  }
-
   WorkloadSpec spec;
   if (wl == "A") spec = WorkloadSpec::ycsb_a();
   else if (wl == "B") spec = WorkloadSpec::ycsb_b();
@@ -145,7 +124,7 @@ int main(int argc, char** argv) {
   else if (wl == "F") spec = WorkloadSpec::ycsb_f();
   else {
     fprintf(stderr, "unknown workload %s (A|B|C|D|F)\n", wl.c_str());
-    return 2;
+    return kExitUsage;
   }
   spec.num_objects = p.objects;
   spec.value_size = value_size;
@@ -163,39 +142,20 @@ int main(int argc, char** argv) {
   }
   store->prepare_run();
 
-  std::unique_ptr<TraceWriter> writer;
-  std::unique_ptr<TracingStore> traced;
-  KVStore* target = store.get();
-  if (!trace_out.empty()) {
-    auto w = TraceWriter::create(trace_out);
-    if (!w.is_ok()) {
-      fprintf(stderr, "trace: %s\n", w.status().to_string().c_str());
-      return 1;
-    }
-    writer = std::move(w).value();
-    traced = std::make_unique<TracingStore>(store.get(), writer.get());
-    target = traced.get();
-  }
-
-  if (bp.affinity && target->partitions() > 1) {
+  if (bp.affinity && store->partitions() > 1) {
     // Partition-restricted loadgen: thread t draws only keys the backend
     // places on partition t % partitions, on a pinned context.
-    spec.partitions = target->partitions();
-    spec.placement = [kv = target](std::string_view k) { return kv->placement_of(k); };
+    spec.partitions = store->partitions();
+    spec.placement = [kv = store.get()](std::string_view k) { return kv->placement_of(k); };
     printf("affinity: threads pinned across %d partitions\n", spec.partitions);
   }
 
-  auto r = run_workload(*target, spec);
+  auto r = run_workload(*store, spec);
   printf("throughput: %.0f ops/s (%llu ops, %llu failed, %llu inserts)\n",
          r.throughput_iops(), (unsigned long long)r.total_ops,
          (unsigned long long)r.failed_ops, (unsigned long long)r.inserts);
   printf("reads:   %s\n", r.read_latency.summary_us().c_str());
   printf("updates: %s\n", r.update_latency.summary_us().c_str());
-  if (writer) {
-    (void)writer->finish();
-    printf("trace written: %s (%llu records)\n", trace_out.c_str(),
-           (unsigned long long)writer->count());
-  }
   if (!metrics_json.empty() && !dump_metrics(*store, metrics_json)) return 1;
   return r.failed_ops == 0 ? 0 : 1;
 }
