@@ -15,7 +15,6 @@
 #include "baselines/dstore_adapter.h"
 #include "bench_common.h"
 #include "common/clock.h"
-#include "common/histogram.h"
 #include "dstore/dstore.h"
 
 using namespace dstore;
@@ -58,7 +57,6 @@ int main() {
   // than LatencyHistogram's log-bucket resolution (~2.6% at ~1.2us), so
   // keep raw samples and take exact order statistics.
   std::vector<uint64_t> samples((size_t)kOps);
-  LatencyHistogram lat;
   uint64_t t_start = now_ns();
   for (int i = 0; i < kOps; i++) {
     const std::string& k = keys[(size_t)i % kKeys];
@@ -70,7 +68,6 @@ int main() {
       return 1;
     }
     samples[(size_t)i] = dt;
-    lat.record(dt);
   }
   double elapsed_s = (double)(now_ns() - t_start) / 1e9;
   double iops = (double)kOps / elapsed_s;
@@ -80,14 +77,16 @@ int main() {
     std::nth_element(samples.begin(), samples.begin() + (long)idx, samples.end());
     return samples[idx];
   };
+  uint64_t p50 = exact(0.50), p99 = exact(0.99), p999 = exact(0.999);
   printf("%s: %d x %zuB oput  p50=%lluns p99=%lluns p999=%lluns  %.0f ops/s\n", variant, kOps,
-         kValue, (unsigned long long)exact(0.50), (unsigned long long)exact(0.99),
-         (unsigned long long)exact(0.999), iops);
+         kValue, (unsigned long long)p50, (unsigned long long)p99, (unsigned long long)p999,
+         iops);
 
   store.ds_finalize(ctx);
   Report report("metrics_overhead", /*latency_scale=*/0);
   report.row().str("op", "put").str("system", variant).num("qd", cfg.store.ssd_qd)
-      .num("threads", 1).num("value_size", (double)kValue).percentiles(lat)
+      .num("threads", 1).num("value_size", (double)kValue).num("p50_us", (double)p50 / 1e3)
+      .num("p99_us", (double)p99 / 1e3).num("p999_us", (double)p999 / 1e3)
       .num("throughput_iops", iops);
   return report.write() ? 0 : 1;
 }
