@@ -4,7 +4,7 @@
 // event loop, per-connection state machines, pipelined out-of-order
 // completion, per-tenant namespaces mapped onto shards. Clients are the
 // C++ library (net::Client), the v3 C API (ds_session_open("host:port")),
-// ycsb_runner --backend=remote, and bench/net_loadgen.
+// ycsb_runner --backend=remote, and bench/failover.
 //
 // Usage:
 //   dstore_serverd [--host H] [--port P] [--shards N] [--objects N]
