@@ -71,7 +71,8 @@ struct Ctx {
   const Exp& exp;
   BenchParams p;
   Report report;
-  Samples prev;  // the previous cell's medians (Fig 9's step deltas)
+  Samples prev;             // the previous cell's medians (Fig 9's step deltas)
+  uint64_t failed_ops = 0;  // across every run; nonzero fails the experiment
 };
 
 using CellFn = bool (*)(Ctx&, const char* sys, const Case&, uint64_t seed, Samples*);
@@ -132,8 +133,23 @@ WorkloadSpec spec_for(const BenchParams& p, double read_fraction, uint64_t seed 
 std::unique_ptr<KVStore> load_system(const char* sys, const BenchParams& p,
                                      const WorkloadSpec& spec, bool ckpt_on = true,
                                      bool prepare = true) {
-  auto store = baselines::make_backend(
-      sys, {.objects = spec.num_objects, .ssd_qd = p.ssd_qd, .latency = p.latency()});
+  const baselines::BackendParams bp{
+      .objects = spec.num_objects, .ssd_qd = p.ssd_qd, .latency = p.latency()};
+  std::unique_ptr<KVStore> store;
+  auto variant = baselines::dstore_variant_config(sys, bp);
+  if (!ckpt_on && variant) {
+    // No checkpoint may run, and a full log fails puts busy: the log must
+    // hold the load's records and then the run's (one per op at most;
+    // prepare_run's checkpoint empties it in between).
+    uint64_t records = std::max<uint64_t>(spec.num_objects,
+                                           (uint64_t)spec.threads * spec.ops_per_thread);
+    uint32_t& slots = variant->store.engine.log_slots;
+    slots = (uint32_t)std::max<uint64_t>(slots, records);
+    auto r = baselines::DStoreAdapter::make(*variant, bp.latency);
+    if (r.is_ok()) store = std::move(r).value();
+  } else {
+    store = baselines::make_backend(sys, bp);
+  }
   if (!store) {
     fprintf(stderr, "cannot build %s\n", sys);
     return nullptr;
@@ -173,11 +189,19 @@ void stage_crash(KVStore& store, uint64_t objects, uint64_t burst) {
   }
 }
 
-Sample latency(const char* op, const LatencyHistogram& h, double iops) {
+// Counts a run's failed ops toward the experiment's exit status (the rows
+// record them as failed_ops).
+void count_failed(Ctx& c, const char* what, uint64_t failed) {
+  if (failed == 0) return;
+  fprintf(stderr, "%s: %s: %llu failed ops\n", c.exp.id, what, (unsigned long long)failed);
+  c.failed_ops += failed;
+}
+
+Sample latency(const char* op, const LatencyHistogram& h, const workload::RunResult& r) {
   return {op, {{"mean_us", h.mean_ns() / 1e3}, {"p50_us", h.p50() / 1e3},
                {"p99_us", h.p99() / 1e3}, {"p999_us", h.p999() / 1e3},
                {"p9999_us", h.p9999() / 1e3}, {"max_us", h.max() / 1e3},
-               {"throughput_iops", iops}}};
+               {"throughput_iops", r.throughput_iops()}, {"failed_ops", (double)r.failed_ops}}};
 }
 
 // ---- grid cells -----------------------------------------------------------
@@ -186,9 +210,18 @@ bool ycsb_cell(Ctx& c, const char* sys, const Case& k, uint64_t seed, Samples* o
   WorkloadSpec spec = spec_for(c.p, k.read_fraction, seed);
   auto store = load_system(sys, c.p, spec, /*ckpt_on=*/!k.alt);
   if (!store) return false;
+  auto* d = dynamic_cast<baselines::DStoreAdapter*>(store.get());
+  auto checkpoints = [d] { return d->store().engine().stats().checkpoints.load(); };
+  const uint64_t ckpts0 = d != nullptr ? checkpoints() : 0;
   auto r = workload::run_workload(*store, spec);
-  *out = {latency("read", r.read_latency, r.throughput_iops()),
-          latency("update", r.update_latency, r.throughput_iops())};
+  const uint64_t ran = d != nullptr ? checkpoints() - ckpts0 : 0;
+  if (k.alt && ran > 0) {
+    fprintf(stderr, "%s: %llu checkpoints ran with checkpoints off\n", sys,
+            (unsigned long long)ran);
+    return false;
+  }
+  count_failed(c, sys, r.failed_ops);
+  *out = {latency("read", r.read_latency, r), latency("update", r.update_latency, r)};
   return true;
 }
 
@@ -207,8 +240,8 @@ bool window_cell(Ctx& c, const char* sys, const Case&, uint64_t, Samples* out) {
   store->attach_bandwidth_series(&ssd_bw, &pmem_bw);
   for (TimeSeries* ts : {&thr, &ssd_bw, &pmem_bw}) ts->restart();
   auto r = workload::run_workload(*store, spec, &thr);
-  *out = {latency("read", r.read_latency, r.throughput_iops()),
-          latency("update", r.update_latency, r.throughput_iops()),
+  count_failed(c, sys, r.failed_ops);
+  *out = {latency("read", r.read_latency, r), latency("update", r.update_latency, r),
           {"window", {{"min_kops", thr.min_rate(1, 2) / 1e3}, {"max_kops", thr.max_rate() / 1e3}}}};
   for (size_t i = 0; i + 1 < bins; i++) {  // the last bin may be partial
     out->push_back({"bin", {{"t_ms", (double)(i * bin_ms)}, {"kops", thr.rate_per_sec(i) / 1e3},
@@ -262,6 +295,7 @@ bool slo_cell(Ctx& c, const char* sys, const Case&, uint64_t, Samples* out) {
   timed.duration_ms = window_ms;
   thr.restart();
   auto r = workload::run_workload(*store, timed, &thr);
+  count_failed(c, sys, r.failed_ops);
   double p9999 = std::max(r.update_latency.p9999(), r.read_latency.p9999()) / 1e3;
   store->prepare_run();  // settle compaction/checkpoints before measuring
   auto u = store->space_usage();
@@ -270,7 +304,8 @@ bool slo_cell(Ctx& c, const char* sys, const Case&, uint64_t, Samples* out) {
   auto t = store->crash_and_recover();
   *out = {{"slo", {{"throughput_slo_ops", thr.min_rate(1, 2)}, {"p9999_us", p9999},
                    {"recovery_ms", t.is_ok() ? t.value().total_ms() : -1},
-                   {"space_amplification", (double)u.total() / (double)(c.p.objects * 4096)}}}};
+                   {"space_amplification", (double)u.total() / (double)(c.p.objects * 4096)},
+                   {"failed_ops", (double)r.failed_ops}}}};
   return true;
 }
 
@@ -424,7 +459,7 @@ int table3(Ctx& c) {
 // keyspace); false after reporting a failure.
 struct AblationRun {
   double thr, avg_us, p999_us;
-  uint64_t ckpts;
+  uint64_t ckpts, failed_ops;
 };
 bool ablation_run(const BenchParams& p, uint32_t log_slots, size_t value_size, int threads,
                   AblationRun* out) {
@@ -451,7 +486,7 @@ bool ablation_run(const BenchParams& p, uint32_t log_slots, size_t value_size, i
   store.value()->prepare_run();
   auto r = workload::run_workload(*store.value(), spec);
   *out = {r.throughput_iops(), r.update_latency.mean_ns() / 1e3, r.update_latency.p999() / 1e3,
-          store.value()->store().engine().stats().checkpoints.load()};
+          store.value()->store().engine().stats().checkpoints.load(), r.failed_ops};
   return true;
 }
 
@@ -485,13 +520,14 @@ int ablation(Ctx& c) {
                         &s == &sweeps[2] ? (int)x : c.p.threads, &o)) {
         return 1;
       }
+      count_failed(c, s.title, o.failed_ops);
       printf("%-8llu %12.0f %10.1f %10.1f", (unsigned long long)x, o.thr, o.avg_us, o.p999_us);
       if (log_sweep) printf(" %8llu", (unsigned long long)o.ckpts);
       printf("\n");
       fflush(stdout);
       c.report.row().str("op", "update").str("sweep", s.col).num(s.col, (double)x)
           .num("throughput_iops", o.thr).num("mean_us", o.avg_us).num("p999_us", o.p999_us)
-          .num("checkpoints", (double)o.ckpts);
+          .num("checkpoints", (double)o.ckpts).num("failed_ops", (double)o.failed_ops);
     }
     printf("%s", s.expected);
   }
@@ -565,6 +601,7 @@ int shard_scaling(Ctx& c) {
       auto r = workload::run_workload(*store, spec);
       const LatencyHistogram& h = reads ? r.read_latency : r.update_latency;
       const char* op = reads ? "get" : "put";
+      count_failed(c, op, r.failed_ops);
       printf("%-8d %-5s %12.0f %10.1f %10.1f   (%llu ops, %llu failed)\n", s, op,
              r.throughput_iops(), h.p50() / 1000.0, h.p999() / 1000.0,
              (unsigned long long)r.total_ops, (unsigned long long)r.failed_ops);
@@ -807,7 +844,7 @@ int run_exp(const Exp& e) {
   if (e.title != nullptr) c.p.print(e.title);
   int rc = e.run != nullptr ? e.run(c) : run_grid(c);
   if (rc == 0 && !c.report.write()) rc = 1;
-  return rc;
+  return rc == 0 && c.failed_ops > 0 ? 1 : rc;
 }
 
 int usage(const std::string& why) {
@@ -831,10 +868,12 @@ int main(int argc, char** argv) {
     if (todo.size() == before) return usage("unknown experiment '" + std::string(id) + "'");
   }
   if (todo.empty()) return usage("no experiment given");
+  // Every experiment runs, so one failure cannot hide another's.
+  int rc = 0;
   for (const Exp* e : todo) {
-    if (run_exp(*e) != 0) return 1;
+    if (run_exp(*e) != 0) rc = 1;
   }
-  return 0;
+  return rc;
 }
 
 }  // namespace

@@ -17,19 +17,19 @@ namespace {
 using Factory =
     std::function<std::unique_ptr<workload::KVStore>(const BackendParams&)>;
 
-std::unique_ptr<workload::KVStore> make_dstore_variant(DStoreVariantConfig cfg,
-                                                       const BackendParams& p) {
-  // Capacity: keyspace + 50% churn headroom.
-  cfg.store.max_objects = p.objects * 2;
-  cfg.store.num_blocks = p.objects * 6;
-  cfg.store.ssd_qd = p.ssd_qd;
-  auto r = DStoreAdapter::make(cfg, p.latency);
-  if (!r.is_ok()) {
-    fprintf(stderr, "make %s failed: %s\n", cfg.display_name, r.status().to_string().c_str());
-    return nullptr;
-  }
-  return std::move(r).value();
-}
+// The DStore variants, by backend name (each variant's display name).
+struct Variant {
+  const char* name;
+  DStoreVariantConfig (*make)();
+};
+
+const Variant kDStoreVariants[] = {
+    {"DStore", &DStoreAdapter::dipper_variant},
+    {"DStore-CoW", &DStoreAdapter::cow_variant},
+    {"DStore-noOE", &DStoreAdapter::no_oe_variant},
+    {"LogicalLog+CoW", &DStoreAdapter::logical_cow_variant},
+    {"PhysLog+CoW", &DStoreAdapter::naive_physical_variant},
+};
 
 // "Sharded" and "remote" fleet sizing: the single store's headroom split
 // across shards (rounded up and doubled so hash skew cannot run a shard out
@@ -52,20 +52,6 @@ struct Entry {
 };
 
 const Entry kBackends[] = {
-    {"DStore",
-     [](const BackendParams& p) { return make_dstore_variant(DStoreAdapter::dipper_variant(), p); }},
-    {"DStore-CoW",
-     [](const BackendParams& p) { return make_dstore_variant(DStoreAdapter::cow_variant(), p); }},
-    {"DStore-noOE",
-     [](const BackendParams& p) { return make_dstore_variant(DStoreAdapter::no_oe_variant(), p); }},
-    {"LogicalLog+CoW",
-     [](const BackendParams& p) {
-       return make_dstore_variant(DStoreAdapter::logical_cow_variant(), p);
-     }},
-    {"PhysLog+CoW",
-     [](const BackendParams& p) {
-       return make_dstore_variant(DStoreAdapter::naive_physical_variant(), p);
-     }},
     {"Sharded",
      [](const BackendParams& p) -> std::unique_ptr<workload::KVStore> {
        ShardedConfig cfg = sharded_config(p);
@@ -123,13 +109,35 @@ const Entry kBackends[] = {
 
 }  // namespace
 
+std::optional<DStoreVariantConfig> dstore_variant_config(const std::string& name,
+                                                         const BackendParams& p) {
+  for (const Variant& v : kDStoreVariants) {
+    if (name != v.name) continue;
+    DStoreVariantConfig cfg = v.make();
+    // Capacity: keyspace + 50% churn headroom.
+    cfg.store.max_objects = p.objects * 2;
+    cfg.store.num_blocks = p.objects * 6;
+    cfg.store.ssd_qd = p.ssd_qd;
+    return cfg;
+  }
+  return std::nullopt;
+}
+
 std::unique_ptr<workload::KVStore> make_backend(const std::string& name,
                                                 const BackendParams& params) {
+  if (auto cfg = dstore_variant_config(name, params)) {
+    auto r = DStoreAdapter::make(*cfg, params.latency);
+    if (!r.is_ok()) {
+      fprintf(stderr, "make %s failed: %s\n", cfg->display_name, r.status().to_string().c_str());
+      return nullptr;
+    }
+    return std::move(r).value();
+  }
   for (const Entry& e : kBackends) {
     if (name == e.name) return e.make(params);
   }
   fprintf(stderr, "unknown backend %s (known:", name.c_str());
-  for (const Entry& e : kBackends) fprintf(stderr, " %s", e.name);
+  for (const std::string& n : backend_names()) fprintf(stderr, " %s", n.c_str());
   fprintf(stderr, ")\n");
   return nullptr;
 }
@@ -137,6 +145,7 @@ std::unique_ptr<workload::KVStore> make_backend(const std::string& name,
 const std::vector<std::string>& backend_names() {
   static const std::vector<std::string> names = [] {
     std::vector<std::string> v;
+    for (const Variant& d : kDStoreVariants) v.emplace_back(d.name);
     for (const Entry& e : kBackends) v.emplace_back(e.name);
     return v;
   }();

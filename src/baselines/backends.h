@@ -4,9 +4,11 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "baselines/dstore_adapter.h"
 #include "common/latency_model.h"
 #include "workload/kv_interface.h"
 
@@ -33,6 +35,14 @@ struct BackendParams {
 // server when unset.)
 std::unique_ptr<workload::KVStore> make_backend(const std::string& name,
                                                 const BackendParams& params);
+
+// The configuration make_backend builds DStore variant `name` from, sized
+// for `params`; nullopt when `name` is not a DStore variant. A caller that
+// needs one engine setting changed edits it and builds the store with
+// DStoreAdapter::make (paper_bench sizes a checkpoints-off cell's log this
+// way).
+std::optional<DStoreVariantConfig> dstore_variant_config(const std::string& name,
+                                                         const BackendParams& params);
 
 // Every name make_backend accepts, in display order.
 const std::vector<std::string>& backend_names();

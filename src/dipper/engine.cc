@@ -7,10 +7,12 @@
 #include <cassert>
 #include <csignal>
 #include <cstring>
+#include <thread>
 
 #include "common/cacheline.h"
 #include "common/clock.h"
 #include "common/crc32c.h"
+#include "dipper/ckpt_pool.h"
 
 namespace dstore::dipper {
 
@@ -145,10 +147,16 @@ Engine::Engine(pmem::Pool* pool, SpaceClient* client, EngineConfig cfg)
     sides_[i].name_hashes.assign(cfg_.log_slots, 0);
   }
   if (cfg_.ckpt_mode == EngineConfig::CkptMode::kCow) CowFaultRouter::add(this);
+  if (cfg_.ckpt_pool == nullptr) {
+    own_pool_ = std::make_unique<CheckpointPool>(CheckpointPool::Config{.workers = 1}, 1);
+    own_pool_->set_engine(0, this);
+    cfg_.ckpt_pool = own_pool_.get();
+    cfg_.ckpt_slot = 0;
+  }
 }
 
 Engine::~Engine() {
-  shutdown();
+  stop_background();
   if (cfg_.ckpt_mode == EngineConfig::CkptMode::kCow) CowFaultRouter::remove(this);
   if (volatile_base_ != nullptr) munmap(volatile_base_, cfg_.arena_bytes);
 }
@@ -224,11 +232,7 @@ Status Engine::init_fresh() {
 
   active_idx_.store(0, std::memory_order_release);
   lsn_counter_.store(1, std::memory_order_release);
-
-  if (cfg_.background_checkpointing && !cfg_.ckpt_notify) {
-    stop_.store(false);
-    ckpt_thread_ = std::thread([this] { checkpoint_thread_main(); });
-  }
+  if (own_pool_ && cfg_.background_checkpointing) own_pool_->start();
   return Status::ok();
 }
 
@@ -372,10 +376,7 @@ Status Engine::recover() {
 
   held_locks_.clear();  // locks do not survive restarts
   DSTORE_FAULT_POINT(cfg_.fault, "engine.recover.done");
-  if (cfg_.background_checkpointing && !cfg_.ckpt_notify) {
-    stop_.store(false);
-    ckpt_thread_ = std::thread([this] { checkpoint_thread_main(); });
-  }
+  if (own_pool_ && cfg_.background_checkpointing) own_pool_->start();
   return Status::ok();
 }
 
@@ -397,19 +398,8 @@ Status Engine::rebuild_volatile_from_shadow() {
   return Status::ok();
 }
 
-void Engine::shutdown() {
-  stop_background();
-}
-
 void Engine::stop_background() {
-  if (ckpt_thread_.joinable()) {
-    {
-      MutexGuard g(ckpt_mu_);
-      stop_.store(true);
-    }
-    ckpt_cv_.notify_all();
-    ckpt_thread_.join();
-  }
+  if (own_pool_) own_pool_->stop();
   if (cow_active_.load(std::memory_order_acquire)) cow_unprotect_all();
 }
 
@@ -417,44 +407,10 @@ void Engine::stop_background() {
 // Logging & concurrency control
 // ---------------------------------------------------------------------------
 
-Engine::InflightSlot& Engine::inflight_slot(const Key& name) const {
-  uint64_t h = name.hash();
-  if (h == 0) h = 1;
-  size_t mask = inflight_.size() - 1;
-  size_t idx = h & mask;
-  for (size_t probe = 0; probe < inflight_.size(); probe++, idx = (idx + 1) & mask) {
-    uint64_t tag = inflight_[idx].tag.load(std::memory_order_acquire);
-    if (tag == h) return inflight_[idx];
-    if (tag == 0) {
-      uint64_t expected = 0;
-      if (inflight_[idx].tag.compare_exchange_strong(expected, h, std::memory_order_acq_rel))
-        return inflight_[idx];
-      if (expected == h) return inflight_[idx];
-    }
-  }
-  return inflight_[h & mask];
-}
-
-void Engine::inflight_inc(const Key& name) {
-  inflight_slot(name).count.fetch_add(1, std::memory_order_acq_rel);
-}
-void Engine::inflight_dec(const Key& name) {
-  inflight_slot(name).count.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-int64_t Engine::inflight_count(const Key& name) const {
-  return inflight_slot(name).count.load(std::memory_order_acquire);
-}
+int64_t Engine::inflight_count(const Key& name) const { return inflight_.load(name); }
 
 void Engine::wait_inflight_at_most(const Key& name, int64_t allowed) const {
-  InflightSlot& s = inflight_slot(name);
-  int spins = 0;
-  while (s.count.load(std::memory_order_acquire) > allowed) {
-    if (++spins > 64) {
-      std::this_thread::yield();
-      spins = 0;
-    }
-  }
+  inflight_.wait_at_most(name, allowed);
 }
 
 uint64_t Engine::pmem_used_bytes() const {
@@ -472,21 +428,6 @@ uint64_t Engine::pmem_used_bytes() const {
     if (space.is_ok()) total += space.value().used_bytes();
   }
   return total;
-}
-
-bool Engine::has_inflight_write(const Key& name) const {
-  return inflight_slot(name).count.load(std::memory_order_acquire) > 0;
-}
-
-void Engine::wait_no_inflight_write(const Key& name) const {
-  InflightSlot& s = inflight_slot(name);
-  int spins = 0;
-  while (s.count.load(std::memory_order_acquire) > 0) {
-    if (++spins > 64) {
-      std::this_thread::yield();
-      spins = 0;
-    }
-  }
 }
 
 bool Engine::scan_conflicting_write(const Key& name) const {
@@ -530,10 +471,12 @@ Result<Engine::RecordHandle> Engine::reserve(const Key& name) {
       }
     }
     // Active log full: the checkpoint has fallen behind (the paper's
-    // >70%-writes backlog case). Backpressure until a swap frees space.
+    // >70%-writes backlog case). Backpressure until a swap frees space —
+    // unless no checkpoint may run, when only checkpoint_now() can free it.
     stats_.append_backpressure_waits.fetch_add(1, std::memory_order_relaxed);
-    if (!cfg_.background_checkpointing) {
-      return Status::busy("log full; run checkpoint_now()");
+    if (!cfg_.background_checkpointing ||
+        !checkpointing_enabled_.load(std::memory_order_acquire)) {
+      return Status::busy("log full and checkpointing is off; run checkpoint_now()");
     }
     request_checkpoint();
     std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -571,24 +514,12 @@ void Engine::write_reserved(const RecordHandle& h, OpType op, uint64_t arg0, uin
 }
 
 void Engine::request_checkpoint() {
-  // Never block on ckpt_mu_ from the hot path: the checkpoint thread holds
-  // it only around its wakeup predicate, but even that window must not
-  // stall a foreground append (quiescent-freedom, §3). The request flag is
-  // sticky, so if the try_lock loses the race and the notify is skipped,
-  // the next append (or the backpressure retry loop) re-notifies and the
-  // thread re-checks the flag on every wakeup.
+  // The pool's notify never blocks, so a foreground append never stalls
+  // here (quiescent-freedom, §3). The request flag is sticky: if a notify
+  // is lost, the next append (or the backpressure retry loop) re-notifies,
+  // and the worker's checkpoint_due() reads the flag.
   ckpt_requested_.store(true, std::memory_order_release);
-  if (cfg_.ckpt_notify) {
-    // Externally-driven mode: hand the (non-blocking) wakeup to the owner,
-    // which schedules checkpoint_step() on one of its workers. The sticky
-    // flag above covers its own lost-notify races the same way.
-    cfg_.ckpt_notify();
-    return;
-  }
-  if (ckpt_mu_.try_lock()) {
-    ckpt_mu_.unlock();
-    ckpt_cv_.notify_one();
-  }
+  cfg_.ckpt_pool->notify(cfg_.ckpt_slot);
 }
 
 Result<Engine::RecordHandle> Engine::append(OpType op, const Key& name, uint64_t arg0,
@@ -756,21 +687,6 @@ uint64_t Engine::current_epoch() const { return load_state().epoch; }
 // Checkpointing
 // ---------------------------------------------------------------------------
 
-void Engine::checkpoint_thread_main() {
-  lockdep::RoleScope role(lockdep::Role::kCheckpoint);
-  for (;;) {
-    {
-      UniqueLock g(ckpt_mu_);
-      ckpt_cv_.wait(g, [this] {
-        return stop_.load(std::memory_order_acquire) ||
-               ckpt_requested_.load(std::memory_order_acquire);
-      });
-      if (stop_.load(std::memory_order_acquire)) return;
-    }
-    (void)checkpoint_step();  // lint: allow-discard — counted in ckpt_failures
-  }
-}
-
 Status Engine::checkpoint_now() {
   return do_checkpoint();
 }
@@ -912,26 +828,16 @@ Status Engine::replay_onto_spare(uint8_t archived_idx) {
   uint64_t used = src_space.value().used_bytes();
   // §3.5: "we always create a new copy of the shadow copies" — idempotency:
   // a crash mid-replay never touches the copy recovery would restart from.
-  // Copy in chunks, yielding between them: on an oversubscribed host the
-  // background checkpoint must not monopolize cores the frontend needs
-  // (on the paper's testbed this thread runs on its own core).
+  // Copy in chunks on the pool: idle workers steal chunks, and the
+  // checkpointing thread yields between its own.
   pool_->charge_read(used);
   DSTORE_FAULT_POINT(cfg_.fault, "engine.clone.before_copy");
   constexpr uint64_t kCloneChunk = 256 * 1024;
-  size_t clone_chunks = (size_t)((used + kCloneChunk - 1) / kCloneChunk);
-  if (cfg_.bulk_exec != nullptr && clone_chunks > 1) {
-    cfg_.bulk_exec->run_chunks(clone_chunks, [&](size_t i) {
-      uint64_t off = (uint64_t)i * kCloneChunk;
-      uint64_t n = std::min(kCloneChunk, used - off);
-      std::memcpy(dst.base() + off, src.base() + off, n);
-    });
-  } else {
-    for (uint64_t off = 0; off < used; off += kCloneChunk) {
-      uint64_t n = std::min(kCloneChunk, used - off);
-      std::memcpy(dst.base() + off, src.base() + off, n);
-      std::this_thread::yield();
-    }
-  }
+  cfg_.ckpt_pool->run_chunks((size_t)((used + kCloneChunk - 1) / kCloneChunk), [&](size_t i) {
+    uint64_t off = (uint64_t)i * kCloneChunk;
+    uint64_t n = std::min(kCloneChunk, used - off);
+    std::memcpy(dst.base() + off, src.base() + off, n);
+  });
   DSTORE_FAULT_POINT(cfg_.fault, "engine.clone.after_copy");
   // The clone (and everything replay writes into it) must be persistent by
   // the install root flip; the durability pass below provides it.
@@ -950,16 +856,12 @@ Status Engine::replay_onto_spare(uint8_t archived_idx) {
   // Durability pass (§3.5): flush every allocated byte of the new copy.
   DSTORE_FAULT_POINT(cfg_.fault, "engine.flush.before_bulk");
   uint64_t out_bytes = dst_space.used_bytes();
-  size_t flush_chunks = (size_t)((out_bytes + kCloneChunk - 1) / kCloneChunk);
-  if (cfg_.bulk_exec != nullptr && flush_chunks > 1) {
-    cfg_.bulk_exec->run_chunks(flush_chunks, [&](size_t i) {
-      uint64_t off = (uint64_t)i * kCloneChunk;
-      uint64_t n = std::min(kCloneChunk, out_bytes - off);
-      pool_->persist_bulk(dst.base() + off, n);
-    });
-  } else {
-    pool_->persist_bulk(dst.base(), out_bytes);
-  }
+  cfg_.ckpt_pool->run_chunks((size_t)((out_bytes + kCloneChunk - 1) / kCloneChunk),
+                             [&](size_t i) {
+                               uint64_t off = (uint64_t)i * kCloneChunk;
+                               uint64_t n = std::min(kCloneChunk, out_bytes - off);
+                               pool_->persist_bulk(dst.base() + off, n);
+                             });
   return Status::ok();
 }
 

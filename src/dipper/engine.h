@@ -18,6 +18,10 @@
 //     copy-on-write checkpoint used for comparison (Mode::kCow, §4.5);
 //   * idempotent recovery (§3.6).
 //
+// Checkpoints run in the background on a CheckpointPool (ckpt_pool.h): a
+// ShardedStore's shared pool, or the engine's own one-worker pool. The
+// frontend only notifies it at the log watermark and never waits on it.
+//
 // Checkpoint (kDipper): when active-log free space falls below the
 // threshold the logs are swapped (one persisted 8-byte root flip — the
 // frontend immediately continues appending to the new active log), in-
@@ -43,11 +47,9 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -57,6 +59,7 @@
 #include "dipper/log.h"
 #include "dipper/root.h"
 #include "ds/key.h"
+#include "ds/name_count_table.h"
 #include "fault/fault.h"
 #include "pmem/pool.h"
 
@@ -86,24 +89,16 @@ inline bool nt_stores_default() {
   return e != nullptr && e[0] == '1';
 }
 
-// Donor of idle workers for the checkpoint's bulk passes (clone copy and
-// durability flush). run_chunks(n, fn) must invoke fn(i) exactly once for
-// every i in [0, n), on any threads it likes, and return only once all n
-// have finished. A shared checkpoint pool implements this with work
-// stealing so one large shard's bulk pass cannot convoy the others.
-class BulkExecutor {
- public:
-  virtual ~BulkExecutor() = default;
-  virtual void run_chunks(size_t n, const std::function<void(size_t)>& fn) = 0;
-};
+class CheckpointPool;
 
 struct EngineConfig {
   size_t arena_bytes = 64ull << 20;  // size of the system space (and each shadow slot)
   uint32_t log_slots = 8192;         // capacity of each of the two logs
   // Checkpoint triggers when used slots exceed this fraction of the log.
   double checkpoint_threshold = 0.5;
-  // Run the background checkpoint thread. Tests disable it and call
-  // checkpoint_now() to exercise states deterministically.
+  // Checkpoint in the background on the CheckpointPool when the log
+  // crosses the watermark. Tests disable it and call checkpoint_now() to
+  // exercise states deterministically.
   bool background_checkpointing = true;
   enum class CkptMode { kDipper, kCow } ckpt_mode = CkptMode::kDipper;
   // Physical-logging ablation (Fig 9 naive baseline / DudeTM archetype):
@@ -117,17 +112,13 @@ struct EngineConfig {
   // written with either setting recovers under the other.
   bool nt_stores = nt_stores_default();
 
-  // Externally-driven checkpointing: when set, the engine spawns NO
-  // checkpoint thread of its own. Instead this callback fires (hot-path
-  // safe, must not block) whenever the engine wants a checkpoint — a
-  // watermark crossing or a backpressured append — and the owner (e.g. a
-  // shared CheckpointPool) runs checkpoint_step() on one of its workers.
-  // All other background_checkpointing semantics are unchanged: appends
-  // backpressure-wait on a full log instead of failing busy.
-  std::function<void()> ckpt_notify;
-  // Optional donor of idle workers for the checkpoint bulk passes. Null =
-  // run them serially on the checkpointing thread.
-  BulkExecutor* bulk_exec = nullptr;
+  // The CheckpointPool that runs this engine's background checkpoints and
+  // bulk passes, and the engine's slot in it. A ShardedStore passes its
+  // shared pool; null gives the engine a private one-slot pool with one
+  // worker under background_checkpointing and none without (bulk passes
+  // then run on the thread that checkpoints).
+  CheckpointPool* ckpt_pool = nullptr;
+  size_t ckpt_slot = 0;
 
   // Deterministic fault injection (src/fault): every step of the
   // swap/drain/clone/replay/root-flip sequence and of recovery is a named
@@ -185,10 +176,6 @@ class Engine {
   // and replay the active log's committed records.
   Status recover();
 
-  // Clean shutdown: stop background work. (Recovery is identical either
-  // way; DIPPER recovery is uniform and idempotent.)
-  void shutdown();
-
   // The volatile system space. The client performs all normal-operation
   // reads/writes here, under its own concurrency control.
   SlabAllocator& space() { return volatile_space_; }
@@ -203,6 +190,8 @@ class Engine {
 
   // Append a logical operation. Blocks (backpressure) if the active log is
   // full and the checkpoint cannot keep up — the >70%-writes backlog case.
+  // With no checkpoint allowed to run (background_checkpointing off, or
+  // set_checkpointing_enabled(false)) a full log fails Status::busy instead.
   // `phys_payload`/`phys_len`: data bytes for physical-logging mode.
   Result<RecordHandle> append(OpType op, const Key& name, uint64_t arg0, uint64_t arg1,
                               const void* phys_payload = nullptr, size_t phys_len = 0);
@@ -227,12 +216,6 @@ class Engine {
   void abort(const RecordHandle& h);
 
   // ---- concurrency control hooks (§4.4) -----------------------------------
-  // True if some uncommitted (in-flight) record targets `name`. Used by the
-  // client under its pipeline lock before appending.
-  bool has_inflight_write(const Key& name) const;
-  // Block until no uncommitted record targets `name`.
-  void wait_no_inflight_write(const Key& name) const;
-
   // Number of uncommitted records (including held locks) targeting `name`.
   int64_t inflight_count(const Key& name) const;
   // Block until at most `allowed` uncommitted records target `name` (a
@@ -246,7 +229,7 @@ class Engine {
 
   // Reference log-scan conflict detection (the paper's exact mechanism:
   // scan from the first uncommitted record to the end of the active log).
-  // Functionally equivalent to has_inflight_write(); kept for tests and as
+  // Functionally equivalent to inflight_count(name) > 0; kept for tests and as
   // documentation of the §4.4 algorithm.
   bool scan_conflicting_write(const Key& name) const;
 
@@ -271,13 +254,14 @@ class Engine {
   // complete" worst case for the recovery benches.
   Status checkpoint_abandon_at(const char* point);
   // Disable/enable automatic checkpoint triggering (Fig 1's "w/o ckpt"
-  // comparison). With checkpointing disabled the log is never swapped; a
-  // full log then backpressures appends, so size the log accordingly.
+  // comparison). With checkpointing disabled the log is only swapped by
+  // checkpoint_now(); a full log fails appends with Status::busy, so size
+  // the log accordingly.
   void set_checkpointing_enabled(bool enabled) {
     checkpointing_enabled_.store(enabled, std::memory_order_release);
   }
   bool checkpoint_running() const { return ckpt_running_.load(std::memory_order_acquire); }
-  // ---- externally-driven checkpointing (EngineConfig::ckpt_notify) --------
+  // ---- pool-driven checkpointing (EngineConfig::ckpt_pool) ----------------
   // True when a checkpoint should run now: the sticky request flag is set
   // or the active log is past the watermark (and checkpointing is enabled).
   bool checkpoint_due() const;
@@ -311,7 +295,10 @@ class Engine {
   // copies reachable from the root (storage-footprint accounting, Fig 10).
   uint64_t pmem_used_bytes() const;
 
-  // Test hook: quiesce background work so pool().crash() is race-free.
+  // Stop background work: join a private pool's worker (a shared pool is
+  // its owner's to stop) and lift CoW write protection. Also the clean
+  // shutdown; recovery is identical either way, since DIPPER recovery is
+  // uniform and idempotent. Tests call it so pool().crash() is race-free.
   void stop_background();
 
   // Read-repair source lookup: the physically-logged payload for `name`,
@@ -355,7 +342,6 @@ class Engine {
   Arena pmem_arena(uint8_t slot) const;
 
   // Checkpoint machinery.
-  void checkpoint_thread_main();
   Status do_checkpoint();
   // False when abort_checkpoints_at() names this checkpoint step.
   bool step_allowed(const char* point) const;
@@ -369,8 +355,8 @@ class Engine {
   Status cow_copy_into_spare();                    // kCow
   void install_spare(uint8_t archived_idx);
   void recycle_archived(uint8_t archived_idx);
-  // Wake the checkpoint thread without ever blocking on ckpt_mu_ (hot-path
-  // safe; a lost notify race is recovered by the sticky request flag).
+  // Set the sticky request flag and notify the pool (hot-path safe: never
+  // blocks; a lost notify race is recovered by the flag).
   void request_checkpoint();
 
   // CoW support.
@@ -380,15 +366,8 @@ class Engine {
   void cow_copy_page(size_t page_idx);
   friend struct CowFaultRouter;
 
-  // In-flight write tracking (open-addressed counter table, like the
-  // read-count table but for uncommitted log records).
-  struct InflightSlot {
-    std::atomic<uint64_t> tag{0};
-    std::atomic<int64_t> count{0};
-  };
-  InflightSlot& inflight_slot(const Key& name) const;
-  void inflight_inc(const Key& name);
-  void inflight_dec(const Key& name);
+  void inflight_inc(const Key& name) { inflight_.inc(name); }
+  void inflight_dec(const Key& name) { inflight_.dec(name); }
 
   Status rebuild_volatile_from_shadow();
 
@@ -417,16 +396,13 @@ class Engine {
   // persisted 8-byte root flip plus held-lock relocation). Every other
   // holder keeps it O(chunk) (see find_repair_payload / recycle_archived).
   mutable Mutex log_mu_{"dipper.log", lockdep::kQuiesceExempt};
-  CondVar ckpt_cv_;
-  Mutex ckpt_mu_{"dipper.ckpt"};
-  std::thread ckpt_thread_;
   std::atomic<bool> ckpt_requested_{false};
   std::atomic<bool> ckpt_running_{false};
   std::atomic<bool> checkpointing_enabled_{true};
   std::atomic<const char*> abandon_point_{nullptr};  // abort_checkpoints_at
-  std::atomic<bool> stop_{false};
 
-  mutable std::vector<InflightSlot> inflight_;
+  // Uncommitted records (and registered external writes) per name.
+  mutable NameCountTable inflight_;
   EngineStats stats_;
 
   // CoW state.
@@ -434,6 +410,10 @@ class Engine {
   std::atomic<bool> cow_active_{false};
   size_t cow_pages_ = 0;
   uint8_t cow_target_slot_ = 0;
+
+  // Unshared engines only: the private pool cfg_.ckpt_pool points at.
+  // Declared last: its worker uses every member above.
+  std::unique_ptr<CheckpointPool> own_pool_;
 };
 
 }  // namespace dstore::dipper

@@ -248,7 +248,7 @@ void DStore::register_substrate_metrics() {
 
 DStore::~DStore() {
   stop_scrubber();
-  if (engine_) engine_->shutdown();
+  if (engine_) engine_->stop_background();
 }
 
 ds_ctx_t* DStore::ds_init() {
@@ -901,7 +901,7 @@ Status DStore::mutate(ds_ctx_t* ctx, Mutation& m) {
   // ~zero.
   for (;;) {
     engine_->wait_inflight_at_most(k, allowed);
-    read_counts_.wait_until_unread(k);
+    read_counts_.wait_at_most(k, 0);
     pipeline_mu_.lock();
     if (engine_->inflight_count(k) <= allowed) break;
     pipeline_mu_.unlock();
@@ -940,7 +940,7 @@ Status DStore::mutate(ds_ctx_t* ctx, Mutation& m) {
   // Read-write CC (§4.4): residual poll of the read count. New readers see
   // the in-flight marker and retreat; the pre-drain above already cleared
   // existing ones, so this is almost always zero iterations.
-  read_counts_.wait_until_unread(k);
+  read_counts_.wait_at_most(k, 0);
   if (m.unlogged) {
     // Content is about to change: drop the recorded CRC first, so a torn
     // write can never leave a stale-but-"valid" content checksum behind.
@@ -1267,7 +1267,7 @@ Status DStore::olock(ds_ctx_t* ctx, std::string_view name) {
   std::string ks = k.str();
   if (ctx->held_locks.count(ks) != 0) return Status::busy("lock already held by this context");
   for (;;) {
-    engine_->wait_no_inflight_write(k);
+    engine_->wait_inflight_at_most(k, 0);
     auto h = engine_->lock_object(k);
     if (h.is_ok()) {
       ctx->held_locks.insert(ks);

@@ -59,7 +59,7 @@
 #include "ds/circular_pool.h"
 #include "ds/key.h"
 #include "ds/metadata_zone.h"
-#include "ds/readcount_table.h"
+#include "ds/name_count_table.h"
 #include "pmem/pool.h"
 #include "ssd/block_device.h"
 #include "ssd/io_queue.h"
@@ -401,7 +401,7 @@ class DStore final : public dipper::SpaceClient {
 
   // Reader-side CC (§4.4 + the symmetric check) is class ReaderGuard,
   // declared with the public API above (ReadView holds one); defined in
-  // dstore.cc. See readcount_table.h.
+  // dstore.cc. See name_count_table.h.
 
   // -- async data plane ------------------------------------------------------
   // Every SSD access goes through an ssd::IoQueue (NVMe queue-pair
@@ -464,7 +464,7 @@ class DStore final : public dipper::SpaceClient {
   SpinLock pipeline_mu_{"dstore.pipeline"};   // §4.3 step 1/5: pools + log order
   SpinLock arena_mu_{"dstore.arena"};         // volatile slab alloc (set_lock)
   SharedSpinLock btree_mu_{"dstore.btree"};   // volatile btree
-  ReadCountTable read_counts_;
+  NameCountTable read_counts_;
 
   std::atomic<uint64_t> next_ctx_id_{1};
   std::atomic<int64_t> live_ctxs_{0};

@@ -70,7 +70,7 @@ typedef struct dstore_options {
   uint64_t max_objects;   /* metadata capacity (default 16384 if 0) */
   uint64_t num_blocks;    /* SSD blocks (default 65536 if 0) */
   uint32_t log_slots;     /* DIPPER log capacity (default 8192 if 0) */
-  int background_checkpointing; /* nonzero = run the checkpoint thread */
+  int background_checkpointing; /* nonzero = checkpoint in the background */
 } dstore_options;
 
 typedef struct ds_session_options {

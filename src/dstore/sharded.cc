@@ -15,13 +15,9 @@ DStoreConfig ShardedStore::shard_config(int shard_idx) const {
   if (cfg.engine.arena_bytes == 0) {
     cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.max_objects);
   }
-  // Pool-driven checkpointing: the engine spawns no thread of its own; it
-  // notifies the shared pool at the watermark and donates its bulk passes
-  // to idle workers.
-  CheckpointPool* p = pool_.get();
-  cfg.engine.bulk_exec = p;
-  size_t idx = (size_t)shard_idx;
-  cfg.engine.ckpt_notify = [p, idx] { p->notify(idx); };
+  // The engine checkpoints through the shared pool, in the shard's slot.
+  cfg.engine.ckpt_pool = pool_.get();
+  cfg.engine.ckpt_slot = (size_t)shard_idx;
   if (cfg_.fault != nullptr && (cfg_.fault_all_shards || shard_idx == cfg_.fault_shard)) {
     cfg.engine.fault = cfg_.fault;
   }
@@ -67,10 +63,8 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::create(ShardedConfig cfg) {
   DSTORE_RETURN_IF_ERROR(validate_shard_template(cfg.shard));
 
   auto s = std::unique_ptr<ShardedStore>(new ShardedStore(cfg));
-  CheckpointPool::Config pc;
-  pc.workers = cfg.ckpt_workers;
-  pc.interval_ms = cfg.ckpt_interval_ms;
-  s->pool_ = std::make_unique<CheckpointPool>(pc, (size_t)cfg.num_shards);
+  s->pool_ = std::make_unique<dipper::CheckpointPool>(
+      dipper::CheckpointPool::Config{.workers = cfg.ckpt_workers}, (size_t)cfg.num_shards);
   s->shards_.resize(cfg.num_shards);
   for (int i = 0; i < cfg.num_shards; i++) {
     Shard& sh = s->shards_[i];
@@ -89,10 +83,10 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::create(ShardedConfig cfg) {
     if (!store.is_ok()) return store.status();
     sh.store = std::move(store).value();
     sh.ctx = sh.store->ds_init();
-    s->pool_->set_shard((size_t)i, &sh.store->engine());
+    s->pool_->set_engine((size_t)i, &sh.store->engine());
   }
 
-  CheckpointPool* p = s->pool_.get();
+  dipper::CheckpointPool* p = s->pool_.get();
   ShardedStore* self = s.get();
   s->own_metrics_.gauge_fn("sharded_ckpt_workers", "checkpoint pool worker threads",
                            [p] { return (double)p->workers(); });
@@ -100,11 +94,8 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::create(ShardedConfig cfg) {
                            "shards queued or mid-checkpoint on the pool",
                            [p] { return (double)p->queue_depth(); });
   s->own_metrics_.counter_fn("sharded_ckpt_runs_total",
-                             "watermark/timer checkpoint steps run by the pool",
+                             "watermark checkpoint steps run by the pool",
                              [p] { return p->stats().runs.load(std::memory_order_relaxed); });
-  s->own_metrics_.counter_fn("sharded_ckpt_failures_total",
-                             "pool checkpoint steps that returned an error",
-                             [p] { return p->stats().failures.load(std::memory_order_relaxed); });
   s->own_metrics_.counter_fn(
       "sharded_ckpt_notifies_total", "watermark notifications from shard engines",
       [p] { return p->stats().notifies.load(std::memory_order_relaxed); });
@@ -327,7 +318,7 @@ Status ShardedStore::recover_shard(size_t i, const DStoreConfig& scfg) {
   if (!store.is_ok()) return store.status();
   sh.store = std::move(store).value();
   sh.ctx = sh.store->ds_init();
-  pool_->set_shard(i, &sh.store->engine());
+  pool_->set_engine(i, &sh.store->engine());
   return Status::ok();
 }
 
@@ -342,7 +333,7 @@ Status ShardedStore::crash_and_recover_all() {
     Shard& sh = shards_[i];
     if (sh.store && sh.ctx != nullptr) sh.store->ds_finalize(sh.ctx);
     sh.ctx = nullptr;
-    pool_->set_shard(i, nullptr);
+    pool_->set_engine(i, nullptr);
     if (sh.store) {
       sh.store->engine().stop_background();
       sh.store.reset();

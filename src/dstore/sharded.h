@@ -10,9 +10,10 @@
 // (commit=durable, quiescent-free checkpoints, idempotent recovery) carry
 // over; cross-shard operations are independent, which matches the paper's
 // commutativity argument — operations on distinct objects never conflict.
-// What the pool changes is only WHERE background work runs: shards no
-// longer own checkpoint threads; they notify the pool at the watermark and
-// K shared workers (with work stealing of bulk-pass chunks) service them.
+// What the pool changes is only WHERE background work runs: instead of a
+// private pool each, the shards' engines notify the fleet's pool at the
+// watermark and K shared workers (with work stealing of bulk-pass chunks)
+// service them.
 // checkpoint_all() and crash_and_recover_all() fan out across the same
 // workers.
 #pragma once
@@ -21,7 +22,7 @@
 #include <string_view>
 #include <vector>
 
-#include "dstore/ckpt_pool.h"
+#include "dipper/ckpt_pool.h"
 #include "dstore/dstore.h"
 
 namespace dstore {
@@ -44,11 +45,9 @@ struct ShardedConfig {
   pmem::Pool::Mode pool_mode = pmem::Pool::Mode::kDirect;
   LatencyModel latency = LatencyModel::none();
 
-  // Shared checkpoint pool: worker count (0 = min(num_shards,
-  // max(1, hardware_concurrency/2))) and the optional timer trigger
-  // (0 = watermark-only; see CheckpointPool::Config).
+  // Shared checkpoint pool worker count (0 = min(num_shards,
+  // max(1, hardware_concurrency/2))).
   int ckpt_workers = 0;
-  uint32_t ckpt_interval_ms = 0;
 
   // Allow pinned affinity sessions (open_session(shard)): a loadgen thread
   // pinned to its home shard routes every op there without hashing — the
@@ -161,7 +160,7 @@ class ShardedStore {
 
   int num_shards() const { return cfg_.num_shards; }
   DStore& shard(int i) { return *shards_[i].store; }
-  CheckpointPool& pool() { return *pool_; }
+  dipper::CheckpointPool& pool() { return *pool_; }
   // Which shard owns `name` (exposed for tests and balance inspection).
   int shard_of(std::string_view name) const;
 
@@ -180,9 +179,9 @@ class ShardedStore {
   double max_log_fill() const;
 
   ShardedConfig cfg_;
-  // The pool outlives the shards (engines hold a BulkExecutor pointer to
-  // it and notify it from ckpt_notify): declared first, destroyed last.
-  std::unique_ptr<CheckpointPool> pool_;
+  // The pool outlives the shards (their engines checkpoint through it):
+  // declared first, destroyed last.
+  std::unique_ptr<dipper::CheckpointPool> pool_;
   std::vector<Shard> shards_;
   obs::MetricsRegistry own_metrics_;  // sharded_* pool/routing metrics
   RecoveryReport last_recovery_;

@@ -173,7 +173,7 @@ Status DistRig::build(const DistPlan& plan) {
     scfg.num_shards = 1;
     scfg.shard.max_objects = opt_.max_objects;
     scfg.shard.num_blocks = opt_.num_blocks;
-    // Deterministic hit ordering: no background checkpoint thread (the rig
+    // Deterministic hit ordering: no background checkpoints (the rig
     // checkpoints inline at checkpoint_at), one pool worker.
     scfg.shard.engine.log_slots = opt_.log_slots;
     scfg.shard.engine.arena_bytes = 0;  // auto-size

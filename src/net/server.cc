@@ -27,6 +27,10 @@ namespace {
 // collide across tenants.
 constexpr char kNsSep = '\x1f';
 
+// A connection whose un-drained response backlog exceeds this is closed: it
+// bounds server memory against a client that pipelines but never reads.
+constexpr size_t kMaxConnBacklogBytes = 64u << 20;
+
 std::string tenant_key(std::string_view ns_name, std::string_view key) {
   std::string k;
   k.reserve(ns_name.size() + 1 + key.size());
@@ -586,7 +590,7 @@ struct Server::Impl {
       }
       dispatch(c, f);
       if (stopping.load(std::memory_order_acquire)) return false;
-      if (c->out.size() - c->out_off > cfg.max_conn_backlog_bytes) {
+      if (c->out.size() - c->out_off > kMaxConnBacklogBytes) {
         m_frame_errors->inc();
         c->closing = true;  // client pipelines but never reads; cut it off
         break;

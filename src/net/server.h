@@ -40,10 +40,6 @@ struct ServerConfig {
   uint16_t port = 0;  // 0 = kernel-assigned; read back via Server::port()
   int backlog = 1024;
   size_t max_frame_bytes = kDefaultMaxFrame;
-  // A connection whose un-drained response backlog exceeds this is closed:
-  // it bounds server memory against a client that pipelines but never
-  // reads.
-  size_t max_conn_backlog_bytes = 64u << 20;
   // Idle-connection reaper (0 = off): a connection that sends no bytes for
   // this long is dropped. HEARTBEAT frames count as activity — they are
   // the keepalive clients send to stay under the reaper.

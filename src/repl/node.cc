@@ -12,6 +12,14 @@ namespace dstore::repl {
 
 namespace {
 
+// Tick-driven timers (the rig pumps on_tick() deterministically; TCP
+// deployments run start_ticker()). A follower that hears nothing from a
+// primary for kElectionTimeoutTicks campaigns, staggered by id rank so the
+// highest-id up-to-date node campaigns first and wins ties.
+constexpr uint32_t kHeartbeatEveryTicks = 1;
+constexpr uint32_t kElectionTimeoutTicks = 5;
+constexpr uint32_t kCandidacyStaggerTicks = 2;
+
 // Re-entrancy channels between the store's write paths and the Node.
 // tl_applying marks "this thread is replaying a stream/resync entry" so the
 // sink hook inside the store does not re-ship it; tl_last_seq carries the
@@ -914,7 +922,7 @@ void Node::on_tick() {
   {
     MutexGuard g(mu_);
     if (role_ == Role::kPrimary) {
-      if (++ticks_since_hb_ >= cfg_.heartbeat_every_ticks) {
+      if (++ticks_since_hb_ >= kHeartbeatEveryTicks) {
         ticks_since_hb_ = 0;
         do_hb = true;
       }
@@ -945,7 +953,7 @@ uint32_t Node::election_threshold_locked() const {
   uint32_t rank = 0;
   for (auto& p : peers_)
     if (p.id > cfg_.node_id) rank++;
-  return cfg_.election_timeout_ticks + rank * cfg_.candidacy_stagger_ticks;
+  return kElectionTimeoutTicks + rank * kCandidacyStaggerTicks;
 }
 
 void Node::do_subscribe(uint64_t leader_id) {

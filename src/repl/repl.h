@@ -122,14 +122,6 @@ struct NodeConfig {
   // deterministic rigs use that so retry counts never depend on wall-clock.
   uint32_t ack_timeout_ms = 1000;
 
-  // Tick-driven timers (the rig pumps on_tick() deterministically; TCP
-  // deployments run start_ticker()). A follower that hears nothing from a
-  // primary for election_timeout_ticks campaigns, staggered by id rank so
-  // the highest-id up-to-date node campaigns first and wins ties.
-  uint32_t heartbeat_every_ticks = 1;
-  uint32_t election_timeout_ticks = 5;
-  uint32_t candidacy_stagger_ticks = 2;
-
   pmem::Pool* meta_pool = nullptr;  // MetaStore region owner (may be null)
   uint64_t meta_off = 0;
   fault::FaultInjector* fault = nullptr;

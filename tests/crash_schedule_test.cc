@@ -458,7 +458,7 @@ TEST(SsdTransientError, ExhaustionSurfacesAtPutBoundaryAndDegradesReadOnly) {
   EXPECT_TRUE(f.store->read_only());
   // The reserved record was aborted — no wedge, no replayable garbage.
   EXPECT_EQ(f.store->engine().stats().records_aborted.load(), 1u);
-  EXPECT_FALSE(f.store->engine().has_inflight_write(Key::from("k")));
+  EXPECT_EQ(f.store->engine().inflight_count(Key::from("k")), 0);
 
   // Reads keep working; mutations are cleanly rejected without touching the
   // (failing) device again.

@@ -97,7 +97,7 @@ class EngineTest : public ::testing::Test {
 
   // Clean restart (no crash: everything committed is persistent anyway).
   void restart() {
-    engine_->shutdown();
+    engine_->stop_background();
     engine_ = std::make_unique<Engine>(pool_.get(), &client_, cfg_);
     ASSERT_TRUE(engine_->recover().is_ok());
   }
@@ -217,15 +217,15 @@ TEST_F(EngineTest, LogFullWithoutCheckpointerReportsBusy) {
 
 TEST_F(EngineTest, InflightTrackingAndScanAgree) {
   Key k = Key::from("contested");
-  EXPECT_FALSE(engine_->has_inflight_write(k));
+  EXPECT_EQ(engine_->inflight_count(k), 0);
   EXPECT_FALSE(engine_->scan_conflicting_write(k));
   auto h = engine_->append(OpType::kPut, k, 1, 0);
   ASSERT_TRUE(h.is_ok());
-  EXPECT_TRUE(engine_->has_inflight_write(k));
+  EXPECT_GT(engine_->inflight_count(k), 0);
   EXPECT_TRUE(engine_->scan_conflicting_write(k));
   EXPECT_EQ(engine_->inflight_count(k), 1);
   engine_->commit(h.value());
-  EXPECT_FALSE(engine_->has_inflight_write(k));
+  EXPECT_EQ(engine_->inflight_count(k), 0);
   EXPECT_FALSE(engine_->scan_conflicting_write(k));
 }
 
@@ -235,7 +235,7 @@ TEST_F(EngineTest, WaitNoInflightBlocksUntilCommit) {
   ASSERT_TRUE(h.is_ok());
   std::atomic<bool> proceeded{false};
   std::thread waiter([&] {
-    engine_->wait_no_inflight_write(k);
+    engine_->wait_inflight_at_most(k, 0);
     proceeded = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -249,10 +249,10 @@ TEST_F(EngineTest, ObjectLocksConflictAndRelease) {
   Key k = Key::from("locked-obj");
   auto h = engine_->lock_object(k);
   ASSERT_TRUE(h.is_ok());
-  EXPECT_TRUE(engine_->has_inflight_write(k));
+  EXPECT_GT(engine_->inflight_count(k), 0);
   EXPECT_EQ(engine_->lock_object(k).status().code(), Code::kBusy);  // no recursion
   engine_->unlock_object(h.value(), k);
-  EXPECT_FALSE(engine_->has_inflight_write(k));
+  EXPECT_EQ(engine_->inflight_count(k), 0);
   auto h2 = engine_->lock_object(k);  // re-lockable
   ASSERT_TRUE(h2.is_ok());
   engine_->unlock_object(h2.value(), k);
@@ -264,16 +264,16 @@ TEST_F(EngineTest, HeldLockSurvivesLogSwapAndUnlocksAfter) {
   ASSERT_TRUE(h.is_ok());
   for (int i = 0; i < 30; i++) put("filler" + std::to_string(i), i);
   ASSERT_TRUE(engine_->checkpoint_now().is_ok());  // swaps logs, moves the NOOP
-  EXPECT_TRUE(engine_->has_inflight_write(k));     // still held
+  EXPECT_GT(engine_->inflight_count(k), 0);  // still held
   engine_->unlock_object(h.value(), k);
-  EXPECT_FALSE(engine_->has_inflight_write(k));
+  EXPECT_EQ(engine_->inflight_count(k), 0);
 }
 
 TEST_F(EngineTest, LocksDoNotSurviveCrash) {
   Key k = Key::from("ephemeral-lock");
   ASSERT_TRUE(engine_->lock_object(k).is_ok());
   crash_and_recover();
-  EXPECT_FALSE(engine_->has_inflight_write(k));
+  EXPECT_EQ(engine_->inflight_count(k), 0);
   auto h = engine_->lock_object(k);
   EXPECT_TRUE(h.is_ok());
   engine_->unlock_object(h.value(), k);
@@ -443,7 +443,7 @@ TEST(EngineBackground, CheckpointTriggersAutomatically) {
     ASSERT_TRUE(tree.upsert(k, i).is_ok());
     engine.commit(h.value());
   }
-  engine.shutdown();
+  engine.stop_background();
   EXPECT_GT(engine.stats().checkpoints.load(), 0u);
 }
 

@@ -298,7 +298,7 @@ class PmemCheckEngineTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    if (engine_) engine_->shutdown();
+    if (engine_) engine_->stop_background();
     engine_.reset();
     if (pool_) pool_->detach_checker();
   }
@@ -367,7 +367,7 @@ TEST_F(PmemCheckEngineTest, FullLifecycleViolationFree) {
   for (int i = 0; i < 20; i++) put("post" + std::to_string(i), i);
   ASSERT_TRUE(engine_->checkpoint_now().is_ok());
   // Clean restart (recovery without a crash).
-  engine_->shutdown();
+  engine_->stop_background();
   engine_ = std::make_unique<Engine>(pool_.get(), &client_, cfg_);
   ASSERT_TRUE(engine_->recover().is_ok());
   EXPECT_TRUE(get("post3").has_value());
@@ -420,7 +420,7 @@ TEST_F(PmemCheckEngineTest, CowCheckpointViolationFree) {
   for (int i = 0; i < 50; i++) put("cow" + std::to_string(i), i);
   ASSERT_TRUE(engine_->checkpoint_now().is_ok());
   for (int i = 0; i < 20; i++) put("post" + std::to_string(i), i);
-  engine_->shutdown();
+  engine_->stop_background();
   engine_ = std::make_unique<Engine>(pool_.get(), &client_, cfg_);
   ASSERT_TRUE(engine_->recover().is_ok());
   EXPECT_TRUE(get("cow7").has_value());

@@ -1,5 +1,5 @@
 // Tests for CircularPool (FIFO determinism — the DIPPER replay invariant),
-// MetadataZone, and the ReadCountTable CC primitive.
+// MetadataZone, and the NameCountTable CC primitive.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,7 +9,7 @@
 #include "common/rng.h"
 #include "ds/circular_pool.h"
 #include "ds/metadata_zone.h"
-#include "ds/readcount_table.h"
+#include "ds/name_count_table.h"
 
 namespace dstore {
 namespace {
@@ -177,41 +177,41 @@ TEST_F(PoolTest, MetadataSurvivesClone) {
 }
 
 TEST(ReadCount, IncDecLoad) {
-  ReadCountTable t(1024);
+  NameCountTable t(1024);
   Key k = Key::from("obj");
-  EXPECT_EQ(t.load(k), 0u);
+  EXPECT_EQ(t.load(k), 0);
   t.inc(k);
   t.inc(k);
-  EXPECT_EQ(t.load(k), 2u);
+  EXPECT_EQ(t.load(k), 2);
   t.dec(k);
   t.dec(k);
-  EXPECT_EQ(t.load(k), 0u);
+  EXPECT_EQ(t.load(k), 0);
 }
 
 TEST(ReadCount, DistinctNamesIndependent) {
-  ReadCountTable t(1024);
+  NameCountTable t(1024);
   t.inc(Key::from("a"));
-  EXPECT_EQ(t.load(Key::from("b")), 0u);
+  EXPECT_EQ(t.load(Key::from("b")), 0);
   t.dec(Key::from("a"));
 }
 
 TEST(ReadCount, GuardIsRaii) {
-  ReadCountTable t(1024);
+  NameCountTable t(1024);
   Key k = Key::from("guarded");
   {
-    ReadCountTable::ReadGuard g(t, k);
-    EXPECT_EQ(t.load(k), 1u);
+    NameCountTable::ReadGuard g(t, k);
+    EXPECT_EQ(t.load(k), 1);
   }
-  EXPECT_EQ(t.load(k), 0u);
+  EXPECT_EQ(t.load(k), 0);
 }
 
 TEST(ReadCount, WaitUntilUnreadBlocksWriter) {
-  ReadCountTable t(1024);
+  NameCountTable t(1024);
   Key k = Key::from("contended");
   t.inc(k);
   std::atomic<bool> writer_done{false};
   std::thread writer([&] {
-    t.wait_until_unread(k);
+    t.wait_at_most(k, 0);
     writer_done = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -222,7 +222,7 @@ TEST(ReadCount, WaitUntilUnreadBlocksWriter) {
 }
 
 TEST(ReadCount, ConcurrentReadersBalance) {
-  ReadCountTable t(4096);
+  NameCountTable t(4096);
   std::vector<std::thread> ts;
   for (int w = 0; w < 4; w++) {
     ts.emplace_back([&t, w] {
@@ -239,7 +239,7 @@ TEST(ReadCount, ConcurrentReadersBalance) {
   for (int i = 0; i < 64; i++) {
     char name[16];
     snprintf(name, sizeof(name), "o%d", i);
-    EXPECT_EQ(t.load(Key::from(name)), 0u);
+    EXPECT_EQ(t.load(Key::from(name)), 0);
   }
 }
 

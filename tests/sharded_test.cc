@@ -299,9 +299,9 @@ TEST(Sharded, PoolRunChunksCoversAllIndicesExactlyOnce) {
 }
 
 TEST(Sharded, WatermarkDrivenPoolCheckpointing) {
-  // Background mode with a low watermark: the frontend's ckpt_notify must
-  // reach the pool and a worker must run the checkpoint — without any
-  // per-shard checkpoint thread existing.
+  // Background mode with a low watermark: the frontend's notify must reach
+  // the pool and a worker must run the checkpoint — without any per-shard
+  // checkpoint thread existing.
   ShardedConfig cfg = small_cfg(2, /*crashsim=*/false);
   cfg.shard.engine.background_checkpointing = true;
   cfg.shard.engine.checkpoint_threshold = 0.05;
@@ -320,7 +320,9 @@ TEST(Sharded, WatermarkDrivenPoolCheckpointing) {
   }
   EXPECT_GT(s.pool().stats().notifies.load(), 0u);
   EXPECT_GT(s.pool().stats().runs.load(), 0u);
-  EXPECT_EQ(s.pool().stats().failures.load(), 0u);
+  for (int i = 0; i < s.num_shards(); i++) {
+    EXPECT_EQ(s.shard(i).engine().stats().ckpt_failures.load(), 0u) << "shard " << i;
+  }
   ASSERT_TRUE(s.validate_all().is_ok());
 }
 
@@ -376,6 +378,61 @@ TEST(Sharded, CheckpointAllAttemptsEveryShardOnFailure) {
   ASSERT_TRUE(s.checkpoint_all().is_ok());
   ASSERT_TRUE(s.validate_all().is_ok());
 }
+
+// The full-log rule, for both checkpoint drivers — an unshared engine on
+// its private pool and a shard on the fleet's pool: with checkpointing
+// disabled no checkpoint may run, so an append to a full log fails busy
+// (rather than checkpointing anyway or retrying forever), and re-enabling
+// lets the next put through.
+class FullLogRule : public ::testing::TestWithParam<bool> {};  // true: pooled shard
+
+TEST_P(FullLogRule, DisabledCheckpointingFailsBusyThenRecovers) {
+  ShardedConfig fleet_cfg = small_cfg(1, /*crashsim=*/false);
+  fleet_cfg.shard.engine.background_checkpointing = true;
+  fleet_cfg.shard.engine.log_slots = 64;
+  DStoreConfig cfg = fleet_cfg.shard;
+  cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.max_objects);
+  std::unique_ptr<ShardedStore> fleet;
+  std::unique_ptr<pmem::Pool> pool;
+  std::unique_ptr<ssd::RamBlockDevice> device;
+  std::unique_ptr<DStore> single;
+  DStore* store = nullptr;
+  if (GetParam()) {
+    auto r = ShardedStore::create(fleet_cfg);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    fleet = std::move(r).value();
+    store = &fleet->shard(0);
+  } else {
+    pool = std::make_unique<pmem::Pool>(DStoreConfig::required_pool_bytes(cfg),
+                                        pmem::Pool::Mode::kDirect);
+    ssd::DeviceConfig dc;
+    dc.num_blocks = cfg.num_blocks;
+    device = std::make_unique<ssd::RamBlockDevice>(dc);
+    auto r = DStore::create(pool.get(), device.get(), cfg);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    single = std::move(r).value();
+    store = single.get();
+  }
+  dipper::Engine& engine = store->engine();
+  engine.set_checkpointing_enabled(false);
+  ds_ctx_t* ctx = store->ds_init();
+  std::string v(64, 'f');
+  auto put = [&](int i) { return store->oput(ctx, "f" + std::to_string(i), v.data(), v.size()); };
+  Status s = Status::ok();
+  int i = 0;
+  for (; i < 4 * 64 && s.is_ok(); i++) s = put(i);
+  EXPECT_TRUE(s.is_busy()) << s.to_string();
+  EXPECT_DOUBLE_EQ(engine.log_fill(), 1.0);
+  EXPECT_EQ(engine.stats().checkpoints.load(), 0u);
+  engine.set_checkpointing_enabled(true);
+  EXPECT_TRUE(put(i).is_ok());
+  store->ds_finalize(ctx);
+}
+
+INSTANTIATE_TEST_SUITE_P(Drivers, FullLogRule, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "PooledShard" : "UnsharedEngine");
+                         });
 
 }  // namespace
 }  // namespace dstore

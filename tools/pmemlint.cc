@@ -98,7 +98,7 @@ int run_engine_scenario(pmem::Pool& pool, const Options& opt) {
   pool.crash();
   engine = std::make_unique<Engine>(&pool, &client, cfg);
   if (!engine->recover().is_ok()) return 2;
-  engine->shutdown();
+  engine->stop_background();
   return 0;
 }
 
