@@ -95,6 +95,12 @@ void CachedLsmStore::free_blocks(const std::vector<uint64_t>& blocks) {
   for (uint64_t b : blocks) free_blocks_.push_back(b);
 }
 
+void CachedLsmStore::free_run_blocks(const Run& run) {
+  LockGuard<SpinLock> g(blocks_mu_);
+  for (const auto& [key, loc] : run.entries)
+    for (uint64_t b : loc.blocks) free_blocks_.push_back(b);
+}
+
 Status CachedLsmStore::write_value_blocks(const std::vector<uint64_t>& blocks, const void* data,
                                           size_t size) {
   const char* src = static_cast<const char*>(data);
@@ -135,9 +141,16 @@ Status CachedLsmStore::flush_memtable_locked() {
     } else {
       uint64_t n = (value->size() + bs - 1) / bs;
       loc.blocks = alloc_blocks(n);
-      if (loc.blocks.size() != n) return Status::out_of_space("SSD blocks exhausted");
       loc.size = (uint32_t)value->size();
-      DSTORE_RETURN_IF_ERROR(write_value_blocks(loc.blocks, value->data(), value->size()));
+      Status s = loc.blocks.size() != n
+                     ? Status::out_of_space("SSD blocks exhausted")
+                     : write_value_blocks(loc.blocks, value->data(), value->size());
+      if (!s.is_ok()) {
+        // The memtable stays; give back what the partial run took.
+        free_blocks(loc.blocks);
+        free_run_blocks(*run);
+        return s;
+      }
     }
     run->entries.emplace_back(key, std::move(loc));
   }
@@ -216,6 +229,8 @@ void CachedLsmStore::compaction_thread_main() {
 }
 
 Status CachedLsmStore::compact_all_runs() {
+  // One compaction at a time: two over the same inputs would both free them.
+  MutexGuard one(compact_mu_);
   // Snapshot the runs (shared lock, frontend still runs)...
   std::vector<std::shared_ptr<Run>> snapshot;
   {
@@ -232,20 +247,26 @@ Status CachedLsmStore::compact_all_runs() {
   auto out = std::make_shared<Run>();
   out->entries.reserve(merged.size());
   std::vector<char> scratch(1 << 16);
-  std::vector<std::vector<uint64_t>> old_blocks;
   size_t bs = device_->config().block_size();
   for (auto& [key, loc] : merged) {
     if (loc.tombstone) continue;  // compaction drops tombstones
     if (scratch.size() < loc.size) scratch.resize(loc.size);
     size_t got = 0;
-    DSTORE_RETURN_IF_ERROR(read_value_blocks(loc, scratch.data(), scratch.size(), &got));
     uint64_t n = (loc.size + bs - 1) / bs;
     ValueLoc nloc;
-    nloc.blocks = alloc_blocks(n);
-    if (nloc.blocks.size() != n) return Status::out_of_space("compaction blocks");
+    Status s = read_value_blocks(loc, scratch.data(), scratch.size(), &got);
+    if (s.is_ok()) {
+      nloc.blocks = alloc_blocks(n);
+      s = nloc.blocks.size() != n ? Status::out_of_space("compaction blocks")
+                                  : write_value_blocks(nloc.blocks, scratch.data(), loc.size);
+    }
+    if (!s.is_ok()) {
+      // The inputs stay live; give back what the partial output took.
+      free_blocks(nloc.blocks);
+      free_run_blocks(*out);
+      return s;
+    }
     nloc.size = loc.size;
-    DSTORE_RETURN_IF_ERROR(write_value_blocks(nloc.blocks, scratch.data(), loc.size));
-    old_blocks.push_back(std::move(loc.blocks));
     out->entries.emplace_back(key, std::move(nloc));
   }
   // Swap under the exclusive lock (brief, but stalls the frontend — the
@@ -267,7 +288,11 @@ Status CachedLsmStore::compact_all_runs() {
     next.push_back(out);
     runs_ = std::move(next);
   }
-  for (auto& blocks : old_blocks) free_blocks(blocks);
+  // Every input block is dead now: the newest versions were rewritten
+  // into `out`, and shadowed versions and tombstoned values were dropped.
+  // No reader is left in an input run — gets hold table_mu_ shared for
+  // their whole read, and the swap above took it exclusive.
+  for (const auto& run : snapshot) free_run_blocks(*run);
   compactions_.fetch_add(1, std::memory_order_relaxed);
   return Status::ok();
 }

@@ -91,6 +91,7 @@ class CachedLsmStore final : public workload::KVStore {
 
   std::vector<uint64_t> alloc_blocks(uint64_t n);
   void free_blocks(const std::vector<uint64_t>& blocks);
+  void free_run_blocks(const Run& run);
   Status write_value_blocks(const std::vector<uint64_t>& blocks, const void* data, size_t size);
   Status read_value_blocks(const ValueLoc& loc, void* buf, size_t cap, size_t* out) const;
 
@@ -105,6 +106,8 @@ class CachedLsmStore final : public workload::KVStore {
 
   SpinLock wal_mu_{"baseline.lsm.wal"};
   size_t wal_off_ = 0;
+
+  Mutex compact_mu_{"baseline.lsm.compact"};  // one compaction at a time
 
   SpinLock blocks_mu_{"baseline.lsm.blocks"};
   std::vector<uint64_t> free_blocks_;

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -30,6 +31,11 @@ constexpr char kNsSep = '\x1f';
 // A connection whose un-drained response backlog exceeds this is closed: it
 // bounds server memory against a client that pipelines but never reads.
 constexpr size_t kMaxConnBacklogBytes = 64u << 20;
+
+// Namespace registry capacity: kNsChunks chunks of kNsChunk entries. A
+// chunk never moves once allocated, so readers index it without a lock.
+constexpr size_t kNsChunk = 1024;
+constexpr size_t kNsChunks = 4096;
 
 std::string tenant_key(std::string_view ns_name, std::string_view key) {
   std::string k;
@@ -59,50 +65,52 @@ struct Server::Impl {
   fault::FaultInjector* fault = nullptr;
   ReplHandler* repl = nullptr;
 
-  int listen_fd = -1;
-  int epoll_fd = -1;
-  int wake_fd = -1;  // stop + slow-op completion signal
+  int listen_fd = -1;  // polled by loop 0 only
   uint16_t port = 0;
 
-  std::thread loop_thread;
   std::thread slow_thread;
-  std::thread repl_thread;  // replicated-write quorum waits (never the loop)
+  std::thread repl_thread;  // replicated-write quorum waits (never a loop)
   std::atomic<bool> stopping{false};
   std::atomic<bool> crashed{false};
   std::atomic<bool> draining{false};  // drain_stop: no new conns, flush, exit
-  std::atomic<bool> drained{false};   // loop confirmed the flush completed
   bool stopped = false;  // stop() ran to completion (main thread only)
 
-  // ---- connections (loop thread only) ------------------------------------
+  struct Loop;
+
+  // ---- connections (owning loop's thread only) ----------------------------
   struct Conn {
     int fd = -1;
-    uint64_t id = 0;  // stable identity for slow-op completions
+    uint64_t id = 0;  // stable identity for off-loop completions
+    Loop* loop = nullptr;
     FrameParser parser;
     std::string out;
     size_t out_off = 0;
     bool want_write = false;
     bool closing = false;  // protocol error: flush the error frame, then close
+    int move_to = -1;      // set by OPEN_NS: hand the connection to this loop
     ShardedStore::Session* session = nullptr;
     int64_t last_active_ms = 0;  // idle-reaper clock (any inbound bytes)
   };
-  std::unordered_map<int, std::unique_ptr<Conn>> conns_by_fd;
-  std::unordered_map<uint64_t, Conn*> conns_by_id;
-  uint64_t next_conn_id = 1;
 
-  // ---- namespace registry (loop thread only) ------------------------------
+  // ---- namespace registry (shared by every loop) ---------------------------
+  // OPEN_NS registers under ns_mu; per-op lookups read the chunked table
+  // without a lock (an entry is written before ns_count publishes it).
   struct NsEntry {
     std::string name;
     int shard = 0;
   };
-  std::vector<NsEntry> namespaces;  // ns_id = index + 1 (0 = invalid)
-  std::unordered_map<std::string, uint32_t> ns_by_name;
+  Mutex ns_mu{"net.server.ns"};
+  std::unordered_map<std::string, uint32_t> ns_by_name;  // ns_mu
+  std::unique_ptr<NsEntry[]> ns_chunks[kNsChunks];       // ns_id = index + 1
+  std::atomic<uint32_t> ns_count{0};
 
-  // ---- off-loop completion queues: loop -> worker -> loop ------------------
-  // Two inputs, one completion stream. SCRUB runs on the slow worker; a
-  // replicated write's quorum wait (synchronous per-follower RPCs with
-  // reconnect backoff and timeouts) runs on its own worker so one slow or
-  // unreachable follower can never stall the event loop — the loop only
-  // performs the fast local store op and defers the ack by req_id.
+  // ---- off-loop completion queues: loop -> worker -> owning loop -----------
+  // SCRUB runs on the slow worker; a replicated write's quorum wait
+  // (synchronous per-follower RPCs with reconnect backoff and timeouts)
+  // runs on its own worker so one slow or unreachable follower can never
+  // stall a loop — the loop only performs the fast local store op and
+  // defers the ack by req_id. A completion goes to whichever loop owns the
+  // connection when it is posted.
   struct SlowReq {
     uint64_t conn_id = 0;
     uint64_t req_id = 0;
@@ -120,18 +128,47 @@ struct Server::Impl {
     uint8_t status = 0;
     std::string body;
   };
+
+  // ---- event loops ---------------------------------------------------------
+  // One per shard up to the core count; shard s is served by loop s mod N.
+  // Loop 0 also accepts. Everything but the inbox belongs to the loop's
+  // own thread.
+  struct Loop {
+    int index = 0;
+    int epoll_fd = -1;
+    int wake_fd = -1;  // stop, handoff and completion signal
+    std::thread thread;
+    std::unordered_map<int, std::unique_ptr<Conn>> conns_by_fd;
+    std::unordered_map<uint64_t, Conn*> conns_by_id;
+    // Inbox (slow_mu): connections handed over on OPEN_NS, and off-loop
+    // completions for connections this loop owns.
+    std::vector<std::unique_ptr<Conn>> adopt_in;
+    std::deque<SlowDone> done_in;
+    bool closed = false;  // the loop exited; its inbox takes nothing more
+    bool quiet = false;   // draining: nothing buffered, unflushed or queued
+
+    void wake() {
+      uint64_t v = 1;
+      // lint: allow-discard — wake loss only delays the loop one poll cycle.
+      (void)write(wake_fd, &v, sizeof(v));
+    }
+  };
+  std::vector<std::unique_ptr<Loop>> loops;
+
   Mutex slow_mu{"net.server.slow"};
   CondVar slow_cv;
   CondVar repl_cv;
   std::deque<SlowReq> slow_in;
   std::deque<ReplWait> repl_in;
-  std::deque<SlowDone> slow_out;
-  uint32_t workers_busy = 0;  // popped but not yet in slow_out (drain gate)
+  uint32_t workers_busy = 0;  // popped but not yet posted (drain gate)
+  std::unordered_map<uint64_t, int> conn_owner;  // conn id -> loop index
+  uint64_t next_conn_id = 1;                     // loop 0 (the acceptor) only
 
   // ---- metrics -------------------------------------------------------------
   obs::MetricsRegistry metrics;
   obs::Gauge* m_conns = nullptr;
   obs::Counter* m_accepts = nullptr;
+  obs::Counter* m_handoffs = nullptr;
   obs::Counter* m_requests = nullptr;
   obs::Counter* m_bytes_in = nullptr;
   obs::Counter* m_bytes_out = nullptr;
@@ -142,18 +179,21 @@ struct Server::Impl {
 
   ~Impl() { teardown_fds(); }
 
+  // After every loop thread has joined: close whatever is still open,
+  // including connections handed to a loop that exited before adopting them.
   void teardown_fds() {
-    for (auto& [fd, c] : conns_by_fd) {
-      close(fd);
-      if (c->session != nullptr) store->close_session(c->session);
-      c->session = nullptr;
+    for (auto& L : loops) {
+      for (auto& [fd, c] : L->conns_by_fd) close_conn(*c);
+      for (auto& c : L->adopt_in) close_conn(*c);
+      L->conns_by_fd.clear();
+      L->conns_by_id.clear();
+      L->adopt_in.clear();
+      if (L->epoll_fd >= 0) close(L->epoll_fd);
+      if (L->wake_fd >= 0) close(L->wake_fd);
+      L->epoll_fd = L->wake_fd = -1;
     }
-    conns_by_fd.clear();
-    conns_by_id.clear();
     if (listen_fd >= 0) close(listen_fd);
-    if (epoll_fd >= 0) close(epoll_fd);
-    if (wake_fd >= 0) close(wake_fd);
-    listen_fd = epoll_fd = wake_fd = -1;
+    listen_fd = -1;
   }
 
   Status setup() {
@@ -180,19 +220,32 @@ struct Server::Impl {
     }
     port = ntohs(addr.sin_port);
 
-    epoll_fd = epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd < 0) return Status::io_error("epoll_create1: " + std::string(strerror(errno)));
-    wake_fd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (wake_fd < 0) return Status::io_error("eventfd: " + std::string(strerror(errno)));
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = listen_fd;
-    epoll_ctl(epoll_fd, EPOLL_CTL_ADD, listen_fd, &ev);
-    ev.data.fd = wake_fd;
-    epoll_ctl(epoll_fd, EPOLL_CTL_ADD, wake_fd, &ev);
+    const int cores = std::max(1, (int)std::thread::hardware_concurrency());
+    const int nloops = std::max(1, std::min(store->num_shards(), cores));
+    for (int i = 0; i < nloops; i++) {
+      auto L = std::make_unique<Loop>();
+      L->index = i;
+      L->epoll_fd = epoll_create1(EPOLL_CLOEXEC);
+      if (L->epoll_fd < 0)
+        return Status::io_error("epoll_create1: " + std::string(strerror(errno)));
+      L->wake_fd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+      if (L->wake_fd < 0) return Status::io_error("eventfd: " + std::string(strerror(errno)));
+      epoll_event ev{};
+      ev.events = EPOLLIN;
+      ev.data.fd = L->wake_fd;
+      epoll_ctl(L->epoll_fd, EPOLL_CTL_ADD, L->wake_fd, &ev);
+      if (i == 0) {
+        ev.data.fd = listen_fd;
+        epoll_ctl(L->epoll_fd, EPOLL_CTL_ADD, listen_fd, &ev);
+      }
+      loops.push_back(std::move(L));
+    }
 
     m_conns = metrics.gauge("net_connections", "currently open client connections");
+    metrics.gauge("net_event_loops", "epoll event loop threads serving connections")->set(nloops);
     m_accepts = metrics.counter("net_accepts_total", "connections accepted");
+    m_handoffs = metrics.counter("net_handoffs_total",
+                                 "connections handed to their namespace's home-shard loop");
     m_requests = metrics.counter("net_requests_total", "request frames dispatched");
     m_bytes_in = metrics.counter("net_bytes_in_total", "bytes read from clients");
     m_bytes_out = metrics.counter("net_bytes_out_total", "bytes written to clients");
@@ -208,50 +261,103 @@ struct Server::Impl {
     return Status::ok();
   }
 
-  void wake() {
-    uint64_t v = 1;
-    // lint: allow-discard — wake loss only delays the loop one poll cycle.
-    (void)write(wake_fd, &v, sizeof(v));
+  void wake_all() {
+    for (auto& L : loops) L->wake();
   }
 
   // ---- crash gate ----------------------------------------------------------
   // The durable image froze under us (fault-plan kCrash): from here on,
   // every completed op ran on borrowed time and must NOT be acknowledged.
   // Drop all pending output and shut down — clients see a disconnect, the
-  // contract for "unacked, state unknown".
+  // contract for "unacked, state unknown". Every loop checks the same
+  // injector, and the first to see the trip stops them all.
   bool crash_tripped() { return fault != nullptr && fault->crashed(); }
   void begin_crash_shutdown() {
     crashed.store(true, std::memory_order_release);
     stopping.store(true, std::memory_order_release);
+    wake_all();
   }
 
-  // ---- per-connection plumbing (loop thread) -------------------------------
+  // ---- per-connection plumbing (owning loop's thread) ----------------------
 
-  void add_conn(int fd) {
+  // Close the socket and session of a connection no loop serves any more.
+  void close_conn(Conn& c) {
+    close(c.fd);
+    if (c.session != nullptr) store->close_session(c.session);
+    c.session = nullptr;
+    m_conns->add(-1);
+  }
+
+  // Make `L` the connection's owner: its tables and its epoll set.
+  Conn* attach(Loop& L, std::unique_ptr<Conn> owned) {
+    Conn* c = owned.get();
+    c->loop = &L;
+    c->want_write = false;
+    L.conns_by_id[c->id] = c;
+    L.conns_by_fd[c->fd] = std::move(owned);
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = c->fd;
+    epoll_ctl(L.epoll_fd, EPOLL_CTL_ADD, c->fd, &ev);
+    return c;
+  }
+
+  // Remove the connection from its loop without closing it.
+  std::unique_ptr<Conn> detach(Conn* c) {
+    Loop& L = *c->loop;
+    epoll_ctl(L.epoll_fd, EPOLL_CTL_DEL, c->fd, nullptr);
+    L.conns_by_id.erase(c->id);
+    auto it = L.conns_by_fd.find(c->fd);
+    std::unique_ptr<Conn> owned = std::move(it->second);
+    L.conns_by_fd.erase(it);
+    return owned;
+  }
+
+  void add_conn(Loop& L, int fd) {
     auto c = std::make_unique<Conn>();
     c->fd = fd;
     c->id = next_conn_id++;
     c->parser = FrameParser(cfg.max_frame_bytes);
     c->last_active_ms = now_ms();
-    Conn* raw = c.get();
-    conns_by_fd[fd] = std::move(c);
-    conns_by_id[raw->id] = raw;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev);
+    {
+      UniqueLock l(slow_mu);
+      conn_owner[c->id] = L.index;
+    }
+    attach(L, std::move(c));
     m_conns->add(1);
     m_accepts->inc();
   }
 
   void drop_conn(Conn* c) {
-    epoll_ctl(epoll_fd, EPOLL_CTL_DEL, c->fd, nullptr);
-    close(c->fd);
-    if (c->session != nullptr) store->close_session(c->session);
-    c->session = nullptr;
-    conns_by_id.erase(c->id);
-    conns_by_fd.erase(c->fd);  // frees c
-    m_conns->add(-1);
+    {
+      UniqueLock l(slow_mu);
+      conn_owner.erase(c->id);
+    }
+    std::unique_ptr<Conn> owned = detach(c);
+    close_conn(*owned);
+  }
+
+  // OPEN_NS pinned the connection to a shard another loop serves: move it
+  // there with everything it carries — the parser's unprocessed frames and
+  // the unflushed OPEN_NS response. The new owner runs those frames next,
+  // in order. Completions already posted to this loop follow it through
+  // conn_owner (drain_inbox forwards them).
+  void hand_off(Conn* c) {
+    Loop& to = *loops[(size_t)c->move_to];
+    c->move_to = -1;
+    std::unique_ptr<Conn> owned = detach(c);
+    m_handoffs->inc();
+    {
+      UniqueLock l(slow_mu);
+      if (to.closed) {
+        conn_owner.erase(owned->id);
+      } else {
+        conn_owner[owned->id] = to.index;
+        to.adopt_in.push_back(std::move(owned));
+      }
+    }
+    if (owned != nullptr) return close_conn(*owned);  // shutting down
+    to.wake();
   }
 
   void update_write_interest(Conn* c) {
@@ -261,7 +367,7 @@ struct Server::Impl {
     epoll_event ev{};
     ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
     ev.data.fd = c->fd;
-    epoll_ctl(epoll_fd, EPOLL_CTL_MOD, c->fd, &ev);
+    epoll_ctl(c->loop->epoll_fd, EPOLL_CTL_MOD, c->fd, &ev);
   }
 
   // Returns false when the connection died mid-write.
@@ -300,7 +406,27 @@ struct Server::Impl {
 
   // ---- request dispatch ----------------------------------------------------
 
-  bool ns_valid(uint32_t ns) const { return ns >= 1 && (size_t)ns <= namespaces.size(); }
+  const NsEntry* ns_entry(uint32_t ns) const {
+    if (ns == 0 || ns > ns_count.load(std::memory_order_acquire)) return nullptr;
+    size_t i = ns - 1;
+    return &ns_chunks[i / kNsChunk][i % kNsChunk];
+  }
+
+  // Look `name` up, registering it on first use; 0 when the table is full.
+  uint32_t register_ns(std::string_view name) {
+    std::string key(name);
+    UniqueLock l(ns_mu);
+    auto it = ns_by_name.find(key);
+    if (it != ns_by_name.end()) return it->second;
+    size_t i = ns_count.load(std::memory_order_relaxed);
+    if (i == kNsChunk * kNsChunks) return 0;
+    auto& chunk = ns_chunks[i / kNsChunk];
+    if (chunk == nullptr) chunk = std::make_unique<NsEntry[]>(kNsChunk);
+    chunk[i % kNsChunk] = {key, store->shard_of(key)};
+    ns_by_name.emplace(std::move(key), (uint32_t)(i + 1));
+    ns_count.store((uint32_t)(i + 1), std::memory_order_release);
+    return (uint32_t)(i + 1);
+  }
 
   void handle_open_ns(Conn* c, const Frame& f) {
     std::string_view name;
@@ -310,28 +436,30 @@ struct Server::Impl {
                      Status::invalid_argument("malformed namespace name"));
       return;
     }
-    std::string key(name);
-    uint32_t id;
-    auto it = ns_by_name.find(key);
-    if (it != ns_by_name.end()) {
-      id = it->second;
-    } else {
-      namespaces.push_back({key, store->shard_of(key)});
-      id = (uint32_t)namespaces.size();
-      ns_by_name.emplace(std::move(key), id);
+    uint32_t id = register_ns(name);
+    if (id == 0) {
+      respond_status(c, Op::kOpenNs, f.hdr.req_id,
+                     Status::out_of_space("namespace table full"));
+      return;
     }
-    const NsEntry& e = namespaces[id - 1];
+    const NsEntry& e = *ns_entry(id);
     // Affinity: pin the connection's session to its first namespace's home
     // shard (no-op routing-wise — ops use explicit placement — but the
-    // pinned session reuses that shard's private context; DESIGN.md §14).
-    if (c->session == nullptr) c->session = store->open_session(e.shard);
+    // pinned session reuses that shard's private context; DESIGN.md §14),
+    // and move the connection to the loop that serves that shard.
+    if (c->session == nullptr) {
+      c->session = store->open_session(e.shard);
+      int home = e.shard % (int)loops.size();
+      if (home != c->loop->index) c->move_to = home;
+    }
     respond(c, Op::kOpenNs, f.hdr.req_id, 0, open_ns_resp_body({id, (uint32_t)e.shard}));
   }
 
   void handle_put(Conn* c, const Frame& f) {
     uint32_t ns;
     std::string_view key, value;
-    if (!parse_put(f.body, &ns, &key, &value) || !ns_valid(ns)) {
+    const NsEntry* e = nullptr;
+    if (!parse_put(f.body, &ns, &key, &value) || (e = ns_entry(ns)) == nullptr) {
       respond_status(c, Op::kPut, f.hdr.req_id, Status::invalid_argument("bad put request"));
       return;
     }
@@ -340,8 +468,7 @@ struct Server::Impl {
                      Status::read_only("not the primary"));
       return;
     }
-    const NsEntry& e = namespaces[ns - 1];
-    Status s = store->put_on(c->session, e.shard, tenant_key(e.name, key), value.data(),
+    Status s = store->put_on(c->session, e->shard, tenant_key(e->name, key), value.data(),
                              value.size());
     if (crash_tripped()) return begin_crash_shutdown();  // never ack borrowed time
     // Replicated writes only ack once the entry reaches a quorum — awaited
@@ -355,7 +482,8 @@ struct Server::Impl {
   void handle_delete(Conn* c, const Frame& f) {
     uint32_t ns;
     std::string_view key;
-    if (!parse_key(f.body, &ns, &key) || !ns_valid(ns)) {
+    const NsEntry* e = nullptr;
+    if (!parse_key(f.body, &ns, &key) || (e = ns_entry(ns)) == nullptr) {
       respond_status(c, Op::kDelete, f.hdr.req_id,
                      Status::invalid_argument("bad delete request"));
       return;
@@ -365,8 +493,7 @@ struct Server::Impl {
                      Status::read_only("not the primary"));
       return;
     }
-    const NsEntry& e = namespaces[ns - 1];
-    Status s = store->del_on(c->session, e.shard, tenant_key(e.name, key));
+    Status s = store->del_on(c->session, e->shard, tenant_key(e->name, key));
     if (crash_tripped()) return begin_crash_shutdown();
     if (s.is_ok() && repl != nullptr)
       return defer_repl_ack(c, Op::kDelete, f.hdr.req_id);
@@ -383,67 +510,57 @@ struct Server::Impl {
     repl_cv.notify_one();
   }
 
+  // GET and GET_ZC both serve from the device mapping: one index lookup,
+  // and the value is framed straight into the connection's output buffer
+  // (one copy, onto the wire) while the ReadView's pin holds writers off.
   void handle_get(Conn* c, const Frame& f, bool zero_copy) {
     Op op = zero_copy ? Op::kGetZc : Op::kGet;
     uint32_t ns;
     std::string_view key;
-    if (!parse_key(f.body, &ns, &key) || !ns_valid(ns)) {
+    const NsEntry* e = nullptr;
+    if (!parse_key(f.body, &ns, &key) || (e = ns_entry(ns)) == nullptr) {
       respond_status(c, op, f.hdr.req_id, Status::invalid_argument("bad get request"));
       return;
     }
-    const NsEntry& e = namespaces[ns - 1];
-    std::string full = tenant_key(e.name, key);
-    if (zero_copy) {
-      // Zero-copy read path: serve straight from the arena/device mapping
-      // (one copy, onto the wire) while the ReadView's pin holds writers
-      // off. Falls back to the copying path on devices without a mapping.
-      auto view = store->get_zc_on(c->session, e.shard, full);
-      if (view.is_ok()) {
-        if (view.value().size() > cfg.max_frame_bytes) {
-          respond_status(c, op, f.hdr.req_id,
-                         Status::invalid_argument("value exceeds frame limit"));
-          return;
-        }
-        std::string body;
-        body.reserve(view.value().size());
-        for (const auto& piece : view.value().pieces()) {
-          body.append((const char*)piece.data, piece.len);
-        }
-        respond(c, op, f.hdr.req_id, 0, body);
-        return;
-      }
-      if (view.status().code() != Code::kUnsupported) {
-        respond_status(c, op, f.hdr.req_id, view.status());
-        return;
-      }
-    }
-    // Size-then-read; oget reports the full value size, so a concurrent
-    // resize between the two calls just re-sizes the buffer and retries.
-    auto size = store->object_size_on(e.shard, full);
-    if (!size.is_ok()) {
-      respond_status(c, op, f.hdr.req_id, size.status());
-      return;
-    }
-    std::string body;
-    for (uint64_t want = size.value();;) {
-      if (want > cfg.max_frame_bytes) {
+    std::string full = tenant_key(e->name, key);
+    auto view = store->get_zc_on(c->session, e->shard, full);
+    if (view.is_ok()) {
+      if (view.value().size() > cfg.max_frame_bytes) {
         respond_status(c, op, f.hdr.req_id,
                        Status::invalid_argument("value exceeds frame limit"));
         return;
       }
-      body.resize(want);
-      auto got = store->get_on(c->session, e.shard, full, body.data(), body.size());
-      if (!got.is_ok()) {
-        respond_status(c, op, f.hdr.req_id, got.status());
-        return;
+      append_frame_header(&c->out, op, f.hdr.req_id, 0, (uint32_t)view.value().size());
+      for (const auto& piece : view.value().pieces()) {
+        c->out.append((const char*)piece.data, piece.len);
       }
-      if (got.value() <= body.size()) {
-        body.resize(got.value());
-        break;
-      }
-      want = got.value();
+      return;
     }
-    respond(c, op, f.hdr.req_id, 0, body);
+    if (view.status().code() != Code::kUnsupported) {
+      respond_status(c, op, f.hdr.req_id, view.status());
+      return;
+    }
+    get_copying(c, op, f.hdr.req_id, e->shard, full);
+  }
+
+  // Devices without a direct mapping: size the value, then copy it into
+  // the output buffer behind its header. A value resized between the two
+  // calls is answered with BUSY.
+  void get_copying(Conn* c, Op op, uint64_t req_id, int shard, const std::string& full) {
+    auto size = store->object_size_on(shard, full);
+    if (!size.is_ok()) return respond_status(c, op, req_id, size.status());
+    if (size.value() > cfg.max_frame_bytes) {
+      return respond_status(c, op, req_id, Status::invalid_argument("value exceeds frame limit"));
+    }
+    const size_t at = c->out.size();
+    const size_t len = (size_t)size.value();
+    append_frame_header(&c->out, op, req_id, 0, (uint32_t)len);
+    c->out.resize(at + kHeaderBytes + len);
+    auto got = store->get_on(c->session, shard, full, c->out.data() + at + kHeaderBytes, len);
+    if (got.is_ok() && got.value() == len) return;
+    c->out.resize(at);
+    respond_status(c, op, req_id,
+                   got.is_ok() ? Status::busy("object resized during read") : got.status());
   }
 
   void handle_metrics(Conn* c, const Frame& f) {
@@ -574,7 +691,7 @@ struct Server::Impl {
   }
 
   // Drain every complete frame the parser holds. Returns false if the
-  // connection was dropped.
+  // connection was dropped or handed to another loop.
   bool process_frames(Conn* c) {
     for (;;) {
       Frame f;
@@ -590,6 +707,10 @@ struct Server::Impl {
       }
       dispatch(c, f);
       if (stopping.load(std::memory_order_acquire)) return false;
+      if (c->move_to >= 0) {
+        hand_off(c);
+        return false;
+      }
       if (c->out.size() - c->out_off > kMaxConnBacklogBytes) {
         m_frame_errors->inc();
         c->closing = true;  // client pipelines but never reads; cut it off
@@ -618,27 +739,58 @@ struct Server::Impl {
     process_frames(c);
   }
 
-  void accept_loop() {
+  void accept_loop(Loop& L) {
     for (;;) {
       int fd = accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) return;  // EAGAIN / transient
       set_nonblocking_opts(fd);
-      add_conn(fd);
+      add_conn(L, fd);
     }
   }
 
-  void deliver_slow_completions() {
-    // Same borrowed-time gate as inline ops: a completion computed after
-    // the durable image froze must not be acknowledged.
-    if (crash_tripped()) return begin_crash_shutdown();
+  // Queue a completion on the loop that owns its connection (slow_mu held).
+  // Returns that loop, to be woken once the lock is released; null when
+  // the connection is gone.
+  Loop* post_locked(SlowDone d) {
+    auto it = conn_owner.find(d.conn_id);
+    if (it == conn_owner.end()) return nullptr;  // connection died meanwhile
+    Loop* L = loops[(size_t)it->second].get();
+    if (L->closed) return nullptr;
+    L->done_in.push_back(std::move(d));
+    return L;
+  }
+
+  // The loop's inbox: adopt handed-over connections first (running the
+  // frames they carried), then deliver completions. A completion for a
+  // connection that moved on is forwarded to its current owner.
+  void drain_inbox(Loop& L) {
+    std::vector<std::unique_ptr<Conn>> adopt;
     std::deque<SlowDone> done;
     {
       UniqueLock l(slow_mu);
-      done.swap(slow_out);
+      adopt.swap(L.adopt_in);
+      done.swap(L.done_in);
+      if (!adopt.empty() || !done.empty()) L.quiet = false;
     }
+    for (auto& owned : adopt) {
+      Conn* c = attach(L, std::move(owned));
+      if (!stopping.load(std::memory_order_acquire)) process_frames(c);
+    }
+    if (done.empty() || stopping.load(std::memory_order_acquire)) return;
+    // Same borrowed-time gate as inline ops: a completion computed after
+    // the durable image froze must not be acknowledged.
+    if (crash_tripped()) return begin_crash_shutdown();
     for (SlowDone& d : done) {
-      auto it = conns_by_id.find(d.conn_id);
-      if (it == conns_by_id.end()) continue;  // connection died meanwhile
+      auto it = L.conns_by_id.find(d.conn_id);
+      if (it == L.conns_by_id.end()) {
+        Loop* owner;
+        {
+          UniqueLock l(slow_mu);
+          owner = post_locked(std::move(d));
+        }
+        if (owner != nullptr) owner->wake();
+        continue;
+      }
       Conn* c = it->second;
       m_slow_ops->inc();
       respond(c, d.op, d.req_id, d.status, d.body);
@@ -646,13 +798,13 @@ struct Server::Impl {
     }
   }
 
-  // Drop connections that sent nothing for cfg.idle_timeout_ms (loop
-  // thread; runs at most once per poll cycle).
-  void reap_idle() {
+  // Drop connections that sent nothing for cfg.idle_timeout_ms (runs at
+  // most once per poll cycle).
+  void reap_idle(Loop& L) {
     if (cfg.idle_timeout_ms == 0) return;
     int64_t cutoff = now_ms() - (int64_t)cfg.idle_timeout_ms;
     std::vector<Conn*> idle;
-    for (auto& [fd, c] : conns_by_fd) {
+    for (auto& [fd, c] : L.conns_by_fd) {
       if (c->last_active_ms < cutoff) idle.push_back(c.get());
     }
     for (Conn* c : idle) {
@@ -661,27 +813,32 @@ struct Server::Impl {
     }
   }
 
-  // Drain bookkeeping: once draining, stop accepting, finish what's
-  // buffered, and report back through `drained` when everything (requests,
-  // slow-op completions, response bytes) has left the building.
-  bool drain_complete() {
-    {
-      UniqueLock l(slow_mu);
-      if (!slow_in.empty() || !repl_in.empty() || !slow_out.empty() ||
-          workers_busy != 0)
-        return false;
+  // Drain bookkeeping, per loop: quiet once nothing this loop owns is
+  // buffered, unflushed or waiting in its inbox. drain_complete() reads
+  // every loop's flag together with the shared queues.
+  void update_quiet(Loop& L) {
+    bool quiet = true;
+    for (auto& [fd, c] : L.conns_by_fd) {
+      if (c->out_off < c->out.size() || c->parser.buffered() > 0) quiet = false;
     }
-    for (auto& [fd, c] : conns_by_fd) {
-      if (c->out_off < c->out.size() || c->parser.buffered() > 0) return false;
+    UniqueLock l(slow_mu);
+    L.quiet = quiet && L.adopt_in.empty() && L.done_in.empty();
+  }
+
+  bool drain_complete() {
+    UniqueLock l(slow_mu);
+    if (!slow_in.empty() || !repl_in.empty() || workers_busy != 0) return false;
+    for (auto& L : loops) {
+      if (!L->quiet || !L->adopt_in.empty() || !L->done_in.empty()) return false;
     }
     return true;
   }
 
-  void loop() {
+  void run_loop(Loop& L) {
     epoll_event events[256];
-    bool accepting = true;
+    bool accepting = L.index == 0;
     while (!stopping.load(std::memory_order_acquire)) {
-      int n = epoll_wait(epoll_fd, events, 256, 100);
+      int n = epoll_wait(L.epoll_fd, events, 256, 100);
       if (n < 0) {
         if (errno == EINTR) continue;
         break;
@@ -692,32 +849,33 @@ struct Server::Impl {
         begin_crash_shutdown();
         break;
       }
-      reap_idle();
-      if (draining.load(std::memory_order_acquire)) {
+      reap_idle(L);
+      const bool drain = draining.load(std::memory_order_acquire);
+      if (drain) {
         if (accepting) {
-          epoll_ctl(epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
+          epoll_ctl(L.epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
           accepting = false;
         }
-        if (drain_complete()) {
-          drained.store(true, std::memory_order_release);
-          break;
+        if (n > 0) {  // busy until this batch is done
+          UniqueLock l(slow_mu);
+          L.quiet = false;
         }
       }
       for (int i = 0; i < n && !stopping.load(std::memory_order_acquire); i++) {
         int fd = events[i].data.fd;
         if (fd == listen_fd) {
-          accept_loop();
+          if (accepting) accept_loop(L);
           continue;
         }
-        if (fd == wake_fd) {
+        if (fd == L.wake_fd) {
           uint64_t v;
           // lint: allow-discard — the wakeup itself is the payload.
-          (void)read(wake_fd, &v, sizeof(v));
-          deliver_slow_completions();
+          (void)read(L.wake_fd, &v, sizeof(v));
+          drain_inbox(L);
           continue;
         }
-        auto it = conns_by_fd.find(fd);
-        if (it == conns_by_fd.end()) continue;  // closed earlier this batch
+        auto it = L.conns_by_fd.find(fd);
+        if (it == L.conns_by_fd.end()) continue;  // closed or moved earlier this batch
         Conn* c = it->second.get();
         if (events[i].events & (EPOLLHUP | EPOLLERR)) {
           drop_conn(c);
@@ -728,21 +886,31 @@ struct Server::Impl {
         }
         if (events[i].events & EPOLLIN) on_readable(c);
       }
+      if (drain) update_quiet(L);
     }
     // Close every connection before the loop thread exits — on a crash
     // shutdown nothing will serve these fds again, and a client blocked on
     // its ack must observe EOF ("unacked, unknown") rather than hang until
-    // stop(). stop() joins this thread before its own teardown, so the two
-    // cleanups never race.
-    while (!conns_by_fd.empty()) drop_conn(conns_by_fd.begin()->second.get());
+    // stop(). Connections handed to this loop but not yet adopted are
+    // closed too, and `closed` turns away any handed over later.
+    std::vector<std::unique_ptr<Conn>> orphans;
+    {
+      UniqueLock l(slow_mu);
+      L.closed = true;
+      orphans.swap(L.adopt_in);
+      L.done_in.clear();
+      for (auto& c : orphans) conn_owner.erase(c->id);
+    }
+    for (auto& c : orphans) close_conn(*c);
+    while (!L.conns_by_fd.empty()) drop_conn(L.conns_by_fd.begin()->second.get());
   }
 
   // One off-loop worker: pop a job from `in`, run it unlocked, post its
-  // completion to slow_out and wake the loop. SCRUB and the replicated-write
-  // quorum waits each get their own worker and queue, so a scrub never
-  // delays an ack. The repl queue is FIFO per server, so one round-trip
-  // typically covers every write queued behind it (shipping drains the
-  // whole decided backlog and the watermark is monotone).
+  // completion to the owning loop and wake it. SCRUB and the
+  // replicated-write quorum waits each get their own worker and queue, so
+  // a scrub never delays an ack. The repl queue is FIFO per server, so one
+  // round-trip typically covers every write queued behind it (shipping
+  // drains the whole decided backlog and the watermark is monotone).
   template <typename Job>
   void worker_loop(std::deque<Job>& in, CondVar& cv, SlowDone (Impl::*run)(const Job&)) {
     for (;;) {
@@ -756,12 +924,13 @@ struct Server::Impl {
         workers_busy++;
       }
       SlowDone done = (this->*run)(job);
+      Loop* owner;
       {
         UniqueLock l(slow_mu);
         workers_busy--;
-        slow_out.push_back(std::move(done));
+        owner = post_locked(std::move(done));
       }
-      wake();
+      if (owner != nullptr) owner->wake();
     }
   }
 
@@ -801,7 +970,10 @@ Result<std::unique_ptr<Server>> Server::start(ShardedStore* store, ServerConfig 
   im.repl = repl;
   Status s = im.setup();
   if (!s.is_ok()) return s;
-  im.loop_thread = std::thread([&im] { im.loop(); });
+  for (auto& L : im.loops) {
+    Impl::Loop* lp = L.get();
+    L->thread = std::thread([&im, lp] { im.run_loop(*lp); });
+  }
   im.slow_thread = std::thread([&im] { im.worker_loop(im.slow_in, im.slow_cv, &Impl::run_scrub); });
   if (repl != nullptr) {
     im.repl_thread =
@@ -814,10 +986,10 @@ void Server::drain_stop(uint32_t timeout_ms) {
   Impl& im = *impl_;
   if (im.stopped) return;
   im.draining.store(true, std::memory_order_release);
-  im.wake();
+  im.wake_all();
   int64_t deadline = now_ms() + (int64_t)timeout_ms;
-  while (!im.drained.load(std::memory_order_acquire) && now_ms() < deadline &&
-         im.loop_thread.joinable()) {
+  while (!im.stopping.load(std::memory_order_acquire) && !im.drain_complete() &&
+         now_ms() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   stop();
@@ -828,13 +1000,15 @@ void Server::stop() {
   if (im.stopped) return;
   im.stopped = true;
   im.stopping.store(true, std::memory_order_release);
-  im.wake();
+  im.wake_all();
   {
     UniqueLock l(im.slow_mu);
     im.slow_cv.notify_all();
     im.repl_cv.notify_all();
   }
-  if (im.loop_thread.joinable()) im.loop_thread.join();
+  for (auto& L : im.loops) {
+    if (L->thread.joinable()) L->thread.join();
+  }
   if (im.slow_thread.joinable()) im.slow_thread.join();
   if (im.repl_thread.joinable()) im.repl_thread.join();
   im.teardown_fds();

@@ -2,17 +2,22 @@
 
 namespace dstore::net {
 
-void append_frame(std::string* out, Op op, uint64_t req_id, uint8_t status,
-                  std::string_view body) {
-  out->reserve(out->size() + kHeaderBytes + body.size());
+void append_frame_header(std::string* out, Op op, uint64_t req_id, uint8_t status,
+                         uint32_t body_len) {
+  out->reserve(out->size() + kHeaderBytes + body_len);
   put_u32(out, kMagic);
   out->push_back((char)kVersion);
   out->push_back((char)op);
   out->push_back((char)status);
   out->push_back((char)0);  // flags
   put_u64(out, req_id);
-  put_u32(out, (uint32_t)body.size());
+  put_u32(out, body_len);
   put_u32(out, 0);  // reserved
+}
+
+void append_frame(std::string* out, Op op, uint64_t req_id, uint8_t status,
+                  std::string_view body) {
+  append_frame_header(out, op, req_id, status, (uint32_t)body.size());
   out->append(body.data(), body.size());
 }
 

@@ -100,6 +100,10 @@ inline uint64_t get_u64(const uint8_t* p) {
 // Append one complete frame (header + body) to `out`.
 void append_frame(std::string* out, Op op, uint64_t req_id, uint8_t status,
                   std::string_view body);
+// Append only the header of a frame whose `body_len` body bytes the caller
+// appends next (a body gathered from several pieces, without staging it).
+void append_frame_header(std::string* out, Op op, uint64_t req_id, uint8_t status,
+                         uint32_t body_len);
 
 // Request-body builders. Key/namespace-name lengths are u16 on the wire;
 // longer names are a caller bug surfaced by the bool parsers server-side.

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "common/clock.h"
 #include "common/crc32c.h"
@@ -81,13 +82,15 @@ Result<uint64_t> BlockDevice::submit_io(const IoDesc& d) {
 // RamBlockDevice
 // ---------------------------------------------------------------------------
 
+RamBlockDevice::ZeroedBytes RamBlockDevice::zeroed_bytes(size_t n) {
+  char* p = static_cast<char*>(std::calloc(n, 1));
+  if (p == nullptr) throw std::bad_alloc();
+  return ZeroedBytes(p);
+}
+
 RamBlockDevice::RamBlockDevice(DeviceConfig cfg) : cfg_(cfg) {
-  media_ = std::make_unique<char[]>(cfg_.capacity());
-  std::memset(media_.get(), 0, cfg_.capacity());
-  if (!cfg_.power_loss_protection) {
-    cache_view_ = std::make_unique<char[]>(cfg_.capacity());
-    std::memset(cache_view_.get(), 0, cfg_.capacity());
-  }
+  media_ = zeroed_bytes(cfg_.capacity());
+  if (!cfg_.power_loss_protection) cache_view_ = zeroed_bytes(cfg_.capacity());
   if (cfg_.checksum_pages) {
     size_t npages = cfg_.capacity() / cfg_.page_size;
     tags_media_.assign(npages, 0);  // fresh media: every page unknown

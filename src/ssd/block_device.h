@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -210,9 +211,18 @@ class RamBlockDevice final : public BlockDevice {
   Status verify_view(const char* view, const std::vector<uint64_t>& tags,
                      uint64_t pos, size_t len, std::vector<uint64_t>* bad) const;
 
+  // A calloc'd buffer: large ones arrive as the kernel's zero pages, so the
+  // device writes nothing at construction and each page is first touched
+  // by the IO that lands on it.
+  struct FreeDeleter {
+    void operator()(char* p) const { std::free(p); }
+  };
+  using ZeroedBytes = std::unique_ptr<char[], FreeDeleter>;
+  static ZeroedBytes zeroed_bytes(size_t n);
+
   DeviceConfig cfg_;
-  std::unique_ptr<char[]> media_;        // durable contents
-  std::unique_ptr<char[]> cache_view_;   // current contents incl. cached writes (!plp only)
+  ZeroedBytes media_;       // durable contents
+  ZeroedBytes cache_view_;  // current contents incl. cached writes (!plp only)
   // Page-checksum sidecar, one tag per page mirroring media_/cache_view_.
   // 0 = never written (unverifiable); else (1<<32) | crc32c(page, page_idx).
   std::vector<uint64_t> tags_media_;

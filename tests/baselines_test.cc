@@ -232,6 +232,38 @@ TEST(CachedLsm, CompactionMergesRuns) {
   }
 }
 
+// Overwrite churn must not exhaust the SSD: compaction frees every block of
+// its input runs (shadowed versions included), so with blocks = 6x the live
+// set the store keeps accepting puts indefinitely.
+TEST(CachedLsm, OverwriteChurnNeverExhaustsBlocks) {
+  constexpr int kKeys = 2000;
+  constexpr int kPuts = 200000;  // about a dozen WAL-full flushes
+  CachedLsmConfig cfg;
+  cfg.num_blocks = 6 * kKeys;
+  cfg.stack_overhead_ns = 0;
+  auto store = CachedLsmStore::make(cfg, LatencyModel::none());
+  ASSERT_TRUE(store.is_ok());
+  CachedLsmStore& lsm = *store.value();
+  std::string v(4096, 'o');
+  int failed = 0;
+  for (int i = 0; i < kPuts; i++) {
+    std::memcpy(v.data(), &i, sizeof(i));
+    if (!lsm.put(nullptr, "k" + std::to_string(i % kKeys), v.data(), v.size()).is_ok()) failed++;
+  }
+  EXPECT_EQ(failed, 0);
+  EXPECT_GT(lsm.compaction_count(), 0u);
+
+  // Flushed and fully compacted, the store holds exactly one block per key.
+  lsm.prepare_run();
+  EXPECT_EQ(lsm.space_usage().ssd_bytes, (uint64_t)kKeys * 4096);
+  std::string out(4096, 0);
+  for (int k = 0; k < kKeys; k += 97) {
+    ASSERT_TRUE(lsm.get(nullptr, "k" + std::to_string(k), out.data(), out.size()).is_ok()) << k;
+    int last = kPuts - kKeys + k;  // the final put of key k
+    EXPECT_EQ(std::memcmp(out.data(), &last, sizeof(last)), 0) << k;
+  }
+}
+
 TEST(CachedLsm, DisablingCheckpointsStopsFlushes) {
   CachedLsmConfig cfg;
   cfg.memtable_limit_bytes = 32 * 1024;

@@ -8,6 +8,7 @@
 #include <netinet/in.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -488,12 +490,12 @@ struct ServerFixture {
     return std::move(c).value();
   }
 
-  // A namespace name homed on `shard` (the wire maps a namespace wholly
-  // onto shard_of(name)).
-  std::string ns_name_on_shard(int shard) {
+  // The `nth` namespace name homed on `shard` (the wire maps a namespace
+  // wholly onto shard_of(name)).
+  std::string ns_name_on_shard(int shard, int nth = 0) {
     for (int i = 0;; i++) {
       std::string name = "tenant-" + std::to_string(i);
-      if (store->shard_of(name) == shard) return name;
+      if (store->shard_of(name) == shard && nth-- == 0) return name;
     }
   }
 };
@@ -904,6 +906,255 @@ TEST(NetEndToEnd, CallTimeoutKillsTheConnectionAndCountsIt) {
 }
 
 // ---------------------------------------------------------------------------
+// One event loop per shard: handoff on OPEN_NS, completion routing, shutdown
+// ---------------------------------------------------------------------------
+
+// A raw DSTP connection: the tests below need frames pipelined into one
+// write() and the exact order of responses on the wire.
+struct RawConn {
+  int fd = -1;
+  FrameParser parser;
+
+  explicit RawConn(uint16_t port) {
+    fd = socket(AF_INET, SOCK_STREAM, 0);
+    timeval limit{10, 0};  // a lost response fails the read, not the whole run
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    EXPECT_EQ(::connect(fd, (sockaddr*)&addr, sizeof(addr)), 0);
+  }
+  ~RawConn() { close(fd); }
+
+  bool send_all(const std::string& bytes) {
+    return ::send(fd, bytes.data(), bytes.size(), 0) == (ssize_t)bytes.size();
+  }
+  bool read_frame(Frame* f) {
+    for (;;) {
+      if (parser.next(f) == FrameParser::Next::kFrame) return true;
+      char buf[4096];
+      ssize_t n = ::read(fd, buf, sizeof(buf));
+      if (n <= 0) return false;
+      parser.feed(buf, (size_t)n);
+    }
+  }
+};
+
+int64_t event_loops(Server& srv) {
+  return srv.metrics().gauge("net_event_loops", "epoll event loop threads serving connections")
+      ->value();
+}
+
+uint64_t handoffs(Server& srv) {
+  return srv.metrics()
+      .counter("net_handoffs_total", "connections handed to their namespace's home-shard loop")
+      ->value();
+}
+
+TEST(NetMultiLoop, OneLoopPerShardUpToTheCoreCount) {
+  ServerFixture fx;
+  const int cores = std::max(1, (int)std::thread::hardware_concurrency());
+  EXPECT_EQ(event_loops(*fx.server), std::min(fx.cfg.num_shards, cores));
+}
+
+// OPEN_NS and 100 PUTs in one write(): the connection moves to the loop of
+// its namespace's home shard carrying the 100 unparsed PUTs, which run
+// there in order — no loss, no reordering, responses in request order.
+TEST(NetMultiLoop, OpenNsWithPipelinedPutsMigratesWithoutLossOrReordering) {
+  ServerFixture fx;
+  RawConn conn(fx.server->port());
+  constexpr int kPuts = 100;
+  std::string out;
+  append_frame(&out, Op::kOpenNs, 1, 0, open_ns_body(fx.ns_name_on_shard(1)));
+  for (int i = 0; i < kPuts; i++) {
+    // Ten keys overwritten ten times each: only in-order execution leaves
+    // every key at its last value. A fresh server numbers namespaces from 1.
+    std::string v = "v" + std::to_string(i);
+    append_frame(&out, Op::kPut, 2 + (uint64_t)i, 0,
+                 put_body(1, "k" + std::to_string(i % 10), v.data(), v.size()));
+  }
+  ASSERT_TRUE(conn.send_all(out));
+
+  Frame f;
+  ASSERT_TRUE(conn.read_frame(&f));
+  EXPECT_EQ(f.hdr.req_id, 1u);
+  NamespaceInfo info;
+  ASSERT_TRUE(parse_open_ns_resp(f.body, &info));
+  ASSERT_EQ(info.ns_id, 1u);
+  EXPECT_EQ(info.shard, 1u);
+  for (int i = 0; i < kPuts; i++) {
+    ASSERT_TRUE(conn.read_frame(&f)) << "response " << i;
+    EXPECT_EQ(f.hdr.req_id, 2 + (uint64_t)i);
+    EXPECT_EQ(f.hdr.status, 0u);
+  }
+  // Read back over the same (migrated) connection.
+  out.clear();
+  for (int k = 0; k < 10; k++) append_frame(&out, Op::kGet, 500 + (uint64_t)k, 0,
+                                            key_body(1, "k" + std::to_string(k)));
+  ASSERT_TRUE(conn.send_all(out));
+  for (int k = 0; k < 10; k++) {
+    ASSERT_TRUE(conn.read_frame(&f));
+    EXPECT_EQ(f.hdr.req_id, 500 + (uint64_t)k);
+    EXPECT_EQ(f.body, "v" + std::to_string(90 + k));
+  }
+  if (event_loops(*fx.server) >= 2) {
+    EXPECT_EQ(handoffs(*fx.server), 1u);
+  }
+}
+
+TEST(NetMultiLoop, ConcurrentClientsOnDifferentShardsReadBack) {
+  ServerFixture fx(nullptr, pmem::Pool::Mode::kDirect, {}, /*objects_per_shard=*/1024);
+  constexpr int kClients = 4, kKeys = 150;
+  // Two tenants per shard, so each loop serves two clients at once.
+  std::vector<std::string> names;
+  for (int t = 0; t < kClients; t++) names.push_back(fx.ns_name_on_shard(t % 2, t / 2));
+  std::vector<std::thread> threads;
+  std::atomic<int> failures{0};
+  for (int t = 0; t < kClients; t++) {
+    threads.emplace_back([&, t] {
+      auto c = Client::connect("127.0.0.1", fx.server->port());
+      if (!c.is_ok()) return (void)failures++;
+      Client& cl = *c.value();
+      auto ns = cl.open_namespace(names[t]);
+      if (!ns.is_ok()) return (void)failures++;
+      auto value = [&](int k) { return names[t] + "/" + std::to_string(k) + std::string(200, 'x'); };
+      std::vector<uint64_t> ids;
+      for (int k = 0; k < kKeys; k++) {
+        std::string v = value(k);
+        auto id = cl.submit_put(ns.value().ns_id, "key" + std::to_string(k), v.data(), v.size());
+        if (!id.is_ok()) return (void)failures++;
+        ids.push_back(id.value());
+      }
+      for (uint64_t id : ids)
+        if (!cl.wait(id).is_ok()) failures++;
+      for (int k = 0; k < kKeys; k++) {
+        auto got = cl.get(ns.value().ns_id, "key" + std::to_string(k));
+        if (!got.is_ok() || got.value() != value(k)) failures++;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  // Every tenant's keys landed on its namespace's home shard.
+  std::vector<char> buf(512);
+  for (const std::string& name : names) {
+    auto r = fx.store->get_on(nullptr, fx.store->shard_of(name), name + '\x1f' + "key0",
+                              buf.data(), buf.size());
+    EXPECT_TRUE(r.is_ok()) << name << ": " << r.status().to_string();
+  }
+}
+
+// SCRUB queued before OPEN_NS completes after the connection has moved; the
+// completion must follow it to its new loop, as must one queued after.
+TEST(NetMultiLoop, ScrubCompletionsFollowTheConnectionToItsLoop) {
+  ServerFixture fx;
+  RawConn conn(fx.server->port());
+  std::string out;
+  append_frame(&out, Op::kScrub, 1, 0, "");
+  append_frame(&out, Op::kOpenNs, 2, 0, open_ns_body(fx.ns_name_on_shard(1)));
+  append_frame(&out, Op::kScrub, 3, 0, "");
+  append_frame(&out, Op::kPut, 4, 0, put_body(1, "k", "v", 1));
+  ASSERT_TRUE(conn.send_all(out));
+  std::set<uint64_t> seen;
+  Frame f;
+  for (int i = 0; i < 4; i++) {
+    ASSERT_TRUE(conn.read_frame(&f)) << "after " << seen.size() << " responses";
+    EXPECT_EQ(f.hdr.status, 0u) << "req " << f.hdr.req_id;
+    seen.insert(f.hdr.req_id);
+  }
+  EXPECT_EQ(seen, (std::set<uint64_t>{1, 2, 3, 4}));
+}
+
+// A stand-in replication node: every write is "replicated" after a short
+// delay on the server's repl worker, so each PUT's ack is deferred.
+class DelayedQuorum : public ReplHandler {
+ public:
+  ReplAck handle_append(const ReplEntryWire&) override { return {}; }
+  ReplSubscribeResult handle_subscribe(const ReplHello&) override { return {}; }
+  std::string handle_snap_pull(const ReplHello&) override { return ""; }
+  ReplAck handle_heartbeat(const Heartbeat&) override { return {}; }
+  PromoteResp handle_promote(const PromoteReq&) override { return {}; }
+  bool writable() override { return true; }
+  Status finish_write() override { return await_ticket(write_ticket()); }
+  uint64_t write_ticket() override { return ++tickets; }
+  Status await_ticket(uint64_t) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return Status::ok();
+  }
+  std::atomic<uint64_t> tickets{0};
+};
+
+TEST(NetMultiLoop, ReplicatedWriteAcksReachANonZeroLoop) {
+  ServerFixture fx;
+  fx.server->stop();
+  DelayedQuorum quorum;
+  auto srv = Server::start(fx.store.get(), ServerConfig{}, nullptr, &quorum);
+  ASSERT_TRUE(srv.is_ok()) << srv.status().to_string();
+  Server& server = *srv.value();
+
+  // Connection A registers the namespace (id 1, home shard 1). B then
+  // pipelines a PUT into it BEFORE its own OPEN_NS: that PUT's ack is
+  // deferred while B is still on loop 0, and B moves on OPEN_NS.
+  auto a = Client::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(a.is_ok());
+  auto ns = a.value()->open_namespace(fx.ns_name_on_shard(1));
+  ASSERT_TRUE(ns.is_ok());
+  ASSERT_EQ(ns.value().ns_id, 1u);
+
+  RawConn b(server.port());
+  std::string out;
+  append_frame(&out, Op::kPut, 1, 0, put_body(1, "early", "e", 1));
+  append_frame(&out, Op::kOpenNs, 2, 0, open_ns_body(fx.ns_name_on_shard(1)));
+  for (uint64_t r = 3; r < 23; r++) append_frame(&out, Op::kPut, r, 0, put_body(1, "k", "v", 1));
+  ASSERT_TRUE(b.send_all(out));
+  std::set<uint64_t> seen;
+  Frame f;
+  for (int i = 0; i < 22; i++) {
+    ASSERT_TRUE(b.read_frame(&f)) << "after " << seen.size() << " responses";
+    EXPECT_EQ(f.hdr.status, 0u) << "req " << f.hdr.req_id;
+    seen.insert(f.hdr.req_id);
+  }
+  EXPECT_EQ(seen.size(), 22u);
+  EXPECT_EQ(quorum.tickets.load(), 21u);
+  EXPECT_GE(server.metrics()
+                .counter("net_slow_ops_total",
+                         "requests completed off-loop (scrub worker, "
+                         "replicated-write quorum waits)")
+                ->value(),
+            21u);
+}
+
+// drain_stop flushes every loop's responses, then closes every connection.
+TEST(NetMultiLoop, DrainStopClosesConnectionsOnEveryLoop) {
+  ServerFixture fx;
+  std::vector<std::unique_ptr<Client>> clients;
+  std::vector<uint32_t> ns;
+  std::vector<std::vector<uint64_t>> ids(2);
+  for (int shard = 0; shard < 2; shard++) {
+    clients.push_back(fx.connect());
+    auto info = clients.back()->open_namespace(fx.ns_name_on_shard(shard));
+    ASSERT_TRUE(info.is_ok());
+    ns.push_back(info.value().ns_id);
+  }
+  for (int shard = 0; shard < 2; shard++) {
+    for (int i = 0; i < 20; i++) {
+      auto id = clients[shard]->submit_put(ns[shard], "k" + std::to_string(i), "v", 1);
+      ASSERT_TRUE(id.is_ok());
+      ids[shard].push_back(id.value());
+    }
+  }
+  // Let the requests reach the server before draining it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  fx.server->drain_stop(2000);
+  for (int shard = 0; shard < 2; shard++) {
+    for (uint64_t id : ids[shard]) EXPECT_TRUE(clients[shard]->wait(id).is_ok()) << shard;
+    EXPECT_FALSE(clients[shard]->put(ns[shard], "after", "x", 1).is_ok())
+        << "connection on shard " << shard << " survived the drain";
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Replication over the wire: the epoch fence as the divergence oracle
 // ---------------------------------------------------------------------------
 
@@ -1070,6 +1321,36 @@ TEST(NetCrashRig, KillMidCheckpointLosesNoAckedWrite) {
   auto got = c2.value()->get(ns2.value().ns_id, first_key);
   ASSERT_TRUE(got.is_ok());
   EXPECT_EQ(got.value(), first_val);
+}
+
+// The ack gate is server-wide: when a crash freezes shard 0, the loop
+// serving shard 1 stops too, and its client sees EOF rather than an ack.
+TEST(NetCrashRig, CrashShutdownClosesConnectionsOnEveryLoop) {
+  fault::FaultInjector inj;
+  ServerFixture fx(&inj, pmem::Pool::Mode::kCrashSim);
+  auto faulted = fx.connect();
+  auto other = fx.connect();
+  auto fns = faulted->open_namespace(fx.ns_name_on_shard(fx.cfg.fault_shard));
+  auto ons = other->open_namespace(fx.ns_name_on_shard(1 - fx.cfg.fault_shard));
+  ASSERT_TRUE(fns.is_ok());
+  ASSERT_TRUE(ons.is_ok());
+  ASSERT_TRUE(other->put(ons.value().ns_id, "before", "x", 1).is_ok());
+
+  inj.set_plan(fault::FaultPlan::crash_at("engine.ckpt.begin", 1));
+  inj.arm();
+  bool cut = false;
+  for (int i = 0; i < 20000 && !cut; i++) {
+    std::string val(1 + (size_t)(i % 700), 'c');
+    cut = !faulted->put(fns.value().ns_id, "obj-" + std::to_string(i), val.data(), val.size())
+               .is_ok();
+  }
+  ASSERT_TRUE(cut) << "fault plan never fired";
+  ASSERT_TRUE(inj.crashed());
+  Status s = other->put(ons.value().ns_id, "after", "x", 1);
+  EXPECT_EQ(s.code(), Code::kIoError) << "a loop kept acking after the crash";
+  fx.server->stop();
+  EXPECT_TRUE(fx.server->crashed());
+  inj.disarm();
 }
 
 #endif  // !DSTORE_FAULT_INJECTION_DISABLED

@@ -1,8 +1,10 @@
 // dstore_serverd — the DStore network daemon (DESIGN.md §15, §16).
 //
 // Hosts a ShardedStore fleet behind the DSTP wire protocol: one epoll
-// event loop, per-connection state machines, pipelined out-of-order
-// completion, per-tenant namespaces mapped onto shards. Clients are the
+// event loop per shard (up to the core count; a connection moves to its
+// namespace's home-shard loop on OPEN_NS), per-connection state machines,
+// pipelined out-of-order completion, per-tenant namespaces mapped onto
+// shards. Clients are the
 // C++ library (net::Client), the v3 C API (ds_session_open("host:port")),
 // ycsb_runner --backend=remote, and bench/failover.
 //
