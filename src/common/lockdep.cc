@@ -229,7 +229,17 @@ RoleScope::RoleScope(Role r) {
 RoleScope::~RoleScope() { tls().role = prev_; }
 
 HotOpScope::HotOpScope() { tls().hot++; }
-HotOpScope::~HotOpScope() { tls().hot--; }
+HotOpScope::~HotOpScope() {
+  if (in_) tls().hot--;
+}
+void HotOpScope::leave() {
+  if (in_) tls().hot--;
+  in_ = false;
+}
+void HotOpScope::enter() {
+  if (!in_) tls().hot++;
+  in_ = true;
+}
 
 void pre_acquire(LockState* s, bool shared) {
   ThreadLd& t = tls();

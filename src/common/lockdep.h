@@ -127,6 +127,13 @@ class HotOpScope {
   ~HotOpScope();
   HotOpScope(const HotOpScope&) = delete;
   HotOpScope& operator=(const HotOpScope&) = delete;
+  // A split op (obs::OpTrace::pause/resume) is hot only inside its halves:
+  // leave() drops the marker between them, enter() restores it.
+  void leave();
+  void enter();
+
+ private:
+  bool in_ = true;
 };
 
 #else  // !DSTORE_LOCKDEP_ENABLED — everything inlines to nothing.
@@ -154,6 +161,8 @@ class HotOpScope {
   HotOpScope() = default;
   HotOpScope(const HotOpScope&) = delete;
   HotOpScope& operator=(const HotOpScope&) = delete;
+  void leave() {}
+  void enter() {}
 };
 
 #endif  // DSTORE_LOCKDEP_ENABLED

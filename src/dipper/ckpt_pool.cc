@@ -122,7 +122,12 @@ void CheckpointPool::run_step(size_t slot) {
   // delete the engine out from under a late checkpoint_due() probe.
   bool renotify = e != nullptr && e->checkpoint_due();
   slot_running_[slot].store(false, std::memory_order_release);
-  active_steps_.fetch_sub(1, std::memory_order_seq_cst);
+  {
+    // Under mu_: a pause() between its predicate check and its wait would
+    // otherwise miss this wakeup and sleep forever.
+    MutexGuard g(mu_);
+    active_steps_.fetch_sub(1, std::memory_order_seq_cst);
+  }
   cv_.notify_all();  // pause() waits on active_steps_ == 0
   if (renotify) notify(slot);
 }
@@ -165,9 +170,12 @@ std::vector<Status> CheckpointPool::run_all(const std::function<Status(size_t)>&
 
 void CheckpointPool::help_chunks(bool stealing) {
   // chunk_helpers accounting (see run_chunks) keeps the task alive while
-  // any helper might still dereference it.
-  chunk_helpers_.fetch_add(1, std::memory_order_acq_rel);
-  ChunkTask* t = chunk_task_.load(std::memory_order_acquire);
+  // any helper might still dereference it. Both sides are seq_cst: this
+  // increment-then-load and run_chunks' clear-then-load must not reorder,
+  // or a helper could load a task whose publisher already saw no helpers
+  // and returned.
+  chunk_helpers_.fetch_add(1, std::memory_order_seq_cst);
+  ChunkTask* t = chunk_task_.load(std::memory_order_seq_cst);
   if (t != nullptr) {
     for (;;) {
       size_t i = t->next.fetch_add(1, std::memory_order_acq_rel);
@@ -208,10 +216,10 @@ void CheckpointPool::run_chunks(size_t n, const std::function<void(size_t)>& fn)
   }
   while (task.done.load(std::memory_order_acquire) < n) std::this_thread::yield();
   if (published) {
-    chunk_task_.store(nullptr, std::memory_order_release);
+    chunk_task_.store(nullptr, std::memory_order_seq_cst);
     // A helper that loaded the pointer before the clear may still be inside
     // its (empty) claim loop; wait it out before the task leaves scope.
-    while (chunk_helpers_.load(std::memory_order_acquire) > 0) std::this_thread::yield();
+    while (chunk_helpers_.load(std::memory_order_seq_cst) > 0) std::this_thread::yield();
   }
 }
 

@@ -447,7 +447,7 @@ bool Engine::scan_conflicting_write(const Key& name) const {
   return false;
 }
 
-Result<Engine::RecordHandle> Engine::reserve(const Key& name) {
+Result<Engine::RecordHandle> Engine::reserve(const Key& name, bool wait) {
   for (;;) {
     {
       MutexGuard g(log_mu_);
@@ -479,6 +479,7 @@ Result<Engine::RecordHandle> Engine::reserve(const Key& name) {
       return Status::busy("log full and checkpointing is off; run checkpoint_now()");
     }
     request_checkpoint();
+    if (!wait) return Status::busy("log full; a checkpoint has been requested");
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
 }

@@ -201,8 +201,9 @@ class Engine {
   // LSN — fixing the record's position in conflict order — inside the
   // caller's critical section; write_reserved() performs the record write
   // and its PMEM flush outside it. A reserved record MUST be written before
-  // it is committed.
-  Result<RecordHandle> reserve(const Key& name);
+  // it is committed. With wait = false a full log fails Status::busy at
+  // once (after requesting a checkpoint) instead of backpressuring.
+  Result<RecordHandle> reserve(const Key& name, bool wait = true);
   void write_reserved(const RecordHandle& h, OpType op, uint64_t arg0, uint64_t arg1,
                       const void* phys_payload = nullptr, size_t phys_len = 0);
 

@@ -885,23 +885,60 @@ Status DStore::admit(View& v, Mutation& m) {
   return Status::invalid_argument("not a mutation");
 }
 
-Status DStore::mutate(ds_ctx_t* ctx, Mutation& m) {
+DStore::WriteOp::WriteOp(DStore& store, ds_ctx_t* ctx, Mutation&& m)
+    : store_(store),
+      ctx_(ctx),
+      m_(std::move(m)),
+      v_(store.live_view()),
+      trace_(m_.op == OpType::kDelete  ? store.delete_metrics_
+             : m_.op == OpType::kWrite ? store.write_metrics_
+                                       : store.put_metrics_,
+             store.pool_) {}
+
+DStore::WriteOp::~WriteOp() {
+  // lint: allow-discard an abandoned handle still settles its record
+  if (open_) (void)finish();
+}
+
+bool DStore::WriteOp::ready() {
+  return !open_ || ioq_ == nullptr || early_ack_ || ioq_->poll() == 0;
+}
+
+Status DStore::mutate(ds_ctx_t* ctx, Mutation&& m) {
   if (read_only()) return Status::read_only("store degraded after ssd write failures");
+  WriteOp w(*this, ctx, std::move(m));
+  DSTORE_RETURN_IF_ERROR(mutate_begin(w, /*wait=*/true));
+  return w.finish();
+}
+
+Status DStore::abandon(WriteOp& w, Status s) {
+  if (w.m_.unlogged) {
+    engine_->unregister_external_write(w.m_.key);
+  } else {
+    engine_->abort(w.h_);
+  }
+  return s;
+}
+
+Status DStore::mutate_begin(WriteOp& w, bool wait) {
+  Mutation& m = w.m_;
+  View& v = w.v_;
+  obs::OpTrace& trace = w.trace_;
   const Key& k = m.key;
-  const int64_t allowed = allowed_inflight(ctx, k);
-  reap_pending(ctx);
-  View v = live_view();
-  obs::OpTrace trace(m.op == OpType::kDelete  ? delete_metrics_
-                     : m.op == OpType::kWrite ? write_metrics_
-                                              : put_metrics_,
-                     pool_);
+  const int64_t allowed = allowed_inflight(w.ctx_, k);
+  reap_pending(w.ctx_);
   // Write-write CC (§4.4): conflicting writers serialize on the log's
   // in-flight state before entering the synchronous region (step 1).
   // Readers are pre-drained here too so the in-region residual wait is
-  // ~zero.
+  // ~zero. Without `wait`, either conflict fails the op as busy instead.
   for (;;) {
-    engine_->wait_inflight_at_most(k, allowed);
-    read_counts_.wait_at_most(k, 0);
+    if (wait) {
+      engine_->wait_inflight_at_most(k, allowed);
+      read_counts_.wait_at_most(k, 0);
+    } else if (engine_->inflight_count(k) > allowed || read_counts_.load(k) > 0) {
+      trace.cancel();
+      return Status::busy("write would wait on a conflicting op");
+    }
     pipeline_mu_.lock();
     if (engine_->inflight_count(k) <= allowed) break;
     pipeline_mu_.unlock();
@@ -916,27 +953,17 @@ Status DStore::mutate(ds_ctx_t* ctx, Mutation& m) {
   // position; the in-flight marker becomes visible here. The record's PMEM
   // write happens outside the synchronous region (step 2b below). A pure
   // overwrite has no record but raises the same marker.
-  dipper::Engine::RecordHandle h;
   if (m.unlogged) {
     engine_->register_external_write(k);
   } else {
-    auto hr = engine_->reserve(k);
+    auto hr = engine_->reserve(k, wait);
     if (!hr.is_ok()) {
       pipeline_mu_.unlock();
+      if (!wait && hr.status().is_busy()) trace.cancel();
       return hr.status();
     }
-    h = hr.value();
+    w.h_ = hr.value();
   }
-  // A failed op must drop its marker: a record left in flight would wedge
-  // every later writer of this object.
-  auto abandon = [&](Status st) {
-    if (m.unlogged) {
-      engine_->unregister_external_write(k);
-    } else {
-      engine_->abort(h);
-    }
-    return st;
-  };
   // Read-write CC (§4.4): residual poll of the read count. New readers see
   // the in-flight marker and retreat; the pre-drain above already cleared
   // existing ones, so this is almost always zero iterations.
@@ -953,7 +980,7 @@ Status DStore::mutate(ds_ctx_t* ctx, Mutation& m) {
     trace.leave();
     if (!s.is_ok()) {
       pipeline_mu_.unlock();
-      return abandon(s);  // unreachable given admit's checks; fail loudly
+      return abandon(w, s);  // unreachable given admit's checks; fail loudly
     }
   }
   // The data range's blocks: a put's freshly planned ones; for an owrite,
@@ -977,21 +1004,18 @@ Status DStore::mutate(ds_ctx_t* ctx, Mutation& m) {
   // Steps 8a/2b: submit the op's data IOs through the NVMe queue-pair,
   // then persist the log record while they are in flight — the record
   // write and the data writes are independent until the commit point
-  // (step 9), so their latencies overlap instead of adding up. The queue is
-  // heap-owned so the early-ack path can park it on the context; the
-  // allocation is noise next to the device's per-IO base latency.
+  // (step 9), so their latencies overlap instead of adding up.
   const bool has_data = m.op == OpType::kPut || m.op == OpType::kWrite;
-  std::unique_ptr<ssd::IoQueue> ioq;
   Status ws;
   auto issue = [&] {
     if (has_data) {
-      ioq = std::make_unique<ssd::IoQueue>(device_, cfg_.ssd_qd);
+      w.ioq_ = std::make_unique<ssd::IoQueue>(device_, cfg_.ssd_qd);
       trace.enter(obs::kStageSsdBatch);
-      ws = submit_io_range(*ioq, bl, nbl, m.data, nullptr, m.size, m.arg1, &trace);
+      ws = submit_io_range(*w.ioq_, bl, nbl, m.data, nullptr, m.size, m.arg1, &trace);
     }
     if (!m.unlogged) {
       trace.enter(obs::kStageLogAppend);
-      engine_->write_reserved(h, m.op, m.arg0, m.arg1, m.data, m.size);
+      engine_->write_reserved(w.h_, m.op, m.arg0, m.arg1, m.data, m.size);
     }
     trace.leave();
   };
@@ -1011,6 +1035,31 @@ Status DStore::mutate(ds_ctx_t* ctx, Mutation& m) {
     pipeline_mu_.unlock();
     issue();
   }
+  w.s_ = std::move(s.is_ok() ? ws : s);
+  // A write covering the whole object re-establishes its content CRC. It is
+  // hashed now, while the data IOs are still in flight — the caller's
+  // buffer is stable until finish — so the hash overlaps the device
+  // instead of following it, and it is published only after the
+  // completions (mutate_finish).
+  w.whole_ = m.size > 0 && m.arg1 == 0 && m.size == m.arg0;
+  if (has_data) {
+    trace.enter(obs::kStageSsdBatch);
+    if (w.whole_) w.value_crc_ = crc32c(m.data, m.size);
+    trace.leave();
+  }
+  w.early_ack_ = m.op == OpType::kPut && cfg_.early_ack && w.ctx_ != nullptr &&
+                 device_->config().power_loss_protection;
+  w.open_ = true;
+  trace.pause();
+  return Status::ok();
+}
+
+Status DStore::mutate_finish(WriteOp& w) {
+  if (!w.open_) return Status::ok();  // nothing was logged (oopen lost the race)
+  w.open_ = false;
+  Mutation& m = w.m_;
+  obs::OpTrace& trace = w.trace_;
+  trace.resume();
   // Step 8b: reap the data completions (device-cache durable once acked).
   //
   // Early ack (DESIGN.md §13, puts only): with a PLP device, every
@@ -1020,54 +1069,41 @@ Status DStore::mutate(ds_ctx_t* ctx, Mutation& m) {
   // the latency wait, commit now, and park the queue on the context;
   // anything else (a failure already posted, no context, no PLP) takes the
   // synchronous reap with its bounded-retry policy.
-  //
-  // A write covering the whole object re-establishes its content CRC. It is
-  // hashed before the reap, while the data IOs are still in flight — the
-  // caller's buffer is stable for the whole call, so the hash overlaps the
-  // device instead of following it — and published only after the
-  // completions (below).
-  const bool whole = m.size > 0 && m.arg1 == 0 && m.size == m.arg0;
-  uint32_t value_crc = 0;
+  Status s = std::move(w.s_);
   bool parked = false;
-  if (has_data) {
+  if (w.ioq_ != nullptr && s.is_ok()) {
     trace.enter(obs::kStageSsdBatch);
-    if (whole) value_crc = crc32c(m.data, m.size);
-    const bool early_ack = m.op == OpType::kPut && cfg_.early_ack && ctx != nullptr &&
-                           device_->config().power_loss_protection;
-    if (s.is_ok() && ws.is_ok()) {
-      if (early_ack && !ioq->any_failed()) {
-        trace.add_io(ioq->size(), ioq->resubmits());
-        parked = true;
-      } else {
-        ws = finish_io(*ioq, /*is_write=*/true, &trace);
-      }
+    if (w.early_ack_ && !w.ioq_->any_failed()) {
+      trace.add_io(w.ioq_->size(), w.ioq_->resubmits());
+      parked = true;
+    } else {
+      s = finish_io(*w.ioq_, /*is_write=*/true, &trace);
     }
   }
-  if (s.is_ok()) s = ws;
-  if (!s.is_ok()) return abandon(s);
+  if (!s.is_ok()) return abandon(w, s);
   // Publish the whole-object content CRC — the tier that catches internally
   // consistent stale pages (lost and misdirected writes) the per-page
   // sidecar cannot see — now that the bytes it covers have landed. Partial
   // writes leave it invalid. Frontend-only: replay has no data bytes, so
   // shadow entries keep data_crc_valid = 0.
-  if (whole) {
-    MetaEntry* e = v.zone.entry(m.plan.meta_idx);
-    e->data_crc = value_crc;
+  if (w.whole_) {
+    MetaEntry* e = w.v_.zone.entry(m.plan.meta_idx);
+    e->data_crc = w.value_crc_;
     e->data_crc_valid = 1;
-    v.zone.seal_entry(m.plan.meta_idx);
+    w.v_.zone.seal_entry(m.plan.meta_idx);
   }
   // Step 9: commit — the op is durable from here on.
-  uint64_t ticket = repl_prepare(cfg_, engine_.get(), m.unlogged ? nullptr : &h, m.op, k, m.data,
-                                 m.size, m.arg0, m.arg1);
+  uint64_t ticket = repl_prepare(cfg_, engine_.get(), m.unlogged ? nullptr : &w.h_, m.op, m.key,
+                                 m.data, m.size, m.arg0, m.arg1);
   if (m.unlogged) {
-    engine_->unregister_external_write(k);
+    engine_->unregister_external_write(m.key);
   } else {
     trace.enter(obs::kStageCommitFlush);
-    engine_->commit(h);
+    engine_->commit(w.h_);
   }
   trace.leave();
   if (ticket != 0) cfg_.repl_sink->commit(ticket);
-  if (parked) ctx->pending_io.push_back(std::move(ioq));
+  if (parked) w.ctx_->pending_io.push_back(std::move(w.ioq_));
   trace.succeed();
   return Status::ok();
 }
@@ -1076,14 +1112,35 @@ Status DStore::mutate(ds_ctx_t* ctx, Mutation& m) {
 // Key-value API
 // ---------------------------------------------------------------------------
 
-Status DStore::oput(ds_ctx_t* ctx, std::string_view name, const void* value, size_t size) {
+namespace {
+Status check_put_args(std::string_view name, const void* value, size_t size) {
   if (!Key::fits(name)) return Status::invalid_argument("name too long");
   if (size > 0 && value == nullptr) return Status::invalid_argument("null value");
+  return Status::ok();
+}
+}  // namespace
+
+DStore::Mutation DStore::put_mutation(std::string_view name, const void* value, size_t size) {
   Mutation m{OpType::kPut, Key::from(name)};
   m.arg0 = size;
   m.data = value;
   m.size = size;
-  return mutate(ctx, m);
+  return m;
+}
+
+Status DStore::oput(ds_ctx_t* ctx, std::string_view name, const void* value, size_t size) {
+  DSTORE_RETURN_IF_ERROR(check_put_args(name, value, size));
+  return mutate(ctx, put_mutation(name, value, size));
+}
+
+Result<std::unique_ptr<DStore::WriteOp>> DStore::oput_begin(ds_ctx_t* ctx, std::string_view name,
+                                                            const void* value, size_t size,
+                                                            bool wait) {
+  DSTORE_RETURN_IF_ERROR(check_put_args(name, value, size));
+  if (read_only()) return Status::read_only("store degraded after ssd write failures");
+  std::unique_ptr<WriteOp> w(new WriteOp(*this, ctx, put_mutation(name, value, size)));
+  DSTORE_RETURN_IF_ERROR(mutate_begin(*w, wait));
+  return w;
 }
 
 Result<size_t> DStore::oget(ds_ctx_t* ctx, std::string_view name, void* buf, size_t buf_cap) {
@@ -1194,8 +1251,7 @@ Result<DStore::ReadView> DStore::oget_zc(ds_ctx_t* ctx, std::string_view name) {
 
 Status DStore::odelete(ds_ctx_t* ctx, std::string_view name) {
   if (!Key::fits(name)) return Status::invalid_argument("name too long");
-  Mutation m{OpType::kDelete, Key::from(name)};
-  return mutate(ctx, m);
+  return mutate(ctx, Mutation{OpType::kDelete, Key::from(name)});
 }
 
 // ---------------------------------------------------------------------------
@@ -1214,8 +1270,7 @@ Result<Object*> DStore::oopen(ds_ctx_t* ctx, std::string_view name, size_t /*siz
     if ((mode & kCreate) == 0) return Status::not_found(k.str());
     // Create path: a logged metadata operation (§4.3: "log records for
     // oopen ... are only written if they modify any metadata").
-    Mutation m{OpType::kCreate, k};
-    DSTORE_RETURN_IF_ERROR(mutate(ctx, m));
+    DSTORE_RETURN_IF_ERROR(mutate(ctx, Mutation{OpType::kCreate, k}));
   }
   auto* obj = new Object{this, k, mode, ctx};
   open_objects_.fetch_add(1, std::memory_order_relaxed);
@@ -1252,7 +1307,7 @@ Result<size_t> DStore::owrite(Object* object, const void* buf, size_t size, uint
   m.arg1 = offset;  // admit() sets arg0, the new size
   m.data = buf;
   m.size = size;
-  DSTORE_RETURN_IF_ERROR(mutate(object->ctx, m));
+  DSTORE_RETURN_IF_ERROR(mutate(object->ctx, std::move(m)));
   return size;
 }
 

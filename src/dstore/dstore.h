@@ -28,7 +28,12 @@
 //     CRC into the metadata entry
 //   9 commit and flush the log record  → op is durable
 // Each op supplies only its record type and args, its data range, and its
-// metadata steps (phase1 = steps 3-4, phase2 = steps 6-7).
+// metadata steps (phase1 = steps 3-4, phase2 = steps 6-7). The pipeline is
+// split at the device wait: mutate_begin() runs steps 1-7 plus the IO
+// submit and the content hash, mutate_finish() the reap, the CRC publish
+// and step 9. A synchronous op runs both back to back; oput_begin() hands
+// the in-flight op (a WriteOp) to a caller that finishes it later, so one
+// thread can keep many puts in flight (the served path, DESIGN.md §15.2).
 //
 // Replay (checkpoint/recovery) is one sequential loop that runs steps 3-4
 // and 6-7 from the log with the SAME phase functions, against a shadow
@@ -197,6 +202,23 @@ class DStore final : public dipper::SpaceClient {
   // ---- key-value API ------------------------------------------------------
   // Store `size` bytes under `name` (insert or overwrite).
   Status oput(ds_ctx_t* ctx, std::string_view name, const void* value, size_t size);
+
+  // The same put split at its device wait (DESIGN.md §9). oput_begin runs
+  // the put up to its SSD wait — conflict check, synchronous region, log
+  // record, metadata and btree, data IO submit, content hash — and returns
+  // the in-flight op; WriteOp::finish() reaps the IOs, commits and returns
+  // the put's status. oput() is exactly begin followed by finish. `value`
+  // must stay valid until finish() returns.
+  //
+  // Until it is finished, the op holds off readers and writers of `name`
+  // and the next checkpoint's drain. A caller that holds unfinished ops
+  // must therefore never block on another thread: it begins with
+  // wait = false, which fails with Status::busy (counting no op) wherever
+  // oput would wait — on an in-flight writer or a reader of `name`, or on
+  // a full log — and finishes what it holds before retrying with wait.
+  class WriteOp;
+  Result<std::unique_ptr<WriteOp>> oput_begin(ds_ctx_t* ctx, std::string_view name,
+                                              const void* value, size_t size, bool wait);
   // Fetch the value; copies min(buf_cap, value_size) bytes and returns the
   // full value size.
   Result<size_t> oget(ds_ctx_t* ctx, std::string_view name, void* buf, size_t buf_cap);
@@ -392,9 +414,21 @@ class DStore final : public dipper::SpaceClient {
     bool done = false;      // oopen(kCreate) lost the race: nothing to log
     Plan plan;
   };
-  // The one §4.3/§4.4 pipeline: conflict wait, synchronous region, record
-  // reserve, phases, data IO, early ack, abort or commit, replication.
-  Status mutate(ds_ctx_t* ctx, Mutation& m);
+  static Mutation put_mutation(std::string_view name, const void* value, size_t size);
+  // The one §4.3/§4.4 pipeline, run synchronously: mutate_begin then
+  // mutate_finish.
+  Status mutate(ds_ctx_t* ctx, Mutation&& m);
+  // First half: conflict wait (or busy, without `wait`), synchronous
+  // region, record reserve, phases 1-2, data IO submit, log record
+  // persist, content hash. A failure is settled here; success leaves `w`
+  // open for mutate_finish.
+  Status mutate_begin(WriteOp& w, bool wait);
+  // Second half: reap (with retries) or early-ack park, CRC publish,
+  // replication prepare, commit or abort.
+  Status mutate_finish(WriteOp& w);
+  // Drop a failed op's in-flight marker: a record left in flight would
+  // wedge every later writer of the object.
+  Status abandon(WriteOp& w, Status s);
   // Capacity and existence checks under the pipeline lock, before the
   // append: an appended record must never fail.
   Status admit(View& v, Mutation& m);
@@ -502,6 +536,43 @@ class DStore final : public dipper::SpaceClient {
   obs::Counter* integrity_repairs_ = nullptr;      // healed from the log copy
   obs::Counter* integrity_quarantined_ = nullptr;  // pages quarantined
   obs::Counter* scrub_pages_verified_ = nullptr;
+};
+
+// One mutation between the two halves of the write pipeline: it owns the
+// op's Mutation, View, trace, log record handle and IO queue.
+class DStore::WriteOp {
+ public:
+  ~WriteOp();  // finishes an op its owner never finished (status dropped)
+  WriteOp(const WriteOp&) = delete;
+  WriteOp& operator=(const WriteOp&) = delete;
+
+  // True once finish() will not wait on the device: every data IO has
+  // completed (or the put early-acks). Never blocks.
+  bool ready();
+  // The second half; returns the op's status. Call it once, on any thread.
+  // The op's trace publishes here, not when the handle is destroyed.
+  Status finish() {
+    Status s = store_.mutate_finish(*this);
+    trace_.finish();
+    return s;
+  }
+
+ private:
+  friend class DStore;
+  WriteOp(DStore& store, ds_ctx_t* ctx, Mutation&& m);
+
+  DStore& store_;
+  ds_ctx_t* ctx_;
+  Mutation m_;
+  View v_;
+  obs::OpTrace trace_;
+  dipper::Engine::RecordHandle h_;
+  std::unique_ptr<ssd::IoQueue> ioq_;  // heap-owned so early ack can park it
+  Status s_;                           // first failure of phase 2 or the submit
+  uint32_t value_crc_ = 0;             // whole-object writes: the content CRC
+  bool whole_ = false;                 // the data covers the whole object
+  bool early_ack_ = false;             // commit without the reap (§13)
+  bool open_ = false;                  // begun; mutate_finish must settle it
 };
 
 // Open-object handle (stateful filesystem API). Obtained from oopen(),

@@ -66,28 +66,15 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::create(ShardedConfig cfg) {
   s->pool_ = std::make_unique<dipper::CheckpointPool>(
       dipper::CheckpointPool::Config{.workers = cfg.ckpt_workers}, (size_t)cfg.num_shards);
   s->shards_.resize(cfg.num_shards);
-  for (int i = 0; i < cfg.num_shards; i++) {
-    Shard& sh = s->shards_[i];
-    DStoreConfig scfg = s->shard_config(i);
-    sh.pool = std::make_unique<pmem::Pool>(DStoreConfig::required_pool_bytes(scfg),
-                                           cfg.pool_mode, cfg.latency);
-    ssd::DeviceConfig dc;
-    dc.num_blocks = scfg.num_blocks;
-    dc.latency = cfg.latency;
-    sh.device = std::make_unique<ssd::RamBlockDevice>(dc);
-    if (cfg.fault != nullptr && (cfg.fault_all_shards || i == cfg.fault_shard)) {
-      sh.pool->set_fault_injector(cfg.fault);
-      sh.device->set_fault_injector(cfg.fault);
-    }
-    auto store = DStore::create(sh.pool.get(), sh.device.get(), scfg);
-    if (!store.is_ok()) return store.status();
-    sh.store = std::move(store).value();
-    sh.ctx = sh.store->ds_init();
-    s->pool_->set_engine((size_t)i, &sh.store->engine());
+  // Build the shards concurrently on the pool's workers and this thread,
+  // as recovery does; the workers start first so there are some to help.
+  s->pool_->start();
+  ShardedStore* self = s.get();
+  for (const Status& st : s->pool_->run_all([self](size_t i) { return self->create_shard(i); })) {
+    DSTORE_RETURN_IF_ERROR(st);
   }
 
   dipper::CheckpointPool* p = s->pool_.get();
-  ShardedStore* self = s.get();
   s->own_metrics_.gauge_fn("sharded_ckpt_workers", "checkpoint pool worker threads",
                            [p] { return (double)p->workers(); });
   s->own_metrics_.gauge_fn("sharded_ckpt_queue_depth",
@@ -108,8 +95,28 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::create(ShardedConfig cfg) {
   s->own_metrics_.gauge_fn("sharded_recovery_wall_ms",
                            "last crash_and_recover_all() wall clock (ms)",
                            [self] { return (double)self->last_recovery_.wall_ns / 1e6; });
-  s->pool_->start();
   return s;
+}
+
+Status ShardedStore::create_shard(size_t i) {
+  Shard& sh = shards_[i];
+  DStoreConfig scfg = shard_config((int)i);
+  sh.pool = std::make_unique<pmem::Pool>(DStoreConfig::required_pool_bytes(scfg), cfg_.pool_mode,
+                                         cfg_.latency);
+  ssd::DeviceConfig dc;
+  dc.num_blocks = scfg.num_blocks;
+  dc.latency = cfg_.latency;
+  sh.device = std::make_unique<ssd::RamBlockDevice>(dc);
+  if (cfg_.fault != nullptr && (cfg_.fault_all_shards || (int)i == cfg_.fault_shard)) {
+    sh.pool->set_fault_injector(cfg_.fault);
+    sh.device->set_fault_injector(cfg_.fault);
+  }
+  auto store = DStore::create(sh.pool.get(), sh.device.get(), scfg);
+  if (!store.is_ok()) return store.status();
+  sh.store = std::move(store).value();
+  sh.ctx = sh.store->ds_init();
+  pool_->set_engine(i, &sh.store->engine());
+  return Status::ok();
 }
 
 ShardedStore::~ShardedStore() {
@@ -207,6 +214,15 @@ Status ShardedStore::put_on(Session* s, int shard, std::string_view name, const 
   if (shard < 0 || shard >= cfg_.num_shards) return Status::invalid_argument("shard out of range");
   Shard& sh = shards_[shard];
   return sh.store->oput(s != nullptr ? s->ctx_[shard] : sh.ctx, name, value, size);
+}
+
+Result<std::unique_ptr<DStore::WriteOp>> ShardedStore::put_begin_on(Session* s, int shard,
+                                                                    std::string_view name,
+                                                                    const void* value, size_t size,
+                                                                    bool wait) {
+  if (shard < 0 || shard >= cfg_.num_shards) return Status::invalid_argument("shard out of range");
+  Shard& sh = shards_[shard];
+  return sh.store->oput_begin(s != nullptr ? s->ctx_[shard] : sh.ctx, name, value, size, wait);
 }
 
 Result<size_t> ShardedStore::get_on(Session* s, int shard, std::string_view name, void* buf,

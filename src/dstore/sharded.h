@@ -14,8 +14,8 @@
 // private pool each, the shards' engines notify the fleet's pool at the
 // watermark and K shared workers (with work stealing of bulk-pass chunks)
 // service them.
-// checkpoint_all() and crash_and_recover_all() fan out across the same
-// workers.
+// create(), checkpoint_all() and crash_and_recover_all() fan out across
+// the same workers.
 #pragma once
 
 #include <memory>
@@ -118,6 +118,11 @@ class ShardedStore {
   // null session routes through the shared per-shard context. `shard` must
   // be in [0, num_shards).
   Status put_on(Session* s, int shard, std::string_view name, const void* value, size_t size);
+  // The put_on write left in flight at its device wait (DStore::oput_begin,
+  // including what `wait` = false means); finish() the returned op.
+  Result<std::unique_ptr<DStore::WriteOp>> put_begin_on(Session* s, int shard,
+                                                        std::string_view name, const void* value,
+                                                        size_t size, bool wait);
   Result<size_t> get_on(Session* s, int shard, std::string_view name, void* buf, size_t cap);
   Status del_on(Session* s, int shard, std::string_view name);
   // Zero-copy read on an explicit shard (Status::unsupported on devices
@@ -175,6 +180,7 @@ class ShardedStore {
   };
 
   DStoreConfig shard_config(int shard_idx) const;
+  Status create_shard(size_t i);
   Status recover_shard(size_t i, const DStoreConfig& scfg);
   double max_log_fill() const;
 

@@ -32,6 +32,10 @@ constexpr char kNsSep = '\x1f';
 // bounds server memory against a client that pipelines but never reads.
 constexpr size_t kMaxConnBacklogBytes = 64u << 20;
 
+// Puts one loop keeps in flight between their begin and finish halves.
+// Past it, a new put first waits for an older one's device completions.
+constexpr size_t kMaxPendingPuts = 64;
+
 // Namespace registry capacity: kNsChunks chunks of kNsChunk entries. A
 // chunk never moves once allocated, so readers index it without a lock.
 constexpr size_t kNsChunk = 1024;
@@ -88,8 +92,19 @@ struct Server::Impl {
     bool want_write = false;
     bool closing = false;  // protocol error: flush the error frame, then close
     int move_to = -1;      // set by OPEN_NS: hand the connection to this loop
+    bool touched = false;  // queued on its loop's flush list by a completion pass
+    uint32_t pending_puts = 0;  // its puts in the loop's pending list
     ShardedStore::Session* session = nullptr;
     int64_t last_active_ms = 0;  // idle-reaper clock (any inbound bytes)
+  };
+
+  // A put between its begin and finish halves. The frame body owns the
+  // key and value bytes the in-flight op reads until it is finished.
+  struct PendingPut {
+    Conn* conn = nullptr;
+    uint64_t req_id = 0;
+    std::string body;
+    std::unique_ptr<DStore::WriteOp> op;
   };
 
   // ---- namespace registry (shared by every loop) ---------------------------
@@ -140,6 +155,11 @@ struct Server::Impl {
     std::thread thread;
     std::unordered_map<int, std::unique_ptr<Conn>> conns_by_fd;
     std::unordered_map<uint64_t, Conn*> conns_by_id;
+    // Puts begun on this loop and not yet finished, oldest first (at most
+    // kMaxPendingPuts), and the ids of connections a completion pass
+    // queued acks on, to flush once each.
+    std::vector<std::unique_ptr<PendingPut>> pending;
+    std::vector<uint64_t> touched;
     // Inbox (slow_mu): connections handed over on OPEN_NS, and off-loop
     // completions for connections this loop owns.
     std::vector<std::unique_ptr<Conn>> adopt_in;
@@ -176,6 +196,7 @@ struct Server::Impl {
   obs::Counter* m_slow_ops = nullptr;
   obs::Counter* m_heartbeats = nullptr;
   obs::Counter* m_idle_reaped = nullptr;
+  obs::Gauge* m_puts_in_flight = nullptr;
 
   ~Impl() { teardown_fds(); }
 
@@ -258,6 +279,8 @@ struct Server::Impl {
                                    "HEARTBEAT frames answered");
     m_idle_reaped = metrics.counter("net_idle_reaped_total",
                                     "connections dropped by the idle reaper");
+    m_puts_in_flight = metrics.gauge("net_puts_in_flight",
+                                     "puts begun and not yet finished, summed over loops");
     return Status::ok();
   }
 
@@ -293,6 +316,7 @@ struct Server::Impl {
     Conn* c = owned.get();
     c->loop = &L;
     c->want_write = false;
+    c->touched = false;
     L.conns_by_id[c->id] = c;
     L.conns_by_fd[c->fd] = std::move(owned);
     epoll_event ev{};
@@ -329,6 +353,8 @@ struct Server::Impl {
   }
 
   void drop_conn(Conn* c) {
+    // Its session's contexts must outlive its in-flight puts.
+    if (c->pending_puts > 0) finish_puts(*c->loop, /*all=*/true);
     {
       UniqueLock l(slow_mu);
       conn_owner.erase(c->id);
@@ -455,28 +481,103 @@ struct Server::Impl {
     respond(c, Op::kOpenNs, f.hdr.req_id, 0, open_ns_resp_body({id, (uint32_t)e.shard}));
   }
 
-  void handle_put(Conn* c, const Frame& f) {
-    uint32_t ns;
+  // Begin a put and leave it in flight at its device wait; a completion
+  // pass (finish_puts) acks it. A loop holding pending puts must not block
+  // (server.h), so the begin does not wait; a busy begin first finishes
+  // the loop's puts, then waits like a synchronous put.
+  void handle_put(Conn* c, Frame& f) {
+    auto p = std::make_unique<PendingPut>();
+    p->conn = c;
+    p->req_id = f.hdr.req_id;
+    p->body = std::move(f.body);
+    uint32_t ns = 0;
     std::string_view key, value;
     const NsEntry* e = nullptr;
-    if (!parse_put(f.body, &ns, &key, &value) || (e = ns_entry(ns)) == nullptr) {
-      respond_status(c, Op::kPut, f.hdr.req_id, Status::invalid_argument("bad put request"));
+    if (!parse_put(p->body, &ns, &key, &value) || (e = ns_entry(ns)) == nullptr) {
+      respond_status(c, Op::kPut, p->req_id, Status::invalid_argument("bad put request"));
       return;
     }
     if (repl != nullptr && !repl->writable()) {
-      respond_status(c, Op::kPut, f.hdr.req_id,
-                     Status::read_only("not the primary"));
+      respond_status(c, Op::kPut, p->req_id, Status::read_only("not the primary"));
       return;
     }
-    Status s = store->put_on(c->session, e->shard, tenant_key(e->name, key), value.data(),
-                             value.size());
-    if (crash_tripped()) return begin_crash_shutdown();  // never ack borrowed time
-    // Replicated writes only ack once the entry reaches a quorum — awaited
-    // on the repl worker, never here: blocking the loop on follower RPCs
-    // would stall every connection behind one slow peer.
-    if (s.is_ok() && repl != nullptr)
-      return defer_repl_ack(c, Op::kPut, f.hdr.req_id);
-    respond_status(c, Op::kPut, f.hdr.req_id, s);
+    Loop& L = *c->loop;
+    while (L.pending.size() >= kMaxPendingPuts) finish_puts(L, /*all=*/false);
+    const std::string full = tenant_key(e->name, key);
+    auto begin = [&](bool wait) {
+      return store->put_begin_on(c->session, e->shard, full, value.data(), value.size(), wait);
+    };
+    auto op = begin(/*wait=*/L.pending.empty());
+    if (!op.is_ok() && op.status().is_busy() && !L.pending.empty()) {
+      finish_puts(L, /*all=*/true);
+      if (stopping.load(std::memory_order_acquire)) return;
+      op = begin(/*wait=*/true);
+    }
+    if (!op.is_ok()) {
+      if (crash_tripped()) return begin_crash_shutdown();  // never ack borrowed time
+      respond_status(c, Op::kPut, p->req_id, op.status());
+      return;
+    }
+    p->op = std::move(op).value();
+    c->pending_puts++;
+    m_puts_in_flight->add(1);
+    L.pending.push_back(std::move(p));
+  }
+
+  // Finish pending puts, oldest first, and queue their acks: every one
+  // when `all` (the loop is about to run an op that may block, or must
+  // follow them), else only those whose IOs have all completed. Never
+  // flushes or drops a connection — process_frames may be walking one;
+  // flush_touched() sends the acks. With `ack` false (loop exit) the puts
+  // are settled and nothing is acknowledged.
+  void finish_puts(Loop& L, bool all, bool ack = true) {
+    size_t kept = 0;
+    for (size_t i = 0; i < L.pending.size(); i++) {
+      PendingPut& p = *L.pending[i];
+      if (!all && !p.op->ready()) {
+        if (kept != i) L.pending[kept] = std::move(L.pending[i]);
+        kept++;
+        continue;
+      }
+      Status s = p.op->finish();
+      // The replication ticket is thread-local to the finish that made it.
+      const uint64_t ticket = s.is_ok() && repl != nullptr ? repl->write_ticket() : 0;
+      m_puts_in_flight->sub(1);
+      p.conn->pending_puts--;
+      if (ack && crash_tripped()) {  // never ack borrowed time
+        begin_crash_shutdown();
+        ack = false;
+      }
+      if (!ack) continue;
+      // Replicated writes only ack once the entry reaches a quorum —
+      // awaited on the repl worker, never here: blocking the loop on
+      // follower RPCs would stall every connection behind one slow peer.
+      if (s.is_ok() && repl != nullptr) {
+        defer_repl_ack(p.conn, Op::kPut, p.req_id, ticket);
+        continue;
+      }
+      respond_status(p.conn, Op::kPut, p.req_id, s);
+      if (!p.conn->touched) {
+        p.conn->touched = true;
+        L.touched.push_back(p.conn->id);
+      }
+    }
+    L.pending.resize(kept);
+  }
+
+  // Flush each connection a completion pass queued acks on, once. A flush
+  // may drop its connection, and the drop may finish (and ack) more puts.
+  void flush_touched(Loop& L) {
+    while (!L.touched.empty()) {
+      std::vector<uint64_t> ids;
+      ids.swap(L.touched);
+      for (uint64_t id : ids) {
+        auto it = L.conns_by_id.find(id);
+        if (it == L.conns_by_id.end()) continue;  // dropped or handed off since
+        it->second->touched = false;
+        flush_conn(it->second);
+      }
+    }
   }
 
   void handle_delete(Conn* c, const Frame& f) {
@@ -496,15 +597,14 @@ struct Server::Impl {
     Status s = store->del_on(c->session, e->shard, tenant_key(e->name, key));
     if (crash_tripped()) return begin_crash_shutdown();
     if (s.is_ok() && repl != nullptr)
-      return defer_repl_ack(c, Op::kDelete, f.hdr.req_id);
+      return defer_repl_ack(c, Op::kDelete, f.hdr.req_id, repl->write_ticket());
     respond_status(c, Op::kDelete, f.hdr.req_id, s);
   }
 
-  // Hand a completed store mutation to the repl worker: the ticket is
-  // claimed HERE (same thread as the store op — it is thread-local), the
-  // quorum wait and the ack happen off-loop, matched back by req_id.
-  void defer_repl_ack(Conn* c, Op op, uint64_t req_id) {
-    uint64_t ticket = repl->write_ticket();
+  // Hand a completed store mutation to the repl worker: the caller claims
+  // the ticket on the thread that ran the store op (it is thread-local);
+  // the quorum wait and the ack happen off-loop, matched back by req_id.
+  void defer_repl_ack(Conn* c, Op op, uint64_t req_id, uint64_t ticket) {
     UniqueLock l(slow_mu);
     repl_in.push_back({c->id, req_id, op, ticket});
     repl_cv.notify_one();
@@ -661,8 +761,15 @@ struct Server::Impl {
     respond(c, Op::kPromote, f.hdr.req_id, 0, promote_resp_body(r));
   }
 
-  void dispatch(Conn* c, const Frame& f) {
+  void dispatch(Conn* c, Frame& f) {
     m_requests->inc();
+    // Any op but PUT may block (a GET of a pending key waits for its
+    // commit) and must see the connection's earlier puts: finish the
+    // loop's pending puts first.
+    if (f.hdr.op != Op::kPut && !c->loop->pending.empty()) {
+      finish_puts(*c->loop, /*all=*/true);
+      if (stopping.load(std::memory_order_acquire)) return;
+    }
     switch (f.hdr.op) {
       case Op::kOpenNs: return handle_open_ns(c, f);
       case Op::kPut: return handle_put(c, f);
@@ -822,7 +929,7 @@ struct Server::Impl {
       if (c->out_off < c->out.size() || c->parser.buffered() > 0) quiet = false;
     }
     UniqueLock l(slow_mu);
-    L.quiet = quiet && L.adopt_in.empty() && L.done_in.empty();
+    L.quiet = quiet && L.pending.empty() && L.adopt_in.empty() && L.done_in.empty();
   }
 
   bool drain_complete() {
@@ -838,7 +945,9 @@ struct Server::Impl {
     epoll_event events[256];
     bool accepting = L.index == 0;
     while (!stopping.load(std::memory_order_acquire)) {
-      int n = epoll_wait(L.epoll_fd, events, 256, 100);
+      // With puts in flight the loop polls, so their completions are
+      // reaped as soon as the device posts them.
+      int n = epoll_wait(L.epoll_fd, events, 256, L.pending.empty() ? 100 : 0);
       if (n < 0) {
         if (errno == EINTR) continue;
         break;
@@ -886,8 +995,17 @@ struct Server::Impl {
         }
         if (events[i].events & EPOLLIN) on_readable(c);
       }
+      if (stopping.load(std::memory_order_acquire)) break;
+      // Completion pass: ack every put whose IOs have landed, then send
+      // each connection's acks with one flush.
+      if (!L.pending.empty()) finish_puts(L, /*all=*/false);
+      flush_touched(L);
       if (drain) update_quiet(L);
     }
+    // Settle every in-flight put before the connections and their sessions
+    // go, acking none: no record may stay in flight for a checkpoint drain
+    // to wait on.
+    finish_puts(L, /*all=*/true, /*ack=*/false);
     // Close every connection before the loop thread exits — on a crash
     // shutdown nothing will serve these fds again, and a client blocked on
     // its ack must observe EOF ("unacked, unknown") rather than hang until

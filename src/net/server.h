@@ -2,11 +2,24 @@
 // shard, a per-connection state machine, no thread-per-connection.
 // Connection handling mirrors the ssd::IoQueue submit/complete idiom —
 // requests are submissions tagged with req_id, responses are completions,
-// and they may finish out of order: fast data ops execute inline on the
-// connection's loop (emulated PMEM/SSD ops are microseconds), slow ops
-// (SCRUB, replicated-write quorum waits) are shipped to background workers
-// and their completions posted back to the connection's loop through its
-// eventfd.
+// and they may finish out of order. A PUT is begun on the connection's
+// loop (DStore::oput_begin) and left in flight at its SSD wait; after each
+// epoll batch the loop finishes every put whose IOs have landed, acks it,
+// and flushes each connection it acked on once. So a loop does not hold
+// through any put's device wait, and puts of different keys may ack out
+// of order. Other fast ops run inline; slow ops (SCRUB, replicated-write
+// quorum waits) are shipped to background workers and their completions
+// posted back to the connection's loop through its eventfd.
+//
+// Rules for in-flight puts. An in-flight put holds off readers and writers
+// of its key and the next checkpoint's drain, so a loop holding any never
+// blocks: it begins puts without waiting, and any other op, a PUT whose
+// begin would wait (a conflicting writer — its own put on the same key
+// included, which keeps per-key order — readers, or a full log) and loop
+// exit first finish the loop's puts; a full pending list (64) waits only
+// for its own puts' device completions. Two loops writing each other's
+// keys therefore cannot deadlock. On exit the puts are finished without
+// acks, so no record stays in flight.
 //
 // Loops: N = min(store->num_shards(), hardware_concurrency) threads, each
 // with its own epoll set, eventfd, connection tables and idle reaper;
@@ -28,7 +41,7 @@
 // a mutex, per-op lookups read it without one.
 //
 // Crash discipline: when a FaultInjector is wired, every loop re-checks
-// injector->crashed() after executing every mutating op and BEFORE
+// injector->crashed() after finishing every mutating op and BEFORE
 // queueing the ack. Once the durable image is frozen, nothing further is
 // acknowledged and the server shuts down — every loop closes its
 // connections — so "acked" always implies "committed before the crash",

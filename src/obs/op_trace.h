@@ -143,6 +143,35 @@ class OpTrace {
   // Mark the op successful; an un-succeeded trace publishes as a failure.
   void succeed() { ok_ = true; }
 
+  // A split op (DStore::WriteOp, DESIGN.md §9) runs in two halves, and the
+  // thread may run other ops in between. pause() closes a half: the open
+  // span ends, the thread's flush/fence counts since the half began are
+  // banked, and the op leaves the lockdep hot scope. resume() opens the
+  // next half. The per-op substrate counts stay exactly this op's however
+  // many others interleave.
+  void pause() {
+    if (paused_) return;
+    paused_ = true;
+    hot_scope_.leave();
+    if (!sampled_) return;
+    leave();
+    rebase_counts();  // flushes0_/fences0_ now hold the banked counts
+  }
+  void resume() {
+    if (!paused_) return;
+    paused_ = false;
+    hot_scope_.enter();
+    if (sampled_) rebase_counts();  // baselines that keep the banked counts
+  }
+
+  // Drop the op unpublished: a non-blocking attempt that would have
+  // waited, which its caller retries as a fresh op.
+  void cancel() {
+    if (done_) return;
+    done_ = true;
+    if (sampled_ && m_->active != nullptr) m_->active->sub(1);
+  }
+
   void finish() {
     if (done_) return;
     done_ = true;
@@ -162,9 +191,9 @@ class OpTrace {
         if (stage_ns_[s] != 0 && m_->stage[s] != nullptr) m_->stage[s]->record(stage_ns_[s]);
       }
       if (pool_ != nullptr && (m_->flushes_per_op != nullptr || m_->fences_per_op != nullptr)) {
-        auto c = pool_->thread_io_counts();
-        if (m_->flushes_per_op != nullptr) m_->flushes_per_op->record(c.flushes - flushes0_);
-        if (m_->fences_per_op != nullptr) m_->fences_per_op->record(c.fences - fences0_);
+        if (!paused_) rebase_counts();  // the last half's counts join the bank
+        if (m_->flushes_per_op != nullptr) m_->flushes_per_op->record(flushes0_);
+        if (m_->fences_per_op != nullptr) m_->fences_per_op->record(fences0_);
       }
       if (m_->ios_per_op != nullptr) m_->ios_per_op->record(ios_);
       if (m_->io_retries_per_op != nullptr && io_retries_ != 0) {
@@ -172,17 +201,29 @@ class OpTrace {
       }
       if (m_->active != nullptr) m_->active->sub(1);
     }
+    hot_scope_.leave();  // the op is over, whichever thread ends the trace
   }
 
   bool sampled() const { return sampled_; }
 
  private:
+  // Toggle flushes0_/fences0_ between a running half's baseline and the
+  // banked count: x = now - x. At a half's end that leaves the counts
+  // banked so far; at the next half's start, a baseline that keeps them.
+  void rebase_counts() {
+    if (pool_ == nullptr) return;
+    auto c = pool_->thread_io_counts();
+    flushes0_ = c.flushes - flushes0_;
+    fences0_ = c.fences - fences0_;
+  }
+
   const OpMetrics* m_;
   pmem::Pool* pool_;
   int cur_ = -1;
   bool sampled_ = false;
   bool ok_ = false;
   bool done_ = false;
+  bool paused_ = false;
   // Always-on accumulators for the exact data-plane counters (and, when
   // sampled, the per-op IO histograms).
   uint64_t ios_ = 0;
@@ -214,7 +255,10 @@ class OpTrace {
     (void)coalesced;
   }
   void succeed() {}
-  void finish() {}
+  void pause() { hot_scope_.leave(); }
+  void resume() { hot_scope_.enter(); }
+  void cancel() {}
+  void finish() { hot_scope_.leave(); }
   bool sampled() const { return false; }
 #endif
 

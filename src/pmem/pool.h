@@ -183,8 +183,9 @@ class Pool {
   // ---- instrumentation ---------------------------------------------------
   const IoStats& stats() const { return stats_; }
   // Monotone per-thread flush/fence counts for the calling thread. An op
-  // trace reads this at op start and end; the delta is that op's substrate
-  // cost (valid because an op runs on one thread).
+  // trace reads this at the start and end of each half of the op (one half
+  // for most ops; obs::OpTrace::pause/resume); the summed deltas are that
+  // op's substrate cost, however many ops the thread interleaves.
   struct ThreadIoCounts {
     uint64_t flushes = 0;   // cache lines staged by flush()
     uint64_t fences = 0;

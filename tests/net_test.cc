@@ -12,7 +12,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -458,12 +460,17 @@ struct ServerFixture {
 
   // Two shards of `objects_per_shard` objects each. The default 256 fits
   // 2048 blocks and a 1 MB arena; larger stores take DStore's own arena
-  // estimate.
+  // estimate. `latency` = calibrated gives puts a real device wait, so the
+  // loops hold them in flight.
   explicit ServerFixture(fault::FaultInjector* inj = nullptr,
                          pmem::Pool::Mode mode = pmem::Pool::Mode::kDirect,
-                         ServerConfig srv_cfg = {}, uint64_t objects_per_shard = 256) {
+                         ServerConfig srv_cfg = {}, uint64_t objects_per_shard = 256,
+                         LatencyModel latency = LatencyModel::none(),
+                         ReplSink* repl_sink = nullptr) {
     cfg.num_shards = 2;
     cfg.pool_mode = mode;
+    cfg.latency = latency;
+    cfg.repl_sink = repl_sink;
     cfg.affinity = true;
     cfg.ckpt_workers = 1;
     cfg.shard.max_objects = objects_per_shard;
@@ -1155,6 +1162,217 @@ TEST(NetMultiLoop, DrainStopClosesConnectionsOnEveryLoop) {
 }
 
 // ---------------------------------------------------------------------------
+// Asynchronous puts: each loop keeps many puts in flight past their begin
+// ---------------------------------------------------------------------------
+
+int64_t puts_in_flight(Server& srv) {
+  return srv.metrics()
+      .gauge("net_puts_in_flight", "puts begun and not yet finished, summed over loops")
+      ->value();
+}
+
+// Opens `ns_name` on a raw connection; returns the namespace id (0 on error).
+uint32_t open_ns_raw(RawConn& conn, const std::string& ns_name, uint64_t req_id) {
+  std::string out;
+  append_frame(&out, Op::kOpenNs, req_id, 0, open_ns_body(ns_name));
+  Frame f;
+  NamespaceInfo info;
+  if (!conn.send_all(out) || !conn.read_frame(&f) || f.hdr.req_id != req_id ||
+      !parse_open_ns_resp(f.body, &info)) {
+    return 0;
+  }
+  return info.ns_id;
+}
+
+std::string tagged_value(const std::string& tag) { return tag + std::string(4096, '.') + tag; }
+
+// PUT k, GET k, PUT k, GET k in one write(): a GET must see the PUT before
+// it and responses come back in request order, with the device wait real.
+TEST(NetAsyncPut, SameKeyPutGetPipelinedReadBackInOrder) {
+  ServerFixture fx(nullptr, pmem::Pool::Mode::kDirect, {}, 256, LatencyModel::calibrated(1.0));
+  RawConn conn(fx.server->port());
+  const uint32_t ns = open_ns_raw(conn, fx.ns_name_on_shard(1), 1);
+  ASSERT_NE(ns, 0u);
+  for (int round = 0; round < 50; round++) {
+    const std::string v1 = tagged_value("r" + std::to_string(round) + "a");
+    const std::string v2 = tagged_value("r" + std::to_string(round) + "b");
+    const uint64_t base = 10 + 4 * (uint64_t)round;
+    std::string out;
+    append_frame(&out, Op::kPut, base, 0, put_body(ns, "k", v1.data(), v1.size()));
+    append_frame(&out, Op::kGet, base + 1, 0, key_body(ns, "k"));
+    append_frame(&out, Op::kPut, base + 2, 0, put_body(ns, "k", v2.data(), v2.size()));
+    append_frame(&out, Op::kGet, base + 3, 0, key_body(ns, "k"));
+    ASSERT_TRUE(conn.send_all(out));
+    Frame f;
+    for (uint64_t r = base; r < base + 4; r++) {
+      ASSERT_TRUE(conn.read_frame(&f)) << "round " << round;
+      ASSERT_EQ(f.hdr.req_id, r) << "round " << round;
+      ASSERT_EQ(f.hdr.status, 0u) << "round " << round << " req " << r;
+      if (r == base + 1) {
+        EXPECT_EQ(f.body, v1) << "round " << round;
+      } else if (r == base + 3) {
+        EXPECT_EQ(f.body, v2) << "round " << round;
+      }
+    }
+  }
+  EXPECT_EQ(puts_in_flight(*fx.server), 0);
+}
+
+// Reads the server's in-flight gauge from inside each put's finish, on the
+// loop thread itself: the op being finished still counts, so a reading
+// above 1 means the loop held more puts in flight at that moment. (A
+// sampling thread is no witness: the loop's whole burst can run between
+// two of its time slices.)
+class InFlightProbe : public ReplSink {
+ public:
+  uint64_t prepare(Mutation) override {
+    if (obs::Gauge* g = gauge.load()) peak.store(std::max(peak.load(), g->value()));
+    return 0;  // untracked: no commit/abort follows
+  }
+  void commit(uint64_t) override {}
+  void abort(uint64_t) override {}
+  std::atomic<obs::Gauge*> gauge{nullptr};
+  std::atomic<int64_t> peak{0};
+};
+
+// Two connections homed on one loop pipeline 64 puts each: all are acked
+// and read back, and the loop held more than one put in flight at once.
+TEST(NetAsyncPut, TwoConnectionsOnOneLoopKeepManyPutsInFlight) {
+  InFlightProbe probe;
+  ServerFixture fx(nullptr, pmem::Pool::Mode::kDirect, {}, 1024, LatencyModel::calibrated(1.0),
+                   &probe);
+  probe.gauge.store(fx.server->metrics().gauge(
+      "net_puts_in_flight", "puts begun and not yet finished, summed over loops"));
+  constexpr int kPuts = 64;
+  RawConn a(fx.server->port()), b(fx.server->port());
+  RawConn* conns[2] = {&a, &b};
+  uint32_t ns[2];
+  for (int i = 0; i < 2; i++) {
+    ns[i] = open_ns_raw(*conns[i], fx.ns_name_on_shard(1, i), 1);  // both on shard 1's loop
+    ASSERT_NE(ns[i], 0u);
+  }
+  auto value = [](int conn, int k) {
+    return tagged_value("c" + std::to_string(conn) + "k" + std::to_string(k));
+  };
+  for (int i = 0; i < 2; i++) {
+    std::string out;
+    for (int k = 0; k < kPuts; k++) {
+      std::string v = value(i, k);
+      append_frame(&out, Op::kPut, 100 + (uint64_t)k, 0,
+                   put_body(ns[i], "k" + std::to_string(k), v.data(), v.size()));
+    }
+    ASSERT_TRUE(conns[i]->send_all(out));
+  }
+  for (int i = 0; i < 2; i++) {
+    std::set<uint64_t> acked;
+    Frame f;
+    for (int k = 0; k < kPuts; k++) {
+      ASSERT_TRUE(conns[i]->read_frame(&f)) << "conn " << i << " after " << acked.size();
+      EXPECT_EQ(f.hdr.status, 0u) << "conn " << i << " req " << f.hdr.req_id;
+      acked.insert(f.hdr.req_id);
+    }
+    EXPECT_EQ(acked.size(), (size_t)kPuts) << "conn " << i;
+  }
+  EXPECT_GT(probe.peak.load(), 1) << "the loop never held two puts in flight";
+  for (int i = 0; i < 2; i++) {
+    std::string out;
+    for (int k = 0; k < kPuts; k++)
+      append_frame(&out, Op::kGet, 1000 + (uint64_t)k, 0, key_body(ns[i], "k" + std::to_string(k)));
+    ASSERT_TRUE(conns[i]->send_all(out));
+    Frame f;
+    for (int k = 0; k < kPuts; k++) {
+      ASSERT_TRUE(conns[i]->read_frame(&f));
+      ASSERT_EQ(f.hdr.req_id, 1000 + (uint64_t)k);
+      EXPECT_EQ(f.body, value(i, k)) << "conn " << i << " key " << k;
+    }
+  }
+  EXPECT_EQ(puts_in_flight(*fx.server), 0);
+}
+
+// Two connections homed on different loops write the same keys of one
+// namespace, pipelined: each loop holds in-flight puts on objects the
+// other loop writes too. Neither may block while holding its own, so both
+// finish (the 10 s receive timeout turns a deadlock into a failure).
+TEST(NetAsyncPut, CrossLoopWritersOnSharedKeysNeverDeadlock) {
+  ServerFixture fx(nullptr, pmem::Pool::Mode::kDirect, {}, 1024, LatencyModel::calibrated(1.0));
+  const std::string shared = fx.ns_name_on_shard(0), other = fx.ns_name_on_shard(1);
+  RawConn a(fx.server->port()), b(fx.server->port());
+  const uint32_t ns = open_ns_raw(a, shared, 1);  // a: homed on shard 0's loop
+  ASSERT_NE(ns, 0u);
+  ASSERT_NE(open_ns_raw(b, other, 1), 0u);  // b: homed on shard 1's loop...
+  ASSERT_EQ(open_ns_raw(b, shared, 2), ns);  // ...writing shard 0's namespace
+  constexpr int kRounds = 40, kDepth = 32, kKeys = 8;
+  std::atomic<int> failures{0};
+  auto writer = [&](RawConn& conn, char tag) {
+    for (int round = 0; round < kRounds; round++) {
+      std::string out;
+      for (int i = 0; i < kDepth; i++) {
+        std::string v = tagged_value(std::string(1, tag) + std::to_string(round * kDepth + i));
+        append_frame(&out, Op::kPut, 10 + (uint64_t)i, 0,
+                     put_body(ns, "k" + std::to_string(i % kKeys), v.data(), v.size()));
+      }
+      if (!conn.send_all(out)) return (void)failures++;
+      Frame f;
+      for (int i = 0; i < kDepth; i++) {
+        if (!conn.read_frame(&f) || f.hdr.status != 0) return (void)failures++;
+      }
+    }
+  };
+  std::thread ta(writer, std::ref(a), 'a'), tb(writer, std::ref(b), 'b');
+  ta.join();
+  tb.join();
+  EXPECT_EQ(failures.load(), 0);
+  std::string out;
+  for (int k = 0; k < kKeys; k++)
+    append_frame(&out, Op::kGet, 500 + (uint64_t)k, 0, key_body(ns, "k" + std::to_string(k)));
+  ASSERT_TRUE(a.send_all(out));
+  Frame f;
+  for (int k = 0; k < kKeys; k++) {
+    ASSERT_TRUE(a.read_frame(&f));
+    ASSERT_EQ(f.hdr.status, 0u);
+    ASSERT_GE(f.body.size(), 4096u);
+    EXPECT_TRUE(f.body[0] == 'a' || f.body[0] == 'b') << "key " << k;
+  }
+}
+
+// drain_stop while puts are in flight: every response that reaches the
+// client is a successful ack, then the connection closes; every acked put
+// is in the store.
+TEST(NetAsyncPut, DrainStopWithPutsPendingAcksOrCloses) {
+  ServerFixture fx(nullptr, pmem::Pool::Mode::kDirect, {}, 1024, LatencyModel::calibrated(1.0));
+  RawConn conn(fx.server->port());
+  const std::string ns_name = fx.ns_name_on_shard(1);
+  const uint32_t ns = open_ns_raw(conn, ns_name, 1);
+  ASSERT_NE(ns, 0u);
+  constexpr int kPuts = 200;
+  std::string out;
+  for (int i = 0; i < kPuts; i++) {
+    std::string v = tagged_value(std::to_string(i));
+    append_frame(&out, Op::kPut, 10 + (uint64_t)i, 0,
+                 put_body(ns, "k" + std::to_string(i), v.data(), v.size()));
+  }
+  ASSERT_TRUE(conn.send_all(out));
+  fx.server->drain_stop(2000);
+  std::set<int> acked;
+  Frame f;
+  while (conn.read_frame(&f)) {
+    ASSERT_EQ(f.hdr.status, 0u) << "req " << f.hdr.req_id;
+    ASSERT_TRUE(f.hdr.req_id >= 10 && f.hdr.req_id < 10 + (uint64_t)kPuts);
+    acked.insert((int)(f.hdr.req_id - 10));
+  }
+  EXPECT_EQ(fx.server->crashed(), false);
+  std::vector<char> buf(8192);
+  for (int i : acked) {
+    std::string want = tagged_value(std::to_string(i));
+    auto r = fx.store->get_on(nullptr, 1, ns_name + '\x1f' + "k" + std::to_string(i), buf.data(),
+                              buf.size());
+    ASSERT_TRUE(r.is_ok()) << "acked put " << i << " missing: " << r.status().to_string();
+    EXPECT_EQ(std::string(buf.data(), r.value()), want) << "acked put " << i;
+  }
+  EXPECT_EQ(puts_in_flight(*fx.server), 0);
+}
+
+// ---------------------------------------------------------------------------
 // Replication over the wire: the epoch fence as the divergence oracle
 // ---------------------------------------------------------------------------
 
@@ -1351,6 +1569,60 @@ TEST(NetCrashRig, CrashShutdownClosesConnectionsOnEveryLoop) {
   fx.server->stop();
   EXPECT_TRUE(fx.server->crashed());
   inj.disarm();
+}
+
+// The crash lands while the loop holds pipelined puts in flight: the
+// client keeps 16 on the wire, the device wait is real, and acked ⇒
+// durable must still hold for every put whose ack reached the client.
+TEST(NetCrashRig, PipelinedPutsCrashWithPutsPendingLoseNoAckedWrite) {
+  fault::FaultInjector inj;
+  ServerFixture fx(&inj, pmem::Pool::Mode::kCrashSim, {}, 256, LatencyModel::calibrated(1.0));
+  auto client = fx.connect();
+  const std::string ns_name = fx.ns_name_on_shard(fx.cfg.fault_shard);
+  auto ns = client->open_namespace(ns_name);
+  ASSERT_TRUE(ns.is_ok());
+  const uint32_t id = ns.value().ns_id;
+
+  inj.set_plan(fault::FaultPlan::crash_at("engine.ckpt.begin", 1));
+  inj.arm();
+
+  constexpr size_t kDepth = 16;
+  auto key = [](int i) { return "obj-" + std::to_string(i); };
+  auto val = [](int i) { return std::string(1 + (size_t)(i % 700), (char)('a' + i % 26)); };
+  std::map<std::string, std::string> oracle;
+  std::deque<std::pair<uint64_t, int>> inflight;  // (request id, put index)
+  size_t lost = 0;                                // unacked when the connection died
+  auto reap_oldest = [&] {
+    auto [req, i] = inflight.front();
+    inflight.pop_front();
+    if (client->wait(req).is_ok()) {
+      oracle[key(i)] = val(i);
+    } else {
+      lost++;
+    }
+  };
+  for (int i = 0; i < 20000 && lost == 0; i++) {
+    std::string v = val(i);
+    auto req = client->submit_put(id, key(i), v.data(), v.size());
+    if (!req.is_ok()) break;
+    inflight.push_back({req.value(), i});
+    if (inflight.size() >= kDepth) reap_oldest();
+  }
+  while (!inflight.empty()) reap_oldest();
+  ASSERT_TRUE(inj.crashed()) << "fault plan never fired — no checkpoint started?";
+  EXPECT_GE(lost, 2u) << "the crash did not land with several puts in flight";
+
+  fx.server->stop();
+  EXPECT_TRUE(fx.server->crashed());
+  inj.disarm();
+  ASSERT_TRUE(fx.store->crash_and_recover_all().is_ok());
+  std::vector<char> buf(1 << 12);
+  for (const auto& [k, v] : oracle) {
+    auto r = fx.store->get_on(nullptr, fx.cfg.fault_shard, ns_name + '\x1f' + k, buf.data(),
+                              buf.size());
+    ASSERT_TRUE(r.is_ok()) << "acked write lost: " << k << " — " << r.status().to_string();
+    ASSERT_EQ(std::string(buf.data(), r.value()), v) << "acked write corrupt: " << k;
+  }
 }
 
 #endif  // !DSTORE_FAULT_INJECTION_DISABLED

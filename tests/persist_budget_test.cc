@@ -165,5 +165,44 @@ TEST(PersistBudget, PhysicalLoggingAddsOneBulkPassPerPut) {
   EXPECT_EQ(fences1 - fences0, 3u);
 }
 
+// Split puts (oput_begin ... finish) interleaved on one thread: each op's
+// sampled per-op histograms must record exactly a put's own budget, not
+// its neighbour's log-record persist, whichever of the two finishes first.
+// 32 consecutive traces per order, so exactly two of them are sampled.
+TEST(PersistBudget, InterleavedSplitPutsEachRecordTheSequentialBudget) {
+  BudgetStore t(/*nt_stores=*/false);
+  std::string v = value(4096, 's');
+#if !defined(DSTORE_METRICS_DISABLED)
+  obs::Histogram* flushes = t.store->metrics().find_histogram("dstore_put_flushes_per_op");
+  obs::Histogram* fences = t.store->metrics().find_histogram("dstore_put_fences_per_op");
+  ASSERT_NE(flushes, nullptr);
+  ASSERT_NE(fences, nullptr);
+#endif
+  for (bool a_first : {true, false}) {
+#if !defined(DSTORE_METRICS_DISABLED)
+    const uint64_t n0 = flushes->count(), flush0 = flushes->sum(), fence0 = fences->sum();
+#endif
+    for (uint32_t round = 0; round < obs::OpTrace::kSampleEvery; round++) {
+      auto d = t.measure([&] {
+        auto a = t.store->oput_begin(t.ctx, "a", v.data(), v.size(), /*wait=*/false);
+        auto b = t.store->oput_begin(t.ctx, "b", v.data(), v.size(), /*wait=*/false);
+        ASSERT_TRUE(a.is_ok()) << a.status().to_string();
+        ASSERT_TRUE(b.is_ok()) << b.status().to_string();
+        EXPECT_TRUE((a_first ? a : b).value()->finish().is_ok());
+        EXPECT_TRUE((a_first ? b : a).value()->finish().is_ok());
+      });
+      // Together, exactly two sequential puts' worth.
+      EXPECT_EQ(d.flushes, 6u) << "round " << round;
+      EXPECT_EQ(d.fences, 4u) << "round " << round;
+    }
+#if !defined(DSTORE_METRICS_DISABLED)
+    const uint64_t sampled = flushes->count() - n0;
+    EXPECT_EQ(sampled, 2u) << (a_first ? "a finished first" : "b finished first");
+    EXPECT_EQ(flushes->sum() - flush0, 3 * sampled) << "a sampled put charged another's flushes";
+    EXPECT_EQ(fences->sum() - fence0, 2 * sampled) << "a sampled put charged another's fences";
+#endif
+  }
+}
+
 }  // namespace
 }  // namespace dstore
