@@ -169,7 +169,9 @@ std::unique_ptr<KVStore> load_system(const char* sys, const BenchParams& p,
 // a checkpoint that dies just before it completes, so recovery redoes the
 // whole checkpoint and replays the active log. For the other systems the
 // worst case is a full journal/WAL: no checkpoint may trigger meanwhile.
-void stage_crash(KVStore& store, uint64_t objects, uint64_t burst) {
+// Returns how many of the burst's puts the full log or journal turned away
+// (DStore: busy, its checkpointing stopped; the baselines: out of space).
+uint64_t stage_crash(KVStore& store, uint64_t objects, uint64_t burst) {
   auto* d = dynamic_cast<baselines::DStoreAdapter*>(&store);
   if (d != nullptr) {
     d->store().engine().stop_background();
@@ -178,8 +180,9 @@ void stage_crash(KVStore& store, uint64_t objects, uint64_t burst) {
   }
   void* ctx = store.open_ctx();
   std::string v(4096, 'c');
+  uint64_t rejected = 0;
   for (uint64_t i = 0; i < burst; i++) {
-    (void)store.put(ctx, workload::ycsb_key(i % objects), v.data(), v.size());
+    if (!store.put(ctx, workload::ycsb_key(i % objects), v.data(), v.size()).is_ok()) rejected++;
   }
   store.close_ctx(ctx);
   if (d != nullptr) {
@@ -187,6 +190,7 @@ void stage_crash(KVStore& store, uint64_t objects, uint64_t burst) {
   } else {
     store.set_checkpoints_enabled(true);
   }
+  return rejected;
 }
 
 // Counts a run's failed ops toward the experiment's exit status (the rows
@@ -272,7 +276,9 @@ bool recovery_cell(Ctx& c, const char* sys, const Case& k, uint64_t, Samples* ou
   WorkloadSpec spec = spec_for(c.p, 0.5);
   auto store = load_system(sys, c.p, spec, true, /*prepare=*/false);
   if (!store) return false;
-  if (k.alt) stage_crash(*store, spec.num_objects, std::min<uint64_t>(spec.num_objects, 8000));
+  const uint64_t rejected =
+      k.alt ? stage_crash(*store, spec.num_objects, std::min<uint64_t>(spec.num_objects, 8000))
+            : 0;
   auto t = store->crash_and_recover();
   if (!t.is_ok()) {
     fprintf(stderr, "recover failed for %s: %s\n", sys, t.status().to_string().c_str());
@@ -280,7 +286,8 @@ bool recovery_cell(Ctx& c, const char* sys, const Case& k, uint64_t, Samples* ou
   }
   *out = {{"recovery", {{"metadata_ms", t.value().metadata_ms},
                         {"replay_ms", t.value().replay_ms},
-                        {"total_ms", t.value().total_ms()}}}};
+                        {"total_ms", t.value().total_ms()},
+                        {"staged_rejected_puts", (double)rejected}}}};
   return true;
 }
 
@@ -300,12 +307,13 @@ bool slo_cell(Ctx& c, const char* sys, const Case&, uint64_t, Samples* out) {
   store->prepare_run();  // settle compaction/checkpoints before measuring
   auto u = store->space_usage();
   // Worst-case recovery: Table 4's crash case.
-  stage_crash(*store, spec.num_objects, 4000);
+  const uint64_t rejected = stage_crash(*store, spec.num_objects, 4000);
   auto t = store->crash_and_recover();
   *out = {{"slo", {{"throughput_slo_ops", thr.min_rate(1, 2)}, {"p9999_us", p9999},
                    {"recovery_ms", t.is_ok() ? t.value().total_ms() : -1},
                    {"space_amplification", (double)u.total() / (double)(c.p.objects * 4096)},
-                   {"failed_ops", (double)r.failed_ops}}}};
+                   {"failed_ops", (double)r.failed_ops},
+                   {"staged_rejected_puts", (double)rejected}}}};
   return true;
 }
 

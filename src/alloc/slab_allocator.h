@@ -102,10 +102,6 @@ class SlabAllocator {
   OffPtr<T> alloc_object() {
     return OffPtr<T>(alloc_zeroed(sizeof(T)));
   }
-  template <typename T>
-  T* deref(OffPtr<T> p) const {
-    return p.get(arena_);
-  }
 
  private:
   explicit SlabAllocator(Arena arena) : arena_(arena) {}

@@ -67,7 +67,6 @@ class UncachedStore final : public workload::KVStore {
   };
 
   char* slot_at(uint64_t idx) const { return pool_->base() + idx * cfg_.slot_bytes; }
-  size_t slot_capacity() const { return cfg_.slot_bytes - sizeof(SlotHeader); }
 
   // Emulate the pmemobj transaction bookkeeping around a data write:
   // undo-log append + metadata snapshots + the extra fences WHISPER-style

@@ -25,8 +25,6 @@ constexpr size_t lines_spanned(uintptr_t addr, size_t len) {
   return (line_up(addr + len) - line_down(addr)) / kCacheLineSize;
 }
 
-constexpr bool is_aligned(uintptr_t x, size_t align) { return (x & (align - 1)) == 0; }
-
 constexpr size_t align_up(size_t x, size_t align) { return (x + align - 1) & ~(align - 1); }
 
 }  // namespace dstore

@@ -13,8 +13,6 @@ inline uint64_t now_ns() {
       .count();
 }
 
-inline uint64_t now_us() { return now_ns() / 1000; }
-
 // Wait for `ns` nanoseconds of injected device latency.
 //
 // Short waits busy-poll (accuracy); long waits SLEEP so they release the
@@ -43,7 +41,6 @@ class StopWatch {
   StopWatch() : start_(now_ns()) {}
   void reset() { start_ = now_ns(); }
   uint64_t elapsed_ns() const { return now_ns() - start_; }
-  double elapsed_us() const { return (double)elapsed_ns() / 1e3; }
   double elapsed_ms() const { return (double)elapsed_ns() / 1e6; }
   double elapsed_s() const { return (double)elapsed_ns() / 1e9; }
 

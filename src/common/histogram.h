@@ -28,7 +28,6 @@ class LatencyHistogram {
   // Value at quantile q in [0,1]; returns an upper bucket bound in ns.
   uint64_t value_at_quantile(double q) const;
 
-  uint64_t percentile(double p) const { return value_at_quantile(p / 100.0); }
   uint64_t p50() const { return value_at_quantile(0.50); }
   uint64_t p99() const { return value_at_quantile(0.99); }
   uint64_t p999() const { return value_at_quantile(0.999); }

@@ -46,9 +46,6 @@ struct LatencyModel {
   uint64_t ssd_write_ns(size_t bytes) const {
     return ssd_write_base_ns + ssd_per_kb_ns * (bytes / 1024);
   }
-  uint64_t ssd_read_ns(size_t bytes) const {
-    return ssd_read_base_ns + ssd_per_kb_ns * (bytes / 1024);
-  }
   uint64_t pmem_write_ns(size_t bytes) const { return pmem_write_per_kb_ns * (bytes / 1024); }
   uint64_t pmem_read_ns(size_t bytes) const { return pmem_read_per_kb_ns * (bytes / 1024); }
 

@@ -435,7 +435,6 @@ class UniqueLock {
     m_->unlock();
     owns_ = false;
   }
-  bool owns_lock() const { return owns_; }
   Mutex* mutex() const { return m_; }
 
  private:

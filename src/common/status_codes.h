@@ -93,16 +93,6 @@ inline constexpr int errno_of_wire(uint8_t wire) {
   return wire < kCount ? kRows[wire].c_errno : DS_EINTERNAL;
 }
 
-// Reverse map: DS_E* value -> wire byte (DS_EINTERNAL's byte if unknown).
-inline constexpr uint8_t wire_of_errno(int c_errno) {
-  uint8_t internal = 0;
-  for (size_t i = 0; i < kCount; i++) {
-    if (kRows[i].c_errno == c_errno) return kRows[i].wire;
-    if (kRows[i].c_errno == DS_EINTERNAL) internal = kRows[i].wire;
-  }
-  return internal;
-}
-
 }  // namespace status_codes
 }  // namespace dstore
 

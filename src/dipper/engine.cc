@@ -399,6 +399,9 @@ Status Engine::rebuild_volatile_from_shadow() {
 }
 
 void Engine::stop_background() {
+  // No worker will run a checkpoint any more: a full log must fail busy
+  // (reserve) rather than wait for one.
+  checkpointing_enabled_.store(false, std::memory_order_release);
   if (own_pool_) own_pool_->stop();
   if (cow_active_.load(std::memory_order_acquire)) cow_unprotect_all();
 }

@@ -190,8 +190,9 @@ class Engine {
 
   // Append a logical operation. Blocks (backpressure) if the active log is
   // full and the checkpoint cannot keep up — the >70%-writes backlog case.
-  // With no checkpoint allowed to run (background_checkpointing off, or
-  // set_checkpointing_enabled(false)) a full log fails Status::busy instead.
+  // With no checkpoint allowed to run (background_checkpointing off,
+  // set_checkpointing_enabled(false) or stop_background()) a full log fails
+  // Status::busy instead.
   // `phys_payload`/`phys_len`: data bytes for physical-logging mode.
   Result<RecordHandle> append(OpType op, const Key& name, uint64_t arg0, uint64_t arg1,
                               const void* phys_payload = nullptr, size_t phys_len = 0);
@@ -296,8 +297,10 @@ class Engine {
   // copies reachable from the root (storage-footprint accounting, Fig 10).
   uint64_t pmem_used_bytes() const;
 
-  // Stop background work: join a private pool's worker (a shared pool is
-  // its owner's to stop) and lift CoW write protection. Also the clean
+  // Stop background work: disable checkpointing (as
+  // set_checkpointing_enabled(false): a full log then fails busy until
+  // checkpoint_now()), join a private pool's worker (a shared pool is its
+  // owner's to stop) and lift CoW write protection. Also the clean
   // shutdown; recovery is identical either way, since DIPPER recovery is
   // uniform and idempotent. Tests call it so pool().crash() is race-free.
   void stop_background();

@@ -2,12 +2,11 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 
 #include "common/lockdep.h"
-#include "dstore/dstore.h"
+#include "dstore/store_dir.h"
 #include "net/client.h"
 
 // A session: either an embedded store (pool + device + store) or a remote
@@ -84,30 +83,25 @@ dstore::DStoreConfig config_from(const dstore_options* o) {
 }
 
 // Brings up an embedded store on `s`: RAM-backed when `dir` is null, else
-// file-backed under `dir`.
+// file-backed under `dir` (open_store_dir: its manifest's sizing wins on
+// reopen).
 dstore::Status open_store(ds_session* s, const dstore_options* options, const char* dir,
                           bool create) {
   dstore::DStoreConfig cfg = config_from(options);
-  size_t pool_bytes = dstore::DStoreConfig::required_pool_bytes(cfg);
+  if (dir != nullptr) {
+    auto d = dstore::open_store_dir(dir, cfg, create);
+    if (!d.is_ok()) return d.status();
+    s->pool = std::move(d.value().pool);
+    s->device = std::move(d.value().device);
+    s->store = std::move(d.value().store);
+    return dstore::Status::ok();
+  }
   dstore::ssd::DeviceConfig dc;
   dc.num_blocks = cfg.num_blocks;
-  if (dir != nullptr) {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    auto pool = dstore::pmem::Pool::open_file(std::string(dir) + "/pmem.img", pool_bytes,
-                                              dstore::LatencyModel::none(), create);
-    if (!pool.is_ok()) return pool.status();
-    s->pool = std::move(pool).value();
-    auto dev = dstore::ssd::FileBlockDevice::open(std::string(dir) + "/data.img", dc, create);
-    if (!dev.is_ok()) return dev.status();
-    s->device = std::move(dev).value();
-  } else {
-    s->pool = std::make_unique<dstore::pmem::Pool>(pool_bytes,
-                                                   dstore::pmem::Pool::Mode::kDirect);
-    s->device = std::make_unique<dstore::ssd::RamBlockDevice>(dc);
-  }
-  auto store = create ? dstore::DStore::create(s->pool.get(), s->device.get(), cfg)
-                      : dstore::DStore::recover(s->pool.get(), s->device.get(), cfg);
+  s->pool = std::make_unique<dstore::pmem::Pool>(dstore::DStoreConfig::required_pool_bytes(cfg),
+                                                 dstore::pmem::Pool::Mode::kDirect);
+  s->device = std::make_unique<dstore::ssd::RamBlockDevice>(dc);
+  auto store = dstore::DStore::create(s->pool.get(), s->device.get(), cfg);
   if (!store.is_ok()) return store.status();
   s->store = std::move(store).value();
   return dstore::Status::ok();

@@ -74,7 +74,11 @@ typedef struct dstore_options {
 } dstore_options;
 
 typedef struct ds_session_options {
-  dstore_options store;    /* embedded targets: sizing knobs (0 = defaults) */
+  dstore_options store;    /* embedded targets: sizing knobs (0 = defaults);
+                            * a recovered "dir:" store keeps the sizing its
+                            * manifest recorded at create; one made before
+                            * manifests existed recovers with these knobs if
+                            * its image files have exactly their sizes */
   int create;              /* "dir:" targets: nonzero formats fresh, 0 recovers
                             * ("mem:" always starts fresh) */
   uint32_t pipeline_depth; /* remote targets: max in-flight frames (0 = 64) */

@@ -205,48 +205,9 @@ Status ShardedStore::del(Session* s, std::string_view name) {
   return shards_[idx].store->odelete(s->ctx_[idx], name);
 }
 
-Result<uint64_t> ShardedStore::object_size(std::string_view name) {
-  return shards_[shard_of(name)].store->object_size(name);
-}
-
-Status ShardedStore::put_on(Session* s, int shard, std::string_view name, const void* value,
-                            size_t size) {
-  if (shard < 0 || shard >= cfg_.num_shards) return Status::invalid_argument("shard out of range");
-  Shard& sh = shards_[shard];
-  return sh.store->oput(s != nullptr ? s->ctx_[shard] : sh.ctx, name, value, size);
-}
-
-Result<std::unique_ptr<DStore::WriteOp>> ShardedStore::put_begin_on(Session* s, int shard,
-                                                                    std::string_view name,
-                                                                    const void* value, size_t size,
-                                                                    bool wait) {
-  if (shard < 0 || shard >= cfg_.num_shards) return Status::invalid_argument("shard out of range");
-  Shard& sh = shards_[shard];
-  return sh.store->oput_begin(s != nullptr ? s->ctx_[shard] : sh.ctx, name, value, size, wait);
-}
-
-Result<size_t> ShardedStore::get_on(Session* s, int shard, std::string_view name, void* buf,
-                                    size_t cap) {
-  if (shard < 0 || shard >= cfg_.num_shards) return Status::invalid_argument("shard out of range");
-  Shard& sh = shards_[shard];
-  return sh.store->oget(s != nullptr ? s->ctx_[shard] : sh.ctx, name, buf, cap);
-}
-
-Status ShardedStore::del_on(Session* s, int shard, std::string_view name) {
-  if (shard < 0 || shard >= cfg_.num_shards) return Status::invalid_argument("shard out of range");
-  Shard& sh = shards_[shard];
-  return sh.store->odelete(s != nullptr ? s->ctx_[shard] : sh.ctx, name);
-}
-
-Result<DStore::ReadView> ShardedStore::get_zc_on(Session* s, int shard, std::string_view name) {
-  if (shard < 0 || shard >= cfg_.num_shards) return Status::invalid_argument("shard out of range");
-  Shard& sh = shards_[shard];
-  return sh.store->oget_zc(s != nullptr ? s->ctx_[shard] : sh.ctx, name);
-}
-
-Result<uint64_t> ShardedStore::object_size_on(int shard, std::string_view name) {
-  if (shard < 0 || shard >= cfg_.num_shards) return Status::invalid_argument("shard out of range");
-  return shards_[shard].store->object_size(name);
+ds_ctx_t* ShardedStore::ctx_on(Session* s, int shard) {
+  assert(shard >= 0 && shard < cfg_.num_shards);
+  return s != nullptr ? s->ctx_[shard] : shards_[shard].ctx;
 }
 
 Status ShardedStore::scrub_all(DStore::ScrubReport* report) {

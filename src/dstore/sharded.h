@@ -108,27 +108,15 @@ class ShardedStore {
   Status put(Session* s, std::string_view name, const void* value, size_t size);
   Result<size_t> get(Session* s, std::string_view name, void* buf, size_t cap);
   Status del(Session* s, std::string_view name);
-  Result<uint64_t> object_size(std::string_view name);
 
-  // Explicit-placement operations (DESIGN.md §15). The network server
-  // stores a tenant namespace's objects under prefixed keys on the
-  // namespace's HOME shard — shard_of(ns_name), not shard_of(full_key) —
-  // so every key of one tenant lands on one shard and the hash-routing
-  // paths above would mis-place them. The caller owns the shard choice; a
-  // null session routes through the shared per-shard context. `shard` must
-  // be in [0, num_shards).
-  Status put_on(Session* s, int shard, std::string_view name, const void* value, size_t size);
-  // The put_on write left in flight at its device wait (DStore::oput_begin,
-  // including what `wait` = false means); finish() the returned op.
-  Result<std::unique_ptr<DStore::WriteOp>> put_begin_on(Session* s, int shard,
-                                                        std::string_view name, const void* value,
-                                                        size_t size, bool wait);
-  Result<size_t> get_on(Session* s, int shard, std::string_view name, void* buf, size_t cap);
-  Status del_on(Session* s, int shard, std::string_view name);
-  // Zero-copy read on an explicit shard (Status::unsupported on devices
-  // without a direct mapping — callers fall back to get_on).
-  Result<DStore::ReadView> get_zc_on(Session* s, int shard, std::string_view name);
-  Result<uint64_t> object_size_on(int shard, std::string_view name);
+  // Explicit placement (DESIGN.md §15). The network server stores a tenant
+  // namespace's objects under prefixed keys on the namespace's HOME shard —
+  // shard_of(ns_name), not shard_of(full_key) — and replication replays a
+  // stream entry on the shard that logged it, so those callers pick the
+  // shard themselves and run the op on shard(i) with this context: the
+  // session's private context for that shard, or the shard's shared context
+  // when `s` is null. `shard` must be in [0, num_shards).
+  ds_ctx_t* ctx_on(Session* s, int shard);
 
   // One integrity pass over every shard, merging the per-shard reports
   // (counter sums; corrupt-object names concatenated). Every shard is

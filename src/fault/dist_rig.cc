@@ -391,7 +391,7 @@ Status DistRig::verify_cluster() {
       return true;
     });
     for (const auto& nm : names) {
-      auto r = st->get_on(nullptr, 0, nm, buf.data(), buf.size());
+      auto r = st->shard(0).oget(st->ctx_on(nullptr, 0), nm, buf.data(), buf.size());
       if (!r.is_ok()) {
         return Status::corruption("node " + std::to_string(n + 1) +
                                   " cannot read its own object " + nm + ": " +

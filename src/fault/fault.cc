@@ -175,7 +175,6 @@ void FaultInjector::set_plan(FaultPlan plan) {
   MutexGuard g(mu_);
   plan_ = std::move(plan);
   counts_.clear();
-  total_ = 0;
   rng_ = Rng(plan_.seed() != 0 ? plan_.seed() : 0x0defa017ULL);
   crashed_.store(false, std::memory_order_release);
 }
@@ -183,7 +182,6 @@ void FaultInjector::set_plan(FaultPlan plan) {
 void FaultInjector::reset() {
   MutexGuard g(mu_);
   counts_.clear();
-  total_ = 0;
   rng_ = Rng(plan_.seed() != 0 ? plan_.seed() : 0x0defa017ULL);
   crashed_.store(false, std::memory_order_release);
 }
@@ -217,7 +215,6 @@ Outcome FaultInjector::on_hit(std::string_view point) {
     MutexGuard g(mu_);
     auto [it, inserted] = counts_.emplace(std::string(point), 0);
     n = ++it->second;
-    total_++;
     for (const FaultSpec& spec : plan_.specs()) {
       if (spec.point != point) continue;
       if (n < spec.hit) continue;
@@ -275,11 +272,6 @@ std::vector<std::pair<std::string, uint64_t>> FaultInjector::hit_counts() const 
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-uint64_t FaultInjector::total_hits() const {
-  MutexGuard g(mu_);
-  return total_;
 }
 
 }  // namespace dstore::fault

@@ -165,7 +165,6 @@ class FaultInjector {
   // All points hit so far with their counts, name-sorted — the crash-
   // schedule space a sweep enumerates.
   std::vector<std::pair<std::string, uint64_t>> hit_counts() const;
-  uint64_t total_hits() const;
 
   // Plan-seeded RNG for deterministic adversary choices (eviction faults).
   Rng& rng() { return rng_; }
@@ -177,7 +176,6 @@ class FaultInjector {
   FaultPlan plan_;
   Rng rng_{0};
   std::unordered_map<std::string, uint64_t> counts_;
-  uint64_t total_ = 0;
   std::vector<std::function<void()>> sinks_;
   std::atomic<bool> armed_{true};
   std::atomic<bool> crashed_{false};

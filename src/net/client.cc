@@ -307,11 +307,10 @@ Status Client::put(uint32_t ns, std::string_view key, const void* value, size_t 
   return status_of_frame(resp);
 }
 
-Result<std::string> Client::get(uint32_t ns, std::string_view key, bool zero_copy) {
+Result<std::string> Client::get(uint32_t ns, std::string_view key) {
   if (key.size() > UINT16_MAX) return Status::invalid_argument("key too long");
   Frame resp;
-  DSTORE_RETURN_IF_ERROR(
-      roundtrip(zero_copy ? Op::kGetZc : Op::kGet, key_body(ns, key), &resp));
+  DSTORE_RETURN_IF_ERROR(roundtrip(Op::kGet, key_body(ns, key), &resp));
   DSTORE_RETURN_IF_ERROR(status_of_frame(resp));
   return std::move(resp.body);
 }
@@ -345,14 +344,9 @@ Result<uint64_t> Client::submit_put(uint32_t ns, std::string_view key, const voi
   return submit(Op::kPut, put_body(ns, key, value, size));
 }
 
-Result<uint64_t> Client::submit_get(uint32_t ns, std::string_view key, bool zero_copy) {
+Result<uint64_t> Client::submit_get(uint32_t ns, std::string_view key) {
   if (key.size() > UINT16_MAX) return Status::invalid_argument("key too long");
-  return submit(zero_copy ? Op::kGetZc : Op::kGet, key_body(ns, key));
-}
-
-Result<uint64_t> Client::submit_del(uint32_t ns, std::string_view key) {
-  if (key.size() > UINT16_MAX) return Status::invalid_argument("key too long");
-  return submit(Op::kDelete, key_body(ns, key));
+  return submit(Op::kGet, key_body(ns, key));
 }
 
 }  // namespace dstore::net

@@ -68,9 +68,7 @@ class Client {
   // ---- sync ----------------------------------------------------------------
   Result<NamespaceInfo> open_namespace(std::string_view name);
   Status put(uint32_t ns, std::string_view key, const void* value, size_t size);
-  // zero_copy asks the server to serve from its zero-copy read path; the
-  // value always arrives by wire copy either way.
-  Result<std::string> get(uint32_t ns, std::string_view key, bool zero_copy = false);
+  Result<std::string> get(uint32_t ns, std::string_view key);
   Status del(uint32_t ns, std::string_view key);
   Result<ScrubSummary> scrub();
   Result<std::string> metrics(uint8_t format);  // 0 = JSON, 1 = Prometheus
@@ -83,8 +81,7 @@ class Client {
   // ---- pipelined async -----------------------------------------------------
   Result<uint64_t> submit_put(uint32_t ns, std::string_view key, const void* value,
                               size_t size);
-  Result<uint64_t> submit_get(uint32_t ns, std::string_view key, bool zero_copy = false);
-  Result<uint64_t> submit_del(uint32_t ns, std::string_view key);
+  Result<uint64_t> submit_get(uint32_t ns, std::string_view key);
   // Block until `id` completes; for gets, *value receives the bytes.
   Status wait(uint64_t id, std::string* value = nullptr);
   // Reap everything in flight; first error wins, all ids are consumed.

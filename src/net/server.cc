@@ -505,7 +505,8 @@ struct Server::Impl {
     while (L.pending.size() >= kMaxPendingPuts) finish_puts(L, /*all=*/false);
     const std::string full = tenant_key(e->name, key);
     auto begin = [&](bool wait) {
-      return store->put_begin_on(c->session, e->shard, full, value.data(), value.size(), wait);
+      return store->shard(e->shard).oput_begin(store->ctx_on(c->session, e->shard), full,
+                                               value.data(), value.size(), wait);
     };
     auto op = begin(/*wait=*/L.pending.empty());
     if (!op.is_ok() && op.status().is_busy() && !L.pending.empty()) {
@@ -594,7 +595,8 @@ struct Server::Impl {
                      Status::read_only("not the primary"));
       return;
     }
-    Status s = store->del_on(c->session, e->shard, tenant_key(e->name, key));
+    Status s = store->shard(e->shard).odelete(store->ctx_on(c->session, e->shard),
+                                              tenant_key(e->name, key));
     if (crash_tripped()) return begin_crash_shutdown();
     if (s.is_ok() && repl != nullptr)
       return defer_repl_ack(c, Op::kDelete, f.hdr.req_id, repl->write_ticket());
@@ -610,11 +612,12 @@ struct Server::Impl {
     repl_cv.notify_one();
   }
 
-  // GET and GET_ZC both serve from the device mapping: one index lookup,
-  // and the value is framed straight into the connection's output buffer
-  // (one copy, onto the wire) while the ReadView's pin holds writers off.
-  void handle_get(Conn* c, const Frame& f, bool zero_copy) {
-    Op op = zero_copy ? Op::kGetZc : Op::kGet;
+  // GET and GET_ZC are one op, answered under the request's opcode: one
+  // index lookup, and the value is framed straight from the device mapping
+  // into the connection's output buffer (one copy, onto the wire) while the
+  // ReadView's pin holds writers off.
+  void handle_get(Conn* c, const Frame& f) {
+    const Op op = f.hdr.op;
     uint32_t ns;
     std::string_view key;
     const NsEntry* e = nullptr;
@@ -622,45 +625,17 @@ struct Server::Impl {
       respond_status(c, op, f.hdr.req_id, Status::invalid_argument("bad get request"));
       return;
     }
-    std::string full = tenant_key(e->name, key);
-    auto view = store->get_zc_on(c->session, e->shard, full);
-    if (view.is_ok()) {
-      if (view.value().size() > cfg.max_frame_bytes) {
-        respond_status(c, op, f.hdr.req_id,
-                       Status::invalid_argument("value exceeds frame limit"));
-        return;
-      }
-      append_frame_header(&c->out, op, f.hdr.req_id, 0, (uint32_t)view.value().size());
-      for (const auto& piece : view.value().pieces()) {
-        c->out.append((const char*)piece.data, piece.len);
-      }
+    auto view = store->shard(e->shard).oget_zc(store->ctx_on(c->session, e->shard),
+                                               tenant_key(e->name, key));
+    if (!view.is_ok()) return respond_status(c, op, f.hdr.req_id, view.status());
+    if (view.value().size() > cfg.max_frame_bytes) {
+      respond_status(c, op, f.hdr.req_id, Status::invalid_argument("value exceeds frame limit"));
       return;
     }
-    if (view.status().code() != Code::kUnsupported) {
-      respond_status(c, op, f.hdr.req_id, view.status());
-      return;
+    append_frame_header(&c->out, op, f.hdr.req_id, 0, (uint32_t)view.value().size());
+    for (const auto& piece : view.value().pieces()) {
+      c->out.append((const char*)piece.data, piece.len);
     }
-    get_copying(c, op, f.hdr.req_id, e->shard, full);
-  }
-
-  // Devices without a direct mapping: size the value, then copy it into
-  // the output buffer behind its header. A value resized between the two
-  // calls is answered with BUSY.
-  void get_copying(Conn* c, Op op, uint64_t req_id, int shard, const std::string& full) {
-    auto size = store->object_size_on(shard, full);
-    if (!size.is_ok()) return respond_status(c, op, req_id, size.status());
-    if (size.value() > cfg.max_frame_bytes) {
-      return respond_status(c, op, req_id, Status::invalid_argument("value exceeds frame limit"));
-    }
-    const size_t at = c->out.size();
-    const size_t len = (size_t)size.value();
-    append_frame_header(&c->out, op, req_id, 0, (uint32_t)len);
-    c->out.resize(at + kHeaderBytes + len);
-    auto got = store->get_on(c->session, shard, full, c->out.data() + at + kHeaderBytes, len);
-    if (got.is_ok() && got.value() == len) return;
-    c->out.resize(at);
-    respond_status(c, op, req_id,
-                   got.is_ok() ? Status::busy("object resized during read") : got.status());
   }
 
   void handle_metrics(Conn* c, const Frame& f) {
@@ -773,8 +748,8 @@ struct Server::Impl {
     switch (f.hdr.op) {
       case Op::kOpenNs: return handle_open_ns(c, f);
       case Op::kPut: return handle_put(c, f);
-      case Op::kGet: return handle_get(c, f, false);
-      case Op::kGetZc: return handle_get(c, f, true);
+      case Op::kGet:
+      case Op::kGetZc: return handle_get(c, f);
       case Op::kDelete: return handle_delete(c, f);
       case Op::kMetrics: return handle_metrics(c, f);
       case Op::kHeartbeat: return handle_heartbeat_op(c, f);

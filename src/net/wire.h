@@ -46,7 +46,7 @@ enum class Op : uint8_t {
   kOpenNs = 1,  // body: u16 name_len + name          -> u32 ns_id, u32 shard
   kPut = 2,     // body: u32 ns, u16 key_len, key, value -> empty
   kGet = 3,     // body: u32 ns, u16 key_len, key     -> value bytes
-  kGetZc = 4,   // like kGet; server serves from the zero-copy read path
+  kGetZc = 4,   // alias of kGet, answered under opcode 4
   kDelete = 5,  // body: u32 ns, u16 key_len, key     -> empty
   kScrub = 6,   // body: empty                        -> ScrubSummary
   kMetrics = 7, // body: u8 format (0 json, 1 prom)   -> text

@@ -48,18 +48,6 @@ enum Stage : int {
   kStageCount,
 };
 
-inline const char* stage_name(int s) {
-  switch (s) {
-    case kStageLogAppend: return "log_append";
-    case kStagePoolAlloc: return "pool_alloc";
-    case kStageMetaZone: return "meta_zone";
-    case kStageBtree: return "btree";
-    case kStageSsdBatch: return "ssd_batch";
-    case kStageCommitFlush: return "commit_flush";
-    default: return "?";
-  }
-}
-
 // The registry handles one op type publishes into. Built once per store;
 // unset (nullptr) members simply skip that recording.
 struct OpMetrics {

@@ -130,7 +130,6 @@ class Pool {
   // pool's freeze_image() is registered as a crash sink so an injected
   // power failure anywhere in the system stops persistence here too.
   void set_fault_injector(fault::FaultInjector* inj);
-  fault::FaultInjector* fault_injector() const { return fault_; }
 
   // Power is gone as of now: stop applying flushes/fences/bulk writes to
   // the persistent image. The workload keeps running on the volatile region

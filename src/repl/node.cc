@@ -596,7 +596,7 @@ void Node::build_snapshot(std::vector<SnapItem>* out) {
       it.shard = (uint32_t)sidx;
       it.key = name;
       it.value.resize(sz);
-      auto r = store_->get_on(nullptr, sidx, name, it.value.data(), sz);
+      auto r = store_->shard(sidx).oget(store_->ctx_on(nullptr, sidx), name, it.value.data(), sz);
       if (!r.is_ok()) continue;  // deleted mid-scan; a later entry covers it
       it.value.resize(std::min<size_t>(r.value(), sz));
       out->push_back(std::move(it));
@@ -693,24 +693,24 @@ Status Node::apply_entry(const net::ReplEntryWire& w) {
   if (shard < 0 || shard >= store_->num_shards())
     return Status::invalid_argument("stream entry for unknown shard");
   std::string key(w.key);
+  DStore& d = store_->shard(shard);
+  ds_ctx_t* ctx = store_->ctx_on(nullptr, shard);
   switch ((dipper::OpType)w.op) {
     case dipper::OpType::kPut:
-      return store_->put_on(nullptr, shard, key, w.value.data(), w.value.size());
+      return d.oput(ctx, key, w.value.data(), w.value.size());
     case dipper::OpType::kDelete: {
-      Status s = store_->del_on(nullptr, shard, key);
+      Status s = d.odelete(ctx, key);
       if (s.code() == Code::kNotFound) return Status::ok();  // resync overlap
       return s;
     }
     case dipper::OpType::kCreate: {
-      DStore& d = store_->shard(shard);
-      auto o = d.oopen(nullptr, key, w.arg0, kWrite | kCreate);
+      auto o = d.oopen(ctx, key, w.arg0, kWrite | kCreate);
       if (!o.is_ok()) return o.status();
       d.oclose(o.value());
       return Status::ok();
     }
     case dipper::OpType::kWrite: {
-      DStore& d = store_->shard(shard);
-      auto o = d.oopen(nullptr, key, 0, kWrite | kCreate);
+      auto o = d.oopen(ctx, key, 0, kWrite | kCreate);
       if (!o.is_ok()) return o.status();
       auto r = d.owrite(o.value(), w.value.data(), w.value.size(), w.arg1);
       d.oclose(o.value());
@@ -1012,13 +1012,14 @@ void Node::do_resync(PeerRpc* rpc, const net::ReplSubscribeResult& res) {
   // Divergent or out-of-window history is discarded wholesale: wipe every
   // local object, then install the primary's checkpoint image.
   for (int sidx = 0; sidx < store_->num_shards(); sidx++) {
+    DStore& d = store_->shard(sidx);
     std::vector<std::string> names;
-    store_->shard(sidx).list([&](std::string_view n, uint64_t) {
+    d.list([&](std::string_view n, uint64_t) {
       names.emplace_back(n);
       return true;
     });
     for (auto& n : names) {
-      Status s = store_->del_on(nullptr, sidx, n);
+      Status s = d.odelete(store_->ctx_on(nullptr, sidx), n);
       if (!s.is_ok() && s.code() != Code::kNotFound) return;
     }
   }
@@ -1036,17 +1037,17 @@ void Node::do_resync(PeerRpc* rpc, const net::ReplSubscribeResult& res) {
     auto c = rpc->snap_pull(h, &storage);
     if (!c.is_ok()) return;  // link died mid-resync; next tick restarts it
     for (const net::SnapItemView& it : c.value().items) {
-      if ((int)it.shard >= store_->num_shards()) return;
+      if (it.shard >= (uint32_t)store_->num_shards()) return;  // unsigned: 2^31+ too
+      DStore& d = store_->shard((int)it.shard);
+      ds_ctx_t* ctx = store_->ctx_on(nullptr, (int)it.shard);
       Status s;
       if (it.offset == 0) {
-        s = store_->put_on(nullptr, (int)it.shard, it.key, it.value.data(),
-                           it.value.size());
+        s = d.oput(ctx, it.key, it.value.data(), it.value.size());
       } else {
         // Continuation piece of a value larger than one byte-budgeted
         // chunk: splice it in at its offset, extending the object the
         // offset-0 piece created.
-        DStore& d = store_->shard((int)it.shard);
-        auto o = d.oopen(nullptr, it.key, 0, kWrite | kCreate);
+        auto o = d.oopen(ctx, it.key, 0, kWrite | kCreate);
         if (!o.is_ok()) return;
         auto r = d.owrite(o.value(), it.value.data(), it.value.size(), it.offset);
         d.oclose(o.value());

@@ -80,7 +80,6 @@ class IoQueue {
   // Completion status of submission `id`. Only meaningful once reaped
   // (poll()/wait_all()); an unreaped in-flight IO reads as ok.
   const Status& status_of(size_t id) const { return subs_[id].status; }
-  const IoDesc& desc_of(size_t id) const { return subs_[id].desc; }
 
   // True once every submission has been reaped with an ok status.
   bool all_ok() const;

@@ -231,6 +231,49 @@ TEST(CApiV3, DirSessionPersistsAcrossReopen) {
   std::filesystem::remove_all(dir);
 }
 
+// A "dir:" store made before the store directory had a manifest: reopening
+// adopts it with the caller's sizing when the image files fit that sizing
+// exactly, and writes the manifest; a mismatched sizing is refused.
+TEST(CApiV3, DirStoreWithoutManifestIsAdoptedWithMatchingSizing) {
+  std::string dir = ::testing::TempDir() + "ds_v3_legacy_dir";
+  std::filesystem::remove_all(dir);
+  std::string target = "dir:" + dir;
+  ds_session_options opt = small_opts();
+  ds_session_t* s = ds_session_open(target.c_str(), &opt);
+  ASSERT_NE(s, nullptr) << ds_open_error();
+  ds_namespace_t* ns = ds_namespace_open(s, "old");
+  ASSERT_NE(ns, nullptr);
+  ASSERT_EQ(ds_put(ns, "k", "legacy", 6), 6);
+  ds_namespace_close(ns);
+  ds_session_close(s);
+  ASSERT_TRUE(std::filesystem::remove(dir + "/manifest"));
+
+  ds_session_options wrong = small_opts();
+  wrong.create = 0;
+  wrong.store.num_blocks = 8192;
+  EXPECT_EQ(ds_session_open(target.c_str(), &wrong), nullptr);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/manifest"));
+
+  opt.create = 0;
+  s = ds_session_open(target.c_str(), &opt);
+  ASSERT_NE(s, nullptr) << ds_open_error();
+  EXPECT_TRUE(std::filesystem::exists(dir + "/manifest"));
+  ds_session_close(s);
+
+  // From now on the manifest's sizing wins over the caller's knobs.
+  ds_session_options defaults{};
+  s = ds_session_open(target.c_str(), &defaults);
+  ASSERT_NE(s, nullptr) << ds_open_error();
+  ns = ds_namespace_open(s, "old");
+  ASSERT_NE(ns, nullptr);
+  char buf[16];
+  ASSERT_EQ(ds_get(ns, "k", buf, sizeof(buf)), 6);
+  EXPECT_EQ(memcmp(buf, "legacy", 6), 0);
+  ds_namespace_close(ns);
+  ds_session_close(s);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CApi, CorruptionSurfacesAsEcorrupt) {
   std::string dir = ::testing::TempDir() + "ds_capi_corrupt";
   std::filesystem::remove_all(dir);

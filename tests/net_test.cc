@@ -520,11 +520,13 @@ TEST(NetEndToEnd, PutGetDeleteRoundTrip) {
   ASSERT_TRUE(got.is_ok()) << got.status().to_string();
   EXPECT_EQ(got.value(), value);
 
-  // Zero-copy request path (server falls back transparently if the device
-  // has no direct mapping) — bytes must be identical either way.
-  auto zc = client->get(ns.value().ns_id, "obj", /*zero_copy=*/true);
-  ASSERT_TRUE(zc.is_ok()) << zc.status().to_string();
-  EXPECT_EQ(zc.value(), value);
+  // Opcode 4 (GET_ZC) is still answered: the same GET, under its own
+  // opcode, with identical bytes.
+  Frame zc;
+  ASSERT_TRUE(client->call(Op::kGetZc, key_body(ns.value().ns_id, "obj"), &zc).is_ok());
+  EXPECT_EQ(zc.hdr.op, Op::kGetZc);
+  EXPECT_EQ(zc.hdr.status, 0);
+  EXPECT_EQ(zc.body, value);
 
   ASSERT_TRUE(client->del(ns.value().ns_id, "obj").is_ok());
   auto gone = client->get(ns.value().ns_id, "obj");
@@ -1046,8 +1048,9 @@ TEST(NetMultiLoop, ConcurrentClientsOnDifferentShardsReadBack) {
   // Every tenant's keys landed on its namespace's home shard.
   std::vector<char> buf(512);
   for (const std::string& name : names) {
-    auto r = fx.store->get_on(nullptr, fx.store->shard_of(name), name + '\x1f' + "key0",
-                              buf.data(), buf.size());
+    const int home = fx.store->shard_of(name);
+    auto r = fx.store->shard(home).oget(fx.store->ctx_on(nullptr, home), name + '\x1f' + "key0",
+                                        buf.data(), buf.size());
     EXPECT_TRUE(r.is_ok()) << name << ": " << r.status().to_string();
   }
 }
@@ -1364,8 +1367,9 @@ TEST(NetAsyncPut, DrainStopWithPutsPendingAcksOrCloses) {
   std::vector<char> buf(8192);
   for (int i : acked) {
     std::string want = tagged_value(std::to_string(i));
-    auto r = fx.store->get_on(nullptr, 1, ns_name + '\x1f' + "k" + std::to_string(i), buf.data(),
-                              buf.size());
+    auto r = fx.store->shard(1).oget(fx.store->ctx_on(nullptr, 1),
+                                     ns_name + '\x1f' + "k" + std::to_string(i), buf.data(),
+                                     buf.size());
     ASSERT_TRUE(r.is_ok()) << "acked put " << i << " missing: " << r.status().to_string();
     EXPECT_EQ(std::string(buf.data(), r.value()), want) << "acked put " << i;
   }
@@ -1521,7 +1525,8 @@ TEST(NetCrashRig, KillMidCheckpointLosesNoAckedWrite) {
   std::vector<char> buf(1 << 12);
   for (const auto& [key, val] : oracle) {
     std::string full = ns_name + '\x1f' + key;
-    auto r = fx.store->get_on(nullptr, home, full, buf.data(), buf.size());
+    auto r = fx.store->shard(home).oget(fx.store->ctx_on(nullptr, home), full, buf.data(),
+                                        buf.size());
     ASSERT_TRUE(r.is_ok()) << "acked write lost: " << key << " — " << r.status().to_string();
     ASSERT_EQ(r.value(), val.size()) << "acked write truncated: " << key;
     EXPECT_EQ(std::string(buf.data(), r.value()), val) << "acked write corrupt: " << key;
@@ -1618,8 +1623,9 @@ TEST(NetCrashRig, PipelinedPutsCrashWithPutsPendingLoseNoAckedWrite) {
   ASSERT_TRUE(fx.store->crash_and_recover_all().is_ok());
   std::vector<char> buf(1 << 12);
   for (const auto& [k, v] : oracle) {
-    auto r = fx.store->get_on(nullptr, fx.cfg.fault_shard, ns_name + '\x1f' + k, buf.data(),
-                              buf.size());
+    const int sh = fx.cfg.fault_shard;
+    auto r = fx.store->shard(sh).oget(fx.store->ctx_on(nullptr, sh), ns_name + '\x1f' + k,
+                                      buf.data(), buf.size());
     ASSERT_TRUE(r.is_ok()) << "acked write lost: " << k << " — " << r.status().to_string();
     ASSERT_EQ(std::string(buf.data(), r.value()), v) << "acked write corrupt: " << k;
   }

@@ -482,6 +482,50 @@ TEST(ReplResync, ServingSnapshotChunksNeverAdvancesTheQuorumWatermark) {
 // Concurrent writers racing for the quorum watermark
 // ---------------------------------------------------------------------------
 
+// A primary that orders a resync and then serves one snapshot chunk whose
+// first item names a shard far out of range (2^31: negative as an int).
+struct BadShardSnapPeer : DownPeer {
+  int pulls = 0;
+  Result<net::ReplSubscribeResult> subscribe(const net::ReplHello&) override {
+    net::ReplSubscribeResult r;
+    r.result = net::ReplSubscribeResult::kResync;
+    r.epoch = 1;
+    r.primary_id = 1;
+    r.base_seq = 7;
+    r.base_epoch = 1;
+    return r;
+  }
+  Result<net::SnapChunk> snap_pull(const net::ReplHello&, std::string*) override {
+    pulls++;
+    net::SnapChunk c;
+    c.done = 1;
+    net::SnapItemView bad;
+    bad.shard = 0x80000000u;
+    bad.key = "bad";
+    bad.value = "x";
+    net::SnapItemView good;
+    good.key = "k";
+    good.value = "v";
+    c.items = {bad, good};
+    return c;
+  }
+};
+
+TEST(ReplResync, OutOfRangeSnapshotShardAbortsTheResync) {
+  FollowerFixture fx;
+  BadShardSnapPeer peer;
+  fx.node->add_peer(1, &peer);
+  fx.node->on_tick();
+  ASSERT_EQ(peer.pulls, 1);
+  // The install stopped at the bad item: nothing after it landed and the
+  // node did not take the snapshot's position.
+  EXPECT_EQ(fx.node->applied_seq(), 0u);
+  char buf[8];
+  auto r = fx.node->get("k", buf, sizeof(buf));
+  EXPECT_EQ(r.status().code(), Code::kNotFound);
+  EXPECT_EQ(fx.store->shard(0).object_count(), 0u);
+}
+
 // Regression: await_replication used to sample commit_seq_ once after one
 // ship attempt, so a writer whose ack was carried by ANOTHER writer's ship
 // (the per-peer shipping slot is exclusive) failed Status::busy even though

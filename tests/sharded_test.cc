@@ -380,53 +380,83 @@ TEST(Sharded, CheckpointAllAttemptsEveryShardOnFailure) {
 }
 
 // The full-log rule, for both checkpoint drivers — an unshared engine on
-// its private pool and a shard on the fleet's pool: with checkpointing
-// disabled no checkpoint may run, so an append to a full log fails busy
-// (rather than checkpointing anyway or retrying forever), and re-enabling
-// lets the next put through.
-class FullLogRule : public ::testing::TestWithParam<bool> {};  // true: pooled shard
-
-TEST_P(FullLogRule, DisabledCheckpointingFailsBusyThenRecovers) {
-  ShardedConfig fleet_cfg = small_cfg(1, /*crashsim=*/false);
-  fleet_cfg.shard.engine.background_checkpointing = true;
-  fleet_cfg.shard.engine.log_slots = 64;
-  DStoreConfig cfg = fleet_cfg.shard;
-  cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.max_objects);
-  std::unique_ptr<ShardedStore> fleet;
-  std::unique_ptr<pmem::Pool> pool;
-  std::unique_ptr<ssd::RamBlockDevice> device;
-  std::unique_ptr<DStore> single;
-  DStore* store = nullptr;
-  if (GetParam()) {
-    auto r = ShardedStore::create(fleet_cfg);
-    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-    fleet = std::move(r).value();
-    store = &fleet->shard(0);
-  } else {
-    pool = std::make_unique<pmem::Pool>(DStoreConfig::required_pool_bytes(cfg),
-                                        pmem::Pool::Mode::kDirect);
-    ssd::DeviceConfig dc;
-    dc.num_blocks = cfg.num_blocks;
-    device = std::make_unique<ssd::RamBlockDevice>(dc);
-    auto r = DStore::create(pool.get(), device.get(), cfg);
-    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-    single = std::move(r).value();
-    store = single.get();
+// its private pool and a shard on the fleet's pool: with no checkpoint
+// allowed to run, an append to a full log fails busy (rather than
+// checkpointing anyway or retrying forever).
+class FullLogRule : public ::testing::TestWithParam<bool> {  // true: pooled shard
+ protected:
+  void SetUp() override {
+    ShardedConfig fleet_cfg = small_cfg(1, /*crashsim=*/false);
+    fleet_cfg.shard.engine.background_checkpointing = true;
+    fleet_cfg.shard.engine.log_slots = 64;
+    DStoreConfig cfg = fleet_cfg.shard;
+    cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.max_objects);
+    if (GetParam()) {
+      auto r = ShardedStore::create(fleet_cfg);
+      ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+      fleet_ = std::move(r).value();
+      store_ = &fleet_->shard(0);
+    } else {
+      pool_ = std::make_unique<pmem::Pool>(DStoreConfig::required_pool_bytes(cfg),
+                                           pmem::Pool::Mode::kDirect);
+      ssd::DeviceConfig dc;
+      dc.num_blocks = cfg.num_blocks;
+      device_ = std::make_unique<ssd::RamBlockDevice>(dc);
+      auto r = DStore::create(pool_.get(), device_.get(), cfg);
+      ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+      single_ = std::move(r).value();
+      store_ = single_.get();
+    }
+    ctx_ = store_->ds_init();
   }
-  dipper::Engine& engine = store->engine();
+  void TearDown() override {
+    if (store_ != nullptr) store_->ds_finalize(ctx_);
+  }
+
+  Status put(int i) { return store_->oput(ctx_, "f" + std::to_string(i), v_.data(), v_.size()); }
+  // Puts until one fails; returns the index of the failed put.
+  int fill(Status* s) {
+    int i = 0;
+    for (*s = Status::ok(); i < 4 * 64 && s->is_ok(); i++) *s = put(i);
+    return i;
+  }
+
+  std::unique_ptr<ShardedStore> fleet_;
+  std::unique_ptr<pmem::Pool> pool_;
+  std::unique_ptr<ssd::RamBlockDevice> device_;
+  std::unique_ptr<DStore> single_;
+  DStore* store_ = nullptr;
+  ds_ctx_t* ctx_ = nullptr;
+  std::string v_ = std::string(64, 'f');
+};
+
+// Checkpointing disabled: busy, and re-enabling lets the next put through.
+TEST_P(FullLogRule, DisabledCheckpointingFailsBusyThenRecovers) {
+  dipper::Engine& engine = store_->engine();
   engine.set_checkpointing_enabled(false);
-  ds_ctx_t* ctx = store->ds_init();
-  std::string v(64, 'f');
-  auto put = [&](int i) { return store->oput(ctx, "f" + std::to_string(i), v.data(), v.size()); };
-  Status s = Status::ok();
-  int i = 0;
-  for (; i < 4 * 64 && s.is_ok(); i++) s = put(i);
+  Status s;
+  int i = fill(&s);
   EXPECT_TRUE(s.is_busy()) << s.to_string();
   EXPECT_DOUBLE_EQ(engine.log_fill(), 1.0);
   EXPECT_EQ(engine.stats().checkpoints.load(), 0u);
   engine.set_checkpointing_enabled(true);
   EXPECT_TRUE(put(i).is_ok());
-  store->ds_finalize(ctx);
+}
+
+// stop_background() leaves no worker to run a checkpoint, so it disables
+// checkpointing too: a full log fails busy instead of requesting a
+// checkpoint nothing will run and sleeping forever, and checkpoint_now()
+// frees the log.
+TEST_P(FullLogRule, StoppedBackgroundFailsBusyThenCheckpointFrees) {
+  dipper::Engine& engine = store_->engine();
+  engine.stop_background();
+  Status s;
+  int i = fill(&s);
+  EXPECT_TRUE(s.is_busy()) << s.to_string();
+  EXPECT_DOUBLE_EQ(engine.log_fill(), 1.0);
+  ASSERT_TRUE(engine.checkpoint_now().is_ok());
+  EXPECT_LT(engine.log_fill(), 1.0);
+  EXPECT_TRUE(put(i).is_ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Drivers, FullLogRule, ::testing::Bool(),

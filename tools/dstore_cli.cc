@@ -23,90 +23,35 @@
 #include <string>
 #include <vector>
 
-#include "dstore/dstore.h"
+#include "dstore/store_dir.h"
 
 using namespace dstore;
 namespace fs = std::filesystem;
 
 namespace {
 
-struct CliStore {
-  DStoreConfig cfg;
-  std::unique_ptr<pmem::Pool> pool;
-  std::unique_ptr<ssd::FileBlockDevice> device;
-  std::unique_ptr<DStore> store;
-};
-
-// Store sizing is persisted in a tiny side file so later invocations open
-// with the same configuration the pool was formatted with.
-struct Manifest {
-  uint64_t max_objects = 1 << 14;
-  uint64_t num_blocks = 1 << 15;
-  uint32_t log_slots = 8192;
-};
-
-bool read_manifest(const fs::path& dir, Manifest* m) {
-  std::ifstream in(dir / "manifest");
-  return bool(in >> m->max_objects >> m->num_blocks >> m->log_slots);
-}
-
-bool write_manifest(const fs::path& dir, const Manifest& m) {
-  std::ofstream out(dir / "manifest");
-  out << m.max_objects << " " << m.num_blocks << " " << m.log_slots << "\n";
-  return bool(out);
-}
-
-DStoreConfig config_from(const Manifest& m) {
-  DStoreConfig cfg;
-  cfg.max_objects = m.max_objects;
-  cfg.num_blocks = m.num_blocks;
-  cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(m.max_objects);
-  cfg.engine.log_slots = m.log_slots;
+// Opens the store in `dir` (formatting it with `sizing` on `create`); the
+// directory layout and its manifest belong to open_store_dir.
+int open_store(const fs::path& dir, bool create, const DStoreConfig& sizing, StoreDir* out) {
+  DStoreConfig cfg = sizing;
   cfg.engine.background_checkpointing = false;  // short-lived process
-  return cfg;
-}
-
-int open_store(const fs::path& dir, bool create, const Manifest& manifest, CliStore* out) {
-  Manifest m = manifest;
-  if (!create && !read_manifest(dir, &m)) {
-    fprintf(stderr, "no store at %s (run `init` first)\n", dir.c_str());
+  auto s = open_store_dir(dir.string(), cfg, create);
+  if (!s.is_ok()) {
+    if (s.status().code() == Code::kNotFound) {
+      fprintf(stderr, "no store at %s (run `init` first)\n", dir.c_str());
+    } else {
+      fprintf(stderr, "store %s failed: %s\n", create ? "create" : "open",
+              s.status().to_string().c_str());
+    }
     return 1;
   }
-  out->cfg = config_from(m);
-  auto pool = pmem::Pool::open_file((dir / "pmem.img").string(),
-                                    DStoreConfig::required_pool_bytes(out->cfg),
-                                    LatencyModel::none(), create);
-  if (!pool.is_ok()) {
-    fprintf(stderr, "pmem open failed: %s\n", pool.status().to_string().c_str());
-    return 1;
-  }
-  out->pool = std::move(pool).value();
-  ssd::DeviceConfig dc;
-  dc.num_blocks = m.num_blocks;
-  auto dev = ssd::FileBlockDevice::open((dir / "data.img").string(), dc, create);
-  if (!dev.is_ok()) {
-    fprintf(stderr, "device open failed: %s\n", dev.status().to_string().c_str());
-    return 1;
-  }
-  out->device = std::move(dev).value();
-  auto store = create ? DStore::create(out->pool.get(), out->device.get(), out->cfg)
-                      : DStore::recover(out->pool.get(), out->device.get(), out->cfg);
-  if (!store.is_ok()) {
-    fprintf(stderr, "store %s failed: %s\n", create ? "create" : "recover",
-            store.status().to_string().c_str());
-    return 1;
-  }
-  out->store = std::move(store).value();
-  if (create && !write_manifest(dir, m)) {
-    fprintf(stderr, "cannot write manifest\n");
-    return 1;
-  }
+  *out = std::move(s).value();
   return 0;
 }
 
 // On exit, fold the log into a checkpoint so the next invocation recovers
 // from a compact state (optional but keeps recovery fast).
-void close_store(CliStore& s) {
+void close_store(StoreDir& s) {
   (void)s.store->checkpoint_now();
   s.store.reset();
 }
@@ -155,23 +100,24 @@ int main(int argc, char** argv) {
   const std::string& cmd = rest[0];
 
   if (cmd == "init") {
-    Manifest m;
+    DStoreConfig sizing;
+    sizing.max_objects = 1 << 14;
+    sizing.num_blocks = 1 << 15;
+    sizing.engine.log_slots = 8192;
     for (size_t i = 1; i + 1 < rest.size(); i += 2) {
-      if (rest[i] == "--objects") m.max_objects = strtoull(rest[i + 1].c_str(), nullptr, 10);
-      if (rest[i] == "--blocks") m.num_blocks = strtoull(rest[i + 1].c_str(), nullptr, 10);
+      if (rest[i] == "--objects") sizing.max_objects = strtoull(rest[i + 1].c_str(), nullptr, 10);
+      if (rest[i] == "--blocks") sizing.num_blocks = strtoull(rest[i + 1].c_str(), nullptr, 10);
     }
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    CliStore s;
-    if (int rc = open_store(dir, /*create=*/true, m, &s)) return rc;
+    StoreDir s;
+    if (int rc = open_store(dir, /*create=*/true, sizing, &s)) return rc;
     printf("initialized store in %s (max %llu objects, %llu blocks)\n", dir.c_str(),
-           (unsigned long long)m.max_objects, (unsigned long long)m.num_blocks);
+           (unsigned long long)sizing.max_objects, (unsigned long long)sizing.num_blocks);
     close_store(s);
     return 0;
   }
 
-  CliStore s;
-  if (int rc = open_store(dir, /*create=*/false, Manifest{}, &s)) return rc;
+  StoreDir s;
+  if (int rc = open_store(dir, /*create=*/false, DStoreConfig{}, &s)) return rc;
   ds_ctx_t* ctx = s.store->ds_init();
   int rc = 0;
 

@@ -22,12 +22,11 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "dstore/dstore.h"
+#include "dstore/store_dir.h"
 
 using namespace dstore;
 namespace fs = std::filesystem;
@@ -48,54 +47,26 @@ int main(int argc, char** argv) {
     return 64;  // EX_USAGE
   }
 
-  // Manifest (written by dstore_cli).
-  uint64_t max_objects = 0, num_blocks = 0;
-  uint32_t log_slots = 0;
-  {
-    std::ifstream in(dir / "manifest");
-    if (!(in >> max_objects >> num_blocks >> log_slots)) {
-      fprintf(stderr, "fsck: cannot read %s/manifest\n", dir.c_str());
-      return 1;
-    }
-  }
-  DStoreConfig cfg;
-  cfg.max_objects = max_objects;
-  cfg.num_blocks = num_blocks;
-  cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(max_objects);
-  cfg.engine.log_slots = log_slots;
-  cfg.engine.background_checkpointing = false;
-
-  auto pool = pmem::Pool::open_file((dir / "pmem.img").string(),
-                                    DStoreConfig::required_pool_bytes(cfg),
-                                    LatencyModel::none(), false);
-  if (!pool.is_ok()) {
-    fprintf(stderr, "fsck: pmem image: %s\n", pool.status().to_string().c_str());
-    return 1;
-  }
-  ssd::DeviceConfig dc;
-  dc.num_blocks = num_blocks;
-  auto dev = ssd::FileBlockDevice::open((dir / "data.img").string(), dc, false);
-  if (!dev.is_ok()) {
-    fprintf(stderr, "fsck: data image: %s\n", dev.status().to_string().c_str());
-    return 1;
-  }
   printf("fsck: opening store (recovery is idempotent)...\n");
-  auto store = DStore::recover(pool.value().get(), dev.value().get(), cfg);
-  if (!store.is_ok()) {
-    fprintf(stderr, "fsck: RECOVERY FAILED: %s\n", store.status().to_string().c_str());
+  DStoreConfig cfg;
+  cfg.engine.background_checkpointing = false;
+  auto opened = open_store_dir(dir.string(), cfg, /*create=*/false);
+  if (!opened.is_ok()) {
+    fprintf(stderr, "fsck: RECOVERY FAILED: %s\n", opened.status().to_string().c_str());
     return 1;
   }
+  std::unique_ptr<DStore>& store = opened.value().store;
 
   int problems = 0;
   printf("fsck: structural cross-check (btree/zone/pools)...\n");
-  Status v = store.value()->validate();
+  Status v = store->validate();
   if (!v.is_ok()) {
     fprintf(stderr, "fsck: INVARIANT VIOLATION: %s\n", v.to_string().c_str());
     problems++;
   }
 
-  uint64_t objects = store.value()->object_count();
-  auto usage = store.value()->space_usage();
+  uint64_t objects = store->object_count();
+  auto usage = store->space_usage();
   printf("fsck: %llu objects; DRAM %.2f MB, PMEM %.2f MB, SSD %.2f MB\n",
          (unsigned long long)objects, usage.dram_bytes / 1e6, usage.pmem_bytes / 1e6,
          usage.ssd_bytes / 1e6);
@@ -104,7 +75,7 @@ int main(int argc, char** argv) {
     printf("fsck: deep scan — full checksum verification (meta CRCs, page\n");
     printf("fsck: sidecar, content CRCs)...\n");
     DStore::ScrubReport rep;
-    Status sc = store.value()->scrub_now(&rep);
+    Status sc = store->scrub_now(&rep);
     printf("fsck: scrubbed %llu objects, %llu pages verified, %llu checksum "
            "failure(s), %llu repaired, %llu page(s) quarantined\n",
            (unsigned long long)rep.objects_scanned, (unsigned long long)rep.pages_verified,
@@ -118,30 +89,30 @@ int main(int argc, char** argv) {
       fprintf(stderr, "fsck: SCRUB FAILED: %s\n", sc.to_string().c_str());
       problems++;
     }
-    uint64_t quarantined = store.value()->bad_pages().count();
+    uint64_t quarantined = store->bad_pages().count();
     if (quarantined > 0) {
       fprintf(stderr, "fsck: %llu page(s) in the quarantine table\n",
               (unsigned long long)quarantined);
     }
 
     printf("fsck: deep scan — reading every object's data...\n");
-    ds_ctx_t* ctx = store.value()->ds_init();
+    ds_ctx_t* ctx = store->ds_init();
     std::vector<std::string> names;
-    store.value()->list([&](std::string_view name, uint64_t) {
+    store->list([&](std::string_view name, uint64_t) {
       names.emplace_back(name);
       return true;
     });
     std::string buf;
     uint64_t read_ok = 0;
     for (const std::string& name : names) {
-      auto size = store.value()->object_size(name);
+      auto size = store->object_size(name);
       if (!size.is_ok()) {
         fprintf(stderr, "fsck: cannot stat %s\n", name.c_str());
         problems++;
         continue;
       }
       buf.assign(size.value(), 0);
-      auto r = store.value()->oget(ctx, name, buf.data(), buf.size());
+      auto r = store->oget(ctx, name, buf.data(), buf.size());
       if (!r.is_ok() || r.value() != size.value()) {
         fprintf(stderr, "fsck: UNREADABLE OBJECT %s\n", name.c_str());
         problems++;
@@ -149,7 +120,7 @@ int main(int argc, char** argv) {
         read_ok++;
       }
     }
-    store.value()->ds_finalize(ctx);
+    store->ds_finalize(ctx);
     printf("fsck: deep scan read %llu/%zu objects\n", (unsigned long long)read_ok,
            names.size());
   }
