@@ -380,81 +380,73 @@ int table3(Ctx& c) {
          "BTree(ns)", "Meta(ns)", "LogFlush(ns)", "Total(ns)", "p50(us)", "p99(us)");
   const int kWarmup = 200;
   const int kOps = (int)c.p.ops_per_thread;
-  // early_ack=true ("DStore-ea") acknowledges at PMEM log commit and drains
-  // the SSD data IO afterward (§13 minimal ordering): the NVMe stage leaves
-  // the ack path entirely, so put p50 collapses to the software path.
-  for (bool early_ack : {false, true}) {
-    printf("# system: %s\n", early_ack ? "DStore-ea (ack at log commit)" : "DStore");
-    for (uint32_t qd : {1u, 16u}) {
-      for (size_t size : {(size_t)4096, (size_t)16384, (size_t)65536}) {
-        auto cfg = baselines::DStoreAdapter::dipper_variant();
-        cfg.store.max_objects = 1 << 14;
-        cfg.store.num_blocks = 1 << 18;
-        cfg.store.ssd_qd = qd;
-        cfg.store.early_ack = early_ack;
-        cfg.display_name = early_ack ? "DStore-ea" : "DStore";
-        auto adapter = baselines::DStoreAdapter::make(cfg, c.p.latency());
-        if (!adapter.is_ok()) {
-          fprintf(stderr, "make %s failed: %s\n", cfg.display_name,
-                  adapter.status().to_string().c_str());
+  for (uint32_t qd : {1u, 16u}) {
+    for (size_t size : {(size_t)4096, (size_t)16384, (size_t)65536}) {
+      auto cfg = baselines::DStoreAdapter::dipper_variant();
+      cfg.store.max_objects = 1 << 14;
+      cfg.store.num_blocks = 1 << 18;
+      cfg.store.ssd_qd = qd;
+      auto adapter = baselines::DStoreAdapter::make(cfg, c.p.latency());
+      if (!adapter.is_ok()) {
+        fprintf(stderr, "make %s failed: %s\n", cfg.display_name,
+                adapter.status().to_string().c_str());
+        return 1;
+      }
+      DStore& store = adapter.value()->store();
+      ds_ctx_t* ctx = store.ds_init();
+      std::string value(size, 'b');
+      // Single-threaded instrumented writes, distinct keys (insert path).
+      for (int i = 0; i < kWarmup; i++) {
+        (void)store.oput(ctx, "warm" + std::to_string(i), value.data(), value.size());
+      }
+      // Zero the registry after warmup so the scrape covers only the
+      // measured ops (reset touches owned metrics only).
+      store.metrics().reset();
+      LatencyHistogram lat;
+      uint64_t bench_ns = 0;
+      for (int i = 0; i < kOps; i++) {
+        uint64_t t0 = now_ns();
+        Status s = store.oput(ctx, "obj" + std::to_string(i), value.data(), value.size());
+        uint64_t dt = now_ns() - t0;
+        if (!s.is_ok()) {
+          fprintf(stderr, "put failed: %s\n", s.to_string().c_str());
           return 1;
         }
-        DStore& store = adapter.value()->store();
-        ds_ctx_t* ctx = store.ds_init();
-        std::string value(size, 'b');
-        // Single-threaded instrumented writes, distinct keys (insert path).
-        for (int i = 0; i < kWarmup; i++) {
-          (void)store.oput(ctx, "warm" + std::to_string(i), value.data(), value.size());
-        }
-        // Zero the registry after warmup so the scrape covers only the
-        // measured ops (reset touches owned metrics only).
-        store.metrics().reset();
-        LatencyHistogram lat;
-        uint64_t bench_ns = 0;
-        for (int i = 0; i < kOps; i++) {
-          uint64_t t0 = now_ns();
-          Status s = store.oput(ctx, "obj" + std::to_string(i), value.data(), value.size());
-          uint64_t dt = now_ns() - t0;
-          if (!s.is_ok()) {
-            fprintf(stderr, "put failed: %s\n", s.to_string().c_str());
-            return 1;
-          }
-          lat.record(dt);
-          bench_ns += dt;
-        }
-        // Per-stage means from the registry's sampled stage histograms
-        // (1-in-OpTrace::kSampleEvery puts carry full spans; the means are
-        // unbiased since sampling does not depend on latency).
-        obs::MetricsRegistry& m = store.metrics();
-        auto stage_mean = [&](const char* name) {
-          obs::Histogram* h = m.find_histogram(name);
-          return h != nullptr && h->count() > 0 ? (double)h->sum() / (double)h->count() : 0.0;
-        };
-        double data = stage_mean("dstore_stage_ssd_batch_ns");
-        double btree = stage_mean("dstore_stage_btree_ns");
-        double meta =
-            stage_mean("dstore_stage_pool_alloc_ns") + stage_mean("dstore_stage_meta_zone_ns");
-        double log =
-            stage_mean("dstore_stage_log_append_ns") + stage_mean("dstore_stage_commit_flush_ns");
-        double total = stage_mean("dstore_put_latency_ns");
-        if (total <= 0) total = 1;  // metrics compiled out: avoid div-by-zero
-        printf("%-4u %-6zu %12.1f %12.1f %12.1f %12.1f %12.1f %10.1f %10.1f\n", qd, size, data,
-               btree, meta, log, total, lat.p50() / 1000.0, lat.p99() / 1000.0);
-        printf("%-4s %-6s %11.1f%% %11.1f%% %11.1f%% %11.1f%% %11.1f%%\n", "", "",
-               100 * data / total, 100 * btree / total, 100 * meta / total, 100 * log / total,
-               100.0);
-        printf("#      io: batches=%llu issued=%llu coalesced=%llu retries=%llu\n",
-               (unsigned long long)m.counter_value("ssd_io_batches_total"),
-               (unsigned long long)m.counter_value("ssd_ios_issued_total"),
-               (unsigned long long)m.counter_value("ssd_blocks_coalesced_total"),
-               (unsigned long long)m.counter_value("ssd_io_retries_total"));
-        c.report.row().str("op", "put").str("system", cfg.display_name).num("qd", qd)
-            .num("threads", 1).num("value_size", (double)size).percentiles(lat)
-            .num("throughput_iops", bench_ns > 0 ? (double)kOps * 1e9 / (double)bench_ns : 0)
-            .num("nvme_ns", data).num("btree_ns", btree).num("meta_ns", meta)
-            .num("log_flush_ns", log).num("total_ns", total);
-        store.ds_finalize(ctx);
+        lat.record(dt);
+        bench_ns += dt;
       }
+      // Per-stage means from the registry's sampled stage histograms
+      // (1-in-OpTrace::kSampleEvery puts carry full spans; the means are
+      // unbiased since sampling does not depend on latency).
+      obs::MetricsRegistry& m = store.metrics();
+      auto stage_mean = [&](const char* name) {
+        obs::Histogram* h = m.find_histogram(name);
+        return h != nullptr && h->count() > 0 ? (double)h->sum() / (double)h->count() : 0.0;
+      };
+      double data = stage_mean("dstore_stage_ssd_batch_ns");
+      double btree = stage_mean("dstore_stage_btree_ns");
+      double meta =
+          stage_mean("dstore_stage_pool_alloc_ns") + stage_mean("dstore_stage_meta_zone_ns");
+      double log =
+          stage_mean("dstore_stage_log_append_ns") + stage_mean("dstore_stage_commit_flush_ns");
+      double total = stage_mean("dstore_put_latency_ns");
+      if (total <= 0) total = 1;  // metrics compiled out: avoid div-by-zero
+      printf("%-4u %-6zu %12.1f %12.1f %12.1f %12.1f %12.1f %10.1f %10.1f\n", qd, size, data,
+             btree, meta, log, total, lat.p50() / 1000.0, lat.p99() / 1000.0);
+      printf("%-4s %-6s %11.1f%% %11.1f%% %11.1f%% %11.1f%% %11.1f%%\n", "", "",
+             100 * data / total, 100 * btree / total, 100 * meta / total, 100 * log / total,
+             100.0);
+      printf("#      io: batches=%llu issued=%llu coalesced=%llu retries=%llu\n",
+             (unsigned long long)m.counter_value("ssd_io_batches_total"),
+             (unsigned long long)m.counter_value("ssd_ios_issued_total"),
+             (unsigned long long)m.counter_value("ssd_blocks_coalesced_total"),
+             (unsigned long long)m.counter_value("ssd_io_retries_total"));
+      c.report.row().str("op", "put").str("system", cfg.display_name).num("qd", qd)
+          .num("threads", 1).num("value_size", (double)size).percentiles(lat)
+          .num("throughput_iops", bench_ns > 0 ? (double)kOps * 1e9 / (double)bench_ns : 0)
+          .num("nvme_ns", data).num("btree_ns", btree).num("meta_ns", meta)
+          .num("log_flush_ns", log).num("total_ns", total);
+      store.ds_finalize(ctx);
     }
   }
   printf("# Expected shape: NVMe ~88%% (4KB) rising to ~96%% (16KB); btree+meta\n");

@@ -1,7 +1,6 @@
 #include "dstore/dstore.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -66,7 +65,6 @@ Result<std::unique_ptr<DStore>> DStore::create(pmem::Pool* pool, ssd::BlockDevic
     store->badpages_.format_region(pool, bp_off);
   }
   store->register_substrate_metrics();
-  if (cfg.scrub_interval_ms > 0) store->start_scrubber();
   return store;
 }
 
@@ -82,7 +80,6 @@ Result<std::unique_ptr<DStore>> DStore::recover(pmem::Pool* pool, ssd::BlockDevi
     store->badpages_.attach_region(pool, bp_off);
   }
   store->register_substrate_metrics();
-  if (cfg.scrub_interval_ms > 0) store->start_scrubber();
   return store;
 }
 
@@ -247,7 +244,6 @@ void DStore::register_substrate_metrics() {
 }
 
 DStore::~DStore() {
-  stop_scrubber();
   if (engine_) engine_->stop_background();
 }
 
@@ -260,10 +256,6 @@ ds_ctx_t* DStore::ds_init() {
 
 void DStore::ds_finalize(ds_ctx_t* ctx) {
   if (ctx == nullptr) return;
-  // Early-ack queues spin out their remaining emulated device latency here;
-  // their ops are already committed and their data already durable.
-  for (auto& q : ctx->pending_io) q->wait_all();
-  ctx->pending_io.clear();
   live_ctxs_.fetch_sub(1, std::memory_order_relaxed);
   delete ctx;
 }
@@ -468,23 +460,6 @@ Status DStore::apply_io_policy(Status s, bool is_write) {
   return s;
 }
 
-void DStore::reap_pending(ds_ctx_t* ctx) {
-  if (ctx == nullptr || ctx->pending_io.empty()) return;
-  // A parked queue only ever holds ok statuses, so poll()/wait_all() here
-  // never resubmit (which would dereference a dead caller buffer).
-  auto& v = ctx->pending_io;
-  v.erase(std::remove_if(v.begin(), v.end(),
-                         [](std::unique_ptr<ssd::IoQueue>& q) { return q->poll() == 0; }),
-          v.end());
-  // Bound the context's outstanding emulated commands like a real
-  // queue-pair would: past the cap, the oldest is waited out.
-  constexpr size_t kMaxParked = 4;
-  while (v.size() > kMaxParked) {
-    v.front()->wait_all();
-    v.erase(v.begin());
-  }
-}
-
 Status DStore::finish_io(ssd::IoQueue& q, bool is_write, obs::OpTrace* trace) {
   q.wait_all();
   for (size_t i = 0; i < q.size(); i++) {
@@ -492,9 +467,8 @@ Status DStore::finish_io(ssd::IoQueue& q, bool is_write, obs::OpTrace* trace) {
     // Per-descriptor recovery: only the failed IO is re-issued (paying its
     // device latency again); the original submission was the first attempt.
     uint64_t retries = 0;
-    Status s = ssd::retry_after_failure(
-        q.status_of(i), [&] { return q.resubmit(i); },
-        ssd::RetryPolicy{cfg_.io_max_retries, cfg_.io_retry_backoff_ns}, &retries);
+    Status s = ssd::retry_after_failure(q.status_of(i), [&] { return q.resubmit(i); },
+                                        ssd::RetryPolicy{}, &retries);
     if (retries != 0) ssd_io_retries_->add(retries);
     s = apply_io_policy(std::move(s), is_write);
     if (!s.is_ok()) {
@@ -667,35 +641,6 @@ Status DStore::contain_corruption(View& v, uint64_t meta_idx, obs::OpTrace* trac
 
 // scrub_now lives below ReaderGuard's definition (it takes per-object read
 // exclusion the same way foreground reads do).
-
-void DStore::start_scrubber() {
-  scrub_thread_ = std::thread([this] { scrub_loop(); });
-}
-
-void DStore::stop_scrubber() {
-  {
-    MutexGuard g(scrub_mu_);
-    scrub_stop_ = true;
-  }
-  scrub_cv_.notify_all();
-  if (scrub_thread_.joinable()) scrub_thread_.join();
-}
-
-void DStore::scrub_loop() {
-  UniqueLock g(scrub_mu_);
-  while (!scrub_stop_) {
-    if (scrub_cv_.wait_for(g, std::chrono::milliseconds(cfg_.scrub_interval_ms),
-                           [this] { return scrub_stop_; })) {
-      break;
-    }
-    g.unlock();
-    // Failures publish through the integrity metrics and re-surface on the
-    // next foreground read; the scrubber itself never aborts.
-    // lint: allow-discard see above
-    (void)scrub_now(nullptr);
-    g.lock();
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Reader-side concurrency control (§4.4)
@@ -901,7 +846,7 @@ DStore::WriteOp::~WriteOp() {
 }
 
 bool DStore::WriteOp::ready() {
-  return !open_ || ioq_ == nullptr || early_ack_ || ioq_->poll() == 0;
+  return !open_ || !ioq_ || ioq_->poll() == 0;
 }
 
 Status DStore::mutate(ds_ctx_t* ctx, Mutation&& m) {
@@ -926,7 +871,6 @@ Status DStore::mutate_begin(WriteOp& w, bool wait) {
   obs::OpTrace& trace = w.trace_;
   const Key& k = m.key;
   const int64_t allowed = allowed_inflight(w.ctx_, k);
-  reap_pending(w.ctx_);
   // Write-write CC (§4.4): conflicting writers serialize on the log's
   // in-flight state before entering the synchronous region (step 1).
   // Readers are pre-drained here too so the in-region residual wait is
@@ -1009,7 +953,7 @@ Status DStore::mutate_begin(WriteOp& w, bool wait) {
   Status ws;
   auto issue = [&] {
     if (has_data) {
-      w.ioq_ = std::make_unique<ssd::IoQueue>(device_, cfg_.ssd_qd);
+      w.ioq_.emplace(device_, cfg_.ssd_qd);
       trace.enter(obs::kStageSsdBatch);
       ws = submit_io_range(*w.ioq_, bl, nbl, m.data, nullptr, m.size, m.arg1, &trace);
     }
@@ -1047,8 +991,6 @@ Status DStore::mutate_begin(WriteOp& w, bool wait) {
     if (w.whole_) w.value_crc_ = crc32c(m.data, m.size);
     trace.leave();
   }
-  w.early_ack_ = m.op == OpType::kPut && cfg_.early_ack && w.ctx_ != nullptr &&
-                 device_->config().power_loss_protection;
   w.open_ = true;
   trace.pause();
   return Status::ok();
@@ -1060,25 +1002,12 @@ Status DStore::mutate_finish(WriteOp& w) {
   Mutation& m = w.m_;
   obs::OpTrace& trace = w.trace_;
   trace.resume();
-  // Step 8b: reap the data completions (device-cache durable once acked).
-  //
-  // Early ack (DESIGN.md §13, puts only): with a PLP device, every
-  // submission already landed in the capacitor-backed write cache —
-  // acknowledged == durable — and in this emulation a failure completes at
-  // submission time, so a queue with none observed will drain clean. Skip
-  // the latency wait, commit now, and park the queue on the context;
-  // anything else (a failure already posted, no context, no PLP) takes the
-  // synchronous reap with its bounded-retry policy.
+  // Step 8b: reap the data completions (device-cache durable once acked),
+  // with the bounded-retry policy.
   Status s = std::move(w.s_);
-  bool parked = false;
-  if (w.ioq_ != nullptr && s.is_ok()) {
+  if (w.ioq_ && s.is_ok()) {
     trace.enter(obs::kStageSsdBatch);
-    if (w.early_ack_ && !w.ioq_->any_failed()) {
-      trace.add_io(w.ioq_->size(), w.ioq_->resubmits());
-      parked = true;
-    } else {
-      s = finish_io(*w.ioq_, /*is_write=*/true, &trace);
-    }
+    s = finish_io(*w.ioq_, /*is_write=*/true, &trace);
   }
   if (!s.is_ok()) return abandon(w, s);
   // Publish the whole-object content CRC — the tier that catches internally
@@ -1103,7 +1032,6 @@ Status DStore::mutate_finish(WriteOp& w) {
   }
   trace.leave();
   if (ticket != 0) cfg_.repl_sink->commit(ticket);
-  if (parked) w.ctx_->pending_io.push_back(std::move(w.ioq_));
   trace.succeed();
   return Status::ok();
 }

@@ -43,16 +43,13 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <functional>
 #include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/lockdep.h"
@@ -110,12 +107,6 @@ struct DStoreConfig {
   // (Fig 9 ablation), the synchronous region extends over the metadata and
   // btree updates, serializing steps 6-7 under the pipeline lock.
   bool observational_equivalence = true;
-  // Transient SSD errors (IO_ERROR / BUSY) are retried with exponential
-  // backoff: attempt i sleeps io_retry_backoff_ns << i. After
-  // io_max_retries failed retries a write marks the store read-only and the
-  // error surfaces through the public API; reads just surface the error.
-  int io_max_retries = 3;
-  uint64_t io_retry_backoff_ns = 2000;
   // NVMe queue-pair depth for the data plane: each op submits all of its
   // block IOs through an ssd::IoQueue bounded at this many outstanding
   // requests, overlapping their device latency with each other and with
@@ -125,22 +116,6 @@ struct DStoreConfig {
   // one-block-at-a-time behaviour.
   uint32_t ssd_qd = 16;
 
-  // Background scrubber (DESIGN.md §11): every scrub_interval_ms a store
-  // thread walks all objects and verifies every checksum tier — metadata
-  // entry CRCs, the device page sidecar, and whole-object content CRCs —
-  // repairing or quarantining what it finds, so latent corruption is found
-  // before a read hits it. The device's bandwidth channel rate-limits the
-  // verification reads. 0 disables the thread; scrub_now() always works.
-  uint64_t scrub_interval_ms = 0;
-  // Early-ack puts (DESIGN.md §13): acknowledge an oput once every data IO
-  // has been accepted into the device's capacitor-backed write cache and
-  // the log record committed, instead of also waiting out the emulated
-  // device latency — the queue-pair is parked on the caller's ds_ctx_t and
-  // reaped on its next mutating op (ds_finalize drains the rest). Only
-  // effective with a power-loss-protected device and a non-null context;
-  // otherwise puts stay fully synchronous. Acknowledged == durable under
-  // PLP, so commit-implies-durable is unchanged.
-  bool early_ack = false;
   // Read-repair support: route pure data overwrites through logged kWrite
   // records and force the engine's physical payload logging, so every
   // committed write inside the checkpoint window has an authenticated PMEM
@@ -168,11 +143,6 @@ struct ds_ctx_t {
   uint64_t id = 0;
   // Object locks held via olock() (a writer tolerates its own lock record).
   std::set<std::string> held_locks;
-  // Early-ack puts: committed ops whose queue-pairs are still spinning out
-  // their emulated device latency. Every parked queue has only ok statuses
-  // (checked before parking), so reaping never resubmits — and therefore
-  // never touches a caller write buffer that is long gone.
-  std::vector<std::unique_ptr<ssd::IoQueue>> pending_io;
 };
 
 // Open-object handle for the filesystem-style API.
@@ -299,8 +269,9 @@ class DStore final : public dipper::SpaceClient {
   // the whole-object content CRC. Detected corruption runs the containment
   // ladder — read-repair from the PMEM log copy, else quarantine — exactly
   // like a foreground read. Returns ok when every object verified clean or
-  // was repaired; the first unrepairable corruption otherwise. The same
-  // pass the background scrubber thread runs every scrub_interval_ms.
+  // was repaired; the first unrepairable corruption otherwise. Scrubbing
+  // runs only on demand: here, the server's SCRUB opcode, or
+  // ShardedStore::scrub_all.
   struct ScrubReport {
     uint64_t objects_scanned = 0;
     uint64_t pages_verified = 0;
@@ -423,8 +394,8 @@ class DStore final : public dipper::SpaceClient {
   // persist, content hash. A failure is settled here; success leaves `w`
   // open for mutate_finish.
   Status mutate_begin(WriteOp& w, bool wait);
-  // Second half: reap (with retries) or early-ack park, CRC publish,
-  // replication prepare, commit or abort.
+  // Second half: reap (with retries), CRC publish, replication prepare,
+  // commit or abort.
   Status mutate_finish(WriteOp& w);
   // Drop a failed op's in-flight marker: a record left in flight would
   // wedge every later writer of the object.
@@ -451,14 +422,11 @@ class DStore final : public dipper::SpaceClient {
                          const void* wsrc, void* rdst, size_t size, uint64_t offset,
                          obs::OpTrace* trace = nullptr);
   // Wait for all of `q`'s completions; re-submit failed descriptors with
-  // bounded exponential backoff (cfg_.io_max_retries / io_retry_backoff_ns).
+  // bounded exponential backoff (ssd::RetryPolicy's defaults).
   // Exhausted write retries degrade the store to read-only; reads surface
   // the error. Transient errors are absorbed or surfaced — never dropped.
   Status finish_io(ssd::IoQueue& q, bool is_write, obs::OpTrace* trace = nullptr);
   Status apply_io_policy(Status s, bool is_write);
-  // Early-ack bookkeeping: drop the context's drained parked queues and
-  // bound the still-spinning ones (oldest waited out past a small cap).
-  void reap_pending(ds_ctx_t* ctx);
 
   Status read_data_range(View& v, uint64_t meta_idx, void* buf, size_t size, uint64_t offset,
                          size_t* out_len, obs::OpTrace* trace = nullptr);
@@ -485,11 +453,6 @@ class DStore final : public dipper::SpaceClient {
   Status contain_corruption(View& v, uint64_t meta_idx, obs::OpTrace* trace,
                             uint64_t* quarantined = nullptr);
 
-  // -- background scrubber ---------------------------------------------------
-  void start_scrubber();
-  void stop_scrubber();
-  void scrub_loop();
-
   pmem::Pool* pool_;
   ssd::BlockDevice* device_;
   DStoreConfig cfg_;
@@ -508,10 +471,6 @@ class DStore final : public dipper::SpaceClient {
 
   fsmeta::BadPageTable badpages_;
 
-  std::thread scrub_thread_;
-  Mutex scrub_mu_{"dstore.scrub"};
-  CondVar scrub_cv_;
-  bool scrub_stop_ = false;
   std::atomic<uint64_t> last_scrub_ns_{0};  // wall time of the last full pass
 
   // -- metrics ---------------------------------------------------------------
@@ -547,7 +506,7 @@ class DStore::WriteOp {
   WriteOp& operator=(const WriteOp&) = delete;
 
   // True once finish() will not wait on the device: every data IO has
-  // completed (or the put early-acks). Never blocks.
+  // completed. Never blocks.
   bool ready();
   // The second half; returns the op's status. Call it once, on any thread.
   // The op's trace publishes here, not when the handle is destroyed.
@@ -567,12 +526,11 @@ class DStore::WriteOp {
   View v_;
   obs::OpTrace trace_;
   dipper::Engine::RecordHandle h_;
-  std::unique_ptr<ssd::IoQueue> ioq_;  // heap-owned so early ack can park it
-  Status s_;                           // first failure of phase 2 or the submit
-  uint32_t value_crc_ = 0;             // whole-object writes: the content CRC
-  bool whole_ = false;                 // the data covers the whole object
-  bool early_ack_ = false;             // commit without the reap (§13)
-  bool open_ = false;                  // begun; mutate_finish must settle it
+  std::optional<ssd::IoQueue> ioq_;  // the data IOs (puts and writes only)
+  Status s_;                         // first failure of phase 2 or the submit
+  uint32_t value_crc_ = 0;           // whole-object writes: the content CRC
+  bool whole_ = false;               // the data covers the whole object
+  bool open_ = false;                // begun; mutate_finish must settle it
 };
 
 // Open-object handle (stateful filesystem API). Obtained from oopen(),

@@ -7,6 +7,7 @@
 
 #include "common/lockdep.h"
 #include "dstore/store_dir.h"
+#include "dstore/tenant_key.h"
 #include "net/client.h"
 
 // A session: either an embedded store (pool + device + store) or a remote
@@ -28,7 +29,7 @@ struct ds_session {
 };
 
 // A tenant keyspace. Embedded namespaces hold a private engine context and
-// prefix keys exactly like the server does ("<ns>\x1f<key>"), so embedded
+// prefix keys exactly like the server does (dstore/tenant_key.h), so embedded
 // and remote sessions are observationally identical; remote ones hold the
 // server-assigned namespace id.
 struct ds_namespace {
@@ -45,7 +46,8 @@ struct ds_object {
 
 namespace {
 
-constexpr char kNsSep = '\x1f';
+using dstore::tenant_key;
+using dstore::valid_namespace_name;
 
 // ds_open_error state: one slot per thread, written by ds_session_open.
 thread_local std::string tls_open_error;
@@ -107,19 +109,6 @@ dstore::Status open_store(ds_session* s, const dstore_options* options, const ch
   return dstore::Status::ok();
 }
 
-std::string tenant_key(const std::string& ns_name, const char* key) {
-  std::string k;
-  k.reserve(ns_name.size() + 1 + strlen(key));
-  k.append(ns_name);
-  k.push_back(kNsSep);
-  k.append(key);
-  return k;
-}
-
-bool valid_ns_name(const char* name) {
-  return name != nullptr && name[0] != '\0' && strchr(name, kNsSep) == nullptr;
-}
-
 dstore::Status embedded_only(const char* what) {
   return dstore::Status::unsupported(std::string(what) + " needs an embedded session");
 }
@@ -176,7 +165,7 @@ const char* ds_open_error(void) { return tls_open_error.c_str(); }
 
 ds_namespace_t* ds_namespace_open(ds_session_t* session, const char* name) {
   if (session == nullptr) return nullptr;
-  if (!valid_ns_name(name)) {
+  if (name == nullptr || !valid_namespace_name(name)) {
     srecord_errno(session, DS_EINVAL, "malformed namespace name");
     return nullptr;
   }

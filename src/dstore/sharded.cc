@@ -169,40 +169,25 @@ void ShardedStore::close_session(Session* s) {
   delete s;
 }
 
-Status ShardedStore::put(std::string_view name, const void* value, size_t size) {
-  Shard& sh = shards_[shard_of(name)];
-  return sh.store->oput(sh.ctx, name, value, size);
-}
-
-Result<size_t> ShardedStore::get(std::string_view name, void* buf, size_t cap) {
-  Shard& sh = shards_[shard_of(name)];
-  return sh.store->oget(sh.ctx, name, buf, cap);
-}
-
-Status ShardedStore::del(std::string_view name) {
-  Shard& sh = shards_[shard_of(name)];
-  return sh.store->odelete(sh.ctx, name);
+int ShardedStore::route(Session* s, std::string_view name) const {
+  if (s == nullptr || s->pinned_ < 0) return shard_of(name);
+  assert(shard_of(name) == s->pinned_);  // pinned keys must be home
+  return s->pinned_;
 }
 
 Status ShardedStore::put(Session* s, std::string_view name, const void* value, size_t size) {
-  if (s == nullptr) return put(name, value, size);
-  int idx = s->pinned_ >= 0 ? s->pinned_ : shard_of(name);
-  assert(s->pinned_ < 0 || shard_of(name) == s->pinned_);  // pinned keys must be home
-  return shards_[idx].store->oput(s->ctx_[idx], name, value, size);
+  int idx = route(s, name);
+  return shards_[idx].store->oput(ctx_on(s, idx), name, value, size);
 }
 
 Result<size_t> ShardedStore::get(Session* s, std::string_view name, void* buf, size_t cap) {
-  if (s == nullptr) return get(name, buf, cap);
-  int idx = s->pinned_ >= 0 ? s->pinned_ : shard_of(name);
-  assert(s->pinned_ < 0 || shard_of(name) == s->pinned_);
-  return shards_[idx].store->oget(s->ctx_[idx], name, buf, cap);
+  int idx = route(s, name);
+  return shards_[idx].store->oget(ctx_on(s, idx), name, buf, cap);
 }
 
 Status ShardedStore::del(Session* s, std::string_view name) {
-  if (s == nullptr) return del(name);
-  int idx = s->pinned_ >= 0 ? s->pinned_ : shard_of(name);
-  assert(s->pinned_ < 0 || shard_of(name) == s->pinned_);
-  return shards_[idx].store->odelete(s->ctx_[idx], name);
+  int idx = route(s, name);
+  return shards_[idx].store->odelete(ctx_on(s, idx), name);
 }
 
 ds_ctx_t* ShardedStore::ctx_on(Session* s, int shard) {

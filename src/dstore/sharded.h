@@ -101,10 +101,14 @@ class ShardedStore {
 
   // Shared-context operations (convenience; sessions avoid the shared
   // per-shard ctx these route through).
-  Status put(std::string_view name, const void* value, size_t size);
-  Result<size_t> get(std::string_view name, void* buf, size_t cap);
-  Status del(std::string_view name);
-  // Session operations. A null session falls back to the shared path.
+  Status put(std::string_view name, const void* value, size_t size) {
+    return put(nullptr, name, value, size);
+  }
+  Result<size_t> get(std::string_view name, void* buf, size_t cap) {
+    return get(nullptr, name, buf, cap);
+  }
+  Status del(std::string_view name) { return del(nullptr, name); }
+  // Session operations. A null session runs on the shards' shared contexts.
   Status put(Session* s, std::string_view name, const void* value, size_t size);
   Result<size_t> get(Session* s, std::string_view name, void* buf, size_t cap);
   Status del(Session* s, std::string_view name);
@@ -167,6 +171,9 @@ class ShardedStore {
     ds_ctx_t* ctx = nullptr;
   };
 
+  // The shard a routed op runs on: the session's pinned shard, else the
+  // key's hash shard.
+  int route(Session* s, std::string_view name) const;
   DStoreConfig shard_config(int shard_idx) const;
   Status create_shard(size_t i);
   Status recover_shard(size_t i, const DStoreConfig& scfg);

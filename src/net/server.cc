@@ -18,15 +18,11 @@
 #include <vector>
 
 #include "common/lockdep.h"
+#include "dstore/tenant_key.h"
 
 namespace dstore::net {
 
 namespace {
-
-// Tenant keys are "<ns>\x1f<key>": \x1f (ASCII unit separator) cannot
-// appear in a namespace name (open_ns rejects it), so prefixes can never
-// collide across tenants.
-constexpr char kNsSep = '\x1f';
 
 // A connection whose un-drained response backlog exceeds this is closed: it
 // bounds server memory against a client that pipelines but never reads.
@@ -40,15 +36,6 @@ constexpr size_t kMaxPendingPuts = 64;
 // chunk never moves once allocated, so readers index it without a lock.
 constexpr size_t kNsChunk = 1024;
 constexpr size_t kNsChunks = 4096;
-
-std::string tenant_key(std::string_view ns_name, std::string_view key) {
-  std::string k;
-  k.reserve(ns_name.size() + 1 + key.size());
-  k.append(ns_name.data(), ns_name.size());
-  k.push_back(kNsSep);
-  k.append(key.data(), key.size());
-  return k;
-}
 
 void set_nonblocking_opts(int fd) {
   int one = 1;
@@ -456,8 +443,7 @@ struct Server::Impl {
 
   void handle_open_ns(Conn* c, const Frame& f) {
     std::string_view name;
-    if (!parse_open_ns(f.body, &name) || name.empty() ||
-        name.find(kNsSep) != std::string_view::npos) {
+    if (!parse_open_ns(f.body, &name) || !valid_namespace_name(name)) {
       respond_status(c, Op::kOpenNs, f.hdr.req_id,
                      Status::invalid_argument("malformed namespace name"));
       return;

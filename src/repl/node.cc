@@ -177,14 +177,7 @@ void Node::reset_after_recovery() {
   apply_busy_ = false;
   ticks_since_leader_ = 0;
   ticks_since_hb_ = 0;
-  for (auto& p : peers_) {
-    p.subscribed = p.in_sync = p.shipping = false;
-    p.fails = 0;
-    p.acked = 0;
-    p.snapshot.clear();
-    p.snapshot_pending = false;
-    p.snap_next = p.snap_off = 0;
-  }
+  for (auto& p : peers_) p.reset_stream();
   repl_cv_.notify_all();
   mirror_locked();
 }
@@ -1162,14 +1155,7 @@ void Node::become_primary_locked() {
   floor_epoch_ = applied_epoch_;
   buffer_.clear();
   ticks_since_hb_ = 0;
-  for (auto& p : peers_) {
-    p.subscribed = p.in_sync = p.shipping = false;
-    p.fails = 0;
-    p.acked = 0;
-    p.snapshot.clear();
-    p.snapshot_pending = false;
-    p.snap_next = p.snap_off = 0;
-  }
+  for (auto& p : peers_) p.reset_stream();
   persist_meta_locked();
   mirror_locked();
 }

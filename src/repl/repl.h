@@ -225,6 +225,17 @@ class Node : public dstore::ReplSink, public net::ReplHandler {
     // (nonzero while a value larger than one chunk streams in pieces).
     uint64_t snap_next = 0;
     uint64_t snap_off = 0;
+
+    // Drop the peer's stream state (recovery, promotion): it must
+    // re-subscribe before it is shipped to or counted in a quorum again.
+    void reset_stream() {
+      subscribed = in_sync = shipping = false;
+      fails = 0;
+      acked = 0;
+      snapshot.clear();
+      snapshot_pending = false;
+      snap_next = snap_off = 0;
+    }
   };
 
   // --- primary side ---

@@ -84,18 +84,6 @@ class IoQueue {
   // True once every submission has been reaped with an ok status.
   bool all_ok() const;
 
-  // True when any completed submission carries a failure. In this emulation
-  // errors land at submission time (the media effect is immediate); a queue
-  // with no failure observed here is guaranteed to drain clean — the
-  // outstanding deadlines are pure latency. This is what lets an early-ack
-  // caller commit before wait_all() and park the queue.
-  bool any_failed() const {
-    for (const auto& s : subs_) {
-      if (s.done && !s.status.is_ok()) return true;
-    }
-    return false;
-  }
-
  private:
   struct Sub {
     IoDesc desc;

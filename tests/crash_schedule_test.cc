@@ -383,7 +383,6 @@ struct Fixture {
     cfg.engine.log_slots = 32;
     cfg.engine.arena_bytes = 1 << 20;
     cfg.engine.background_checkpointing = false;
-    cfg.io_retry_backoff_ns = 1000;  // keep test wall-clock tiny
     pool = std::make_unique<pmem::Pool>(dipper::Engine::required_pool_bytes(cfg.engine),
                                         pmem::Pool::Mode::kDirect);
     ssd::DeviceConfig dc;
@@ -424,7 +423,8 @@ TEST(SsdTransientError, SingleEioIsRetriedToSuccess) {
 }
 
 TEST(SsdTransientError, BackToBackEiosExhaustLastRetry) {
-  // Exactly io_max_retries (3) consecutive failures: the final retry wins.
+  // Exactly RetryPolicy::max_retries (3) consecutive failures: the final
+  // retry wins.
   eio::Fixture f;
   FaultPlan plan;
   plan.add({"ssd.write", 1, FaultType::kError, 0, 3});

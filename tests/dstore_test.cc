@@ -26,11 +26,9 @@ struct TestStore {
   ds_ctx_t* ctx = nullptr;
 
   explicit TestStore(bool background_ckpt = false, uint32_t log_slots = 512,
-                     uint64_t max_objects = 1024, uint64_t num_blocks = 4096,
-                     bool early_ack = false) {
+                     uint64_t max_objects = 1024, uint64_t num_blocks = 4096) {
     cfg.max_objects = max_objects;
     cfg.num_blocks = num_blocks;
-    cfg.early_ack = early_ack;
     cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(max_objects);
     cfg.engine.log_slots = log_slots;
     cfg.engine.background_checkpointing = background_ckpt;
@@ -52,8 +50,6 @@ struct TestStore {
   void crash_and_recover() {
     store->engine().stop_background();
     store.reset();  // destroys engine threads
-    // Process death reclaims the context without draining it — parked
-    // early-ack queues are dropped mid-flight, which is the point.
     delete ctx;
     ctx = nullptr;
     pool->crash();
@@ -262,45 +258,6 @@ TEST(DStoreZeroCopy, DetectsSilentMediaCorruption) {
   auto r = t.store->oget_zc(t.ctx, "obj");
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), Code::kCorruption);
-}
-
-TEST(DStoreEarlyAck, PutsRoundTripAndSourceBufferIsFreeAfterAck) {
-  TestStore t(false, 512, 1024, 4096, /*early_ack=*/true);
-  for (int i = 0; i < 32; i++) {
-    std::string v = value_of(8192, (char)('a' + i % 26));
-    std::string name = "obj" + std::to_string(i);
-    ASSERT_TRUE(t.store->oput(t.ctx, name, v.data(), v.size()).is_ok());
-    // The ack transfers nothing to the background: scribbling over the
-    // source buffer now must not affect the stored value.
-    std::memset(v.data(), 0, v.size());
-  }
-  for (int i = 0; i < 32; i++) {
-    std::string want = value_of(8192, (char)('a' + i % 26));
-    std::string out(8192, 0);
-    auto r = t.store->oget(t.ctx, "obj" + std::to_string(i), out.data(), out.size());
-    ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(out, want);
-  }
-  EXPECT_TRUE(t.store->validate().is_ok());
-}
-
-TEST(DStoreEarlyAck, AckedPutsSurviveCrash) {
-  TestStore t(false, 512, 1024, 4096, /*early_ack=*/true);
-  std::string v = value_of(12288, 'k');
-  for (int i = 0; i < 8; i++) {
-    ASSERT_TRUE(
-        t.store->oput(t.ctx, "crashkey" + std::to_string(i), v.data(), v.size()).is_ok());
-  }
-  // Crash immediately — parked queues still spinning out emulated latency.
-  // Acknowledged == durable under PLP: everything must recover.
-  t.crash_and_recover();
-  for (int i = 0; i < 8; i++) {
-    std::string out(12288, 0);
-    auto r = t.store->oget(t.ctx, "crashkey" + std::to_string(i), out.data(), out.size());
-    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-    EXPECT_EQ(out, v);
-  }
-  EXPECT_TRUE(t.store->validate().is_ok());
 }
 
 TEST(DStoreApi, NameTooLongRejected) {

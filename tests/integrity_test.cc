@@ -10,13 +10,11 @@
 // reconcile with what was injected. The sweep test mirrors the exhaustive
 // crash sweep: every enumerated ssd.write gets a bit-flip and a misdirected
 // write, and no schedule may ever produce a silently wrong read.
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -264,6 +262,8 @@ TEST(Integrity, ScrubPassDetectsAndRepairs) {
   EXPECT_EQ(rep.quarantined_pages, 0u);
   EXPECT_TRUE(rep.corrupt_objects.empty());
   EXPECT_EQ(f.store->counters().scrub_pages_verified, rep.pages_verified);
+  // The pass publishes its wall time through the scrape-time gauge.
+  EXPECT_GT(f.store->metrics().value("dstore_scrub_last_pass_seconds"), 0.0);
 
   for (auto& [k, v] : oracle) {
     auto r = f.get(k);
@@ -294,21 +294,6 @@ TEST(Integrity, ScrubQuarantinesUnrepairable) {
   // Scrub contains; it does not degrade the whole store.
   EXPECT_FALSE(f.store->read_only());
   EXPECT_TRUE(f.get("fine").is_ok());
-}
-
-TEST(Integrity, BackgroundScrubberRunsOnInterval) {
-  Fixture f;
-  f.cfg.scrub_interval_ms = 5;
-  f.build(/*repair_logging=*/true);
-  ASSERT_TRUE(f.put("watched", value_of('s')).is_ok());
-  // The scrubber thread wakes every 5 ms; wait for evidence of a pass.
-  uint64_t verified = 0;
-  for (int spin = 0; spin < 400 && verified == 0; spin++) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    verified = f.store->counters().scrub_pages_verified;
-  }
-  EXPECT_GE(verified, 1u);
-  EXPECT_GE(f.store->metrics().value("dstore_scrub_last_pass_seconds"), 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@
 // power failures with IOs in flight, under both PLP modes, held to a
 // shadow oracle after recovery. Every fault schedule is reproducible from
 // its FaultPlan string.
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -107,7 +109,8 @@ TEST(IoQueue, InvalidDescriptorsCompleteImmediatelyWithError) {
 TEST(IoQueue, QueueDepthOverlapsBaseLatency) {
   // 8 one-block writes with a 200us per-IO base cost and no bandwidth
   // component: at qd=1 they serialize (>= 1.6ms); at qd=8 the device
-  // pipelines all of them (~200us). Margins are generous for CI noise.
+  // pipelines all of them (~200us). Margins are generous for CI noise, and
+  // each arm is the minimum of 5 runs: contention only ever adds time.
   LatencyModel lat;
   lat.ssd_write_base_ns = 200 * 1000;
   std::string v = patterned(4096, 'q');
@@ -124,8 +127,12 @@ TEST(IoQueue, QueueDepthOverlapsBaseLatency) {
     return now_ns() - t0;
   };
 
-  uint64_t serial = run(1);
-  uint64_t overlapped = run(8);
+  uint64_t serial = UINT64_MAX;
+  uint64_t overlapped = UINT64_MAX;
+  for (int rep = 0; rep < 5; rep++) {
+    serial = std::min(serial, run(1));
+    overlapped = std::min(overlapped, run(8));
+  }
   EXPECT_GE(serial, 8u * 200 * 1000);
   EXPECT_LT(overlapped, serial / 2);
 }
@@ -168,7 +175,6 @@ struct StoreFixture {
     cfg.engine.log_slots = 32;
     cfg.engine.arena_bytes = 1 << 20;
     cfg.engine.background_checkpointing = false;
-    cfg.io_retry_backoff_ns = 1000;
     pool = std::make_unique<pmem::Pool>(dipper::Engine::required_pool_bytes(cfg.engine), mode);
     device = std::make_unique<ssd::RamBlockDevice>(dev_cfg(cfg.num_blocks,
                                                            LatencyModel::none(), plp));

@@ -290,7 +290,6 @@ TEST_F(LockdepDetector, StoreLifecycleProducesZeroReports) {
   cfg.engine.log_slots = 64;
   cfg.engine.arena_bytes = 1 << 20;
   cfg.engine.background_checkpointing = true;
-  cfg.scrub_interval_ms = 2;  // aggressive: overlap scrubs with foreground IO
   auto pool = std::make_unique<pmem::Pool>(DStoreConfig::required_pool_bytes(cfg),
                                            pmem::Pool::Mode::kCrashSim);
   ssd::DeviceConfig dc;
@@ -302,6 +301,17 @@ TEST_F(LockdepDetector, StoreLifecycleProducesZeroReports) {
   ASSERT_TRUE(created.is_ok()) << created.status().to_string();
   std::unique_ptr<DStore> store = std::move(created).value();
 
+  // Scrub passes back to back until the writers are done, so scrubs overlap
+  // the foreground IO and the background checkpoints.
+  std::atomic<bool> writers_done{false};
+  int scrub_passes = 0;
+  int scrub_failures = 0;
+  std::thread scrubber([&] {
+    do {
+      scrub_passes++;
+      if (!store->scrub_now().is_ok()) scrub_failures++;
+    } while (!writers_done.load());
+  });
   std::vector<std::thread> writers;
   for (int t = 0; t < 3; t++) {
     writers.emplace_back([&, t] {
@@ -321,6 +331,10 @@ TEST_F(LockdepDetector, StoreLifecycleProducesZeroReports) {
     });
   }
   for (auto& t : writers) t.join();
+  writers_done.store(true);
+  scrubber.join();
+  EXPECT_GE(scrub_passes, 1);
+  EXPECT_EQ(scrub_failures, 0);
   // The watermark may have a background checkpoint mid-flight when the
   // writers finish; busy is transient, not a lockdep concern.
   Status ckpt = Status::busy("");

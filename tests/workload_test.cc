@@ -1,7 +1,9 @@
 // Tests for the YCSB workload generator/runner and the fsmeta simulators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -235,10 +237,16 @@ TEST(FsMeta, RelativeCostOrderingMatchesFig6) {
     for (int i = 0; i < n; i++) total += sim.metadata_update(i % 64);
     return (double)total / n;
   };
-  double c_dstore = avg(dstore);
-  double c_nova = avg(nova);
-  double c_xfs = avg(xfs);
-  double c_ext4 = avg(ext4);
+  // Each cost is the minimum of 5 interleaved averages: contention only
+  // ever adds time, so the minimum is the least disturbed measurement.
+  const double kInf = std::numeric_limits<double>::infinity();
+  double c_dstore = kInf, c_nova = kInf, c_xfs = kInf, c_ext4 = kInf;
+  for (int rep = 0; rep < 5; rep++) {
+    c_dstore = std::min(c_dstore, avg(dstore));
+    c_nova = std::min(c_nova, avg(nova));
+    c_xfs = std::min(c_xfs, avg(xfs));
+    c_ext4 = std::min(c_ext4, avg(ext4));
+  }
   // Margins absorb scheduler noise when the test suite runs in parallel.
   EXPECT_LT(c_dstore, c_nova * 1.2);
   EXPECT_LT(c_nova, c_ext4);
