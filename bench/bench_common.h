@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "baselines/backends.h"
-#include "common/histogram.h"
 #include "common/latency_model.h"
+#include "obs/metrics.h"
 #include "workload/ycsb.h"
 
 #ifndef DSTORE_GIT_SHA
@@ -125,6 +125,21 @@ inline double median(std::vector<double> xs) {
   return xs[xs.size() / 2];
 }
 
+// Quantile q of a ns-latency histogram, in microseconds.
+inline double quantile_us(const obs::MetricSnapshot& h, double q) {
+  return (double)h.value_at_quantile(q) / 1e3;
+}
+
+// "mean=... p50=... n=N" summary, in microseconds, of a ns-latency histogram.
+inline std::string summary_us(const obs::MetricSnapshot& h) {
+  char buf[256];
+  snprintf(buf, sizeof(buf),
+           "mean=%.1fus p50=%.1fus p99=%.1fus p999=%.1fus p9999=%.1fus max=%.1fus n=%llu",
+           h.mean() / 1e3, quantile_us(h, 0.50), quantile_us(h, 0.99), quantile_us(h, 0.999),
+           quantile_us(h, 0.9999), (double)h.max / 1e3, (unsigned long long)h.count);
+  return buf;
+}
+
 struct BenchParams {
   int threads;
   uint64_t objects;
@@ -166,9 +181,9 @@ class Report {
    public:
     Row& str(const char* key, const std::string& v) { return field(key, json_str(v)); }
     Row& num(const char* key, double v) { return field(key, json_num(v)); }
-    Row& percentiles(const LatencyHistogram& h) {
-      num("p50_us", h.p50() / 1e3).num("p99_us", h.p99() / 1e3);
-      return num("p999_us", h.p999() / 1e3);
+    Row& percentiles(const obs::MetricSnapshot& h) {
+      num("p50_us", quantile_us(h, 0.50)).num("p99_us", quantile_us(h, 0.99));
+      return num("p999_us", quantile_us(h, 0.999));
     }
     // One value per repetition: the median, plus min/max when reps > 1.
     Row& stat(const std::string& key, const std::vector<double>& reps) {

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/histogram.h"
 #include "dstore/sharded.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -99,7 +98,7 @@ struct Driver {
 
   std::map<std::string, std::string> acked;
   std::map<std::string, std::set<std::string>> ambiguous;
-  LatencyHistogram before, after;  // put latency around the outage
+  obs::Histogram before, after;  // put latency (ns) around the outage
   uint64_t ok_ops = 0, failed_ops = 0;
   int64_t worst_gap_ms = 0;
   int64_t kill_seen_ms = 0;  // first failure after a success (outage start)
@@ -280,8 +279,10 @@ int main(int argc, char** argv) {
   printf("# acked=%llu failed=%llu worst_ack_gap_ms=%lld verified_nodes=%zu %s\n",
          (unsigned long long)drv.ok_ops, (unsigned long long)drv.failed_ops,
          (long long)drv.worst_gap_ms, reachable, ok ? "OK" : "FAILED");
-  printf("# before-kill put %s\n", drv.before.summary_us().c_str());
-  printf("# after-failover put %s\n", drv.after.summary_us().c_str());
+  const obs::MetricSnapshot before = drv.before.snapshot();
+  const obs::MetricSnapshot after = drv.after.snapshot();
+  printf("# before-kill put %s\n", bench::summary_us(before).c_str());
+  printf("# after-failover put %s\n", bench::summary_us(after).c_str());
 
   // Unavailability = the worst ack-to-ack gap while the primary was killed
   // under live load.
@@ -289,13 +290,13 @@ int main(int argc, char** argv) {
   report.row().str("op", "summary").str("system", "repl-3x")
       .num("acked_writes", (double)drv.ok_ops).num("failed_calls", (double)drv.failed_ops)
       .num("unavailability_ms", (double)drv.worst_gap_ms).num("acked_writes_lost", ok ? 0 : 1);
-  for (bool after : {false, true}) {
-    const LatencyHistogram& h = after ? drv.after : drv.before;
+  for (bool is_after : {false, true}) {
+    const obs::MetricSnapshot& h = is_after ? after : before;
     report.row().str("op", "put")
-        .str("system", after ? "repl-3x-after-failover" : "repl-3x-before-kill")
+        .str("system", is_after ? "repl-3x-after-failover" : "repl-3x-before-kill")
         .num("qd", 1).num("threads", 1).num("value_size", (double)value_bytes).percentiles(h)
         .num("throughput_iops",
-             duration_ms > 0 ? (double)h.count() * 1000.0 / (double)duration_ms : 0.0);
+             duration_ms > 0 ? (double)h.count * 1000.0 / (double)duration_ms : 0.0);
   }
   report.write();
 

@@ -54,7 +54,7 @@ int main() {
   }
 
   // Exact per-op latencies: the acceptance gate is a <2% p50 delta, finer
-  // than LatencyHistogram's log-bucket resolution (~2.6% at ~1.2us), so
+  // than obs::Histogram's log-bucket resolution (~2.6% at ~1.2us), so
   // keep raw samples and take exact order statistics.
   std::vector<uint64_t> samples((size_t)kOps);
   uint64_t t_start = now_ns();

@@ -201,10 +201,10 @@ void count_failed(Ctx& c, const char* what, uint64_t failed) {
   c.failed_ops += failed;
 }
 
-Sample latency(const char* op, const LatencyHistogram& h, const workload::RunResult& r) {
-  return {op, {{"mean_us", h.mean_ns() / 1e3}, {"p50_us", h.p50() / 1e3},
-               {"p99_us", h.p99() / 1e3}, {"p999_us", h.p999() / 1e3},
-               {"p9999_us", h.p9999() / 1e3}, {"max_us", h.max() / 1e3},
+Sample latency(const char* op, const obs::MetricSnapshot& h, const workload::RunResult& r) {
+  return {op, {{"mean_us", h.mean() / 1e3}, {"p50_us", quantile_us(h, 0.50)},
+               {"p99_us", quantile_us(h, 0.99)}, {"p999_us", quantile_us(h, 0.999)},
+               {"p9999_us", quantile_us(h, 0.9999)}, {"max_us", (double)h.max / 1e3},
                {"throughput_iops", r.throughput_iops()}, {"failed_ops", (double)r.failed_ops}}};
 }
 
@@ -303,7 +303,8 @@ bool slo_cell(Ctx& c, const char* sys, const Case&, uint64_t, Samples* out) {
   thr.restart();
   auto r = workload::run_workload(*store, timed, &thr);
   count_failed(c, sys, r.failed_ops);
-  double p9999 = std::max(r.update_latency.p9999(), r.read_latency.p9999()) / 1e3;
+  double p9999 =
+      std::max(quantile_us(r.update_latency, 0.9999), quantile_us(r.read_latency, 0.9999));
   store->prepare_run();  // settle compaction/checkpoints before measuring
   auto u = store->space_usage();
   // Worst-case recovery: Table 4's crash case.
@@ -384,7 +385,8 @@ int table3(Ctx& c) {
     for (size_t size : {(size_t)4096, (size_t)16384, (size_t)65536}) {
       auto cfg = baselines::DStoreAdapter::dipper_variant();
       cfg.store.max_objects = 1 << 14;
-      cfg.store.num_blocks = 1 << 18;
+      // Exactly the blocks the warm-up plus the timed puts hold (4 KB blocks).
+      cfg.store.num_blocks = (uint64_t)(kWarmup + kOps) * ((size + 4095) / 4096);
       cfg.store.ssd_qd = qd;
       auto adapter = baselines::DStoreAdapter::make(cfg, c.p.latency());
       if (!adapter.is_ok()) {
@@ -396,13 +398,26 @@ int table3(Ctx& c) {
       ds_ctx_t* ctx = store.ds_init();
       std::string value(size, 'b');
       // Single-threaded instrumented writes, distinct keys (insert path).
-      for (int i = 0; i < kWarmup; i++) {
-        (void)store.oput(ctx, "warm" + std::to_string(i), value.data(), value.size());
+      // The untimed warm-up fills every block once, then deletes all but
+      // kWarmup objects: the block pool is FIFO, so each timed put lands on
+      // media pages already written, not on the kernel's first-touch page
+      // faults of a fresh device.
+      Status warm;
+      for (int i = 0; i < kWarmup + kOps && warm.is_ok(); i++) {
+        warm = store.oput(ctx, "warm" + std::to_string(i), value.data(), value.size());
       }
+      for (int i = kWarmup; i < kWarmup + kOps && warm.is_ok(); i++) {
+        warm = store.odelete(ctx, "warm" + std::to_string(i));
+      }
+      if (!warm.is_ok()) {
+        fprintf(stderr, "warm-up failed: %s\n", warm.to_string().c_str());
+        return 1;
+      }
+      adapter.value()->prepare_run();  // the timed puts start on an empty log
       // Zero the registry after warmup so the scrape covers only the
       // measured ops (reset touches owned metrics only).
       store.metrics().reset();
-      LatencyHistogram lat;
+      obs::Histogram lat;
       uint64_t bench_ns = 0;
       for (int i = 0; i < kOps; i++) {
         uint64_t t0 = now_ns();
@@ -431,8 +446,9 @@ int table3(Ctx& c) {
           stage_mean("dstore_stage_log_append_ns") + stage_mean("dstore_stage_commit_flush_ns");
       double total = stage_mean("dstore_put_latency_ns");
       if (total <= 0) total = 1;  // metrics compiled out: avoid div-by-zero
+      const obs::MetricSnapshot put_lat = lat.snapshot();
       printf("%-4u %-6zu %12.1f %12.1f %12.1f %12.1f %12.1f %10.1f %10.1f\n", qd, size, data,
-             btree, meta, log, total, lat.p50() / 1000.0, lat.p99() / 1000.0);
+             btree, meta, log, total, quantile_us(put_lat, 0.50), quantile_us(put_lat, 0.99));
       printf("%-4s %-6s %11.1f%% %11.1f%% %11.1f%% %11.1f%% %11.1f%%\n", "", "",
              100 * data / total, 100 * btree / total, 100 * meta / total, 100 * log / total,
              100.0);
@@ -442,7 +458,7 @@ int table3(Ctx& c) {
              (unsigned long long)m.counter_value("ssd_blocks_coalesced_total"),
              (unsigned long long)m.counter_value("ssd_io_retries_total"));
       c.report.row().str("op", "put").str("system", cfg.display_name).num("qd", qd)
-          .num("threads", 1).num("value_size", (double)size).percentiles(lat)
+          .num("threads", 1).num("value_size", (double)size).percentiles(put_lat)
           .num("throughput_iops", bench_ns > 0 ? (double)kOps * 1e9 / (double)bench_ns : 0)
           .num("nvme_ns", data).num("btree_ns", btree).num("meta_ns", meta)
           .num("log_flush_ns", log).num("total_ns", total);
@@ -485,7 +501,7 @@ bool ablation_run(const BenchParams& p, uint32_t log_slots, size_t value_size, i
   }
   store.value()->prepare_run();
   auto r = workload::run_workload(*store.value(), spec);
-  *out = {r.throughput_iops(), r.update_latency.mean_ns() / 1e3, r.update_latency.p999() / 1e3,
+  *out = {r.throughput_iops(), r.update_latency.mean() / 1e3, quantile_us(r.update_latency, 0.999),
           store.value()->store().engine().stats().checkpoints.load(), r.failed_ops};
   return true;
 }
@@ -599,11 +615,11 @@ int shard_scaling(Ctx& c) {
     for (bool reads : {false, true}) {
       spec.read_fraction = reads ? 1.0 : 0.0;
       auto r = workload::run_workload(*store, spec);
-      const LatencyHistogram& h = reads ? r.read_latency : r.update_latency;
+      const obs::MetricSnapshot& h = reads ? r.read_latency : r.update_latency;
       const char* op = reads ? "get" : "put";
       count_failed(c, op, r.failed_ops);
       printf("%-8d %-5s %12.0f %10.1f %10.1f   (%llu ops, %llu failed)\n", s, op,
-             r.throughput_iops(), h.p50() / 1000.0, h.p999() / 1000.0,
+             r.throughput_iops(), quantile_us(h, 0.50), quantile_us(h, 0.999),
              (unsigned long long)r.total_ops, (unsigned long long)r.failed_ops);
       fflush(stdout);
       c.report.row().num("shards", s).str("op", op).num("throughput_iops", r.throughput_iops())

@@ -32,9 +32,9 @@ int main() {
     if (!store.is_ok()) return 1;
     if (!workload::load_objects(*store.value(), spec).is_ok()) return 1;
     auto r = workload::run_workload(*store.value(), spec);
-    const auto& u = r.update_latency;
-    printf("%-12s %10.1f %10.1f %10.1f %10.1f  %llu\n", dipper ? "DIPPER" : "CoW",
-           u.p50() / 1e3, u.p99() / 1e3, u.p999() / 1e3, u.p9999() / 1e3,
+    auto us = [&r](double q) { return (double)r.update_latency.value_at_quantile(q) / 1e3; };
+    printf("%-12s %10.1f %10.1f %10.1f %10.1f  %llu\n", dipper ? "DIPPER" : "CoW", us(0.50),
+           us(0.99), us(0.999), us(0.9999),
            (unsigned long long)store.value()->store().engine().stats().checkpoints.load());
   }
   printf("\nBoth ran the same workload with the same checkpoint frequency.\n");

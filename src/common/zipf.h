@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "common/fnv.h"
 #include "common/rng.h"
 
 namespace dstore {
@@ -53,17 +54,14 @@ class ScrambledZipfianGenerator {
   explicit ScrambledZipfianGenerator(uint64_t items, double theta = 0.99)
       : zipf_(items, theta), items_(items) {}
 
-  uint64_t next(Rng& rng) const { return fnv1a(zipf_.next(rng)) % items_; }
+  uint64_t next(Rng& rng) const { return scramble(zipf_.next(rng)) % items_; }
   uint64_t items() const { return items_; }
 
  private:
-  static uint64_t fnv1a(uint64_t v) {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (int i = 0; i < 8; i++) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-    return h;
+  static uint64_t scramble(uint64_t v) {
+    unsigned char le[8];  // v's bytes, least significant first
+    for (int i = 0; i < 8; i++) le[i] = (unsigned char)(v >> (i * 8));
+    return fnv1a(le, sizeof(le));
   }
 
   ZipfianGenerator zipf_;

@@ -11,6 +11,8 @@
 #include <string>
 #include <string_view>
 
+#include "common/fnv.h"
+
 namespace dstore {
 
 inline constexpr size_t kMaxNameLen = 63;
@@ -42,14 +44,7 @@ struct Key {
   bool operator<(const Key& o) const { return compare(o) < 0; }
 
   // FNV-1a hash of the name (used by the read-count table and sharding).
-  uint64_t hash() const {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (uint8_t i = 0; i < len; i++) {
-      h ^= (uint8_t)data[i];
-      h *= 0x100000001b3ull;
-    }
-    return h;
-  }
+  uint64_t hash() const { return fnv1a(data, len); }
 };
 
 static_assert(sizeof(Key) == 64, "Key must be exactly one cache line");

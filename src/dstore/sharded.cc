@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/clock.h"
+#include "common/fnv.h"
 #include "dipper/log.h"
 #include "fsmeta/badpage_table.h"
 
@@ -137,12 +138,10 @@ double ShardedStore::max_log_fill() const {
 int ShardedStore::shard_of(std::string_view name) const {
   // One FNV-1a pass over the name, a splitmix64 finalizer for avalanche,
   // then a widening-multiply range reduction: uniform across shards with
-  // no modulo bias, and no Key construction on the routing path.
-  uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (char c : name) {
-    h ^= (uint8_t)c;
-    h *= 1099511628211ull;  // FNV prime
-  }
+  // no modulo bias, and no Key construction on the routing path. The seed
+  // 1469598103934665603 is not FNV's offset basis (14695981039346656037,
+  // one digit longer); it stays because it decides every name's home shard.
+  uint64_t h = fnv1a(name.data(), name.size(), 1469598103934665603ull);
   h ^= h >> 30;
   h *= 0xbf58476d1ce4e5b9ull;
   h ^= h >> 27;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/fnv.h"
 #include "common/rng.h"
 
 namespace dstore::fault {
@@ -207,12 +208,7 @@ Status CrashRig::verify_integrity(uint64_t* detected) {
 }
 
 uint64_t CrashRig::pmem_fingerprint() const {
-  const unsigned char* p = reinterpret_cast<const unsigned char*>(pool_->base());
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < pool_->size(); i++) {
-    h = (h ^ p[i]) * 0x100000001b3ULL;
-  }
-  return h;
+  return fnv1a(pool_->base(), pool_->size());
 }
 
 std::vector<std::pair<std::string, uint64_t>> CrashRig::enumerate_schedule(RigOptions opt) {

@@ -14,9 +14,8 @@ namespace dstore::obs {
 
 Histogram::Histogram() : buckets_(kNumBuckets) {}
 
-// Same bucketing as common/histogram.h: values below 2^b are exact; above,
-// each octave [2^e, 2^(e+1)) splits into 2^b sub-buckets (<= 2^-b relative
-// error per bucket).
+// Values below 2^b are exact; above, each octave [2^e, 2^(e+1)) splits into
+// 2^b sub-buckets (<= 2^-b relative error per bucket).
 int Histogram::bucket_for(uint64_t v) {
   constexpr int b = kSubBucketBits;
   if (v < (1ull << b)) return (int)v;
@@ -52,36 +51,17 @@ uint64_t Histogram::max() const {
   return m;
 }
 
-double Histogram::mean() const {
-  uint64_t c = count();
-  return c == 0 ? 0.0 : (double)sum() / (double)c;
-}
-
-uint64_t Histogram::value_at_quantile(double q) const {
-  uint64_t total = count();
-  if (total == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  uint64_t target = (uint64_t)(q * (double)total);
-  if (target >= total) target = total - 1;
-  uint64_t seen = 0;
-  uint64_t cap = max();  // bucket bounds can overshoot the true maximum
-  for (int i = 0; i < kNumBuckets; i++) {
-    seen += buckets_[i].load(std::memory_order_relaxed);
-    if (seen > target) {
-      uint64_t ub = bucket_upper_bound(i);
-      return ub > cap ? cap : ub;
-    }
-  }
-  return cap;
-}
-
-std::vector<HistogramBucket> Histogram::nonzero_buckets() const {
-  std::vector<HistogramBucket> out;
+MetricSnapshot Histogram::snapshot() const {
+  MetricSnapshot s;
+  s.type = MetricType::kHistogram;
+  s.count = count();
+  s.sum = sum();
+  s.max = max();
   for (int i = 0; i < kNumBuckets; i++) {
     uint64_t c = buckets_[i].load(std::memory_order_relaxed);
-    if (c != 0) out.push_back({bucket_upper_bound(i), c});
+    if (c != 0) s.buckets.push_back({bucket_upper_bound(i), c});
   }
-  return out;
+  return s;
 }
 
 void Histogram::reset() {
@@ -218,7 +198,7 @@ std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
   std::vector<MetricSnapshot> out;
   out.reserve(entries_.size());
   for (const auto& e : entries_) {
-    MetricSnapshot s;
+    MetricSnapshot s = e->histogram ? e->histogram->snapshot() : MetricSnapshot{};
     s.name = e->name;
     s.help = e->help;
     s.type = e->type;
@@ -230,11 +210,6 @@ std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
       s.value = (double)e->counter_fn();
     } else if (e->gauge_fn) {
       s.value = e->gauge_fn();
-    } else if (e->histogram) {
-      s.count = e->histogram->count();
-      s.sum = e->histogram->sum();
-      s.max = e->histogram->max();
-      s.buckets = e->histogram->nonzero_buckets();
     }
     out.push_back(std::move(s));
   }

@@ -13,7 +13,8 @@
 //   * Histogram — HdrHistogram-style log-bucketed latency distribution
 //                 (32 sub-buckets per octave, <1.6% relative error), with
 //                 count/sum/max striped per thread and the sparse bucket
-//                 array shared.
+//                 array shared; the repo's one histogram type (the bench
+//                 and workload latencies record into it too).
 //
 // A registry also accepts *callback* metrics (counter_fn/gauge_fn): scrape-
 // time reads of atomics that already exist elsewhere (pmem::IoStats,
@@ -26,9 +27,11 @@
 // reading their upstream sources (scrape-vs-reset semantics).
 //
 // Compile-time kill switch: configuring with -DDSTORE_METRICS=OFF defines
-// DSTORE_METRICS_DISABLED, which turns every mutation (add/set/record) into
-// an empty inline function — registration, lookup and scrape still work, so
-// every consumer compiles and scrapes read as zeros.
+// DSTORE_METRICS_DISABLED, which turns every counter/gauge mutation
+// (add/set) into an empty inline function and compiles OpTrace — the
+// store's only Histogram::record caller — to nothing. Registration, lookup
+// and scrape still work, so every consumer compiles and scrapes read as
+// zeros; Histogram::record itself stays live for bench latencies.
 #pragma once
 
 #include <array>
@@ -159,12 +162,36 @@ struct HistogramBucket {
   uint64_t count = 0;
 };
 
+enum class MetricType { kCounter, kGauge, kHistogram };
+
+// One scraped metric, decoupled from its live source so snapshots can be
+// merged across registries (per-shard rollup) and rendered offline. A
+// histogram's quantiles and mean are read from its snapshot.
+struct MetricSnapshot {
+  std::string name;
+  std::string help;
+  MetricType type = MetricType::kCounter;
+  double value = 0;  // counter / gauge reading
+  // Histogram fields:
+  uint64_t count = 0;
+  uint64_t sum = 0;
+  uint64_t max = 0;
+  std::vector<HistogramBucket> buckets;  // non-empty buckets, ascending by bound
+
+  double mean() const { return count != 0 ? (double)sum / (double)count : 0.0; }
+  // Upper bucket bound at quantile q in [0,1], capped at max.
+  uint64_t value_at_quantile(double q) const;
+};
+
+// The one latency histogram type: the store's sampled per-op metrics and
+// every bench/workload latency record into it. record() is live in every
+// build; the metrics kill switch removes its store callers (OpTrace)
+// instead, so a metrics-off build still measures bench latencies.
 class Histogram {
  public:
   Histogram();
 
   void record(uint64_t v) {
-#if !defined(DSTORE_METRICS_DISABLED)
     // The bucket array is shared by all threads, so it always pays the
     // locked RMW; count/sum/max are per-slot and take the single-writer
     // fast path for exclusive slots.
@@ -180,31 +207,22 @@ class Histogram {
       while (prev < v && !s.max.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
       }
     }
-#else
-    (void)v;
-#endif
   }
 
   uint64_t count() const;
   uint64_t sum() const;
   uint64_t max() const;
-  double mean() const;
-  // Upper bucket bound at quantile q in [0,1].
-  uint64_t value_at_quantile(double q) const;
-  uint64_t p50() const { return value_at_quantile(0.50); }
-  uint64_t p99() const { return value_at_quantile(0.99); }
-
-  // Non-empty buckets, ascending by bound.
-  std::vector<HistogramBucket> nonzero_buckets() const;
+  // count/sum/max and the non-empty buckets, type kHistogram, unnamed.
+  MetricSnapshot snapshot() const;
   void reset();
-
-  static int bucket_for(uint64_t v);
-  static uint64_t bucket_upper_bound(int bucket);
 
  private:
   static constexpr int kSubBucketBits = 5;  // 32 sub-buckets per octave
   static constexpr int kOctaves = 40;       // up to ~2^40 (~18 min in ns)
   static constexpr int kNumBuckets = kOctaves << kSubBucketBits;
+
+  static int bucket_for(uint64_t v);
+  static uint64_t bucket_upper_bound(int bucket);
 
   struct alignas(64) Slot {
     std::atomic<uint64_t> count{0};
@@ -213,25 +231,6 @@ class Histogram {
   };
   std::array<Slot, kSlotCount> slots_;
   std::vector<std::atomic<uint64_t>> buckets_;
-};
-
-enum class MetricType { kCounter, kGauge, kHistogram };
-
-// One scraped metric, decoupled from its live source so snapshots can be
-// merged across registries (per-shard rollup) and rendered offline.
-struct MetricSnapshot {
-  std::string name;
-  std::string help;
-  MetricType type = MetricType::kCounter;
-  double value = 0;  // counter / gauge reading
-  // Histogram fields:
-  uint64_t count = 0;
-  uint64_t sum = 0;
-  uint64_t max = 0;
-  std::vector<HistogramBucket> buckets;
-
-  double mean() const { return count != 0 ? (double)sum / (double)count : 0.0; }
-  uint64_t value_at_quantile(double q) const;
 };
 
 // Name -> metric registry. Registration (counter()/gauge()/histogram()/

@@ -9,6 +9,7 @@
 
 #include "common/clock.h"
 #include "common/crc32c.h"
+#include "common/fnv.h"
 
 namespace dstore::ssd {
 
@@ -306,13 +307,7 @@ void RamBlockDevice::set_fault_injector(fault::FaultInjector* inj) {
 
 uint64_t RamBlockDevice::media_fingerprint() const {
   MutexGuard g(mu_);
-  uint64_t h = 0xcbf29ce484222325ULL;
-  const char* p = media_.get();
-  for (size_t i = 0; i < cfg_.capacity(); i++) {
-    h ^= static_cast<unsigned char>(p[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return fnv1a(media_.get(), cfg_.capacity());
 }
 
 // ---------------------------------------------------------------------------

@@ -47,10 +47,11 @@ RunResult run_workload(KVStore& store, const WorkloadSpec& spec, TimeSeries* thr
 
   StopWatch wall;
   std::vector<std::thread> threads;
-  std::vector<std::unique_ptr<LatencyHistogram>> read_hists, update_hists;
+  // Per-thread histograms: no two threads share a bucket array.
+  std::vector<std::unique_ptr<obs::Histogram>> read_hists, update_hists;
   for (int t = 0; t < spec.threads; t++) {
-    read_hists.push_back(std::make_unique<LatencyHistogram>());
-    update_hists.push_back(std::make_unique<LatencyHistogram>());
+    read_hists.push_back(std::make_unique<obs::Histogram>());
+    update_hists.push_back(std::make_unique<obs::Histogram>());
   }
 
   const bool affine = spec.placement != nullptr && spec.partitions > 1;
@@ -61,8 +62,8 @@ RunResult run_workload(KVStore& store, const WorkloadSpec& spec, TimeSeries* thr
       Rng rng(spec.seed * 7919 + t);
       std::string value(spec.value_size, 'w');
       std::vector<char> buf(spec.value_size + 64);
-      LatencyHistogram& rh = *read_hists[t];
-      LatencyHistogram& uh = *update_hists[t];
+      obs::Histogram& rh = *read_hists[t];
+      obs::Histogram& uh = *update_hists[t];
       uint64_t ops = 0;
       while (!stop.load(std::memory_order_acquire) &&
              (spec.duration_ms > 0 || ops < spec.ops_per_thread)) {
@@ -141,10 +142,16 @@ RunResult run_workload(KVStore& store, const WorkloadSpec& spec, TimeSeries* thr
   result.total_ops = total_ops.load();
   result.failed_ops = failed_ops.load();
   result.inserts = inserts.load();
-  for (int t = 0; t < spec.threads; t++) {
-    result.read_latency.merge(*read_hists[t]);
-    result.update_latency.merge(*update_hists[t]);
-  }
+  // The same rollup as the per-shard scrape: one single-histogram scrape
+  // per thread, merged.
+  auto rollup = [](const std::vector<std::unique_ptr<obs::Histogram>>& hists) {
+    std::vector<std::vector<obs::MetricSnapshot>> scrapes;
+    for (const auto& h : hists) scrapes.push_back({h->snapshot()});
+    std::vector<obs::MetricSnapshot> merged = obs::MetricsRegistry::merge(scrapes);
+    return merged.empty() ? obs::MetricSnapshot{} : std::move(merged[0]);
+  };
+  result.read_latency = rollup(read_hists);
+  result.update_latency = rollup(update_hists);
   return result;
 }
 

@@ -7,8 +7,8 @@
 #include <memory>
 #include <string>
 
-#include "common/histogram.h"
 #include "common/timeseries.h"
+#include "obs/metrics.h"
 #include "workload/kv_interface.h"
 
 namespace dstore::workload {
@@ -73,8 +73,9 @@ struct WorkloadSpec {
 };
 
 struct RunResult {
-  LatencyHistogram read_latency;
-  LatencyHistogram update_latency;  // updates, inserts, and RMWs
+  // Per-op latency in ns, rolled up over the worker threads.
+  obs::MetricSnapshot read_latency;
+  obs::MetricSnapshot update_latency;  // updates, inserts, and RMWs
   uint64_t total_ops = 0;
   uint64_t failed_ops = 0;
   uint64_t inserts = 0;  // new keys created during the run (YCSB D)

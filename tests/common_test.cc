@@ -1,4 +1,4 @@
-// Unit tests for src/common: status, cacheline math, histogram, zipf, rng,
+// Unit tests for src/common: status, cacheline math, fnv, zipf, rng,
 // spinlocks, latency model, timeseries, the CRC32C kernel.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 #include "common/cacheline.h"
 #include "common/clock.h"
 #include "common/crc32c.h"
-#include "common/histogram.h"
+#include "common/fnv.h"
 #include "common/latency_model.h"
 #include "common/rng.h"
 #include "common/lockdep.h"
@@ -136,67 +136,11 @@ TEST(Zipf, ScrambledSpreadsHotKeys) {
   EXPECT_GT(seen.size(), 200u);
 }
 
-TEST(Histogram, EmptyIsZero) {
-  LatencyHistogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.p50(), 0u);
-  EXPECT_EQ(h.max(), 0u);
-}
-
-TEST(Histogram, SingleValue) {
-  LatencyHistogram h;
-  h.record(1000);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.max(), 1000u);
-  // Log-bucketing gives bounded relative error.
-  EXPECT_NEAR((double)h.p50(), 1000.0, 1000.0 * 0.05);
-}
-
-TEST(Histogram, PercentilesOrdered) {
-  LatencyHistogram h;
-  Rng r(5);
-  for (int i = 0; i < 100000; i++) h.record(100 + r.next_below(1000000));
-  EXPECT_LE(h.p50(), h.p99());
-  EXPECT_LE(h.p99(), h.p999());
-  EXPECT_LE(h.p999(), h.p9999());
-  EXPECT_LE(h.p9999(), h.max());
-}
-
-TEST(Histogram, UniformMedianNearMidpoint) {
-  LatencyHistogram h;
-  Rng r(6);
-  for (int i = 0; i < 200000; i++) h.record(r.next_below(10000));
-  EXPECT_NEAR((double)h.p50(), 5000.0, 600.0);
-}
-
-TEST(Histogram, MergeAccumulates) {
-  LatencyHistogram a, b;
-  a.record(100);
-  b.record(10000);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.max(), 10000u);
-}
-
-TEST(Histogram, ConcurrentRecording) {
-  LatencyHistogram h;
-  std::vector<std::thread> ts;
-  for (int t = 0; t < 4; t++) {
-    ts.emplace_back([&h, t] {
-      Rng r(t);
-      for (int i = 0; i < 10000; i++) h.record(r.next_below(100000));
-    });
-  }
-  for (auto& t : ts) t.join();
-  EXPECT_EQ(h.count(), 40000u);
-}
-
-TEST(Histogram, ResetClears) {
-  LatencyHistogram h;
-  h.record(5000);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.max(), 0u);
+// The published 64-bit FNV-1a test vectors.
+TEST(Fnv, ReferenceVectors) {
+  EXPECT_EQ(fnv1a("", 0), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a("a", 1), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a("foobar", 6), 0x85944171f73967e8ull);
 }
 
 TEST(SpinLock, MutualExclusion) {

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "dstore/dstore.h"
 #include "obs/metrics.h"
 #include "obs/op_trace.h"
@@ -20,6 +21,95 @@ namespace {
 using obs::MetricsRegistry;
 using obs::MetricSnapshot;
 using obs::MetricType;
+
+// obs::Histogram is the one histogram type. Histogram::record is live in
+// every build (the kill switch removes its store callers, not the type), so
+// these run with metrics compiled out too.
+
+uint64_t quantile(const obs::Histogram& h, double q) { return h.snapshot().value_at_quantile(q); }
+
+TEST(Histogram, EmptyIsZero) {
+  obs::Histogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(quantile(h, 0.50), 0u);
+  EXPECT_EQ(h.max(), 0u);
+}
+
+TEST(Histogram, SingleValue) {
+  obs::Histogram h;
+  h.record(1000);
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.max(), 1000u);
+  // Log-bucketing gives bounded relative error.
+  EXPECT_NEAR((double)quantile(h, 0.50), 1000.0, 1000.0 * 0.05);
+}
+
+TEST(Histogram, PercentilesOrdered) {
+  obs::Histogram h;
+  Rng r(5);
+  for (int i = 0; i < 100000; i++) h.record(100 + r.next_below(1000000));
+  MetricSnapshot s = h.snapshot();
+  EXPECT_LE(s.value_at_quantile(0.50), s.value_at_quantile(0.99));
+  EXPECT_LE(s.value_at_quantile(0.99), s.value_at_quantile(0.999));
+  EXPECT_LE(s.value_at_quantile(0.999), s.value_at_quantile(0.9999));
+  EXPECT_LE(s.value_at_quantile(0.9999), s.max);
+}
+
+TEST(Histogram, UniformMedianNearMidpoint) {
+  obs::Histogram h;
+  Rng r(6);
+  for (int i = 0; i < 200000; i++) h.record(r.next_below(10000));
+  EXPECT_NEAR((double)quantile(h, 0.50), 5000.0, 600.0);
+}
+
+TEST(Histogram, MergeAccumulates) {
+  obs::Histogram a, b;
+  a.record(100);
+  b.record(10000);
+  // The registry merge is the one rollup (per-thread workload histograms,
+  // per-shard scrapes); unnamed snapshots merge into one.
+  auto merged = MetricsRegistry::merge({{a.snapshot()}, {b.snapshot()}});
+  ASSERT_EQ(merged.size(), 1u);
+  EXPECT_EQ(merged[0].count, 2u);
+  EXPECT_EQ(merged[0].max, 10000u);
+}
+
+TEST(Histogram, ConcurrentRecording) {
+  obs::Histogram h;
+  std::vector<std::thread> ts;
+  for (int t = 0; t < 4; t++) {
+    ts.emplace_back([&h, t] {
+      Rng r(t);
+      for (int i = 0; i < 10000; i++) h.record(r.next_below(100000));
+    });
+  }
+  for (auto& t : ts) t.join();
+  EXPECT_EQ(h.count(), 40000u);
+}
+
+TEST(Histogram, ResetClears) {
+  obs::Histogram h;
+  h.record(5000);
+  h.reset();
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.max(), 0u);
+}
+
+// Pinned values for a fixed sample set: the figures every bench report's
+// percentiles have been computed with, so a change to the bucketing or the
+// quantile walk shows up here first.
+TEST(Histogram, PinnedQuantiles) {
+  obs::Histogram h;
+  for (uint64_t i = 0; i < 100000; i++) h.record(1 + (i * 2654435761ull) % 2000000);
+  MetricSnapshot s = h.snapshot();
+  EXPECT_EQ(s.count, 100000u);
+  EXPECT_EQ(s.value_at_quantile(0.50), 1015807u);
+  EXPECT_EQ(s.value_at_quantile(0.99), 1998847u);
+  EXPECT_EQ(s.value_at_quantile(0.999), 1998847u);
+  EXPECT_EQ(s.value_at_quantile(0.9999), 1999984u);
+  EXPECT_EQ(s.max, 1999984u);
+  EXPECT_DOUBLE_EQ(s.mean(), 1000000.5);
+}
 
 // The unit tests below exercise the instrumented write paths, so they only
 // make sense when the instrumentation is compiled in.
@@ -78,7 +168,7 @@ TEST(Metrics, HistogramAggregatesAcrossThreads) {
   EXPECT_GE(h->max(), 400u);
   // p50 falls in the bucket holding 200; quantiles report the (log-spaced)
   // bucket's upper bound, so allow the bucket's width of slack.
-  uint64_t p50 = h->value_at_quantile(0.5);
+  uint64_t p50 = quantile(*h, 0.5);
   EXPECT_GE(p50, 200u);
   EXPECT_LT(p50, 400u);
 }

@@ -77,7 +77,7 @@ TEST(Ycsb, RunRespectsOpCounts) {
   EXPECT_EQ(r.total_ops, 1500u);
   EXPECT_EQ(r.failed_ops, 0u);
   EXPECT_GT(r.throughput_iops(), 0.0);
-  EXPECT_EQ(r.read_latency.count() + r.update_latency.count(), 1500u);
+  EXPECT_EQ(r.read_latency.count + r.update_latency.count, 1500u);
 }
 
 TEST(Ycsb, ReadFractionApproximatelyHonored) {
@@ -89,7 +89,7 @@ TEST(Ycsb, ReadFractionApproximatelyHonored) {
   spec.ops_per_thread = 5000;
   ASSERT_TRUE(load_objects(store, spec).is_ok());
   RunResult r = run_workload(store, spec);
-  double read_frac = (double)r.read_latency.count() / (double)r.total_ops;
+  double read_frac = (double)r.read_latency.count / (double)r.total_ops;
   EXPECT_NEAR(read_frac, 0.95, 0.02);
 }
 
@@ -135,7 +135,7 @@ TEST(Ycsb, WorkloadCIsReadOnly) {
   RunResult r = run_workload(store, spec);
   EXPECT_EQ(r.failed_ops, 0u);
   EXPECT_EQ(store.puts(), puts_before);  // not a single write
-  EXPECT_EQ(r.update_latency.count(), 0u);
+  EXPECT_EQ(r.update_latency.count, 0u);
 }
 
 TEST(Ycsb, WorkloadDInsertsGrowKeyspace) {
@@ -165,7 +165,7 @@ TEST(Ycsb, WorkloadFReadModifyWrite) {
   uint64_t puts_before = store.puts();
   RunResult r = run_workload(store, spec);
   EXPECT_EQ(r.failed_ops, 0u);
-  uint64_t rmw_ops = r.update_latency.count();
+  uint64_t rmw_ops = r.update_latency.count;
   // Every RMW does one get AND one put; plain reads add gets only.
   EXPECT_EQ(store.puts() - puts_before, rmw_ops);
   EXPECT_EQ(store.gets() - gets_before, r.total_ops);  // reads + RMW reads

@@ -154,8 +154,8 @@ int main(int argc, char** argv) {
   printf("throughput: %.0f ops/s (%llu ops, %llu failed, %llu inserts)\n",
          r.throughput_iops(), (unsigned long long)r.total_ops,
          (unsigned long long)r.failed_ops, (unsigned long long)r.inserts);
-  printf("reads:   %s\n", r.read_latency.summary_us().c_str());
-  printf("updates: %s\n", r.update_latency.summary_us().c_str());
+  printf("reads:   %s\n", summary_us(r.read_latency).c_str());
+  printf("updates: %s\n", summary_us(r.update_latency).c_str());
   if (!metrics_json.empty() && !dump_metrics(*store, metrics_json)) return 1;
   return r.failed_ops == 0 ? 0 : 1;
 }
