@@ -1139,10 +1139,12 @@ Result<DStore::ReadView> DStore::oget_zc(ds_ctx_t* ctx, std::string_view name) {
   }
   const uint64_t* bl = v.zone.blocks(*e);
   const size_t bs = block_size();
-  // Map every block, merging pointer-contiguous runs into one piece, and
-  // sidecar-verify what is handed out — verify_pages charges the media
-  // bandwidth channel, so zero-copy reads still pay the device's read cost
-  // (minus the copy-out).
+  // Map every block, merging runs of consecutive blocks (which map to
+  // consecutive addresses) into one piece, then sidecar-verify each piece
+  // with one call — verify_pages charges the media bandwidth channel, so a
+  // zero-copy read still pays the device's read cost (minus the copy-out),
+  // but its base latency once per piece, not once per block.
+  std::vector<uint64_t> first_block;  // the device block each piece starts at
   uint64_t remaining = e->size;
   for (uint32_t i = 0; i < e->nblocks && remaining > 0; i++) {
     const char* p = static_cast<const char*>(device_->direct_read_map(bl[i]));
@@ -1150,19 +1152,22 @@ Result<DStore::ReadView> DStore::oget_zc(ds_ctx_t* ctx, std::string_view name) {
       return Status::unsupported("device has no direct read mapping; use oget()");
     }
     size_t len = (size_t)std::min<uint64_t>(bs, remaining);
-    Status vs = device_->verify_pages(bl[i], 0, len, nullptr);
-    if (vs.code() == Code::kCorruption) {
-      vs = contain_corruption(v, *found, &trace);
-      if (vs.is_ok()) vs = device_->verify_pages(bl[i], 0, len, nullptr);
-    }
-    DSTORE_RETURN_IF_ERROR(vs);
-    if (!view.pieces_.empty() &&
+    if (i > 0 && bl[i] == bl[i - 1] + 1 &&
         static_cast<const char*>(view.pieces_.back().data) + view.pieces_.back().len == p) {
       view.pieces_.back().len += len;
     } else {
       view.pieces_.push_back({p, len});
+      first_block.push_back(bl[i]);
     }
     remaining -= len;
+  }
+  for (size_t i = 0; i < view.pieces_.size(); i++) {
+    Status vs = device_->verify_pages(first_block[i], 0, view.pieces_[i].len, nullptr);
+    if (vs.code() == Code::kCorruption) {
+      vs = contain_corruption(v, *found, &trace);
+      if (vs.is_ok()) vs = device_->verify_pages(first_block[i], 0, view.pieces_[i].len, nullptr);
+    }
+    DSTORE_RETURN_IF_ERROR(vs);
   }
   // Content tier (as in oget): catches internally consistent stale pages —
   // lost or misdirected writes — the per-page sidecar cannot see.

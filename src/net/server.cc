@@ -32,6 +32,14 @@ constexpr size_t kMaxConnBacklogBytes = 64u << 20;
 // Past it, a new put first waits for an older one's device completions.
 constexpr size_t kMaxPendingPuts = 64;
 
+// After its last event (events returned, or a completion pass that acked a
+// put) a loop keeps polling epoll with a zero timeout for this long before
+// it blocks. A blocked loop halts its CPU, and the next request pays the
+// wake-up; a loop that polls through the gap between requests does not.
+// Chosen from a sweep of 50-500 us and always-poll (DESIGN.md §15.2); an
+// idle loop still sleeps.
+constexpr int64_t kPollBeforeSleepNs = 500'000;
+
 // Namespace registry capacity: kNsChunks chunks of kNsChunk entries. A
 // chunk never moves once allocated, so readers index it without a lock.
 constexpr size_t kNsChunk = 1024;
@@ -42,11 +50,13 @@ void set_nonblocking_opts(int fd) {
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-int64_t now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
+int64_t now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+int64_t now_ms() { return now_ns() / 1'000'000; }
 
 }  // namespace
 
@@ -153,6 +163,7 @@ struct Server::Impl {
     std::deque<SlowDone> done_in;
     bool closed = false;  // the loop exited; its inbox takes nothing more
     bool quiet = false;   // draining: nothing buffered, unflushed or queued
+    int64_t reaped_ms = 0;  // the millisecond reap_idle last scanned in
 
     void wake() {
       uint64_t v = 1;
@@ -866,11 +877,15 @@ struct Server::Impl {
     }
   }
 
-  // Drop connections that sent nothing for cfg.idle_timeout_ms (runs at
-  // most once per poll cycle).
+  // Drop connections that sent nothing for cfg.idle_timeout_ms. A polling
+  // loop comes round every few microseconds, so the scan runs at most once
+  // per millisecond.
   void reap_idle(Loop& L) {
     if (cfg.idle_timeout_ms == 0) return;
-    int64_t cutoff = now_ms() - (int64_t)cfg.idle_timeout_ms;
+    const int64_t now = now_ms();
+    if (now == L.reaped_ms) return;
+    L.reaped_ms = now;
+    int64_t cutoff = now - (int64_t)cfg.idle_timeout_ms;
     std::vector<Conn*> idle;
     for (auto& [fd, c] : L.conns_by_fd) {
       if (c->last_active_ms < cutoff) idle.push_back(c.get());
@@ -905,10 +920,13 @@ struct Server::Impl {
   void run_loop(Loop& L) {
     epoll_event events[256];
     bool accepting = L.index == 0;
+    int64_t poll_until_ns = 0;  // kPollBeforeSleepNs past the last event
     while (!stopping.load(std::memory_order_acquire)) {
       // With puts in flight the loop polls, so their completions are
-      // reaped as soon as the device posts them.
-      int n = epoll_wait(L.epoll_fd, events, 256, L.pending.empty() ? 100 : 0);
+      // reaped as soon as the device posts them; after the last event it
+      // polls on for kPollBeforeSleepNs, so the next request finds it awake.
+      const bool poll = !L.pending.empty() || now_ns() < poll_until_ns;
+      int n = epoll_wait(L.epoll_fd, events, 256, poll ? 0 : 100);
       if (n < 0) {
         if (errno == EINTR) continue;
         break;
@@ -959,9 +977,11 @@ struct Server::Impl {
       if (stopping.load(std::memory_order_acquire)) break;
       // Completion pass: ack every put whose IOs have landed, then send
       // each connection's acks with one flush.
-      if (!L.pending.empty()) finish_puts(L, /*all=*/false);
+      const size_t in_flight = L.pending.size();
+      if (in_flight > 0) finish_puts(L, /*all=*/false);
       flush_touched(L);
       if (drain) update_quiet(L);
+      if (n > 0 || L.pending.size() < in_flight) poll_until_ns = now_ns() + kPollBeforeSleepNs;
     }
     // Settle every in-flight put before the connections and their sessions
     // go, acking none: no record may stay in flight for a checkpoint drain

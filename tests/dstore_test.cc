@@ -155,11 +155,16 @@ TEST(DStoreZeroCopy, GetReturnsExactBytesWithoutCopy) {
   v[0] = 'A';
   v[14335] = 'Z';
   ASSERT_TRUE(t.store->oput(t.ctx, "obj", v.data(), v.size()).is_ok());
+  const uint64_t reads_before = t.device->stats().read_ios.load();
   auto r = t.store->oget_zc(t.ctx, "obj");
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   DStore::ReadView view = std::move(r).value();
   EXPECT_EQ(view.size(), v.size());
   EXPECT_EQ(flatten(view), v);
+  // One sidecar verification (one device read) per piece, not per block:
+  // a fresh store hands the object consecutive blocks, so they coalesce.
+  EXPECT_LT(view.pieces().size(), 4u);
+  EXPECT_EQ(t.device->stats().read_ios.load() - reads_before, view.pieces().size());
   // The pieces alias device memory — nothing was copied into a test buffer.
   ASSERT_FALSE(view.pieces().empty());
   const char* media_begin = static_cast<const char*>(t.device->direct_read_map(0));

@@ -5,6 +5,7 @@
 // the server crash rig: a fault plan kills the live server mid-checkpoint
 // and recovery is held to a zero-acked-write-loss oracle.
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -15,10 +16,12 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -837,6 +840,83 @@ TEST(NetEndToEnd, IdleReaperDropsSilentConnectionsButHeartbeatsKeepAlive) {
                 .counter("net_idle_reaped_total", "connections dropped by the idle reaper")
                 ->value(),
             1u);
+}
+
+// The process's thread ids, sorted (/proc/self/task).
+std::vector<pid_t> task_ids() {
+  std::vector<pid_t> out;
+  DIR* d = opendir("/proc/self/task");
+  if (d == nullptr) return out;
+  while (dirent* e = readdir(d)) {
+    if (e->d_name[0] != '.') out.push_back((pid_t)atoi(e->d_name));
+  }
+  closedir(d);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// CPU time (user + system) a thread of this process has used, in seconds:
+// fields 14 and 15 of /proc/self/task/<tid>/stat, counted after the
+// parenthesized command name.
+double task_cpu_s(pid_t tid) {
+  std::ifstream f("/proc/self/task/" + std::to_string(tid) + "/stat");
+  std::string line;
+  if (!std::getline(f, line)) return 0;
+  size_t rp = line.rfind(')');
+  if (rp == std::string::npos) return 0;
+  std::istringstream rest(line.substr(rp + 2));
+  std::string field;
+  double ticks = 0;
+  for (int i = 3; i <= 15 && rest >> field; i++) {
+    if (i == 14 || i == 15) ticks += atof(field.c_str());
+  }
+  return ticks / (double)sysconf(_SC_CLK_TCK);
+}
+
+// A loop polls for a bounded budget after its last event, then blocks: once
+// traffic stops, the server's threads go quiet instead of spinning.
+TEST(NetEndToEnd, IdleLoopsSleepAfterTheirPollBudget) {
+  ServerFixture fx;
+  // Restart the server on the fixture's store, so the new threads are
+  // exactly the server's (the store's checkpoint workers predate it).
+  fx.server->stop();
+  fx.server.reset();
+  const std::vector<pid_t> before = task_ids();
+  auto sv = Server::start(fx.store.get(), ServerConfig{});
+  ASSERT_TRUE(sv.is_ok()) << sv.status().to_string();
+  fx.server = std::move(sv).value();
+  std::vector<pid_t> server_tids;
+  for (pid_t t : task_ids())
+    if (!std::binary_search(before.begin(), before.end(), t)) server_tids.push_back(t);
+  ASSERT_FALSE(server_tids.empty());
+
+  // A burst on both shards' loops.
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int shard = 0; shard < 2; shard++) {
+    clients.push_back(fx.connect());
+    Client& c = *clients.back();
+    auto ns = c.open_namespace(fx.ns_name_on_shard(shard));
+    ASSERT_TRUE(ns.is_ok()) << ns.status().to_string();
+    std::string v(4096, 'i');
+    for (int i = 0; i < 100; i++) {
+      ASSERT_TRUE(c.put(ns.value().ns_id, "k" + std::to_string(i % 20), v.data(), v.size()).is_ok());
+      ASSERT_TRUE(c.get(ns.value().ns_id, "k" + std::to_string(i % 20)).is_ok());
+    }
+  }
+
+  // Then no traffic: an always-polling loop would burn a core per loop.
+  auto server_cpu_s = [&] {
+    double s = 0;
+    for (pid_t t : server_tids) s += task_cpu_s(t);
+    return s;
+  };
+  const double cpu0 = server_cpu_s();
+  const auto t0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  const double used = server_cpu_s() - cpu0;
+  EXPECT_LT(used, 0.10 * wall_s) << "server threads used " << used << " s of CPU in " << wall_s
+                                 << " s without traffic";
 }
 
 TEST(NetEndToEnd, ClientReconnectsWithBackoffAfterServerRestart) {
