@@ -20,7 +20,7 @@ int main() {
   cfg.engine.background_checkpointing = false;  // drive checkpoints by hand
 
   // Crash-simulating PMEM: unflushed cache lines are LOST on crash().
-  pmem::Pool pmem(dipper::Engine::required_pool_bytes(cfg.engine), pmem::Pool::Mode::kCrashSim);
+  pmem::Pool pmem(DStoreConfig::required_pool_bytes(cfg), pmem::Pool::Mode::kCrashSim);
   ssd::DeviceConfig dev_cfg;
   dev_cfg.num_blocks = cfg.num_blocks;
   ssd::RamBlockDevice ssd(dev_cfg);

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.max_objects);
   cfg.engine.log_slots = 1024;
 
-  pmem::Pool pmem(dipper::Engine::required_pool_bytes(cfg.engine), pmem::Pool::Mode::kDirect);
+  pmem::Pool pmem(DStoreConfig::required_pool_bytes(cfg), pmem::Pool::Mode::kDirect);
   ssd::DeviceConfig dev_cfg;
   dev_cfg.num_blocks = cfg.num_blocks;
   auto dev = ssd::FileBlockDevice::open(path, dev_cfg, /*create=*/true);

@@ -19,7 +19,7 @@ int main() {
   cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.max_objects);
   cfg.engine.log_slots = 4096;
 
-  pmem::Pool pmem(dipper::Engine::required_pool_bytes(cfg.engine), pmem::Pool::Mode::kDirect);
+  pmem::Pool pmem(DStoreConfig::required_pool_bytes(cfg), pmem::Pool::Mode::kDirect);
   ssd::DeviceConfig dev_cfg;
   dev_cfg.num_blocks = cfg.num_blocks;
   ssd::RamBlockDevice ssd(dev_cfg);

@@ -43,41 +43,41 @@ size_t DStoreConfig::required_pool_bytes(const DStoreConfig& cfg) {
 // ---------------------------------------------------------------------------
 
 DStore::DStore(pmem::Pool* pool, ssd::BlockDevice* device, DStoreConfig cfg)
-    : pool_(pool), device_(device), cfg_(cfg), read_counts_(1 << 16) {
+    : pool_(pool),
+      device_(device),
+      cfg_(cfg),
+      read_counts_(1 << 16),
+      badpages_(pool, badpage_region_off(cfg.engine)) {
   init_metrics();
 }
 
 Result<std::unique_ptr<DStore>> DStore::create(pmem::Pool* pool, ssd::BlockDevice* device,
                                                DStoreConfig cfg) {
-  cfg.engine = effective_engine_config(cfg);
-  if (device->config().num_blocks < cfg.num_blocks) {
-    return Status::invalid_argument("device smaller than configured block pool");
-  }
-  if (pool->size() < dipper::Engine::required_pool_bytes(cfg.engine)) {
-    return Status::invalid_argument("PMEM pool too small");
-  }
-  std::unique_ptr<DStore> store(new DStore(pool, device, cfg));
-  store->engine_ = std::make_unique<dipper::Engine>(pool, store.get(), cfg.engine);
-  DSTORE_RETURN_IF_ERROR(store->engine_->init_fresh());
-  store->engine_->space().set_lock(&store->arena_mu_);
-  uint64_t bp_off = badpage_region_off(cfg.engine);
-  if (pool->size() >= bp_off + fsmeta::BadPageTable::kRegionBytes) {
-    store->badpages_.format_region(pool, bp_off);
-  }
-  store->register_substrate_metrics();
-  return store;
+  return open(pool, device, std::move(cfg), /*fresh=*/true);
 }
 
 Result<std::unique_ptr<DStore>> DStore::recover(pmem::Pool* pool, ssd::BlockDevice* device,
                                                 DStoreConfig cfg) {
+  return open(pool, device, std::move(cfg), /*fresh=*/false);
+}
+
+Result<std::unique_ptr<DStore>> DStore::open(pmem::Pool* pool, ssd::BlockDevice* device,
+                                             DStoreConfig cfg, bool fresh) {
   cfg.engine = effective_engine_config(cfg);
+  if (device->config().num_blocks < cfg.num_blocks) {
+    return Status::invalid_argument("device smaller than configured block pool");
+  }
+  if (pool->size() < DStoreConfig::required_pool_bytes(cfg)) {
+    return Status::invalid_argument("PMEM pool too small");
+  }
   std::unique_ptr<DStore> store(new DStore(pool, device, cfg));
   store->engine_ = std::make_unique<dipper::Engine>(pool, store.get(), cfg.engine);
-  DSTORE_RETURN_IF_ERROR(store->engine_->recover());
+  DSTORE_RETURN_IF_ERROR(fresh ? store->engine_->init_fresh() : store->engine_->recover());
   store->engine_->space().set_lock(&store->arena_mu_);
-  uint64_t bp_off = badpage_region_off(cfg.engine);
-  if (pool->size() >= bp_off + fsmeta::BadPageTable::kRegionBytes) {
-    store->badpages_.attach_region(pool, bp_off);
+  if (fresh) {
+    store->badpages_.format();
+  } else {
+    store->badpages_.attach();
   }
   store->register_substrate_metrics();
   return store;

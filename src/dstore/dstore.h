@@ -133,8 +133,7 @@ struct DStoreConfig {
   static size_t suggested_arena_bytes(uint64_t objects);
   // Total PMEM pool bytes a store with this config needs: the DIPPER
   // engine's layout (with the repair_logging override applied) plus the
-  // persistent bad-page table region. Pools sized exactly for the engine
-  // still work — the bad-page table then runs volatile.
+  // persistent bad-page table region.
   static size_t required_pool_bytes(const DStoreConfig& cfg);
 };
 
@@ -160,7 +159,9 @@ class DStore final : public dipper::SpaceClient {
   // Format a fresh store onto `pool` + `device`.
   static Result<std::unique_ptr<DStore>> create(pmem::Pool* pool, ssd::BlockDevice* device,
                                                 DStoreConfig cfg);
-  // Recover an existing store after a crash or restart (§3.6).
+  // Recover an existing store after a crash or restart (§3.6). Both fail
+  // with invalid_argument unless the pool holds required_pool_bytes(cfg)
+  // and the device at least cfg.num_blocks blocks.
   static Result<std::unique_ptr<DStore>> recover(pmem::Pool* pool, ssd::BlockDevice* device,
                                                  DStoreConfig cfg);
   ~DStore() override;
@@ -323,6 +324,9 @@ class DStore final : public dipper::SpaceClient {
 
  private:
   DStore(pmem::Pool* pool, ssd::BlockDevice* device, DStoreConfig cfg);
+  // The body of create (fresh) and recover (!fresh).
+  static Result<std::unique_ptr<DStore>> open(pmem::Pool* pool, ssd::BlockDevice* device,
+                                              DStoreConfig cfg, bool fresh);
 
   // The four control-plane structures, bound to one space. Constructed on
   // demand for the volatile space or a shadow space — the "same code on

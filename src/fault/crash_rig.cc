@@ -7,39 +7,102 @@
 
 namespace dstore::fault {
 
+namespace {
+ssd::DeviceConfig device_for(const DStoreConfig& cfg) {
+  ssd::DeviceConfig dc;
+  dc.num_blocks = cfg.num_blocks;
+  return dc;
+}
+}  // namespace
+
+StoreRig::StoreRig(DStoreConfig c, pmem::Pool::Mode mode)
+    : StoreRig(c, mode, device_for(c)) {}
+
+StoreRig::StoreRig(DStoreConfig c, pmem::Pool::Mode mode, const ssd::DeviceConfig& dc)
+    : cfg(std::move(c)),
+      pool(std::make_unique<pmem::Pool>(DStoreConfig::required_pool_bytes(cfg), mode)),
+      device(std::make_unique<ssd::RamBlockDevice>(dc)) {
+  if (cfg.engine.fault != nullptr) {
+    pool->set_fault_injector(cfg.engine.fault);
+    device->set_fault_injector(cfg.engine.fault);
+  }
+  // lint: allow-discard a failed create is reported through status()
+  (void)create();
+}
+
+Status StoreRig::adopt(Result<std::unique_ptr<DStore>> r) {
+  status_ = r.status();
+  if (r.is_ok()) {
+    store = std::move(r).value();
+    ctx = store->ds_init();
+  }
+  return status_;
+}
+
+Status StoreRig::create() {
+  close();
+  return adopt(DStore::create(pool.get(), device.get(), cfg));
+}
+
+void StoreRig::close() {
+  if (store == nullptr) return;
+  store->ds_finalize(ctx);
+  ctx = nullptr;
+  store->engine().stop_background();
+  // After a power failure the store is dead hardware state: its
+  // destructor's writes land on the frozen images and change nothing
+  // durable.
+  store.reset();
+}
+
+void StoreRig::crash() {
+  close();
+  if (pool->mode() == pmem::Pool::Mode::kCrashSim) pool->crash();
+  device->crash();
+}
+
+Status StoreRig::recover(const FaultPlan* plan, bool* crashed_again) {
+  FaultInjector* inj = cfg.engine.fault;
+  if (plan != nullptr && inj == nullptr) {
+    return Status::invalid_argument("recovery plan without an injector");
+  }
+  close();
+  if (plan != nullptr) {
+    inj->set_plan(*plan);
+    inj->arm();
+  }
+  auto r = DStore::recover(pool.get(), device.get(), cfg);
+  if (plan != nullptr) {
+    if (crashed_again != nullptr) *crashed_again = inj->crashed();
+    inj->disarm();
+  }
+  return adopt(std::move(r));
+}
+
 CrashRig::CrashRig(RigOptions opt) : opt_(opt) {}
 
 Status CrashRig::build_store() {
-  cfg_ = DStoreConfig{};
-  cfg_.max_objects = opt_.max_objects;
-  cfg_.num_blocks = opt_.num_blocks;
-  cfg_.engine.log_slots = opt_.log_slots;
-  cfg_.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(opt_.max_objects);
+  if (rig_ != nullptr) return rig_->create();
+  DStoreConfig cfg;
+  cfg.max_objects = opt_.max_objects;
+  cfg.num_blocks = opt_.num_blocks;
+  cfg.engine.log_slots = opt_.log_slots;
+  cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(opt_.max_objects);
   // The rig is single-threaded by design: checkpoints run inline via
   // checkpoint_now(), so every fault-point hit has one deterministic order.
-  cfg_.engine.background_checkpointing = false;
-  cfg_.engine.fault = &injector_;
+  cfg.engine.background_checkpointing = false;
+  cfg.engine.fault = &injector_;
   if (opt_.repair_logging) {
-    cfg_.repair_logging = true;
+    cfg.repair_logging = true;
     // Workload values reach (5003 + 1) * value_scale bytes; the payload
     // region slot must hold the largest whole-object put.
-    cfg_.engine.physical_payload_bytes = 8192ull * opt_.value_scale;
+    cfg.engine.physical_payload_bytes = 8192ull * opt_.value_scale;
   }
-
-  size_t pool_bytes = DStoreConfig::required_pool_bytes(cfg_);
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<pmem::Pool>(pool_bytes, pmem::Pool::Mode::kCrashSim);
-    ssd::DeviceConfig dc;
-    dc.num_blocks = opt_.num_blocks;
-    dc.power_loss_protection = opt_.plp;
-    device_ = std::make_unique<ssd::RamBlockDevice>(dc);
-    pool_->set_fault_injector(&injector_);
-    device_->set_fault_injector(&injector_);
-  }
-  auto s = DStore::create(pool_.get(), device_.get(), cfg_);
-  if (!s.is_ok()) return s.status();
-  store_ = std::move(s).value();
-  return Status::ok();
+  ssd::DeviceConfig dc;
+  dc.num_blocks = opt_.num_blocks;
+  dc.power_loss_protection = opt_.plp;
+  rig_ = std::make_unique<StoreRig>(cfg, pmem::Pool::Mode::kCrashSim, dc);
+  return rig_->status();
 }
 
 std::string CrashRig::value_for(uint32_t i) const {
@@ -57,7 +120,6 @@ bool CrashRig::run(const FaultPlan& plan) {
   injector_.disarm();
   oracle_.clear();
   pending_ = {};
-  store_.reset();
   Status s = build_store();
   if (!s.is_ok()) return false;  // surfaced by the first verify()
   injector_.arm();
@@ -68,21 +130,22 @@ bool CrashRig::run(const FaultPlan& plan) {
 
 void CrashRig::run_workload() {
   Rng rng(opt_.workload_seed);
-  ds_ctx_t* ctx = store_->ds_init();
+  DStore* store = rig_->store.get();
+  ds_ctx_t* ctx = rig_->ctx;
   for (uint32_t i = 0; i < opt_.ops; i++) {
     if (injector_.crashed()) break;
     if (i == opt_.ops / 2) {
       // One full inline checkpoint cycle mid-workload: swap, drain, clone,
       // replay, bulk flush, install, recycle — all on this thread.
       // lint: allow-discard a checkpoint interrupted by the planned crash is the point
-      (void)store_->checkpoint_now();
+      (void)store->checkpoint_now();
       if (injector_.crashed()) break;
     }
     std::string key = "k" + std::to_string(rng.next_below(opt_.keys));
     bool del = rng.next_below(4) == 0;
     std::string val = del ? std::string() : value_for(i);
-    Status s = del ? store_->odelete(ctx, key)
-                   : store_->oput(ctx, key, val.data(), val.size());
+    Status s = del ? store->odelete(ctx, key)
+                   : store->oput(ctx, key, val.data(), val.size());
     if (injector_.crashed()) {
       // The op was in flight when the power failed: it may or may not have
       // reached its commit point. verify() accepts either state.
@@ -103,43 +166,28 @@ void CrashRig::run_workload() {
     // aborted op after an injected transient error) must act as a no-op;
     // the oracle stays put and verify() will hold the store to that.
   }
-  store_->ds_finalize(ctx);
 }
 
 void CrashRig::apply_crash() {
   injector_.disarm();
-  // The store object is "dead hardware state" now; its destructor's writes
-  // land on the frozen pool/device images and change nothing durable.
-  store_.reset();
-  pool_->crash();
-  device_->crash();
+  rig_->crash();
 }
 
 Status CrashRig::recover(const FaultPlan* recovery_plan, bool* crashed_again) {
-  if (recovery_plan != nullptr) {
-    injector_.set_plan(*recovery_plan);  // counters reset: recovery-relative hits
-    injector_.arm();
-  }
-  auto r = DStore::recover(pool_.get(), device_.get(), cfg_);
-  if (recovery_plan != nullptr) {
-    if (crashed_again != nullptr) *crashed_again = injector_.crashed();
-    injector_.disarm();
-  }
-  if (!r.is_ok()) return r.status();
-  store_ = std::move(r).value();
-  return Status::ok();
+  return rig_->recover(recovery_plan, crashed_again);
 }
 
 Status CrashRig::verify() {
-  if (store_ == nullptr) return Status::internal("rig has no live store");
-  DSTORE_RETURN_IF_ERROR(store_->validate());
-  ds_ctx_t* ctx = store_->ds_init();
+  DStore* store = rig_ != nullptr ? rig_->store.get() : nullptr;
+  if (store == nullptr) return Status::internal("rig has no live store");
+  DSTORE_RETURN_IF_ERROR(store->validate());
+  ds_ctx_t* ctx = rig_->ctx;
   std::vector<char> buf((1 + 5003) * (size_t)opt_.value_scale + 128);
   Status problem;
   uint64_t found = 0;
   for (uint32_t k = 0; k < opt_.keys && problem.is_ok(); k++) {
     std::string key = "k" + std::to_string(k);
-    auto r = store_->oget(ctx, key, buf.data(), buf.size());
+    auto r = store->oget(ctx, key, buf.data(), buf.size());
     if (!r.is_ok() && r.status().code() != Code::kNotFound) {
       problem = r.status();
       break;
@@ -162,22 +210,22 @@ Status CrashRig::verify() {
                     : Status::corruption("deleted/absent key " + key + " reappeared");
     }
   }
-  if (problem.is_ok() && store_->object_count() != found) {
+  if (problem.is_ok() && store->object_count() != found) {
     problem = Status::corruption("object_count disagrees with per-key probes");
   }
-  store_->ds_finalize(ctx);
   return problem;
 }
 
 Status CrashRig::verify_integrity(uint64_t* detected) {
-  if (store_ == nullptr) return Status::internal("rig has no live store");
-  ds_ctx_t* ctx = store_->ds_init();
+  DStore* store = rig_ != nullptr ? rig_->store.get() : nullptr;
+  if (store == nullptr) return Status::internal("rig has no live store");
+  ds_ctx_t* ctx = rig_->ctx;
   std::vector<char> buf((1 + 5003) * (size_t)opt_.value_scale + 128);
   Status problem;
   for (uint32_t k = 0; k < opt_.keys && problem.is_ok(); k++) {
     std::string key = "k" + std::to_string(k);
-    uint64_t failures_before = store_->counters().checksum_failures;
-    auto r = store_->oget(ctx, key, buf.data(), buf.size());
+    uint64_t failures_before = store->counters().checksum_failures;
+    auto r = store->oget(ctx, key, buf.data(), buf.size());
     if (!r.is_ok()) {
       if (r.status().code() == Code::kCorruption) {
         if (detected != nullptr) (*detected)++;
@@ -189,7 +237,7 @@ Status CrashRig::verify_integrity(uint64_t* detected) {
       }
     }
     if (r.is_ok() &&
-        store_->counters().checksum_failures > failures_before &&
+        store->counters().checksum_failures > failures_before &&
         detected != nullptr) {
       (*detected)++;  // read-repair healed the pages under this read
     }
@@ -203,12 +251,11 @@ Status CrashRig::verify_integrity(uint64_t* detected) {
                                    " read OK but does not match the oracle");
     }
   }
-  store_->ds_finalize(ctx);
   return problem;
 }
 
 uint64_t CrashRig::pmem_fingerprint() const {
-  return fnv1a(pool_->base(), pool_->size());
+  return fnv1a(rig_->pool->base(), rig_->pool->size());
 }
 
 std::vector<std::pair<std::string, uint64_t>> CrashRig::enumerate_schedule(RigOptions opt) {

@@ -1,6 +1,5 @@
 #include "fsmeta/badpage_table.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/crc32c.h"
@@ -31,9 +30,7 @@ void BadPageTable::seal_and_persist() {
                       sizeof(Header) + h->count * sizeof(uint64_t));
 }
 
-void BadPageTable::format_region(pmem::Pool* pool, uint64_t off) {
-  pool_ = pool;
-  off_ = off;
+void BadPageTable::format() {
   std::memset(pool_->base() + off_, 0, kRegionBytes);
   Header* h = hdr();
   h->magic = kMagic;
@@ -41,27 +38,18 @@ void BadPageTable::format_region(pmem::Pool* pool, uint64_t off) {
   seal_and_persist();
 }
 
-void BadPageTable::attach_region(pmem::Pool* pool, uint64_t off) {
-  pool_ = pool;
-  off_ = off;
+void BadPageTable::attach() {
   const Header* h = hdr();
   if (h->magic != kMagic || h->count > kCapacity || h->crc != table_crc(h->count)) {
     // Torn or corrupt table: quarantine records are advisory (the page
     // checksums themselves still fail on read), so start over empty
     // rather than trusting a table that does not checksum.
-    format_region(pool, off);
+    format();
   }
 }
 
 Status BadPageTable::add(uint64_t page) {
   LockGuard<SpinLock> g(mu_);
-  if (pool_ == nullptr) {
-    if (std::find(volatile_pages_.begin(), volatile_pages_.end(), page) ==
-        volatile_pages_.end()) {
-      volatile_pages_.push_back(page);
-    }
-    return Status::ok();
-  }
   Header* h = hdr();
   uint64_t* s = slots();
   for (uint64_t i = 0; i < h->count; i++) {
@@ -76,10 +64,6 @@ Status BadPageTable::add(uint64_t page) {
 
 bool BadPageTable::contains(uint64_t page) const {
   LockGuard<SpinLock> g(mu_);
-  if (pool_ == nullptr) {
-    return std::find(volatile_pages_.begin(), volatile_pages_.end(), page) !=
-           volatile_pages_.end();
-  }
   const Header* h = hdr();
   const uint64_t* s = slots();
   for (uint64_t i = 0; i < h->count; i++) {
@@ -90,22 +74,17 @@ bool BadPageTable::contains(uint64_t page) const {
 
 void BadPageTable::clear() {
   LockGuard<SpinLock> g(mu_);
-  if (pool_ == nullptr) {
-    volatile_pages_.clear();
-    return;
-  }
   hdr()->count = 0;
   seal_and_persist();
 }
 
 uint64_t BadPageTable::count() const {
   LockGuard<SpinLock> g(mu_);
-  return pool_ == nullptr ? volatile_pages_.size() : hdr()->count;
+  return hdr()->count;
 }
 
 std::vector<uint64_t> BadPageTable::pages() const {
   LockGuard<SpinLock> g(mu_);
-  if (pool_ == nullptr) return volatile_pages_;
   const uint64_t* s = slots();
   return std::vector<uint64_t>(s, s + hdr()->count);
 }

@@ -17,8 +17,6 @@
 // array, sealed by a CRC32C over the logical state. A torn or bit-flipped
 // table re-formats empty on attach (losing quarantine records degrades
 // reporting, never correctness: the page checksums still fail on read).
-// When the caller's pool has no room past the engine layout, the table
-// runs volatile: same API, no persistence.
 #pragma once
 
 #include <cstdint>
@@ -36,16 +34,15 @@ class BadPageTable {
   static constexpr uint64_t kMagic = 0x4241445047455331ull;  // "BADPGES1"
   static constexpr uint64_t kCapacity = (kRegionBytes - 24) / sizeof(uint64_t);
 
-  // Starts volatile (no backing region): API-compatible, nothing persists.
-  BadPageTable() = default;
+  // The table lives at [off, off + kRegionBytes) of `pool`; format() or
+  // attach() must run before any other call.
+  BadPageTable(pmem::Pool* pool, uint64_t off) : pool_(pool), off_(off) {}
 
-  // Format an empty table over [off, off + kRegionBytes) of `pool`.
-  void format_region(pmem::Pool* pool, uint64_t off);
+  // Format an empty table over the region.
+  void format();
   // Attach to an existing table; a missing, torn, or corrupt region is
   // re-formatted empty (quarantine records are advisory, see above).
-  void attach_region(pmem::Pool* pool, uint64_t off);
-
-  bool persistent() const { return pool_ != nullptr; }
+  void attach();
 
   // Quarantine `page` (an absolute device page number). Idempotent.
   // Returns out_of_space once the table is full — the caller still
@@ -72,10 +69,9 @@ class BadPageTable {
   uint32_t table_crc(uint64_t count) const;
   void seal_and_persist();
 
-  pmem::Pool* pool_ = nullptr;
-  uint64_t off_ = 0;
+  pmem::Pool* const pool_;
+  const uint64_t off_;
   mutable SpinLock mu_{"fsmeta.badpage"};
-  std::vector<uint64_t> volatile_pages_;  // used when pool_ == nullptr
 };
 
 }  // namespace dstore::fsmeta

@@ -234,53 +234,30 @@ TEST(CrashSchedule, DoubleCrashDuringRecoveryIsIdempotent) {
 // Satellite: torn log-record header sweep
 // ---------------------------------------------------------------------------
 
-namespace torn {
-
-struct Probe {
+DStoreConfig torn_cfg() {
   DStoreConfig cfg;
-  std::unique_ptr<pmem::Pool> pool;
-  std::unique_ptr<ssd::RamBlockDevice> device;
-  std::unique_ptr<DStore> store;
-};
-
-Probe make_probe() {
-  Probe t;
-  t.cfg.max_objects = 16;
-  t.cfg.num_blocks = 64;
-  t.cfg.engine.log_slots = 16;
-  t.cfg.engine.arena_bytes = 1 << 20;
-  t.cfg.engine.background_checkpointing = false;
-  size_t bytes = dipper::Engine::required_pool_bytes(t.cfg.engine);
-  t.pool = std::make_unique<pmem::Pool>(bytes, pmem::Pool::Mode::kCrashSim);
-  ssd::DeviceConfig dc;
-  dc.num_blocks = t.cfg.num_blocks;
-  t.device = std::make_unique<ssd::RamBlockDevice>(dc);
-  auto s = DStore::create(t.pool.get(), t.device.get(), t.cfg);
-  EXPECT_TRUE(s.is_ok());
-  t.store = std::move(s).value();
-  return t;
+  cfg.max_objects = 16;
+  cfg.num_blocks = 64;
+  cfg.engine.log_slots = 16;
+  cfg.engine.arena_bytes = 1 << 20;
+  cfg.engine.background_checkpointing = false;
+  return cfg;
 }
 
-std::string get(DStore* store, const std::string& key) {
+std::string get(StoreRig& t, const std::string& key) {
   std::vector<char> buf(4096);
-  ds_ctx_t* ctx = store->ds_init();
-  auto r = store->oget(ctx, key, buf.data(), buf.size());
-  store->ds_finalize(ctx);
+  auto r = t.store->oget(t.ctx, key, buf.data(), buf.size());
   if (!r.is_ok()) return "<absent>";
   return std::string(buf.data(), r.value());
 }
 
-}  // namespace torn
-
 TEST(TornLogRecord, HeaderByteSweepNeverLosesCommittedRecords) {
   const std::string va(100, 'A'), vb(200, 'B'), vc(300, 'C');
   for (size_t keep = 0; keep <= dipper::PmemLog::kSlotSize; keep++) {
-    torn::Probe t = torn::make_probe();
-    ds_ctx_t* ctx = t.store->ds_init();
-    ASSERT_TRUE(t.store->oput(ctx, "a", va.data(), va.size()).is_ok());
-    ASSERT_TRUE(t.store->oput(ctx, "b", vb.data(), vb.size()).is_ok());
-    ASSERT_TRUE(t.store->oput(ctx, "c", vc.data(), vc.size()).is_ok());
-    t.store->ds_finalize(ctx);
+    StoreRig t(torn_cfg());
+    ASSERT_TRUE(t.store->oput(t.ctx, "a", va.data(), va.size()).is_ok());
+    ASSERT_TRUE(t.store->oput(t.ctx, "b", vb.data(), vb.size()).is_ok());
+    ASSERT_TRUE(t.store->oput(t.ctx, "c", vc.data(), vc.size()).is_ok());
 
     // Locate the slot holding c's record in the active log.
     auto& eng = t.store->engine();
@@ -293,7 +270,7 @@ TEST(TornLogRecord, HeaderByteSweepNeverLosesCommittedRecords) {
     ASSERT_NE(slot, UINT32_MAX);
     const char* addr = t.pool->base() + log.slot_offset(slot);
 
-    t.store.reset();
+    t.close();
     // Tear the record's persistent image: only the first `keep` bytes ever
     // persisted. Under the single-fence publication protocol (DESIGN.md
     // §13) the LSN persists in the SAME train as the rest of the record, so
@@ -308,23 +285,19 @@ TEST(TornLogRecord, HeaderByteSweepNeverLosesCommittedRecords) {
     }
     t.pool->tear_image(addr, keep, dipper::PmemLog::kSlotSize);
     if (keep < 8) t.pool->tear_image(addr, 0, 8);
-    t.pool->crash();
-    t.device->crash();
-
-    auto r = DStore::recover(t.pool.get(), t.device.get(), t.cfg);
-    ASSERT_TRUE(r.is_ok()) << "keep=" << keep << ": " << r.status().to_string();
-    t.store = std::move(r).value();
+    Status r = t.crash_and_recover();
+    ASSERT_TRUE(r.is_ok()) << "keep=" << keep << ": " << r.to_string();
     // Committed records before the torn one are never lost.
-    EXPECT_EQ(torn::get(t.store.get(), "a"), va) << "keep=" << keep;
-    EXPECT_EQ(torn::get(t.store.get(), "b"), vb) << "keep=" << keep;
+    EXPECT_EQ(get(t, "a"), va) << "keep=" << keep;
+    EXPECT_EQ(get(t, "b"), vb) << "keep=" << keep;
     // The torn record itself is ignored — keep<8: no LSN (empty slot);
     // 8<=keep<104: valid LSN, CRC fails (torn uncommitted publication);
     // 104<=keep<128: CRC intact but uncommitted (aborted). Only the
     // untouched keep==128 record survives as committed.
     if (keep == dipper::PmemLog::kSlotSize) {
-      EXPECT_EQ(torn::get(t.store.get(), "c"), vc);
+      EXPECT_EQ(get(t, "c"), vc);
     } else {
-      EXPECT_EQ(torn::get(t.store.get(), "c"), "<absent>") << "keep=" << keep;
+      EXPECT_EQ(get(t, "c"), "<absent>") << "keep=" << keep;
     }
     EXPECT_TRUE(t.store->validate().is_ok()) << "keep=" << keep;
   }
@@ -337,10 +310,8 @@ TEST(TornLogRecord, HeaderByteSweepNeverLosesCommittedRecords) {
 // uncommitted variant of the same tear is tolerated by the sweep above.)
 TEST(TornLogRecord, CommittedRecordWithTornCrcFailStopsRecovery) {
   const std::string vc(300, 'C');
-  torn::Probe t = torn::make_probe();
-  ds_ctx_t* ctx = t.store->ds_init();
-  ASSERT_TRUE(t.store->oput(ctx, "c", vc.data(), vc.size()).is_ok());
-  t.store->ds_finalize(ctx);
+  StoreRig t(torn_cfg());
+  ASSERT_TRUE(t.store->oput(t.ctx, "c", vc.data(), vc.size()).is_ok());
 
   auto& eng = t.store->engine();
   const dipper::PmemLog& log = eng.log_for_testing(eng.active_log_index());
@@ -352,66 +323,43 @@ TEST(TornLogRecord, CommittedRecordWithTornCrcFailStopsRecovery) {
   ASSERT_NE(slot, UINT32_MAX);
   const char* addr = t.pool->base() + log.slot_offset(slot);
 
-  t.store.reset();
+  t.close();
   // Keep the head line (valid LSN + committed flag) but lose the CRC line.
   t.pool->tear_image(addr, 96, dipper::PmemLog::kSlotSize);
-  t.pool->crash();
-  t.device->crash();
-
-  auto r = DStore::recover(t.pool.get(), t.device.get(), t.cfg);
+  Status r = t.crash_and_recover();
   ASSERT_FALSE(r.is_ok());
-  EXPECT_EQ(r.status().code(), Code::kCorruption) << r.status().to_string();
+  EXPECT_EQ(r.code(), Code::kCorruption) << r.to_string();
 }
 
 // ---------------------------------------------------------------------------
 // Satellite: transient SSD errors — retry, surface, degrade (never drop)
 // ---------------------------------------------------------------------------
 
-namespace eio {
-
-struct Fixture {
-  FaultInjector inj;
+// A kDirect store whose device answers to `inj`, disarmed: each test arms
+// it around the ops its plan targets.
+StoreRig eio_store(FaultInjector* inj, const FaultPlan& plan) {
   DStoreConfig cfg;
-  std::unique_ptr<pmem::Pool> pool;
-  std::unique_ptr<ssd::RamBlockDevice> device;
-  std::unique_ptr<DStore> store;
-  ds_ctx_t* ctx = nullptr;
-
-  void build(const FaultPlan& plan) {
-    cfg.max_objects = 16;
-    cfg.num_blocks = 64;
-    cfg.engine.log_slots = 32;
-    cfg.engine.arena_bytes = 1 << 20;
-    cfg.engine.background_checkpointing = false;
-    pool = std::make_unique<pmem::Pool>(dipper::Engine::required_pool_bytes(cfg.engine),
-                                        pmem::Pool::Mode::kDirect);
-    ssd::DeviceConfig dc;
-    dc.num_blocks = cfg.num_blocks;
-    device = std::make_unique<ssd::RamBlockDevice>(dc);
-    device->set_fault_injector(&inj);
-    inj.set_plan(plan);
-    inj.disarm();
-    auto s = DStore::create(pool.get(), device.get(), cfg);
-    ASSERT_TRUE(s.is_ok());
-    store = std::move(s).value();
-    ctx = store->ds_init();
-  }
-  ~Fixture() {
-    if (store != nullptr) store->ds_finalize(ctx);
-  }
-};
-
-}  // namespace eio
+  cfg.max_objects = 16;
+  cfg.num_blocks = 64;
+  cfg.engine.log_slots = 32;
+  cfg.engine.arena_bytes = 1 << 20;
+  cfg.engine.background_checkpointing = false;
+  StoreRig rig(cfg, pmem::Pool::Mode::kDirect);
+  rig.device->set_fault_injector(inj);
+  inj->set_plan(plan);
+  inj->disarm();
+  return rig;
+}
 
 TEST(SsdTransientError, SingleEioIsRetriedToSuccess) {
-  eio::Fixture f;
+  FaultInjector inj;
   FaultPlan plan;
   plan.add({"ssd.write", 1, FaultType::kError, 0, 1});
-  f.build(plan);
+  StoreRig f = eio_store(&inj, plan);
   const std::string v(100, 'x');
-  f.inj.arm();
+  inj.arm();
   Status s = f.store->oput(f.ctx, "k", v.data(), v.size());
-  f.inj.disarm();
+  inj.disarm();
   EXPECT_TRUE(s.is_ok()) << s.to_string();
   EXPECT_EQ(f.store->metrics().counter_value("ssd_io_retries_total"), 1u);
   EXPECT_EQ(f.store->metrics().counter_value("ssd_io_exhausted_total"), 0u);
@@ -425,14 +373,14 @@ TEST(SsdTransientError, SingleEioIsRetriedToSuccess) {
 TEST(SsdTransientError, BackToBackEiosExhaustLastRetry) {
   // Exactly RetryPolicy::max_retries (3) consecutive failures: the final
   // retry wins.
-  eio::Fixture f;
+  FaultInjector inj;
   FaultPlan plan;
   plan.add({"ssd.write", 1, FaultType::kError, 0, 3});
-  f.build(plan);
+  StoreRig f = eio_store(&inj, plan);
   const std::string v(64, 'y');
-  f.inj.arm();
+  inj.arm();
   Status s = f.store->oput(f.ctx, "k", v.data(), v.size());
-  f.inj.disarm();
+  inj.disarm();
   EXPECT_TRUE(s.is_ok()) << s.to_string();
   EXPECT_EQ(f.store->metrics().counter_value("ssd_io_retries_total"), 3u);
   EXPECT_FALSE(f.store->read_only());
@@ -443,12 +391,12 @@ TEST(SsdTransientError, ExhaustionSurfacesAtPutBoundaryAndDegradesReadOnly) {
   // leave its reserved log record in-flight forever, wedging every later
   // writer of the same key. Now the record is aborted, the error surfaces
   // at the oput() boundary, and the store degrades to read-only.
-  eio::Fixture f;
+  FaultInjector inj;
   FaultPlan plan;
   plan.add({"ssd.write", 2, FaultType::kError, 0, -1});  // hit 2 onward: all fail
-  f.build(plan);
+  StoreRig f = eio_store(&inj, plan);
   const std::string pre(80, 'p'), v(120, 'q');
-  f.inj.arm();
+  inj.arm();
   ASSERT_TRUE(f.store->oput(f.ctx, "pre", pre.data(), pre.size()).is_ok());
 
   Status s = f.store->oput(f.ctx, "k", v.data(), v.size());
@@ -469,19 +417,19 @@ TEST(SsdTransientError, ExhaustionSurfacesAtPutBoundaryAndDegradesReadOnly) {
   EXPECT_EQ(f.store->oput(f.ctx, "x", v.data(), v.size()).code(), Code::kReadOnly);
   EXPECT_EQ(f.store->odelete(f.ctx, "pre").code(), Code::kReadOnly);
   EXPECT_EQ(f.store->metrics().counter_value("ssd_io_retries_total"), 3u);  // no further device attempts
-  f.inj.disarm();
+  inj.disarm();
   EXPECT_TRUE(f.store->validate().is_ok());
 }
 
 TEST(SsdTransientError, LatencySpikeDelaysButCompletes) {
-  eio::Fixture f;
+  FaultInjector inj;
   FaultPlan plan;
   plan.add({"ssd.write", 1, FaultType::kDelay, 200000, 1});  // 200 us spike
-  f.build(plan);
+  StoreRig f = eio_store(&inj, plan);
   const std::string v(40, 'z');
-  f.inj.arm();
+  inj.arm();
   EXPECT_TRUE(f.store->oput(f.ctx, "k", v.data(), v.size()).is_ok());
-  f.inj.disarm();
+  inj.disarm();
   EXPECT_EQ(f.store->metrics().counter_value("ssd_io_retries_total"), 0u);
 }
 

@@ -10,64 +10,35 @@
 
 #include "common/rng.h"
 #include "dstore/dstore.h"
+#include "fault/crash_rig.h"
 
 namespace dstore {
 namespace {
 
-struct ModeRig {
+using fault::StoreRig;
+
+DStoreConfig mode_cfg(bool oe = true, bool physical = false, uint32_t log_slots = 256,
+                      bool background = false) {
   DStoreConfig cfg;
-  std::unique_ptr<pmem::Pool> pool;
-  std::unique_ptr<ssd::RamBlockDevice> device;
-  std::unique_ptr<DStore> store;
-  ds_ctx_t* ctx = nullptr;
-
-  explicit ModeRig(bool oe = true, bool physical = false, uint32_t log_slots = 256,
-                   bool background = false) {
-    cfg.max_objects = 512;
-    cfg.num_blocks = 4096;
-    cfg.observational_equivalence = oe;
-    cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.max_objects);
-    cfg.engine.log_slots = log_slots;
-    cfg.engine.background_checkpointing = background;
-    cfg.engine.physical_logging = physical;
-    pool = std::make_unique<pmem::Pool>(dipper::Engine::required_pool_bytes(cfg.engine),
-                                        pmem::Pool::Mode::kCrashSim);
-    ssd::DeviceConfig dc;
-    dc.num_blocks = cfg.num_blocks;
-    device = std::make_unique<ssd::RamBlockDevice>(dc);
-    auto r = DStore::create(pool.get(), device.get(), cfg);
-    EXPECT_TRUE(r.is_ok()) << r.status().to_string();
-    store = std::move(r).value();
-    ctx = store->ds_init();
-  }
-
-  ~ModeRig() {
-    if (ctx != nullptr && store) store->ds_finalize(ctx);
-  }
-
-  void crash_and_recover() {
-    if (ctx != nullptr) store->ds_finalize(ctx);
-    ctx = nullptr;
-    store->engine().stop_background();
-    store.reset();
-    pool->crash();
-    device->crash();
-    auto r = DStore::recover(pool.get(), device.get(), cfg);
-    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-    store = std::move(r).value();
-    ctx = store->ds_init();
-  }
-};
+  cfg.max_objects = 512;
+  cfg.num_blocks = 4096;
+  cfg.observational_equivalence = oe;
+  cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.max_objects);
+  cfg.engine.log_slots = log_slots;
+  cfg.engine.background_checkpointing = background;
+  cfg.engine.physical_logging = physical;
+  return cfg;
+}
 
 TEST(DStoreModes, OeOffIsFunctionallyIdentical) {
-  ModeRig rig(/*oe=*/false);
+  StoreRig rig(mode_cfg(/*oe=*/false));
   std::string v(4096, 'n');
   for (int i = 0; i < 100; i++) {
     ASSERT_TRUE(rig.store->oput(rig.ctx, "noe" + std::to_string(i), v.data(), v.size()).is_ok());
   }
   ASSERT_TRUE(rig.store->checkpoint_now().is_ok());
   ASSERT_TRUE(rig.store->validate().is_ok());
-  rig.crash_and_recover();
+  ASSERT_TRUE(rig.crash_and_recover().is_ok()) << rig.status().to_string();
   std::string out(4096, 0);
   for (int i = 0; i < 100; i++) {
     ASSERT_TRUE(
@@ -77,7 +48,7 @@ TEST(DStoreModes, OeOffIsFunctionallyIdentical) {
 }
 
 TEST(DStoreModes, OeOffConcurrentWritersStillCorrect) {
-  ModeRig rig(/*oe=*/false, false, 1024, /*background=*/true);
+  StoreRig rig(mode_cfg(/*oe=*/false, false, 1024, /*background=*/true));
   std::vector<std::thread> threads;
   for (int w = 0; w < 3; w++) {
     threads.emplace_back([&, w] {
@@ -99,7 +70,7 @@ TEST(DStoreModes, OeOffConcurrentWritersStillCorrect) {
 }
 
 TEST(DStoreModes, PhysicalLoggingStillCrashConsistent) {
-  ModeRig rig(true, /*physical=*/true);
+  StoreRig rig(mode_cfg(true, /*physical=*/true));
   std::string v(4096, 'p');
   for (int i = 0; i < 80; i++) {
     ASSERT_TRUE(rig.store->oput(rig.ctx, "phys" + std::to_string(i), v.data(), v.size()).is_ok());
@@ -108,7 +79,7 @@ TEST(DStoreModes, PhysicalLoggingStillCrashConsistent) {
   for (int i = 80; i < 120; i++) {
     ASSERT_TRUE(rig.store->oput(rig.ctx, "phys" + std::to_string(i), v.data(), v.size()).is_ok());
   }
-  rig.crash_and_recover();
+  ASSERT_TRUE(rig.crash_and_recover().is_ok()) << rig.status().to_string();
   std::string out(4096, 0);
   for (int i = 0; i < 120; i++) {
     ASSERT_TRUE(
@@ -119,8 +90,8 @@ TEST(DStoreModes, PhysicalLoggingStillCrashConsistent) {
 }
 
 TEST(DStoreModes, PhysicalLoggingWritesPayloadToPmem) {
-  ModeRig logical(true, false);
-  ModeRig physical(true, true);
+  StoreRig logical(mode_cfg(true, false));
+  StoreRig physical(mode_cfg(true, true));
   std::string v(4096, 'q');
   uint64_t l0 = logical.pool->stats().bytes_flushed.load();
   uint64_t p0 = physical.pool->stats().bytes_flushed.load();
@@ -137,7 +108,7 @@ TEST(DStoreModes, PhysicalLoggingWritesPayloadToPmem) {
 }
 
 TEST(DStoreModes, BackpressureWhenLogFullManualMode) {
-  ModeRig rig(true, false, /*log_slots=*/32, /*background=*/false);
+  StoreRig rig(mode_cfg(true, false, /*log_slots=*/32, /*background=*/false));
   std::string v(128, 'b');
   // Fill the log completely.
   int wrote = 0;
@@ -159,7 +130,7 @@ TEST(DStoreModes, BackpressureWhenLogFullManualMode) {
 }
 
 TEST(DStoreModes, BackpressureResolvesWithBackgroundCheckpointer) {
-  ModeRig rig(true, false, /*log_slots=*/64, /*background=*/true);
+  StoreRig rig(mode_cfg(true, false, /*log_slots=*/64, /*background=*/true));
   std::string v(512, 'g');
   // Write far more records than the log holds: appends must transparently
   // wait for background checkpoints instead of failing.
@@ -174,7 +145,7 @@ TEST(DStoreModes, BackpressureResolvesWithBackgroundCheckpointer) {
 }
 
 TEST(DStoreModes, LongNamesTwoLineRecordsSurviveCrashes) {
-  ModeRig rig(true, false, 128);
+  StoreRig rig(mode_cfg(true, false, 128));
   Rng rng(99);
   std::map<std::string, char> model;
   // Names at the 63-byte cap force two-cache-line log records, exercising
@@ -192,7 +163,7 @@ TEST(DStoreModes, LongNamesTwoLineRecordsSurviveCrashes) {
     if (rig.store->engine().log_fill() > 0.7) {
       ASSERT_TRUE(rig.store->checkpoint_now().is_ok());
     }
-    rig.crash_and_recover();
+    ASSERT_TRUE(rig.crash_and_recover().is_ok()) << rig.status().to_string();
     std::string out(2048, 0);
     for (const auto& [name, seed] : model) {
       auto r = rig.store->oget(rig.ctx, name, out.data(), out.size());
@@ -209,7 +180,7 @@ TEST(DStoreModes, ReplayUnderCrashChurn) {
   // goes through the write pipeline; checkpoints replay them in batches of
   // hundreds of records and recovery replays the rest, and the end-to-end
   // crash-consistency property must hold exactly.
-  ModeRig rig(true, false, /*log_slots=*/512);
+  StoreRig rig(mode_cfg(true, false, /*log_slots=*/512));
   Rng rng(777);
   std::map<std::string, std::string> model;
   constexpr size_t kMaxSize = 8000;
@@ -260,7 +231,7 @@ TEST(DStoreModes, ReplayUnderCrashChurn) {
         checkpoints++;
       }
     }
-    rig.crash_and_recover();
+    ASSERT_TRUE(rig.crash_and_recover().is_ok()) << rig.status().to_string();
     ASSERT_TRUE(rig.store->validate().is_ok());
     ASSERT_EQ(rig.store->object_count(), model.size()) << "round " << round;
     std::string out(kMaxSize, 0);
@@ -276,7 +247,7 @@ TEST(DStoreModes, ReplayUnderCrashChurn) {
 }
 
 TEST(DStoreModes, StageMetricsAccumulateSanely) {
-  ModeRig rig;
+  StoreRig rig(mode_cfg());
   std::string v(4096, 's');
   // Stage spans are sampled 1-in-OpTrace::kSampleEvery per thread, so run
   // enough puts that several full traces land in the histograms.
@@ -318,17 +289,11 @@ TEST(DStoreModes, CheckpointThresholdHonored) {
   cfg.engine.log_slots = 100;
   cfg.engine.checkpoint_threshold = 0.3;
   cfg.engine.background_checkpointing = true;
-  pmem::Pool pool(dipper::Engine::required_pool_bytes(cfg.engine), pmem::Pool::Mode::kDirect);
-  ssd::DeviceConfig dc;
-  dc.num_blocks = cfg.num_blocks;
-  ssd::RamBlockDevice device(dc);
-  auto r = DStore::create(&pool, &device, cfg);
-  ASSERT_TRUE(r.is_ok());
-  auto store = std::move(r).value();
-  ds_ctx_t* ctx = store->ds_init();
+  StoreRig rig(cfg, pmem::Pool::Mode::kDirect);
+  DStore* store = rig.store.get();
   std::string v(128, 't');
   for (int i = 0; i < 60; i++) {
-    ASSERT_TRUE(store->oput(ctx, "th" + std::to_string(i), v.data(), v.size()).is_ok());
+    ASSERT_TRUE(store->oput(rig.ctx, "th" + std::to_string(i), v.data(), v.size()).is_ok());
   }
   // With a 0.3 threshold on a 100-slot log, 60 appends must trigger at
   // least one checkpoint; give the background thread time to run it.
@@ -337,7 +302,6 @@ TEST(DStoreModes, CheckpointThresholdHonored) {
   }
   store->engine().stop_background();
   EXPECT_GE(store->engine().stats().checkpoints.load(), 1u);
-  store->ds_finalize(ctx);
 }
 
 }  // namespace

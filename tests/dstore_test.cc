@@ -14,57 +14,28 @@
 
 #include "common/rng.h"
 #include "dstore/dstore.h"
+#include "fault/crash_rig.h"
 
 namespace dstore {
 namespace {
 
-struct TestStore {
+using fault::StoreRig;
+
+DStoreConfig test_cfg(bool background_ckpt = false, uint32_t log_slots = 512,
+                      uint64_t max_objects = 1024, uint64_t num_blocks = 4096) {
   DStoreConfig cfg;
-  std::unique_ptr<pmem::Pool> pool;
-  std::unique_ptr<ssd::RamBlockDevice> device;
-  std::unique_ptr<DStore> store;
-  ds_ctx_t* ctx = nullptr;
-
-  explicit TestStore(bool background_ckpt = false, uint32_t log_slots = 512,
-                     uint64_t max_objects = 1024, uint64_t num_blocks = 4096) {
-    cfg.max_objects = max_objects;
-    cfg.num_blocks = num_blocks;
-    cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(max_objects);
-    cfg.engine.log_slots = log_slots;
-    cfg.engine.background_checkpointing = background_ckpt;
-    pool = std::make_unique<pmem::Pool>(dipper::Engine::required_pool_bytes(cfg.engine),
-                                        pmem::Pool::Mode::kCrashSim);
-    ssd::DeviceConfig dc;
-    dc.num_blocks = num_blocks;
-    device = std::make_unique<ssd::RamBlockDevice>(dc);
-    auto r = DStore::create(pool.get(), device.get(), cfg);
-    EXPECT_TRUE(r.is_ok()) << r.status().to_string();
-    store = std::move(r).value();
-    ctx = store->ds_init();
-  }
-
-  ~TestStore() {
-    if (store && ctx != nullptr) store->ds_finalize(ctx);
-  }
-
-  void crash_and_recover() {
-    store->engine().stop_background();
-    store.reset();  // destroys engine threads
-    delete ctx;
-    ctx = nullptr;
-    pool->crash();
-    device->crash();
-    auto r = DStore::recover(pool.get(), device.get(), cfg);
-    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-    store = std::move(r).value();
-    ctx = store->ds_init();
-  }
-};
+  cfg.max_objects = max_objects;
+  cfg.num_blocks = num_blocks;
+  cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(max_objects);
+  cfg.engine.log_slots = log_slots;
+  cfg.engine.background_checkpointing = background_ckpt;
+  return cfg;
+}
 
 std::string value_of(size_t size, char seed) { return std::string(size, seed); }
 
 TEST(DStoreApi, PutGetRoundTrip) {
-  TestStore t;
+  StoreRig t(test_cfg());
   std::string v = value_of(4096, 'a');
   ASSERT_TRUE(t.store->oput(t.ctx, "obj1", v.data(), v.size()).is_ok());
   std::string out(4096, 0);
@@ -75,7 +46,7 @@ TEST(DStoreApi, PutGetRoundTrip) {
 }
 
 TEST(DStoreApi, GetMissingReturnsNotFound) {
-  TestStore t;
+  StoreRig t(test_cfg());
   char buf[16];
   auto r = t.store->oget(t.ctx, "ghost", buf, sizeof(buf));
   ASSERT_FALSE(r.is_ok());
@@ -83,7 +54,7 @@ TEST(DStoreApi, GetMissingReturnsNotFound) {
 }
 
 TEST(DStoreApi, OverwriteReplacesValue) {
-  TestStore t;
+  StoreRig t(test_cfg());
   std::string v1 = value_of(4096, 'x');
   std::string v2 = value_of(8192, 'y');
   ASSERT_TRUE(t.store->oput(t.ctx, "obj", v1.data(), v1.size()).is_ok());
@@ -97,7 +68,7 @@ TEST(DStoreApi, OverwriteReplacesValue) {
 }
 
 TEST(DStoreApi, ShrinkingOverwriteFreesBlocks) {
-  TestStore t;
+  StoreRig t(test_cfg());
   std::string big = value_of(16384, 'b');
   std::string small = value_of(100, 's');
   ASSERT_TRUE(t.store->oput(t.ctx, "obj", big.data(), big.size()).is_ok());
@@ -108,7 +79,7 @@ TEST(DStoreApi, ShrinkingOverwriteFreesBlocks) {
 }
 
 TEST(DStoreApi, DeleteRemovesAndFrees) {
-  TestStore t;
+  StoreRig t(test_cfg());
   std::string v = value_of(4096, 'd');
   ASSERT_TRUE(t.store->oput(t.ctx, "gone", v.data(), v.size()).is_ok());
   ASSERT_TRUE(t.store->odelete(t.ctx, "gone").is_ok());
@@ -121,7 +92,7 @@ TEST(DStoreApi, DeleteRemovesAndFrees) {
 }
 
 TEST(DStoreApi, EmptyValueSupported) {
-  TestStore t;
+  StoreRig t(test_cfg());
   ASSERT_TRUE(t.store->oput(t.ctx, "empty", nullptr, 0).is_ok());
   char buf[8];
   auto r = t.store->oget(t.ctx, "empty", buf, sizeof(buf));
@@ -130,7 +101,7 @@ TEST(DStoreApi, EmptyValueSupported) {
 }
 
 TEST(DStoreApi, SmallBufferGetsTruncatedCopyFullSize) {
-  TestStore t;
+  StoreRig t(test_cfg());
   std::string v = value_of(4096, 'z');
   ASSERT_TRUE(t.store->oput(t.ctx, "obj", v.data(), v.size()).is_ok());
   char buf[128];
@@ -149,7 +120,7 @@ std::string flatten(const DStore::ReadView& view) {
 }
 
 TEST(DStoreZeroCopy, GetReturnsExactBytesWithoutCopy) {
-  TestStore t;
+  StoreRig t(test_cfg());
   // 3.5 blocks, so the view spans multiple pieces unless runs coalesce.
   std::string v = value_of(14336, 'q');
   v[0] = 'A';
@@ -176,7 +147,7 @@ TEST(DStoreZeroCopy, GetReturnsExactBytesWithoutCopy) {
 }
 
 TEST(DStoreZeroCopy, EmptyAndMissingObjects) {
-  TestStore t;
+  StoreRig t(test_cfg());
   ASSERT_TRUE(t.store->oput(t.ctx, "empty", nullptr, 0).is_ok());
   auto r = t.store->oget_zc(t.ctx, "empty");
   ASSERT_TRUE(r.is_ok());
@@ -186,7 +157,7 @@ TEST(DStoreZeroCopy, EmptyAndMissingObjects) {
 }
 
 TEST(DStoreZeroCopy, ViewPinsObjectAgainstWriters) {
-  TestStore t;
+  StoreRig t(test_cfg());
   std::string v1 = value_of(4096, '1');
   std::string v2 = value_of(4096, '2');
   ASSERT_TRUE(t.store->oput(t.ctx, "pinned", v1.data(), v1.size()).is_ok());
@@ -218,32 +189,23 @@ TEST(DStoreZeroCopy, ViewPinsObjectAgainstWriters) {
 TEST(DStoreZeroCopy, UnsupportedWithoutDirectMapping) {
   // A !PLP device dual-buffers its cache under a lock — no stable pointer
   // exists, so zero-copy must refuse and the caller falls back to oget().
-  DStoreConfig cfg;
-  cfg.max_objects = 64;
-  cfg.num_blocks = 256;
-  cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(64);
-  cfg.engine.log_slots = 64;
-  pmem::Pool pool(dipper::Engine::required_pool_bytes(cfg.engine), pmem::Pool::Mode::kCrashSim);
+  DStoreConfig cfg = test_cfg(/*background_ckpt=*/true, /*log_slots=*/64, /*max_objects=*/64,
+                              /*num_blocks=*/256);
   ssd::DeviceConfig dc;
   dc.num_blocks = 256;
   dc.power_loss_protection = false;
-  ssd::RamBlockDevice device(dc);
-  auto r = DStore::create(&pool, &device, cfg);
-  ASSERT_TRUE(r.is_ok());
-  auto store = std::move(r).value();
-  ds_ctx_t* ctx = store->ds_init();
+  StoreRig t(cfg, pmem::Pool::Mode::kCrashSim, dc);
   std::string v = value_of(4096, 'n');
-  ASSERT_TRUE(store->oput(ctx, "obj", v.data(), v.size()).is_ok());
-  EXPECT_EQ(store->oget_zc(ctx, "obj").status().code(), Code::kUnsupported);
+  ASSERT_TRUE(t.store->oput(t.ctx, "obj", v.data(), v.size()).is_ok());
+  EXPECT_EQ(t.store->oget_zc(t.ctx, "obj").status().code(), Code::kUnsupported);
   // The copying path still works.
   std::string out(4096, 0);
-  ASSERT_TRUE(store->oget(ctx, "obj", out.data(), out.size()).is_ok());
+  ASSERT_TRUE(t.store->oget(t.ctx, "obj", out.data(), out.size()).is_ok());
   EXPECT_EQ(out, v);
-  store->ds_finalize(ctx);
 }
 
 TEST(DStoreZeroCopy, DetectsSilentMediaCorruption) {
-  TestStore t;
+  StoreRig t(test_cfg());
   std::string v = value_of(4096, 'c');
   ASSERT_TRUE(t.store->oput(t.ctx, "obj", v.data(), v.size()).is_ok());
   {
@@ -265,8 +227,34 @@ TEST(DStoreZeroCopy, DetectsSilentMediaCorruption) {
   EXPECT_EQ(r.status().code(), Code::kCorruption);
 }
 
+TEST(DStoreApi, OpenRejectsUndersizedSubstrate) {
+  // A store always has its persistent bad-page region, and its block pool
+  // must fit on the device: create and recover both refuse a pool without
+  // the region and a device smaller than cfg.num_blocks, up front.
+  DStoreConfig cfg = test_cfg(false, 64, /*max_objects=*/64, /*num_blocks=*/512);
+  StoreRig rig(cfg);
+  ASSERT_TRUE(rig.status().is_ok()) << rig.status().to_string();
+  rig.close();
+  pmem::Pool engine_only(DStoreConfig::required_pool_bytes(cfg) - fsmeta::BadPageTable::kRegionBytes,
+                         pmem::Pool::Mode::kCrashSim);
+  ssd::DeviceConfig dc;
+  dc.num_blocks = 16;
+  ssd::RamBlockDevice small_device(dc);
+  for (bool fresh : {true, false}) {
+    auto open = [&](pmem::Pool* pool, ssd::BlockDevice* device) {
+      return fresh ? DStore::create(pool, device, cfg) : DStore::recover(pool, device, cfg);
+    };
+    EXPECT_EQ(open(&engine_only, rig.device.get()).status().code(), Code::kInvalidArgument)
+        << (fresh ? "create" : "recover") << " on a pool without the bad-page region";
+    EXPECT_EQ(open(rig.pool.get(), &small_device).status().code(), Code::kInvalidArgument)
+        << (fresh ? "create" : "recover") << " on a 16-block device";
+  }
+  // The rig's own substrate still recovers.
+  EXPECT_TRUE(rig.recover().is_ok()) << rig.status().to_string();
+}
+
 TEST(DStoreApi, NameTooLongRejected) {
-  TestStore t;
+  StoreRig t(test_cfg());
   std::string long_name(kMaxNameLen + 1, 'n');
   char buf[8] = {};
   EXPECT_EQ(t.store->oput(t.ctx, long_name, buf, 8).code(), Code::kInvalidArgument);
@@ -274,7 +262,7 @@ TEST(DStoreApi, NameTooLongRejected) {
 }
 
 TEST(DStoreApi, ValuesOfManySizes) {
-  TestStore t;
+  StoreRig t(test_cfg());
   Rng rng(3);
   for (int i = 0; i < 50; i++) {
     size_t size = 1 + rng.next_below(20000);
@@ -291,7 +279,7 @@ TEST(DStoreApi, ValuesOfManySizes) {
 }
 
 TEST(DStoreApi, MetadataPoolExhaustion) {
-  TestStore t(false, 512, /*max_objects=*/8, /*num_blocks=*/64);
+  StoreRig t(test_cfg(false, 512, /*max_objects=*/8, /*num_blocks=*/64));
   char buf[16] = {};
   for (int i = 0; i < 8; i++) {
     ASSERT_TRUE(t.store->oput(t.ctx, "o" + std::to_string(i), buf, sizeof(buf)).is_ok()) << i;
@@ -306,7 +294,7 @@ TEST(DStoreApi, MetadataPoolExhaustion) {
 }
 
 TEST(DStoreApi, BlockPoolExhaustion) {
-  TestStore t(false, 512, /*max_objects=*/64, /*num_blocks=*/8);
+  StoreRig t(test_cfg(false, 512, /*max_objects=*/64, /*num_blocks=*/8));
   std::string big = value_of(9 * 4096, 'b');  // needs 9 blocks > 8
   EXPECT_EQ(t.store->oput(t.ctx, "big", big.data(), big.size()).code(), Code::kOutOfSpace);
   std::string ok = value_of(8 * 4096, 'k');
@@ -325,7 +313,7 @@ TEST(DStoreApi, BlockPoolExhaustion) {
 // ---------------------------------------------------------------------------
 
 TEST(DStoreFs, CreateWriteRead) {
-  TestStore t;
+  StoreRig t(test_cfg());
   auto obj = t.store->oopen(t.ctx, "file1", 0, kRead | kWrite | kCreate);
   ASSERT_TRUE(obj.is_ok()) << obj.status().to_string();
   std::string data = value_of(10000, 'f');
@@ -341,14 +329,14 @@ TEST(DStoreFs, CreateWriteRead) {
 }
 
 TEST(DStoreFs, OpenMissingWithoutCreateFails) {
-  TestStore t;
+  StoreRig t(test_cfg());
   auto obj = t.store->oopen(t.ctx, "missing", 0, kRead);
   ASSERT_FALSE(obj.is_ok());
   EXPECT_EQ(obj.status().code(), Code::kNotFound);
 }
 
 TEST(DStoreFs, ModeEnforcement) {
-  TestStore t;
+  StoreRig t(test_cfg());
   auto w = t.store->oopen(t.ctx, "f", 0, kWrite | kCreate);
   ASSERT_TRUE(w.is_ok());
   char buf[8] = {};
@@ -363,7 +351,7 @@ TEST(DStoreFs, ModeEnforcement) {
 }
 
 TEST(DStoreFs, PartialReadsAndWritesAtOffsets) {
-  TestStore t;
+  StoreRig t(test_cfg());
   auto obj = t.store->oopen(t.ctx, "partial", 0, kRead | kWrite | kCreate);
   ASSERT_TRUE(obj.is_ok());
   // Write 3 chunks at growing offsets, including one spanning a block edge.
@@ -394,7 +382,7 @@ TEST(DStoreFs, PartialReadsAndWritesAtOffsets) {
 }
 
 TEST(DStoreFs, InPlaceOverwriteNeedsNoLogRecord) {
-  TestStore t;
+  StoreRig t(test_cfg());
   auto obj = t.store->oopen(t.ctx, "inplace", 0, kRead | kWrite | kCreate);
   ASSERT_TRUE(obj.is_ok());
   std::string data(4096, '1');
@@ -411,7 +399,7 @@ TEST(DStoreFs, InPlaceOverwriteNeedsNoLogRecord) {
 }
 
 TEST(DStoreFs, KvAndFsApisSeeSameObjects) {
-  TestStore t;
+  StoreRig t(test_cfg());
   std::string v = value_of(5000, 'm');
   ASSERT_TRUE(t.store->oput(t.ctx, "mixed", v.data(), v.size()).is_ok());
   auto obj = t.store->oopen(t.ctx, "mixed", 0, kRead);
@@ -428,7 +416,7 @@ TEST(DStoreFs, KvAndFsApisSeeSameObjects) {
 // ---------------------------------------------------------------------------
 
 TEST(DStoreLock, LockBlocksOtherWriters) {
-  TestStore t;
+  StoreRig t(test_cfg());
   char buf[16] = {};
   ASSERT_TRUE(t.store->oput(t.ctx, "shared", buf, sizeof(buf)).is_ok());
   ASSERT_TRUE(t.store->olock(t.ctx, "shared").is_ok());
@@ -451,7 +439,7 @@ TEST(DStoreLock, LockBlocksOtherWriters) {
 // The olock holder's own writes and reads tolerate its lock record (§4.5),
 // through the key-value and the filesystem API alike.
 TEST(DStoreLock, HolderCanStillWrite) {
-  TestStore t;
+  StoreRig t(test_cfg());
   char buf[16] = {};
   ASSERT_TRUE(t.store->olock(t.ctx, "mine").is_ok());
   // Each op runs on its own thread with a bounded wait, so a self-deadlock
@@ -505,7 +493,7 @@ TEST(DStoreLock, HolderCanStillWrite) {
 }
 
 TEST(DStoreLock, DoubleLockAndForeignUnlockRejected) {
-  TestStore t;
+  StoreRig t(test_cfg());
   ASSERT_TRUE(t.store->olock(t.ctx, "obj").is_ok());
   EXPECT_EQ(t.store->olock(t.ctx, "obj").code(), Code::kBusy);
   ds_ctx_t* ctx2 = t.store->ds_init();
@@ -516,7 +504,7 @@ TEST(DStoreLock, DoubleLockAndForeignUnlockRejected) {
 }
 
 TEST(DStoreLock, LockSurvivesCheckpoint) {
-  TestStore t;
+  StoreRig t(test_cfg());
   ASSERT_TRUE(t.store->olock(t.ctx, "held").is_ok());
   char buf[16] = {};
   for (int i = 0; i < 50; i++) {
@@ -532,7 +520,7 @@ TEST(DStoreLock, LockSurvivesCheckpoint) {
 // ---------------------------------------------------------------------------
 
 TEST(DStoreSpace, UsageTracksAllTiers) {
-  TestStore t;
+  StoreRig t(test_cfg());
   auto before = t.store->space_usage();
   std::string v = value_of(8192, 'u');
   for (int i = 0; i < 20; i++) {
@@ -548,7 +536,7 @@ TEST(DStoreSpace, UsageTracksAllTiers) {
 }
 
 TEST(DStoreCkpt, StateIntactAcrossManyCheckpoints) {
-  TestStore t;
+  StoreRig t(test_cfg());
   Rng rng(9);
   std::map<std::string, char> model;
   for (int round = 0; round < 10; round++) {
@@ -576,7 +564,7 @@ TEST(DStoreCkpt, StateIntactAcrossManyCheckpoints) {
 // ---------------------------------------------------------------------------
 
 TEST(DStoreConcurrent, ParallelMixedWorkloadStaysConsistent) {
-  TestStore t(/*background_ckpt=*/true, /*log_slots=*/256);
+  StoreRig t(test_cfg(/*background_ckpt=*/true, /*log_slots=*/256));
   const int kThreads = 4;
   const int kOpsPerThread = 300;
   std::vector<std::thread> threads;

@@ -30,63 +30,42 @@
 namespace dstore::fault {
 namespace {
 
-struct Fixture {
-  FaultInjector inj;
+DStoreConfig integrity_cfg(bool repair_logging) {
   DStoreConfig cfg;
-  std::unique_ptr<pmem::Pool> pool;
-  std::unique_ptr<ssd::RamBlockDevice> device;
-  std::unique_ptr<DStore> store;
-  ds_ctx_t* ctx = nullptr;
+  cfg.max_objects = 16;
+  cfg.num_blocks = 128;
+  cfg.engine.log_slots = 32;
+  cfg.engine.arena_bytes = 1 << 20;
+  cfg.engine.background_checkpointing = false;
+  cfg.repair_logging = repair_logging;
+  return cfg;
+}
 
-  void build(bool repair_logging, const FaultPlan& plan = FaultPlan()) {
-    cfg.max_objects = 16;
-    cfg.num_blocks = 128;
-    cfg.engine.log_slots = 32;
-    cfg.engine.arena_bytes = 1 << 20;
-    cfg.engine.background_checkpointing = false;
-    cfg.repair_logging = repair_logging;
-    pool = std::make_unique<pmem::Pool>(DStoreConfig::required_pool_bytes(cfg),
-                                        pmem::Pool::Mode::kCrashSim);
-    ssd::DeviceConfig dc;
-    dc.num_blocks = cfg.num_blocks;
-    device = std::make_unique<ssd::RamBlockDevice>(dc);
-    device->set_fault_injector(&inj);
-    inj.set_plan(plan);
-    inj.disarm();
-    auto s = DStore::create(pool.get(), device.get(), cfg);
-    ASSERT_TRUE(s.is_ok()) << s.status().to_string();
-    store = std::move(s).value();
-    ctx = store->ds_init();
-  }
-  ~Fixture() {
-    if (store != nullptr) store->ds_finalize(ctx);
-  }
+Status put(StoreRig& f, const std::string& k, const std::string& v) {
+  return f.store->oput(f.ctx, k, v.data(), v.size());
+}
 
-  Status put(const std::string& k, const std::string& v) {
-    return store->oput(ctx, k, v.data(), v.size());
-  }
-  Result<std::string> get(const std::string& k) {
-    std::vector<char> buf(8192);
-    auto r = store->oget(ctx, k, buf.data(), buf.size());
-    if (!r.is_ok()) return r.status();
-    return std::string(buf.data(), r.value());
-  }
+Result<std::string> get(StoreRig& f, const std::string& k) {
+  std::vector<char> buf(8192);
+  auto r = f.store->oget(f.ctx, k, buf.data(), buf.size());
+  if (!r.is_ok()) return r.status();
+  return std::string(buf.data(), r.value());
+}
 
-  // Absolute media byte offset of `pattern`'s first occurrence, scanning
-  // block by block through the (pre-corruption, checksum-clean) device.
-  uint64_t find_on_media(const std::string& pattern) {
-    const size_t bs = device->config().block_size();
-    std::vector<char> buf(bs);
-    for (uint64_t b = 0; b < cfg.num_blocks; b++) {
-      if (!device->read(b, 0, buf.data(), bs).is_ok()) continue;
-      std::string view(buf.data(), bs);
-      size_t pos = view.find(pattern);
-      if (pos != std::string::npos) return b * bs + pos;
-    }
-    ADD_FAILURE() << "pattern not found on media: " << pattern;
-    return 0;
+// Absolute media byte offset of `pattern`'s first occurrence, scanning
+// block by block through the (pre-corruption, checksum-clean) device.
+uint64_t find_on_media(StoreRig& f, const std::string& pattern) {
+  const size_t bs = f.device->config().block_size();
+  std::vector<char> buf(bs);
+  for (uint64_t b = 0; b < f.cfg.num_blocks; b++) {
+    if (!f.device->read(b, 0, buf.data(), bs).is_ok()) continue;
+    std::string view(buf.data(), bs);
+    size_t pos = view.find(pattern);
+    if (pos != std::string::npos) return b * bs + pos;
   }
-};
+  ADD_FAILURE() << "pattern not found on media: " << pattern;
+  return 0;
+}
 
 // A value that is unique, compressib-proof (varied bytes), and block-sized
 // enough to exercise the page sidecar.
@@ -106,18 +85,17 @@ std::string value_of(char tag, size_t len = 600) {
 // ---------------------------------------------------------------------------
 
 TEST(Integrity, BitFlipDetectedOnReadAndQuarantined) {
-  Fixture f;
-  f.build(/*repair_logging=*/false);
+  StoreRig f(integrity_cfg(/*repair_logging=*/false));
   const std::string v = value_of('q');
-  ASSERT_TRUE(f.put("victim", v).is_ok());
-  ASSERT_TRUE(f.put("bystander", value_of('b')).is_ok());
+  ASSERT_TRUE(put(f, "victim", v).is_ok());
+  ASSERT_TRUE(put(f, "bystander", value_of('b')).is_ok());
 
-  uint64_t off = f.find_on_media(v.substr(0, 64));
+  uint64_t off = find_on_media(f, v.substr(0, 64));
   f.device->flip_media_bit(off + 17, 3);
 
   // Detected, not silently returned: the sidecar fails, repair finds no
   // usable log payload (logical logging only), the page is quarantined.
-  auto r = f.get("victim");
+  auto r = get(f, "victim");
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), Code::kCorruption) << r.status().to_string();
   auto c = f.store->counters();
@@ -130,35 +108,26 @@ TEST(Integrity, BitFlipDetectedOnReadAndQuarantined) {
 
   // Containment: the rest of the store is unaffected, and the store did
   // not degrade to read-only (the metadata itself is intact).
-  auto rb = f.get("bystander");
+  auto rb = get(f, "bystander");
   ASSERT_TRUE(rb.is_ok());
   EXPECT_EQ(rb.value(), value_of('b'));
   EXPECT_FALSE(f.store->read_only());
-  ASSERT_TRUE(f.put("still-writable", value_of('w')).is_ok());
+  ASSERT_TRUE(put(f, "still-writable", value_of('w')).is_ok());
 }
 
 TEST(Integrity, QuarantineSurvivesRecovery) {
-  Fixture f;
-  f.build(/*repair_logging=*/false);
+  StoreRig f(integrity_cfg(/*repair_logging=*/false));
   const std::string v = value_of('p');
-  ASSERT_TRUE(f.put("victim", v).is_ok());
-  uint64_t off = f.find_on_media(v.substr(0, 64));
+  ASSERT_TRUE(put(f, "victim", v).is_ok());
+  uint64_t off = find_on_media(f, v.substr(0, 64));
   f.device->flip_media_bit(off + 1, 0);
-  ASSERT_FALSE(f.get("victim").is_ok());
+  ASSERT_FALSE(get(f, "victim").is_ok());
   uint64_t quarantined = f.store->bad_pages().count();
   ASSERT_GE(quarantined, 1u);
 
   // Reopen from the durable images: the bad-page table lives in a sealed
   // pmem region past the engine layout and must come back verbatim.
-  f.store->ds_finalize(f.ctx);
-  f.ctx = nullptr;
-  f.store.reset();
-  f.pool->crash();
-  f.device->crash();
-  auto r = DStore::recover(f.pool.get(), f.device.get(), f.cfg);
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  f.store = std::move(r).value();
-  f.ctx = f.store->ds_init();
+  ASSERT_TRUE(f.crash_and_recover().is_ok()) << f.status().to_string();
   EXPECT_EQ(f.store->bad_pages().count(), quarantined);
   EXPECT_TRUE(f.store->bad_pages().contains(off / f.device->config().page_size));
 }
@@ -169,17 +138,16 @@ TEST(Integrity, QuarantineSurvivesRecovery) {
 // ---------------------------------------------------------------------------
 
 TEST(Integrity, BitFlipRepairedFromLogCopy) {
-  Fixture f;
-  f.build(/*repair_logging=*/true);
+  StoreRig f(integrity_cfg(/*repair_logging=*/true));
   const std::string v = value_of('r');
-  ASSERT_TRUE(f.put("victim", v).is_ok());
+  ASSERT_TRUE(put(f, "victim", v).is_ok());
 
-  uint64_t off = f.find_on_media(v.substr(0, 64));
+  uint64_t off = find_on_media(f, v.substr(0, 64));
   f.device->flip_media_bit(off + 100, 5);
 
   // The read detects the bad page, heals it from the log payload, and
   // returns the *correct* bytes — the repair is invisible to the caller.
-  auto r = f.get("victim");
+  auto r = get(f, "victim");
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_EQ(r.value(), v);
   auto c = f.store->counters();
@@ -192,34 +160,33 @@ TEST(Integrity, BitFlipRepairedFromLogCopy) {
   DStore::ScrubReport rep;
   EXPECT_TRUE(f.store->scrub_now(&rep).is_ok());
   EXPECT_EQ(rep.checksum_failures, 0u);
-  auto again = f.get("victim");
+  auto again = get(f, "victim");
   ASSERT_TRUE(again.is_ok());
   EXPECT_EQ(again.value(), v);
 }
 
 TEST(Integrity, CountersReconcileWithInjectedFaultCount) {
-  Fixture f;
-  f.build(/*repair_logging=*/true);
+  StoreRig f(integrity_cfg(/*repair_logging=*/true));
   std::map<std::string, std::string> oracle;
   for (char t : {'a', 'b', 'c', 'd'}) {
     std::string key(1, t);
     oracle[key] = value_of(t);
-    ASSERT_TRUE(f.put(key, oracle[key]).is_ok());
+    ASSERT_TRUE(put(f, key, oracle[key]).is_ok());
   }
   // Exactly three independent single-bit flips, in three distinct objects.
   // (Locate all three offsets *before* flipping anything — the locator
   // scans via device reads, which would otherwise trip on earlier flips
   // and inflate the device-level failure counter.)
   const int kInjected = 3;
-  uint64_t off_a = f.find_on_media(oracle["a"].substr(0, 64));
-  uint64_t off_b = f.find_on_media(oracle["b"].substr(0, 64));
-  uint64_t off_c = f.find_on_media(oracle["c"].substr(0, 64));
+  uint64_t off_a = find_on_media(f, oracle["a"].substr(0, 64));
+  uint64_t off_b = find_on_media(f, oracle["b"].substr(0, 64));
+  uint64_t off_c = find_on_media(f, oracle["c"].substr(0, 64));
   f.device->flip_media_bit(off_a + 3, 1);
   f.device->flip_media_bit(off_b + 9, 6);
   f.device->flip_media_bit(off_c + 27, 2);
 
   for (auto& [k, v] : oracle) {
-    auto r = f.get(k);
+    auto r = get(f, k);
     ASSERT_TRUE(r.is_ok()) << k << ": " << r.status().to_string();
     EXPECT_EQ(r.value(), v) << k;
   }
@@ -241,16 +208,15 @@ TEST(Integrity, CountersReconcileWithInjectedFaultCount) {
 // ---------------------------------------------------------------------------
 
 TEST(Integrity, ScrubPassDetectsAndRepairs) {
-  Fixture f;
-  f.build(/*repair_logging=*/true);
+  StoreRig f(integrity_cfg(/*repair_logging=*/true));
   std::map<std::string, std::string> oracle;
   for (char t : {'w', 'x', 'y', 'z'}) {
     std::string key(1, t);
     oracle[key] = value_of(t);
-    ASSERT_TRUE(f.put(key, oracle[key]).is_ok());
+    ASSERT_TRUE(put(f, key, oracle[key]).is_ok());
   }
-  f.device->flip_media_bit(f.find_on_media(oracle["x"].substr(0, 64)) + 5, 7);
-  f.device->flip_media_bit(f.find_on_media(oracle["z"].substr(0, 64)) + 40, 0);
+  f.device->flip_media_bit(find_on_media(f, oracle["x"].substr(0, 64)) + 5, 7);
+  f.device->flip_media_bit(find_on_media(f, oracle["z"].substr(0, 64)) + 40, 0);
 
   DStore::ScrubReport rep;
   Status s = f.store->scrub_now(&rep);
@@ -266,19 +232,18 @@ TEST(Integrity, ScrubPassDetectsAndRepairs) {
   EXPECT_GT(f.store->metrics().value("dstore_scrub_last_pass_seconds"), 0.0);
 
   for (auto& [k, v] : oracle) {
-    auto r = f.get(k);
+    auto r = get(f, k);
     ASSERT_TRUE(r.is_ok()) << k;
     EXPECT_EQ(r.value(), v) << k;
   }
 }
 
 TEST(Integrity, ScrubQuarantinesUnrepairable) {
-  Fixture f;
-  f.build(/*repair_logging=*/false);
+  StoreRig f(integrity_cfg(/*repair_logging=*/false));
   const std::string v = value_of('u');
-  ASSERT_TRUE(f.put("doomed", v).is_ok());
-  ASSERT_TRUE(f.put("fine", value_of('f')).is_ok());
-  uint64_t off = f.find_on_media(v.substr(0, 64));
+  ASSERT_TRUE(put(f, "doomed", v).is_ok());
+  ASSERT_TRUE(put(f, "fine", value_of('f')).is_ok());
+  uint64_t off = find_on_media(f, v.substr(0, 64));
   f.device->flip_media_bit(off + 8, 4);
 
   DStore::ScrubReport rep;
@@ -293,7 +258,7 @@ TEST(Integrity, ScrubQuarantinesUnrepairable) {
   EXPECT_TRUE(f.store->bad_pages().contains(off / f.device->config().page_size));
   // Scrub contains; it does not degrade the whole store.
   EXPECT_FALSE(f.store->read_only());
-  EXPECT_TRUE(f.get("fine").is_ok());
+  EXPECT_TRUE(get(f, "fine").is_ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -304,8 +269,7 @@ TEST(Integrity, ScrubQuarantinesUnrepairable) {
 // Every write path publishes crc32c(content) as the object's content CRC,
 // hashed while its data IOs were in flight; a partial overwrite clears it.
 TEST(Integrity, EveryWritePathPublishesTheContentCrc) {
-  Fixture f;
-  f.build(/*repair_logging=*/false);
+  StoreRig f(integrity_cfg(/*repair_logging=*/false));
   auto pattern = [](size_t n, char seed) {
     std::string v(n, '\0');
     for (size_t i = 0; i < n; i++) v[i] = (char)(i * 131 + seed);
@@ -319,7 +283,7 @@ TEST(Integrity, EveryWritePathPublishesTheContentCrc) {
 
   // oput (16 KB: multi-block, 3-way kernel).
   std::string v1 = pattern(16384, 1);
-  ASSERT_TRUE(f.put("obj", v1).is_ok());
+  ASSERT_TRUE(put(f, "obj", v1).is_ok());
   EXPECT_EQ(content_crc("obj"), crc32c(v1.data(), v1.size()));
 
   auto opened = f.store->oopen(f.ctx, "obj", 0, kRead | kWrite);
@@ -341,19 +305,21 @@ TEST(Integrity, EveryWritePathPublishesTheContentCrc) {
 }
 
 TEST(Integrity, MisdirectedWriteNeverReturnsStaleBytes) {
-  Fixture f;
+  FaultInjector inj;  // outlives the rig wired to it
+  StoreRig f(integrity_cfg(/*repair_logging=*/false));
+  f.device->set_fault_injector(&inj);
   FaultPlan plan;
   plan.add({"ssd.write", 1, FaultType::kMisdirectedWrite, 3, 1});
-  f.build(/*repair_logging=*/false, plan);
+  inj.set_plan(plan);
   const std::string v = value_of('m');
-  f.inj.arm();
-  Status s = f.put("victim", v);
-  f.inj.disarm();
+  inj.arm();
+  Status s = put(f, "victim", v);
+  inj.disarm();
   ASSERT_TRUE(s.is_ok()) << s.to_string();  // the device never noticed
 
   // The intended pages were never written: whatever a read returns, it
   // must not be OK-with-wrong-bytes.
-  auto r = f.get("victim");
+  auto r = get(f, "victim");
   if (r.is_ok()) {
     EXPECT_EQ(r.value(), v);  // repaired or (legitimately) landed intact
   } else {
@@ -367,10 +333,9 @@ TEST(Integrity, MisdirectedWriteNeverReturnsStaleBytes) {
 // ---------------------------------------------------------------------------
 
 TEST(Integrity, CorruptPublishedLogRecordFailStopsRecovery) {
-  Fixture f;
-  f.build(/*repair_logging=*/false);
-  ASSERT_TRUE(f.put("a", value_of('a')).is_ok());
-  ASSERT_TRUE(f.put("b", value_of('b')).is_ok());
+  StoreRig f(integrity_cfg(/*repair_logging=*/false));
+  ASSERT_TRUE(put(f, "a", value_of('a')).is_ok());
+  ASSERT_TRUE(put(f, "b", value_of('b')).is_ok());
 
   // Locate b's committed record in the active log.
   auto& eng = f.store->engine();
@@ -383,21 +348,18 @@ TEST(Integrity, CorruptPublishedLogRecordFailStopsRecovery) {
   ASSERT_NE(slot, UINT32_MAX);
   const uint64_t slot_off = log.slot_offset(slot);
 
-  f.store->ds_finalize(f.ctx);
-  f.ctx = nullptr;
-  f.store.reset();
+  f.close();
   // Flip one bit of the record's name byte (offset 33: lsn 8, length 4,
   // op 2, flags 2, arg0 8, arg1 8, klen 1) in the durable image. The LSN
   // stays valid, so recovery *will* decode this slot — and must refuse it.
   char* addr = f.pool->base() + slot_off + 33;
   *addr = (char)(*addr ^ 0x01);
   f.pool->persist(addr, 1);
-  f.pool->crash();
-  f.device->crash();
+  f.crash();
 
-  auto r = DStore::recover(f.pool.get(), f.device.get(), f.cfg);
+  Status r = f.recover();
   ASSERT_FALSE(r.is_ok()) << "recovery silently replayed a corrupt log record";
-  EXPECT_EQ(r.status().code(), Code::kCorruption) << r.status().to_string();
+  EXPECT_EQ(r.code(), Code::kCorruption) << r.to_string();
 }
 
 TEST(Integrity, CorruptSlotReadsAsCorruptNotEmpty) {

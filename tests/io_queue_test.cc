@@ -159,52 +159,35 @@ TEST(IoQueue, BandwidthStaysSerializedAcrossInFlightIos) {
 // DStore integration: coalescing stats, per-descriptor retry, crash safety
 // ---------------------------------------------------------------------------
 
-struct StoreFixture {
+fault::StoreRig qd_store(uint32_t ssd_qd, bool plp = true,
+                         pmem::Pool::Mode mode = pmem::Pool::Mode::kDirect) {
   DStoreConfig cfg;
-  FaultInjector inj;
-  std::unique_ptr<pmem::Pool> pool;
-  std::unique_ptr<ssd::RamBlockDevice> device;
-  std::unique_ptr<DStore> store;
-  ds_ctx_t* ctx = nullptr;
+  cfg.max_objects = 32;
+  cfg.num_blocks = 256;
+  cfg.ssd_qd = ssd_qd;
+  cfg.engine.log_slots = 32;
+  cfg.engine.arena_bytes = 1 << 20;
+  cfg.engine.background_checkpointing = false;
+  return fault::StoreRig(cfg, mode, dev_cfg(cfg.num_blocks, LatencyModel::none(), plp));
+}
 
-  void build(uint32_t ssd_qd, bool plp = true,
-             pmem::Pool::Mode mode = pmem::Pool::Mode::kDirect) {
-    cfg.max_objects = 32;
-    cfg.num_blocks = 256;
-    cfg.ssd_qd = ssd_qd;
-    cfg.engine.log_slots = 32;
-    cfg.engine.arena_bytes = 1 << 20;
-    cfg.engine.background_checkpointing = false;
-    pool = std::make_unique<pmem::Pool>(dipper::Engine::required_pool_bytes(cfg.engine), mode);
-    device = std::make_unique<ssd::RamBlockDevice>(dev_cfg(cfg.num_blocks,
-                                                           LatencyModel::none(), plp));
-    auto s = DStore::create(pool.get(), device.get(), cfg);
-    ASSERT_TRUE(s.is_ok()) << s.status().to_string();
-    store = std::move(s).value();
-    ctx = store->ds_init();
-  }
+// Wire `inj` into the live rig's pool and device, and into the config the
+// next recovery opens with.
+void attach_faults(fault::StoreRig& rig, FaultInjector* inj) {
+  rig.pool->set_fault_injector(inj);
+  rig.device->set_fault_injector(inj);
+  rig.cfg.engine.fault = inj;
+}
 
-  void attach_faults() {
-    pool->set_fault_injector(&inj);
-    device->set_fault_injector(&inj);
-    cfg.engine.fault = &inj;
-  }
-
-  std::string get(const std::string& key) {
-    std::vector<char> buf(128 << 10);
-    auto r = store->oget(ctx, key, buf.data(), buf.size());
-    if (!r.is_ok()) return "<absent>";
-    return std::string(buf.data(), r.value());
-  }
-
-  ~StoreFixture() {
-    if (store != nullptr) store->ds_finalize(ctx);
-  }
-};
+std::string get(fault::StoreRig& rig, const std::string& key) {
+  std::vector<char> buf(128 << 10);
+  auto r = rig.store->oget(rig.ctx, key, buf.data(), buf.size());
+  if (!r.is_ok()) return "<absent>";
+  return std::string(buf.data(), r.value());
+}
 
 TEST(DStoreAsyncIo, ContiguousRunsCoalesceUpToQueueDepth) {
-  StoreFixture f;
-  f.build(/*ssd_qd=*/16);
+  fault::StoreRig f = qd_store(/*ssd_qd=*/16);
   // Fresh store: the 16 blocks of a 64KB value pop contiguously from the
   // circular pool, so the whole put coalesces into ONE descriptor.
   std::string v = patterned(64 << 10, 'c');
@@ -213,64 +196,62 @@ TEST(DStoreAsyncIo, ContiguousRunsCoalesceUpToQueueDepth) {
   EXPECT_EQ(m.counter_value("ssd_io_batches_total"), 1u);
   EXPECT_EQ(m.counter_value("ssd_ios_issued_total"), 1u);
   EXPECT_EQ(m.counter_value("ssd_blocks_coalesced_total"), 15u);
-  EXPECT_EQ(f.get("big"), v);
+  EXPECT_EQ(get(f, "big"), v);
 }
 
 TEST(DStoreAsyncIo, QdOneDegeneratesToPerBlockIos) {
-  StoreFixture f;
-  f.build(/*ssd_qd=*/1);
+  fault::StoreRig f = qd_store(/*ssd_qd=*/1);
   std::string v = patterned(64 << 10, 'd');
   ASSERT_TRUE(f.store->oput(f.ctx, "big", v.data(), v.size()).is_ok());
   auto& m = f.store->metrics();
   EXPECT_EQ(m.counter_value("ssd_io_batches_total"), 1u);
   EXPECT_EQ(m.counter_value("ssd_ios_issued_total"), 16u);  // one IO per block
   EXPECT_EQ(m.counter_value("ssd_blocks_coalesced_total"), 0u);
-  EXPECT_EQ(f.get("big"), v);
+  EXPECT_EQ(get(f, "big"), v);
 }
 
 TEST(DStoreAsyncIo, MdtsCapSplitsLongRuns) {
   // qd=2 caps a coalesced run at 2 blocks: a 5-block value becomes
   // descriptors of 2+2+1 blocks.
-  StoreFixture f;
-  f.build(/*ssd_qd=*/2);
+  fault::StoreRig f = qd_store(/*ssd_qd=*/2);
   std::string v = patterned(5 * 4096, 'e');
   ASSERT_TRUE(f.store->oput(f.ctx, "five", v.data(), v.size()).is_ok());
   auto& m = f.store->metrics();
   EXPECT_EQ(m.counter_value("ssd_ios_issued_total"), 3u);
   EXPECT_EQ(m.counter_value("ssd_blocks_coalesced_total"), 2u);
-  EXPECT_EQ(f.get("five"), v);
+  EXPECT_EQ(get(f, "five"), v);
 }
 
 #if !defined(DSTORE_FAULT_INJECTION_DISABLED)
 
 TEST(DStoreAsyncIo, TransientEioOnOneDescriptorRetriesOnlyThatDescriptor) {
-  StoreFixture f;
-  f.build(/*ssd_qd=*/2);
-  f.attach_faults();
+  FaultInjector inj;  // outlives the rig wired to it
+  fault::StoreRig f = qd_store(/*ssd_qd=*/2);
+  attach_faults(f, &inj);
   // 5-block put = 3 descriptors (ssd.write hits 1..3). Fail the SECOND
   // descriptor of the batch once; only it is re-submitted.
   FaultPlan plan;
   plan.add({"ssd.write", 2, FaultType::kError, 0, 1});
-  f.inj.set_plan(plan);
+  inj.set_plan(plan);
   std::string v = patterned(5 * 4096, 'r');
-  f.inj.arm();
+  inj.arm();
   Status s = f.store->oput(f.ctx, "k", v.data(), v.size());
-  f.inj.disarm();
+  inj.disarm();
   ASSERT_TRUE(s.is_ok()) << s.to_string();
   auto& m = f.store->metrics();
   EXPECT_EQ(m.counter_value("ssd_io_retries_total"), 1u);
   EXPECT_EQ(m.counter_value("ssd_ios_issued_total"), 3u);  // retries are not new descriptors
   EXPECT_EQ(m.counter_value("ssd_io_exhausted_total"), 0u);
   EXPECT_FALSE(f.store->read_only());
-  EXPECT_EQ(f.get("k"), v);
+  EXPECT_EQ(get(f, "k"), v);
   // 3 original submissions + 1 resubmission reached the device.
-  EXPECT_EQ(f.inj.hit_count("ssd.write"), 4u);
+  EXPECT_EQ(inj.hit_count("ssd.write"), 4u);
 }
 
 TEST(DStoreAsyncIo, CrashMidBatchWithPlpKeepsCommittedStateOnly) {
-  StoreFixture f;
-  f.build(/*ssd_qd=*/2, /*plp=*/true, pmem::Pool::Mode::kCrashSim);
-  f.attach_faults();
+  FaultInjector inj;  // outlives the rig wired to it
+  fault::StoreRig f = qd_store(/*ssd_qd=*/2, /*plp=*/true, pmem::Pool::Mode::kCrashSim);
+  attach_faults(f, &inj);
   std::string va = patterned(100, 'a'), vb = patterned(5000, 'b');
   ASSERT_TRUE(f.store->oput(f.ctx, "a", va.data(), va.size()).is_ok());
   ASSERT_TRUE(f.store->oput(f.ctx, "b", vb.data(), vb.size()).is_ok());
@@ -282,27 +263,20 @@ TEST(DStoreAsyncIo, CrashMidBatchWithPlpKeepsCommittedStateOnly) {
   // hits 1-3 — crash at hit 2, mid-batch.
   auto plan = FaultPlan::parse("ssd.write@2");
   ASSERT_TRUE(plan.is_ok());
-  f.inj.set_plan(plan.value());
+  inj.set_plan(plan.value());
   std::string vc = patterned(5 * 4096, 'c');
-  f.inj.arm();
+  inj.arm();
   (void)f.store->oput(f.ctx, "c", vc.data(), vc.size());
-  ASSERT_TRUE(f.inj.crashed());
-  f.inj.disarm();
+  ASSERT_TRUE(inj.crashed());
+  inj.disarm();
 
-  f.store->ds_finalize(f.ctx);
-  f.store.reset();
-  f.pool->crash();
-  f.device->crash();
-  auto r = DStore::recover(f.pool.get(), f.device.get(), f.cfg);
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  f.store = std::move(r).value();
-  f.ctx = f.store->ds_init();
+  ASSERT_TRUE(f.crash_and_recover().is_ok()) << f.status().to_string();
 
   // a and b committed before the crash: both must read back exactly.
   // c never reached its commit point: it must be absent — not torn.
-  EXPECT_EQ(f.get("a"), va);
-  EXPECT_EQ(f.get("b"), vb);
-  EXPECT_EQ(f.get("c"), "<absent>");
+  EXPECT_EQ(get(f, "a"), va);
+  EXPECT_EQ(get(f, "b"), vb);
+  EXPECT_EQ(get(f, "c"), "<absent>");
   EXPECT_EQ(f.store->object_count(), 2u);
   EXPECT_TRUE(f.store->validate().is_ok());
 }
@@ -311,28 +285,21 @@ TEST(DStoreAsyncIo, CrashMidBatchWithoutPlpRecoversEmpty) {
   // Same mid-batch power failure without capacitors, during the very first
   // put: nothing ever committed, so recovery must produce an empty, valid
   // store (the acked-but-uncommitted cache contents simply vanish).
-  StoreFixture f;
-  f.build(/*ssd_qd=*/2, /*plp=*/false, pmem::Pool::Mode::kCrashSim);
-  f.attach_faults();
+  FaultInjector inj;  // outlives the rig wired to it
+  fault::StoreRig f = qd_store(/*ssd_qd=*/2, /*plp=*/false, pmem::Pool::Mode::kCrashSim);
+  attach_faults(f, &inj);
   auto plan = FaultPlan::parse("ssd.write@2");
   ASSERT_TRUE(plan.is_ok());
-  f.inj.set_plan(plan.value());
+  inj.set_plan(plan.value());
   std::string v = patterned(5 * 4096, 'n');
-  f.inj.arm();
+  inj.arm();
   (void)f.store->oput(f.ctx, "k", v.data(), v.size());
-  ASSERT_TRUE(f.inj.crashed());
-  f.inj.disarm();
+  ASSERT_TRUE(inj.crashed());
+  inj.disarm();
 
-  f.store->ds_finalize(f.ctx);
-  f.store.reset();
-  f.pool->crash();
-  f.device->crash();
-  auto r = DStore::recover(f.pool.get(), f.device.get(), f.cfg);
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  f.store = std::move(r).value();
-  f.ctx = f.store->ds_init();
+  ASSERT_TRUE(f.crash_and_recover().is_ok()) << f.status().to_string();
   EXPECT_EQ(f.store->object_count(), 0u);
-  EXPECT_EQ(f.get("k"), "<absent>");
+  EXPECT_EQ(get(f, "k"), "<absent>");
   EXPECT_TRUE(f.store->validate().is_ok());
 }
 

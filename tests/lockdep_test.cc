@@ -25,6 +25,7 @@
 
 #include "common/lockdep.h"
 #include "dstore/dstore.h"
+#include "fault/crash_rig.h"
 #include "fault/fault.h"
 #include "pmem/pool.h"
 #include "ssd/block_device.h"
@@ -290,16 +291,10 @@ TEST_F(LockdepDetector, StoreLifecycleProducesZeroReports) {
   cfg.engine.log_slots = 64;
   cfg.engine.arena_bytes = 1 << 20;
   cfg.engine.background_checkpointing = true;
-  auto pool = std::make_unique<pmem::Pool>(DStoreConfig::required_pool_bytes(cfg),
-                                           pmem::Pool::Mode::kCrashSim);
-  ssd::DeviceConfig dc;
-  dc.num_blocks = cfg.num_blocks;
-  auto device = std::make_unique<ssd::RamBlockDevice>(dc);
-  device->set_fault_injector(&inj);
-
-  auto created = DStore::create(pool.get(), device.get(), cfg);
-  ASSERT_TRUE(created.is_ok()) << created.status().to_string();
-  std::unique_ptr<DStore> store = std::move(created).value();
+  fault::StoreRig rig(cfg);
+  ASSERT_TRUE(rig.status().is_ok()) << rig.status().to_string();
+  rig.device->set_fault_injector(&inj);
+  DStore* store = rig.store.get();
 
   // Scrub passes back to back until the writers are done, so scrubs overlap
   // the foreground IO and the background checkpoints.
@@ -347,17 +342,13 @@ TEST_F(LockdepDetector, StoreLifecycleProducesZeroReports) {
   EXPECT_TRUE(store->scrub_now(&rep).is_ok());
   EXPECT_GT(rep.objects_scanned, 0u);
 
-  // Crash-recover: recovery replay must also be clean.
-  store.reset();
-  auto recovered = DStore::recover(pool.get(), device.get(), cfg);
-  ASSERT_TRUE(recovered.is_ok()) << recovered.status().to_string();
-  store = std::move(recovered).value();
-  ds_ctx_t* ctx = store->ds_init();
+  // Restart and recover: recovery replay must also be clean.
+  rig.close();
+  ASSERT_TRUE(rig.recover().is_ok()) << rig.status().to_string();
   std::vector<char> buf(400);
-  auto r = store->oget(ctx, "obj_0_9", buf.data(), buf.size());
+  auto r = rig.store->oget(rig.ctx, "obj_0_9", buf.data(), buf.size());
   EXPECT_TRUE(r.is_ok()) << r.status().to_string();
-  store->ds_finalize(ctx);
-  store.reset();
+  rig.close();
 
   for (const Violation& v : captured_) {
     ADD_FAILURE() << "lockdep report during store lifecycle:\n" << v.report;

@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "dstore/dstore.h"
+#include "fault/crash_rig.h"
 #include "obs/metrics.h"
 #include "obs/op_trace.h"
 
@@ -311,37 +312,18 @@ TEST(OpTraceUnit, FailureIsDefaultSuccessIsExplicit) {
 // DStore end-to-end
 // ---------------------------------------------------------------------------
 
-struct MetricsRig {
+DStoreConfig metrics_cfg() {
   DStoreConfig cfg;
-  std::unique_ptr<pmem::Pool> pool;
-  std::unique_ptr<ssd::RamBlockDevice> device;
-  std::unique_ptr<DStore> store;
-  ds_ctx_t* ctx = nullptr;
-
-  void build(pmem::Pool::Mode mode = pmem::Pool::Mode::kDirect) {
-    cfg.max_objects = 128;
-    cfg.num_blocks = 1024;
-    cfg.engine.log_slots = 512;
-    cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.max_objects);
-    cfg.engine.background_checkpointing = false;
-    pool = std::make_unique<pmem::Pool>(dipper::Engine::required_pool_bytes(cfg.engine), mode);
-    ssd::DeviceConfig dc;
-    dc.num_blocks = cfg.num_blocks;
-    device = std::make_unique<ssd::RamBlockDevice>(dc);
-    auto s = DStore::create(pool.get(), device.get(), cfg);
-    ASSERT_TRUE(s.is_ok()) << s.status().to_string();
-    store = std::move(s).value();
-    ctx = store->ds_init();
-  }
-
-  ~MetricsRig() {
-    if (store != nullptr) store->ds_finalize(ctx);
-  }
-};
+  cfg.max_objects = 128;
+  cfg.num_blocks = 1024;
+  cfg.engine.log_slots = 512;
+  cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.max_objects);
+  cfg.engine.background_checkpointing = false;
+  return cfg;
+}
 
 TEST(MetricsE2E, OperationCountersTrackVerbs) {
-  MetricsRig rig;
-  rig.build();
+  fault::StoreRig rig(metrics_cfg(), pmem::Pool::Mode::kDirect);
   std::string v(4096, 'm');
   for (int i = 0; i < 20; i++) {
     ASSERT_TRUE(rig.store->oput(rig.ctx, "k" + std::to_string(i), v.data(), v.size()).is_ok());
@@ -379,8 +361,7 @@ TEST(MetricsE2E, OperationCountersTrackVerbs) {
 #if !defined(DSTORE_METRICS_DISABLED)
 
 TEST(MetricsE2E, CrashRecoveryReconciles) {
-  MetricsRig rig;
-  rig.build(pmem::Pool::Mode::kDirect);
+  fault::StoreRig rig(metrics_cfg(), pmem::Pool::Mode::kDirect);
   std::string v(2048, 'r');
   constexpr int kOps = 30;
   for (int i = 0; i < kOps; i++) {
@@ -396,12 +377,7 @@ TEST(MetricsE2E, CrashRecoveryReconciles) {
   EXPECT_EQ(pre.value("dstore_active_ops"), 0);
 
   // SIGKILL-equivalent: drop all DRAM state, keep PMEM + SSD, recover.
-  rig.store->ds_finalize(rig.ctx);
-  rig.store.reset();
-  auto r = DStore::recover(rig.pool.get(), rig.device.get(), rig.cfg);
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  rig.store = std::move(r).value();
-  rig.ctx = rig.store->ds_init();
+  ASSERT_TRUE(rig.crash_and_recover().is_ok()) << rig.status().to_string();
 
   // Reconciliation: with no checkpoint taken, recovery replays exactly the
   // records that committed before the crash.
@@ -421,8 +397,7 @@ TEST(MetricsE2E, CrashRecoveryReconciles) {
 }
 
 TEST(MetricsE2E, ScrapeVersusResetSemantics) {
-  MetricsRig rig;
-  rig.build();
+  fault::StoreRig rig(metrics_cfg(), pmem::Pool::Mode::kDirect);
   std::string v(1024, 's');
   ASSERT_TRUE(rig.store->oput(rig.ctx, "a", v.data(), v.size()).is_ok());
   auto& m = rig.store->metrics();

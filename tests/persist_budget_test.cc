@@ -26,63 +26,50 @@
 #include <string>
 
 #include "dstore/dstore.h"
+#include "fault/crash_rig.h"
 
 namespace dstore {
 namespace {
 
-struct BudgetStore {
+using fault::StoreRig;
+
+DStoreConfig budget_cfg(bool nt_stores, bool repair_logging = false) {
   DStoreConfig cfg;
-  std::unique_ptr<pmem::Pool> pool;
-  std::unique_ptr<ssd::RamBlockDevice> device;
-  std::unique_ptr<DStore> store;
-  ds_ctx_t* ctx = nullptr;
+  cfg.max_objects = 256;
+  cfg.num_blocks = 1024;
+  cfg.repair_logging = repair_logging;
+  cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(256);
+  cfg.engine.log_slots = 128;
+  cfg.engine.background_checkpointing = false;  // budgets on this thread
+  cfg.engine.nt_stores = nt_stores;  // explicit: independent of DSTORE_PMEM_NT
+  return cfg;
+}
 
-  explicit BudgetStore(bool nt_stores, bool repair_logging = false) {
-    cfg.max_objects = 256;
-    cfg.num_blocks = 1024;
-    cfg.repair_logging = repair_logging;
-    cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(256);
-    cfg.engine.log_slots = 128;
-    cfg.engine.background_checkpointing = false;  // budgets on this thread
-    cfg.engine.nt_stores = nt_stores;  // explicit: independent of DSTORE_PMEM_NT
-    pool = std::make_unique<pmem::Pool>(DStoreConfig::required_pool_bytes(cfg),
-                                        pmem::Pool::Mode::kCrashSim);
-    ssd::DeviceConfig dc;
-    dc.num_blocks = 1024;
-    device = std::make_unique<ssd::RamBlockDevice>(dc);
-    auto r = DStore::create(pool.get(), device.get(), cfg);
-    EXPECT_TRUE(r.is_ok()) << r.status().to_string();
-    store = std::move(r).value();
-    ctx = store->ds_init();
-  }
-  ~BudgetStore() {
-    if (store && ctx != nullptr) store->ds_finalize(ctx);
-  }
-
-  struct Delta {
-    uint64_t flushes;
-    uint64_t fences;
-    uint64_t nt_lines;
-  };
-  template <typename Fn>
-  Delta measure(Fn&& fn) {
-    pmem::Pool::ThreadIoCounts before = pool->thread_io_counts();
-    fn();
-    pmem::Pool::ThreadIoCounts after = pool->thread_io_counts();
-    return {after.flushes - before.flushes, after.fences - before.fences,
-            after.nt_lines - before.nt_lines};
-  }
+struct Delta {
+  uint64_t flushes;
+  uint64_t fences;
+  uint64_t nt_lines;
 };
+
+// The calling thread's PMEM flushes, fences and nt lines across fn().
+template <typename Fn>
+Delta measure(StoreRig& t, Fn&& fn) {
+  pmem::Pool::ThreadIoCounts before = t.pool->thread_io_counts();
+  fn();
+  pmem::Pool::ThreadIoCounts after = t.pool->thread_io_counts();
+  return {after.flushes - before.flushes, after.fences - before.fences,
+          after.nt_lines - before.nt_lines};
+}
 
 std::string value(size_t n, char c) { return std::string(n, c); }
 
 TEST(PersistBudget, PutIsThreeLinesTwoFences) {
-  BudgetStore t(/*nt_stores=*/false);
+  StoreRig t(budget_cfg(/*nt_stores=*/false));
   std::string v = value(4096, 'p');
   // Insert and overwrite pay the identical budget: the log protocol does
   // not distinguish them.
   for (int i = 0; i < 3; i++) {
-    auto d = t.measure([&] {
+    auto d = measure(t, [&] {
       ASSERT_TRUE(t.store->oput(t.ctx, "obj", v.data(), v.size()).is_ok());
     });
     EXPECT_EQ(d.flushes, 3u) << "put flushed-line budget (iteration " << i << ")";
@@ -92,10 +79,10 @@ TEST(PersistBudget, PutIsThreeLinesTwoFences) {
 }
 
 TEST(PersistBudget, PutWithNtStoresMovesPublicationOffTheCache) {
-  BudgetStore t(/*nt_stores=*/true);
+  StoreRig t(budget_cfg(/*nt_stores=*/true));
   std::string v = value(4096, 'n');
   for (int i = 0; i < 3; i++) {
-    auto d = t.measure([&] {
+    auto d = measure(t, [&] {
       ASSERT_TRUE(t.store->oput(t.ctx, "obj", v.data(), v.size()).is_ok());
     });
     // Publication (2 slot lines) streams non-temporally; the commit flag is
@@ -107,21 +94,21 @@ TEST(PersistBudget, PutWithNtStoresMovesPublicationOffTheCache) {
 }
 
 TEST(PersistBudget, DeleteMatchesPutBudget) {
-  BudgetStore t(/*nt_stores=*/false);
+  StoreRig t(budget_cfg(/*nt_stores=*/false));
   std::string v = value(512, 'd');
   ASSERT_TRUE(t.store->oput(t.ctx, "obj", v.data(), v.size()).is_ok());
-  auto d = t.measure([&] { ASSERT_TRUE(t.store->odelete(t.ctx, "obj").is_ok()); });
+  auto d = measure(t, [&] { ASSERT_TRUE(t.store->odelete(t.ctx, "obj").is_ok()); });
   EXPECT_EQ(d.flushes, 3u);
   EXPECT_EQ(d.fences, 2u);
   EXPECT_EQ(d.nt_lines, 0u);
 }
 
 TEST(PersistBudget, GetIsFree) {
-  BudgetStore t(/*nt_stores=*/false);
+  StoreRig t(budget_cfg(/*nt_stores=*/false));
   std::string v = value(8192, 'g');
   ASSERT_TRUE(t.store->oput(t.ctx, "obj", v.data(), v.size()).is_ok());
   std::string out(8192, 0);
-  auto d = t.measure([&] {
+  auto d = measure(t, [&] {
     auto r = t.store->oget(t.ctx, "obj", out.data(), out.size());
     ASSERT_TRUE(r.is_ok());
   });
@@ -129,19 +116,19 @@ TEST(PersistBudget, GetIsFree) {
   EXPECT_EQ(d.fences, 0u);
   EXPECT_EQ(d.nt_lines, 0u);
   // The zero-copy path is read-only on PMEM too.
-  auto dz = t.measure([&] { ASSERT_TRUE(t.store->oget_zc(t.ctx, "obj").is_ok()); });
+  auto dz = measure(t, [&] { ASSERT_TRUE(t.store->oget_zc(t.ctx, "obj").is_ok()); });
   EXPECT_EQ(dz.flushes, 0u);
   EXPECT_EQ(dz.fences, 0u);
 }
 
 TEST(PersistBudget, CheckpointFencesTwiceOnTopOfBulkPasses) {
-  BudgetStore t(/*nt_stores=*/false);
+  StoreRig t(budget_cfg(/*nt_stores=*/false));
   std::string v = value(4096, 'c');
   for (int i = 0; i < 8; i++) {
     std::string name = "obj" + std::to_string(i);
     ASSERT_TRUE(t.store->oput(t.ctx, name, v.data(), v.size()).is_ok());
   }
-  auto d = t.measure([&] { ASSERT_TRUE(t.store->checkpoint_now().is_ok()); });
+  auto d = measure(t, [&] { ASSERT_TRUE(t.store->checkpoint_now().is_ok()); });
   // Two root-state line persists — log swap and install — are the only
   // per-line ordering points; replay durability rides the bulk passes.
   EXPECT_EQ(d.flushes, 2u);
@@ -150,11 +137,11 @@ TEST(PersistBudget, CheckpointFencesTwiceOnTopOfBulkPasses) {
 }
 
 TEST(PersistBudget, PhysicalLoggingAddsOneBulkPassPerPut) {
-  BudgetStore t(/*nt_stores=*/false, /*repair_logging=*/true);
+  StoreRig t(budget_cfg(/*nt_stores=*/false, /*repair_logging=*/true));
   std::string v = value(2048, 'b');
   ASSERT_TRUE(t.store->oput(t.ctx, "warm", v.data(), v.size()).is_ok());
   uint64_t fences0 = t.pool->stats().fences.load(std::memory_order_relaxed);
-  auto d = t.measure([&] {
+  auto d = measure(t, [&] {
     ASSERT_TRUE(t.store->oput(t.ctx, "obj", v.data(), v.size()).is_ok());
   });
   uint64_t fences1 = t.pool->stats().fences.load(std::memory_order_relaxed);
@@ -170,7 +157,7 @@ TEST(PersistBudget, PhysicalLoggingAddsOneBulkPassPerPut) {
 // its neighbour's log-record persist, whichever of the two finishes first.
 // 32 consecutive traces per order, so exactly two of them are sampled.
 TEST(PersistBudget, InterleavedSplitPutsEachRecordTheSequentialBudget) {
-  BudgetStore t(/*nt_stores=*/false);
+  StoreRig t(budget_cfg(/*nt_stores=*/false));
   std::string v = value(4096, 's');
 #if !defined(DSTORE_METRICS_DISABLED)
   obs::Histogram* flushes = t.store->metrics().find_histogram("dstore_put_flushes_per_op");
@@ -183,7 +170,7 @@ TEST(PersistBudget, InterleavedSplitPutsEachRecordTheSequentialBudget) {
     const uint64_t n0 = flushes->count(), flush0 = flushes->sum(), fence0 = fences->sum();
 #endif
     for (uint32_t round = 0; round < obs::OpTrace::kSampleEvery; round++) {
-      auto d = t.measure([&] {
+      auto d = measure(t, [&] {
         auto a = t.store->oput_begin(t.ctx, "a", v.data(), v.size(), /*wait=*/false);
         auto b = t.store->oput_begin(t.ctx, "b", v.data(), v.size(), /*wait=*/false);
         ASSERT_TRUE(a.is_ok()) << a.status().to_string();

@@ -10,57 +10,26 @@
 
 #include "common/rng.h"
 #include "dstore/dstore.h"
+#include "fault/crash_rig.h"
 
 namespace dstore {
 namespace {
 
-struct SweepRig {
+DStoreConfig sweep_cfg(dipper::EngineConfig::CkptMode mode) {
   DStoreConfig cfg;
-  std::unique_ptr<pmem::Pool> pool;
-  std::unique_ptr<ssd::RamBlockDevice> device;
-  std::unique_ptr<DStore> store;
-  ds_ctx_t* ctx = nullptr;
-
-  explicit SweepRig(dipper::EngineConfig::CkptMode mode) {
-    cfg.max_objects = 128;
-    cfg.num_blocks = 1024;
-    cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.max_objects);
-    cfg.engine.log_slots = 48;  // small: checkpoints happen constantly
-    cfg.engine.background_checkpointing = false;
-    cfg.engine.ckpt_mode = mode;
-    pool = std::make_unique<pmem::Pool>(dipper::Engine::required_pool_bytes(cfg.engine),
-                                        pmem::Pool::Mode::kCrashSim);
-    ssd::DeviceConfig dc;
-    dc.num_blocks = cfg.num_blocks;
-    device = std::make_unique<ssd::RamBlockDevice>(dc);
-    auto r = DStore::create(pool.get(), device.get(), cfg);
-    EXPECT_TRUE(r.is_ok());
-    store = std::move(r).value();
-    ctx = store->ds_init();
-  }
-
-  ~SweepRig() {
-    if (ctx != nullptr && store) store->ds_finalize(ctx);
-  }
-
-  void crash_and_recover() {
-    if (ctx != nullptr) store->ds_finalize(ctx);
-    ctx = nullptr;
-    store->engine().stop_background();
-    store.reset();
-    pool->crash();
-    device->crash();
-    auto r = DStore::recover(pool.get(), device.get(), cfg);
-    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-    store = std::move(r).value();
-    ctx = store->ds_init();
-  }
-};
+  cfg.max_objects = 128;
+  cfg.num_blocks = 1024;
+  cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.max_objects);
+  cfg.engine.log_slots = 48;  // small: checkpoints happen constantly
+  cfg.engine.background_checkpointing = false;
+  cfg.engine.ckpt_mode = mode;
+  return cfg;
+}
 
 using Model = std::map<std::string, std::pair<char, size_t>>;
 
 void run_sweep(dipper::EngineConfig::CkptMode mode, uint64_t seed) {
-  SweepRig rig(mode);
+  fault::StoreRig rig(sweep_cfg(mode));
   Rng rng(seed);
   Model model;
   const char* points[] = {"ckpt:after_swap", "ckpt:after_drain", "ckpt:after_replay",
@@ -103,7 +72,7 @@ void run_sweep(dipper::EngineConfig::CkptMode mode, uint64_t seed) {
       const char* pt = points[rng.next_below(5)];
       (void)rig.store->engine().checkpoint_abandon_at(pt);
     }
-    rig.crash_and_recover();
+    ASSERT_TRUE(rig.crash_and_recover().is_ok()) << rig.status().to_string();
     ASSERT_TRUE(rig.store->validate().is_ok()) << "seed " << seed << " round " << round;
     ASSERT_EQ(rig.store->object_count(), model.size()) << "seed " << seed;
     std::string out;

@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "dstore/sharded.h"
+#include "fault/crash_rig.h"
 
 namespace dstore {
 namespace {
@@ -397,15 +398,9 @@ class FullLogRule : public ::testing::TestWithParam<bool> {  // true: pooled sha
       fleet_ = std::move(r).value();
       store_ = &fleet_->shard(0);
     } else {
-      pool_ = std::make_unique<pmem::Pool>(DStoreConfig::required_pool_bytes(cfg),
-                                           pmem::Pool::Mode::kDirect);
-      ssd::DeviceConfig dc;
-      dc.num_blocks = cfg.num_blocks;
-      device_ = std::make_unique<ssd::RamBlockDevice>(dc);
-      auto r = DStore::create(pool_.get(), device_.get(), cfg);
-      ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-      single_ = std::move(r).value();
-      store_ = single_.get();
+      single_ = std::make_unique<fault::StoreRig>(cfg, pmem::Pool::Mode::kDirect);
+      ASSERT_TRUE(single_->status().is_ok()) << single_->status().to_string();
+      store_ = single_->store.get();
     }
     ctx_ = store_->ds_init();
   }
@@ -422,9 +417,7 @@ class FullLogRule : public ::testing::TestWithParam<bool> {  // true: pooled sha
   }
 
   std::unique_ptr<ShardedStore> fleet_;
-  std::unique_ptr<pmem::Pool> pool_;
-  std::unique_ptr<ssd::RamBlockDevice> device_;
-  std::unique_ptr<DStore> single_;
+  std::unique_ptr<fault::StoreRig> single_;
   DStore* store_ = nullptr;
   ds_ctx_t* ctx_ = nullptr;
   std::string v_ = std::string(64, 'f');
