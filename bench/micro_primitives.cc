@@ -22,7 +22,7 @@
 #include "dipper/log.h"
 #include "ds/btree.h"
 #include "ds/circular_pool.h"
-#include "dstore/dstore.h"
+#include "dstore/store_rig.h"
 #include "pmem/pool.h"
 #include "ssd/block_device.h"
 #include "ssd/io_retry.h"
@@ -215,73 +215,58 @@ struct OpBudget {
   uint64_t nt_lines = 0;
 };
 
-// A minimal single-threaded store, foreground-checkpoint, nt mode explicit
-// (independent of DSTORE_PMEM_NT) — mirrors persist_budget_test's fixture.
-struct BudgetStore {
+// A minimal single-threaded store on a kDirect StoreRig, foreground
+// checkpoints, nt mode explicit (independent of DSTORE_PMEM_NT): the same
+// sizing as persist_budget_test's budget_cfg.
+StoreRig budget_store(bool nt_stores) {
   DStoreConfig cfg;
-  std::unique_ptr<pmem::Pool> pool;
-  std::unique_ptr<ssd::RamBlockDevice> device;
-  std::unique_ptr<DStore> store;
-  ds_ctx_t* ctx = nullptr;
+  cfg.max_objects = 256;
+  cfg.num_blocks = 1024;
+  cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(256);
+  cfg.engine.log_slots = 128;
+  cfg.engine.background_checkpointing = false;
+  cfg.engine.nt_stores = nt_stores;
+  StoreRig rig(cfg, pmem::Pool::Mode::kDirect);
+  if (!rig.status().is_ok()) {
+    fprintf(stderr, "persist-budget: store creation failed: %s\n",
+            rig.status().to_string().c_str());
+    exit(2);
+  }
+  return rig;
+}
 
-  explicit BudgetStore(bool nt_stores) {
-    cfg.max_objects = 256;
-    cfg.num_blocks = 1024;
-    cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(256);
-    cfg.engine.log_slots = 128;
-    cfg.engine.background_checkpointing = false;
-    cfg.engine.nt_stores = nt_stores;
-    pool = std::make_unique<pmem::Pool>(DStoreConfig::required_pool_bytes(cfg),
-                                        pmem::Pool::Mode::kDirect);
-    ssd::DeviceConfig dc;
-    dc.num_blocks = 1024;
-    device = std::make_unique<ssd::RamBlockDevice>(dc);
-    auto r = DStore::create(pool.get(), device.get(), cfg);
-    if (!r.is_ok()) {
-      fprintf(stderr, "persist-budget: store creation failed: %s\n",
-              r.status().to_string().c_str());
-      exit(2);
-    }
-    store = std::move(r).value();
-    ctx = store->ds_init();
-  }
-  ~BudgetStore() {
-    if (store && ctx != nullptr) store->ds_finalize(ctx);
-  }
-
-  template <typename Fn>
-  OpBudget measure(Fn&& fn) {
-    pmem::Pool::ThreadIoCounts before = pool->thread_io_counts();
-    fn();
-    pmem::Pool::ThreadIoCounts after = pool->thread_io_counts();
-    return {after.flushes - before.flushes, after.fences - before.fences,
-            after.nt_lines - before.nt_lines};
-  }
-};
+template <typename Fn>
+OpBudget measure(StoreRig& rig, Fn&& fn) {
+  pmem::Pool::ThreadIoCounts before = rig.pool->thread_io_counts();
+  fn();
+  pmem::Pool::ThreadIoCounts after = rig.pool->thread_io_counts();
+  return {after.flushes - before.flushes, after.fences - before.fences,
+          after.nt_lines - before.nt_lines};
+}
 
 int run_persist_budget() {
   std::string v(4096, 'p');
-  BudgetStore plain(/*nt_stores=*/false);
-  OpBudget put = plain.measure([&] {
+  StoreRig plain = budget_store(/*nt_stores=*/false);
+  OpBudget put = measure(plain, [&] {
     (void)plain.store->oput(plain.ctx, "obj", v.data(), v.size());  // lint: allow-discard measured op; budgets are the output
   });
   std::string out(4096, 0);
-  OpBudget get = plain.measure([&] {
+  OpBudget get = measure(plain, [&] {
     (void)plain.store->oget(plain.ctx, "obj", out.data(), out.size());  // lint: allow-discard measured op
   });
-  OpBudget del = plain.measure([&] {
+  OpBudget del = measure(plain, [&] {
     (void)plain.store->odelete(plain.ctx, "obj");  // lint: allow-discard measured op
   });
   for (int i = 0; i < 8; i++) {
     std::string name = "obj" + std::to_string(i);
     (void)plain.store->oput(plain.ctx, name, v.data(), v.size());  // lint: allow-discard warmup
   }
-  OpBudget ckpt = plain.measure([&] {
+  OpBudget ckpt = measure(plain, [&] {
     (void)plain.store->checkpoint_now();  // lint: allow-discard measured op
   });
 
-  BudgetStore nt(/*nt_stores=*/true);
-  OpBudget put_nt = nt.measure([&] {
+  StoreRig nt = budget_store(/*nt_stores=*/true);
+  OpBudget put_nt = measure(nt, [&] {
     (void)nt.store->oput(nt.ctx, "obj", v.data(), v.size());  // lint: allow-discard measured op
   });
 

@@ -1,64 +1,50 @@
 #include "baselines/dstore_adapter.h"
 
-#include "common/clock.h"
-
 namespace dstore::baselines {
 
 Result<std::unique_ptr<DStoreAdapter>> DStoreAdapter::make(DStoreVariantConfig cfg,
                                                            const LatencyModel& latency) {
-  auto a = std::unique_ptr<DStoreAdapter>(new DStoreAdapter());
-  a->cfg_ = cfg;
-  a->cfg_.store.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.store.max_objects);
-
-  a->pool_ = std::make_unique<pmem::Pool>(DStoreConfig::required_pool_bytes(a->cfg_.store),
-                                          pmem::Pool::Mode::kDirect, latency);
+  cfg.store.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(cfg.store.max_objects);
   ssd::DeviceConfig dc;
   dc.num_blocks = cfg.store.num_blocks;
   dc.latency = latency;
-  a->device_ = std::make_unique<ssd::RamBlockDevice>(dc);
-  auto s = DStore::create(a->pool_.get(), a->device_.get(), a->cfg_.store);
-  if (!s.is_ok()) return s.status();
-  a->store_ = std::move(s).value();
-  return a;
+  StoreRig rig(cfg.store, pmem::Pool::Mode::kDirect, dc);
+  if (!rig.status().is_ok()) return rig.status();
+  return std::unique_ptr<DStoreAdapter>(new DStoreAdapter(cfg.display_name, std::move(rig)));
 }
 
 DStoreAdapter::~DStoreAdapter() = default;
 
-void* DStoreAdapter::open_ctx() { return store_->ds_init(); }
-void DStoreAdapter::close_ctx(void* ctx) { store_->ds_finalize(static_cast<ds_ctx_t*>(ctx)); }
+void* DStoreAdapter::open_ctx() { return rig_.store->ds_init(); }
+void DStoreAdapter::close_ctx(void* ctx) { rig_.store->ds_finalize(static_cast<ds_ctx_t*>(ctx)); }
 
 Status DStoreAdapter::put(void* ctx, std::string_view key, const void* value, size_t size) {
-  return store_->oput(static_cast<ds_ctx_t*>(ctx), key, value, size);
+  return rig_.store->oput(static_cast<ds_ctx_t*>(ctx), key, value, size);
 }
 
 Result<size_t> DStoreAdapter::get(void* ctx, std::string_view key, void* buf, size_t cap) {
-  return store_->oget(static_cast<ds_ctx_t*>(ctx), key, buf, cap);
+  return rig_.store->oget(static_cast<ds_ctx_t*>(ctx), key, buf, cap);
 }
 
 Status DStoreAdapter::del(void* ctx, std::string_view key) {
-  return store_->odelete(static_cast<ds_ctx_t*>(ctx), key);
+  return rig_.store->odelete(static_cast<ds_ctx_t*>(ctx), key);
 }
 
 workload::SpaceBreakdown DStoreAdapter::space_usage() {
-  auto u = store_->space_usage();
+  auto u = rig_.store->space_usage();
   return {u.dram_bytes, u.pmem_bytes, u.ssd_bytes};
 }
 
 Result<workload::KVStore::RecoveryTiming> DStoreAdapter::crash_and_recover() {
-  store_->engine().stop_background();
-  store_.reset();  // SIGKILL-equivalent for DRAM state
-  device_->crash();
+  // A kDirect pool survives the crash whole (a process kill); the device
+  // drops its volatile cache. Table 4 instrumentation: DStore recovery =
+  // reconstruct the volatile space from the shadow copies (metadata) +
+  // replay the active log (replay); the engine times both inside recover().
+  DSTORE_RETURN_IF_ERROR(rig_.crash_and_recover());
+  const auto& es = rig_.store->engine().stats();
   RecoveryTiming t;
-  // Table 4 instrumentation: DStore recovery = reconstruct the volatile
-  // space from the shadow copies (metadata) + replay the active log
-  // (replay). The engine does both inside recover(); we time the whole and
-  // attribute by the engine's internal proportions: the dominant metadata
-  // cost is the PMEM->DRAM copy, measured separately below.
-  auto r = DStore::recover(pool_.get(), device_.get(), cfg_.store);
-  if (!r.is_ok()) return r.status();
-  store_ = std::move(r).value();
-  t.metadata_ms = store_->engine().stats().recovery_metadata_ns.load() / 1e6;
-  t.replay_ms = store_->engine().stats().recovery_replay_ns.load() / 1e6;
+  t.metadata_ms = es.recovery_metadata_ns.load() / 1e6;
+  t.replay_ms = es.recovery_replay_ns.load() / 1e6;
   return t;
 }
 

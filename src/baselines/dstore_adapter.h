@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "dstore/dstore.h"
+#include "dstore/store_rig.h"
 #include "workload/kv_interface.h"
 
 namespace dstore::baselines {
@@ -26,7 +27,8 @@ struct DStoreVariantConfig {
 
 class DStoreAdapter final : public workload::KVStore {
  public:
-  // Owns its PMEM pool and RAM device, sized from `cfg` and `latency`.
+  // Owns a kDirect StoreRig sized from `cfg`, whose pool and device both
+  // charge `latency`.
   static Result<std::unique_ptr<DStoreAdapter>> make(DStoreVariantConfig cfg,
                                                      const LatencyModel& latency);
 
@@ -37,22 +39,22 @@ class DStoreAdapter final : public workload::KVStore {
   Status put(void* ctx, std::string_view key, const void* value, size_t size) override;
   Result<size_t> get(void* ctx, std::string_view key, void* buf, size_t cap) override;
   Status del(void* ctx, std::string_view key) override;
-  const char* name() const override { return cfg_.display_name; }
+  const char* name() const override { return name_; }
   workload::SpaceBreakdown space_usage() override;
   // lint: allow-discard pre-run settling; the measured run reports its own errors
-  void prepare_run() override { (void)store_->checkpoint_now(); }
+  void prepare_run() override { (void)rig_.store->checkpoint_now(); }
   void set_checkpoints_enabled(bool enabled) override {
-    store_->engine().set_checkpointing_enabled(enabled);
+    rig_.store->engine().set_checkpointing_enabled(enabled);
   }
   void attach_bandwidth_series(TimeSeries* ssd, TimeSeries* pmem) override {
-    device_->set_bandwidth_series(ssd);
-    pool_->set_bandwidth_series(pmem);
+    rig_.device->set_bandwidth_series(ssd);
+    rig_.pool->set_bandwidth_series(pmem);
   }
-  std::string metrics_json() override { return store_->metrics_json(); }
-  std::string metrics_prometheus() override { return store_->metrics_prometheus(); }
+  std::string metrics_json() override { return rig_.store->metrics_json(); }
+  std::string metrics_prometheus() override { return rig_.store->metrics_prometheus(); }
   Result<RecoveryTiming> crash_and_recover() override;
 
-  DStore& store() { return *store_; }
+  DStore& store() { return *rig_.store; }
 
   // Canonical variant factories.
   static DStoreVariantConfig dipper_variant();
@@ -62,12 +64,10 @@ class DStoreAdapter final : public workload::KVStore {
   static DStoreVariantConfig naive_physical_variant();
 
  private:
-  DStoreAdapter() = default;
+  DStoreAdapter(const char* name, StoreRig rig) : name_(name), rig_(std::move(rig)) {}
 
-  DStoreVariantConfig cfg_;
-  std::unique_ptr<pmem::Pool> pool_;
-  std::unique_ptr<ssd::RamBlockDevice> device_;
-  std::unique_ptr<DStore> store_;
+  const char* name_;
+  StoreRig rig_;
 };
 
 }  // namespace dstore::baselines

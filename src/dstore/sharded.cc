@@ -19,7 +19,8 @@ DStoreConfig ShardedStore::shard_config(int shard_idx) const {
   // The engine checkpoints through the shared pool, in the shard's slot.
   cfg.engine.ckpt_pool = pool_.get();
   cfg.engine.ckpt_slot = (size_t)shard_idx;
-  if (cfg_.fault != nullptr && (cfg_.fault_all_shards || shard_idx == cfg_.fault_shard)) {
+  // The shard's rig wires this injector into its pool and device too.
+  if (cfg_.fault != nullptr && (cfg_.fault_shard == -1 || shard_idx == cfg_.fault_shard)) {
     cfg.engine.fault = cfg_.fault;
   }
   cfg.repl_sink = cfg_.repl_sink;
@@ -56,10 +57,8 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::create(ShardedConfig cfg) {
   if (cfg.num_shards <= 0) return Status::invalid_argument("num_shards must be positive");
   if (cfg.num_shards > 4096) return Status::invalid_argument("num_shards too large");
   if (cfg.ckpt_workers < 0) return Status::invalid_argument("ckpt_workers must be >= 0");
-  if (cfg.fault_shard < 0 || cfg.fault_shard >= cfg.num_shards) {
-    if (cfg.fault != nullptr && !cfg.fault_all_shards) {
-      return Status::invalid_argument("fault_shard out of range");
-    }
+  if (cfg.fault != nullptr && (cfg.fault_shard < -1 || cfg.fault_shard >= cfg.num_shards)) {
+    return Status::invalid_argument("fault_shard out of range");
   }
   DSTORE_RETURN_IF_ERROR(validate_shard_template(cfg.shard));
 
@@ -100,37 +99,24 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::create(ShardedConfig cfg) {
 }
 
 Status ShardedStore::create_shard(size_t i) {
-  Shard& sh = shards_[i];
-  DStoreConfig scfg = shard_config((int)i);
-  sh.pool = std::make_unique<pmem::Pool>(DStoreConfig::required_pool_bytes(scfg), cfg_.pool_mode,
-                                         cfg_.latency);
   ssd::DeviceConfig dc;
-  dc.num_blocks = scfg.num_blocks;
+  dc.num_blocks = cfg_.shard.num_blocks;
   dc.latency = cfg_.latency;
-  sh.device = std::make_unique<ssd::RamBlockDevice>(dc);
-  if (cfg_.fault != nullptr && (cfg_.fault_all_shards || (int)i == cfg_.fault_shard)) {
-    sh.pool->set_fault_injector(cfg_.fault);
-    sh.device->set_fault_injector(cfg_.fault);
-  }
-  auto store = DStore::create(sh.pool.get(), sh.device.get(), scfg);
-  if (!store.is_ok()) return store.status();
-  sh.store = std::move(store).value();
-  sh.ctx = sh.store->ds_init();
-  pool_->set_engine(i, &sh.store->engine());
-  return Status::ok();
+  shards_[i] = std::make_unique<StoreRig>(shard_config((int)i), cfg_.pool_mode, dc);
+  StoreRig& rig = *shards_[i];
+  if (rig.store) pool_->set_engine(i, &rig.store->engine());
+  return rig.status();
 }
 
+// The shards' rigs close their stores as the members are destroyed.
 ShardedStore::~ShardedStore() {
   pool_->stop();  // workers hold engine pointers; quiesce before teardown
-  for (Shard& sh : shards_) {
-    if (sh.store && sh.ctx != nullptr) sh.store->ds_finalize(sh.ctx);
-  }
 }
 
 double ShardedStore::max_log_fill() const {
   double fill = 0.0;
-  for (const Shard& sh : shards_) {
-    if (sh.store) fill = std::max(fill, sh.store->engine().log_fill());
+  for (const auto& rig : shards_) {
+    if (rig->store) fill = std::max(fill, rig->store->engine().log_fill());
   }
   return fill;
 }
@@ -156,14 +142,14 @@ ShardedStore::Session* ShardedStore::open_session(int pinned_shard) {
     s->pinned_ = pinned_shard;
   }
   s->ctx_.resize(shards_.size(), nullptr);
-  for (size_t i = 0; i < shards_.size(); i++) s->ctx_[i] = shards_[i].store->ds_init();
+  for (size_t i = 0; i < shards_.size(); i++) s->ctx_[i] = shards_[i]->store->ds_init();
   return s;
 }
 
 void ShardedStore::close_session(Session* s) {
   if (s == nullptr) return;
   for (size_t i = 0; i < s->ctx_.size(); i++) {
-    if (s->ctx_[i] != nullptr) shards_[i].store->ds_finalize(s->ctx_[i]);
+    if (s->ctx_[i] != nullptr) shards_[i]->store->ds_finalize(s->ctx_[i]);
   }
   delete s;
 }
@@ -176,29 +162,29 @@ int ShardedStore::route(Session* s, std::string_view name) const {
 
 Status ShardedStore::put(Session* s, std::string_view name, const void* value, size_t size) {
   int idx = route(s, name);
-  return shards_[idx].store->oput(ctx_on(s, idx), name, value, size);
+  return shards_[idx]->store->oput(ctx_on(s, idx), name, value, size);
 }
 
 Result<size_t> ShardedStore::get(Session* s, std::string_view name, void* buf, size_t cap) {
   int idx = route(s, name);
-  return shards_[idx].store->oget(ctx_on(s, idx), name, buf, cap);
+  return shards_[idx]->store->oget(ctx_on(s, idx), name, buf, cap);
 }
 
 Status ShardedStore::del(Session* s, std::string_view name) {
   int idx = route(s, name);
-  return shards_[idx].store->odelete(ctx_on(s, idx), name);
+  return shards_[idx]->store->odelete(ctx_on(s, idx), name);
 }
 
 ds_ctx_t* ShardedStore::ctx_on(Session* s, int shard) {
   assert(shard >= 0 && shard < cfg_.num_shards);
-  return s != nullptr ? s->ctx_[shard] : shards_[shard].ctx;
+  return s != nullptr ? s->ctx_[shard] : shards_[shard]->ctx;
 }
 
 Status ShardedStore::scrub_all(DStore::ScrubReport* report) {
   Status first = Status::ok();
-  for (Shard& sh : shards_) {
+  for (const auto& rig : shards_) {
     DStore::ScrubReport r;
-    Status s = sh.store->scrub_now(&r);
+    Status s = rig->store->scrub_now(&r);
     if (!s.is_ok() && first.is_ok()) first = s;
     if (report != nullptr) {
       report->objects_scanned += r.objects_scanned;
@@ -214,14 +200,14 @@ Status ShardedStore::scrub_all(DStore::ScrubReport* report) {
 
 uint64_t ShardedStore::object_count() {
   uint64_t total = 0;
-  for (Shard& sh : shards_) total += sh.store->object_count();
+  for (const auto& rig : shards_) total += rig->store->object_count();
   return total;
 }
 
 DStore::SpaceUsage ShardedStore::space_usage() {
   DStore::SpaceUsage total{};
-  for (Shard& sh : shards_) {
-    auto u = sh.store->space_usage();
+  for (const auto& rig : shards_) {
+    auto u = rig->store->space_usage();
     total.dram_bytes += u.dram_bytes;
     total.pmem_bytes += u.pmem_bytes;
     total.ssd_bytes += u.ssd_bytes;
@@ -232,8 +218,8 @@ DStore::SpaceUsage ShardedStore::space_usage() {
 std::vector<obs::MetricSnapshot> ShardedStore::metrics_snapshot() const {
   std::vector<std::vector<obs::MetricSnapshot>> scrapes;
   scrapes.reserve(shards_.size() + 1);
-  for (const Shard& sh : shards_) {
-    if (sh.store) scrapes.push_back(sh.store->metrics().snapshot());
+  for (const auto& rig : shards_) {
+    if (rig->store) scrapes.push_back(rig->store->metrics().snapshot());
   }
   scrapes.push_back(own_metrics_.snapshot());
   return obs::MetricsRegistry::merge(scrapes);
@@ -255,7 +241,7 @@ Status ShardedStore::checkpoint_all() {
     // A watermark-triggered step may already be mid-flight on this shard
     // (or the previous archived log still recycling): busy is transient.
     for (int tries = 0; tries < 20000; tries++) {
-      Status s = shards_[i].store->checkpoint_now();
+      Status s = shards_[i]->store->checkpoint_now();
       if (!s.is_busy()) return s;
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
@@ -269,17 +255,7 @@ Status ShardedStore::checkpoint_all() {
 }
 
 Status ShardedStore::validate_all() {
-  for (Shard& sh : shards_) DSTORE_RETURN_IF_ERROR(sh.store->validate());
-  return Status::ok();
-}
-
-Status ShardedStore::recover_shard(size_t i, const DStoreConfig& scfg) {
-  Shard& sh = shards_[i];
-  auto store = DStore::recover(sh.pool.get(), sh.device.get(), scfg);
-  if (!store.is_ok()) return store.status();
-  sh.store = std::move(store).value();
-  sh.ctx = sh.store->ds_init();
-  pool_->set_engine(i, &sh.store->engine());
+  for (const auto& rig : shards_) DSTORE_RETURN_IF_ERROR(rig->store->validate());
   return Status::ok();
 }
 
@@ -291,16 +267,8 @@ Status ShardedStore::crash_and_recover_all() {
   pool_->pause();
   size_t n = shards_.size();
   for (size_t i = 0; i < n; i++) {
-    Shard& sh = shards_[i];
-    if (sh.store && sh.ctx != nullptr) sh.store->ds_finalize(sh.ctx);
-    sh.ctx = nullptr;
     pool_->set_engine(i, nullptr);
-    if (sh.store) {
-      sh.store->engine().stop_background();
-      sh.store.reset();
-    }
-    sh.pool->crash();
-    sh.device->crash();
+    shards_[i]->crash();
   }
 
   last_recovery_ = RecoveryReport{};
@@ -308,7 +276,9 @@ Status ShardedStore::crash_and_recover_all() {
   uint64_t t0 = now_ns();
   auto recover_fn = [this](size_t i) {
     uint64_t s0 = now_ns();
-    Status s = recover_shard(i, shard_config((int)i));
+    StoreRig& rig = *shards_[i];
+    Status s = rig.recover();
+    if (s.is_ok()) pool_->set_engine(i, &rig.store->engine());
     last_recovery_.shard_ns[i] = now_ns() - s0;
     return s;
   };
@@ -321,8 +291,8 @@ Status ShardedStore::crash_and_recover_all() {
   }
   last_recovery_.wall_ns = now_ns() - t0;
   for (size_t i = 0; i < n; i++) {
-    if (shards_[i].store) {
-      const auto& es = shards_[i].store->engine().stats();
+    if (shards_[i]->store) {
+      const auto& es = shards_[i]->store->engine().stats();
       last_recovery_.max_shard_metadata_ns =
           std::max(last_recovery_.max_shard_metadata_ns,
                    es.recovery_metadata_ns.load(std::memory_order_relaxed));

@@ -24,6 +24,7 @@
 
 #include "dipper/ckpt_pool.h"
 #include "dstore/dstore.h"
+#include "dstore/store_rig.h"
 
 namespace dstore {
 
@@ -63,12 +64,11 @@ struct ShardedConfig {
 
   // Fault injection for crash-schedule sweeps: wired into shard
   // `fault_shard` only (pool + device + engine), so a sweep crashes one
-  // member of a live fleet while the others keep serving. With
-  // fault_all_shards the injector covers EVERY shard — the DistRig's
-  // node-level power failure, where one injector represents one machine.
+  // member of a live fleet while the others keep serving. fault_shard = -1
+  // covers EVERY shard — the DistRig's node-level power failure, where one
+  // injector represents one machine.
   fault::FaultInjector* fault = nullptr;
   int fault_shard = 0;
-  bool fault_all_shards = false;
 
   // Replication (DESIGN.md §16): installed into every shard's DStoreConfig
   // with repl_shard_id = shard index, so stream entries replay onto the
@@ -156,7 +156,7 @@ class ShardedStore {
   std::string metrics_prometheus() const;
 
   int num_shards() const { return cfg_.num_shards; }
-  DStore& shard(int i) { return *shards_[i].store; }
+  DStore& shard(int i) { return *shards_[i]->store; }
   dipper::CheckpointPool& pool() { return *pool_; }
   // Which shard owns `name` (exposed for tests and balance inspection).
   int shard_of(std::string_view name) const;
@@ -164,26 +164,18 @@ class ShardedStore {
  private:
   explicit ShardedStore(ShardedConfig cfg) : cfg_(cfg) {}
 
-  struct Shard {
-    std::unique_ptr<pmem::Pool> pool;
-    std::unique_ptr<ssd::RamBlockDevice> device;
-    std::unique_ptr<DStore> store;
-    ds_ctx_t* ctx = nullptr;
-  };
-
   // The shard a routed op runs on: the session's pinned shard, else the
   // key's hash shard.
   int route(Session* s, std::string_view name) const;
   DStoreConfig shard_config(int shard_idx) const;
   Status create_shard(size_t i);
-  Status recover_shard(size_t i, const DStoreConfig& scfg);
   double max_log_fill() const;
 
   ShardedConfig cfg_;
   // The pool outlives the shards (their engines checkpoint through it):
   // declared first, destroyed last.
   std::unique_ptr<dipper::CheckpointPool> pool_;
-  std::vector<Shard> shards_;
+  std::vector<std::unique_ptr<StoreRig>> shards_;  // index = shard
   obs::MetricsRegistry own_metrics_;  // sharded_* pool/routing metrics
   RecoveryReport last_recovery_;
 };

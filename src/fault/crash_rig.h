@@ -1,21 +1,10 @@
-// StoreRig — one emulated DStore substrate, and the only way a test builds,
-// crashes and recovers a store: a pmem::Pool sized by
-// DStoreConfig::required_pool_bytes, a RamBlockDevice, the DStore on them
-// and one ds_ctx_t:
-//
-//   fault::StoreRig rig(cfg);    — fresh store on a new pool + device
-//   rig.store->oput(rig.ctx, …);
-//   rig.crash();                 — power failure: drop the store, revert
-//                                  pool + device to their durable images
-//   rig.cfg.… = …;               — optional: reopen under another config
-//   rig.recover();               — DStore::recover under rig.cfg
-//
 // CrashRig — the deterministic crash-schedule harness behind
 // tests/crash_schedule_test.cc and tools/crashplan.
 //
-// A rig owns one StoreRig wired to a single FaultInjector, plus a shadow
-// oracle (std::map<name, value>) tracking what the deterministic workload
-// has durably committed. The lifecycle mirrors a real power-failure test:
+// A rig owns one StoreRig (dstore/store_rig.h) wired to a single
+// FaultInjector, plus a shadow oracle (std::map<name, value>) tracking what
+// the deterministic workload has durably committed. The lifecycle mirrors
+// a real power-failure test:
 //
 //   rig.run(plan)            — fresh store, seeded single-thread workload
 //                              (puts/deletes + one mid-run checkpoint)
@@ -42,58 +31,10 @@
 #include <utility>
 #include <vector>
 
-#include "dstore/dstore.h"
+#include "dstore/store_rig.h"
 #include "fault/fault.h"
-#include "pmem/pool.h"
-#include "ssd/block_device.h"
 
 namespace dstore::fault {
-
-class StoreRig {
- public:
-  // A device of cfg.num_blocks blocks with the default DeviceConfig.
-  explicit StoreRig(DStoreConfig cfg, pmem::Pool::Mode mode = pmem::Pool::Mode::kCrashSim);
-  // Builds the pool and the device and formats a fresh store on them
-  // (status() reports a failure). A non-null cfg.engine.fault is wired into
-  // the pool and the device too, so one injector sees every layer.
-  StoreRig(DStoreConfig cfg, pmem::Pool::Mode mode, const ssd::DeviceConfig& dc);
-  ~StoreRig() { close(); }
-  StoreRig(StoreRig&&) = default;  // so test helpers can return one
-  StoreRig& operator=(StoreRig&&) = delete;
-
-  // Format a fresh store over the pool and device, dropping any live one.
-  Status create();
-  // Finalize the context, stop background work and destroy the store; the
-  // pool and device keep whatever they hold (a clean process exit).
-  void close();
-  // Power failure: close(), then revert the pool (kCrashSim) and the
-  // device to their durable images. A kDirect pool keeps everything, as
-  // after a process kill.
-  void crash();
-  // DStore::recover under `cfg`, closing a live store first (a restart
-  // without a crash). With `plan`, cfg.engine.fault runs it for
-  // the duration (counters reset, so hit numbers are recovery-relative)
-  // and `crashed_again` reports whether recovery itself lost power.
-  Status recover(const FaultPlan* plan = nullptr, bool* crashed_again = nullptr);
-  Status crash_and_recover() {
-    crash();
-    return recover();
-  }
-
-  // The result of the last create() or recover().
-  const Status& status() const { return status_; }
-
-  DStoreConfig cfg;
-  std::unique_ptr<pmem::Pool> pool;
-  std::unique_ptr<ssd::RamBlockDevice> device;
-  std::unique_ptr<DStore> store;
-  ds_ctx_t* ctx = nullptr;  // the live store's context
-
- private:
-  Status adopt(Result<std::unique_ptr<DStore>> r);
-
-  Status status_;
-};
 
 struct RigOptions {
   uint32_t log_slots = 48;      // half-log (24) never fills: no backpressure

@@ -182,7 +182,7 @@ Status DistRig::build(const DistPlan& plan) {
     scfg.ckpt_workers = 1;
     scfg.parallel_recovery = false;
     scfg.fault = &sim->inj;
-    scfg.fault_all_shards = true;  // one injector = one machine
+    scfg.fault_shard = -1;  // every shard: one injector = one machine
     scfg.repl_sink = sim->node.get();
     auto st = ShardedStore::create(scfg);
     if (!st.is_ok()) return st.status();

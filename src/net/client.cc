@@ -13,6 +13,8 @@
 #include <cstring>
 #include <thread>
 
+#include "common/clock.h"
+
 namespace dstore::net {
 
 namespace {
@@ -22,12 +24,6 @@ Status status_of_frame(const Frame& f) {
   // Error responses carry the message as the body; the code round-trips
   // through the one table (status_codes.h).
   return Status(code_from_wire(f.hdr.status), f.body);
-}
-
-int64_t steady_now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace
@@ -189,11 +185,14 @@ Status Client::recv_some() {
       // Unknown req_id: a late completion for a dropped wait — ignore.
     }
     if (completed_.size() != before) break;
-    if (deadline_ms_ != 0) {
-      int64_t remain = deadline_ms_ - steady_now_ms();
-      if (remain > 0) {
+    if (deadline_ns_ != 0) {
+      uint64_t now = now_ns();
+      if (now < deadline_ns_) {
+        // poll() waits whole milliseconds: round up, so the call never
+        // times out before call_timeout_ms has passed.
+        uint64_t wait_ms = (deadline_ns_ - now + 999999) / 1000000;
         pollfd pfd{fd_, POLLIN, 0};
-        int pr = poll(&pfd, 1, (int)std::min<int64_t>(remain, INT32_MAX));
+        int pr = poll(&pfd, 1, (int)std::min<uint64_t>(wait_ms, INT32_MAX));
         if (pr < 0 && errno != EINTR) {
           die(Status::io_error("connection lost (poll: " +
                                std::string(strerror(errno)) + ")"));
@@ -267,7 +266,7 @@ Status Client::wait_all() {
 
 Status Client::roundtrip(Op op, std::string_view body, Frame* resp) {
   if (!dead_.is_ok()) DSTORE_RETURN_IF_ERROR(ensure_connected());
-  deadline_ms_ = cfg_.call_timeout_ms > 0 ? steady_now_ms() + cfg_.call_timeout_ms : 0;
+  deadline_ns_ = cfg_.call_timeout_ms > 0 ? now_ns() + cfg_.call_timeout_ms * 1000000ull : 0;
   uint64_t id = next_id_++;
   onwire_.insert(id);
   Status s = send_frame(op, id, body);
@@ -280,7 +279,7 @@ Status Client::roundtrip(Op op, std::string_view body, Frame* resp) {
     }
     s = recv_some();
   }
-  deadline_ms_ = 0;
+  deadline_ns_ = 0;
   return s;
 }
 

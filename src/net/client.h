@@ -112,7 +112,7 @@ class Client {
   Status dead_ = Status::ok();  // non-ok once the connection is lost
   std::string host_;  // reconnect target
   uint16_t port_ = 0;
-  int64_t deadline_ms_ = 0;  // absolute steady-clock deadline; 0 = none
+  uint64_t deadline_ns_ = 0;  // absolute now_ns() deadline; 0 = none
   obs::Counter* m_reconnects_ = nullptr;
   obs::Counter* m_timeouts_ = nullptr;
 };

@@ -13,14 +13,13 @@
 // schedule with DSTORE_CRASH_PLAN="<string>" (sweep tests then run only
 // that plan). With DSTORE_CRASH_ARTIFACT=<path>, failing plan strings are
 // also appended to <path> for CI artifact upload.
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "crash_sweep.h"
 #include "dipper/log.h"
 #include "dstore/dstore.h"
 #include "fault/crash_rig.h"
@@ -30,25 +29,6 @@
 
 namespace dstore::fault {
 namespace {
-
-void report_failing_plan(const FaultPlan& plan, const Status& why) {
-  if (const char* path = std::getenv("DSTORE_CRASH_ARTIFACT")) {
-    std::ofstream f(path, std::ios::app);
-    f << plan.to_string() << "\n";
-  }
-  ADD_FAILURE() << "failing plan: " << plan.to_string() << " — " << why.to_string()
-                << "\n(reproduce with DSTORE_CRASH_PLAN=\"" << plan.to_string() << "\")";
-}
-
-// If DSTORE_CRASH_PLAN is set, replace a sweep's plan list with just it.
-bool maybe_single_plan(std::vector<FaultPlan>* plans) {
-  const char* repro = std::getenv("DSTORE_CRASH_PLAN");
-  if (repro == nullptr) return false;
-  auto parsed = FaultPlan::parse(repro);
-  EXPECT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-  if (parsed.is_ok()) *plans = {parsed.value()};
-  return parsed.is_ok();
-}
 
 // ---------------------------------------------------------------------------
 // FaultPlan serialization

@@ -14,37 +14,21 @@
 // with DSTORE_DIST_PLAN="<string>" (the sweep then runs only that plan).
 // With DSTORE_CRASH_ARTIFACT=<path>, failing plan strings are appended to
 // <path> for CI artifact upload.
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "crash_sweep.h"
 #include "fault/dist_rig.h"
 #include "fault/fault.h"
 
 namespace dstore::fault {
+
+template <>
+inline constexpr const char* kReproEnv<DistPlan> = "DSTORE_DIST_PLAN";
+
 namespace {
-
-void report_failing_plan(const DistPlan& plan, const Status& why) {
-  if (const char* path = std::getenv("DSTORE_CRASH_ARTIFACT")) {
-    std::ofstream f(path, std::ios::app);
-    f << plan.to_string() << "\n";
-  }
-  ADD_FAILURE() << "failing plan: " << plan.to_string() << " — " << why.to_string()
-                << "\n(reproduce with DSTORE_DIST_PLAN=\"" << plan.to_string() << "\")";
-}
-
-// If DSTORE_DIST_PLAN is set, replace a sweep's plan list with just it.
-bool maybe_single_plan(std::vector<DistPlan>* plans) {
-  const char* repro = std::getenv("DSTORE_DIST_PLAN");
-  if (repro == nullptr) return false;
-  auto parsed = DistPlan::parse(repro);
-  EXPECT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-  if (parsed.is_ok()) *plans = {parsed.value()};
-  return parsed.is_ok();
-}
 
 // ---------------------------------------------------------------------------
 // Schedule-space and plan-generator shape

@@ -12,12 +12,11 @@
 
 #include "common/rng.h"
 #include "dstore/dstore.h"
-#include "fault/crash_rig.h"
+#include "dstore/store_rig.h"
 
 namespace dstore {
 namespace {
 
-using fault::StoreRig;
 using CkptMode = dipper::EngineConfig::CkptMode;
 
 DStoreConfig crash_cfg(uint32_t log_slots = 64, uint64_t max_objects = 256,

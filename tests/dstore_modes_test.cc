@@ -10,12 +10,11 @@
 
 #include "common/rng.h"
 #include "dstore/dstore.h"
-#include "fault/crash_rig.h"
+#include "dstore/store_rig.h"
 
 namespace dstore {
 namespace {
 
-using fault::StoreRig;
 
 DStoreConfig mode_cfg(bool oe = true, bool physical = false, uint32_t log_slots = 256,
                       bool background = false) {

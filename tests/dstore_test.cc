@@ -14,12 +14,11 @@
 
 #include "common/rng.h"
 #include "dstore/dstore.h"
-#include "fault/crash_rig.h"
+#include "dstore/store_rig.h"
 
 namespace dstore {
 namespace {
 
-using fault::StoreRig;
 
 DStoreConfig test_cfg(bool background_ckpt = false, uint32_t log_slots = 512,
                       uint64_t max_objects = 1024, uint64_t num_blocks = 4096) {

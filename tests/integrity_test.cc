@@ -10,8 +10,6 @@
 // reconcile with what was injected. The sweep test mirrors the exhaustive
 // crash sweep: every enumerated ssd.write gets a bit-flip and a misdirected
 // write, and no schedule may ever produce a silently wrong read.
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "common/crc32c.h"
+#include "crash_sweep.h"
 #include "dipper/log.h"
 #include "dstore/dstore.h"
 #include "fault/crash_rig.h"
@@ -385,26 +384,13 @@ TEST(Integrity, CorruptSlotReadsAsCorruptNotEmpty) {
 // The corruption sweep (mirrors the exhaustive crash sweep)
 // ---------------------------------------------------------------------------
 
-void report_failing_plan(const FaultPlan& plan, const Status& why) {
-  if (const char* path = std::getenv("DSTORE_CRASH_ARTIFACT")) {
-    std::ofstream f(path, std::ios::app);
-    f << plan.to_string() << "\n";
-  }
-  ADD_FAILURE() << "failing plan: " << plan.to_string() << " — " << why.to_string()
-                << "\n(reproduce with DSTORE_CRASH_PLAN=\"" << plan.to_string() << "\")";
-}
-
 TEST(CorruptionSweep, NoScheduleEverReturnsSilentlyWrongBytes) {
   RigOptions opt;
   opt.repair_logging = true;
   auto space = CrashRig::enumerate_schedule(opt);
   std::vector<FaultPlan> plans = all_corruption_plans(space);
   ASSERT_GE(plans.size(), 50u) << "sweep space unexpectedly small";
-  if (const char* repro = std::getenv("DSTORE_CRASH_PLAN")) {
-    auto parsed = FaultPlan::parse(repro);
-    ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-    plans = {parsed.value()};
-  }
+  maybe_single_plan(&plans);
   size_t failures = 0;
   uint64_t detected_total = 0;
   for (const FaultPlan& plan : plans) {

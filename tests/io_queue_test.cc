@@ -159,8 +159,8 @@ TEST(IoQueue, BandwidthStaysSerializedAcrossInFlightIos) {
 // DStore integration: coalescing stats, per-descriptor retry, crash safety
 // ---------------------------------------------------------------------------
 
-fault::StoreRig qd_store(uint32_t ssd_qd, bool plp = true,
-                         pmem::Pool::Mode mode = pmem::Pool::Mode::kDirect) {
+StoreRig qd_store(uint32_t ssd_qd, bool plp = true,
+                  pmem::Pool::Mode mode = pmem::Pool::Mode::kDirect) {
   DStoreConfig cfg;
   cfg.max_objects = 32;
   cfg.num_blocks = 256;
@@ -168,18 +168,18 @@ fault::StoreRig qd_store(uint32_t ssd_qd, bool plp = true,
   cfg.engine.log_slots = 32;
   cfg.engine.arena_bytes = 1 << 20;
   cfg.engine.background_checkpointing = false;
-  return fault::StoreRig(cfg, mode, dev_cfg(cfg.num_blocks, LatencyModel::none(), plp));
+  return StoreRig(cfg, mode, dev_cfg(cfg.num_blocks, LatencyModel::none(), plp));
 }
 
 // Wire `inj` into the live rig's pool and device, and into the config the
 // next recovery opens with.
-void attach_faults(fault::StoreRig& rig, FaultInjector* inj) {
+void attach_faults(StoreRig& rig, FaultInjector* inj) {
   rig.pool->set_fault_injector(inj);
   rig.device->set_fault_injector(inj);
   rig.cfg.engine.fault = inj;
 }
 
-std::string get(fault::StoreRig& rig, const std::string& key) {
+std::string get(StoreRig& rig, const std::string& key) {
   std::vector<char> buf(128 << 10);
   auto r = rig.store->oget(rig.ctx, key, buf.data(), buf.size());
   if (!r.is_ok()) return "<absent>";
@@ -187,7 +187,7 @@ std::string get(fault::StoreRig& rig, const std::string& key) {
 }
 
 TEST(DStoreAsyncIo, ContiguousRunsCoalesceUpToQueueDepth) {
-  fault::StoreRig f = qd_store(/*ssd_qd=*/16);
+  StoreRig f = qd_store(/*ssd_qd=*/16);
   // Fresh store: the 16 blocks of a 64KB value pop contiguously from the
   // circular pool, so the whole put coalesces into ONE descriptor.
   std::string v = patterned(64 << 10, 'c');
@@ -200,7 +200,7 @@ TEST(DStoreAsyncIo, ContiguousRunsCoalesceUpToQueueDepth) {
 }
 
 TEST(DStoreAsyncIo, QdOneDegeneratesToPerBlockIos) {
-  fault::StoreRig f = qd_store(/*ssd_qd=*/1);
+  StoreRig f = qd_store(/*ssd_qd=*/1);
   std::string v = patterned(64 << 10, 'd');
   ASSERT_TRUE(f.store->oput(f.ctx, "big", v.data(), v.size()).is_ok());
   auto& m = f.store->metrics();
@@ -213,7 +213,7 @@ TEST(DStoreAsyncIo, QdOneDegeneratesToPerBlockIos) {
 TEST(DStoreAsyncIo, MdtsCapSplitsLongRuns) {
   // qd=2 caps a coalesced run at 2 blocks: a 5-block value becomes
   // descriptors of 2+2+1 blocks.
-  fault::StoreRig f = qd_store(/*ssd_qd=*/2);
+  StoreRig f = qd_store(/*ssd_qd=*/2);
   std::string v = patterned(5 * 4096, 'e');
   ASSERT_TRUE(f.store->oput(f.ctx, "five", v.data(), v.size()).is_ok());
   auto& m = f.store->metrics();
@@ -226,7 +226,7 @@ TEST(DStoreAsyncIo, MdtsCapSplitsLongRuns) {
 
 TEST(DStoreAsyncIo, TransientEioOnOneDescriptorRetriesOnlyThatDescriptor) {
   FaultInjector inj;  // outlives the rig wired to it
-  fault::StoreRig f = qd_store(/*ssd_qd=*/2);
+  StoreRig f = qd_store(/*ssd_qd=*/2);
   attach_faults(f, &inj);
   // 5-block put = 3 descriptors (ssd.write hits 1..3). Fail the SECOND
   // descriptor of the batch once; only it is re-submitted.
@@ -250,7 +250,7 @@ TEST(DStoreAsyncIo, TransientEioOnOneDescriptorRetriesOnlyThatDescriptor) {
 
 TEST(DStoreAsyncIo, CrashMidBatchWithPlpKeepsCommittedStateOnly) {
   FaultInjector inj;  // outlives the rig wired to it
-  fault::StoreRig f = qd_store(/*ssd_qd=*/2, /*plp=*/true, pmem::Pool::Mode::kCrashSim);
+  StoreRig f = qd_store(/*ssd_qd=*/2, /*plp=*/true, pmem::Pool::Mode::kCrashSim);
   attach_faults(f, &inj);
   std::string va = patterned(100, 'a'), vb = patterned(5000, 'b');
   ASSERT_TRUE(f.store->oput(f.ctx, "a", va.data(), va.size()).is_ok());
@@ -286,7 +286,7 @@ TEST(DStoreAsyncIo, CrashMidBatchWithoutPlpRecoversEmpty) {
   // put: nothing ever committed, so recovery must produce an empty, valid
   // store (the acked-but-uncommitted cache contents simply vanish).
   FaultInjector inj;  // outlives the rig wired to it
-  fault::StoreRig f = qd_store(/*ssd_qd=*/2, /*plp=*/false, pmem::Pool::Mode::kCrashSim);
+  StoreRig f = qd_store(/*ssd_qd=*/2, /*plp=*/false, pmem::Pool::Mode::kCrashSim);
   attach_faults(f, &inj);
   auto plan = FaultPlan::parse("ssd.write@2");
   ASSERT_TRUE(plan.is_ok());

@@ -25,7 +25,7 @@
 
 #include "common/lockdep.h"
 #include "dstore/dstore.h"
-#include "fault/crash_rig.h"
+#include "dstore/store_rig.h"
 #include "fault/fault.h"
 #include "pmem/pool.h"
 #include "ssd/block_device.h"
@@ -291,7 +291,7 @@ TEST_F(LockdepDetector, StoreLifecycleProducesZeroReports) {
   cfg.engine.log_slots = 64;
   cfg.engine.arena_bytes = 1 << 20;
   cfg.engine.background_checkpointing = true;
-  fault::StoreRig rig(cfg);
+  StoreRig rig(cfg);
   ASSERT_TRUE(rig.status().is_ok()) << rig.status().to_string();
   rig.device->set_fault_injector(&inj);
   DStore* store = rig.store.get();

@@ -12,7 +12,7 @@
 
 #include "common/rng.h"
 #include "dstore/dstore.h"
-#include "fault/crash_rig.h"
+#include "dstore/store_rig.h"
 #include "obs/metrics.h"
 #include "obs/op_trace.h"
 
@@ -323,7 +323,7 @@ DStoreConfig metrics_cfg() {
 }
 
 TEST(MetricsE2E, OperationCountersTrackVerbs) {
-  fault::StoreRig rig(metrics_cfg(), pmem::Pool::Mode::kDirect);
+  StoreRig rig(metrics_cfg(), pmem::Pool::Mode::kDirect);
   std::string v(4096, 'm');
   for (int i = 0; i < 20; i++) {
     ASSERT_TRUE(rig.store->oput(rig.ctx, "k" + std::to_string(i), v.data(), v.size()).is_ok());
@@ -361,7 +361,7 @@ TEST(MetricsE2E, OperationCountersTrackVerbs) {
 #if !defined(DSTORE_METRICS_DISABLED)
 
 TEST(MetricsE2E, CrashRecoveryReconciles) {
-  fault::StoreRig rig(metrics_cfg(), pmem::Pool::Mode::kDirect);
+  StoreRig rig(metrics_cfg(), pmem::Pool::Mode::kDirect);
   std::string v(2048, 'r');
   constexpr int kOps = 30;
   for (int i = 0; i < kOps; i++) {
@@ -397,7 +397,7 @@ TEST(MetricsE2E, CrashRecoveryReconciles) {
 }
 
 TEST(MetricsE2E, ScrapeVersusResetSemantics) {
-  fault::StoreRig rig(metrics_cfg(), pmem::Pool::Mode::kDirect);
+  StoreRig rig(metrics_cfg(), pmem::Pool::Mode::kDirect);
   std::string v(1024, 's');
   ASSERT_TRUE(rig.store->oput(rig.ctx, "a", v.data(), v.size()).is_ok());
   auto& m = rig.store->metrics();

@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/clock.h"
 #include "common/crc32c.h"
 #include "dipper/log.h"
 #include "dstore/sharded.h"
@@ -991,6 +992,43 @@ TEST(NetEndToEnd, CallTimeoutKillsTheConnectionAndCountsIt) {
             1u);
   // The timed-out connection is dead by contract (framing abandoned).
   EXPECT_FALSE(c.value()->get(1, "k").is_ok());
+  close(lfd);
+}
+
+TEST(NetEndToEnd, ShortCallTimeoutsNeverFireEarly) {
+  int lfd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(bind(lfd, (sockaddr*)&addr, sizeof(addr)), 0);
+  ASSERT_EQ(listen(lfd, 4), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(getsockname(lfd, (sockaddr*)&addr, &len), 0);
+
+  for (int i = 0; i < 50; i++) {
+    ClientConfig ccfg;
+    ccfg.call_timeout_ms = 1 + i % 5;
+    auto c = Client::connect("127.0.0.1", ntohs(addr.sin_port), ccfg);
+    ASSERT_TRUE(c.is_ok()) << c.status().to_string();
+    // Start the call 1-40 µs before a millisecond boundary of the steady
+    // clock: a deadline kept in whole milliseconds loses up to 1 ms when
+    // the boundary passes between setting it and first checking it.
+    const uint64_t lead_ns = 1000 * (1 + i % 40);
+    while (now_ns() % 1000000 < 1000000 - lead_ns) {
+    }
+    auto t0 = std::chrono::steady_clock::now();
+    auto got = c.value()->get(1, "k");
+    auto elapsed_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    EXPECT_EQ(got.status().code(), Code::kIoError);
+    EXPECT_GE(elapsed_us, 1000 * (int64_t)ccfg.call_timeout_ms)
+        << "call " << i << " timed out early";
+    int afd = accept(lfd, nullptr, nullptr);  // keep the backlog free
+    if (afd >= 0) close(afd);
+  }
   close(lfd);
 }
 

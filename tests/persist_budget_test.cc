@@ -26,12 +26,11 @@
 #include <string>
 
 #include "dstore/dstore.h"
-#include "fault/crash_rig.h"
+#include "dstore/store_rig.h"
 
 namespace dstore {
 namespace {
 
-using fault::StoreRig;
 
 DStoreConfig budget_cfg(bool nt_stores, bool repair_logging = false) {
   DStoreConfig cfg;

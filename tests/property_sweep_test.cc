@@ -10,7 +10,7 @@
 
 #include "common/rng.h"
 #include "dstore/dstore.h"
-#include "fault/crash_rig.h"
+#include "dstore/store_rig.h"
 
 namespace dstore {
 namespace {
@@ -29,7 +29,7 @@ DStoreConfig sweep_cfg(dipper::EngineConfig::CkptMode mode) {
 using Model = std::map<std::string, std::pair<char, size_t>>;
 
 void run_sweep(dipper::EngineConfig::CkptMode mode, uint64_t seed) {
-  fault::StoreRig rig(sweep_cfg(mode));
+  StoreRig rig(sweep_cfg(mode));
   Rng rng(seed);
   Model model;
   const char* points[] = {"ckpt:after_swap", "ckpt:after_drain", "ckpt:after_replay",

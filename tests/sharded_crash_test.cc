@@ -20,8 +20,6 @@
 // string, DSTORE_CRASH_PLAN="<string>" re-runs just that schedule, and
 // DSTORE_CRASH_ARTIFACT=<path> appends failing plans for CI upload.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -29,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crash_sweep.h"
 #include "dstore/sharded.h"
 #include "fault/crash_rig.h"
 #include "fault/fault.h"
@@ -36,24 +35,6 @@
 
 namespace dstore::fault {
 namespace {
-
-void report_failing_plan(const FaultPlan& plan, const Status& why) {
-  if (const char* path = std::getenv("DSTORE_CRASH_ARTIFACT")) {
-    std::ofstream f(path, std::ios::app);
-    f << plan.to_string() << "\n";
-  }
-  ADD_FAILURE() << "failing plan: " << plan.to_string() << " — " << why.to_string()
-                << "\n(reproduce with DSTORE_CRASH_PLAN=\"" << plan.to_string() << "\")";
-}
-
-bool maybe_single_plan(std::vector<FaultPlan>* plans) {
-  const char* repro = std::getenv("DSTORE_CRASH_PLAN");
-  if (repro == nullptr) return false;
-  auto parsed = FaultPlan::parse(repro);
-  EXPECT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-  if (parsed.is_ok()) *plans = {parsed.value()};
-  return parsed.is_ok();
-}
 
 // ShardedRig — CrashRig's lifecycle (run / crash / recover / verify) against
 // a fleet with exactly one faulted member.

@@ -13,7 +13,7 @@
 
 #include "common/rng.h"
 #include "dstore/sharded.h"
-#include "fault/crash_rig.h"
+#include "dstore/store_rig.h"
 
 namespace dstore {
 namespace {
@@ -398,7 +398,7 @@ class FullLogRule : public ::testing::TestWithParam<bool> {  // true: pooled sha
       fleet_ = std::move(r).value();
       store_ = &fleet_->shard(0);
     } else {
-      single_ = std::make_unique<fault::StoreRig>(cfg, pmem::Pool::Mode::kDirect);
+      single_ = std::make_unique<StoreRig>(cfg, pmem::Pool::Mode::kDirect);
       ASSERT_TRUE(single_->status().is_ok()) << single_->status().to_string();
       store_ = single_->store.get();
     }
@@ -417,7 +417,7 @@ class FullLogRule : public ::testing::TestWithParam<bool> {  // true: pooled sha
   }
 
   std::unique_ptr<ShardedStore> fleet_;
-  std::unique_ptr<fault::StoreRig> single_;
+  std::unique_ptr<StoreRig> single_;
   DStore* store_ = nullptr;
   ds_ctx_t* ctx_ = nullptr;
   std::string v_ = std::string(64, 'f');
