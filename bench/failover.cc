@@ -20,7 +20,8 @@
 //
 // Output: BENCH_failover.json in $DSTORE_BENCH_JSON_DIR (default cwd,
 // bench_common.h's schema): a summary row with the failover verdict plus
-// the put latency rows; exit 1 on lost acked writes or an unbounded outage.
+// the put latency rows; exit 1 on lost acked writes or an unbounded outage,
+// 64 on a usage error (an unknown flag, or a number that is malformed or 0).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -195,25 +196,25 @@ int main(int argc, char** argv) {
     auto val = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
         fprintf(stderr, "%s needs a value\n", flag);
-        exit(2);
+        exit(bench::kExitUsage);
       }
       return argv[++i];
     };
     if (a == "--duration-ms") {
-      duration_ms = strtoll(val("--duration-ms"), nullptr, 10);
+      duration_ms = (int64_t)bench::parse_u64("--duration-ms", val("--duration-ms"));
     } else if (a == "--kill-at-ms") {
-      kill_at_ms = strtoll(val("--kill-at-ms"), nullptr, 10);
+      kill_at_ms = (int64_t)bench::parse_u64("--kill-at-ms", val("--kill-at-ms"));
     } else if (a == "--keys") {
-      keys = strtoull(val("--keys"), nullptr, 10);
+      keys = bench::parse_u64("--keys", val("--keys"));
     } else if (a == "--value-bytes") {
-      value_bytes = strtoull(val("--value-bytes"), nullptr, 10);
+      value_bytes = bench::parse_u64("--value-bytes", val("--value-bytes"));
     } else if (a == "--targets") {
       targets_text = val("--targets");
     } else {
       fprintf(stderr,
               "usage: failover [--targets h:p,h:p,...] [--duration-ms N]\n"
               "                [--kill-at-ms N] [--keys N] [--value-bytes N]\n");
-      return 2;
+      return bench::kExitUsage;
     }
   }
 
@@ -256,7 +257,7 @@ int main(int argc, char** argv) {
     }
     if (drv.targets.empty()) {
       fprintf(stderr, "--targets wants h:p[,h:p...]\n");
-      return 2;
+      return bench::kExitUsage;
     }
   }
 

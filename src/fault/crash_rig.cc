@@ -7,6 +7,32 @@
 
 namespace dstore::fault {
 
+void EitherStateOracle::ack(const std::string& key, const Value& value) {
+  if (value.has_value()) {
+    acked_[key] = *value;
+  } else {
+    acked_.erase(key);
+  }
+}
+
+bool EitherStateOracle::holds_acked(const std::string& key, const Value& got) const {
+  auto it = acked_.find(key);
+  return it != acked_.end() ? got == it->second : !got.has_value();
+}
+
+Status EitherStateOracle::check(const std::string& key, const Value& got) const {
+  if (in_flight_.has_value() && key == in_flight_->key) {
+    if (!holds_acked(key, got) && got != in_flight_->value) {
+      return Status::corruption("key " + key + " matches neither its pre- nor post-crash value");
+    }
+  } else if (!holds_acked(key, got)) {
+    return acked_.count(key) != 0
+               ? Status::corruption("committed value lost or changed for key " + key)
+               : Status::corruption("deleted/absent key " + key + " reappeared");
+  }
+  return Status::ok();
+}
+
 CrashRig::CrashRig(RigOptions opt) : opt_(opt) {}
 
 Status CrashRig::build_store() {
@@ -47,7 +73,6 @@ bool CrashRig::run(const FaultPlan& plan) {
   injector_.set_plan(plan);
   injector_.disarm();
   oracle_.clear();
-  pending_ = {};
   Status s = build_store();
   if (!s.is_ok()) return false;  // surfaced by the first verify()
   injector_.arm();
@@ -71,25 +96,17 @@ void CrashRig::run_workload() {
     }
     std::string key = "k" + std::to_string(rng.next_below(opt_.keys));
     bool del = rng.next_below(4) == 0;
-    std::string val = del ? std::string() : value_for(i);
+    EitherStateOracle::Value val;
+    if (!del) val = value_for(i);
     Status s = del ? store->odelete(ctx, key)
-                   : store->oput(ctx, key, val.data(), val.size());
+                   : store->oput(ctx, key, val->data(), val->size());
     if (injector_.crashed()) {
       // The op was in flight when the power failed: it may or may not have
       // reached its commit point. verify() accepts either state.
-      pending_.active = true;
-      pending_.is_delete = del;
-      pending_.key = key;
-      pending_.value = val;
+      oracle_.interrupt(key, std::move(val));
       break;
     }
-    if (s.is_ok()) {
-      if (del) {
-        oracle_.erase(key);
-      } else {
-        oracle_[key] = val;
-      }
-    }
+    if (s.is_ok()) oracle_.ack(key, val);
     // A non-ok status without a crash (e.g. delete of an absent key, or an
     // aborted op after an injected transient error) must act as a no-op;
     // the oracle stays put and verify() will hold the store to that.
@@ -111,37 +128,22 @@ Status CrashRig::verify() {
   DSTORE_RETURN_IF_ERROR(store->validate());
   ds_ctx_t* ctx = rig_->ctx;
   std::vector<char> buf((1 + 5003) * (size_t)opt_.value_scale + 128);
-  Status problem;
   uint64_t found = 0;
-  for (uint32_t k = 0; k < opt_.keys && problem.is_ok(); k++) {
+  for (uint32_t k = 0; k < opt_.keys; k++) {
     std::string key = "k" + std::to_string(k);
     auto r = store->oget(ctx, key, buf.data(), buf.size());
-    if (!r.is_ok() && r.status().code() != Code::kNotFound) {
-      problem = r.status();
-      break;
+    if (!r.is_ok() && r.status().code() != Code::kNotFound) return r.status();
+    EitherStateOracle::Value got;
+    if (r.is_ok()) {
+      found++;
+      got.emplace(buf.data(), std::min(r.value(), buf.size()));
     }
-    bool present = r.is_ok();
-    if (present) found++;
-    std::string got =
-        present ? std::string(buf.data(), std::min(r.value(), buf.size())) : std::string();
-    auto it = oracle_.find(key);
-    bool old_ok = it != oracle_.end() ? (present && got == it->second) : !present;
-    if (pending_.active && key == pending_.key) {
-      bool new_ok = pending_.is_delete ? !present : (present && got == pending_.value);
-      if (!old_ok && !new_ok) {
-        problem = Status::corruption("key " + key +
-                                     " matches neither its pre- nor post-crash value");
-      }
-    } else if (!old_ok) {
-      problem = it != oracle_.end()
-                    ? Status::corruption("committed value lost or changed for key " + key)
-                    : Status::corruption("deleted/absent key " + key + " reappeared");
-    }
+    DSTORE_RETURN_IF_ERROR(oracle_.check(key, got));
   }
-  if (problem.is_ok() && store->object_count() != found) {
-    problem = Status::corruption("object_count disagrees with per-key probes");
+  if (store->object_count() != found) {
+    return Status::corruption("object_count disagrees with per-key probes");
   }
-  return problem;
+  return Status::ok();
 }
 
 Status CrashRig::verify_integrity(uint64_t* detected) {
@@ -169,12 +171,9 @@ Status CrashRig::verify_integrity(uint64_t* detected) {
         detected != nullptr) {
       (*detected)++;  // read-repair healed the pages under this read
     }
-    bool present = r.is_ok();
-    std::string got =
-        present ? std::string(buf.data(), std::min(r.value(), buf.size())) : std::string();
-    auto it = oracle_.find(key);
-    bool old_ok = it != oracle_.end() ? (present && got == it->second) : !present;
-    if (!old_ok) {
+    EitherStateOracle::Value got;
+    if (r.is_ok()) got.emplace(buf.data(), std::min(r.value(), buf.size()));
+    if (!oracle_.holds_acked(key, got)) {
       problem = Status::corruption("silent corruption: key " + key +
                                    " read OK but does not match the oracle");
     }

@@ -1,9 +1,10 @@
 // CrashRig — the deterministic crash-schedule harness behind
-// tests/crash_schedule_test.cc and tools/crashplan.
+// tests/crash_schedule_test.cc, tests/integrity_test.cc and
+// tests/sharded_crash_test.cc (its oracle).
 //
 // A rig owns one StoreRig (dstore/store_rig.h) wired to a single
-// FaultInjector, plus a shadow oracle (std::map<name, value>) tracking what
-// the deterministic workload has durably committed. The lifecycle mirrors
+// FaultInjector, plus a shadow EitherStateOracle tracking what the
+// deterministic workload has durably committed. The lifecycle mirrors
 // a real power-failure test:
 //
 //   rig.run(plan)            — fresh store, seeded single-thread workload
@@ -27,6 +28,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +37,45 @@
 #include "fault/fault.h"
 
 namespace dstore::fault {
+
+// The oracle every single-store and fleet crash sweep holds a store to: the
+// state its acked ops left, plus the one op in flight when the power
+// failed, whose key may read as either its pre- or its post-crash value
+// (atomicity, not loss). A nullopt value is an absent key.
+class EitherStateOracle {
+ public:
+  using Value = std::optional<std::string>;
+
+  void clear() {
+    acked_.clear();
+    in_flight_.reset();
+  }
+  // An acked put of `value`, or an acked delete when it is nullopt.
+  void ack(const std::string& key, const Value& value);
+  // The op that was in flight when the power failed.
+  void interrupt(const std::string& key, Value value) {
+    in_flight_ = InFlight{key, std::move(value)};
+  }
+
+  const std::map<std::string, std::string>& acked() const { return acked_; }
+  // The in-flight op's key, if the power failed mid-op.
+  const std::string* in_flight_key() const {
+    return in_flight_.has_value() ? &in_flight_->key : nullptr;
+  }
+  // Whether `got` is the key's acked state.
+  bool holds_acked(const std::string& key, const Value& got) const;
+  // Holds one read to the oracle: the key's acked state, or for the
+  // in-flight op's key either its pre- or its post-crash state.
+  Status check(const std::string& key, const Value& got) const;
+
+ private:
+  struct InFlight {
+    std::string key;
+    Value value;
+  };
+  std::map<std::string, std::string> acked_;
+  std::optional<InFlight> in_flight_;
+};
 
 struct RigOptions {
   uint32_t log_slots = 48;      // half-log (24) never fills: no backpressure
@@ -78,8 +119,8 @@ class CrashRig {
     return recover();
   }
 
-  // Oracle check: validate() + every key in either its oracle state or (for
-  // the single in-flight op only) its post-op state.
+  // Oracle check: validate() + every key held to the EitherStateOracle, and
+  // object_count() agreeing with the per-key probes.
   Status verify();
 
   // Oracle check for silent-corruption sweeps. The store is allowed — and
@@ -109,14 +150,7 @@ class CrashRig {
   FaultInjector injector_;  // declared before the layers that point at it
   std::unique_ptr<StoreRig> rig_;  // built by the first run()
 
-  std::map<std::string, std::string> oracle_;  // durably-acked state
-  struct Pending {  // the op in flight when the power failed, if any
-    bool active = false;
-    bool is_delete = false;
-    std::string key;
-    std::string value;
-  };
-  Pending pending_;
+  EitherStateOracle oracle_;
 };
 
 // Every single-crash plan over an enumerated schedule space: one

@@ -459,7 +459,8 @@ std::vector<std::vector<std::pair<std::string, uint64_t>>> DistRig::enumerate_sc
   return out;
 }
 
-std::vector<DistPlan> dist_crash_plans(const DistRigOptions& opt, size_t target) {
+std::vector<DistPlan> dist_crash_plans(const DistRigOptions& opt) {
+  constexpr size_t kTarget = 200;
   auto spaces = DistRig::enumerate_schedules(opt);
   std::vector<DistPlan> plans;
 
@@ -507,7 +508,7 @@ std::vector<DistPlan> dist_crash_plans(const DistRigOptions& opt, size_t target)
       plans.push_back(std::move(p));
     }
   };
-  size_t remaining = target > special.size() ? target - special.size() : 0;
+  size_t remaining = kTarget > special.size() ? kTarget - special.size() : 0;
   sample_into(0, remaining * 3 / 5);
   sample_into(1, remaining - remaining * 3 / 5);
   plans.insert(plans.end(), special.begin(), special.end());

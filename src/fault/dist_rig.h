@@ -1,5 +1,5 @@
 // DistRig — the distributed crash-schedule harness behind
-// tests/dist_crash_test.cc and tools/crashplan --dist-sweep.
+// tests/dist_crash_test.cc.
 //
 // A rig owns a small in-process replication fleet: N repl::Nodes, each with
 // its own ShardedStore (kCrashSim pools + RAM devices), MetaStore pool and
@@ -165,12 +165,12 @@ class DistRig {
   RunStats stats_;
 };
 
-// ≥ `target` plans over the enumerated per-node schedule spaces, spread
-// across the four sweep categories: crash-primary (node 0's points, which
+// ≥ 200 plans over the enumerated per-node schedule spaces, spread across
+// the four sweep categories: crash-primary (node 0's points, which
 // include its mid-checkpoint window), crash-follower (node 1's points, which
 // include mid-replay), partition-during-promotion (windows that isolate the
 // current primary long enough for the majority side to elect), and
 // double-failover (kill the initial primary, then kill its successor).
-std::vector<DistPlan> dist_crash_plans(const DistRigOptions& opt, size_t target = 200);
+std::vector<DistPlan> dist_crash_plans(const DistRigOptions& opt);
 
 }  // namespace dstore::fault

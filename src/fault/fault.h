@@ -3,8 +3,8 @@
 // DStore's central claims are crash-consistency claims; testing them on the
 // happy path only means the ordering between individual persist points is
 // never exercised. This subsystem makes every point where the system can
-// fail a *named, countable event* and lets a test (or tools/crashplan)
-// schedule a fault at exactly the Nth occurrence of any of them:
+// fail a *named, countable event* and lets a test schedule a fault at
+// exactly the Nth occurrence of any of them:
 //
 //   pmem.flush / pmem.fence / pmem.bulk    — power failure before the Nth
 //                                            flush / fence / bulk persist,
@@ -19,12 +19,14 @@
 //
 // A FaultPlan is a list of FaultSpecs plus a seed; it serializes to a short
 // string ("seed=7;pmem.fence@17:crash") so any failing schedule can be
-// reproduced from a CI log verbatim. The FaultInjector is the runtime: it
-// counts hits per point, fires matching specs, and coordinates the power
-// failure — a kCrash fault invokes every registered crash sink (the pmem
-// pool freezes its persistent image, the block device drops power), after
-// which the workload runs on borrowed time until the harness notices
-// crashed() and performs the actual crash()+recover().
+// reproduced from a CI log verbatim: a sweep test run with
+// DSTORE_CRASH_PLAN="<string>" replays just that plan (tests/crash_sweep.h).
+// The FaultInjector is the runtime: it counts hits per point, fires
+// matching specs, and coordinates the power failure — a kCrash fault
+// invokes every registered crash sink (the pmem pool freezes its
+// persistent image, the block device drops power), after which the
+// workload runs on borrowed time until the harness notices crashed() and
+// performs the actual crash()+recover().
 //
 // Determinism: the same plan against the same single-threaded workload
 // produces byte-identical crash images (tests/crash_schedule_test.cc proves

@@ -159,6 +159,8 @@ TEST(CrashSchedule, ExhaustiveSingleCrashSweep) {
       if (++failures >= 5) break;  // enough to diagnose; don't drown the log
     }
   }
+  RecordProperty("plans", (int)plans.size());
+  RecordProperty("crashes", (int)crashes);
   if (!single) {
     EXPECT_GE(crashes, 200u);
   }
@@ -186,8 +188,8 @@ TEST(CrashSchedule, DoubleCrashDuringRecoveryIsIdempotent) {
   auto recovery_space = counting.injector().hit_counts();
   std::vector<FaultPlan> rplans = all_crash_plans(recovery_space);
   ASSERT_GE(rplans.size(), 20u);
-  bool single = maybe_single_plan(&rplans);
-  (void)single;
+  maybe_single_plan(&rplans);
+  RecordProperty("plans", (int)rplans.size());
 
   size_t failures = 0;
   for (const FaultPlan& rplan : rplans) {

@@ -58,7 +58,7 @@ TEST(DistCrashSweep, ScheduleSpacesCoverCheckpointAndReplay) {
 }
 
 TEST(DistCrashSweep, GeneratorMeetsTargetAndCoversAllFourCategories) {
-  auto plans = dist_crash_plans(DistRigOptions{}, 200);
+  auto plans = dist_crash_plans(DistRigOptions{});
   EXPECT_GE(plans.size(), 200u);
   size_t primary_crash = 0, follower_crash = 0, partition = 0, double_kill = 0;
   for (const auto& p : plans) {
@@ -83,8 +83,9 @@ TEST(DistCrashSweep, GeneratorMeetsTargetAndCoversAllFourCategories) {
 
 TEST(DistCrashSweep, EveryPlanHoldsEveryNodeToTheClusterOracle) {
   DistRigOptions opt;
-  auto plans = dist_crash_plans(opt, 200);
+  auto plans = dist_crash_plans(opt);
   maybe_single_plan(&plans);
+  RecordProperty("plans", (int)plans.size());
   size_t failures = 0;
   for (const auto& plan : plans) {
     DistRig rig(opt);

@@ -3,38 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
+#include <map>
 #include <string>
 #include <thread>
 
 #include "common/rng.h"
-#include "dipper/engine.h"
-#include "ds/btree.h"
+#include "engine_rig.h"
 
 namespace dstore::dipper {
 namespace {
-
-class KvClient : public SpaceClient {
- public:
-  Status format(SlabAllocator& space) override {
-    auto h = BTree::create(space);
-    if (!h.is_ok()) return h.status();
-    space.set_user_root(h.value().off);
-    return Status::ok();
-  }
-  Status replay(SlabAllocator& space, std::span<const LogRecordView> records) override {
-    BTree tree(space, OffPtr<BTree::Header>(space.user_root()));
-    for (const auto& rec : records) {
-      if (rec.op == OpType::kPut) {
-        DSTORE_RETURN_IF_ERROR(tree.upsert(rec.name, rec.arg0));
-      } else if (rec.op == OpType::kDelete) {
-        Status s = tree.erase(rec.name);
-        if (!s.is_ok() && s.code() != Code::kNotFound) return s;
-      }
-    }
-    return Status::ok();
-  }
-};
 
 EngineConfig cow_cfg() {
   EngineConfig cfg;
@@ -45,43 +22,8 @@ EngineConfig cow_cfg() {
   return cfg;
 }
 
-struct CowRig {
-  KvClient client;
-  EngineConfig cfg;
-  std::unique_ptr<pmem::Pool> pool;
-  std::unique_ptr<Engine> engine;
-
-  explicit CowRig(EngineConfig c = cow_cfg()) : cfg(c) {
-    pool = std::make_unique<pmem::Pool>(Engine::required_pool_bytes(cfg),
-                                        pmem::Pool::Mode::kCrashSim);
-    engine = std::make_unique<Engine>(pool.get(), &client, cfg);
-    EXPECT_TRUE(engine->init_fresh().is_ok());
-  }
-
-  void put(const std::string& name, uint64_t value) {
-    Key k = Key::from(name);
-    auto h = engine->append(OpType::kPut, k, value, 0);
-    ASSERT_TRUE(h.is_ok());
-    BTree tree(engine->space(), OffPtr<BTree::Header>(engine->space().user_root()));
-    ASSERT_TRUE(tree.upsert(k, value).is_ok());
-    engine->commit(h.value());
-  }
-
-  std::optional<uint64_t> get(const std::string& name) {
-    BTree tree(engine->space(), OffPtr<BTree::Header>(engine->space().user_root()));
-    return tree.find(Key::from(name));
-  }
-
-  void crash_and_recover() {
-    engine->stop_background();
-    pool->crash();
-    engine = std::make_unique<Engine>(pool.get(), &client, cfg);
-    ASSERT_TRUE(engine->recover().is_ok());
-  }
-};
-
 TEST(EngineCow, CheckpointPreservesState) {
-  CowRig rig;
+  EngineRig rig(cow_cfg());
   for (int i = 0; i < 60; i++) rig.put("cow" + std::to_string(i), i);
   ASSERT_TRUE(rig.engine->checkpoint_now().is_ok());
   for (int i = 0; i < 60; i++) {
@@ -93,7 +35,7 @@ TEST(EngineCow, CheckpointPreservesState) {
 }
 
 TEST(EngineCow, CrashAfterCheckpointRecovers) {
-  CowRig rig;
+  EngineRig rig(cow_cfg());
   for (int i = 0; i < 40; i++) rig.put("a" + std::to_string(i), i);
   ASSERT_TRUE(rig.engine->checkpoint_now().is_ok());
   for (int i = 0; i < 30; i++) rig.put("b" + std::to_string(i), 100 + i);
@@ -111,7 +53,7 @@ TEST(EngineCow, WriterDuringCheckpointTriggersFaultCopies) {
   // arena: the writer must fault, copy pages, and proceed.
   EngineConfig cfg = cow_cfg();
   cfg.log_slots = 4096;
-  CowRig rig(cfg);
+  EngineRig rig(cfg);
   for (int i = 0; i < 500; i++) rig.put("warm" + std::to_string(i), i);
 
   std::atomic<bool> ckpt_done{false};
@@ -133,7 +75,7 @@ TEST(EngineCow, WriterDuringCheckpointTriggersFaultCopies) {
 }
 
 TEST(EngineCow, CrashMidCopyRecoversFromOldCopy) {
-  CowRig rig(cow_cfg());
+  EngineRig rig(cow_cfg());
   for (int i = 0; i < 80; i++) rig.put("x" + std::to_string(i), i * 7);
   EXPECT_FALSE(rig.engine->checkpoint_abandon_at("ckpt:cow_mid_copy").is_ok());  // dies mid-copy
   rig.crash_and_recover();
@@ -150,7 +92,7 @@ TEST(EngineCow, CrashMidCopyRecoversFromOldCopy) {
 
 TEST(EngineCow, RepeatedCheckpointCyclesStayConsistent) {
   EngineConfig cfg = cow_cfg();
-  CowRig rig(cfg);
+  EngineRig rig(cfg);
   Rng rng(31);
   std::map<std::string, uint64_t> model;
   for (int round = 0; round < 8; round++) {
@@ -163,7 +105,7 @@ TEST(EngineCow, RepeatedCheckpointCyclesStayConsistent) {
     ASSERT_TRUE(rig.engine->checkpoint_now().is_ok()) << round;
   }
   rig.crash_and_recover();
-  BTree tree(rig.engine->space(), OffPtr<BTree::Header>(rig.engine->space().user_root()));
+  BTree tree = rig.tree();
   ASSERT_TRUE(tree.validate().is_ok());
   EXPECT_EQ(tree.size(), model.size());
   for (const auto& [name, v] : model) {

@@ -409,6 +409,8 @@ TEST(CorruptionSweep, NoScheduleEverReturnsSilentlyWrongBytes) {
   // many flips land on pages that are overwritten or deleted before any
   // read (legitimately invisible), but across hundreds of schedules a
   // healthy integrity layer detects plenty.
+  RecordProperty("plans", (int)plans.size());
+  RecordProperty("detected", (int)detected_total);
   EXPECT_GE(detected_total, plans.size() / 20);
 }
 

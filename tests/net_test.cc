@@ -1694,10 +1694,11 @@ TEST(NetCrashRig, CrashShutdownClosesConnectionsOnEveryLoop) {
   inj.disarm();
 }
 
-// The crash lands while the loop holds pipelined puts in flight: the
-// client keeps 16 on the wire, the device wait is real, and acked ⇒
-// durable must still hold for every put whose ack reached the client.
-TEST(NetCrashRig, PipelinedPutsCrashWithPutsPendingLoseNoAckedWrite) {
+// One crash with pipelined puts in flight: the client keeps 16 on the
+// wire, the device wait is real, and acked ⇒ durable must hold for every
+// put whose ack reached the client. `lost` counts the puts still unacked
+// when the connection died.
+void pipelined_puts_crash(size_t* lost_out) {
   fault::FaultInjector inj;
   ServerFixture fx(&inj, pmem::Pool::Mode::kCrashSim, {}, 256, LatencyModel::calibrated(1.0));
   auto client = fx.connect();
@@ -1733,7 +1734,7 @@ TEST(NetCrashRig, PipelinedPutsCrashWithPutsPendingLoseNoAckedWrite) {
   }
   while (!inflight.empty()) reap_oldest();
   ASSERT_TRUE(inj.crashed()) << "fault plan never fired — no checkpoint started?";
-  EXPECT_GE(lost, 2u) << "the crash did not land with several puts in flight";
+  *lost_out = lost;
 
   fx.server->stop();
   EXPECT_TRUE(fx.server->crashed());
@@ -1747,6 +1748,20 @@ TEST(NetCrashRig, PipelinedPutsCrashWithPutsPendingLoseNoAckedWrite) {
     ASSERT_TRUE(r.is_ok()) << "acked write lost: " << k << " — " << r.status().to_string();
     ASSERT_EQ(std::string(buf.data(), r.value()), v) << "acked write corrupt: " << k;
   }
+}
+
+// How many puts are in flight at the crash depends on thread timing, so
+// the scenario runs up to 3 times, each on a fresh fixture and each held to
+// the oracle, until one attempt lands with several puts in flight.
+TEST(NetCrashRig, PipelinedPutsCrashWithPutsPendingLoseNoAckedWrite) {
+  size_t most_lost = 0;
+  for (int attempt = 1; attempt <= 3 && most_lost < 2; attempt++) {
+    SCOPED_TRACE("attempt " + std::to_string(attempt));
+    size_t lost = 0;
+    ASSERT_NO_FATAL_FAILURE(pipelined_puts_crash(&lost));
+    most_lost = std::max(most_lost, lost);
+  }
+  EXPECT_GE(most_lost, 2u) << "the crash did not land with several puts in flight";
 }
 
 #endif  // !DSTORE_FAULT_INJECTION_DISABLED

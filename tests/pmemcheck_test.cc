@@ -5,26 +5,26 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "common/crc32c.h"
 #include "common/rng.h"
-#include "dipper/engine.h"
-#include "ds/btree.h"
 #include "ds/metadata_zone.h"
+#include "engine_rig.h"
 #include "pmem/persist_checker.h"
 #include "pmem/pool.h"
 
 namespace dstore::pmem {
 namespace {
 
-using dipper::Engine;
 using dipper::EngineConfig;
+using dipper::EngineRig;
 using dipper::LogRecordView;
 using dipper::OpType;
 using dipper::PmemLog;
-using dipper::SpaceClient;
 
 std::string report_str(const PersistChecker& c) {
   std::ostringstream os;
@@ -260,77 +260,38 @@ TEST(PmemCheckLog, ForgedUnpersistedRecordCaughtOnRead) {
   EXPECT_GE(checker.report().count(CheckKind::kUnpersistedRead), 1u) << report_str(checker);
 }
 
+// 256 records of random length across the one-line/two-line boundary,
+// every third left uncommitted, then read back as replay would.
+TEST(PmemCheckLog, RandomLengthRecordsPartlyUncommittedViolationFree) {
+  Pool pool(1 << 20, Pool::Mode::kCrashSim);
+  PersistChecker checker;
+  pool.attach_checker(&checker);
+  PmemLog log(&pool, 0, 256);
+  log.format();
+  Rng rng(42);
+  for (uint32_t s = 0; s < 256; s++) {
+    std::string name(1 + rng.next_below(60), (char)('a' + s % 26));
+    log.write_record(s, s + 1, OpType::kPut, Key::from(name), s, 0, false);
+    if (s % 3 != 0) log.commit(s);
+  }
+  LogRecordView rec;
+  for (uint32_t s = 0; s < 256; s++) (void)log.read(s, &rec);
+  pool.detach_checker();
+  EXPECT_EQ(checker.report().hard_count(), 0u) << report_str(checker);
+}
+
 // ---------------------------------------------------------------------------
 // Engine-level: the full DIPPER lifecycle runs violation-free
 // ---------------------------------------------------------------------------
 
-// Minimal client (mirrors engine_test): btree name -> u64.
-class KvClient : public SpaceClient {
- public:
-  Status format(SlabAllocator& space) override {
-    auto h = BTree::create(space);
-    if (!h.is_ok()) return h.status();
-    space.set_user_root(h.value().off);
-    return Status::ok();
-  }
-  Status replay(SlabAllocator& space, std::span<const LogRecordView> records) override {
-    BTree tree(space, OffPtr<BTree::Header>(space.user_root()));
-    for (const auto& rec : records) {
-      if (rec.op == OpType::kPut) {
-        DSTORE_RETURN_IF_ERROR(tree.upsert(rec.name, rec.arg0));
-      } else if (rec.op == OpType::kDelete) {
-        Status s = tree.erase(rec.name);
-        if (!s.is_ok() && s.code() != Code::kNotFound) return s;
-      }
-    }
-    return Status::ok();
-  }
-};
-
 class PmemCheckEngineTest : public ::testing::Test {
  protected:
   void init(EngineConfig cfg) {
-    cfg_ = cfg;
-    pool_ = std::make_unique<Pool>(Engine::required_pool_bytes(cfg_), Pool::Mode::kCrashSim);
-    pool_->attach_checker(&checker_);
-    engine_ = std::make_unique<Engine>(pool_.get(), &client_, cfg_);
-    ASSERT_TRUE(engine_->init_fresh().is_ok());
+    rig_ = std::make_unique<EngineRig>(cfg, Pool::Mode::kCrashSim, &checker_);
   }
 
-  void TearDown() override {
-    if (engine_) engine_->stop_background();
-    engine_.reset();
-    if (pool_) pool_->detach_checker();
-  }
-
-  void put(const std::string& name, uint64_t value) {
-    Key k = Key::from(name);
-    auto h = engine_->append(OpType::kPut, k, value, 0);
-    ASSERT_TRUE(h.is_ok()) << h.status().to_string();
-    BTree tree(engine_->space(), OffPtr<BTree::Header>(engine_->space().user_root()));
-    ASSERT_TRUE(tree.upsert(k, value).is_ok());
-    engine_->commit(h.value());
-  }
-
-  void del(const std::string& name) {
-    Key k = Key::from(name);
-    auto h = engine_->append(OpType::kDelete, k, 0, 0);
-    ASSERT_TRUE(h.is_ok());
-    BTree tree(engine_->space(), OffPtr<BTree::Header>(engine_->space().user_root()));
-    (void)tree.erase(k);
-    engine_->commit(h.value());
-  }
-
-  std::optional<uint64_t> get(const std::string& name) {
-    BTree tree(engine_->space(), OffPtr<BTree::Header>(engine_->space().user_root()));
-    return tree.find(Key::from(name));
-  }
-
-  EngineConfig cfg_;
-  KvClient client_;
-  PersistChecker checker_;
-  std::unique_ptr<Pool> pool_;
-  std::unique_ptr<Engine> engine_;
+  PersistChecker checker_;  // outlives the rig, which detaches it
+  std::unique_ptr<EngineRig> rig_;
 };
 
 EngineConfig checked_cfg() {
@@ -349,28 +310,23 @@ TEST_F(PmemCheckEngineTest, FullLifecycleViolationFree) {
     for (int i = 0; i < 40; i++) {
       std::string name = i % 3 == 0 ? std::string(50, 'k') + std::to_string(i)
                                     : "key" + std::to_string(i);
-      put(name, (uint64_t)round * 1000 + i);
+      rig_->put(name, (uint64_t)round * 1000 + i);
     }
-    for (int i = 0; i < 10; i += 3) del("key" + std::to_string(i));
+    for (int i = 0; i < 10; i += 3) rig_->del("key" + std::to_string(i));
     Key lk = Key::from("locked-object");
-    auto lh = engine_->lock_object(lk);
+    auto lh = rig_->engine->lock_object(lk);
     ASSERT_TRUE(lh.is_ok());
-    ASSERT_TRUE(engine_->checkpoint_now().is_ok());  // relocates the held olock
-    engine_->unlock_object(lh.value(), lk);
+    ASSERT_TRUE(rig_->engine->checkpoint_now().is_ok());  // relocates the held olock
+    rig_->engine->unlock_object(lh.value(), lk);
   }
   // Crash + recover, then keep operating.
-  engine_->stop_background();
-  pool_->crash();
-  engine_ = std::make_unique<Engine>(pool_.get(), &client_, cfg_);
-  ASSERT_TRUE(engine_->recover().is_ok());
-  EXPECT_TRUE(get("key1").has_value());
-  for (int i = 0; i < 20; i++) put("post" + std::to_string(i), i);
-  ASSERT_TRUE(engine_->checkpoint_now().is_ok());
+  ASSERT_NO_FATAL_FAILURE(rig_->crash_and_recover());
+  EXPECT_TRUE(rig_->get("key1").has_value());
+  for (int i = 0; i < 20; i++) rig_->put("post" + std::to_string(i), i);
+  ASSERT_TRUE(rig_->engine->checkpoint_now().is_ok());
   // Clean restart (recovery without a crash).
-  engine_->stop_background();
-  engine_ = std::make_unique<Engine>(pool_.get(), &client_, cfg_);
-  ASSERT_TRUE(engine_->recover().is_ok());
-  EXPECT_TRUE(get("post3").has_value());
+  ASSERT_NO_FATAL_FAILURE(rig_->restart());
+  EXPECT_TRUE(rig_->get("post3").has_value());
 
   EXPECT_EQ(checker_.report().hard_count(), 0u) << report_str(checker_);
   // The flush discipline is also tight: no redundant flushes anywhere in
@@ -381,13 +337,10 @@ TEST_F(PmemCheckEngineTest, FullLifecycleViolationFree) {
 TEST_F(PmemCheckEngineTest, AbandonedCheckpointRecoveryViolationFree) {
   init(checked_cfg());
   for (const char* point : {"ckpt:after_swap", "ckpt:after_drain", "ckpt:after_replay"}) {
-    for (int i = 0; i < 30; i++) put("k" + std::to_string(i), i);
-    ASSERT_FALSE(engine_->checkpoint_abandon_at(point).is_ok());
-    engine_->stop_background();
-    pool_->crash();
-    engine_ = std::make_unique<Engine>(pool_.get(), &client_, cfg_);
-    ASSERT_TRUE(engine_->recover().is_ok()) << point;
-    EXPECT_TRUE(get("k5").has_value()) << point;
+    for (int i = 0; i < 30; i++) rig_->put("k" + std::to_string(i), i);
+    ASSERT_FALSE(rig_->engine->checkpoint_abandon_at(point).is_ok());
+    ASSERT_NO_FATAL_FAILURE(rig_->crash_and_recover()) << point;
+    EXPECT_TRUE(rig_->get("k5").has_value()) << point;
   }
   EXPECT_EQ(checker_.report().hard_count(), 0u) << report_str(checker_);
 }
@@ -402,14 +355,14 @@ TEST_F(PmemCheckEngineTest, ConcurrentAppendersViolationFree) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < kOps; i++) {
         Key k = Key::from("t" + std::to_string(t) + "-" + std::to_string(i));
-        auto h = engine_->append(OpType::kPut, k, (uint64_t)i, 0);
+        auto h = rig_->engine->append(OpType::kPut, k, (uint64_t)i, 0);
         ASSERT_TRUE(h.is_ok());
-        engine_->commit(h.value());
+        rig_->engine->commit(h.value());
       }
     });
   }
   for (auto& w : workers) w.join();
-  ASSERT_TRUE(engine_->checkpoint_now().is_ok());
+  ASSERT_TRUE(rig_->engine->checkpoint_now().is_ok());
   EXPECT_EQ(checker_.report().hard_count(), 0u) << report_str(checker_);
 }
 
@@ -417,13 +370,42 @@ TEST_F(PmemCheckEngineTest, CowCheckpointViolationFree) {
   EngineConfig cfg = checked_cfg();
   cfg.ckpt_mode = EngineConfig::CkptMode::kCow;
   init(cfg);
-  for (int i = 0; i < 50; i++) put("cow" + std::to_string(i), i);
-  ASSERT_TRUE(engine_->checkpoint_now().is_ok());
-  for (int i = 0; i < 20; i++) put("post" + std::to_string(i), i);
-  engine_->stop_background();
-  engine_ = std::make_unique<Engine>(pool_.get(), &client_, cfg_);
-  ASSERT_TRUE(engine_->recover().is_ok());
-  EXPECT_TRUE(get("cow7").has_value());
+  for (int i = 0; i < 50; i++) rig_->put("cow" + std::to_string(i), i);
+  ASSERT_TRUE(rig_->engine->checkpoint_now().is_ok());
+  for (int i = 0; i < 20; i++) rig_->put("post" + std::to_string(i), i);
+  ASSERT_NO_FATAL_FAILURE(rig_->restart());
+  EXPECT_TRUE(rig_->get("cow7").has_value());
+  EXPECT_EQ(checker_.report().hard_count(), 0u) << report_str(checker_);
+}
+
+// Seeded churn: 48-byte and short names, 10% deletes, a 512-slot log
+// checkpointed when full and every 400 ops, then a crash and recovery (the
+// paths the unpersisted-read class watches). The rig is destroyed before
+// the check, so lines staged but never fenced are reported too.
+TEST_F(PmemCheckEngineTest, SeededChurnWithCrashRecoveryViolationFree) {
+  EngineConfig cfg = checked_cfg();
+  cfg.arena_bytes = 8 << 20;
+  cfg.log_slots = 512;
+  init(cfg);
+  Rng rng(42);
+  for (uint64_t i = 0; i < 2000; i++) {
+    std::string name =
+        (i % 5 == 0 ? std::string(48, 'x') : "obj") + std::to_string(rng.next_below(200));
+    bool del = rng.next_below(10) == 0;
+    if (rig_->engine->log_fill() >= 1.0) {
+      ASSERT_TRUE(rig_->engine->checkpoint_now().is_ok());
+    }
+    if (del) {
+      ASSERT_NO_FATAL_FAILURE(rig_->del(name));
+    } else {
+      ASSERT_NO_FATAL_FAILURE(rig_->put(name, i));
+    }
+    if (i % 400 == 399) {
+      ASSERT_TRUE(rig_->engine->checkpoint_now().is_ok()) << i;
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(rig_->crash_and_recover());
+  rig_.reset();
   EXPECT_EQ(checker_.report().hard_count(), 0u) << report_str(checker_);
 }
 

@@ -20,7 +20,6 @@
 // string, DSTORE_CRASH_PLAN="<string>" re-runs just that schedule, and
 // DSTORE_CRASH_ARTIFACT=<path> appends failing plans for CI upload.
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,7 +36,7 @@ namespace dstore::fault {
 namespace {
 
 // ShardedRig — CrashRig's lifecycle (run / crash / recover / verify) against
-// a fleet with exactly one faulted member.
+// a fleet with exactly one faulted member, held to CrashRig's oracle.
 struct ShardedRig {
   static constexpr int kShards = 4;
   static constexpr int kFaultShard = 1;
@@ -48,14 +47,7 @@ struct ShardedRig {
   ShardedConfig cfg;
   std::unique_ptr<ShardedStore> store;
 
-  std::map<std::string, std::string> oracle_;  // durably-acked state
-  struct Pending {  // the op in flight when the power failed, if any
-    bool active = false;
-    bool is_delete = false;
-    std::string key;
-    std::string value;
-  };
-  Pending pending_;
+  EitherStateOracle oracle;
 
   static std::string key_for(uint32_t i) {
     char buf[24];
@@ -96,22 +88,18 @@ struct ShardedRig {
     inj.arm();
     for (uint32_t i = 0; i < kOps; i++) {
       std::string k = key_for(i);
-      bool is_delete = (i % 11) == 10;
-      std::string v = is_delete ? std::string() : value_for(i);
-      if (is_delete) {
-        (void)store->del(k);
+      EitherStateOracle::Value v;
+      if (i % 11 != 10) v = value_for(i);  // every 11th op deletes
+      if (v.has_value()) {
+        (void)store->put(k, v->data(), v->size());
       } else {
-        (void)store->put(k, v.data(), v.size());
+        (void)store->del(k);
       }
       if (inj.crashed()) {  // this op was in flight: either-state at verify
-        pending_ = {true, is_delete, k, v};
+        oracle.interrupt(k, std::move(v));
         return true;
       }
-      if (is_delete) {
-        oracle_.erase(k);
-      } else {
-        oracle_[k] = v;
-      }
+      oracle.ack(k, v);
       if (i == kOps / 2) {
         (void)store->checkpoint_all();
         if (inj.crashed()) return true;  // no user op in flight
@@ -125,39 +113,20 @@ struct ShardedRig {
     return store->crash_and_recover_all();
   }
 
-  std::string get(const std::string& key) {
+  EitherStateOracle::Value get(const std::string& key) {
     std::vector<char> buf(1024);
     auto r = store->get(key, buf.data(), buf.size());
-    if (!r.is_ok()) return "<absent>";
+    if (!r.is_ok()) return std::nullopt;
     return std::string(buf.data(), r.value());
   }
 
-  // validate_all() + oracle check: exact match everywhere, except the
-  // single in-flight op, which may be in its pre- or post-crash state.
+  // validate_all() + every acked key and the in-flight op's held to the
+  // oracle.
   Status verify() {
-    Status s = store->validate_all();
-    if (!s.is_ok()) return s;
-    for (const auto& [k, v] : oracle_) {
-      if (pending_.active && k == pending_.key) continue;
-      std::string got = get(k);
-      if (got != v) {
-        return Status::internal("key " + k + ": got " + std::to_string(got.size()) +
-                                "B, oracle " + std::to_string(v.size()) + "B");
-      }
-    }
-    if (pending_.active) {
-      auto it = oracle_.find(pending_.key);
-      std::string pre = it != oracle_.end() ? it->second : "<absent>";
-      std::string post = pending_.is_delete ? "<absent>" : pending_.value;
-      std::string got = get(pending_.key);
-      if (got != pre && got != post) {
-        return Status::internal("in-flight key " + pending_.key + ": got " +
-                                std::to_string(got.size()) + "B, expected pre " +
-                                std::to_string(pre.size()) + "B or post " +
-                                std::to_string(post.size()) + "B");
-      }
-    }
-    return Status::ok();
+    DSTORE_RETURN_IF_ERROR(store->validate_all());
+    for (const auto& [k, v] : oracle.acked()) DSTORE_RETURN_IF_ERROR(oracle.check(k, get(k)));
+    const std::string* k = oracle.in_flight_key();
+    return k != nullptr ? oracle.check(*k, get(*k)) : Status::ok();
   }
 
   // Counting pass: full workload fault-free with an armed injector; the
@@ -217,6 +186,8 @@ TEST(ShardedCrash, SingleCrashSweepOverOneShardKeepsFleetConsistent) {
       if (++failures >= 5) break;  // enough to diagnose; don't drown the log
     }
   }
+  RecordProperty("plans", (int)plans.size());
+  RecordProperty("crashes", (int)crashes);
   if (!single) {
     EXPECT_GE(crashes, 50u);
   }

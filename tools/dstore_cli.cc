@@ -23,9 +23,12 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "dstore/store_dir.h"
 
 using namespace dstore;
+using bench::kExitUsage;
+using bench::parse_u64;
 namespace fs = std::filesystem;
 
 namespace {
@@ -80,7 +83,7 @@ int usage() {
           "  stat                              space usage & engine stats\n"
           "  checkpoint                        force a checkpoint\n"
           "  scrub                             one full integrity pass\n");
-  return 2;
+  return kExitUsage;
 }
 
 }  // namespace
@@ -104,9 +107,16 @@ int main(int argc, char** argv) {
     sizing.max_objects = 1 << 14;
     sizing.num_blocks = 1 << 15;
     sizing.engine.log_slots = 8192;
-    for (size_t i = 1; i + 1 < rest.size(); i += 2) {
-      if (rest[i] == "--objects") sizing.max_objects = strtoull(rest[i + 1].c_str(), nullptr, 10);
-      if (rest[i] == "--blocks") sizing.num_blocks = strtoull(rest[i + 1].c_str(), nullptr, 10);
+    for (size_t i = 1; i < rest.size(); i += 2) {
+      if (i + 1 == rest.size()) return usage();
+      const char* v = rest[i + 1].c_str();
+      if (rest[i] == "--objects") {
+        sizing.max_objects = parse_u64("--objects", v);
+      } else if (rest[i] == "--blocks") {
+        sizing.num_blocks = parse_u64("--blocks", v);
+      } else {
+        return usage();
+      }
     }
     StoreDir s;
     if (int rc = open_store(dir, /*create=*/true, sizing, &s)) return rc;

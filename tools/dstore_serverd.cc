@@ -17,7 +17,8 @@
 //                   [--repl-tick-ms N]]
 //
 // --port 0 (the default) binds an ephemeral port; the daemon prints
-// "listening on H:P" on stdout either way (scripts scrape that line).
+// "listening on H:P" on stdout either way (scripts scrape that line). A
+// malformed number, a --port above 65535 or an unknown flag exits 64.
 //
 // Replication (DESIGN.md §16): --repl-node-id attaches a repl::Node and
 // dispatches the replication opcodes. Exactly one node in a fleet starts
@@ -42,6 +43,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include "bench_common.h"
 #include "dstore/sharded.h"
 #include "net/server.h"
 #include "repl/repl.h"
@@ -61,12 +63,17 @@ void on_signal(int) {
   (void)write(g_wake_pipe[1], &b, 1);
 }
 
-uint64_t arg_u64(int argc, char** argv, int* i, const char* flag) {
+using dstore::bench::kExitUsage;
+using dstore::bench::parse_u64;
+
+// A flag's number; a missing or malformed value exits 64. With zero_ok, 0
+// is accepted (ephemeral, auto or off).
+uint64_t arg_u64(int argc, char** argv, int* i, const char* flag, bool zero_ok = false) {
   if (*i + 1 >= argc) {
     fprintf(stderr, "%s needs a value\n", flag);
-    exit(2);
+    exit(kExitUsage);
   }
-  return strtoull(argv[++*i], nullptr, 10);
+  return parse_u64(flag, argv[++*i], zero_ok);
 }
 
 int usage() {
@@ -77,7 +84,7 @@ int usage() {
           "                      [--repl-node-id N [--repl-primary]\n"
           "                       [--repl-primary-id N] [--repl-peer ID=HOST:PORT]...\n"
           "                       [--repl-tick-ms N]]\n");
-  return 2;
+  return kExitUsage;
 }
 
 }  // namespace
@@ -102,41 +109,48 @@ int main(int argc, char** argv) {
     if (a == "--host" && i + 1 < argc) {
       host = argv[++i];
     } else if (a == "--port") {
-      port = (uint16_t)arg_u64(argc, argv, &i, "--port");
+      uint64_t p = arg_u64(argc, argv, &i, "--port", /*zero_ok=*/true);  // 0 = ephemeral
+      if (p > 65535) {
+        fprintf(stderr, "--port: %llu is above 65535\n", (unsigned long long)p);
+        return kExitUsage;
+      }
+      port = (uint16_t)p;
     } else if (a == "--shards") {
       shards = (int)arg_u64(argc, argv, &i, "--shards");
     } else if (a == "--objects") {
       objects = arg_u64(argc, argv, &i, "--objects");
     } else if (a == "--ckpt-workers") {
-      ckpt_workers = (int)arg_u64(argc, argv, &i, "--ckpt-workers");
+      ckpt_workers = (int)arg_u64(argc, argv, &i, "--ckpt-workers", /*zero_ok=*/true);  // 0 = auto
     } else if (a == "--max-frame") {
       max_frame = (size_t)arg_u64(argc, argv, &i, "--max-frame");
     } else if (a == "--idle-timeout-ms") {
-      idle_timeout_ms = (uint32_t)arg_u64(argc, argv, &i, "--idle-timeout-ms");
+      idle_timeout_ms =
+          (uint32_t)arg_u64(argc, argv, &i, "--idle-timeout-ms", /*zero_ok=*/true);  // 0 = off
     } else if (a == "--repl-node-id") {
-      repl_node_id = arg_u64(argc, argv, &i, "--repl-node-id");
+      repl_node_id = arg_u64(argc, argv, &i, "--repl-node-id", /*zero_ok=*/true);  // 0 = off
     } else if (a == "--repl-primary") {
       repl_primary = true;
     } else if (a == "--repl-primary-id") {
-      repl_primary_id = arg_u64(argc, argv, &i, "--repl-primary-id");
+      // 0 = no leader hint
+      repl_primary_id = arg_u64(argc, argv, &i, "--repl-primary-id", /*zero_ok=*/true);
     } else if (a == "--repl-tick-ms") {
       repl_tick_ms = (uint32_t)arg_u64(argc, argv, &i, "--repl-tick-ms");
     } else if (a == "--repl-peer" && i + 1 < argc) {
       std::string spec = argv[++i];
       size_t eq = spec.find('=');
-      uint64_t id = eq == std::string::npos ? 0 : strtoull(spec.c_str(), nullptr, 10);
-      if (id == 0 || eq + 1 >= spec.size()) {
+      if (eq == std::string::npos || eq + 1 >= spec.size()) {
         fprintf(stderr, "--repl-peer wants ID=HOST:PORT with a nonzero id\n");
-        return 2;
+        return kExitUsage;
       }
-      repl_peers.emplace_back(id, spec.substr(eq + 1));
+      repl_peers.emplace_back(parse_u64("--repl-peer", spec.substr(0, eq).c_str()),
+                              spec.substr(eq + 1));
     } else {
       return usage();
     }
   }
   if (repl_node_id == 0 && (repl_primary || !repl_peers.empty())) {
     fprintf(stderr, "replication flags need --repl-node-id\n");
-    return 2;
+    return kExitUsage;
   }
 
   // The Node is constructed before the store so the store can replicate
