@@ -8,7 +8,8 @@
 // BENCH_<id>.json in the schema of bench_common.h. An unknown id prints the
 // id list and exits 64. Knobs are bench_common.h's, with these
 // per-experiment differences:
-//   table3         DSTORE_BENCH_OPS defaults to 5000 (single-thread puts)
+//   table3         DSTORE_BENCH_OPS defaults to 5000 (single-thread puts),
+//                  3 reps per cell
 //   table4         DSTORE_BENCH_RECOVERY_OBJECTS keyspace (default OBJECTS)
 //   ablation       OBJECTS capped at 10000, OPS at 5000
 //   shard_scaling  THREADS/OBJECTS/OPS default to 8/2000/400;
@@ -381,88 +382,103 @@ int table3(Ctx& c) {
          "BTree(ns)", "Meta(ns)", "LogFlush(ns)", "Total(ns)", "p50(us)", "p99(us)");
   const int kWarmup = 200;
   const int kOps = (int)c.p.ops_per_thread;
+  // Each cell runs c.exp.reps times on a fresh store; the table prints the
+  // medians and the report keeps each field's median, min and max.
+  const char* const kFields[] = {"nvme_ns", "btree_ns", "meta_ns", "log_flush_ns", "total_ns",
+                                 "p50_us",  "p99_us",   "p999_us", "throughput_iops"};
+  constexpr size_t kNumFields = sizeof(kFields) / sizeof(kFields[0]);
   for (uint32_t qd : {1u, 16u}) {
     for (size_t size : {(size_t)4096, (size_t)16384, (size_t)65536}) {
-      auto cfg = baselines::DStoreAdapter::dipper_variant();
-      cfg.store.max_objects = 1 << 14;
-      // Exactly the blocks the warm-up plus the timed puts hold (4 KB blocks).
-      cfg.store.num_blocks = (uint64_t)(kWarmup + kOps) * ((size + 4095) / 4096);
-      cfg.store.ssd_qd = qd;
-      auto adapter = baselines::DStoreAdapter::make(cfg, c.p.latency());
-      if (!adapter.is_ok()) {
-        fprintf(stderr, "make %s failed: %s\n", cfg.display_name,
-                adapter.status().to_string().c_str());
-        return 1;
-      }
-      DStore& store = adapter.value()->store();
-      ds_ctx_t* ctx = store.ds_init();
-      std::string value(size, 'b');
-      // Single-threaded instrumented writes, distinct keys (insert path).
-      // The untimed warm-up fills every block once, then deletes all but
-      // kWarmup objects: the block pool is FIFO, so each timed put lands on
-      // media pages already written, not on the kernel's first-touch page
-      // faults of a fresh device.
-      Status warm;
-      for (int i = 0; i < kWarmup + kOps && warm.is_ok(); i++) {
-        warm = store.oput(ctx, "warm" + std::to_string(i), value.data(), value.size());
-      }
-      for (int i = kWarmup; i < kWarmup + kOps && warm.is_ok(); i++) {
-        warm = store.odelete(ctx, "warm" + std::to_string(i));
-      }
-      if (!warm.is_ok()) {
-        fprintf(stderr, "warm-up failed: %s\n", warm.to_string().c_str());
-        return 1;
-      }
-      adapter.value()->prepare_run();  // the timed puts start on an empty log
-      // Zero the registry after warmup so the scrape covers only the
-      // measured ops (reset touches owned metrics only).
-      store.metrics().reset();
-      obs::Histogram lat;
-      uint64_t bench_ns = 0;
-      for (int i = 0; i < kOps; i++) {
-        uint64_t t0 = now_ns();
-        Status s = store.oput(ctx, "obj" + std::to_string(i), value.data(), value.size());
-        uint64_t dt = now_ns() - t0;
-        if (!s.is_ok()) {
-          fprintf(stderr, "put failed: %s\n", s.to_string().c_str());
+      std::vector<double> reps[kNumFields];
+      const char* display_name = "";
+      for (int rep = 0; rep < c.exp.reps; rep++) {
+        auto cfg = baselines::DStoreAdapter::dipper_variant();
+        display_name = cfg.display_name;
+        cfg.store.max_objects = 1 << 14;
+        // Exactly the blocks the warm-up plus the timed puts hold (4 KB blocks).
+        cfg.store.num_blocks = (uint64_t)(kWarmup + kOps) * ((size + 4095) / 4096);
+        cfg.store.ssd_qd = qd;
+        auto adapter = baselines::DStoreAdapter::make(cfg, c.p.latency());
+        if (!adapter.is_ok()) {
+          fprintf(stderr, "make %s failed: %s\n", cfg.display_name,
+                  adapter.status().to_string().c_str());
           return 1;
         }
-        lat.record(dt);
-        bench_ns += dt;
+        DStore& store = adapter.value()->store();
+        ds_ctx_t* ctx = store.ds_init();
+        std::string value(size, 'b');
+        // Single-threaded instrumented writes, distinct keys (insert path).
+        // The untimed warm-up fills every block once, then deletes all but
+        // kWarmup objects: the block pool is FIFO, so each timed put lands on
+        // media pages already written, not on the kernel's first-touch page
+        // faults of a fresh device.
+        Status warm;
+        for (int i = 0; i < kWarmup + kOps && warm.is_ok(); i++) {
+          warm = store.oput(ctx, "warm" + std::to_string(i), value.data(), value.size());
+        }
+        for (int i = kWarmup; i < kWarmup + kOps && warm.is_ok(); i++) {
+          warm = store.odelete(ctx, "warm" + std::to_string(i));
+        }
+        if (!warm.is_ok()) {
+          fprintf(stderr, "warm-up failed: %s\n", warm.to_string().c_str());
+          return 1;
+        }
+        adapter.value()->prepare_run();  // the timed puts start on an empty log
+        // Zero the registry after warmup so the scrape covers only the
+        // measured ops (reset touches owned metrics only).
+        store.metrics().reset();
+        obs::Histogram lat;
+        uint64_t bench_ns = 0;
+        for (int i = 0; i < kOps; i++) {
+          uint64_t t0 = now_ns();
+          Status s = store.oput(ctx, "obj" + std::to_string(i), value.data(), value.size());
+          uint64_t dt = now_ns() - t0;
+          if (!s.is_ok()) {
+            fprintf(stderr, "put failed: %s\n", s.to_string().c_str());
+            return 1;
+          }
+          lat.record(dt);
+          bench_ns += dt;
+        }
+        // Per-stage means from the registry's sampled stage histograms
+        // (1-in-OpTrace::kSampleEvery puts carry full spans; the means are
+        // unbiased since sampling does not depend on latency).
+        obs::MetricsRegistry& m = store.metrics();
+        auto stage_mean = [&](const char* name) {
+          obs::Histogram* h = m.find_histogram(name);
+          return h != nullptr && h->count() > 0 ? (double)h->sum() / (double)h->count() : 0.0;
+        };
+        const double total = stage_mean("dstore_put_latency_ns");
+        const obs::MetricSnapshot put_lat = lat.snapshot();
+        const double values[kNumFields] = {
+            stage_mean("dstore_stage_ssd_batch_ns"),
+            stage_mean("dstore_stage_btree_ns"),
+            stage_mean("dstore_stage_pool_alloc_ns") + stage_mean("dstore_stage_meta_zone_ns"),
+            stage_mean("dstore_stage_log_append_ns") + stage_mean("dstore_stage_commit_flush_ns"),
+            total > 0 ? total : 1,  // metrics compiled out: avoid div-by-zero
+            quantile_us(put_lat, 0.50),
+            quantile_us(put_lat, 0.99),
+            quantile_us(put_lat, 0.999),
+            bench_ns > 0 ? (double)kOps * 1e9 / (double)bench_ns : 0};
+        for (size_t f = 0; f < kNumFields; f++) reps[f].push_back(values[f]);
+        printf("#      rep %d io: batches=%llu issued=%llu coalesced=%llu retries=%llu\n", rep + 1,
+               (unsigned long long)m.counter_value("ssd_io_batches_total"),
+               (unsigned long long)m.counter_value("ssd_ios_issued_total"),
+               (unsigned long long)m.counter_value("ssd_blocks_coalesced_total"),
+               (unsigned long long)m.counter_value("ssd_io_retries_total"));
+        store.ds_finalize(ctx);
       }
-      // Per-stage means from the registry's sampled stage histograms
-      // (1-in-OpTrace::kSampleEvery puts carry full spans; the means are
-      // unbiased since sampling does not depend on latency).
-      obs::MetricsRegistry& m = store.metrics();
-      auto stage_mean = [&](const char* name) {
-        obs::Histogram* h = m.find_histogram(name);
-        return h != nullptr && h->count() > 0 ? (double)h->sum() / (double)h->count() : 0.0;
-      };
-      double data = stage_mean("dstore_stage_ssd_batch_ns");
-      double btree = stage_mean("dstore_stage_btree_ns");
-      double meta =
-          stage_mean("dstore_stage_pool_alloc_ns") + stage_mean("dstore_stage_meta_zone_ns");
-      double log =
-          stage_mean("dstore_stage_log_append_ns") + stage_mean("dstore_stage_commit_flush_ns");
-      double total = stage_mean("dstore_put_latency_ns");
-      if (total <= 0) total = 1;  // metrics compiled out: avoid div-by-zero
-      const obs::MetricSnapshot put_lat = lat.snapshot();
+      double med[kNumFields];
+      for (size_t f = 0; f < kNumFields; f++) med[f] = median(reps[f]);
+      const double data = med[0], btree = med[1], meta = med[2], log = med[3], total = med[4];
       printf("%-4u %-6zu %12.1f %12.1f %12.1f %12.1f %12.1f %10.1f %10.1f\n", qd, size, data,
-             btree, meta, log, total, quantile_us(put_lat, 0.50), quantile_us(put_lat, 0.99));
+             btree, meta, log, total, med[5], med[6]);
       printf("%-4s %-6s %11.1f%% %11.1f%% %11.1f%% %11.1f%% %11.1f%%\n", "", "",
              100 * data / total, 100 * btree / total, 100 * meta / total, 100 * log / total,
              100.0);
-      printf("#      io: batches=%llu issued=%llu coalesced=%llu retries=%llu\n",
-             (unsigned long long)m.counter_value("ssd_io_batches_total"),
-             (unsigned long long)m.counter_value("ssd_ios_issued_total"),
-             (unsigned long long)m.counter_value("ssd_blocks_coalesced_total"),
-             (unsigned long long)m.counter_value("ssd_io_retries_total"));
-      c.report.row().str("op", "put").str("system", cfg.display_name).num("qd", qd)
-          .num("threads", 1).num("value_size", (double)size).percentiles(put_lat)
-          .num("throughput_iops", bench_ns > 0 ? (double)kOps * 1e9 / (double)bench_ns : 0)
-          .num("nvme_ns", data).num("btree_ns", btree).num("meta_ns", meta)
-          .num("log_flush_ns", log).num("total_ns", total);
-      store.ds_finalize(ctx);
+      Report::Row& row = c.report.row().str("op", "put").str("system", display_name).num("qd", qd)
+                             .num("threads", 1).num("value_size", (double)size);
+      for (size_t f = 0; f < kNumFields; f++) row.stat(kFields[f], reps[f]);
     }
   }
   printf("# Expected shape: NVMe ~88%% (4KB) rising to ~96%% (16KB); btree+meta\n");
@@ -741,7 +757,8 @@ const Exp kExps[] = {
      .banner = fig10_banner,
      .footer = "# Expected shape: similar footprints; PMSE smallest (ampl ~1.3-1.4);\n"
                "# cached systems inflated by reserved cache; DStore ~1.8-2.0.\n"},
-    {.id = "table3", .title = "Table 3: DStore write-pipeline time breakdown", .run = table3,
+    {.id = "table3", .title = "Table 3: DStore write-pipeline time breakdown", .reps = 3,
+     .run = table3,
      .params = [] { return BenchParams(4, 20000, 5000); }},
     {.id = "table4", .title = "Table 4: recovery time (ms)",
      .systems = {"PMEM-RocksDB", "MongoDB-PM", "MongoDB-PMSE", "DStore"},

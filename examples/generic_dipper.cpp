@@ -9,6 +9,7 @@
 #include <cstring>
 #include <deque>
 #include <string>
+#include <vector>
 
 #include "dipper/engine.h"
 
@@ -42,10 +43,14 @@ class PersistentQueue final : public SpaceClient {
     return Status::ok();
   }
 
-  Status replay(SlabAllocator& space, std::span<const LogRecordView> records) override {
+  Status replay(SlabAllocator& space, std::span<const LogRecordView> records,
+                std::vector<bool>* /*landed*/) override {
     // The statically defined op->function mapping (§3.2): push and pop,
-    // replayed with the same functions the frontend uses.
+    // replayed with the same functions the frontend uses. Only committed
+    // records replay: the frontend never aborts, and an open record
+    // carries no data recovery could check.
     for (const auto& rec : records) {
+      if (!rec.committed()) continue;
       if (rec.op == OpType::kPut) {
         DSTORE_RETURN_IF_ERROR(do_push(space, rec.arg0));
       } else if (rec.op == OpType::kDelete) {

@@ -259,7 +259,7 @@ Status Engine::recover() {
       LogRecordView rec;
       bool corrupt = false;
       if (sides_[i].log.read(s, &rec, &corrupt)) {
-        sides_[i].states[s].store(rec.committed ? SlotState::kCommitted : SlotState::kAborted,
+        sides_[i].state(s).store(rec.committed() ? SlotState::kCommitted : SlotState::kAborted,
                                   std::memory_order_relaxed);
         sides_[i].name_hashes[s] = rec.name.hash();
         last_valid = s;
@@ -268,8 +268,9 @@ Status Engine::recover() {
       } else if (corrupt) {
         if (sides_[i].log.is_committed(s)) {
           // A COMMITTED record whose bytes fail their checksum is silent
-          // media corruption — commit fences strictly after the publication
-          // train persisted the CRC, so no crash schedule can produce this.
+          // media corruption — the flag is stored (fenced or not) strictly
+          // after the publication fence persisted the CRC, so no crash
+          // schedule can produce this.
           // The log's history is no longer trustworthy, and replaying
           // around the hole could silently resurrect or drop committed
           // operations. Fail-stop.
@@ -284,12 +285,12 @@ Status Engine::recover() {
         // ignoring the slot is correct; park it as aborted (NOT free — it
         // stays occupied until the side is recycled and reformatted) and
         // keep scanning, since committed records can follow in slot order.
-        sides_[i].states[s].store(SlotState::kAborted, std::memory_order_relaxed);
+        sides_[i].state(s).store(SlotState::kAborted, std::memory_order_relaxed);
         sides_[i].name_hashes[s] = 0;
         last_valid = s;
         any = true;
       } else {
-        sides_[i].states[s].store(SlotState::kFree, std::memory_order_relaxed);
+        sides_[i].state(s).store(SlotState::kFree, std::memory_order_relaxed);
         sides_[i].name_hashes[s] = 0;
       }
     }
@@ -299,50 +300,25 @@ Status Engine::recover() {
   lsn_counter_.store(max_lsn + 1, std::memory_order_release);
   active_idx_.store(active, std::memory_order_release);
 
-  StopWatch recovery_watch;
-  std::vector<LogRecordView> cow_archived_records;
-  if (st.ckpt_running) {
-    if (cfg_.ckpt_mode == EngineConfig::CkptMode::kDipper) {
-      // §3.6: "we redo the checkpoint procedure ongoing at the time of
-      // crash" — clone the (old, consistent) current copy and replay the
-      // archived log onto it, exactly as the interrupted checkpoint would.
-      DSTORE_FAULT_POINT(cfg_.fault, "engine.recover.redo.begin");
-      DSTORE_RETURN_IF_ERROR(replay_onto_spare(archived));
-      install_spare(archived);
-      recycle_archived(archived);
-      st = load_state();
-      DSTORE_FAULT_POINT(cfg_.fault, "engine.recover.redo.done");
-    } else {
-      // CoW cannot redo page copies (the source pages died with DRAM); the
-      // archived records are folded into volatile recovery below and a
-      // fresh full snapshot is taken.
-      DSTORE_RETURN_IF_ERROR(collect_committed(archived, &cow_archived_records));
-    }
-  }
-
-  // Rebuild the volatile space from the current shadow copy (§3.6:
-  // "replicating the PMEM allocator state ... and copying pages from PMEM
-  // to DRAM").
-  DSTORE_RETURN_IF_ERROR(rebuild_volatile_from_shadow());
-  DSTORE_FAULT_POINT(cfg_.fault, "engine.recover.rebuild.done");
-  stats_.recovery_metadata_ns.store(recovery_watch.elapsed_ns(), std::memory_order_release);
-  StopWatch replay_watch;
-
-  if (!cow_archived_records.empty()) {
-    DSTORE_RETURN_IF_ERROR(client_->replay(volatile_space_, cow_archived_records));
-    stats_.records_replayed.fetch_add(cow_archived_records.size(), std::memory_order_relaxed);
-  }
-
-  // Replay the active log's committed records onto the volatile space.
-  DSTORE_FAULT_POINT(cfg_.fault, "engine.recover.replay.begin");
+  // §3.6: "we redo the checkpoint procedure ongoing at the time of crash" —
+  // kDipper clones the (old, consistent) current copy and replays the
+  // archived log onto it, exactly as the interrupted checkpoint would. CoW
+  // cannot redo page copies (the source pages died with DRAM): its archived
+  // records replay onto the volatile space, and a fresh full snapshot is
+  // taken below.
+  const bool redo = st.ckpt_running && cfg_.ckpt_mode == EngineConfig::CkptMode::kDipper;
+  std::vector<LogRecordView> archived_records;
   std::vector<LogRecordView> active_records;
-  DSTORE_RETURN_IF_ERROR(collect_committed(active, &active_records));
-  if (!active_records.empty()) {
-    DSTORE_RETURN_IF_ERROR(client_->replay(volatile_space_, active_records));
-    stats_.records_replayed.fetch_add(active_records.size(), std::memory_order_relaxed);
+  if (st.ckpt_running) DSTORE_RETURN_IF_ERROR(collect_records(archived, &archived_records));
+  DSTORE_RETURN_IF_ERROR(collect_records(active, &active_records));
+  if (redo) DSTORE_FAULT_POINT(cfg_.fault, "engine.recover.redo.begin");
+  DSTORE_RETURN_IF_ERROR(replay_recovered(archived, active, redo, archived_records, active_records));
+  if (redo) {
+    install_spare(archived);
+    recycle_archived(archived);
+    st = load_state();
+    DSTORE_FAULT_POINT(cfg_.fault, "engine.recover.redo.done");
   }
-  DSTORE_FAULT_POINT(cfg_.fault, "engine.recover.replay.done");
-  stats_.recovery_replay_ns.store(replay_watch.elapsed_ns(), std::memory_order_release);
 
   if (cfg_.ckpt_mode == EngineConfig::CkptMode::kCow && st.ckpt_running) {
     // Complete the interrupted CoW checkpoint with a full snapshot of the
@@ -380,9 +356,84 @@ Status Engine::recover() {
   return Status::ok();
 }
 
-Status Engine::rebuild_volatile_from_shadow() {
+Status Engine::replay_recovered(uint8_t archived_idx, uint8_t active_idx, bool redo,
+                                std::vector<LogRecordView>& archived,
+                                std::vector<LogRecordView>& active) {
+  StopWatch metadata_watch;
   PackedState st = load_state();
-  Arena shadow = pmem_arena(st.shadow_cur);
+  const uint8_t base_slot = redo ? st.spare_slot() : st.shadow_cur;
+  std::vector<bool> landed_archived(archived.size());
+  std::vector<bool> landed_active(active.size());
+  if (redo) DSTORE_RETURN_IF_ERROR(replay_onto_spare(archived, &landed_archived));
+  // Rebuild the volatile space (§3.6: "replicating the PMEM allocator state
+  // ... and copying pages from PMEM to DRAM").
+  DSTORE_RETURN_IF_ERROR(rebuild_volatile_from(base_slot));
+  DSTORE_FAULT_POINT(cfg_.fault, "engine.recover.rebuild.done");
+  stats_.recovery_metadata_ns.store(metadata_watch.elapsed_ns(), std::memory_order_release);
+  StopWatch replay_watch;
+  DSTORE_FAULT_POINT(cfg_.fault, "engine.recover.replay.begin");
+  if (!redo) DSTORE_RETURN_IF_ERROR(client_->replay(volatile_space_, archived, &landed_archived));
+  DSTORE_RETURN_IF_ERROR(client_->replay(volatile_space_, active, &landed_active));
+
+  // The cut: records replay up to the last one whose commit flag persisted
+  // or whose data the client found intact. Every record before it runs —
+  // its allocations shaped every later record's — and the tail after it
+  // never happened. The archived log precedes the active one in LSN order.
+  auto last_replayed = [](const std::vector<LogRecordView>& recs,
+                          const std::vector<bool>& landed) {
+    size_t cut = 0;
+    for (size_t i = 0; i < recs.size(); i++) {
+      if (recs[i].committed() || (landed[i] && recs[i].state == RecordState::kOpen)) cut = i + 1;
+    }
+    return cut;
+  };
+  const size_t active_cut = last_replayed(active, landed_active);
+  const size_t archived_cut =
+      active_cut > 0 ? archived.size() : last_replayed(archived, landed_archived);
+
+  // Write the verdicts into the flags, under one fence, so a second
+  // recovery — or a checkpoint after this one — sees the same history even
+  // once later writes change the data these checks read.
+  {
+    pmem::PmemCheckScope scope("engine:recover:verdicts");
+    pmem::PersistBatch verdicts(pool_);
+    auto settle = [&](uint8_t side, const std::vector<LogRecordView>& recs,
+                      const std::vector<bool>& landed, size_t cut) {
+      for (size_t i = 0; i < recs.size(); i++) {
+        const LogRecordView& rec = recs[i];
+        if (i >= cut) {
+          if (!rec.committed()) sides_[side].log.mark(rec.slot, PmemLog::kFlagDropped, verdicts);
+        } else if (rec.state == RecordState::kOpen) {
+          sides_[side].log.mark(rec.slot, landed[i] ? PmemLog::kFlagCommitted : PmemLog::kFlagAborted,
+                                verdicts);
+        }
+      }
+    };
+    settle(archived_idx, archived, landed_archived, archived_cut);
+    settle(active_idx, active, landed_active, active_cut);
+    verdicts.commit();
+  }
+
+  // Replayed past the cut: rebuild and replay just the prefix. Rare — it
+  // takes a crash with a record in flight whose data never landed.
+  if (archived_cut < archived.size() || active_cut < active.size()) {
+    const bool redo_again = redo && archived_cut < archived.size();
+    archived.resize(archived_cut);
+    active.resize(active_cut);
+    if (redo_again) DSTORE_RETURN_IF_ERROR(replay_onto_spare(archived, nullptr));
+    DSTORE_RETURN_IF_ERROR(rebuild_volatile_from(base_slot));
+    if (!redo) DSTORE_RETURN_IF_ERROR(client_->replay(volatile_space_, archived, nullptr));
+    DSTORE_RETURN_IF_ERROR(client_->replay(volatile_space_, active, nullptr));
+  }
+  stats_.records_replayed.fetch_add((redo ? 0 : archived.size()) + active.size(),
+                                    std::memory_order_relaxed);
+  DSTORE_FAULT_POINT(cfg_.fault, "engine.recover.replay.done");
+  stats_.recovery_replay_ns.store(replay_watch.elapsed_ns(), std::memory_order_release);
+  return Status::ok();
+}
+
+Status Engine::rebuild_volatile_from(uint8_t slot) {
+  Arena shadow = pmem_arena(slot);
   auto shadow_space = SlabAllocator::open(shadow);
   if (!shadow_space.is_ok()) return shadow_space.status();
   uint64_t used = shadow_space.value().used_bytes();
@@ -442,7 +493,7 @@ bool Engine::scan_conflicting_write(const Key& name) const {
   uint32_t end = side.next_slot.load(std::memory_order_acquire);
   uint64_t h = name.hash();
   for (uint32_t s = 0; s < end && s < cfg_.log_slots; s++) {
-    SlotState st = side.states[s].load(std::memory_order_acquire);
+    SlotState st = side.state(s).load(std::memory_order_acquire);
     if ((st == SlotState::kReserved || st == SlotState::kValid) && side.name_hashes[s] == h) {
       return true;
     }
@@ -461,7 +512,7 @@ Result<Engine::RecordHandle> Engine::reserve(const Key& name, bool wait) {
         // Fill the slot's scan-visible fields BEFORE publishing next_slot:
         // scan_conflicting_write reads them lock-free after an acquire load
         // of next_slot, so the release store must come last.
-        side.states[next].store(SlotState::kReserved, std::memory_order_release);
+        side.state(next).store(SlotState::kReserved, std::memory_order_release);
         side.name_hashes[next] = name.hash();
         side.next_slot.store(next + 1, std::memory_order_release);
         inflight_inc(name);
@@ -469,6 +520,7 @@ Result<Engine::RecordHandle> Engine::reserve(const Key& name, bool wait) {
         h.side = side_idx;
         h.slot = next;
         h.lsn = lsn_counter_.fetch_add(1, std::memory_order_acq_rel);
+        h.gen = side.gen.load(std::memory_order_relaxed);
         h.name = name;
         return h;
       }
@@ -488,7 +540,8 @@ Result<Engine::RecordHandle> Engine::reserve(const Key& name, bool wait) {
 }
 
 void Engine::write_reserved(const RecordHandle& h, OpType op, uint64_t arg0, uint64_t arg1,
-                            const void* phys_payload, size_t phys_len) {
+                            const void* phys_payload, size_t phys_len,
+                            std::optional<uint32_t> value_crc) {
   // The record write and its persist run outside every lock: the flush
   // latency (~600ns, Table 3) never serializes other appenders. The slot
   // reservation already fixed this record's conflict-order position.
@@ -505,9 +558,13 @@ void Engine::write_reserved(const RecordHandle& h, OpType op, uint64_t arg0, uin
     // slot index between the two log sides.
     payload_crc = crc32c(dst, n);
   }
+  // A value CRC takes the payload CRC's place: for a whole-object payload
+  // that fits its slot they are the same checksum, and find_repair_payload
+  // never trusts a payload that does not fit.
+  if (value_crc.has_value()) payload_crc = *value_crc;
   sides_[h.side].log.write_record(h.slot, h.lsn, op, h.name, arg0, arg1, op == OpType::kNoop,
-                                  payload_crc);
-  sides_[h.side].states[h.slot].store(SlotState::kValid, std::memory_order_release);
+                                  payload_crc, value_crc.has_value());
+  sides_[h.side].state(h.slot).store(SlotState::kValid, std::memory_order_release);
   stats_.records_appended.fetch_add(1, std::memory_order_relaxed);
 
   if (cfg_.background_checkpointing && checkpointing_enabled_.load(std::memory_order_acquire) &&
@@ -535,7 +592,7 @@ Result<Engine::RecordHandle> Engine::append(OpType op, const Key& name, uint64_t
   return h;
 }
 
-void Engine::commit(const RecordHandle& h) {
+void Engine::commit(const RecordHandle& h, bool fence) {
   // Ordering contract with the async data plane: between write_reserved()
   // and commit() the record's PMEM persist and the op's SSD data writes
   // are independent and may overlap freely; commit() is the join point and
@@ -543,11 +600,20 @@ void Engine::commit(const RecordHandle& h) {
   // AND every data IO acknowledged (the caller reaps its queue-pair first).
   // Committing a merely-reserved slot would publish a record whose bytes
   // may not be durable.
-  assert(sides_[h.side].states[h.slot].load(std::memory_order_acquire) == SlotState::kValid);
-  sides_[h.side].log.commit(h.slot);
-  sides_[h.side].states[h.slot].store(SlotState::kCommitted, std::memory_order_release);
+  assert(sides_[h.side].state(h.slot).load(std::memory_order_acquire) == SlotState::kValid);
+  sides_[h.side].log.commit(h.slot, fence);
+  sides_[h.side].state(h.slot).store(SlotState::kCommitted, std::memory_order_release);
   inflight_dec(h.name);
-  stats_.records_committed.fetch_add(1, std::memory_order_relaxed);
+  stats_.records_committed.add(1);
+}
+
+void Engine::persist_commit(uint8_t side, uint32_t slot, uint64_t gen) {
+  // Under log_mu_, a recycle cannot start between the generation check and
+  // the flush (it bumps gen under the lock before formatting), and the slot
+  // cannot have been reused without a recycle.
+  MutexGuard g(log_mu_);
+  if (sides_[side].gen.load(std::memory_order_acquire) != gen) return;
+  sides_[side].log.persist_flags(slot);
 }
 
 void Engine::abort(const RecordHandle& h) {
@@ -555,7 +621,7 @@ void Engine::abort(const RecordHandle& h) {
   // recovery never decodes it, and the swap's drain treats kAborted as
   // settled — so aborting is safe at any point after reserve().
   sides_[h.side].log.abort(h.slot);
-  sides_[h.side].states[h.slot].store(SlotState::kAborted, std::memory_order_release);
+  sides_[h.side].state(h.slot).store(SlotState::kAborted, std::memory_order_release);
   inflight_dec(h.name);
   stats_.records_aborted.fetch_add(1, std::memory_order_relaxed);
 }
@@ -575,7 +641,7 @@ Result<Engine::RecordHandle> Engine::lock_object(const Key& name) {
   side.name_hashes[next] = name.hash();
   uint64_t lsn = lsn_counter_.fetch_add(1, std::memory_order_acq_rel);
   side.log.write_record(next, lsn, OpType::kNoop, name, 0, 0, /*noop=*/true);
-  side.states[next].store(SlotState::kValid, std::memory_order_release);
+  side.state(next).store(SlotState::kValid, std::memory_order_release);
   side.next_slot.store(next + 1, std::memory_order_release);
   inflight_inc(name);
   held_locks_[key_str] = HeldLock{side_idx, next};
@@ -597,7 +663,7 @@ void Engine::unlock_object(const RecordHandle& /*h*/, const Key& name) {
   HeldLock hl = it->second;
   held_locks_.erase(it);
   sides_[hl.side].log.commit(hl.slot);
-  sides_[hl.side].states[hl.slot].store(SlotState::kCommitted, std::memory_order_release);
+  sides_[hl.side].state(hl.slot).store(SlotState::kCommitted, std::memory_order_release);
   inflight_dec(name);
 }
 
@@ -641,7 +707,7 @@ Result<std::vector<char>> Engine::find_repair_payload(const Key& name,
         for (; s < end; s++) {
           LogRecordView rec;
           if (!side.log.read(s, &rec)) continue;
-          if (!rec.committed || rec.op == OpType::kNoop) continue;
+          if (!rec.committed() || rec.op == OpType::kNoop) continue;
           if (!(rec.name == name)) continue;
           if (best_side < 0 || rec.lsn > best.lsn) {
             best = rec;
@@ -736,7 +802,7 @@ Status Engine::swap_logs() {
   uint32_t used = fs.next_slot.load(std::memory_order_acquire);
   for (uint32_t s = 0; s < used; s++) {
     int spins = 0;
-    while (fs.states[s].load(std::memory_order_acquire) == SlotState::kReserved) {
+    while (fs.state(s).load(std::memory_order_acquire) == SlotState::kReserved) {
       if (++spins > 64) {
         std::this_thread::yield();
         spins = 0;
@@ -755,9 +821,9 @@ Status Engine::swap_logs() {
     ts.name_hashes[ns] = name.hash();
     uint64_t lsn = lsn_counter_.fetch_add(1, std::memory_order_acq_rel);
     ts.log.write_record(ns, lsn, OpType::kNoop, name, 0, 0, /*noop=*/true);
-    ts.states[ns].store(SlotState::kValid, std::memory_order_release);
+    ts.state(ns).store(SlotState::kValid, std::memory_order_release);
     ts.next_slot.store(ns + 1, std::memory_order_release);
-    fs.states[hl.slot].store(SlotState::kAborted, std::memory_order_release);
+    fs.state(hl.slot).store(SlotState::kAborted, std::memory_order_release);
     hl = HeldLock{to, ns};
   }
   ts.zeroed.store(false, std::memory_order_release);
@@ -780,7 +846,7 @@ void Engine::drain_archived(uint8_t archived_idx) {
   for (uint32_t s = 0; s < used; s++) {
     int spins = 0;
     for (;;) {
-      SlotState st = side.states[s].load(std::memory_order_acquire);
+      SlotState st = side.state(s).load(std::memory_order_acquire);
       if (st != SlotState::kReserved && st != SlotState::kValid) break;
       if (++spins > 64) {
         std::this_thread::yield();
@@ -791,9 +857,9 @@ void Engine::drain_archived(uint8_t archived_idx) {
   DSTORE_FAULT_POINT(cfg_.fault, "engine.drain.done");
 }
 
-Status Engine::collect_committed(uint8_t log_idx, std::vector<LogRecordView>* out) {
+Status Engine::collect_records(uint8_t log_idx, std::vector<LogRecordView>* out) {
   const LogSide& side = sides_[log_idx];
-  uint32_t limit = std::max(side.next_slot.load(std::memory_order_acquire), (uint32_t)0);
+  uint32_t limit = side.next_slot.load(std::memory_order_acquire);
   if (limit == 0) limit = cfg_.log_slots;  // recovery path: scan everything
   for (uint32_t s = 0; s < limit && s < cfg_.log_slots; s++) {
     LogRecordView rec;
@@ -805,14 +871,14 @@ Status Engine::collect_committed(uint8_t log_idx, std::vector<LogRecordView>* ou
         // the pass; the caller surfaces Status::corruption. (Uncommitted +
         // CRC-fail is a torn publication — a crash inside the single-fence
         // window, DESIGN.md §13 — never acknowledged, never replayable:
-        // skip it like any other non-committed slot.)
+        // skip it like an empty slot.)
         stats_.log_crc_failures.fetch_add(1, std::memory_order_relaxed);
         return Status::corruption("log side " + std::to_string(log_idx) + " slot " +
                                   std::to_string(s) + " failed its record checksum");
       }
       continue;
     }
-    if (!rec.committed || rec.op == OpType::kNoop) continue;
+    if (rec.op == OpType::kNoop || rec.state == RecordState::kDropped) continue;
     out->push_back(rec);
   }
   // Replay order is LSN order: a valid linearization because conflicting
@@ -822,7 +888,8 @@ Status Engine::collect_committed(uint8_t log_idx, std::vector<LogRecordView>* ou
   return Status::ok();
 }
 
-Status Engine::replay_onto_spare(uint8_t archived_idx) {
+Status Engine::replay_onto_spare(std::span<const LogRecordView> records,
+                                 std::vector<bool>* landed) {
   PackedState st = load_state();
   uint8_t spare = st.spare_slot();
   Arena src = pmem_arena(st.shadow_cur);
@@ -850,10 +917,8 @@ Status Engine::replay_onto_spare(uint8_t archived_idx) {
   if (!dst_space_r.is_ok()) return dst_space_r.status();
   SlabAllocator dst_space = dst_space_r.value();
 
-  std::vector<LogRecordView> records;
-  DSTORE_RETURN_IF_ERROR(collect_committed(archived_idx, &records));
   DSTORE_FAULT_POINT(cfg_.fault, "engine.replay.begin");
-  DSTORE_RETURN_IF_ERROR(client_->replay(dst_space, records));
+  DSTORE_RETURN_IF_ERROR(client_->replay(dst_space, records, landed));
   stats_.records_replayed.fetch_add(records.size(), std::memory_order_relaxed);
   DSTORE_FAULT_POINT(cfg_.fault, "engine.replay.done");
 
@@ -936,7 +1001,7 @@ Status Engine::do_checkpoint() {
       for (uint32_t s = 0; s < used; s++) {
         int spins = 0;
         for (;;) {
-          SlotState st = side.states[s].load(std::memory_order_acquire);
+          SlotState st = side.state(s).load(std::memory_order_acquire);
           if (st != SlotState::kReserved && st != SlotState::kValid) break;
           if (++spins > 64) {
             std::this_thread::yield();
@@ -980,7 +1045,12 @@ Status Engine::do_checkpoint() {
     if (!step_allowed("ckpt:after_drain")) {
       result = Status::internal("abandoned at ckpt:after_drain");
     } else {
-      result = replay_onto_spare(archived_idx);
+      // Every record the frontend ran: committed ones and the aborted ones
+      // (after the drain none is open), whose allocations later records'
+      // depend on.
+      std::vector<LogRecordView> records;
+      result = collect_records(archived_idx, &records);
+      if (result.is_ok()) result = replay_onto_spare(records, nullptr);
       end_phase(stats_.ckpt_replay_ns);
       if (result.is_ok() && !step_allowed("ckpt:after_replay")) {
         result = Status::internal("abandoned at ckpt:after_replay");

@@ -27,7 +27,7 @@
 // frontend immediately continues appending to the new active log), in-
 // flight records drain (bounded by one op, microseconds — never a global
 // quiesce), the current shadow copy is cloned into the spare arena slot,
-// the archived log's committed records replay onto the clone in LSN order,
+// the archived log's records replay onto the clone in LSN order,
 // the clone is bulk-flushed, and the root flips cur→clone. A crash at any
 // point leaves a consistent copy reachable from the root.
 //
@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -61,6 +62,7 @@
 #include "ds/key.h"
 #include "ds/name_count_table.h"
 #include "fault/fault.h"
+#include "obs/metrics.h"
 #include "pmem/pool.h"
 
 namespace dstore::dipper {
@@ -72,11 +74,17 @@ class SpaceClient {
   virtual ~SpaceClient() = default;
   // Build the initial (empty) structures inside a freshly formatted space.
   virtual Status format(SlabAllocator& space) = 0;
-  // Apply committed records, in the given order, to a space. Must be
+  // Apply records, in the given (LSN) order, to a space. Must be
   // deterministic: identical space state + identical record sequence =>
-  // identical resulting state (§3.1). Noop records are filtered out by the
-  // engine before this is called.
-  virtual Status replay(SlabAllocator& space, std::span<const LogRecordView> records) = 0;
+  // identical resulting state (§3.1). The engine filters out noop and
+  // dropped records; the rest may be committed, aborted or open (no flag
+  // persisted), and the client decides what a record that did not commit
+  // means to its structures. Checkpoints pass every record the frontend
+  // ran; recovery passes `landed` (sized like `records`) and the client
+  // sets (*landed)[i] for each open value-CRC record whose data it finds
+  // intact — the engine then decides which records replay (DESIGN.md §13).
+  virtual Status replay(SlabAllocator& space, std::span<const LogRecordView> records,
+                        std::vector<bool>* landed) = 0;
 };
 
 // Default for EngineConfig::nt_stores: the DSTORE_PMEM_NT environment knob
@@ -129,9 +137,31 @@ struct EngineConfig {
   fault::FaultInjector* fault = nullptr;
 };
 
+// A count every writer thread bumps on its hot path: one cache-line slot
+// per thread (obs::Counter's stripes), so concurrent commits never contend
+// on a shared line. Unlike obs::Counter it counts with metrics compiled out.
+class StripedCount {
+ public:
+  void add(uint64_t v) {
+    const size_t i = obs::stripe_index();
+    obs::slot_add(slots_[i].v, i, v);
+  }
+  uint64_t load() const {
+    uint64_t total = 0;
+    for (const Slot& s : slots_) total += s.v.load(std::memory_order_relaxed);
+    return total;
+  }
+
+ private:
+  struct alignas(64) Slot {
+    std::atomic<uint64_t> v{0};
+  };
+  Slot slots_[obs::kSlotCount];
+};
+
 struct EngineStats {
   std::atomic<uint64_t> records_appended{0};
-  std::atomic<uint64_t> records_committed{0};
+  StripedCount records_committed;
   std::atomic<uint64_t> records_aborted{0};
   std::atomic<uint64_t> checkpoints{0};
   std::atomic<uint64_t> ckpt_failures{0};  // background checkpoints that errored
@@ -173,7 +203,8 @@ class Engine {
 
   // Recover after a crash or restart (§3.6): finish any interrupted
   // checkpoint, rebuild the volatile space from the current shadow copy,
-  // and replay the active log's committed records.
+  // and replay the active log's records up to the last one that committed
+  // or whose data landed (DESIGN.md §13, the replay rule).
   Status recover();
 
   // The volatile system space. The client performs all normal-operation
@@ -185,6 +216,7 @@ class Engine {
     uint8_t side = 0;  // which of the two logs holds the record
     uint32_t slot = 0;
     uint64_t lsn = 0;
+    uint64_t gen = 0;  // the side's recycle generation at reserve()
     Key name;  // needed to release in-flight CC state at commit
   };
 
@@ -205,11 +237,25 @@ class Engine {
   // it is committed. With wait = false a full log fails Status::busy at
   // once (after requesting a checkpoint) instead of backpressuring.
   Result<RecordHandle> reserve(const Key& name, bool wait = true);
+  // `value_crc`: the CRC32C of the object's whole content after the op
+  // (a whole-object write), stored in the record so recovery can check the
+  // op's data (LogRecordView::value_crc).
   void write_reserved(const RecordHandle& h, OpType op, uint64_t arg0, uint64_t arg1,
-                      const void* phys_payload = nullptr, size_t phys_len = 0);
+                      const void* phys_payload = nullptr, size_t phys_len = 0,
+                      std::optional<uint32_t> value_crc = std::nullopt);
 
-  // Persistently commit a record; the op's effects are now durable.
-  void commit(const RecordHandle& h);
+  // Commit a record; the op's effects are now durable. With `fence` the
+  // commit flag is persistent on return. Without, the flag line persists
+  // with the calling thread's next fence and recovery decides the record
+  // from its value CRC until then — only for records written with one,
+  // and only when the op's data is durable once reaped.
+  void commit(const RecordHandle& h, bool fence = true);
+  // Persist the flag of a record committed without a fence — the one at
+  // `slot` of log side `side`, whose recycle generation was `gen` at its
+  // reserve() — unless the side was recycled since (its checkpoint made it
+  // durable). Callers run it before overwriting the record's data in
+  // place: from then on the data no longer proves the record.
+  void persist_commit(uint8_t side, uint32_t slot, uint64_t gen);
 
   // Persistently abort a reserved/written record whose operation failed
   // (e.g. its SSD data write errored): the record becomes invisible to
@@ -321,6 +367,16 @@ class Engine {
   struct LogSide {
     PmemLog log;
     std::vector<std::atomic<SlotState>> states;
+    // A slot's state. Consecutive slots map to different cache lines when
+    // the slot count allows: concurrent appenders work on neighbouring
+    // slots, and their state stores would otherwise contend for one line.
+    std::atomic<SlotState>& state(uint32_t slot) {
+      const size_t n = states.size();
+      return n % 64 == 0 ? states[(slot % 64) * (n / 64) + slot / 64] : states[slot];
+    }
+    const std::atomic<SlotState>& state(uint32_t slot) const {
+      return const_cast<LogSide*>(this)->state(slot);
+    }
     std::vector<uint64_t> name_hashes;  // for conflict scans
     std::atomic<uint32_t> next_slot{0};
     std::atomic<bool> zeroed{true};  // region is formatted and ready for use
@@ -351,11 +407,21 @@ class Engine {
   bool step_allowed(const char* point) const;
   Status swap_logs();                           // flip active log (root transition)
   void drain_archived(uint8_t archived_idx);    // wait for in-flight commits
-  // Gathers the log's committed records in LSN order. Fails with
-  // Status::corruption (fail-stop: the log can no longer be trusted) if any
-  // published record fails its slot checksum.
-  Status collect_committed(uint8_t log_idx, std::vector<LogRecordView>* out);
-  Status replay_onto_spare(uint8_t archived_idx);  // kDipper
+  // Gathers the log's records for replay in LSN order: every decodable
+  // record but noops and dropped ones. Fails with Status::corruption
+  // (fail-stop: the log can no longer be trusted) if a committed record
+  // fails its slot checksum.
+  Status collect_records(uint8_t log_idx, std::vector<LogRecordView>* out);
+  // kDipper: clone the current copy into the spare slot, replay `records`
+  // onto it and persist it (not yet installed).
+  Status replay_onto_spare(std::span<const LogRecordView> records, std::vector<bool>* landed);
+  // Recovery's replay rule (DESIGN.md §13): replay the interrupted
+  // checkpoint's archived records (`redo`: onto the spare; CoW: onto the
+  // volatile space) and the active log's records onto the volatile space,
+  // up to the last record that replays; record the verdicts in the flags.
+  Status replay_recovered(uint8_t archived_idx, uint8_t active_idx, bool redo,
+                          std::vector<LogRecordView>& archived,
+                          std::vector<LogRecordView>& active);
   Status cow_copy_into_spare();                    // kCow
   void install_spare(uint8_t archived_idx);
   void recycle_archived(uint8_t archived_idx);
@@ -373,7 +439,9 @@ class Engine {
   void inflight_inc(const Key& name) { inflight_.inc(name); }
   void inflight_dec(const Key& name) { inflight_.dec(name); }
 
-  Status rebuild_volatile_from_shadow();
+  // Copy arena slot `slot` (the current shadow copy, or recovery's spare)
+  // into the volatile space.
+  Status rebuild_volatile_from(uint8_t slot);
 
   pmem::Pool* pool_;
   SpaceClient* client_;

@@ -21,6 +21,12 @@ uint32_t PmemLog::record_crc(const Slot* s, uint32_t slot, uint64_t lsn) {
   return c == 0 ? 1u : c;
 }
 
+void PmemLog::set_flag(Slot* s, uint16_t flag) {
+  // A record's flags have one writer at a time — the op that owns the
+  // record, or recovery — so a plain store suffices; readers load them.
+  s->flags.store(s->flags.load(std::memory_order_relaxed) | flag, std::memory_order_release);
+}
+
 void PmemLog::format() {
   char* base = pool_->base() + region_off_;
   std::memset(base, 0, region_bytes(slot_count_));
@@ -28,12 +34,12 @@ void PmemLog::format() {
 }
 
 void PmemLog::write_record(uint32_t slot, uint64_t lsn, OpType op, const Key& name, uint64_t arg0,
-                           uint64_t arg1, bool noop, uint32_t payload_crc) {
+                           uint64_t arg1, bool noop, uint32_t payload_crc, bool value_crc) {
   pmem::PmemCheckScope check_scope("log:write_record");
   Slot* s = slot_ptr(slot);
   // Phase 1: write everything except the LSN.
   s->length = (uint32_t)(8 + 8 + 1 + name.len);
-  s->op = (uint16_t)op;
+  s->op = (uint16_t)((uint16_t)op | (value_crc ? kOpValueCrc : 0));
   s->flags.store(noop ? kFlagNoop : 0, std::memory_order_relaxed);
   s->arg0 = arg0;
   s->arg1 = arg1;
@@ -58,13 +64,20 @@ void PmemLog::write_record(uint32_t slot, uint64_t lsn, OpType op, const Key& na
   pool_->check_durable(&s->crc, sizeof(s->crc) + sizeof(s->payload_crc), "log:write_record");
 }
 
-void PmemLog::commit(uint32_t slot) {
+void PmemLog::commit(uint32_t slot, bool fence) {
   pmem::PmemCheckScope check_scope("log:commit");
   Slot* s = slot_ptr(slot);
   // Read-modify-write of a live line: clwb path, never nt (a streaming
   // store of a partially-rewritten line would be wrong on real hardware).
-  s->flags.fetch_or(kFlagCommitted, std::memory_order_release);
+  set_flag(s, kFlagCommitted);
   pmem::PersistBatch batch(pool_);
+  if (!fence) {
+    // The flag line rides this thread's next fence. Until then the record
+    // is decided by its value CRC, so that must be durable.
+    batch.defer(&s->flags, sizeof(s->flags));
+    pool_->check_durable(&s->crc, sizeof(s->crc) + sizeof(s->payload_crc), "log:commit");
+    return;
+  }
   batch.add(&s->flags, sizeof(s->flags));
   batch.commit();
   // Durability point: commit == durable (§4.5). The whole record — not
@@ -75,11 +88,23 @@ void PmemLog::commit(uint32_t slot) {
 void PmemLog::abort(uint32_t slot) {
   pmem::PmemCheckScope check_scope("log:abort");
   Slot* s = slot_ptr(slot);
-  s->flags.fetch_or(kFlagAborted, std::memory_order_release);
+  set_flag(s, kFlagAborted);
   pmem::PersistBatch batch(pool_);
   batch.add(&s->flags, sizeof(s->flags));
   batch.commit();
   pool_->check_durable(&s->flags, sizeof(s->flags), "log:abort");
+}
+
+void PmemLog::mark(uint32_t slot, uint16_t flag, pmem::PersistBatch& batch) {
+  Slot* s = slot_ptr(slot);
+  set_flag(s, flag);
+  batch.add(&s->flags, sizeof(s->flags));
+}
+
+void PmemLog::persist_flags(uint32_t slot) {
+  pmem::PersistBatch batch(pool_);
+  batch.add(&slot_ptr(slot)->flags, sizeof(uint16_t));
+  batch.commit();
 }
 
 bool PmemLog::read(uint32_t slot, LogRecordView* out, bool* corrupt) const {
@@ -91,23 +116,36 @@ bool PmemLog::read(uint32_t slot, LogRecordView* out, bool* corrupt) const {
   // Defect class 4: every read() consumer (recovery scan, checkpoint
   // replay collection) acts on what it decodes — under PmemCheck, verify
   // the slot's bytes are what a crash would actually have left behind.
-  pool_->check_recovery_read(s, kSlotSize, "log:read");
+  // Not the flags: a commit made without a fence may not have persisted
+  // yet, and recovery re-derives what it stands for from the value CRC.
+  const char* b = reinterpret_cast<const char*>(s);
+  pool_->check_recovery_read(b, offsetof(Slot, flags), "log:read");
+  pool_->check_recovery_read(b + offsetof(Slot, arg0), kSlotSize - offsetof(Slot, arg0),
+                             "log:read");
   if (s->crc != record_crc(s, slot, lsn)) {
     // Published record (valid LSN) whose bytes no longer checksum: silent
     // PMEM corruption. Never decode it.
     if (corrupt != nullptr) *corrupt = true;
     return false;
   }
-  out->lsn = lsn;
-  out->op = (OpType)s->op;
-  uint16_t flags = s->flags.load(std::memory_order_acquire);
-  out->committed = (flags & kFlagCommitted) != 0 && (flags & kFlagAborted) == 0;
-  out->arg0 = s->arg0;
-  out->arg1 = s->arg1;
-  out->name.len = s->klen > kMaxNameLen ? kMaxNameLen : s->klen;
-  std::memcpy(out->name.data, s->name, out->name.len);
-  out->payload_crc = s->payload_crc;
+  decode(*s, lsn, s->flags.load(std::memory_order_acquire), out);
+  out->slot = slot;
   return true;
+}
+
+void PmemLog::decode(const Slot& s, uint64_t lsn, uint16_t flags, LogRecordView* out) {
+  out->lsn = lsn;
+  out->op = (OpType)(s.op & ~kOpValueCrc);
+  out->value_crc = (s.op & kOpValueCrc) != 0;
+  out->state = (flags & kFlagDropped) != 0   ? RecordState::kDropped
+               : (flags & kFlagAborted) != 0 ? RecordState::kAborted
+               : (flags & kFlagCommitted) != 0 ? RecordState::kCommitted
+                                               : RecordState::kOpen;
+  out->arg0 = s.arg0;
+  out->arg1 = s.arg1;
+  out->name.len = s.klen > kMaxNameLen ? kMaxNameLen : s.klen;
+  std::memcpy(out->name.data, s.name, out->name.len);
+  out->payload_crc = s.payload_crc;
 }
 
 bool PmemLog::decode_image(const void* bytes, uint32_t slot, LogRecordView* out) {
@@ -118,15 +156,8 @@ bool PmemLog::decode_image(const void* bytes, uint32_t slot, LogRecordView* out)
   uint64_t lsn = s.lsn.load(std::memory_order_relaxed);
   if (lsn == 0) return false;
   if (s.crc != record_crc(&s, slot, lsn)) return false;
-  out->lsn = lsn;
-  out->op = (OpType)s.op;
-  uint16_t flags = s.flags.load(std::memory_order_relaxed);
-  out->committed = (flags & kFlagCommitted) != 0 && (flags & kFlagAborted) == 0;
-  out->arg0 = s.arg0;
-  out->arg1 = s.arg1;
-  out->name.len = s.klen > kMaxNameLen ? kMaxNameLen : s.klen;
-  std::memcpy(out->name.data, s.name, out->name.len);
-  out->payload_crc = s.payload_crc;
+  decode(s, lsn, s.flags.load(std::memory_order_relaxed), out);
+  out->slot = slot;
   return true;
 }
 

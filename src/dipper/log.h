@@ -4,10 +4,9 @@
 // flag, and the op's parameters (object name + two integer args). Records
 // live in fixed 128-byte slots — two cache lines — so that recovery can
 // examine every slot independently: a slot is *present* iff its LSN field
-// is non-zero (the region is zeroed before reuse), and *replayable* iff its
-// commit flag is set. In practice (short names) a record occupies a single
-// cache line, matching the paper's "we expect most log records to fit
-// within a single cache line".
+// is non-zero (the region is zeroed before reuse). In practice (short
+// names) a record occupies a single cache line, matching the paper's "we
+// expect most log records to fit within a single cache line".
 //
 // Atomic visibility protocol (§3.4, minimally ordered — DESIGN.md §13):
 // PMEM gives 8-byte atomicity and may evict cache lines spuriously. Rather
@@ -30,10 +29,20 @@
 // So the invariant the old protocol bought with two fences — a decodable
 // record is a complete record — holds with one.
 //
-// The commit flag is set (and its line flushed+fenced) only after the
-// operation's data is durable on the SSD (§4.5), making commit == durable;
-// a committed record that fails its CRC is therefore silent media
-// corruption, never a torn publication, and recovery fail-stops on it.
+// Commit (§4.5) runs only after the operation's data is durable on the
+// SSD. A record whose payload_crc is the CRC of the object's whole new
+// value (a *value-CRC* record: a whole-object put or owrite) may commit
+// without a fence (commit(slot, /*fence=*/false)): its flag line persists
+// with the committing thread's next fence, and until then recovery decides
+// the record by checking its data blocks against that CRC (DESIGN.md §13).
+// Every other record commits fenced, so commit == flag persisted. Either
+// way the flag store happens-after the publication fence: a flagged record
+// that fails its CRC is silent media corruption, never a torn publication,
+// and recovery fail-stops on it.
+//
+// Recovery writes its verdict on every record it decided by CRC back into
+// the flags (mark()): committed, aborted (replayed but its data never
+// landed), or dropped (after the last replayed record: it never happened).
 #pragma once
 
 #include <atomic>
@@ -53,11 +62,24 @@ enum class OpType : uint16_t {
   kWrite = 4,   // owrite that changed metadata: (name, new_size)
 };
 
+// How a record stands, from its persisted flags.
+enum class RecordState : uint8_t {
+  kOpen = 0,   // no flag persisted: in flight, or committed without a fence
+  kCommitted,  // commit flag set
+  kAborted,    // the op failed after its record was published
+  kDropped,    // recovery found it after the last replayed record
+};
+
 // Decoded view of a log record, handed to replay.
 struct LogRecordView {
   uint64_t lsn = 0;
+  uint32_t slot = 0;  // the slot it was decoded from
   OpType op = OpType::kNoop;
-  bool committed = false;
+  RecordState state = RecordState::kOpen;
+  bool committed() const { return state == RecordState::kCommitted; }
+  // payload_crc is the CRC32C of the object's whole content after this op
+  // (a whole-object put or owrite), so the op's data can be checked.
+  bool value_crc = false;
   Key name;
   uint64_t arg0 = 0;
   uint64_t arg1 = 0;
@@ -75,6 +97,7 @@ class PmemLog {
   static constexpr uint16_t kFlagCommitted = 1u << 0;
   static constexpr uint16_t kFlagAborted = 1u << 1;
   static constexpr uint16_t kFlagNoop = 1u << 2;
+  static constexpr uint16_t kFlagDropped = 1u << 3;
 
   PmemLog() = default;
   // `nt`: publish records with non-temporal stores (persist_nt) instead of
@@ -101,13 +124,26 @@ class PmemLog {
   // protocol above. The record is persistent-but-uncommitted on return. `payload_crc` is the checksum
   // of the physically-logged payload accompanying the record (0 if none);
   // it is covered by the record's own CRC so a repair source can be
-  // authenticated end to end.
+  // authenticated end to end. With `value_crc`, payload_crc is instead the
+  // CRC of the object's whole new content (LogRecordView::value_crc).
   void write_record(uint32_t slot, uint64_t lsn, OpType op, const Key& name, uint64_t arg0,
-                    uint64_t arg1, bool noop, uint32_t payload_crc = 0);
+                    uint64_t arg1, bool noop, uint32_t payload_crc = 0,
+                    bool value_crc = false);
 
-  // Persistently mark the record committed / aborted.
-  void commit(uint32_t slot);
+  // Mark the record committed. With `fence` the flag is persistent on
+  // return; without, the flag line is flushed but persists with the
+  // calling thread's next fence — only for value-CRC records, which
+  // recovery can decide without the flag.
+  void commit(uint32_t slot, bool fence = true);
+  // Persistently mark the record aborted.
   void abort(uint32_t slot);
+  // Recovery's verdict: OR `flag` (kFlagCommitted, kFlagAborted or
+  // kFlagDropped) into the record's flags and add the line to `batch`,
+  // whose fence persists every verdict at once.
+  void mark(uint32_t slot, uint16_t flag, pmem::PersistBatch& batch);
+  // Flush and fence `slot`'s flag line: persists a commit made without a
+  // fence, from any thread.
+  void persist_flags(uint32_t slot);
 
   // Decode `slot`. Returns false if the slot holds no valid record; in that
   // case `*corrupt` (when non-null) distinguishes "empty/invalid slot"
@@ -121,7 +157,7 @@ class PmemLog {
   // replayed against the wrong slot fails. This is the replication stream's
   // end-to-end check (DESIGN.md §16): a follower verifies each shipped slot
   // image exactly the way recovery verifies the slot in place. Commit-flag
-  // state is reported in `out->committed` but is NOT covered by the CRC
+  // state is reported in `out->state` but is NOT covered by the CRC
   // (images are captured pre-commit).
   static bool decode_image(const void* bytes, uint32_t slot, LogRecordView* out);
 
@@ -132,7 +168,7 @@ class PmemLog {
   struct Slot {
     std::atomic<uint64_t> lsn;     // 0 = invalid; written last
     uint32_t length;               // payload bytes used
-    uint16_t op;
+    uint16_t op;                   // OpType | kOpValueCrc
     std::atomic<uint16_t> flags;
     // payload: arg0(8) arg1(8) klen(1) name(<=63)
     uint64_t arg0;
@@ -145,7 +181,7 @@ class PmemLog {
     // as the LSN; a crash that publishes the LSN line without this one
     // reads as a torn (CRC-failing, uncommitted) publication.
     uint32_t crc;
-    uint32_t payload_crc;  // checksum of the physically-logged payload, or 0
+    uint32_t payload_crc;  // value CRC, else the physically-logged payload's, or 0
     uint8_t pad[24];
   };
   static_assert(sizeof(Slot) == kSlotSize, "slot must be exactly two cache lines");
@@ -153,6 +189,12 @@ class PmemLog {
   // The record checksum (lsn passed explicitly: it is computed before the
   // LSN field is stored).
   static uint32_t record_crc(const Slot* s, uint32_t slot, uint64_t lsn);
+  static void set_flag(Slot* s, uint16_t flag);
+  // The fields read() and decode_image() share, once the CRC checked out.
+  static void decode(const Slot& s, uint64_t lsn, uint16_t flags, LogRecordView* out);
+  // Stored in `op`'s high bits (so the record CRC covers it): payload_crc
+  // is a value CRC.
+  static constexpr uint16_t kOpValueCrc = 1u << 8;
 
   Slot* slot_ptr(uint32_t slot) const {
     return reinterpret_cast<Slot*>(pool_->base() + region_off_ + (uint64_t)slot * kSlotSize);

@@ -137,6 +137,7 @@ Status MetadataZone::init_entry(uint64_t idx, const Key& name) {
   e->data_crc_valid = 0;
   e->crc = 0;
   e->data_crc = 0;
+  e->commit_slot = 0;
   name_store_atomic(&e->name, name);
   e->generation = 1;
   in_use_store_release(e, 1);

@@ -39,7 +39,14 @@ struct MetaEntry {
   // self-consistent — the one corruption class a per-page sidecar cannot
   // see.
   uint32_t data_crc;
-  uint8_t pad[20];
+  // Frontend-only, outside the CRC, untouched by replay: where the object's
+  // last record committed without a fence lives (log side, slot + 1 with 0
+  // for none, the side's recycle generation), so an owrite can persist its
+  // flag before overwriting the data that proves it (DStore::mutate_begin).
+  uint32_t commit_slot;
+  uint8_t commit_side;
+  uint8_t pad[7];
+  uint64_t commit_gen;
 };
 static_assert(sizeof(MetaEntry) == 128, "MetaEntry must pack to 128B");
 

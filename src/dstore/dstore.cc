@@ -197,8 +197,8 @@ void DStore::register_substrate_metrics() {
   };
   stat("dipper_records_appended_total", "log records appended",
        &dipper::EngineStats::records_appended);
-  stat("dipper_records_committed_total", "log records committed",
-       &dipper::EngineStats::records_committed);
+  r.counter_fn("dipper_records_committed_total", "log records committed",
+               [p = &es.records_committed] { return p->load(); });
   stat("dipper_records_aborted_total", "log records aborted",
        &dipper::EngineStats::records_aborted);
   stat("dipper_records_replayed_total", "log records replayed (checkpoint+recovery)",
@@ -344,22 +344,38 @@ Status DStore::View::erase(const Key& name) {
   return btree.erase(name);
 }
 
-Status DStore::replay(SlabAllocator& space, std::span<const LogRecordView> records) {
+Status DStore::replay(SlabAllocator& space, std::span<const LogRecordView> records,
+                      std::vector<bool>* landed) {
   // §3.5: "the shadow copies iterate through the same states that the
   // volatile copies went through" — the identical phase functions run here,
   // in log order, without frontend locks (replay owns the space).
   // Checkpoints of different shards run in parallel on the CheckpointPool.
+  //
+  // Records that did not commit replay too: the frontend ran phases 1-2
+  // for every record it published, aborted ones included, and every later
+  // record's blocks follow from those allocations (circular_pool.h). Such
+  // a record with a value CRC leaves that CRC as the object's content CRC,
+  // so a read returns its value if its data landed and fails the content
+  // check — never stale or another key's bytes — if it did not.
   View v = view_of(space, nullptr);
   Plan plan;
-  uint64_t processed = 0;
-  for (const LogRecordView& rec : records) {
+  for (size_t i = 0; i < records.size(); i++) {
+    const LogRecordView& rec = records[i];
     // Background replay shares cores with the frontend on small hosts;
     // yield periodically so checkpointing stays quiescent-free in practice.
-    if ((++processed & 63) == 0) std::this_thread::yield();
+    if (((i + 1) & 63) == 0) std::this_thread::yield();
     DSTORE_FAULT_POINT(cfg_.engine.fault, "dstore.replay.record");
     if (rec.op == OpType::kNoop) continue;  // olock markers: ignored by replay (§4.5)
     DSTORE_RETURN_IF_ERROR(phase1(v, rec.op, rec.name, rec.arg0, &plan));
     DSTORE_RETURN_IF_ERROR(phase2(v, rec.op, rec.name, rec.arg0, plan));
+    if (rec.committed() || !rec.value_crc) continue;
+    MetaEntry* e = v.zone.entry(plan.meta_idx);
+    e->data_crc = rec.payload_crc;
+    e->data_crc_valid = 1;
+    v.zone.seal_entry(plan.meta_idx);
+    if (landed != nullptr && rec.state == dipper::RecordState::kOpen) {
+      (*landed)[i] = content_matches(v, plan.meta_idx, rec.payload_crc);
+    }
   }
   return Status::ok();
 }
@@ -555,6 +571,19 @@ Status DStore::read_data_range(View& v, uint64_t meta_idx, void* buf, size_t siz
   DSTORE_RETURN_IF_ERROR(s);
   *out_len = want;
   return Status::ok();
+}
+
+bool DStore::content_matches(View& v, uint64_t meta_idx, uint32_t crc) {
+  const MetaEntry* e = v.zone.entry(meta_idx);
+  if (e == nullptr || !e->in_use) return false;
+  std::vector<char> buf(e->size);
+  ssd::IoQueue q(device_, cfg_.ssd_qd);
+  if (!submit_io_range(q, v.zone.blocks(*e), e->nblocks, nullptr, buf.data(), buf.size(), 0)
+           .is_ok() ||
+      !finish_io(q, /*is_write=*/false).is_ok()) {
+    return false;
+  }
+  return crc32c(buf.data(), buf.size()) == crc;
 }
 
 // ---------------------------------------------------------------------------
@@ -950,16 +979,33 @@ Status DStore::mutate_begin(WriteOp& w, bool wait) {
   // write and the data writes are independent until the commit point
   // (step 9), so their latencies overlap instead of adding up.
   const bool has_data = m.op == OpType::kPut || m.op == OpType::kWrite;
+  // A write covering the whole object re-establishes its content CRC, and
+  // its record carries that CRC (so it can commit without a fence,
+  // mutate_finish). It is hashed while the data IOs are in flight — the
+  // caller's buffer is stable until finish — so the hash overlaps the
+  // device instead of following it.
+  w.whole_ = m.size > 0 && m.arg1 == 0 && m.size == m.arg0;
   Status ws;
   auto issue = [&] {
     if (has_data) {
+      if (m.op == OpType::kWrite) {
+        // In place: once these blocks change they no longer prove the
+        // object's last record, so its commit flag must persist first.
+        MetaEntry* e = v.zone.entry(m.plan.meta_idx);
+        if (e->commit_slot != 0) {
+          engine_->persist_commit(e->commit_side, e->commit_slot - 1, e->commit_gen);
+          e->commit_slot = 0;
+        }
+      }
       w.ioq_.emplace(device_, cfg_.ssd_qd);
       trace.enter(obs::kStageSsdBatch);
       ws = submit_io_range(*w.ioq_, bl, nbl, m.data, nullptr, m.size, m.arg1, &trace);
+      if (w.whole_) w.value_crc_ = crc32c(m.data, m.size);
     }
     if (!m.unlogged) {
       trace.enter(obs::kStageLogAppend);
-      engine_->write_reserved(w.h_, m.op, m.arg0, m.arg1, m.data, m.size);
+      engine_->write_reserved(w.h_, m.op, m.arg0, m.arg1, m.data, m.size,
+                              w.whole_ ? std::optional<uint32_t>(w.value_crc_) : std::nullopt);
     }
     trace.leave();
   };
@@ -980,17 +1026,6 @@ Status DStore::mutate_begin(WriteOp& w, bool wait) {
     issue();
   }
   w.s_ = std::move(s.is_ok() ? ws : s);
-  // A write covering the whole object re-establishes its content CRC. It is
-  // hashed now, while the data IOs are still in flight — the caller's
-  // buffer is stable until finish — so the hash overlaps the device
-  // instead of following it, and it is published only after the
-  // completions (mutate_finish).
-  w.whole_ = m.size > 0 && m.arg1 == 0 && m.size == m.arg0;
-  if (has_data) {
-    trace.enter(obs::kStageSsdBatch);
-    if (w.whole_) w.value_crc_ = crc32c(m.data, m.size);
-    trace.leave();
-  }
   w.open_ = true;
   trace.pause();
   return Status::ok();
@@ -1028,7 +1063,20 @@ Status DStore::mutate_finish(WriteOp& w) {
     engine_->unregister_external_write(m.key);
   } else {
     trace.enter(obs::kStageCommitFlush);
-    engine_->commit(w.h_);
+    // A record that carries its value CRC commits without a fence: its
+    // flag rides this thread's next fence, and until then recovery decides
+    // it from its data (DESIGN.md §13). That needs reaped data to be
+    // durable, so a device without power-loss protection fences. The
+    // record's location is noted for a later owrite while the op still
+    // excludes other writers of the object: commit() releases that.
+    const bool fence = !w.whole_ || !device_->config().power_loss_protection;
+    if (!fence) {
+      MetaEntry* e = w.v_.zone.entry(m.plan.meta_idx);
+      e->commit_slot = w.h_.slot + 1;
+      e->commit_side = w.h_.side;
+      e->commit_gen = w.h_.gen;
+    }
+    engine_->commit(w.h_, fence);
   }
   trace.leave();
   if (ticket != 0) cfg_.repl_sink->commit(ticket);

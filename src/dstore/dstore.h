@@ -24,9 +24,13 @@
 //   6 write metadata in the metadata zone     ┐ parallel across requests
 //   7 write the btree record                  ┘ (observational equivalence)
 //   8 write data to SSD: submit the IOs, hash the value (content CRC)
-//     while they are in flight, reap the completions, then publish the
-//     CRC into the metadata entry
-//   9 commit and flush the log record  → op is durable
+//     while they are in flight — a whole-object write's record carries
+//     it — reap the completions, then publish the CRC into the metadata
+//     entry
+//   9 commit the log record  → op is durable. A record carrying its value
+//     CRC commits without a fence (its flag rides the thread's next one;
+//     recovery checks its data until then, DESIGN.md §13); others flush
+//     and fence the flag
 // Each op supplies only its record type and args, its data range, and its
 // metadata steps (phase1 = steps 3-4, phase2 = steps 6-7). The pipeline is
 // split at the device wait: mutate_begin() runs steps 1-7 plus the IO
@@ -320,7 +324,8 @@ class DStore final : public dipper::SpaceClient {
 
   // ---- SpaceClient (DIPPER hooks) -----------------------------------------
   Status format(SlabAllocator& space) override;
-  Status replay(SlabAllocator& space, std::span<const dipper::LogRecordView> records) override;
+  Status replay(SlabAllocator& space, std::span<const dipper::LogRecordView> records,
+                std::vector<bool>* landed) override;
 
  private:
   DStore(pmem::Pool* pool, ssd::BlockDevice* device, DStoreConfig cfg);
@@ -434,6 +439,9 @@ class DStore final : public dipper::SpaceClient {
 
   Status read_data_range(View& v, uint64_t meta_idx, void* buf, size_t size, uint64_t offset,
                          size_t* out_len, obs::OpTrace* trace = nullptr);
+  // Recovery's data check: whether the object's blocks hold exactly the
+  // content whose CRC32C is `crc`. Any read error counts as "no".
+  bool content_matches(View& v, uint64_t meta_idx, uint32_t crc);
 
   // -- integrity containment ladder (DESIGN.md §11) --------------------------
   // Caller holds the object's read/write exclusion (ReaderGuard or an

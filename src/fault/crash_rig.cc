@@ -1,6 +1,8 @@
 #include "fault/crash_rig.h"
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "common/fnv.h"
 #include "common/rng.h"
@@ -21,8 +23,9 @@ bool EitherStateOracle::holds_acked(const std::string& key, const Value& got) co
 }
 
 Status EitherStateOracle::check(const std::string& key, const Value& got) const {
-  if (in_flight_.has_value() && key == in_flight_->key) {
-    if (!holds_acked(key, got) && got != in_flight_->value) {
+  auto in_flight = in_flight_.find(key);
+  if (in_flight != in_flight_.end()) {
+    if (!holds_acked(key, got) && got != in_flight->second) {
       return Status::corruption("key " + key + " matches neither its pre- nor post-crash value");
     }
   } else if (!holds_acked(key, got)) {
@@ -82,6 +85,7 @@ bool CrashRig::run(const FaultPlan& plan) {
 }
 
 void CrashRig::run_workload() {
+  if (opt_.split_puts > 0) return run_split_workload();
   Rng rng(opt_.workload_seed);
   DStore* store = rig_->store.get();
   ds_ctx_t* ctx = rig_->ctx;
@@ -110,6 +114,78 @@ void CrashRig::run_workload() {
     // A non-ok status without a crash (e.g. delete of an absent key, or an
     // aborted op after an injected transient error) must act as a no-op;
     // the oracle stays put and verify() will hold the store to that.
+  }
+}
+
+void CrashRig::run_split_workload() {
+  Rng rng(opt_.workload_seed);
+  DStore* store = rig_->store.get();
+  ds_ctx_t* ctx = rig_->ctx;
+  const uint32_t k = std::min(opt_.split_puts, opt_.keys);
+  const uint32_t rounds = opt_.ops / k;
+  struct Pending {
+    std::string key;
+    std::string value;  // the op reads it until finish
+    std::unique_ptr<DStore::WriteOp> op;
+    bool archived = false;  // begun before the checkpoint's log swap
+  };
+  std::vector<uint32_t> keys(opt_.keys);
+  for (uint32_t round = 0; round < rounds && !injector_.crashed(); round++) {
+    // k distinct keys: a second begin on a key in flight would be busy.
+    for (uint32_t i = 0; i < opt_.keys; i++) keys[i] = i;
+    for (uint32_t i = 0; i < k; i++) std::swap(keys[i], keys[i + rng.next_below(opt_.keys - i)]);
+    std::vector<Pending> pending;
+    pending.reserve(k);  // never reallocates: begun ops point into values
+    std::thread ckpt;
+    std::atomic<bool> ckpt_done{false};
+    for (uint32_t j = 0; j < k && !injector_.crashed(); j++) {
+      if (round == rounds / 2 && j == k / 2) {
+        const uint8_t side = store->engine().active_log_index();
+        ckpt = std::thread([&] {
+          // lint: allow-discard a checkpoint interrupted by the planned crash is the point
+          (void)store->checkpoint_now();
+          ckpt_done.store(true, std::memory_order_release);
+        });
+        while (store->engine().active_log_index() == side &&
+               !ckpt_done.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        if (store->engine().active_log_index() != side) {
+          for (Pending& p : pending) p.archived = true;
+        }
+      }
+      const uint32_t i = round * k + j;
+      Pending& p = pending.emplace_back();
+      p.key = "k" + std::to_string(keys[j]);
+      p.value = value_for(i);
+      auto w = store->oput_begin(ctx, p.key, p.value.data(), p.value.size(), /*wait=*/false);
+      if (w.is_ok()) {
+        p.op = std::move(w).value();
+      } else if (!injector_.crashed()) {
+        pending.pop_back();  // a failed begin (busy) is a no-op
+      }
+    }
+    // Finish in a seeded permutation. Whatever is unfinished when the power
+    // fails is in flight: either state at verify. Once the last op the
+    // drain waits on is finished, join the checkpoint before any more hits.
+    std::vector<size_t> order(pending.size());
+    for (size_t i = 0; i < order.size(); i++) order[i] = i;
+    for (size_t i = order.size(); i > 1; i--) std::swap(order[i - 1], order[rng.next_below(i)]);
+    size_t archived_left = 0;
+    for (const Pending& p : pending) archived_left += p.archived ? 1 : 0;
+    for (size_t idx : order) {
+      Pending& p = pending[idx];
+      const bool was_crashed = injector_.crashed();
+      Status s = p.op != nullptr ? p.op->finish() : Status::internal("begin lost power");
+      p.op.reset();
+      if (was_crashed || injector_.crashed()) {
+        oracle_.interrupt(p.key, p.value);
+      } else if (s.is_ok()) {
+        oracle_.ack(p.key, p.value);
+      }
+      if (p.archived && --archived_left == 0 && ckpt.joinable()) ckpt.join();
+    }
+    if (ckpt.joinable()) ckpt.join();
   }
 }
 

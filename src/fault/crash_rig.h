@@ -7,16 +7,17 @@
 // deterministic workload has durably committed. The lifecycle mirrors
 // a real power-failure test:
 //
-//   rig.run(plan)            — fresh store, seeded single-thread workload
-//                              (puts/deletes + one mid-run checkpoint)
-//                              until the plan's power failure fires;
+//   rig.run(plan)            — fresh store, seeded workload (puts/deletes
+//                              + one mid-run checkpoint, or the split-put
+//                              rounds of RigOptions::split_puts) until the
+//                              plan's power failure fires;
 //   rig.apply_crash()        — revert pool + device to their durable images;
 //   rig.recover(...)         — DStore::recover, optionally under a second
 //                              plan (the double-crash tests);
 //   rig.verify()             — every key must match the oracle exactly,
-//                              except the single op in flight at the crash,
-//                              which may be in either its pre- or post-
-//                              crash state (atomicity, not loss).
+//                              except the ops in flight at the crash, which
+//                              may be in either their pre- or post-crash
+//                              state (atomicity, not loss).
 //
 // The workload is a pure function of RigOptions::workload_seed: op i writes
 // a value whose length (1 + (131*i + 17) mod 5003) is unique per op, so no
@@ -39,42 +40,34 @@
 namespace dstore::fault {
 
 // The oracle every single-store and fleet crash sweep holds a store to: the
-// state its acked ops left, plus the one op in flight when the power
-// failed, whose key may read as either its pre- or its post-crash value
-// (atomicity, not loss). A nullopt value is an absent key.
+// state its acked ops left, plus the ops in flight when the power failed
+// (at most one per key), whose keys may read as either their pre- or their
+// post-crash value (atomicity, not loss). A nullopt value is an absent key.
 class EitherStateOracle {
  public:
   using Value = std::optional<std::string>;
 
   void clear() {
     acked_.clear();
-    in_flight_.reset();
+    in_flight_.clear();
   }
   // An acked put of `value`, or an acked delete when it is nullopt.
   void ack(const std::string& key, const Value& value);
-  // The op that was in flight when the power failed.
-  void interrupt(const std::string& key, Value value) {
-    in_flight_ = InFlight{key, std::move(value)};
-  }
+  // An op that was in flight when the power failed.
+  void interrupt(const std::string& key, Value value) { in_flight_[key] = std::move(value); }
 
   const std::map<std::string, std::string>& acked() const { return acked_; }
-  // The in-flight op's key, if the power failed mid-op.
-  const std::string* in_flight_key() const {
-    return in_flight_.has_value() ? &in_flight_->key : nullptr;
-  }
+  // The in-flight ops' keys and post-crash values.
+  const std::map<std::string, Value>& in_flight() const { return in_flight_; }
   // Whether `got` is the key's acked state.
   bool holds_acked(const std::string& key, const Value& got) const;
-  // Holds one read to the oracle: the key's acked state, or for the
+  // Holds one read to the oracle: the key's acked state, or for an
   // in-flight op's key either its pre- or its post-crash state.
   Status check(const std::string& key, const Value& got) const;
 
  private:
-  struct InFlight {
-    std::string key;
-    Value value;
-  };
   std::map<std::string, std::string> acked_;
-  std::optional<InFlight> in_flight_;
+  std::map<std::string, Value> in_flight_;
 };
 
 struct RigOptions {
@@ -93,6 +86,15 @@ struct RigOptions {
   // log so read-repair has a source copy, and give the payload region the
   // headroom those values need.
   bool repair_logging = false;
+  // The split write path (oput_begin ... finish, as a served event loop
+  // runs it): with k > 0 the workload is rounds of k puts to distinct keys,
+  // begun with wait = false and finished in a seeded permutation. In the
+  // middle round a checkpoint runs on a second thread once half the puts
+  // are begun: it swaps the logs, so the rest land in the new active log,
+  // and its drain waits on the unfinished ones. Hits stay in one
+  // deterministic order: the workload waits out the swap and joins the
+  // checkpoint as soon as its drain can finish.
+  uint32_t split_puts = 0;
 };
 
 class CrashRig {
@@ -144,6 +146,7 @@ class CrashRig {
  private:
   Status build_store();
   void run_workload();
+  void run_split_workload();
   std::string value_for(uint32_t i) const;
 
   RigOptions opt_;

@@ -33,7 +33,7 @@ void checker_global_deactivate() { g_active_checkers.fetch_sub(1, std::memory_or
 }  // namespace detail
 
 void PersistChecker::on_flush(uint64_t line_off, const char* line, const char* image_line,
-                              uint64_t tid) {
+                              uint64_t tid, bool deferred) {
   auto it = staged_.find(line_off);
   if (it != staged_.end()) {
     if (std::memcmp(line, it->second.snapshot.data(), kCacheLineSize) == 0) {
@@ -45,6 +45,7 @@ void PersistChecker::on_flush(uint64_t line_off, const char* line, const char* i
     std::memcpy(it->second.snapshot.data(), line, kCacheLineSize);
     it->second.tid = tid;
     it->second.site = current_site();
+    it->second.deferred = deferred;
     return;
   }
   if (std::memcmp(line, image_line, kCacheLineSize) == 0) {
@@ -55,6 +56,7 @@ void PersistChecker::on_flush(uint64_t line_off, const char* line, const char* i
   std::memcpy(st.snapshot.data(), line, kCacheLineSize);
   st.tid = tid;
   st.site = current_site();
+  st.deferred = deferred;
   staged_.emplace(line_off, st);
 }
 
@@ -102,7 +104,9 @@ void PersistChecker::on_teardown() {
   if (staged_.empty()) return;
   std::vector<std::pair<uint64_t, const char*>> lines;
   lines.reserve(staged_.size());
-  for (const auto& [off, st] : staged_) lines.push_back({off, st.site});
+  for (const auto& [off, st] : staged_) {
+    if (!st.deferred) lines.push_back({off, st.site});
+  }
   std::sort(lines.begin(), lines.end());
   // Coalesce contiguous lines with the same flushing site into one entry.
   for (size_t i = 0; i < lines.size();) {

@@ -59,7 +59,10 @@ class PersistChecker {
   // ---- hooks invoked by Pool (image mutex held) --------------------------
   // `line` / `image_line` point at the kCacheLineSize bytes of the flushed
   // line in the region and in the persistent image.
-  void on_flush(uint64_t line_off, const char* line, const char* image_line, uint64_t tid);
+  // `deferred`: the flusher may never fence the line (PersistBatch::defer),
+  // so teardown does not report it.
+  void on_flush(uint64_t line_off, const char* line, const char* image_line, uint64_t tid,
+                bool deferred = false);
   // A non-temporal store wrote `line_off` around the cache: the line is
   // staged (flushed-pending-fence) exactly like on_flush, but is never a
   // redundant-flush candidate — an nt store that rewrites identical bytes
@@ -72,7 +75,8 @@ class PersistChecker {
   // Power failure: all staged state and pending obligations die with DRAM.
   void on_crash();
   // Pool teardown / checker detach: staged-but-never-fenced lines are
-  // missing-flush violations (their write-back was never retired).
+  // missing-flush violations (their write-back was never retired), unless
+  // they were flushed as deferred.
   void on_teardown();
 
   // ---- annotations (image mutex held; bases passed by the pool) ----------
@@ -96,6 +100,7 @@ class PersistChecker {
     std::array<char, kCacheLineSize> snapshot;
     uint64_t tid;
     const char* site;  // scope active at flush time
+    bool deferred = false;
   };
   struct Obligation {
     uint64_t off;

@@ -79,10 +79,18 @@ Pool::ThreadState& Pool::tls() {
   // this thread flushed, which matches x86 semantics closely enough for the
   // single-writer log/checkpoint protocols we verify.
   thread_local std::unordered_map<uint64_t, ThreadState> states;
-  return states[pool_gen_];
+  // Most threads work on one pool: remember the last lookup (map elements
+  // never move, and a generation is never reused).
+  thread_local uint64_t last_gen = 0;
+  thread_local ThreadState* last = nullptr;
+  if (last_gen != pool_gen_) {
+    last = &states[pool_gen_];
+    last_gen = pool_gen_;
+  }
+  return *last;
 }
 
-void Pool::flush(const void* addr, size_t len) {
+void Pool::flush(const void* addr, size_t len, bool deferred) {
   if (len == 0) return;
   fault::Outcome fo = fault::hit(fault_, "pmem.flush");
   apply_fault_outcome(fo);
@@ -105,7 +113,7 @@ void Pool::flush(const void* addr, size_t len) {
       uint64_t tid = checker_thread_id();
       MutexGuard g(image_mu_);
       for (uint64_t l = lo; l < hi; l += kCacheLineSize) {
-        c->on_flush(l, region_ + l, image_.get() + l, tid);
+        c->on_flush(l, region_ + l, image_.get() + l, tid, deferred);
       }
     }
   }

@@ -76,8 +76,10 @@ class Pool {
 
   // ---- persistence primitives -------------------------------------------
   // Stage write-back of the cache lines covering [addr, addr+len). The data
-  // is NOT persistent until the next fence().
-  void flush(const void* addr, size_t len);
+  // is NOT persistent until the next fence(). `deferred`: the caller may
+  // leave the lines unfenced for good (PersistBatch::defer), so PmemCheck
+  // does not report them at teardown.
+  void flush(const void* addr, size_t len, bool deferred = false);
 
   // Store fence: all lines staged by *this thread* become persistent.
   void fence();
@@ -288,6 +290,11 @@ class PersistBatch {
     committed_ = true;
     if (added_) pool_->fence();
   }
+
+  // Flush [addr, addr+len) without a fence: the lines persist with the
+  // calling thread's next fence. Only for lines whose loss on a crash the
+  // protocol tolerates (a commit flag recovery can re-derive).
+  void defer(const void* addr, size_t len) { pool_->flush(addr, len, /*deferred=*/true); }
 
  private:
   Pool* pool_;

@@ -9,10 +9,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "dstore/dstore.h"
 #include "dstore/store_rig.h"
+#include "fault/fault.h"
 
 namespace dstore {
 namespace {
@@ -210,6 +212,116 @@ TEST(DStoreCrash, HeavyChurnSmallPoolsStressReuse) {
       verify_model(rig, model);
     }
   }
+}
+
+// An unfinished put begun before a finished one. Replay must not drop the
+// unfinished record — its allocation shaped the finished one's blocks — and
+// must not trust it blindly either: its data decides it (DESIGN.md §13).
+// Both puts are 4 KB so each takes exactly one block, next to each other.
+struct PendingPair {
+  std::string va = std::string(4096, 'A');
+  std::string vb = std::string(4096, 'B');
+  std::unique_ptr<DStore::WriteOp> a;
+
+  // Begin a, begin b, finish b (acked), then cut the power while a is
+  // still in flight; a finishes after the power is gone.
+  void run(StoreRig& rig, fault::FaultInjector* inj = nullptr) {
+    if (inj != nullptr) inj->arm();
+    auto ra = rig.store->oput_begin(rig.ctx, "a", va.data(), va.size(), /*wait=*/true);
+    if (inj != nullptr) inj->disarm();
+    ASSERT_TRUE(ra.is_ok()) << ra.status().to_string();
+    a = std::move(ra).value();
+    auto rb = rig.store->oput_begin(rig.ctx, "b", vb.data(), vb.size(), /*wait=*/false);
+    ASSERT_TRUE(rb.is_ok()) << rb.status().to_string();
+    ASSERT_TRUE(rb.value()->finish().is_ok());
+    rig.pool->freeze_image();
+    rig.device->freeze();
+    // lint: allow-discard a finishes after the power failed: never acked
+    (void)a->finish();
+    a.reset();
+    ASSERT_TRUE(rig.crash_and_recover().is_ok()) << rig.status().to_string();
+  }
+
+  Result<std::string> read(StoreRig& rig, const std::string& key) {
+    std::string out(8192, 0);
+    auto r = rig.store->oget(rig.ctx, key, out.data(), out.size());
+    if (!r.is_ok()) return r.status();
+    out.resize(r.value());
+    return out;
+  }
+};
+
+TEST(DStoreCrash, AckedPutSurvivesEarlierPendingPut) {
+  StoreRig rig(crash_cfg());
+  PendingPair p;
+  ASSERT_NO_FATAL_FAILURE(p.run(rig));
+  auto b = p.read(rig, "b");
+  ASSERT_TRUE(b.is_ok()) << b.status().to_string();
+  EXPECT_EQ(b.value(), p.vb) << "the acked put reads another key's bytes";
+  auto a = p.read(rig, "a");
+  if (a.is_ok()) {
+    EXPECT_EQ(a.value(), p.va);
+  } else {
+    EXPECT_EQ(a.status().code(), Code::kNotFound) << a.status().to_string();
+  }
+  EXPECT_TRUE(rig.store->validate().is_ok());
+}
+
+TEST(DStoreCrash, AckedPutSurvivesEarlierPutWhoseDataNeverLanded) {
+  fault::FaultInjector inj;  // outlives the rig wired to it
+  StoreRig rig(crash_cfg());
+  rig.device->set_fault_injector(&inj);
+  fault::FaultPlan plan;
+  plan.add({"ssd.write", 1, fault::FaultType::kError, 0, 1});
+  inj.set_plan(plan);
+  inj.disarm();
+  PendingPair p;
+  ASSERT_NO_FATAL_FAILURE(p.run(rig, &inj));
+  auto b = p.read(rig, "b");
+  ASSERT_TRUE(b.is_ok()) << b.status().to_string();
+  EXPECT_EQ(b.value(), p.vb);
+  // a's write failed and its retry ran after the power failed: a's record
+  // replays (b's blocks depend on it) but its data is not there, so a read
+  // must fail explicitly — never return zeros or b's bytes.
+  auto a = p.read(rig, "a");
+  if (a.is_ok()) {
+    ADD_FAILURE() << "a read " << a.value().size() << " bytes starting '" << a.value()[0]
+                  << "' although its data never landed";
+  } else {
+    EXPECT_TRUE(a.status().code() == Code::kNotFound || a.status().code() == Code::kCorruption)
+        << a.status().to_string();
+  }
+  EXPECT_TRUE(rig.store->validate().is_ok());
+}
+
+// An owrite that tears in place over a put whose commit flag never got a
+// fence: the owrite must persist that flag before its data lands, or the
+// torn blocks no longer prove the put and recovery would drop it.
+TEST(DStoreCrash, TornOwriteKeepsThePutItOverwrites) {
+  fault::FaultInjector inj;  // outlives the rig wired to it
+  DStoreConfig cfg = crash_cfg();
+  cfg.engine.fault = &inj;
+  StoreRig rig(cfg);
+  inj.disarm();
+  std::string v(8192, 'A');
+  ASSERT_TRUE(rig.store->oput(rig.ctx, "k", v.data(), v.size()).is_ok());
+  auto obj = rig.store->oopen(rig.ctx, "k", 0, kRead | kWrite);
+  ASSERT_TRUE(obj.is_ok());
+  fault::FaultPlan plan;
+  plan.add({"ssd.write", 1, fault::FaultType::kTorn, 1000, 1});
+  inj.set_plan(plan);
+  inj.arm();
+  std::string w(4096, 'B');
+  // lint: allow-discard the power fails inside this write
+  (void)rig.store->owrite(obj.value(), w.data(), w.size(), 0);
+  inj.disarm();
+  ASSERT_TRUE(inj.crashed());
+  rig.store->oclose(obj.value());
+  ASSERT_TRUE(rig.crash_and_recover().is_ok()) << rig.status().to_string();
+  auto size = rig.store->object_size("k");
+  ASSERT_TRUE(size.is_ok()) << "the acked put was dropped: " << size.status().to_string();
+  EXPECT_EQ(size.value(), v.size());
+  EXPECT_TRUE(rig.store->validate().is_ok());
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -36,9 +37,13 @@ class KvClient : public SpaceClient {
     space.set_user_root(h.value().off);
     return Status::ok();
   }
-  Status replay(SlabAllocator& space, std::span<const LogRecordView> records) override {
+  // Only committed records replay: a KvClient record carries no data to
+  // check, and an aborted one left no trace in the frontend's tree.
+  Status replay(SlabAllocator& space, std::span<const LogRecordView> records,
+                std::vector<bool>* /*landed*/) override {
     BTree tree(space, OffPtr<BTree::Header>(space.user_root()));
     for (const auto& rec : records) {
+      if (!rec.committed()) continue;
       if (rec.op == OpType::kPut) {
         DSTORE_RETURN_IF_ERROR(tree.upsert(rec.name, rec.arg0));
       } else if (rec.op == OpType::kDelete) {

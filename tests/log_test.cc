@@ -40,7 +40,7 @@ TEST_F(LogTest, WriteReadRoundTrip) {
   EXPECT_EQ(rec.name.str(), "my-object");
   EXPECT_EQ(rec.arg0, 4096u);
   EXPECT_EQ(rec.arg1, 7u);
-  EXPECT_FALSE(rec.committed);
+  EXPECT_FALSE(rec.committed());
 }
 
 TEST_F(LogTest, CommitPersistsFlag) {
@@ -51,7 +51,7 @@ TEST_F(LogTest, CommitPersistsFlag) {
   pool_->crash();
   LogRecordView rec;
   ASSERT_TRUE(log_.read(0, &rec));
-  EXPECT_TRUE(rec.committed);
+  EXPECT_TRUE(rec.committed());
 }
 
 TEST_F(LogTest, AbortedRecordNotReplayable) {
@@ -59,7 +59,7 @@ TEST_F(LogTest, AbortedRecordNotReplayable) {
   log_.abort(0);
   LogRecordView rec;
   ASSERT_TRUE(log_.read(0, &rec));
-  EXPECT_FALSE(rec.committed);
+  EXPECT_FALSE(rec.committed());
 }
 
 TEST_F(LogTest, RecordSurvivesCrash) {
@@ -210,7 +210,7 @@ TEST_F(LogTest, MultiLineWriteRecordSurvivesEvictionStorm) {
     ASSERT_TRUE(log_.read(s, &rec)) << s;
     EXPECT_EQ(rec.lsn, s + 1u);
     EXPECT_EQ(rec.arg0, (uint64_t)s);
-    EXPECT_EQ(rec.committed, s % 2 == 0);
+    EXPECT_EQ(rec.committed(), s % 2 == 0);
     ASSERT_EQ(rec.name.len, 40 + s % 24);
     for (size_t i = 0; i < rec.name.len; i++) {
       ASSERT_EQ(rec.name.data[i], (char)('a' + s % 26)) << s << ":" << i;
@@ -230,7 +230,7 @@ TEST_F(LogTest, ManySlotsIndependent) {
     LogRecordView rec;
     ASSERT_TRUE(log_.read(s, &rec)) << s;
     EXPECT_EQ(rec.lsn, s + 1u);
-    EXPECT_EQ(rec.committed, s % 2 == 0);
+    EXPECT_EQ(rec.committed(), s % 2 == 0);
     EXPECT_EQ(rec.arg0, (uint64_t)s * 10);
   }
 }
@@ -242,7 +242,7 @@ TEST_F(LogTest, UncommittedSurvivesButStaysUncommitted) {
   pool_->crash();
   LogRecordView rec;
   ASSERT_TRUE(log_.read(0, &rec));
-  EXPECT_FALSE(rec.committed);
+  EXPECT_FALSE(rec.committed());
 }
 
 }  // namespace

@@ -5,12 +5,17 @@
 // same way the CI fence-budget step diffs bench/results/
 // BENCH_persist_budget.json.
 //
-// The budget model (single-fence publication, log.h):
-//   put/delete  record publication: 2 slot lines, ONE flush train, 1 fence
-//               commit:             1 flags line (clwb RMW),       1 fence
+// The budget model (single-fence publication, log.h; DESIGN.md §13):
+//   put         record publication: 2 slot lines, ONE flush train, 1 fence
+//               commit:             1 flags line (clwb RMW), no fence — the
+//                                   record carries the value CRC, and the
+//                                   line rides the thread's next fence
+//               => 3 flushed lines / 1 fence per op
+//   delete      publication as put; its record has no value to check, so
+//               the commit flag is flushed and fenced
 //               => 3 flushed lines / 2 fences per op
 //   with nt stores: the 2 publication lines go through flush_nt instead
-//               => 1 flushed line + 2 nt lines / 2 fences per op
+//               => 1 flushed line + 2 nt lines, fences unchanged
 //   get         reads only — 0 lines / 0 fences
 //   checkpoint  2 root-state line persists (swap + install) fence-wise;
 //               everything else rides the two persist_bulk passes
@@ -62,7 +67,7 @@ Delta measure(StoreRig& t, Fn&& fn) {
 
 std::string value(size_t n, char c) { return std::string(n, c); }
 
-TEST(PersistBudget, PutIsThreeLinesTwoFences) {
+TEST(PersistBudget, PutIsThreeLinesOneFence) {
   StoreRig t(budget_cfg(/*nt_stores=*/false));
   std::string v = value(4096, 'p');
   // Insert and overwrite pay the identical budget: the log protocol does
@@ -72,7 +77,7 @@ TEST(PersistBudget, PutIsThreeLinesTwoFences) {
       ASSERT_TRUE(t.store->oput(t.ctx, "obj", v.data(), v.size()).is_ok());
     });
     EXPECT_EQ(d.flushes, 3u) << "put flushed-line budget (iteration " << i << ")";
-    EXPECT_EQ(d.fences, 2u) << "put fence budget (iteration " << i << ")";
+    EXPECT_EQ(d.fences, 1u) << "put fence budget (iteration " << i << ")";
     EXPECT_EQ(d.nt_lines, 0u);
   }
 }
@@ -88,11 +93,11 @@ TEST(PersistBudget, PutWithNtStoresMovesPublicationOffTheCache) {
     // a read-modify-write of a live line and must stay on the clwb path.
     EXPECT_EQ(d.nt_lines, 2u) << "nt publication lines (iteration " << i << ")";
     EXPECT_EQ(d.flushes, 1u) << "commit stays clwb (iteration " << i << ")";
-    EXPECT_EQ(d.fences, 2u) << "fence budget is unchanged by nt (iteration " << i << ")";
+    EXPECT_EQ(d.fences, 1u) << "fence budget is unchanged by nt (iteration " << i << ")";
   }
 }
 
-TEST(PersistBudget, DeleteMatchesPutBudget) {
+TEST(PersistBudget, DeleteIsThreeLinesTwoFences) {
   StoreRig t(budget_cfg(/*nt_stores=*/false));
   std::string v = value(512, 'd');
   ASSERT_TRUE(t.store->oput(t.ctx, "obj", v.data(), v.size()).is_ok());
@@ -145,10 +150,10 @@ TEST(PersistBudget, PhysicalLoggingAddsOneBulkPassPerPut) {
   });
   uint64_t fences1 = t.pool->stats().fences.load(std::memory_order_relaxed);
   // Per-line budget is unchanged; the payload copy is exactly one
-  // persist_bulk (global fence accounting: 2 thread fences + 1 bulk).
+  // persist_bulk (global fence accounting: 1 thread fence + 1 bulk).
   EXPECT_EQ(d.flushes, 3u);
-  EXPECT_EQ(d.fences, 2u);
-  EXPECT_EQ(fences1 - fences0, 3u);
+  EXPECT_EQ(d.fences, 1u);
+  EXPECT_EQ(fences1 - fences0, 2u);
 }
 
 // Split puts (oput_begin ... finish) interleaved on one thread: each op's
@@ -179,13 +184,13 @@ TEST(PersistBudget, InterleavedSplitPutsEachRecordTheSequentialBudget) {
       });
       // Together, exactly two sequential puts' worth.
       EXPECT_EQ(d.flushes, 6u) << "round " << round;
-      EXPECT_EQ(d.fences, 4u) << "round " << round;
+      EXPECT_EQ(d.fences, 2u) << "round " << round;
     }
 #if !defined(DSTORE_METRICS_DISABLED)
     const uint64_t sampled = flushes->count() - n0;
     EXPECT_EQ(sampled, 2u) << (a_first ? "a finished first" : "b finished first");
     EXPECT_EQ(flushes->sum() - flush0, 3 * sampled) << "a sampled put charged another's flushes";
-    EXPECT_EQ(fences->sum() - fence0, 2 * sampled) << "a sampled put charged another's fences";
+    EXPECT_EQ(fences->sum() - fence0, sampled) << "a sampled put charged another's fences";
 #endif
   }
 }

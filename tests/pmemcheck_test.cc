@@ -1,6 +1,7 @@
 // PmemCheck tests: (a) the full DIPPER engine lifecycle — appends, commits,
-// locks, checkpoints in both modes, crashes, recovery — runs violation-free
-// under the checker; (b) each of the four defect classes is detected when
+// locks, checkpoints in both modes, crashes, recovery — and a store's
+// unfenced commits and recovery verdicts run violation-free under the
+// checker; (b) each of the four defect classes is detected when
 // the corresponding protocol rule is deliberately broken.
 #include <gtest/gtest.h>
 
@@ -13,6 +14,8 @@
 #include "common/crc32c.h"
 #include "common/rng.h"
 #include "ds/metadata_zone.h"
+#include "dstore/dstore.h"
+#include "dstore/store_rig.h"
 #include "engine_rig.h"
 #include "pmem/persist_checker.h"
 #include "pmem/pool.h"
@@ -211,6 +214,35 @@ TEST(PmemCheckLog, CleanRecordWritesAreViolationFree) {
   EXPECT_EQ(checker.report().total(), 0u) << report_str(checker);
 }
 
+// Commits without a fence: each flag line rides the next record's fence,
+// and the last one may stay unfenced for good (the record's value CRC
+// decides it) — neither is a violation, not even at teardown.
+TEST(PmemCheckLog, DeferredCommitsRideTheNextFenceViolationFree) {
+  Pool pool(1 << 20, Pool::Mode::kCrashSim);
+  PersistChecker checker;
+  pool.attach_checker(&checker);
+  PmemLog log(&pool, 0, 64);
+  log.format();
+  const char* flags_line = pool.base() + log.slot_offset(0);
+  for (uint32_t s = 0; s < 16; s++) {
+    log.write_record(s, s + 1, OpType::kPut, Key::from("obj" + std::to_string(s)), s, 0, false,
+                     /*payload_crc=*/0x1234 + s, /*value_crc=*/true);
+    log.commit(s, /*fence=*/false);
+    if (s == 0) {
+      EXPECT_FALSE(pool.is_persisted(flags_line, 16)) << "deferred flag persisted early";
+    } else if (s == 1) {
+      EXPECT_TRUE(pool.is_persisted(flags_line, 16)) << "flag missed the next fence";
+    }
+  }
+  LogRecordView rec;
+  ASSERT_TRUE(log.read(15, &rec));
+  EXPECT_TRUE(rec.committed());
+  EXPECT_TRUE(rec.value_crc);
+  EXPECT_EQ(rec.payload_crc, 0x1234u + 15);
+  pool.detach_checker();
+  EXPECT_EQ(checker.report().hard_count(), 0u) << report_str(checker);
+}
+
 TEST(PmemCheckLog, ForgedUnpersistedRecordCaughtOnRead) {
   Pool pool(1 << 20, Pool::Mode::kCrashSim);
   PersistChecker checker;
@@ -407,6 +439,49 @@ TEST_F(PmemCheckEngineTest, SeededChurnWithCrashRecoveryViolationFree) {
   ASSERT_NO_FATAL_FAILURE(rig_->crash_and_recover());
   rig_.reset();
   EXPECT_EQ(checker_.report().hard_count(), 0u) << report_str(checker_);
+}
+
+// ---------------------------------------------------------------------------
+// Store-level: puts that commit without a fence, the owrite that persists
+// one's flag before overwriting its data, and recovery's verdicts
+// ---------------------------------------------------------------------------
+
+TEST(PmemCheckStore, DeferredCommitsAndRecoveryVerdictsViolationFree) {
+  DStoreConfig cfg;
+  cfg.max_objects = 64;
+  cfg.num_blocks = 256;
+  cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(64);
+  cfg.engine.log_slots = 64;
+  cfg.engine.background_checkpointing = false;
+  PersistChecker checker;
+  {
+    StoreRig rig(cfg);
+    rig.pool->attach_checker(&checker);
+    std::string v(5000, 'v');
+    for (int i = 0; i < 20; i++) {
+      ASSERT_TRUE(rig.store->oput(rig.ctx, "k" + std::to_string(i % 7), v.data(), v.size()).is_ok());
+    }
+    ASSERT_TRUE(rig.store->odelete(rig.ctx, "k0").is_ok());
+    auto obj = rig.store->oopen(rig.ctx, "k1", 0, kRead | kWrite);
+    ASSERT_TRUE(obj.is_ok());
+    ASSERT_TRUE(rig.store->owrite(obj.value(), v.data(), 100, 10).is_ok());
+    rig.store->oclose(obj.value());
+    ASSERT_TRUE(rig.store->checkpoint_now().is_ok());
+    ASSERT_TRUE(rig.store->oput(rig.ctx, "k2", v.data(), v.size()).is_ok());
+    // A put left unfinished across the power failure, after a finished one.
+    auto a = rig.store->oput_begin(rig.ctx, "a", v.data(), v.size(), /*wait=*/true);
+    ASSERT_TRUE(a.is_ok());
+    ASSERT_TRUE(rig.store->oput(rig.ctx, "b", v.data(), v.size()).is_ok());
+    rig.pool->freeze_image();
+    rig.device->freeze();
+    ASSERT_TRUE(a.value()->finish().is_ok());
+    ASSERT_TRUE(rig.crash_and_recover().is_ok()) << rig.status().to_string();
+    ASSERT_TRUE(rig.store->oput(rig.ctx, "c", v.data(), v.size()).is_ok());
+    ASSERT_TRUE(rig.crash_and_recover().is_ok()) << rig.status().to_string();
+    rig.close();
+    rig.pool->detach_checker();
+  }
+  EXPECT_EQ(checker.report().hard_count(), 0u) << report_str(checker);
 }
 
 // ---------------------------------------------------------------------------

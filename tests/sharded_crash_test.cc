@@ -125,8 +125,8 @@ struct ShardedRig {
   Status verify() {
     DSTORE_RETURN_IF_ERROR(store->validate_all());
     for (const auto& [k, v] : oracle.acked()) DSTORE_RETURN_IF_ERROR(oracle.check(k, get(k)));
-    const std::string* k = oracle.in_flight_key();
-    return k != nullptr ? oracle.check(*k, get(*k)) : Status::ok();
+    for (const auto& [k, v] : oracle.in_flight()) DSTORE_RETURN_IF_ERROR(oracle.check(k, get(k)));
+    return Status::ok();
   }
 
   // Counting pass: full workload fault-free with an armed injector; the

@@ -32,7 +32,9 @@
 // responses, then stop. The store is in-memory emulated PMEM + RAM block
 // device — the daemon exists to serve the wire, not to manage persistent
 // files (see dstore_cli for file-backed stores).
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,14 +68,21 @@ void on_signal(int) {
 using dstore::bench::kExitUsage;
 using dstore::bench::parse_u64;
 
-// A flag's number; a missing or malformed value exits 64. With zero_ok, 0
-// is accepted (ephemeral, auto or off).
-uint64_t arg_u64(int argc, char** argv, int* i, const char* flag, bool zero_ok = false) {
+// A flag's number; a missing or malformed value, or one above `max`,
+// exits 64. With zero_ok, 0 is accepted (ephemeral, auto or off).
+uint64_t arg_u64(int argc, char** argv, int* i, const char* flag, bool zero_ok = false,
+                 uint64_t max = UINT64_MAX) {
   if (*i + 1 >= argc) {
     fprintf(stderr, "%s needs a value\n", flag);
     exit(kExitUsage);
   }
-  return parse_u64(flag, argv[++*i], zero_ok);
+  uint64_t v = parse_u64(flag, argv[++*i], zero_ok);
+  if (v > max) {
+    fprintf(stderr, "%s: %llu is above %llu\n", flag, (unsigned long long)v,
+            (unsigned long long)max);
+    exit(kExitUsage);
+  }
+  return v;
 }
 
 int usage() {
@@ -109,23 +118,19 @@ int main(int argc, char** argv) {
     if (a == "--host" && i + 1 < argc) {
       host = argv[++i];
     } else if (a == "--port") {
-      uint64_t p = arg_u64(argc, argv, &i, "--port", /*zero_ok=*/true);  // 0 = ephemeral
-      if (p > 65535) {
-        fprintf(stderr, "--port: %llu is above 65535\n", (unsigned long long)p);
-        return kExitUsage;
-      }
-      port = (uint16_t)p;
+      port = (uint16_t)arg_u64(argc, argv, &i, "--port", /*zero_ok=*/true, 65535);  // 0 = ephemeral
     } else if (a == "--shards") {
-      shards = (int)arg_u64(argc, argv, &i, "--shards");
+      shards = (int)arg_u64(argc, argv, &i, "--shards", /*zero_ok=*/false, INT_MAX);
     } else if (a == "--objects") {
       objects = arg_u64(argc, argv, &i, "--objects");
     } else if (a == "--ckpt-workers") {
-      ckpt_workers = (int)arg_u64(argc, argv, &i, "--ckpt-workers", /*zero_ok=*/true);  // 0 = auto
+      ckpt_workers = (int)arg_u64(argc, argv, &i, "--ckpt-workers", /*zero_ok=*/true,
+                                  INT_MAX);  // 0 = auto
     } else if (a == "--max-frame") {
       max_frame = (size_t)arg_u64(argc, argv, &i, "--max-frame");
     } else if (a == "--idle-timeout-ms") {
-      idle_timeout_ms =
-          (uint32_t)arg_u64(argc, argv, &i, "--idle-timeout-ms", /*zero_ok=*/true);  // 0 = off
+      idle_timeout_ms = (uint32_t)arg_u64(argc, argv, &i, "--idle-timeout-ms",
+                                          /*zero_ok=*/true, UINT32_MAX);  // 0 = off
     } else if (a == "--repl-node-id") {
       repl_node_id = arg_u64(argc, argv, &i, "--repl-node-id", /*zero_ok=*/true);  // 0 = off
     } else if (a == "--repl-primary") {
@@ -134,7 +139,8 @@ int main(int argc, char** argv) {
       // 0 = no leader hint
       repl_primary_id = arg_u64(argc, argv, &i, "--repl-primary-id", /*zero_ok=*/true);
     } else if (a == "--repl-tick-ms") {
-      repl_tick_ms = (uint32_t)arg_u64(argc, argv, &i, "--repl-tick-ms");
+      repl_tick_ms =
+          (uint32_t)arg_u64(argc, argv, &i, "--repl-tick-ms", /*zero_ok=*/false, UINT32_MAX);
     } else if (a == "--repl-peer" && i + 1 < argc) {
       std::string spec = argv[++i];
       size_t eq = spec.find('=');
