@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -84,13 +85,20 @@ inline void note_knob(const std::string& name, std::string json_value) {
 }
 
 // Validated parses of a knob or flag value: anything unparsable, negative,
-// or zero (unless zero_ok) names `name` and exits 64.
-inline uint64_t parse_u64(const char* name, const char* v, bool zero_ok = false) {
+// zero (unless zero_ok) or above `max` (the largest value the caller's
+// field holds) names `name` and exits 64.
+inline uint64_t parse_u64(const char* name, const char* v, bool zero_ok = false,
+                          uint64_t max = UINT64_MAX) {
   char* end = nullptr;
   errno = 0;
   uint64_t x = strtoull(v, &end, 10);
   if (*v < '0' || *v > '9' || *end != '\0' || errno != 0 || (x == 0 && !zero_ok)) {
     bad_knob(name, v, zero_ok);
+  }
+  if (x > max) {
+    fprintf(stderr, "%s: %llu is above %llu\n", name, (unsigned long long)x,
+            (unsigned long long)max);
+    exit(kExitUsage);
   }
   return x;
 }

@@ -212,20 +212,17 @@ namespace {
 struct OpBudget {
   uint64_t flushed_lines = 0;
   uint64_t fences = 0;
-  uint64_t nt_lines = 0;
 };
 
-// A minimal single-threaded store on a kDirect StoreRig, foreground
-// checkpoints, nt mode explicit (independent of DSTORE_PMEM_NT): the same
-// sizing as persist_budget_test's budget_cfg.
-StoreRig budget_store(bool nt_stores) {
+// A minimal single-threaded store on a kDirect StoreRig with foreground
+// checkpoints: the same sizing as persist_budget_test's budget_cfg.
+StoreRig budget_store() {
   DStoreConfig cfg;
   cfg.max_objects = 256;
   cfg.num_blocks = 1024;
   cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(256);
   cfg.engine.log_slots = 128;
   cfg.engine.background_checkpointing = false;
-  cfg.engine.nt_stores = nt_stores;
   StoreRig rig(cfg, pmem::Pool::Mode::kDirect);
   if (!rig.status().is_ok()) {
     fprintf(stderr, "persist-budget: store creation failed: %s\n",
@@ -240,47 +237,39 @@ OpBudget measure(StoreRig& rig, Fn&& fn) {
   pmem::Pool::ThreadIoCounts before = rig.pool->thread_io_counts();
   fn();
   pmem::Pool::ThreadIoCounts after = rig.pool->thread_io_counts();
-  return {after.flushes - before.flushes, after.fences - before.fences,
-          after.nt_lines - before.nt_lines};
+  return {after.flushes - before.flushes, after.fences - before.fences};
 }
 
 int run_persist_budget() {
   std::string v(4096, 'p');
-  StoreRig plain = budget_store(/*nt_stores=*/false);
-  OpBudget put = measure(plain, [&] {
-    (void)plain.store->oput(plain.ctx, "obj", v.data(), v.size());  // lint: allow-discard measured op; budgets are the output
+  StoreRig rig = budget_store();
+  OpBudget put = measure(rig, [&] {
+    (void)rig.store->oput(rig.ctx, "obj", v.data(), v.size());  // lint: allow-discard measured op; budgets are the output
   });
   std::string out(4096, 0);
-  OpBudget get = measure(plain, [&] {
-    (void)plain.store->oget(plain.ctx, "obj", out.data(), out.size());  // lint: allow-discard measured op
+  OpBudget get = measure(rig, [&] {
+    (void)rig.store->oget(rig.ctx, "obj", out.data(), out.size());  // lint: allow-discard measured op
   });
-  OpBudget del = measure(plain, [&] {
-    (void)plain.store->odelete(plain.ctx, "obj");  // lint: allow-discard measured op
+  OpBudget del = measure(rig, [&] {
+    (void)rig.store->odelete(rig.ctx, "obj");  // lint: allow-discard measured op
   });
   for (int i = 0; i < 8; i++) {
     std::string name = "obj" + std::to_string(i);
-    (void)plain.store->oput(plain.ctx, name, v.data(), v.size());  // lint: allow-discard warmup
+    (void)rig.store->oput(rig.ctx, name, v.data(), v.size());  // lint: allow-discard warmup
   }
-  OpBudget ckpt = measure(plain, [&] {
-    (void)plain.store->checkpoint_now();  // lint: allow-discard measured op
-  });
-
-  StoreRig nt = budget_store(/*nt_stores=*/true);
-  OpBudget put_nt = measure(nt, [&] {
-    (void)nt.store->oput(nt.ctx, "obj", v.data(), v.size());  // lint: allow-discard measured op
+  OpBudget ckpt = measure(rig, [&] {
+    (void)rig.store->checkpoint_now();  // lint: allow-discard measured op
   });
 
   auto row = [](const char* name, const OpBudget& b, const char* trailing) {
-    printf("    \"%s\": {\"flushed_lines\": %llu, \"fences\": %llu, \"nt_lines\": %llu}%s\n",
-           name, (unsigned long long)b.flushed_lines, (unsigned long long)b.fences,
-           (unsigned long long)b.nt_lines, trailing);
+    printf("    \"%s\": {\"flushed_lines\": %llu, \"fences\": %llu}%s\n", name,
+           (unsigned long long)b.flushed_lines, (unsigned long long)b.fences, trailing);
   };
   printf("{\n");
   printf("  \"bench\": \"persist_budget\",\n");
   printf("  \"unit\": \"per 4KB op, single thread\",\n");
   printf("  \"budgets\": {\n");
   row("put", put, ",");
-  row("put_nt", put_nt, ",");
   row("get", get, ",");
   row("delete", del, ",");
   row("checkpoint", ckpt, "");

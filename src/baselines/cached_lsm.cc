@@ -162,25 +162,41 @@ Status CachedLsmStore::flush_memtable_locked() {
   return Status::ok();
 }
 
+Status CachedLsmStore::flush_memtable() {
+  {
+    LockGuard<SharedSpinLock> g(table_mu_);
+    Status s = flush_memtable_locked();
+    if (s.code() != Code::kOutOfSpace) return s;
+  }
+  // Write stall, as RocksDB stalls writers on compaction debt: the flush
+  // found no free blocks because background compaction fell behind. With
+  // table_mu_ released, compact inline and retry the flush once; the store
+  // is out of space only if it is still full after that.
+  DSTORE_RETURN_IF_ERROR(compact_all_runs());
+  LockGuard<SharedSpinLock> g(table_mu_);
+  if (memtable_.empty()) return Status::ok();  // another writer flushed it meanwhile
+  return flush_memtable_locked();
+}
+
 Status CachedLsmStore::put(void* /*ctx*/, std::string_view key, const void* value, size_t size) {
   spin_for_ns(cfg_.stack_overhead_ns);
   Status wal = wal_append(key, value, size, /*tombstone=*/false);
   if (wal.code() == Code::kOutOfSpace) {
-    LockGuard<SharedSpinLock> g(table_mu_);
-    DSTORE_RETURN_IF_ERROR(flush_memtable_locked());
+    DSTORE_RETURN_IF_ERROR(flush_memtable());
     wal = wal_append(key, value, size, false);
   }
   DSTORE_RETURN_IF_ERROR(wal);
-  LockGuard<SharedSpinLock> g(table_mu_);
-  auto it = memtable_.find(std::string(key));
-  if (it != memtable_.end() && it->second.has_value()) memtable_bytes_ -= it->second->size();
-  memtable_[std::string(key)] = std::string(static_cast<const char*>(value), size);
-  memtable_bytes_ += size;
-  if (checkpoints_enabled_.load(std::memory_order_acquire) &&
-      memtable_bytes_ > cfg_.memtable_limit_bytes) {
-    DSTORE_RETURN_IF_ERROR(flush_memtable_locked());
+  bool full;
+  {
+    LockGuard<SharedSpinLock> g(table_mu_);
+    auto it = memtable_.find(std::string(key));
+    if (it != memtable_.end() && it->second.has_value()) memtable_bytes_ -= it->second->size();
+    memtable_[std::string(key)] = std::string(static_cast<const char*>(value), size);
+    memtable_bytes_ += size;
+    full = checkpoints_enabled_.load(std::memory_order_acquire) &&
+           memtable_bytes_ > cfg_.memtable_limit_bytes;
   }
-  return Status::ok();
+  return full ? flush_memtable() : Status::ok();
 }
 
 Result<size_t> CachedLsmStore::get(void* /*ctx*/, std::string_view key, void* buf, size_t cap) {
@@ -241,8 +257,22 @@ Status CachedLsmStore::compact_all_runs() {
   // ...merge newest-wins into one big run, reading and rewriting every
   // value (this is the continuous device traffic Fig 7 shows).
   std::map<std::string, ValueLoc> merged;
+  std::vector<ValueLoc*> shadowed;
   for (const auto& run : snapshot) {  // newest first: first writer wins
-    for (const auto& [key, loc] : run->entries) merged.emplace(key, loc);
+    for (auto& [key, loc] : run->entries) {
+      if (!merged.emplace(key, loc).second && !loc.blocks.empty()) shadowed.push_back(&loc);
+    }
+  }
+  // A shadowed version has been unreachable since a newer run took its key
+  // (gets search newest first), so its blocks are free before the output
+  // needs any: a compaction fits on a device its runs have filled. The
+  // entries lose their block lists, so a failed pass cannot free them twice.
+  {
+    LockGuard<SharedSpinLock> g(table_mu_);
+    for (ValueLoc* loc : shadowed) {
+      free_blocks(loc->blocks);
+      loc->blocks.clear();
+    }
   }
   auto out = std::make_shared<Run>();
   out->entries.reserve(merged.size());
@@ -288,8 +318,8 @@ Status CachedLsmStore::compact_all_runs() {
     next.push_back(out);
     runs_ = std::move(next);
   }
-  // Every input block is dead now: the newest versions were rewritten
-  // into `out`, and shadowed versions and tombstoned values were dropped.
+  // Every input block left is dead now: the newest versions were rewritten
+  // into `out`, and shadowed versions were freed above.
   // No reader is left in an input run — gets hold table_mu_ shared for
   // their whole read, and the swap above took it exclusive.
   for (const auto& run : snapshot) free_run_blocks(*run);

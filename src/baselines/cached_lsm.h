@@ -86,6 +86,9 @@ class CachedLsmStore final : public workload::KVStore {
   // Flush the memtable to a new L0 run. Caller holds table_mu_ EXCLUSIVE
   // for the duration — the archetype's frontend stall.
   Status flush_memtable_locked();
+  // Flush the memtable, stalling the writer for an inline compaction when
+  // the flush finds the SSD full. Caller holds no lock.
+  Status flush_memtable();
   void compaction_thread_main();
   Status compact_all_runs();
 

@@ -18,6 +18,7 @@ Result<std::unique_ptr<RemoteAdapter>> RemoteAdapter::make(ShardedConfig cfg,
                                                            std::string ns) {
   auto a = std::unique_ptr<RemoteAdapter>(new RemoteAdapter());
   a->ns_ = std::move(ns);
+  // lint: allow-getenv the server address is a deployment fact, not a code path
   if (const char* addr = std::getenv("DSTORE_REMOTE_ADDR")) {
     a->target_ = addr;
   } else {

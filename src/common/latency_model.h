@@ -15,7 +15,6 @@ namespace dstore {
 struct LatencyModel {
   // Per-operation fixed costs in nanoseconds.
   uint64_t pmem_flush_line_ns = 0;   // clwb+fence of one 64B line
-  uint64_t pmem_nt_line_ns = 0;      // ntstore+fence of one 64B line
   uint64_t pmem_read_per_kb_ns = 0;  // sequential read bandwidth model
   uint64_t pmem_write_per_kb_ns = 0; // sequential write bandwidth model
   uint64_t ssd_write_base_ns = 0;    // NVMe 4KB write (device-RAM ack)
@@ -29,10 +28,6 @@ struct LatencyModel {
   static LatencyModel calibrated(double scale = 1.0) {
     LatencyModel m;
     m.pmem_flush_line_ns = scaled(600, scale);
-    // Non-temporal stores bypass the cache and skip the write-back round
-    // trip: ~3x cheaper per line than clwb+fence on Optane (arXiv:1904.01614
-    // measures ntstore at a fraction of the flush path for small writes).
-    m.pmem_nt_line_ns = scaled(180, scale);
     m.pmem_read_per_kb_ns = scaled(33, scale);    // ~30 GB/s
     m.pmem_write_per_kb_ns = scaled(100, scale);  // ~10 GB/s
     m.ssd_write_base_ns = scaled(8400, scale);

@@ -142,7 +142,7 @@ Engine::Engine(pmem::Pool* pool, SpaceClient* client, EngineConfig cfg)
   if (p == MAP_FAILED) throw std::bad_alloc();
   volatile_base_ = static_cast<char*>(p);
   for (int i = 0; i < 2; i++) {
-    sides_[i].log = PmemLog(pool_, layout_.log_off[i], cfg_.log_slots, cfg_.nt_stores);
+    sides_[i].log = PmemLog(pool_, layout_.log_off[i], cfg_.log_slots);
     sides_[i].states = std::vector<std::atomic<SlotState>>(cfg_.log_slots);
     sides_[i].name_hashes.assign(cfg_.log_slots, 0);
   }

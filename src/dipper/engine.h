@@ -46,7 +46,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <span>
@@ -87,16 +86,6 @@ class SpaceClient {
                         std::vector<bool>* landed) = 0;
 };
 
-// Default for EngineConfig::nt_stores: the DSTORE_PMEM_NT environment knob
-// (README "Build & test") — "1" publishes log records with non-temporal
-// stores, anything else uses the clwb path. An env default (rather than a
-// hardwired one) lets CI run the whole crash sweep with nt forced on
-// without a second binary.
-inline bool nt_stores_default() {
-  const char* e = std::getenv("DSTORE_PMEM_NT");
-  return e != nullptr && e[0] == '1';
-}
-
 class CheckpointPool;
 
 struct EngineConfig {
@@ -114,11 +103,6 @@ struct EngineConfig {
   // per-slot PMEM payload region, emulating value-carrying log records.
   bool physical_logging = false;
   size_t physical_payload_bytes = 4096;  // payload region slot size
-  // Publish log records with non-temporal stores (pmem::Pool::persist_nt)
-  // instead of store+clwb: cheaper per line, identical single-fence
-  // ordering (DESIGN.md §13). Does not change the on-PMEM layout, so a pool
-  // written with either setting recovers under the other.
-  bool nt_stores = nt_stores_default();
 
   // The CheckpointPool that runs this engine's background checkpoints and
   // bulk passes, and the engine's slot in it. A ShardedStore passes its

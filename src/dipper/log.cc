@@ -54,7 +54,7 @@ void PmemLog::write_record(uint32_t slot, uint64_t lsn, OpType op, const Key& na
   // classifies as a torn uncommitted publication and skips. One flush train
   // + one fence replaces the old two-fence reverse-order protocol.
   s->lsn.store(lsn, std::memory_order_release);
-  pmem::PersistBatch batch(pool_, nt_);
+  pmem::PersistBatch batch(pool_);
   batch.add(s, kSlotSize);
   batch.commit();
   // Durability point: the record is published (valid LSN) — every byte a

@@ -100,12 +100,8 @@ class PmemLog {
   static constexpr uint16_t kFlagDropped = 1u << 3;
 
   PmemLog() = default;
-  // `nt`: publish records with non-temporal stores (persist_nt) instead of
-  // clwb — the record write is a full-two-line streaming store, the nt
-  // sweet spot. Commit/abort stay on the clwb path (they read-modify-write
-  // one line). See EngineConfig::nt_stores / DSTORE_PMEM_NT.
-  PmemLog(pmem::Pool* pool, uint64_t region_off, uint32_t slot_count, bool nt = false)
-      : pool_(pool), region_off_(region_off), slot_count_(slot_count), nt_(nt) {}
+  PmemLog(pmem::Pool* pool, uint64_t region_off, uint32_t slot_count)
+      : pool_(pool), region_off_(region_off), slot_count_(slot_count) {}
 
   static size_t region_bytes(uint32_t slot_count) { return (size_t)slot_count * kSlotSize; }
   uint32_t slot_count() const { return slot_count_; }
@@ -203,7 +199,6 @@ class PmemLog {
   pmem::Pool* pool_ = nullptr;
   uint64_t region_off_ = 0;
   uint32_t slot_count_ = 0;
-  bool nt_ = false;  // publish records via non-temporal stores
 };
 
 }  // namespace dstore::dipper

@@ -167,8 +167,6 @@ void DStore::register_substrate_metrics() {
                [pool] { return pool->stats().lines_flushed.load(std::memory_order_relaxed); });
   r.counter_fn("pmem_fences_total", "store fences retired",
                [pool] { return pool->stats().fences.load(std::memory_order_relaxed); });
-  r.counter_fn("pmem_nt_lines_total", "cache lines written with non-temporal stores",
-               [pool] { return pool->stats().lines_nt.load(std::memory_order_relaxed); });
   r.counter_fn("pmem_bytes_flushed_total", "bytes written back to PMEM",
                [pool] { return pool->stats().bytes_flushed.load(std::memory_order_relaxed); });
   r.counter_fn("pmem_bytes_read_total", "bulk bytes read from PMEM",

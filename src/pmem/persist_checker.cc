@@ -60,27 +60,6 @@ void PersistChecker::on_flush(uint64_t line_off, const char* line, const char* i
   staged_.emplace(line_off, st);
 }
 
-void PersistChecker::on_nt_store(uint64_t line_off, const char* line, const char* image_line,
-                                 uint64_t tid) {
-  (void)image_line;
-  // Stage (or re-stage) the line for the next fence. No redundant-flush
-  // report in either direction: nt stores bypass the cache, so "the line
-  // already matches the image" or "the line is already staged" is not a
-  // wasted write-back the way a redundant clwb is.
-  auto it = staged_.find(line_off);
-  if (it != staged_.end()) {
-    std::memcpy(it->second.snapshot.data(), line, kCacheLineSize);
-    it->second.tid = tid;
-    it->second.site = current_site();
-    return;
-  }
-  StagedLine st;
-  std::memcpy(st.snapshot.data(), line, kCacheLineSize);
-  st.tid = tid;
-  st.site = current_site();
-  staged_.emplace(line_off, st);
-}
-
 void PersistChecker::on_fence_line(uint64_t line_off, const char* line, uint64_t tid) {
   auto it = staged_.find(line_off);
   // Absent: a duplicate range in the same fence already retired it. Foreign

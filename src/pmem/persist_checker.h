@@ -14,10 +14,7 @@
 // persistent image, which the kCrashSim pool already maintains. Flushes are
 // tracked exactly: flush() snapshots the line, fence() compares the line
 // against the snapshot (a mismatch means a store landed inside the staged
-// window and was not re-flushed — defect class 3). Non-temporal stores
-// (flush_nt) take the same staged→persistent path minus the redundant-flush
-// check — they bypass the cache, so re-writing identical bytes is never the
-// wasted-clwb defect.
+// window and was not re-flushed — defect class 3).
 //
 // Thread model: the pool invokes every hook with its image mutex held, so
 // the checker needs no locking of its own. Staged lines are keyed by pool
@@ -63,12 +60,6 @@ class PersistChecker {
   // so teardown does not report it.
   void on_flush(uint64_t line_off, const char* line, const char* image_line, uint64_t tid,
                 bool deferred = false);
-  // A non-temporal store wrote `line_off` around the cache: the line is
-  // staged (flushed-pending-fence) exactly like on_flush, but is never a
-  // redundant-flush candidate — an nt store that rewrites identical bytes
-  // costs write bandwidth, not a wasted clwb, and leaves no dirty cache
-  // line behind.
-  void on_nt_store(uint64_t line_off, const char* line, const char* image_line, uint64_t tid);
   // A fence is retiring `line_off` for thread `tid`; `line` is the region
   // contents now, compared against the flush-time snapshot.
   void on_fence_line(uint64_t line_off, const char* line, uint64_t tid);

@@ -119,69 +119,21 @@ void Pool::flush(const void* addr, size_t len, bool deferred) {
   }
 }
 
-void Pool::flush_nt(const void* addr, size_t len) {
-  if (len == 0) return;
-  fault::Outcome fo = fault::hit(fault_, "pmem.nt");
-  auto a = reinterpret_cast<uintptr_t>(addr);
-  auto b = reinterpret_cast<uintptr_t>(region_);
-  assert(a >= b && a + len <= b + size_ && "flush_nt outside pool");
-  // Silent media corruption on the nt path, same contract as flush().
-  if (fo.type == fault::FaultType::kBitFlipPmemLine) corrupt_bit(a - b, len, fo.arg);
-  uint64_t lo = line_down(a) - b;
-  uint64_t hi = line_up(a + len) - b;
-  ThreadState& st = tls();
-  st.nt_lines += (hi - lo) / kCacheLineSize;
-  st.nt_total += (hi - lo) / kCacheLineSize;
-  if (mode_ == Mode::kCrashSim) {
-    if (fo.type == fault::FaultType::kTorn && !image_frozen()) {
-      // Power fails with the range in the write-combining buffer: WC buffers
-      // drain to media in whole lines, so a line-snapped prefix persists and
-      // everything after it is lost. (Contrast persist_bulk, whose torn
-      // fault is byte-granular at the media's discretion.)
-      uint64_t keep = std::min<uint64_t>(len, fo.arg) / kCacheLineSize * kCacheLineSize;
-      {
-        MutexGuard g(image_mu_);
-        apply_to_image(a - b, keep);
-      }
-      fault_->trigger_crash();
-      return;
-    }
-    apply_fault_outcome(fo);
-    if (!image_frozen()) {
-      st.ranges.push_back({lo, hi - lo});
-      if (PersistChecker* c = checker()) {
-        uint64_t tid = checker_thread_id();
-        MutexGuard g(image_mu_);
-        for (uint64_t l = lo; l < hi; l += kCacheLineSize) {
-          c->on_nt_store(l, region_ + l, image_.get() + l, tid);
-        }
-      }
-    }
-  }
-}
-
 void Pool::fence() {
   apply_fault_outcome(fault::hit(fault_, "pmem.fence"));
   ThreadState& st = tls();
   stats_.fences.fetch_add(1, std::memory_order_relaxed);
   st.fences_total++;
-  if (st.lines > 0 || st.nt_lines > 0) {
-    uint64_t bytes = (st.lines + st.nt_lines) * kCacheLineSize;
+  if (st.lines > 0) {
+    uint64_t bytes = st.lines * kCacheLineSize;
     stats_.bytes_flushed.fetch_add(bytes, std::memory_order_relaxed);
     stats_.lines_flushed.fetch_add(st.lines, std::memory_order_relaxed);
-    stats_.lines_nt.fetch_add(st.nt_lines, std::memory_order_relaxed);
     if (bw_series_ != nullptr) bw_series_->add(bytes);
-    // First line of each kind pays its full latency; subsequent lines
-    // overlap in the write-pending (clwb) / write-combining (nt) queue and
-    // add a small incremental cost.
-    uint64_t ns = 0;
-    if (st.lines > 0 && lat_.pmem_flush_line_ns > 0) {
-      ns += lat_.pmem_flush_line_ns + (st.lines - 1) * (lat_.pmem_flush_line_ns / 12);
+    // The first line pays its full latency; subsequent lines overlap in the
+    // write-pending queue and add a small incremental cost.
+    if (lat_.pmem_flush_line_ns > 0) {
+      spin_for_ns(lat_.pmem_flush_line_ns + (st.lines - 1) * (lat_.pmem_flush_line_ns / 12));
     }
-    if (st.nt_lines > 0 && lat_.pmem_nt_line_ns > 0) {
-      ns += lat_.pmem_nt_line_ns + (st.nt_lines - 1) * (lat_.pmem_nt_line_ns / 12);
-    }
-    if (ns > 0) spin_for_ns(ns);
   }
   if (mode_ == Mode::kCrashSim && !st.ranges.empty() && !image_frozen()) {
     MutexGuard g(image_mu_);
@@ -199,7 +151,6 @@ void Pool::fence() {
   }
   st.ranges.clear();
   st.lines = 0;
-  st.nt_lines = 0;
 }
 
 void Pool::persist_bulk(const void* addr, size_t len) {

@@ -48,7 +48,6 @@ struct IoStats {
   std::atomic<uint64_t> bytes_read{0};
   std::atomic<uint64_t> fences{0};
   std::atomic<uint64_t> lines_flushed{0};  // cache lines written back
-  std::atomic<uint64_t> lines_nt{0};       // cache lines written non-temporally
 };
 
 class Pool {
@@ -90,22 +89,6 @@ class Pool {
     fence();
   }
 
-  // Non-temporal store emulation (movnti/movntdq write-combining path): the
-  // caller has already performed the stores through the normal region
-  // pointer; flush_nt() marks the covering lines as written *around* the
-  // cache — they are in the WC buffer, not dirty in cache, and become
-  // persistent at the next fence() exactly like clwb-staged lines, but at
-  // the (cheaper) nt latency and with no dirty-cache-line residue for
-  // PmemCheck to track. Line-granular: a torn-write fault persists a
-  // line-snapped prefix of the range, never a partial line.
-  void flush_nt(const void* addr, size_t len);
-
-  // flush_nt + fence.
-  void persist_nt(const void* addr, size_t len) {
-    flush_nt(addr, len);
-    fence();
-  }
-
   // Bulk persistence for large ranges (checkpoint durability pass). Charged
   // with the bandwidth model rather than per-line flush cost, matching the
   // batched write-back a real checkpoint achieves.
@@ -125,10 +108,9 @@ class Pool {
   void crash();
 
   // ---- fault injection (kCrashSim only) ---------------------------------
-  // Attach a deterministic fault injector: flush/fence/flush_nt/persist_bulk
-  // become the fault points "pmem.flush" / "pmem.fence" / "pmem.nt" /
-  // "pmem.bulk" (crash, delay, spurious-eviction and — for nt and bulk —
-  // torn-write faults; nt tears are line-snapped), and this
+  // Attach a deterministic fault injector: flush/fence/persist_bulk become
+  // the fault points "pmem.flush" / "pmem.fence" / "pmem.bulk" (crash,
+  // delay, spurious-eviction and — for bulk — torn-write faults), and this
   // pool's freeze_image() is registered as a crash sink so an injected
   // power failure anywhere in the system stops persistence here too.
   void set_fault_injector(fault::FaultInjector* inj);
@@ -188,13 +170,12 @@ class Pool {
   // for most ops; obs::OpTrace::pause/resume); the summed deltas are that
   // op's substrate cost, however many ops the thread interleaves.
   struct ThreadIoCounts {
-    uint64_t flushes = 0;   // cache lines staged by flush()
+    uint64_t flushes = 0;  // cache lines staged by flush()
     uint64_t fences = 0;
-    uint64_t nt_lines = 0;  // cache lines staged by flush_nt()
   };
   ThreadIoCounts thread_io_counts() {
     ThreadState& st = tls();
-    return ThreadIoCounts{st.flushes_total, st.fences_total, st.nt_total};
+    return ThreadIoCounts{st.flushes_total, st.fences_total};
   }
   // Optional bandwidth time-series (bytes flushed per bin) for Figure 7.
   void set_bandwidth_series(TimeSeries* ts) { bw_series_ = ts; }
@@ -208,11 +189,9 @@ class Pool {
   // Per-thread staged flush state for one pool.
   struct ThreadState {
     std::vector<Range> ranges;
-    size_t lines = 0;     // clwb-staged lines pending the next fence
-    size_t nt_lines = 0;  // nt-staged lines pending the next fence
+    size_t lines = 0;  // lines staged for the next fence
     uint64_t flushes_total = 0;  // monotone; see thread_io_counts()
     uint64_t fences_total = 0;
-    uint64_t nt_total = 0;
   };
   ThreadState& tls();
   static uint64_t next_pool_gen();
@@ -254,20 +233,17 @@ class Pool {
 // is allowed to reach the pool's flush/fence primitives; it makes the
 // ordering points of an op explicit and countable.
 //
-//   PersistBatch b(pool);            // or PersistBatch b(pool, /*nt=*/true)
+//   PersistBatch b(pool);
 //   b.add(&slot->body, body_len);    // flush train: no fences yet
 //   b.add(&slot->crc, crc_len);
 //   b.commit();                      // exactly one fence
 //
-// With `nt` set the adds go through flush_nt() — correct only when the
-// caller rewrites the full covered lines (nt stores bypass the cache, so a
-// partial-line nt "flush" of a read-modify-write is a bug; use the default
-// clwb path for those). The destructor commits a non-committed batch so an
-// early return can never lose the fence, but hot paths should commit
-// explicitly at the op's durability point.
+// The destructor commits a non-committed batch so an early return can never
+// lose the fence, but hot paths should commit explicitly at the op's
+// durability point.
 class PersistBatch {
  public:
-  explicit PersistBatch(Pool* pool, bool nt = false) : pool_(pool), nt_(nt) {}
+  explicit PersistBatch(Pool* pool) : pool_(pool) {}
   ~PersistBatch() {
     if (!committed_) commit();
   }
@@ -275,11 +251,7 @@ class PersistBatch {
   PersistBatch& operator=(const PersistBatch&) = delete;
 
   void add(const void* addr, size_t len) {
-    if (nt_) {
-      pool_->flush_nt(addr, len);
-    } else {
-      pool_->flush(addr, len);
-    }
+    pool_->flush(addr, len);
     added_ = true;
   }
 
@@ -298,7 +270,6 @@ class PersistBatch {
 
  private:
   Pool* pool_;
-  bool nt_;
   bool added_ = false;
   bool committed_ = false;
 };

@@ -238,29 +238,36 @@ TEST(CachedLsm, CompactionMergesRuns) {
 TEST(CachedLsm, OverwriteChurnNeverExhaustsBlocks) {
   constexpr int kKeys = 2000;
   constexpr int kPuts = 200000;  // about a dozen WAL-full flushes
-  CachedLsmConfig cfg;
-  cfg.num_blocks = 6 * kKeys;
-  cfg.stack_overhead_ns = 0;
-  auto store = CachedLsmStore::make(cfg, LatencyModel::none());
-  ASSERT_TRUE(store.is_ok());
-  CachedLsmStore& lsm = *store.value();
-  std::string v(4096, 'o');
-  int failed = 0;
-  for (int i = 0; i < kPuts; i++) {
-    std::memcpy(v.data(), &i, sizeof(i));
-    if (!lsm.put(nullptr, "k" + std::to_string(i % kKeys), v.data(), v.size()).is_ok()) failed++;
-  }
-  EXPECT_EQ(failed, 0);
-  EXPECT_GT(lsm.compaction_count(), 0u);
+  // The default trigger lets background compaction keep up; the second
+  // input never reaches it, so only the writers' stalls compact (the case
+  // a background thread starved of CPU degrades to).
+  for (int trigger_runs : {CachedLsmConfig{}.compaction_trigger_runs, 1000}) {
+    SCOPED_TRACE("compaction_trigger_runs=" + std::to_string(trigger_runs));
+    CachedLsmConfig cfg;
+    cfg.num_blocks = 6 * kKeys;
+    cfg.stack_overhead_ns = 0;
+    cfg.compaction_trigger_runs = trigger_runs;
+    auto store = CachedLsmStore::make(cfg, LatencyModel::none());
+    ASSERT_TRUE(store.is_ok());
+    CachedLsmStore& lsm = *store.value();
+    std::string v(4096, 'o');
+    int failed = 0;
+    for (int i = 0; i < kPuts; i++) {
+      std::memcpy(v.data(), &i, sizeof(i));
+      if (!lsm.put(nullptr, "k" + std::to_string(i % kKeys), v.data(), v.size()).is_ok()) failed++;
+    }
+    EXPECT_EQ(failed, 0);
+    EXPECT_GT(lsm.compaction_count(), 0u);
 
-  // Flushed and fully compacted, the store holds exactly one block per key.
-  lsm.prepare_run();
-  EXPECT_EQ(lsm.space_usage().ssd_bytes, (uint64_t)kKeys * 4096);
-  std::string out(4096, 0);
-  for (int k = 0; k < kKeys; k += 97) {
-    ASSERT_TRUE(lsm.get(nullptr, "k" + std::to_string(k), out.data(), out.size()).is_ok()) << k;
-    int last = kPuts - kKeys + k;  // the final put of key k
-    EXPECT_EQ(std::memcmp(out.data(), &last, sizeof(last)), 0) << k;
+    // Flushed and fully compacted, the store holds exactly one block per key.
+    lsm.prepare_run();
+    EXPECT_EQ(lsm.space_usage().ssd_bytes, (uint64_t)kKeys * 4096);
+    std::string out(4096, 0);
+    for (int k = 0; k < kKeys; k += 97) {
+      ASSERT_TRUE(lsm.get(nullptr, "k" + std::to_string(k), out.data(), out.size()).is_ok()) << k;
+      int last = kPuts - kKeys + k;  // the final put of key k
+      EXPECT_EQ(std::memcmp(out.data(), &last, sizeof(last)), 0) << k;
+    }
   }
 }
 

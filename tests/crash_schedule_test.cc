@@ -131,18 +131,6 @@ TEST(CrashSchedule, ExhaustiveSingleCrashSweep) {
         p.add({point, h + 3, FaultType::kCrash, 0, 1});
         plans.push_back(p);
       }
-    } else if (point == "pmem.nt") {
-      // Torn nt-store publication: the write-combining buffer drains a
-      // line-snapped prefix (here one line: the LSN line without the CRC
-      // line) to media, then power fails inside the batched publication
-      // window. Recovery must classify the slot as a torn uncommitted
-      // publication. Fires only when the rig runs with nt stores enabled
-      // (DSTORE_PMEM_NT=1); the space is empty otherwise.
-      for (uint64_t h = 1; h <= count; h += 2) {
-        FaultPlan p;
-        p.add({point, h, FaultType::kTorn, 64, 1});
-        plans.push_back(p);
-      }
     }
   }
   bool single = maybe_single_plan(&plans);

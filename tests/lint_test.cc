@@ -30,11 +30,9 @@ TEST(LintRawPersist, FlagsRawMemberCallsInHotPathFiles) {
       "  p->persist(a, 64);\n"
       "  p->flush(a, 64);\n"
       "  p->fence();\n"
-      "  p->persist_nt(a, 128);\n"
-      "  p->flush_nt(a, 128);\n"
       "}\n";
   auto v = run_raw_persist("src/dipper/log.cc", src);
-  ASSERT_EQ(v.size(), 5u);
+  ASSERT_EQ(v.size(), 3u);
   EXPECT_EQ(v[0].check, "raw-persist");
   EXPECT_EQ(v[0].line, 2u);
   EXPECT_EQ(v[2].line, 4u);
@@ -94,6 +92,50 @@ TEST(LintRawPersist, NonMemberUsesAreIgnored) {
       "// p->persist(a, 64) in a comment\n"  // stripped before matching
       "const char* s = \"p->fence()\";\n";   // inside a string literal
   EXPECT_TRUE(run_raw_persist("src/dipper/log.cc", src).empty());
+}
+
+// ---- getenv rule ---------------------------------------------------------
+
+std::vector<Violation> run_getenv(const std::string& rel, const std::string& src) {
+  std::vector<Violation> out;
+  check_getenv(rel, src, strip_comments_and_strings(src), &out);
+  return out;
+}
+
+TEST(LintGetenv, FlagsEnvironmentReadsInSrc) {
+  const std::string src =
+      "bool f() {\n"
+      "  const char* e = std::getenv(\"X\");\n"
+      "  return getenv(\"Y\") != nullptr || ::getenv(\"Z\") != e;\n"
+      "}\n";
+  auto v = run_getenv("src/dipper/engine.h", src);
+  ASSERT_EQ(v.size(), 3u);
+  EXPECT_EQ(v[0].check, "getenv");
+  EXPECT_EQ(v[0].line, 2u);
+  EXPECT_EQ(v[2].line, 3u);
+}
+
+TEST(LintGetenv, AnnotatedReadIsAllowed) {
+  const std::string src =
+      "// lint: allow-getenv the server address is a deployment fact\n"
+      "const char* a = std::getenv(\"ADDR\");\n"
+      "const char* b = std::getenv(\"PORT\");  // lint: allow-getenv deployment fact\n";
+  EXPECT_TRUE(run_getenv("src/baselines/remote_adapter.cc", src).empty());
+}
+
+TEST(LintGetenv, OtherIdentifiersCommentsAndStringsAreIgnored) {
+  const std::string src =
+      "int my_getenv(); int getenv_count;\n"
+      "// std::getenv(\"X\") in a comment\n"
+      "const char* s = \"getenv\";\n";
+  EXPECT_TRUE(run_getenv("src/common/config.cc", src).empty());
+}
+
+TEST(LintGetenv, TestsAndBenchesAreNotChecked) {
+  const std::string src = "const char* e = std::getenv(\"DSTORE_BENCH_OPS\");\n";
+  EXPECT_TRUE(run_getenv("tests/crash_schedule_test.cc", src).empty());
+  EXPECT_TRUE(run_getenv("bench/paper_bench.cc", src).empty());
+  EXPECT_EQ(run_getenv("src/dstore/dstore.cc", src).size(), 1u);
 }
 
 // ---- status-code rule ----------------------------------------------------
@@ -178,9 +220,9 @@ TEST(LintHelpers, StripPreservesLineStructure) {
 
 TEST(LintHelpers, FindTokenRespectsIdentifierBoundaries) {
   std::string code = strip_comments_and_strings(
-      "persist(x); my_persist(x); persist_nt(x); p->persist(y);");
+      "persist(x); my_persist(x); persist_bulk(x); p->persist(y);");
   EXPECT_EQ(find_token(code, "persist").size(), 2u);  // bare + member only
-  EXPECT_EQ(find_token(code, "persist_nt").size(), 1u);
+  EXPECT_EQ(find_token(code, "persist_bulk").size(), 1u);
 }
 
 TEST(LintHelpers, AnnotatedLooksAtSameAndPreviousLineOnly) {

@@ -14,8 +14,6 @@
 //   delete      publication as put; its record has no value to check, so
 //               the commit flag is flushed and fenced
 //               => 3 flushed lines / 2 fences per op
-//   with nt stores: the 2 publication lines go through flush_nt instead
-//               => 1 flushed line + 2 nt lines, fences unchanged
 //   get         reads only — 0 lines / 0 fences
 //   checkpoint  2 root-state line persists (swap + install) fence-wise;
 //               everything else rides the two persist_bulk passes
@@ -37,7 +35,7 @@ namespace dstore {
 namespace {
 
 
-DStoreConfig budget_cfg(bool nt_stores, bool repair_logging = false) {
+DStoreConfig budget_cfg(bool repair_logging = false) {
   DStoreConfig cfg;
   cfg.max_objects = 256;
   cfg.num_blocks = 1024;
@@ -45,30 +43,27 @@ DStoreConfig budget_cfg(bool nt_stores, bool repair_logging = false) {
   cfg.engine.arena_bytes = DStoreConfig::suggested_arena_bytes(256);
   cfg.engine.log_slots = 128;
   cfg.engine.background_checkpointing = false;  // budgets on this thread
-  cfg.engine.nt_stores = nt_stores;  // explicit: independent of DSTORE_PMEM_NT
   return cfg;
 }
 
 struct Delta {
   uint64_t flushes;
   uint64_t fences;
-  uint64_t nt_lines;
 };
 
-// The calling thread's PMEM flushes, fences and nt lines across fn().
+// The calling thread's PMEM flushes and fences across fn().
 template <typename Fn>
 Delta measure(StoreRig& t, Fn&& fn) {
   pmem::Pool::ThreadIoCounts before = t.pool->thread_io_counts();
   fn();
   pmem::Pool::ThreadIoCounts after = t.pool->thread_io_counts();
-  return {after.flushes - before.flushes, after.fences - before.fences,
-          after.nt_lines - before.nt_lines};
+  return {after.flushes - before.flushes, after.fences - before.fences};
 }
 
 std::string value(size_t n, char c) { return std::string(n, c); }
 
 TEST(PersistBudget, PutIsThreeLinesOneFence) {
-  StoreRig t(budget_cfg(/*nt_stores=*/false));
+  StoreRig t(budget_cfg());
   std::string v = value(4096, 'p');
   // Insert and overwrite pay the identical budget: the log protocol does
   // not distinguish them.
@@ -78,37 +73,20 @@ TEST(PersistBudget, PutIsThreeLinesOneFence) {
     });
     EXPECT_EQ(d.flushes, 3u) << "put flushed-line budget (iteration " << i << ")";
     EXPECT_EQ(d.fences, 1u) << "put fence budget (iteration " << i << ")";
-    EXPECT_EQ(d.nt_lines, 0u);
-  }
-}
-
-TEST(PersistBudget, PutWithNtStoresMovesPublicationOffTheCache) {
-  StoreRig t(budget_cfg(/*nt_stores=*/true));
-  std::string v = value(4096, 'n');
-  for (int i = 0; i < 3; i++) {
-    auto d = measure(t, [&] {
-      ASSERT_TRUE(t.store->oput(t.ctx, "obj", v.data(), v.size()).is_ok());
-    });
-    // Publication (2 slot lines) streams non-temporally; the commit flag is
-    // a read-modify-write of a live line and must stay on the clwb path.
-    EXPECT_EQ(d.nt_lines, 2u) << "nt publication lines (iteration " << i << ")";
-    EXPECT_EQ(d.flushes, 1u) << "commit stays clwb (iteration " << i << ")";
-    EXPECT_EQ(d.fences, 1u) << "fence budget is unchanged by nt (iteration " << i << ")";
   }
 }
 
 TEST(PersistBudget, DeleteIsThreeLinesTwoFences) {
-  StoreRig t(budget_cfg(/*nt_stores=*/false));
+  StoreRig t(budget_cfg());
   std::string v = value(512, 'd');
   ASSERT_TRUE(t.store->oput(t.ctx, "obj", v.data(), v.size()).is_ok());
   auto d = measure(t, [&] { ASSERT_TRUE(t.store->odelete(t.ctx, "obj").is_ok()); });
   EXPECT_EQ(d.flushes, 3u);
   EXPECT_EQ(d.fences, 2u);
-  EXPECT_EQ(d.nt_lines, 0u);
 }
 
 TEST(PersistBudget, GetIsFree) {
-  StoreRig t(budget_cfg(/*nt_stores=*/false));
+  StoreRig t(budget_cfg());
   std::string v = value(8192, 'g');
   ASSERT_TRUE(t.store->oput(t.ctx, "obj", v.data(), v.size()).is_ok());
   std::string out(8192, 0);
@@ -118,7 +96,6 @@ TEST(PersistBudget, GetIsFree) {
   });
   EXPECT_EQ(d.flushes, 0u);
   EXPECT_EQ(d.fences, 0u);
-  EXPECT_EQ(d.nt_lines, 0u);
   // The zero-copy path is read-only on PMEM too.
   auto dz = measure(t, [&] { ASSERT_TRUE(t.store->oget_zc(t.ctx, "obj").is_ok()); });
   EXPECT_EQ(dz.flushes, 0u);
@@ -126,7 +103,7 @@ TEST(PersistBudget, GetIsFree) {
 }
 
 TEST(PersistBudget, CheckpointFencesTwiceOnTopOfBulkPasses) {
-  StoreRig t(budget_cfg(/*nt_stores=*/false));
+  StoreRig t(budget_cfg());
   std::string v = value(4096, 'c');
   for (int i = 0; i < 8; i++) {
     std::string name = "obj" + std::to_string(i);
@@ -137,11 +114,10 @@ TEST(PersistBudget, CheckpointFencesTwiceOnTopOfBulkPasses) {
   // per-line ordering points; replay durability rides the bulk passes.
   EXPECT_EQ(d.flushes, 2u);
   EXPECT_EQ(d.fences, 2u);
-  EXPECT_EQ(d.nt_lines, 0u);
 }
 
 TEST(PersistBudget, PhysicalLoggingAddsOneBulkPassPerPut) {
-  StoreRig t(budget_cfg(/*nt_stores=*/false, /*repair_logging=*/true));
+  StoreRig t(budget_cfg(/*repair_logging=*/true));
   std::string v = value(2048, 'b');
   ASSERT_TRUE(t.store->oput(t.ctx, "warm", v.data(), v.size()).is_ok());
   uint64_t fences0 = t.pool->stats().fences.load(std::memory_order_relaxed);
@@ -161,7 +137,7 @@ TEST(PersistBudget, PhysicalLoggingAddsOneBulkPassPerPut) {
 // its neighbour's log-record persist, whichever of the two finishes first.
 // 32 consecutive traces per order, so exactly two of them are sampled.
 TEST(PersistBudget, InterleavedSplitPutsEachRecordTheSequentialBudget) {
-  StoreRig t(budget_cfg(/*nt_stores=*/false));
+  StoreRig t(budget_cfg());
   std::string v = value(4096, 's');
 #if !defined(DSTORE_METRICS_DISABLED)
   obs::Histogram* flushes = t.store->metrics().find_histogram("dstore_put_flushes_per_op");

@@ -7,7 +7,6 @@
 #include <filesystem>
 
 #include "common/rng.h"
-#include "fault/fault.h"
 #include "pmem/pool.h"
 
 namespace dstore::pmem {
@@ -141,86 +140,30 @@ TEST(PmemPool, PartialLineOverwriteAfterPersist) {
   EXPECT_EQ((unsigned char)base[0], 0xaau);
 }
 
-// ---- non-temporal store emulation (flush_nt / persist_nt) ----------------
-
-TEST(PmemPoolNt, NtVisibilityOnlyAfterFence) {
+// A deferred flush (PersistBatch::defer) issues no fence of its own; the
+// next fence on the thread retires it together with that fence's own train.
+// A put's commit-flag line rides the next put's publication fence this way.
+TEST(PmemPool, DeferredFlushRidesTheNextFence) {
   Pool p(1 << 20, Pool::Mode::kCrashSim);
   char* base = p.base();
-  std::memset(base, 0x5e, 128);
-  p.flush_nt(base, 128);
-  // In the write-combining buffer, not yet fenced: a crash loses it.
-  EXPECT_FALSE(p.is_persisted(base, 128));
-  p.fence();
-  EXPECT_TRUE(p.is_persisted(base, 128));
-  std::memset(base + 4096, 0x5f, 64);
-  p.flush_nt(base + 4096, 64);  // staged but never fenced
-  p.crash();
-  EXPECT_EQ((unsigned char)base[0], 0x5eu);
-  EXPECT_EQ(base[4096], 0);
-}
-
-TEST(PmemPoolNt, PersistNtSurvivesCrashAndCountsNtLines) {
-  Pool p(1 << 20, Pool::Mode::kCrashSim);
-  char* base = p.base();
-  std::memset(base, 0x6e, 256);
-  p.persist_nt(base, 256);
-  EXPECT_EQ(p.stats().lines_nt.load(), 4u);
-  EXPECT_EQ(p.stats().lines_flushed.load(), 0u);  // nt lines never dirty the cache
-  auto counts = p.thread_io_counts();
-  EXPECT_EQ(counts.nt_lines, 4u);
-  EXPECT_EQ(counts.flushes, 0u);
-  EXPECT_EQ(counts.fences, 1u);
-  p.crash();
-  for (int i = 0; i < 256; i++) EXPECT_EQ((unsigned char)base[i], 0x6eu);
-}
-
-TEST(PmemPoolNt, MixedNtAndClwbTrainRetiredByOneFence) {
-  Pool p(1 << 20, Pool::Mode::kCrashSim);
-  char* base = p.base();
-  std::memset(base, 0x11, 128);
-  std::memset(base + 512, 0x22, 64);
-  p.flush_nt(base, 128);
-  p.flush(base + 512, 64);
-  p.fence();  // one ordering point retires both staged kinds
+  std::memset(base, 0x11, 64);
+  std::memset(base + 512, 0x22, 128);
+  {
+    PersistBatch flag(&p);
+    flag.defer(base, 64);
+  }  // nothing added: the batch commits without a fence
+  EXPECT_EQ(p.stats().fences.load(), 0u);
+  EXPECT_FALSE(p.is_persisted(base, 64));
+  PersistBatch batch(&p);
+  batch.add(base + 512, 128);
+  batch.commit();
   EXPECT_EQ(p.stats().fences.load(), 1u);
+  EXPECT_EQ(p.stats().lines_flushed.load(), 3u);
   p.crash();
   EXPECT_EQ((unsigned char)base[0], 0x11u);
-  EXPECT_EQ((unsigned char)base[127], 0x11u);
+  EXPECT_EQ((unsigned char)base[63], 0x11u);
   EXPECT_EQ((unsigned char)base[512], 0x22u);
-}
-
-#if !defined(DSTORE_FAULT_INJECTION_DISABLED)
-TEST(PmemPoolNt, TornNtWriteIsLineSnapped) {
-  // An nt torn-write fault persists a line-snapped PREFIX of the range —
-  // the WC buffer drains in line units, never a partial line (contrast
-  // persist_bulk, whose tear is byte-granular).
-  Pool p(1 << 20, Pool::Mode::kCrashSim);
-  fault::FaultInjector inj;
-  p.set_fault_injector(&inj);
-  char* base = p.base();
-  std::memset(base, 0x7a, 256);
-  fault::FaultPlan plan;
-  plan.add({"pmem.nt", 1, fault::FaultType::kTorn, /*arg=*/100, 1});
-  inj.set_plan(plan);
-  inj.arm();
-  p.flush_nt(base, 256);  // tears: keep = 100 / 64 * 64 = 64 bytes
-  EXPECT_TRUE(inj.crashed());
-  p.crash();
-  for (int i = 0; i < 64; i++) EXPECT_EQ((unsigned char)base[i], 0x7au) << i;
-  for (int i = 64; i < 256; i++) EXPECT_EQ(base[i], 0) << i;
-  p.set_fault_injector(nullptr);
-}
-#endif  // !DSTORE_FAULT_INJECTION_DISABLED
-
-TEST(PmemPoolNt, DirectModeNtChargesStatsOnly) {
-  Pool p(1 << 20, Pool::Mode::kDirect);
-  char* base = p.base();
-  std::memset(base, 0x3c, 192);
-  p.persist_nt(base, 192);
-  EXPECT_EQ(p.stats().lines_nt.load(), 3u);
-  EXPECT_EQ(p.stats().bytes_flushed.load(), 192u);
-  EXPECT_EQ(p.stats().fences.load(), 1u);
-  EXPECT_TRUE(p.is_persisted(base, 192));  // trivially true in direct mode
+  EXPECT_EQ((unsigned char)base[639], 0x22u);
 }
 
 TEST(PmemPool, FileBackedPersistsAcrossReopen) {

@@ -33,7 +33,7 @@
 //   5. raw-persist:   hot-path files (log.cc, engine.cc, metadata_zone.cc,
 //                     dstore.cc) must route per-op PMEM ordering through
 //                     pmem::PersistBatch — a bare pool->persist()/flush()/
-//                     fence()/..._nt() member call regresses the fence
+//                     fence() member call regresses the fence
 //                     budgets pinned by tests/persist_budget_test.cc unless
 //                     annotated `lint: allow-raw-persist` (cold spots such
 //                     as recovery and root installation). persist_bulk is
@@ -45,6 +45,10 @@
 //                     forks the table and is rejected unless annotated
 //                     `lint: allow-status-code` — extend the X-macro
 //                     instead.
+//   7. getenv:        no getenv() in src/: an environment variable would
+//                     select a code path outside every config and test
+//                     matrix. A deployment fact (an address) may be read
+//                     with a `lint: allow-getenv <reason>` annotation.
 //
 // Usage: dstore_lint <build-dir-with-compile_commands.json>
 //                    [--schema tools/metrics_schema.json]
@@ -72,6 +76,7 @@ namespace fs = std::filesystem;
 
 using dstore::lint::Violation;
 using dstore::lint::annotated;
+using dstore::lint::check_getenv;
 using dstore::lint::check_raw_persist;
 using dstore::lint::check_status_codes;
 using dstore::lint::compdb_files;
@@ -303,6 +308,7 @@ int main(int argc, char** argv) {
     check_void_discards(rel, src, code);
     check_raw_persist(rel, src, code, &g_violations);
     check_status_codes(rel, src, code, &g_violations);
+    check_getenv(rel, src, code, &g_violations);
   }
   check_fault_point_uniqueness();
 

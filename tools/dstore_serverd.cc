@@ -76,13 +76,7 @@ uint64_t arg_u64(int argc, char** argv, int* i, const char* flag, bool zero_ok =
     fprintf(stderr, "%s needs a value\n", flag);
     exit(kExitUsage);
   }
-  uint64_t v = parse_u64(flag, argv[++*i], zero_ok);
-  if (v > max) {
-    fprintf(stderr, "%s: %llu is above %llu\n", flag, (unsigned long long)v,
-            (unsigned long long)max);
-    exit(kExitUsage);
-  }
-  return v;
+  return parse_u64(flag, argv[++*i], zero_ok, max);
 }
 
 int usage() {

@@ -182,8 +182,7 @@ inline bool annotated(const std::string& src, size_t pos, const std::string& tag
 //
 // DESIGN.md §13: hot-path PMEM ordering flows through pmem::PersistBatch
 // (one flush train, ONE fence at commit). A bare pool->persist()/flush()/
-// fence() — or their _nt variants — in a hot-path file reintroduces a
-// per-line fence and silently regresses the budgets pinned by
+// fence() in a hot-path file reintroduces a per-line fence and silently regresses the budgets pinned by
 // tests/persist_budget_test.cc. persist_bulk is exempt: it is the sanctioned
 // bulk-pass primitive (checkpoint passes, physical log payloads) and charges
 // the global stats, not the per-op fence budget.
@@ -211,7 +210,7 @@ inline bool is_raw_persist_hot_file(const std::string& rel) {
 // Member-call spellings of the raw primitives. persist_bulk is NOT listed.
 inline const std::vector<std::string>& raw_persist_tokens() {
   static const std::vector<std::string> toks = {
-      "persist", "persist_nt", "flush", "flush_nt", "fence",
+      "persist", "flush", "fence",
   };
   return toks;
 }
@@ -238,6 +237,34 @@ inline void check_raw_persist(const std::string& rel, const std::string& src,
                           "through pmem::PersistBatch (one fence at commit) or "
                           "annotate `// lint: allow-raw-persist <reason>`"});
     }
+  }
+}
+
+// ---- check: environment reads in the library --------------------------
+//
+// The library's behaviour is chosen by its configuration and by what it
+// observes, never by an environment variable: a getenv() in src/ is a code
+// path selected outside every config, fingerprint and test matrix. Tools,
+// benches and tests may read the environment; src/ may only where the
+// variable names a deployment fact (an address), annotated
+// `// lint: allow-getenv <reason>` on the same or the previous line.
+
+inline void check_getenv(const std::string& rel, const std::string& src,
+                         const std::string& code, std::vector<Violation>* out) {
+  if (rel.rfind("src/", 0) != 0) return;
+  for (size_t pos = 0; (pos = code.find("getenv", pos)) != std::string::npos; pos += 6) {
+    // `getenv`, `std::getenv` and `::getenv` all count; `secure_getenv` and
+    // `my_getenv` do not (a ':' on the left is a qualifier, not a name).
+    bool left_ok = pos == 0 || (!std::isalnum((unsigned char)code[pos - 1]) &&
+                                code[pos - 1] != '_');
+    bool right_ok = pos + 6 >= code.size() ||
+                    (!std::isalnum((unsigned char)code[pos + 6]) && code[pos + 6] != '_');
+    if (!left_ok || !right_ok) continue;
+    if (annotated(src, pos, "lint: allow-getenv")) continue;
+    out->push_back({rel, line_of(code, pos), "getenv",
+                    "getenv() in src/ selects behaviour outside the config — take "
+                    "it as a config field, or annotate `// lint: allow-getenv "
+                    "<reason>` for a deployment fact"});
   }
 }
 

@@ -13,6 +13,8 @@
 // JSON export (a valid empty scrape for backends without instrumentation).
 // A bad flag or an unparsable, negative or zero number exits 64, naming
 // the flag.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -88,14 +90,14 @@ int main(int argc, char** argv) {
     if (args[i] == "--backend") backend = v;
     else if (args[i] == "--workload") wl = v;
     else if (args[i] == "--objects") p.objects = parse_u64(flag, v);
-    else if (args[i] == "--threads") p.threads = (int)parse_u64(flag, v);
+    else if (args[i] == "--threads") p.threads = (int)parse_u64(flag, v, false, INT_MAX);
     else if (args[i] == "--ops") p.ops_per_thread = parse_u64(flag, v);
     else if (args[i] == "--value") value_size = parse_u64(flag, v);
     else if (args[i] == "--scale") p.scale = parse_f64(flag, v, /*zero_ok=*/true);  // 0 = off
-    else if (args[i] == "--ssd-qd") p.ssd_qd = (uint32_t)parse_u64(flag, v);
-    else if (args[i] == "--shards") bp.num_shards = (int)parse_u64(flag, v);
+    else if (args[i] == "--ssd-qd") p.ssd_qd = (uint32_t)parse_u64(flag, v, false, UINT32_MAX);
+    else if (args[i] == "--shards") bp.num_shards = (int)parse_u64(flag, v, false, INT_MAX);
     else if (args[i] == "--ckpt-workers")
-      bp.ckpt_workers = (int)parse_u64(flag, v, /*zero_ok=*/true);  // 0 = auto
+      bp.ckpt_workers = (int)parse_u64(flag, v, /*zero_ok=*/true, INT_MAX);  // 0 = auto
     else if (args[i] == "--metrics-json") metrics_json = v;
     else {
       fprintf(stderr, "unknown flag %s (see --help)\n", flag);
