@@ -4,6 +4,7 @@
     check_report.py REPORT.json...          every file is {"bench": str,
                                             "provenance": {...}, "rows": [flat
                                             objects]}
+    check_report.py --reps N REPORT.json... and its provenance.reps is N
     check_report.py --exit CODE -- CMD...   CMD exits with exactly CODE
 
 Standard library only; exits 1 on the first violation.
@@ -15,7 +16,7 @@ import sys
 PROVENANCE = ("git_sha", "build_type", "nproc", "latency_scale", "reps", "env")
 
 
-def check(path):
+def check(path, reps=None):
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc.get("bench"), str):
@@ -26,6 +27,8 @@ def check(path):
     missing = [k for k in PROVENANCE if k not in prov]
     if missing:
         return f"provenance lacks {missing}"
+    if reps is not None and prov["reps"] != reps:
+        return f"provenance.reps is {prov['reps']}, want {reps}"
     rows = doc.get("rows")
     if not isinstance(rows, list) or not rows:
         return "missing non-empty 'rows'"
@@ -45,11 +48,15 @@ def main(argv):
             print(f"{' '.join(argv[3:])}: exit {rc}, want {argv[1]}")
             return 1
         return 0
+    reps = None
+    if len(argv) >= 2 and argv[0] == "--reps":
+        reps = int(argv[1])
+        argv = argv[2:]
     if not argv:
         print(__doc__)
         return 1
     for path in argv:
-        err = check(path)
+        err = check(path, reps)
         if err:
             print(f"{path}: {err}")
             return 1

@@ -50,8 +50,10 @@ static void BM_PmemPersistBulk4K(benchmark::State& state) {
 }
 BENCHMARK(BM_PmemPersistBulk4K);
 
-// The integrity checksum at the sizes it runs on: 64/128 B log records and
-// metadata entries (single-chain path), a 4 KB device page, a 16 KB value.
+// The integrity checksum at the sizes it runs on: 64 B log records and
+// metadata entries (single-chain path), a 4 KB device page, a 16 KB value;
+// 128 B to 1 KB bracket the fold threshold (crc32c_detail::kFoldMin). The
+// context header names the kernel dispatch picked on this CPU.
 static void BM_Crc32c(benchmark::State& state) {
   std::string buf((size_t)state.range(0), '\0');
   for (size_t i = 0; i < buf.size(); i++) buf[i] = (char)(i * 131 + 7);
@@ -61,7 +63,7 @@ static void BM_Crc32c(benchmark::State& state) {
   }
   state.SetBytesProcessed((int64_t)state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32c)->Arg(64)->Arg(128)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(128)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
 static void BM_LogAppendCommit(benchmark::State& state) {
   pmem::Pool pool(dipper::PmemLog::region_bytes(1 << 16), pmem::Pool::Mode::kDirect);
@@ -285,6 +287,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--persist-budget") == 0) return run_persist_budget();
   }
   benchmark::Initialize(&argc, argv);
+  benchmark::AddCustomContext("crc32c_kernel", crc32c_detail::kernel_name());
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

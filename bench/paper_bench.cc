@@ -2,12 +2,13 @@
 // every figure and table, DStore's design-parameter ablation, and the
 // partitioned engine's shard-scaling curve.
 //
-//   paper_bench --exp <id>[,<id>...]|all
+//   paper_bench --exp <id>[,<id>...]|all [--reps N]
 //
 // Each experiment prints the paper's rows/series and writes
-// BENCH_<id>.json in the schema of bench_common.h. An unknown id prints the
-// id list and exits 64. Knobs are bench_common.h's, with these
-// per-experiment differences:
+// BENCH_<id>.json in the schema of bench_common.h. --reps runs every cell N
+// times in place of each experiment's own count (recorded as the report's
+// provenance.reps). An unknown id prints the id list and exits 64. Knobs
+// are bench_common.h's, with these per-experiment differences:
 //   table3         DSTORE_BENCH_OPS defaults to 5000 (single-thread puts),
 //                  3 reps per cell
 //   table4         DSTORE_BENCH_RECOVERY_OBJECTS keyspace (default OBJECTS)
@@ -20,6 +21,7 @@
 // (LatencyModel::calibrated), so who wins, by roughly what factor and where
 // crossovers fall are comparable to the paper; absolute numbers are not.
 #include <algorithm>
+#include <climits>
 #include <string_view>
 
 #include "baselines/dstore_adapter.h"
@@ -68,8 +70,9 @@ struct Case {
 struct Exp;
 
 struct Ctx {
-  explicit Ctx(const Exp& e);
+  Ctx(const Exp& e, int reps_override);
   const Exp& exp;
+  int reps;  // runs per cell: --reps, else the experiment's own
   BenchParams p;
   Report report;
   Samples prev;             // the previous cell's medians (Fig 9's step deltas)
@@ -89,10 +92,11 @@ struct Col {
 };
 
 // One experiment. A grid runs every system × case cell `reps` times (seeds
-// 1..reps), records each sample as a report row and prints the medians as
-// one table line per cell (per op with `line_ops`): the label column, an
-// optional text column (the op, else the case), then `cols`. An experiment
-// with `run` set is a bespoke sweep instead.
+// 1..reps; --reps overrides the count), records each sample as a report row
+// and prints the medians as one table line per cell (per op with
+// `line_ops`): the label column, an optional text column (the op, else the
+// case), then `cols`. An experiment with `run` set is a bespoke sweep
+// instead.
 struct Exp {
   const char* id;
   const char* title;  // printed with the parameters; null: `run` prints its own
@@ -116,7 +120,11 @@ struct Exp {
   BenchParams (*params)() = [] { return BenchParams(); };
 };
 
-Ctx::Ctx(const Exp& e) : exp(e), p(e.params()), report(e.id, p.scale, e.reps) {}
+Ctx::Ctx(const Exp& e, int reps_override)
+    : exp(e),
+      reps(reps_override > 0 ? reps_override : e.reps),
+      p(e.params()),
+      report(e.id, p.scale, reps) {}
 
 WorkloadSpec spec_for(const BenchParams& p, double read_fraction, uint64_t seed = 1) {
   WorkloadSpec s;
@@ -382,7 +390,7 @@ int table3(Ctx& c) {
          "BTree(ns)", "Meta(ns)", "LogFlush(ns)", "Total(ns)", "p50(us)", "p99(us)");
   const int kWarmup = 200;
   const int kOps = (int)c.p.ops_per_thread;
-  // Each cell runs c.exp.reps times on a fresh store; the table prints the
+  // Each cell runs c.reps times on a fresh store; the table prints the
   // medians and the report keeps each field's median, min and max.
   const char* const kFields[] = {"nvme_ns", "btree_ns", "meta_ns", "log_flush_ns", "total_ns",
                                  "p50_us",  "p99_us",   "p999_us", "throughput_iops"};
@@ -391,7 +399,7 @@ int table3(Ctx& c) {
     for (size_t size : {(size_t)4096, (size_t)16384, (size_t)65536}) {
       std::vector<double> reps[kNumFields];
       const char* display_name = "";
-      for (int rep = 0; rep < c.exp.reps; rep++) {
+      for (int rep = 0; rep < c.reps; rep++) {
         auto cfg = baselines::DStoreAdapter::dipper_variant();
         display_name = cfg.display_name;
         cfg.store.max_objects = 1 << 14;
@@ -828,7 +836,7 @@ int run_grid(Ctx& c) {
     const char* sys = e.systems[sys_index];
     if (k.skip != nullptr && std::string_view(k.skip) == sys) return true;
     std::vector<Samples> reps;
-    for (int r = 0; r < e.reps; r++) {
+    for (int r = 0; r < c.reps; r++) {
       if (!e.cell(c, sys, k, 1 + (uint64_t)r, &reps.emplace_back())) return false;
     }
     Samples med = reps.front();
@@ -871,9 +879,9 @@ int run_grid(Ctx& c) {
   return 0;
 }
 
-int run_exp(const Exp& e) {
+int run_exp(const Exp& e, int reps_override) {
   knobs_in_effect().clear();
-  Ctx c(e);
+  Ctx c(e, reps_override);
   if (e.title != nullptr) c.p.print(e.title);
   int rc = e.run != nullptr ? e.run(c) : run_grid(c);
   if (rc == 0 && !c.report.write()) rc = 1;
@@ -881,16 +889,30 @@ int run_exp(const Exp& e) {
 }
 
 int usage(const std::string& why) {
-  fprintf(stderr, "%s\nusage: paper_bench --exp <id>[,<id>...]|all\nids:", why.c_str());
+  fprintf(stderr, "%s\nusage: paper_bench --exp <id>[,<id>...]|all [--reps N]\nids:",
+          why.c_str());
   for (const Exp& e : kExps) fprintf(stderr, " %s", e.id);
   fprintf(stderr, "\n");
   return kExitUsage;
 }
 
 int main(int argc, char** argv) {
-  if (argc != 3 || std::string_view(argv[1]) != "--exp") return usage("missing --exp");
+  const char* exp_ids = nullptr;
+  int reps = 0;  // 0: each experiment's own
+  for (int i = 1; i < argc; i += 2) {
+    std::string_view flag = argv[i];
+    if (i + 1 >= argc) return usage("missing value for " + std::string(flag));
+    if (flag == "--exp") {
+      exp_ids = argv[i + 1];
+    } else if (flag == "--reps") {
+      reps = (int)parse_u64("--reps", argv[i + 1], /*zero_ok=*/false, INT_MAX);
+    } else {
+      return usage("unknown flag '" + std::string(flag) + "'");
+    }
+  }
+  if (exp_ids == nullptr) return usage("missing --exp");
   std::vector<const Exp*> todo;
-  std::string_view ids = argv[2];
+  std::string_view ids = exp_ids;
   while (!ids.empty()) {
     std::string_view id = ids.substr(0, ids.find(','));
     ids.remove_prefix(std::min(ids.size(), id.size() + 1));
@@ -904,7 +926,7 @@ int main(int argc, char** argv) {
   // Every experiment runs, so one failure cannot hide another's.
   int rc = 0;
   for (const Exp* e : todo) {
-    if (run_exp(*e) != 0) rc = 1;
+    if (run_exp(*e, reps) != 0) rc = 1;
   }
   return rc;
 }

@@ -164,6 +164,7 @@ Status CachedLsmStore::flush_memtable_locked() {
 
 Status CachedLsmStore::flush_memtable() {
   {
+    LockGuard<SharedSpinLock> gate(apply_gate_);
     LockGuard<SharedSpinLock> g(table_mu_);
     Status s = flush_memtable_locked();
     if (s.code() != Code::kOutOfSpace) return s;
@@ -173,29 +174,39 @@ Status CachedLsmStore::flush_memtable() {
   // table_mu_ released, compact inline and retry the flush once; the store
   // is out of space only if it is still full after that.
   DSTORE_RETURN_IF_ERROR(compact_all_runs());
+  LockGuard<SharedSpinLock> gate(apply_gate_);
   LockGuard<SharedSpinLock> g(table_mu_);
   if (memtable_.empty()) return Status::ok();  // another writer flushed it meanwhile
   return flush_memtable_locked();
 }
 
-Status CachedLsmStore::put(void* /*ctx*/, std::string_view key, const void* value, size_t size) {
-  spin_for_ns(cfg_.stack_overhead_ns);
-  Status wal = wal_append(key, value, size, /*tombstone=*/false);
-  if (wal.code() == Code::kOutOfSpace) {
-    DSTORE_RETURN_IF_ERROR(flush_memtable());
-    wal = wal_append(key, value, size, false);
-  }
-  DSTORE_RETURN_IF_ERROR(wal);
-  bool full;
-  {
-    LockGuard<SharedSpinLock> g(table_mu_);
-    auto it = memtable_.find(std::string(key));
-    if (it != memtable_.end() && it->second.has_value()) memtable_bytes_ -= it->second->size();
+Status CachedLsmStore::apply(std::string_view key, const void* value, size_t size,
+                             bool tombstone, bool* full) {
+  SharedLockGuard gate(apply_gate_);
+  DSTORE_RETURN_IF_ERROR(wal_append(key, value, size, tombstone));
+  LockGuard<SharedSpinLock> g(table_mu_);
+  auto it = memtable_.find(std::string(key));
+  if (it != memtable_.end() && it->second.has_value()) memtable_bytes_ -= it->second->size();
+  if (tombstone) {
+    memtable_[std::string(key)] = std::nullopt;
+  } else {
     memtable_[std::string(key)] = std::string(static_cast<const char*>(value), size);
     memtable_bytes_ += size;
-    full = checkpoints_enabled_.load(std::memory_order_acquire) &&
-           memtable_bytes_ > cfg_.memtable_limit_bytes;
   }
+  *full = checkpoints_enabled_.load(std::memory_order_acquire) &&
+          memtable_bytes_ > cfg_.memtable_limit_bytes;
+  return Status::ok();
+}
+
+Status CachedLsmStore::put(void* /*ctx*/, std::string_view key, const void* value, size_t size) {
+  spin_for_ns(cfg_.stack_overhead_ns);
+  bool full = false;
+  Status s = apply(key, value, size, /*tombstone=*/false, &full);
+  if (s.code() == Code::kOutOfSpace) {
+    DSTORE_RETURN_IF_ERROR(flush_memtable());
+    s = apply(key, value, size, /*tombstone=*/false, &full);
+  }
+  DSTORE_RETURN_IF_ERROR(s);
   return full ? flush_memtable() : Status::ok();
 }
 
@@ -222,12 +233,8 @@ Result<size_t> CachedLsmStore::get(void* /*ctx*/, std::string_view key, void* bu
 }
 
 Status CachedLsmStore::del(void* /*ctx*/, std::string_view key) {
-  DSTORE_RETURN_IF_ERROR(wal_append(key, nullptr, 0, /*tombstone=*/true));
-  LockGuard<SharedSpinLock> g(table_mu_);
-  auto it = memtable_.find(std::string(key));
-  if (it != memtable_.end() && it->second.has_value()) memtable_bytes_ -= it->second->size();
-  memtable_[std::string(key)] = std::nullopt;
-  return Status::ok();
+  bool full = false;
+  return apply(key, nullptr, 0, /*tombstone=*/true, &full);
 }
 
 void CachedLsmStore::compaction_thread_main() {
@@ -331,6 +338,7 @@ void CachedLsmStore::prepare_run() {
   // Flush the memtable and let compaction settle so the measured window
   // starts from a steady state.
   {
+    LockGuard<SharedSpinLock> gate(apply_gate_);
     LockGuard<SharedSpinLock> g(table_mu_);
     // lint: allow-discard pre-run settling; measured runs surface their own errors
     if (!memtable_.empty()) (void)flush_memtable_locked();

@@ -83,8 +83,13 @@ class CachedLsmStore final : public workload::KVStore {
 
   Status wal_append(std::string_view key, const void* value, size_t size, bool tombstone);
   void wal_reset();
-  // Flush the memtable to a new L0 run. Caller holds table_mu_ EXCLUSIVE
-  // for the duration — the archetype's frontend stall.
+  // Log one put or delete to the WAL and apply it to the memtable, under
+  // apply_gate_ shared; `full` reports the memtable over its limit. Fails
+  // with kOutOfSpace, applying nothing, when the WAL is full.
+  Status apply(std::string_view key, const void* value, size_t size, bool tombstone,
+               bool* full);
+  // Flush the memtable to a new L0 run. Caller holds apply_gate_ and
+  // table_mu_ EXCLUSIVE for the duration — the archetype's frontend stall.
   Status flush_memtable_locked();
   // Flush the memtable, stalling the writer for an inline compaction when
   // the flush finds the SSD full. Caller holds no lock.
@@ -102,6 +107,10 @@ class CachedLsmStore final : public workload::KVStore {
   std::unique_ptr<pmem::Pool> pool_;
   std::unique_ptr<ssd::RamBlockDevice> device_;
 
+  // Held shared by each put/delete from its WAL append through its memtable
+  // insert, and exclusive by a flush, so the flush's WAL reset never drops
+  // a record whose entry is not yet in the memtable it writes out.
+  SharedSpinLock apply_gate_{"baseline.lsm.apply_gate"};
   SharedSpinLock table_mu_{"baseline.lsm.table"};  // memtable + runs (runs swapped under exclusive)
   std::map<std::string, std::optional<std::string>> memtable_;  // nullopt = tombstone
   size_t memtable_bytes_ = 0;

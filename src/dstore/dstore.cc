@@ -364,7 +364,9 @@ Status DStore::replay(SlabAllocator& space, std::span<const LogRecordView> recor
     if (((i + 1) & 63) == 0) std::this_thread::yield();
     DSTORE_FAULT_POINT(cfg_.engine.fault, "dstore.replay.record");
     if (rec.op == OpType::kNoop) continue;  // olock markers: ignored by replay (§4.5)
-    DSTORE_RETURN_IF_ERROR(phase1(v, rec.op, rec.name, rec.arg0, &plan));
+    std::optional<uint64_t> found;
+    if (rec.op != OpType::kCreate) found = v.find(rec.name);
+    DSTORE_RETURN_IF_ERROR(phase1(v, rec.op, rec.name, rec.arg0, found, &plan));
     DSTORE_RETURN_IF_ERROR(phase2(v, rec.op, rec.name, rec.arg0, plan));
     if (rec.committed() || !rec.value_crc) continue;
     MetaEntry* e = v.zone.entry(plan.meta_idx);
@@ -382,13 +384,12 @@ Status DStore::replay(SlabAllocator& space, std::span<const LogRecordView> recor
 // Metadata phases (the "same code for both spaces" core)
 // ---------------------------------------------------------------------------
 
-Status DStore::phase1(View& v, OpType op, const Key& name, uint64_t arg0, Plan* plan) {
+Status DStore::phase1(View& v, OpType op, const Key& name, uint64_t arg0,
+                      std::optional<uint64_t> found, Plan* plan) {
   // Steps 3-4 of the pipeline: everything whose ORDER matters for replay
   // determinism (circular-pool pops/pushes) happens here, in log order.
   plan->existed = false;
   plan->blocks.clear();
-  std::optional<uint64_t> found;
-  if (op != OpType::kCreate) found = v.find(name);
   if (found.has_value()) {
     plan->existed = true;
     plan->meta_idx = *found;
@@ -817,7 +818,8 @@ uint64_t repl_prepare(const DStoreConfig& cfg, dipper::Engine* eng,
 }  // namespace
 
 Status DStore::admit(View& v, Mutation& m) {
-  auto found = v.find(m.key);
+  const std::optional<uint64_t> found = v.find(m.key);
+  if (m.op != OpType::kCreate) m.found = found;
   const MetaEntry* e = found.has_value() ? v.zone.entry(*found) : nullptr;
   switch (m.op) {
     case OpType::kPut:
@@ -945,9 +947,12 @@ Status DStore::mutate_begin(WriteOp& w, bool wait) {
     v.zone.entry(m.plan.meta_idx)->data_crc_valid = 0;
     v.zone.seal_entry(m.plan.meta_idx);
   } else {
-    // Steps 3-4.
+    // Steps 3-4, on admit's btree lookup: the pipeline lock has been held
+    // since admit, and inflight_count(k) <= allowed admits no other op on k
+    // (the caller's own olock marker changes no metadata), so nothing can
+    // have inserted or erased k's entry in between.
     trace.enter(obs::kStagePoolAlloc);
-    s = phase1(v, m.op, k, m.arg0, &m.plan);
+    s = phase1(v, m.op, k, m.arg0, m.found, &m.plan);
     trace.leave();
     if (!s.is_ok()) {
       pipeline_mu_.unlock();

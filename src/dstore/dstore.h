@@ -373,8 +373,11 @@ class DStore final : public dipper::SpaceClient {
     std::vector<uint64_t> blocks;  // put: the new value's; write: appended
   };
   // Steps 3-4 (+ old-block frees), in log order. The frontend holds the
-  // pipeline lock and has checked capacity (admit).
-  Status phase1(View& v, dipper::OpType op, const Key& name, uint64_t arg0, Plan* plan);
+  // pipeline lock and has checked capacity (admit). `found` is the btree's
+  // entry for `name` (none for a create): admit's lookup on the frontend,
+  // replay's own in replay.
+  Status phase1(View& v, dipper::OpType op, const Key& name, uint64_t arg0,
+                std::optional<uint64_t> found, Plan* plan);
   // Steps 6-7. `trace` (optional, frontend only) splits zone vs btree time.
   Status phase2(View& v, dipper::OpType op, const Key& name, uint64_t arg0, const Plan& plan,
                 obs::OpTrace* trace = nullptr);
@@ -390,8 +393,9 @@ class DStore final : public dipper::SpaceClient {
     uint64_t arg1 = 0;           // record arg1 = the data's object offset
     const void* data = nullptr;  // the op's data bytes (put/write)
     size_t size = 0;
-    bool unlogged = false;  // owrite pure overwrite: no record, no phases
-    bool done = false;      // oopen(kCreate) lost the race: nothing to log
+    bool unlogged = false;          // owrite pure overwrite: no record, no phases
+    bool done = false;              // oopen(kCreate) lost the race: nothing to log
+    std::optional<uint64_t> found;  // admit's btree lookup, reused by phase 1
     Plan plan;
   };
   static Mutation put_mutation(std::string_view name, const void* value, size_t size);

@@ -8,6 +8,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "baselines/cached_btree.h"
 #include "baselines/cached_lsm.h"
@@ -269,6 +271,50 @@ TEST(CachedLsm, OverwriteChurnNeverExhaustsBlocks) {
       EXPECT_EQ(std::memcmp(out.data(), &last, sizeof(last)), 0) << k;
     }
   }
+}
+
+// Two writers against a WAL that fills every few puts: one writer's flush
+// (memtable to a run, then WAL reset) must never land between the other's
+// WAL append and its memtable insert, or that acked put is in neither the
+// WAL nor a run and a crash loses it.
+TEST(CachedLsm, ConcurrentWalFullFlushesLoseNoAckedPut) {
+  constexpr int kRounds = 50;
+  constexpr int kPutsPerWriter = 64;
+  constexpr size_t kValue = 100;
+  CachedLsmConfig cfg;
+  cfg.wal_bytes = 4 * 128;  // a WAL record is 128 B here: full every 4 puts
+  cfg.num_blocks = 2 * kRounds * kPutsPerWriter + 64;
+  cfg.stack_overhead_ns = 0;
+  auto store = CachedLsmStore::make(cfg, LatencyModel::none());
+  ASSERT_TRUE(store.is_ok());
+  CachedLsmStore& lsm = *store.value();
+  auto key = [](int round, int writer, int i) {
+    return "r" + std::to_string(round) + "w" + std::to_string(writer) + "-" + std::to_string(i);
+  };
+  int lost = 0;
+  for (int round = 0; round < kRounds; round++) {
+    std::vector<std::vector<bool>> acked(2, std::vector<bool>(kPutsPerWriter, false));
+    std::vector<std::thread> writers;
+    for (int w = 0; w < 2; w++) {
+      writers.emplace_back([&, w] {
+        std::string v(kValue, (char)('a' + w));
+        for (int i = 0; i < kPutsPerWriter; i++) {
+          acked[w][i] = lsm.put(nullptr, key(round, w, i), v.data(), v.size()).is_ok();
+        }
+      });
+    }
+    for (auto& t : writers) t.join();
+    ASSERT_TRUE(lsm.crash_and_recover().is_ok());
+    std::string out(kValue, 0);
+    for (int w = 0; w < 2; w++) {
+      for (int i = 0; i < kPutsPerWriter; i++) {
+        if (acked[w][i] && !lsm.get(nullptr, key(round, w, i), out.data(), out.size()).is_ok()) {
+          lost++;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(lost, 0);
 }
 
 TEST(CachedLsm, DisablingCheckpointsStopsFlushes) {

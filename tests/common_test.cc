@@ -306,11 +306,12 @@ TEST(Crc32c, Rfc3720KnownAnswers) {
             0xE3069283u);
 }
 
-// Every length through the single chain, one 3-way round and its tails, at
-// every misalignment, from a random state: bit-identical to slice-by-8.
+// Every length through the single chain and the dispatched fold, up to a
+// 4 KB page and past it, at every misalignment, from a random state:
+// bit-identical to slice-by-8.
 TEST(Crc32c, HardwareMatchesSliceBy8) {
   if (!crc32c_detail::have_hw_crc()) GTEST_SKIP() << "no SSE4.2";
-  constexpr size_t kMaxLen = 3 * crc32c_detail::kBlock + 64;
+  constexpr size_t kMaxLen = 4096 + 64;
   Rng rng(42);
   std::string buf(kMaxLen + 8, '\0');
   for (char& c : buf) c = (char)rng.next();
@@ -329,23 +330,82 @@ TEST(Crc32c, HardwareMatchesSliceBy8) {
   }
 }
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+// One fold kernel, called directly whatever dispatch picks: every length
+// 0..1 KB + 64 (each accumulator count, each lane and 16 B step, each tail)
+// at every misalignment within a cache line, from 0, all-ones and a random
+// state; then page-, value- and odd-sized large inputs.
+void expect_fold_matches_slice_by8(crc32c_detail::FoldKernel kernel) {
+  Rng rng(31);
+  std::string buf(64 * 1024 + 7 + 64, '\0');
+  for (char& c : buf) c = (char)rng.next();
+  const auto* base = reinterpret_cast<const unsigned char*>(buf.data());
+  const uint32_t inits[] = {0u, 0xffffffffu, (uint32_t)rng.next()};
+  for (uint32_t init : inits) {
+    for (size_t align = 0; align < 64; align++) {
+      for (size_t n = 0; n <= 1024 + 64; n++) {
+        ASSERT_EQ(kernel(init, base + align, n), crc32c_detail::extend_sw(init, base + align, n))
+            << "len " << n << " misalignment " << align << " init " << init;
+      }
+    }
+    for (size_t n : {size_t{4096}, size_t{16384}, size_t{64 * 1024 + 7}}) {
+      for (size_t align : {0, 1, 8, 63}) {
+        ASSERT_EQ(kernel(init, base + align, n), crc32c_detail::extend_sw(init, base + align, n))
+            << "len " << n << " misalignment " << align << " init " << init;
+      }
+    }
+  }
+}
+
+TEST(Crc32c, PclmulFoldMatchesSliceBy8) {
+  if (!crc32c_detail::have_pclmul()) GTEST_SKIP() << "no PCLMULQDQ";
+  expect_fold_matches_slice_by8(crc32c_detail::extend_fold_xmm);
+}
+
+TEST(Crc32c, VpclmulFoldMatchesSliceBy8) {
+  if (!crc32c_detail::have_vpclmul()) GTEST_SKIP() << "no VPCLMULQDQ";
+  expect_fold_matches_slice_by8(crc32c_detail::extend_fold_zmm);
+}
+#endif
+
+// A 16 KB value (the kv-read object size) through whichever kernel runs
+// here, against a bit-at-a-time reference computed off-line.
+TEST(Crc32c, SixteenKilobyteKnownAnswer) {
+  std::string buf(16384, '\0');
+  for (size_t i = 0; i < buf.size(); i++) buf[i] = (char)(i * 131 + 7);
+  EXPECT_EQ(standard_crc32c(buf.data(), buf.size()), 0x84AB5705u);
+  EXPECT_EQ(crc32c_detail::extend_sw(0xffffffffu, buf.data(), buf.size()) ^ 0xffffffffu,
+            0x84AB5705u);
+}
+
 // crc_over_pieces' composition: chaining crc32c_extend over any split of a
-// buffer, wrapped in crc32c()'s seed and finish, equals the one-shot call.
+// buffer, wrapped in crc32c()'s seed and finish, equals the one-shot call,
+// including splits that put a piece on either side of the fold threshold.
 TEST(Crc32c, ChainedExtendMatchesOneShot) {
   Rng rng(7);
   std::string buf(20000, '\0');
   for (char& c : buf) c = (char)rng.next();
-  for (int trial = 0; trial < 200; trial++) {
-    size_t n = rng.next_below(buf.size() + 1);
+  auto chained = [&](size_t n, auto next_piece) {
     uint32_t c = crc32c_extend_u64(0xffffffffu, 0);
     for (size_t done = 0; done < n;) {
-      size_t piece = std::min<size_t>(n - done, rng.next_below(5000) + 1);
+      size_t piece = std::min<size_t>(n - done, next_piece());
       c = crc32c_extend(c, buf.data() + done, piece);
       done += piece;
     }
     c ^= 0xffffffffu;
-    if (c == 0) c = 1;
-    ASSERT_EQ(c, crc32c(buf.data(), n)) << "len " << n;
+    return c == 0 ? 1u : c;
+  };
+  for (int trial = 0; trial < 200; trial++) {
+    size_t n = rng.next_below(buf.size() + 1);
+    ASSERT_EQ(chained(n, [&] { return rng.next_below(5000) + 1; }), crc32c(buf.data(), n))
+        << "len " << n;
+  }
+  constexpr size_t kMin = crc32c_detail::kFoldMin;
+  for (size_t piece : {kMin - 1, kMin, kMin + 1, kMin + 15, 2 * kMin - 1, 4 * kMin + 17}) {
+    for (size_t n : {piece + 1, 2 * piece, 3 * piece + kMin / 2, size_t{16384}}) {
+      ASSERT_EQ(chained(n, [&] { return piece; }), crc32c(buf.data(), n))
+          << "len " << n << " piece " << piece;
+    }
   }
 }
 
