@@ -73,6 +73,13 @@ class MetadataZone {
   // the scrubber enumerate live objects without taking any store-wide lock
   // (quiescent-free: a foreground writer can never block on the scrubber).
   bool peek_live(uint64_t idx, Key* name) const;
+  // The binding check: entry `idx` is in use and named `name`. Trustworthy
+  // only under `name`'s exclusion, where no writer can change that binding
+  // (the scrubber's re-validation, DStore's lookup hint).
+  bool bound_to(uint64_t idx, const Key& name) const {
+    Key cur;
+    return peek_live(idx, &cur) && cur == name;
+  }
 
   // Initialize entry `idx` for a new object.
   Status init_entry(uint64_t idx, const Key& name);

@@ -147,6 +147,8 @@ void DStore::init_metrics() {
                                      "unrepairable device pages quarantined");
   scrub_pages_verified_ = r.counter("dstore_scrub_pages_verified_total",
                                     "device pages checksum-verified by scrub passes");
+  index_descents_ = r.counter("dstore_index_descents_total",
+                              "guarded lookups that descended the btree (no valid hint)");
 
   // Ops accumulate the exact batch counters in their trace and publish
   // them in OpTrace::finish() under one stripe lookup.
@@ -687,27 +689,48 @@ int64_t allowed_inflight(const ds_ctx_t* ctx, const Key& name) {
 // in-flight writes (beyond the caller's own olock); retreat and retry if
 // one exists. Combined with the writer's append-then-poll order this
 // guarantees mutual exclusion without locks (flag/flag protocol; the
-// reader side retreats, so no deadlock).
+// reader side retreats, so no deadlock). The guard keeps the slot it
+// counted in, so its lookup (find) and its release probe the table no
+// further.
 class DStore::ReaderGuard {
  public:
   ReaderGuard(DStore& store, const ds_ctx_t* ctx, const Key& name)
-      : store_(store), name_(name) {
+      : store_(store), name_(name), slot_(store.read_counts_.slot(name)) {
     const int64_t allowed = allowed_inflight(ctx, name_);
     for (;;) {
-      store_.read_counts_.inc(name_);
+      slot_.inc();
       if (store_.engine_->inflight_count(name_) <= allowed) return;
-      store_.read_counts_.dec(name_);
+      slot_.dec();
       store_.engine_->wait_inflight_at_most(name_, allowed);
     }
   }
-  ~ReaderGuard() { store_.read_counts_.dec(name_); }
+  ~ReaderGuard() { slot_.dec(); }
   ReaderGuard(const ReaderGuard&) = delete;
   ReaderGuard& operator=(const ReaderGuard&) = delete;
+
+  // The guarded object's metadata entry.
+  std::optional<uint64_t> find(View& v) { return store_.guarded_find(v, slot_, name_); }
 
  private:
   DStore& store_;
   Key name_;
+  NameCountTable::Slot& slot_;
 };
+
+std::optional<uint64_t> DStore::guarded_find(View& v, NameCountTable::Slot& slot,
+                                             const Key& name) {
+  // The scrubber's binding check (scrub_now): no writer of `name` runs
+  // under the caller's exclusion, so an entry that is live and bound to
+  // `name` here stays its entry until the exclusion ends. A hint left by
+  // another name sharing the slot fails the check.
+  if (std::optional<uint64_t> h = slot.hint(); h.has_value() && v.zone.bound_to(*h, name)) {
+    return h;
+  }
+  index_descents_->add(1);
+  std::optional<uint64_t> found = v.find(name);
+  slot.set_hint(found);
+  return found;
+}
 
 Status DStore::scrub_now(ScrubReport* report) {
   // The whole pass runs under the scrubber role: any store-wide lock held
@@ -736,8 +759,7 @@ Status DStore::scrub_now(ScrubReport* report) {
     // guard. A binding that validates here is stable for the guard's
     // lifetime, because any writer that could change it writes object k
     // and is excluded.
-    Key cur;
-    if (!v.zone.peek_live(idx, &cur) || !(cur == k)) continue;
+    if (!v.zone.bound_to(idx, k)) continue;
     std::string n = k.str();
     rep->objects_scanned++;
     // Tier 1: metadata entry CRC (uncontainable on failure).
@@ -817,8 +839,8 @@ uint64_t repl_prepare(const DStoreConfig& cfg, dipper::Engine* eng,
 }
 }  // namespace
 
-Status DStore::admit(View& v, Mutation& m) {
-  const std::optional<uint64_t> found = v.find(m.key);
+Status DStore::admit(View& v, Mutation& m, NameCountTable::Slot& slot) {
+  const std::optional<uint64_t> found = guarded_find(v, slot, m.key);
   if (m.op != OpType::kCreate) m.found = found;
   const MetaEntry* e = found.has_value() ? v.zone.entry(*found) : nullptr;
   switch (m.op) {
@@ -863,6 +885,7 @@ DStore::WriteOp::WriteOp(DStore& store, ds_ctx_t* ctx, Mutation&& m)
     : store_(store),
       ctx_(ctx),
       m_(std::move(m)),
+      slot_(store.read_counts_.slot(m_.key)),
       v_(store.live_view()),
       trace_(m_.op == OpType::kDelete  ? store.delete_metrics_
              : m_.op == OpType::kWrite ? store.write_metrics_
@@ -907,8 +930,8 @@ Status DStore::mutate_begin(WriteOp& w, bool wait) {
   for (;;) {
     if (wait) {
       engine_->wait_inflight_at_most(k, allowed);
-      read_counts_.wait_at_most(k, 0);
-    } else if (engine_->inflight_count(k) > allowed || read_counts_.load(k) > 0) {
+      w.slot_.wait_at_most(0);
+    } else if (engine_->inflight_count(k) > allowed || w.slot_.load() > 0) {
       trace.cancel();
       return Status::busy("write would wait on a conflicting op");
     }
@@ -916,7 +939,7 @@ Status DStore::mutate_begin(WriteOp& w, bool wait) {
     if (engine_->inflight_count(k) <= allowed) break;
     pipeline_mu_.unlock();
   }
-  Status s = admit(v, m);
+  Status s = admit(v, m, w.slot_);
   if (!s.is_ok() || m.done) {
     pipeline_mu_.unlock();
     if (s.is_ok()) trace.succeed();
@@ -940,14 +963,14 @@ Status DStore::mutate_begin(WriteOp& w, bool wait) {
   // Read-write CC (§4.4): residual poll of the read count. New readers see
   // the in-flight marker and retreat; the pre-drain above already cleared
   // existing ones, so this is almost always zero iterations.
-  read_counts_.wait_at_most(k, 0);
+  w.slot_.wait_at_most(0);
   if (m.unlogged) {
     // Content is about to change: drop the recorded CRC first, so a torn
     // write can never leave a stale-but-"valid" content checksum behind.
     v.zone.entry(m.plan.meta_idx)->data_crc_valid = 0;
     v.zone.seal_entry(m.plan.meta_idx);
   } else {
-    // Steps 3-4, on admit's btree lookup: the pipeline lock has been held
+    // Steps 3-4, on admit's lookup: the pipeline lock has been held
     // since admit, and inflight_count(k) <= allowed admits no other op on k
     // (the caller's own olock marker changes no metadata), so nothing can
     // have inserted or erased k's entry in between.
@@ -1015,6 +1038,14 @@ Status DStore::mutate_begin(WriteOp& w, bool wait) {
   auto metadata = [&] {
     Status ps = m.unlogged ? Status::ok() : phase2(v, m.op, k, m.arg0, m.plan, &trace);
     trace.leave();
+    // The key's hint follows its entry — cleared by a delete, set by a
+    // create — while the op still excludes every other reader and writer
+    // of k.
+    if (m.op == OpType::kDelete) {
+      w.slot_.set_hint(std::nullopt);
+    } else if (ps.is_ok() && !m.unlogged && !m.plan.existed) {
+      w.slot_.set_hint(m.plan.meta_idx);
+    }
     return ps;
   };
   if (cfg_.observational_equivalence) {
@@ -1128,7 +1159,7 @@ Result<size_t> DStore::oget(ds_ctx_t* ctx, std::string_view name, void* buf, siz
   obs::OpTrace trace(get_metrics_, pool_);
   ReaderGuard guard(*this, ctx, k);
   View v = live_view();
-  auto found = v.find(k);
+  auto found = guard.find(v);
   if (!found.has_value()) return Status::not_found(k.str());
   const MetaEntry* e = v.zone.entry(*found);
   size_t value_size = e->size;
@@ -1179,7 +1210,7 @@ Result<DStore::ReadView> DStore::oget_zc(ds_ctx_t* ctx, std::string_view name) {
   ReadView view;
   view.pin_ = std::make_unique<ReaderGuard>(*this, ctx, k);  // pin before lookup
   View v = live_view();
-  auto found = v.find(k);
+  auto found = view.pin_->find(v);
   if (!found.has_value()) return Status::not_found(k.str());
   DSTORE_RETURN_IF_ERROR(verify_meta(v, *found));
   const MetaEntry* e = v.zone.entry(*found);
@@ -1274,7 +1305,7 @@ Result<size_t> DStore::oread(Object* object, void* buf, size_t size, uint64_t of
   obs::OpTrace trace(get_metrics_, pool_);
   ReaderGuard guard(*this, object->ctx, object->name);
   View v = live_view();
-  auto found = v.find(object->name);
+  auto found = guard.find(v);
   if (!found.has_value()) return Status::not_found(object->name.str());
   size_t out_len = 0;
   DSTORE_RETURN_IF_ERROR(read_data_range(v, *found, buf, size, offset, &out_len, &trace));
@@ -1346,7 +1377,7 @@ Result<uint32_t> DStore::content_crc(std::string_view name) {
   Key k = Key::from(name);
   ReaderGuard guard(*this, nullptr, k);  // no writer mid-publish
   View v = live_view();
-  auto found = v.find(k);
+  auto found = guard.find(v);
   if (!found.has_value()) return Status::not_found(k.str());
   const MetaEntry* e = v.zone.entry(*found);
   return e->data_crc_valid ? e->data_crc : 0u;

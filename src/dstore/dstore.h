@@ -395,7 +395,7 @@ class DStore final : public dipper::SpaceClient {
     size_t size = 0;
     bool unlogged = false;          // owrite pure overwrite: no record, no phases
     bool done = false;              // oopen(kCreate) lost the race: nothing to log
-    std::optional<uint64_t> found;  // admit's btree lookup, reused by phase 1
+    std::optional<uint64_t> found;  // admit's lookup, reused by phase 1
     Plan plan;
   };
   static Mutation put_mutation(std::string_view name, const void* value, size_t size);
@@ -414,8 +414,15 @@ class DStore final : public dipper::SpaceClient {
   // wedge every later writer of the object.
   Status abandon(WriteOp& w, Status s);
   // Capacity and existence checks under the pipeline lock, before the
-  // append: an appended record must never fail.
-  Status admit(View& v, Mutation& m);
+  // append: an appended record must never fail. `slot` is the key's
+  // read-count slot (its hint serves the lookup).
+  Status admit(View& v, Mutation& m, NameCountTable::Slot& slot);
+
+  // The metadata entry of `name`, looked up under the object's exclusion (a
+  // ReaderGuard on `slot`, or admit's writer CC): the slot's hint when it
+  // names a live entry bound to `name`, else a btree descent, whose result
+  // becomes the hint (DESIGN.md §3, decision 6).
+  std::optional<uint64_t> guarded_find(View& v, NameCountTable::Slot& slot, const Key& name);
 
   // Reader-side CC (§4.4 + the symmetric check) is class ReaderGuard,
   // declared with the public API above (ReadView holds one); defined in
@@ -511,6 +518,7 @@ class DStore final : public dipper::SpaceClient {
   obs::Counter* integrity_repairs_ = nullptr;      // healed from the log copy
   obs::Counter* integrity_quarantined_ = nullptr;  // pages quarantined
   obs::Counter* scrub_pages_verified_ = nullptr;
+  obs::Counter* index_descents_ = nullptr;  // guarded lookups the hint missed
 };
 
 // One mutation between the two halves of the write pipeline: it owns the
@@ -539,6 +547,7 @@ class DStore::WriteOp {
   DStore& store_;
   ds_ctx_t* ctx_;
   Mutation m_;
+  NameCountTable::Slot& slot_;  // the key's read counts and entry hint
   View v_;
   obs::OpTrace trace_;
   dipper::Engine::RecordHandle h_;

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "dstore/dstore.h"
 #include "dstore/store_rig.h"
@@ -555,6 +556,273 @@ TEST(DStoreCkpt, StateIntactAcrossManyCheckpoints) {
     ASSERT_TRUE(r.is_ok()) << name;
     EXPECT_EQ(buf[0], seed) << name;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Lookup hint: a name's read-count slot remembers its metadata entry, so
+// guarded gets and puts skip the btree descent (DESIGN.md §3, decision 6).
+// ---------------------------------------------------------------------------
+
+// Guarded lookups that descended the btree so far (0 in a build without
+// metrics, where the checks on it are skipped).
+uint64_t descents(StoreRig& t) {
+  return (uint64_t)t.store->metrics().value("dstore_index_descents_total");
+}
+#if defined(DSTORE_METRICS_DISABLED)
+constexpr bool kCounting = false;
+#else
+constexpr bool kCounting = true;
+#endif
+
+std::string get_str(StoreRig& t, const std::string& name, Status* st) {
+  std::string out(1 << 14, 0);
+  auto r = t.store->oget(t.ctx, name, out.data(), out.size());
+  *st = r.status();
+  if (!r.is_ok()) return {};
+  out.resize(r.value());
+  return out;
+}
+
+TEST(DStoreHint, GetsAndPutsOfAKnownNameSkipTheDescent) {
+  StoreRig t(test_cfg());
+  const uint64_t d0 = descents(t);
+  std::string v = value_of(5000, 'h');
+  ASSERT_TRUE(t.store->oput(t.ctx, "k", v.data(), v.size()).is_ok());  // admit descends
+  Status st;
+  for (int i = 0; i < 10; i++) {
+    ASSERT_EQ(get_str(t, "k", &st), v);
+    ASSERT_TRUE(st.is_ok());
+  }
+  ASSERT_TRUE(t.store->oput(t.ctx, "k", v.data(), 100).is_ok());
+  EXPECT_EQ(t.store->content_crc("k").value(), crc32c(v.data(), 100));
+  Object* o = t.store->oopen(t.ctx, "k", 0, kRead | kWrite).value();
+  char buf[8];
+  ASSERT_EQ(t.store->oread(o, buf, sizeof(buf), 0).value(), sizeof(buf));
+  ASSERT_EQ(t.store->owrite(o, "xy", 2, 0).value(), 2u);
+  t.store->oclose(o);
+  ASSERT_TRUE(t.store->oget_zc(t.ctx, "k").is_ok());
+  // One descent: the first put's. Its create left the hint every later
+  // get, put, read, write and zero-copy get took.
+  if (kCounting) {
+    EXPECT_EQ(descents(t) - d0, 1u);
+  }
+  // A delete clears the hint: the next get descends and finds nothing.
+  ASSERT_TRUE(t.store->odelete(t.ctx, "k").is_ok());
+  get_str(t, "k", &st);
+  EXPECT_EQ(st.code(), Code::kNotFound);
+  if (kCounting) {
+    EXPECT_EQ(descents(t) - d0, 2u);
+  }
+  EXPECT_TRUE(t.store->validate().is_ok());
+}
+
+TEST(DStoreHint, ReusedEntryIsNeverTakenForItsOldName) {
+  // Four metadata entries, handed out oldest-free-first: k's entry comes
+  // back only once the other three are used.
+  StoreRig t(test_cfg(false, 512, /*max_objects=*/4));
+  std::string vk = value_of(3000, 'k');
+  ASSERT_TRUE(t.store->oput(t.ctx, "k", vk.data(), vk.size()).is_ok());
+  Status st;
+  ASSERT_EQ(get_str(t, "k", &st), vk);
+  ASSERT_TRUE(t.store->odelete(t.ctx, "k").is_ok());
+  std::vector<std::string> names = {"r0", "r1", "r2", "r3"};
+  for (size_t i = 0; i < names.size(); i++) {
+    std::string v = value_of(1000 + 100 * i, (char)('a' + i));
+    ASSERT_TRUE(t.store->oput(t.ctx, names[i], v.data(), v.size()).is_ok());
+  }
+  // The pool is full, so one of r0..r3 holds k's old entry.
+  std::string spare = "spare";
+  EXPECT_EQ(t.store->oput(t.ctx, spare, "s", 1).code(), Code::kOutOfSpace);
+  get_str(t, "k", &st);
+  EXPECT_EQ(st.code(), Code::kNotFound);
+  for (size_t i = 0; i < names.size(); i++) {
+    EXPECT_EQ(get_str(t, names[i], &st), value_of(1000 + 100 * i, (char)('a' + i)));
+    EXPECT_TRUE(st.is_ok()) << names[i];
+  }
+  // Free a different entry, then put k again: a fresh entry, and every
+  // name still reads its own value.
+  ASSERT_TRUE(t.store->odelete(t.ctx, "r1").is_ok());
+  std::string vk2 = value_of(7000, 'K');
+  ASSERT_TRUE(t.store->oput(t.ctx, "k", vk2.data(), vk2.size()).is_ok());
+  EXPECT_EQ(get_str(t, "k", &st), vk2);
+  for (size_t i : {0, 2, 3}) {
+    EXPECT_EQ(get_str(t, names[i], &st), value_of(1000 + 100 * i, (char)('a' + i)));
+  }
+  get_str(t, "r1", &st);
+  EXPECT_EQ(st.code(), Code::kNotFound);
+  EXPECT_TRUE(t.store->validate().is_ok());
+}
+
+TEST(DStoreHint, SaturatedTableFallsBackToTheDescent) {
+  // Touch 2^16 missing names, one for each read-count slot: every name
+  // after that shares its home slot, and with it the hint. Two stored names
+  // with one home slot then keep overwriting each other's hint.
+  StoreRig t(test_cfg());
+  char buf[8];
+  for (int i = 0; i < (1 << 16); i++) {
+    std::string n = "m" + std::to_string(i);
+    ASSERT_EQ(t.store->oget(t.ctx, n, buf, sizeof(buf)).status().code(), Code::kNotFound);
+  }
+  const std::string p = "p";
+  std::string q;
+  for (int i = 0; q.empty(); i++) {
+    std::string c = "q" + std::to_string(i);
+    if ((Key::from(c).hash() & 0xffff) == (Key::from(p).hash() & 0xffff)) q = c;
+  }
+  std::string vp = value_of(4096, 'p');
+  std::string vq = value_of(2048, 'q');
+  ASSERT_TRUE(t.store->oput(t.ctx, p, vp.data(), vp.size()).is_ok());
+  ASSERT_TRUE(t.store->oput(t.ctx, q, vq.data(), vq.size()).is_ok());  // hint now q's
+  const uint64_t d0 = descents(t);
+  Status st;
+  for (int i = 0; i < 3; i++) {
+    EXPECT_EQ(get_str(t, p, &st), vp);  // q's hint fails the check: descend
+    EXPECT_EQ(get_str(t, q, &st), vq);  // and p's fails for q
+  }
+  if (kCounting) {
+    EXPECT_EQ(descents(t) - d0, 6u);
+  }
+  ASSERT_TRUE(t.store->odelete(t.ctx, p).is_ok());
+  EXPECT_EQ(get_str(t, q, &st), vq);
+  get_str(t, p, &st);
+  EXPECT_EQ(st.code(), Code::kNotFound);
+  EXPECT_TRUE(t.store->validate().is_ok());
+}
+
+TEST(DStoreHint, GetsAfterRecoveryDescendOnceEach) {
+  StoreRig t(test_cfg());
+  const int kNames = 20;
+  for (int i = 0; i < kNames; i++) {
+    std::string v = value_of(500 + 300 * i, (char)('a' + i));
+    ASSERT_TRUE(t.store->oput(t.ctx, "n" + std::to_string(i), v.data(), v.size()).is_ok());
+  }
+  ASSERT_TRUE(t.store->odelete(t.ctx, "n3").is_ok());
+  ASSERT_TRUE(t.crash_and_recover().is_ok());
+  // The recovered store's read-count table is empty: each name's first
+  // get descends, later ones take the hint it left — except the deleted
+  // name's, which has none to leave.
+  const uint64_t d0 = descents(t);
+  EXPECT_EQ(d0, 0u);
+  Status st;
+  for (int round = 0; round < 2; round++) {
+    for (int i = 0; i < kNames; i++) {
+      std::string got = get_str(t, "n" + std::to_string(i), &st);
+      if (i == 3) {
+        EXPECT_EQ(st.code(), Code::kNotFound);
+      } else {
+        EXPECT_EQ(got, value_of(500 + 300 * i, (char)('a' + i))) << i;
+      }
+    }
+    if (kCounting) {
+      EXPECT_EQ(descents(t) - d0, (uint64_t)(kNames + round));
+    }
+  }
+  EXPECT_TRUE(t.store->validate().is_ok());
+}
+
+TEST(DStoreHint, ConcurrentReadersMatchAModelWhileEntriesAreReused) {
+  // One writer cycles delete and put over a few keys and filler names on
+  // an 8-entry metadata pool, so entries pass from name to name all the
+  // time; two readers (oget and oget_zc) check every result against the
+  // writer's per-name history. A value names its key and its version, so a
+  // hint taken for the wrong name would read back another name's bytes.
+  StoreRig t(test_cfg(/*background_ckpt=*/true, /*log_slots=*/256, /*max_objects=*/8));
+  const std::vector<std::string> names = {"k0", "k1", "k2", "f0", "f1", "f2", "f3", "f4"};
+  constexpr int kOps = 1500;
+  struct History {
+    std::vector<int64_t> state = std::vector<int64_t>(kOps + 1, -1);  // -1 = absent
+    std::atomic<int> started{0};  // ops whose state is written
+    std::atomic<int> done{0};     // ops that returned
+  };
+  std::vector<History> hist(names.size());
+  auto value_for = [&](size_t n, int64_t version) {
+    std::string v = names[n] + "#" + std::to_string(version) + "#";
+    v.resize(200 + (size_t)(version * 937 % 9000), (char)('a' + version % 26));
+    return v;
+  };
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::atomic<uint64_t> reads{0};
+  auto reader = [&](bool zero_copy) {
+    ds_ctx_t* ctx = t.store->ds_init();
+    std::string buf(1 << 14, 0);
+    Rng rng(zero_copy ? 7 : 3);
+    while (!stop.load()) {
+      size_t n = rng.next_below(names.size());
+      const int lo = hist[n].done.load();
+      int64_t got = -1;
+      std::string val;
+      if (zero_copy) {
+        auto r = t.store->oget_zc(ctx, names[n]);
+        if (r.is_ok()) {
+          for (const auto& piece : r.value().pieces()) {
+            val.append(static_cast<const char*>(piece.data), piece.len);
+          }
+        } else if (r.status().code() != Code::kNotFound) {
+          bad++;
+          continue;
+        }
+      } else {
+        auto r = t.store->oget(ctx, names[n], buf.data(), buf.size());
+        if (r.is_ok()) {
+          val.assign(buf.data(), r.value());
+        } else if (r.status().code() != Code::kNotFound) {
+          bad++;
+          continue;
+        }
+      }
+      if (!val.empty()) {
+        size_t a = val.find('#');
+        size_t b = val.find('#', a + 1);
+        if (a == std::string::npos || b == std::string::npos || val.substr(0, a) != names[n]) {
+          bad++;
+          continue;
+        }
+        got = std::stoll(val.substr(a + 1, b - a - 1));
+        if (val != value_for(n, got)) bad++;
+      }
+      const int hi = hist[n].started.load();
+      bool matches = false;
+      for (int j = lo; j <= hi && !matches; j++) matches = hist[n].state[j] == got;
+      if (!matches) bad++;
+      reads++;
+    }
+    t.store->ds_finalize(ctx);
+  };
+  std::thread r1(reader, false);
+  std::thread r2(reader, true);
+  {
+    Rng rng(11);
+    std::vector<int> ops(names.size(), 0);
+    for (int i = 0; i < kOps; i++) {
+      size_t n = rng.next_below(names.size());
+      History& h = hist[n];
+      const int j = ++ops[n];
+      const bool live = h.state[j - 1] >= 0;
+      const bool del = live && rng.next_bool(0.6);
+      h.state[j] = del ? -1 : i;
+      h.started.store(j);
+      Status s;
+      if (del) {
+        s = t.store->odelete(t.ctx, names[n]);
+      } else {
+        std::string v = value_for(n, i);
+        s = t.store->oput(t.ctx, names[n], v.data(), v.size());
+      }
+      h.done.store(j);
+      if (!s.is_ok()) {
+        ADD_FAILURE() << names[n] << ": " << s.to_string();
+        break;
+      }
+    }
+  }
+  stop = true;
+  r1.join();
+  r2.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(reads.load(), 0u);
+  t.store->engine().stop_background();
+  EXPECT_TRUE(t.store->validate().is_ok());
 }
 
 // ---------------------------------------------------------------------------

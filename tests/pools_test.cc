@@ -195,14 +195,72 @@ TEST(ReadCount, DistinctNamesIndependent) {
   t.dec(Key::from("a"));
 }
 
-TEST(ReadCount, GuardIsRaii) {
-  NameCountTable t(1024);
-  Key k = Key::from("guarded");
-  {
-    NameCountTable::ReadGuard g(t, k);
-    EXPECT_EQ(t.load(k), 1);
-  }
-  EXPECT_EQ(t.load(k), 0);
+TEST_F(PoolTest, SlotHintOnSaturatedTable) {
+  // Three names on two slots: the third collapses onto its home slot and
+  // shares it, count and hint, with the name that claimed it.
+  NameCountTable t(2);
+  const Key a = Key::from("a");
+  const Key b = Key::from("b");
+  const Key c = Key::from("c");
+  NameCountTable::Slot& sa = t.slot(a);
+  NameCountTable::Slot& sb = t.slot(b);
+  NameCountTable::Slot& sc = t.slot(c);
+  ASSERT_NE(&sa, &sb);
+  ASSERT_TRUE(&sc == &sa || &sc == &sb);
+  const Key& sharer = &sc == &sa ? a : b;  // c's slot-mate
+  const Key& alone = &sc == &sa ? b : a;
+
+  // Set, read and clear; 0 is an index, not "none"; an index past the
+  // 32-bit field is never remembered.
+  NameCountTable::Slot& own = t.slot(alone);
+  EXPECT_FALSE(own.hint().has_value());
+  own.set_hint(0);
+  EXPECT_EQ(own.hint(), std::optional<uint64_t>(0));
+  own.set_hint(UINT32_MAX - 1);
+  EXPECT_EQ(own.hint(), std::optional<uint64_t>(UINT32_MAX - 1));
+  own.set_hint(UINT32_MAX);
+  EXPECT_FALSE(own.hint().has_value());
+  own.set_hint(5);
+  own.set_hint(std::nullopt);
+  EXPECT_FALSE(own.hint().has_value());
+
+  // Counts: the slot-mates share one counter (conservative), the other
+  // name's stays its own, and every count returns to zero.
+  t.inc(sharer);
+  t.inc(c);
+  t.inc(alone);
+  EXPECT_EQ(t.load(sharer), 2);
+  EXPECT_EQ(t.load(c), 2);
+  EXPECT_EQ(t.load(alone), 1);
+  t.dec(c);
+  EXPECT_EQ(t.load(sharer), 1);
+  t.dec(sharer);
+  t.dec(alone);
+  EXPECT_EQ(t.load(sharer), 0);
+  EXPECT_EQ(t.load(c), 0);
+  EXPECT_EQ(t.load(alone), 0);
+
+  // A hint c leaves is what its slot-mate reads next, so the binding check
+  // against the metadata zone is what keeps it from being taken for the
+  // slot-mate's entry.
+  auto h = MetadataZone::create(sp_, 8);
+  ASSERT_TRUE(h.is_ok());
+  MetadataZone zone(sp_, h.value());
+  ASSERT_TRUE(zone.init_entry(2, sharer).is_ok());
+  ASSERT_TRUE(zone.init_entry(6, c).is_ok());
+  t.slot(c).set_hint(6);
+  std::optional<uint64_t> seen = t.slot(sharer).hint();
+  ASSERT_EQ(seen, std::optional<uint64_t>(6));
+  EXPECT_FALSE(zone.bound_to(*seen, sharer));
+  EXPECT_TRUE(zone.bound_to(*seen, c));
+  EXPECT_TRUE(zone.bound_to(2, sharer));
+  // Released, then reused by another name: the old binding fails too.
+  ASSERT_TRUE(zone.release_entry(6).is_ok());
+  EXPECT_FALSE(zone.bound_to(6, c));
+  ASSERT_TRUE(zone.init_entry(6, alone).is_ok());
+  EXPECT_FALSE(zone.bound_to(6, c));
+  EXPECT_TRUE(zone.bound_to(6, alone));
+  EXPECT_FALSE(zone.bound_to(8, c));  // out of range
 }
 
 TEST(ReadCount, WaitUntilUnreadBlocksWriter) {
