@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "alloc/slab_allocator.h"
 #include "common/crc32c.h"
@@ -64,6 +65,31 @@ static void BM_Crc32c(benchmark::State& state) {
   state.SetBytesProcessed((int64_t)state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Crc32c)->Arg(64)->Arg(128)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
+
+// A value's content CRC composed from its pages' verified, location-seeded
+// CRCs (crc32c_compose_pages), the content tier of a whole-page get: 4
+// pages is the 16 KB value BM_Crc32c/16384 hashes.
+static void BM_Crc32cComposePages(benchmark::State& state) {
+  const size_t n = (size_t)state.range(0);
+  std::string buf(n * kCrc32cComposePage, '\0');
+  for (size_t i = 0; i < buf.size(); i++) buf[i] = (char)(i * 131 + 7);
+  const uint64_t first_page = 1234;
+  std::vector<uint32_t> crcs(n);
+  for (size_t i = 0; i < n; i++) {
+    crcs[i] = crc32c(buf.data() + i * kCrc32cComposePage, kCrc32cComposePage, first_page + i);
+  }
+  if (crc32c_compose_pages(crcs.data(), n, [&](size_t i) { return first_page + i; }) !=
+      crc32c(buf.data(), buf.size())) {
+    state.SkipWithError("composed CRC differs from the one-shot CRC");
+    return;
+  }
+  for (auto _ : state) {
+    uint32_t c = crc32c_compose_pages(crcs.data(), n, [&](size_t i) { return first_page + i; });
+    benchmark::DoNotOptimize(c);
+  }
+  state.SetBytesProcessed((int64_t)(state.iterations() * buf.size()));
+}
+BENCHMARK(BM_Crc32cComposePages)->Arg(4)->Arg(16);
 
 static void BM_LogAppendCommit(benchmark::State& state) {
   pmem::Pool pool(dipper::PmemLog::region_bytes(1 << 16), pmem::Pool::Mode::kDirect);

@@ -47,9 +47,7 @@ class BandwidthChannel {
   // Reserve and wait out the queue + transfer time.
   void transfer(uint64_t cost_ns) {
     uint64_t deadline = reserve(cost_ns);
-    if (deadline == 0) return;
-    uint64_t now = now_ns();
-    if (deadline > now) spin_for_ns(deadline - now);
+    if (deadline != 0) spin_until_ns(deadline);
   }
 
  private:

@@ -13,7 +13,10 @@ inline uint64_t now_ns() {
       .count();
 }
 
-// Wait for `ns` nanoseconds of injected device latency.
+// Wait until the clock reads `deadline_ns` (an absolute now_ns() time, such
+// as a device completion deadline) and return the reading the wait ended
+// on, so a caller that goes on to reap completions needs no second clock
+// read. A deadline already past returns at once.
 //
 // Short waits busy-poll (accuracy); long waits SLEEP so they release the
 // CPU — a long device operation (checkpoint flush, bulk copy) keeps its
@@ -21,19 +24,27 @@ inline uint64_t now_ns() {
 // an oversubscribed host a spinning background thread would otherwise
 // steal wall-clock from the frontend and fake checkpoint stalls that the
 // real system does not have.
-inline void spin_for_ns(uint64_t ns) {
-  if (ns == 0) return;
-  uint64_t deadline = now_ns() + ns;
-  if (ns > 200000) {  // 200us: past scheduler wakeup accuracy
-    std::this_thread::sleep_for(std::chrono::nanoseconds(ns - 100000));
+inline uint64_t spin_until_ns(uint64_t deadline_ns) {
+  uint64_t now = now_ns();
+  if (now >= deadline_ns) return now;
+  if (deadline_ns - now > 200000) {  // 200us: past scheduler wakeup accuracy
+    std::this_thread::sleep_for(std::chrono::nanoseconds(deadline_ns - now - 100000));
   }
   int spins = 0;
-  while (now_ns() < deadline) {
+  while ((now = now_ns()) < deadline_ns) {
     if (++spins > 256) {
       std::this_thread::yield();
       spins = 0;
     }
   }
+  return now;
+}
+
+// Wait for `ns` nanoseconds of injected latency (a relative wait; waits on
+// a known deadline use spin_until_ns).
+inline void spin_for_ns(uint64_t ns) {
+  if (ns == 0) return;
+  spin_until_ns(now_ns() + ns);
 }
 
 class StopWatch {

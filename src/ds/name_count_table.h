@@ -17,7 +17,11 @@
 // claimed with CAS and never released — the live-slot count is bounded by
 // the number of distinct object names touched, and a hash collision merely
 // makes two objects share a slot, which is conservative (extra waiting),
-// never unsafe. Past saturation every new name collapses onto its home slot.
+// never unsafe. A lookup probes at most kMaxProbe slots from the name's
+// home slot; a name that finds neither its slot nor a free one there
+// collapses onto its home slot. Slots are never released, so that answer
+// never changes, and past saturation a lookup costs kMaxProbe probes, not
+// a scan of the whole table.
 //
 // The hint is DStore's lookup cache (DESIGN.md §3, decision 6): the index
 // of the name's metadata entry, so a get or put that already holds the slot
@@ -27,6 +31,7 @@
 // the counts it is volatile and empty after recovery.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <optional>
@@ -80,6 +85,9 @@ class NameCountTable {
   };
   static_assert(sizeof(Slot) == 16, "a slot must stay one quarter of a cache line");
 
+  // The probe window: slots looked at before falling back to the home slot.
+  static constexpr size_t kMaxProbe = 64;
+
   explicit NameCountTable(size_t capacity = 1 << 16)
       : slots_(round_up_pow2(capacity)), mask_(slots_.size() - 1) {}
 
@@ -94,7 +102,8 @@ class NameCountTable {
     uint64_t h = name.hash();
     if (h == 0) h = 1;
     size_t idx = h & mask_;
-    for (size_t probe = 0; probe < slots_.size(); probe++, idx = (idx + 1) & mask_) {
+    const size_t window = std::min(kMaxProbe, slots_.size());
+    for (size_t probe = 0; probe < window; probe++, idx = (idx + 1) & mask_) {
       uint64_t tag = slots_[idx].tag_.load(std::memory_order_acquire);
       if (tag == h) return slots_[idx];
       if (tag == 0) {
@@ -104,7 +113,7 @@ class NameCountTable {
         if (expected == h) return slots_[idx];
       }
     }
-    // Table saturated: collapse to the home slot. Shared counters are
+    // Probe window full: collapse to the home slot. Shared counters are
     // conservative (extra conflicts), never incorrect.
     return slots_[h & mask_];
   }

@@ -499,7 +499,8 @@ Status DStore::finish_io(ssd::IoQueue& q, bool is_write, obs::OpTrace* trace) {
 
 Status DStore::submit_io_range(ssd::IoQueue& q, const uint64_t* bl, uint64_t nblocks,
                                const void* wsrc, void* rdst, size_t size, uint64_t offset,
-                               obs::OpTrace* trace) {
+                               obs::OpTrace* trace, uint32_t* page_crcs) {
+  const size_t ps = device_->config().page_size;
   const char* w = static_cast<const char*>(wsrc);
   char* r = static_cast<char*>(rdst);
   const size_t bs = block_size();
@@ -525,7 +526,8 @@ Status DStore::submit_io_range(ssd::IoQueue& q, const uint64_t* bl, uint64_t nbl
     issued++;
     saved += run - 1;
     q.submit(ssd::IoDesc{bl[bi], in_block, len, w != nullptr ? w + done : nullptr,
-                         r != nullptr ? r + done : nullptr});
+                         r != nullptr ? r + done : nullptr,
+                         page_crcs != nullptr ? page_crcs + done / ps : nullptr});
     done += len;
   }
   if (trace != nullptr) {
@@ -539,8 +541,48 @@ Status DStore::submit_io_range(ssd::IoQueue& q, const uint64_t* bl, uint64_t nbl
   return Status::ok();
 }
 
+namespace {
+// The pages whose verified CRCs can compose a `size`-byte value's content
+// CRC (crc32c_compose_pages): every page whole and 4 KB. 0 when they cannot.
+size_t composable_pages(const ssd::DeviceConfig& dc, uint64_t size) {
+  if (dc.page_size != kCrc32cComposePage || size % kCrc32cComposePage != 0) return 0;
+  return (size_t)(size / kCrc32cComposePage);
+}
+
+// Room for a whole-object read's page CRCs: on the stack up to 64 pages.
+class PageCrcs {
+ public:
+  explicit PageCrcs(size_t pages) : n_(pages) {
+    if (pages > kInline) heap_.resize(pages);
+  }
+  // Null when there is nothing to compose.
+  uint32_t* get() { return n_ == 0 ? nullptr : heap_.empty() ? inline_ : heap_.data(); }
+
+ private:
+  static constexpr size_t kInline = 64;
+  size_t n_;
+  uint32_t inline_[kInline];
+  std::vector<uint32_t> heap_;
+};
+
+// crc32c(value) of object `e`, read whole into `buf`: composed from the
+// page CRCs the read collected when the device vouched for every page,
+// else hashed from the buffer.
+uint32_t object_crc(const ssd::DeviceConfig& dc, const uint64_t* bl, const MetaEntry& e,
+                    const void* buf, const uint32_t* page_crcs) {
+  if (page_crcs != nullptr) {
+    const uint64_t ppb = dc.pages_per_block;
+    uint32_t c = crc32c_compose_pages(page_crcs, (size_t)(e.size / kCrc32cComposePage),
+                                      [&](size_t i) { return bl[i / ppb] * ppb + i % ppb; });
+    if (c != 0) return c;
+  }
+  return crc32c(buf, e.size);
+}
+}  // namespace
+
 Status DStore::read_data_range(View& v, uint64_t meta_idx, void* buf, size_t size,
-                               uint64_t offset, size_t* out_len, obs::OpTrace* trace) {
+                               uint64_t offset, size_t* out_len, obs::OpTrace* trace,
+                               uint32_t* page_crcs) {
   DSTORE_RETURN_IF_ERROR(verify_meta(v, meta_idx));
   const MetaEntry* e = v.zone.entry(meta_idx);
   if (e == nullptr || !e->in_use) return Status::corruption("read from free entry");
@@ -555,7 +597,8 @@ Status DStore::read_data_range(View& v, uint64_t meta_idx, void* buf, size_t siz
   }
   const uint64_t* bl = v.zone.blocks(*e);
   ssd::IoQueue q(device_, cfg_.ssd_qd);
-  DSTORE_RETURN_IF_ERROR(submit_io_range(q, bl, e->nblocks, nullptr, buf, want, offset, trace));
+  DSTORE_RETURN_IF_ERROR(
+      submit_io_range(q, bl, e->nblocks, nullptr, buf, want, offset, trace, page_crcs));
   Status s = finish_io(q, /*is_write=*/false, trace);
   if (s.code() == Code::kCorruption) {
     // The device flagged a bad page under this read: run the containment
@@ -565,7 +608,7 @@ Status DStore::read_data_range(View& v, uint64_t meta_idx, void* buf, size_t siz
     s = contain_corruption(v, meta_idx, trace);
     if (s.is_ok()) {
       ssd::IoQueue retry(device_, cfg_.ssd_qd);
-      s = submit_io_range(retry, bl, e->nblocks, nullptr, buf, want, offset, trace);
+      s = submit_io_range(retry, bl, e->nblocks, nullptr, buf, want, offset, trace, page_crcs);
       if (s.is_ok()) s = finish_io(retry, /*is_write=*/false, trace);
     }
   }
@@ -770,21 +813,36 @@ Status DStore::scrub_now(ScrubReport* report) {
       if (worst.is_ok()) worst = es;
       continue;
     }
-    // Tier 2: device page sidecar over the object's used bytes. The
-    // device's bandwidth channel rate-limits these verification reads.
-    Status ds = verify_object_pages(v, idx, &rep->pages_verified, nullptr);
-    // Tier 3: whole-object content CRC — catches internally consistent
-    // stale pages (lost or misdirected writes) the sidecar cannot see.
+    // Tier 2: device page sidecar over the object's used bytes. Tier 3:
+    // whole-object content CRC — catches internally consistent stale pages
+    // (lost or misdirected writes) the sidecar cannot see. The device's
+    // bandwidth channel rate-limits both.
     const MetaEntry* e = v.zone.entry(idx);
-    if (ds.is_ok() && e->data_crc_valid && e->size > 0) {
+    Status ds;
+    if (e->data_crc_valid && e->size > 0) {
+      // Both tiers in one read: its completion is the sidecar check over
+      // every page of the used bytes, and the page CRCs it hands back
+      // compose the content CRC (hashed from the buffer when they cannot).
+      const uint64_t ps = device_->config().page_size;
+      rep->pages_verified += (e->size + ps - 1) / ps;
       std::vector<char> content(e->size);
+      PageCrcs crcs(composable_pages(device_->config(), e->size));
       const uint64_t* bl = v.zone.blocks(*e);
       ssd::IoQueue q(device_, cfg_.ssd_qd);
-      ds = submit_io_range(q, bl, e->nblocks, nullptr, content.data(), e->size, 0);
+      ds = submit_io_range(q, bl, e->nblocks, nullptr, content.data(), e->size, 0, nullptr,
+                           crcs.get());
       if (ds.is_ok()) ds = finish_io(q, /*is_write=*/false);
-      if (ds.is_ok() && crc32c(content.data(), content.size()) != e->data_crc) {
+      if (!ds.is_ok()) {
+        // A failed read: a bad page decides it, as a separate tier-2
+        // pass would have, else the read's own error stands.
+        Status pages = verify_object_pages(v, idx, nullptr, nullptr);
+        if (!pages.is_ok()) ds = pages;
+      } else if (object_crc(device_->config(), bl, *e, content.data(), crcs.get()) !=
+                 e->data_crc) {
         ds = Status::corruption("object '" + n + "' content checksum mismatch");
       }
+    } else {
+      ds = verify_object_pages(v, idx, &rep->pages_verified, nullptr);
     }
     if (ds.is_ok()) continue;
     if (ds.code() != Code::kCorruption) {
@@ -1163,14 +1221,18 @@ Result<size_t> DStore::oget(ds_ctx_t* ctx, std::string_view name, void* buf, siz
   if (!found.has_value()) return Status::not_found(k.str());
   const MetaEntry* e = v.zone.entry(*found);
   size_t value_size = e->size;
-  size_t out_len = 0;
-  DSTORE_RETURN_IF_ERROR(
-      read_data_range(v, *found, buf, std::min(buf_cap, value_size), 0, &out_len, &trace));
+  size_t want = std::min(buf_cap, value_size);
   // Content tier: a misdirected write leaves the intended pages stale but
   // internally consistent — only the whole-object checksum can tell. Runs
-  // whenever the caller's buffer covered the entire object.
-  if (out_len == value_size && value_size > 0 && e->data_crc_valid &&
-      crc32c(buf, out_len) != e->data_crc) {
+  // whenever the caller's buffer covers the entire object, on the CRC
+  // composed from the page CRCs the read's device verified when it vouched
+  // for every page, else on a hash of the buffer.
+  const bool content_tier = want == value_size && value_size > 0 && e->data_crc_valid;
+  PageCrcs crcs(content_tier ? composable_pages(device_->config(), value_size) : 0);
+  size_t out_len = 0;
+  DSTORE_RETURN_IF_ERROR(read_data_range(v, *found, buf, want, 0, &out_len, &trace, crcs.get()));
+  if (content_tier &&
+      object_crc(device_->config(), v.zone.blocks(*e), *e, buf, crcs.get()) != e->data_crc) {
     Status s = contain_corruption(v, *found, &trace);
     if (s.is_ok()) {
       s = read_data_range(v, *found, buf, value_size, 0, &out_len, &trace);

@@ -437,10 +437,12 @@ class DStore final : public dipper::SpaceClient {
   // Walk `size` bytes starting at byte `offset` into the object laid out on
   // `bl[0..nblocks)`, coalescing physically contiguous block runs (capped
   // at cfg_.ssd_qd blocks per descriptor) and submitting them to `q`.
-  // Writes from `wsrc`, or reads into `rdst` (exactly one non-null).
+  // Writes from `wsrc`, or reads into `rdst` (exactly one non-null). A read
+  // from a page-aligned `offset` may pass `page_crcs`, ceil(size / page
+  // size) entries the completions fill as ssd::IoDesc::page_crcs does.
   Status submit_io_range(ssd::IoQueue& q, const uint64_t* bl, uint64_t nblocks,
                          const void* wsrc, void* rdst, size_t size, uint64_t offset,
-                         obs::OpTrace* trace = nullptr);
+                         obs::OpTrace* trace = nullptr, uint32_t* page_crcs = nullptr);
   // Wait for all of `q`'s completions; re-submit failed descriptors with
   // bounded exponential backoff (ssd::RetryPolicy's defaults).
   // Exhausted write retries degrade the store to read-only; reads surface
@@ -449,7 +451,8 @@ class DStore final : public dipper::SpaceClient {
   Status apply_io_policy(Status s, bool is_write);
 
   Status read_data_range(View& v, uint64_t meta_idx, void* buf, size_t size, uint64_t offset,
-                         size_t* out_len, obs::OpTrace* trace = nullptr);
+                         size_t* out_len, obs::OpTrace* trace = nullptr,
+                         uint32_t* page_crcs = nullptr);
   // Recovery's data check: whether the object's blocks hold exactly the
   // content whose CRC32C is `crc`. Any read error counts as "no".
   bool content_matches(View& v, uint64_t meta_idx, uint32_t crc);

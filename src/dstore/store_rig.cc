@@ -40,6 +40,15 @@ Status StoreRig::create() {
   return adopt(DStore::create(pool.get(), device.get(), cfg));
 }
 
+Status StoreRig::tag_every_page() {
+  std::vector<char> fill(device->config().block_size());
+  for (uint64_t b = 0; b < device->config().num_blocks; b++) {
+    for (size_t i = 0; i < fill.size(); i++) fill[i] = char(b * 131 + i * 7 + 1);
+    DSTORE_RETURN_IF_ERROR(device->write(b, 0, fill.data(), fill.size()));
+  }
+  return device->flush_cache();
+}
+
 void StoreRig::close() {
   if (store == nullptr) return;
   store->ds_finalize(ctx);

@@ -55,6 +55,11 @@ class StoreRig {
     return recover();
   }
 
+  // Write every device block once, then flush, so every page carries a
+  // sidecar tag (a fresh page has none, and a read vouches for no page
+  // CRC there). Overwrites data: call it before the store holds objects.
+  Status tag_every_page();
+
   // The result of the last create() or recover().
   const Status& status() const { return status_; }
 

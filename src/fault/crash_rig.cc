@@ -39,7 +39,11 @@ Status EitherStateOracle::check(const std::string& key, const Value& got) const 
 CrashRig::CrashRig(RigOptions opt) : opt_(opt) {}
 
 Status CrashRig::build_store() {
-  if (rig_ != nullptr) return rig_->create();
+  DSTORE_RETURN_IF_ERROR(rig_ == nullptr ? make_rig() : rig_->create());
+  return opt_.tag_every_page ? rig_->tag_every_page() : Status::ok();
+}
+
+Status CrashRig::make_rig() {
   DStoreConfig cfg;
   cfg.max_objects = opt_.max_objects;
   cfg.num_blocks = opt_.num_blocks;
@@ -51,9 +55,9 @@ Status CrashRig::build_store() {
   cfg.engine.fault = &injector_;
   if (opt_.repair_logging) {
     cfg.repair_logging = true;
-    // Workload values reach (5003 + 1) * value_scale bytes; the payload
-    // region slot must hold the largest whole-object put.
-    cfg.engine.physical_payload_bytes = 8192ull * opt_.value_scale;
+    // The payload region slot must hold the largest whole-object put.
+    cfg.engine.physical_payload_bytes = std::max<uint64_t>(8192ull * opt_.value_scale,
+                                                           max_value_bytes());
   }
   ssd::DeviceConfig dc;
   dc.num_blocks = opt_.num_blocks;
@@ -62,13 +66,23 @@ Status CrashRig::build_store() {
   return rig_->status();
 }
 
+size_t CrashRig::max_value_bytes() const {
+  return opt_.value_bytes != 0 ? opt_.value_bytes : (1 + 5003) * (size_t)opt_.value_scale;
+}
+
 std::string CrashRig::value_for(uint32_t i) const {
   // 5003 is prime and 131 < 5003, so the length is unique per op for any
   // workload shorter than 5003 ops: values from different ops never collide
   // (value_scale preserves uniqueness — it multiplies distinct lengths).
-  size_t len = (1 + (131ull * i + 17) % 5003) * opt_.value_scale;
+  size_t len = opt_.value_bytes != 0 ? opt_.value_bytes
+                                     : (1 + (131ull * i + 17) % 5003) * opt_.value_scale;
   std::string v(len, '\0');
   for (size_t j = 0; j < len; j++) v[j] = char('a' + (i + j) % 26);
+  if (opt_.value_bytes != 0) {
+    // Equal lengths: the op number keeps every value distinct.
+    std::string id = "#" + std::to_string(i) + "#";
+    id.copy(v.data(), std::min(id.size(), len));
+  }
   return v;
 }
 
@@ -203,7 +217,7 @@ Status CrashRig::verify() {
   if (store == nullptr) return Status::internal("rig has no live store");
   DSTORE_RETURN_IF_ERROR(store->validate());
   ds_ctx_t* ctx = rig_->ctx;
-  std::vector<char> buf((1 + 5003) * (size_t)opt_.value_scale + 128);
+  std::vector<char> buf(max_value_bytes() + 128);
   uint64_t found = 0;
   for (uint32_t k = 0; k < opt_.keys; k++) {
     std::string key = "k" + std::to_string(k);
@@ -226,7 +240,7 @@ Status CrashRig::verify_integrity(uint64_t* detected) {
   DStore* store = rig_ != nullptr ? rig_->store.get() : nullptr;
   if (store == nullptr) return Status::internal("rig has no live store");
   ds_ctx_t* ctx = rig_->ctx;
-  std::vector<char> buf((1 + 5003) * (size_t)opt_.value_scale + 128);
+  std::vector<char> buf(max_value_bytes() + 128);
   Status problem;
   for (uint32_t k = 0; k < opt_.keys && problem.is_ok(); k++) {
     std::string key = "k" + std::to_string(k);

@@ -82,6 +82,12 @@ struct RigOptions {
   // blocks, so each op's data lands as a queue-pair batch with IOs in
   // flight at the crash point (the async data-plane sweeps).
   uint32_t value_scale = 1;
+  // Nonzero: every put writes exactly this many bytes (whole 4 KB pages
+  // exercise the content CRC composed from verified page CRCs).
+  size_t value_bytes = 0;
+  // Write every device block before the workload, so every page the
+  // workload reads carries a sidecar tag (StoreRig::tag_every_page).
+  bool tag_every_page = false;
   // Corruption sweeps: keep whole-object payloads in the DIPPER physical
   // log so read-repair has a source copy, and give the payload region the
   // headroom those values need.
@@ -144,7 +150,10 @@ class CrashRig {
   static std::vector<std::pair<std::string, uint64_t>> enumerate_schedule(RigOptions opt = {});
 
  private:
+  // A fresh store for run(): built on first use, recreated after.
   Status build_store();
+  Status make_rig();
+  size_t max_value_bytes() const;
   void run_workload();
   void run_split_workload();
   std::string value_for(uint32_t i) const;

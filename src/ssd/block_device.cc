@@ -54,6 +54,24 @@ Status check_desc(const DeviceConfig& cfg, const IoDesc& d) {
   }
   return Status::ok();
 }
+
+// Mark every page of a read's IoDesc::page_crcs unknown.
+void clear_page_crcs(const DeviceConfig& cfg, const IoDesc& d) {
+  if (d.page_crcs != nullptr) {
+    std::fill_n(d.page_crcs, (d.len + cfg.page_size - 1) / cfg.page_size, 0u);
+  }
+}
+
+// A read's IoDesc::page_crcs, cleared; returned for the sidecar check to
+// fill only when the transfer starts on a page boundary.
+uint32_t* page_crcs_to_fill(const DeviceConfig& cfg, const IoDesc& d, uint64_t pos) {
+  clear_page_crcs(cfg, d);
+  return cfg.checksum_pages && pos % cfg.page_size == 0 ? d.page_crcs : nullptr;
+}
+
+// A verified page CRC as IoDesc::page_crcs reports it: a stored 1 may be a
+// remapped 0, so it vouches for nothing.
+inline uint32_t reportable(uint32_t crc) { return crc == 1 ? 0 : crc; }
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -62,6 +80,8 @@ Status check_desc(const DeviceConfig& cfg, const IoDesc& d) {
 
 Result<uint64_t> BlockDevice::submit_io(const IoDesc& d) {
   DSTORE_RETURN_IF_ERROR(check_desc(config(), d));
+  // No sidecar CRCs come back through read(): every page is unknown.
+  if (!d.is_write()) clear_page_crcs(config(), d);
   size_t bs = config().block_size();
   uint64_t block = d.block;
   size_t off = d.offset;
@@ -111,7 +131,8 @@ void RamBlockDevice::retag_pages(const char* view, std::vector<uint64_t>& tags, 
 }
 
 Status RamBlockDevice::verify_view(const char* view, const std::vector<uint64_t>& tags,
-                                   uint64_t pos, size_t len, std::vector<uint64_t>* bad) const {
+                                   uint64_t pos, size_t len, std::vector<uint64_t>* bad,
+                                   uint32_t* crcs) const {
   if (!cfg_.checksum_pages || len == 0) return Status::ok();
   size_t ps = cfg_.page_size;
   uint64_t first = pos / ps;
@@ -120,7 +141,11 @@ Status RamBlockDevice::verify_view(const char* view, const std::vector<uint64_t>
   for (uint64_t p = first; p <= last; p++) {
     uint64_t tag = tags[p];
     if (tag == 0) continue;  // never written: nothing to hold it to
-    if (crc32c(view + p * ps, ps, p) == static_cast<uint32_t>(tag)) continue;
+    uint32_t crc = crc32c(view + p * ps, ps, p);
+    if (crc == static_cast<uint32_t>(tag)) {
+      if (crcs != nullptr && (p + 1) * ps <= pos + len) crcs[p - first] = reportable(crc);
+      continue;
+    }
     stats_.read_crc_failures.fetch_add(1, std::memory_order_relaxed);
     s = Status::corruption("ssd page " + std::to_string(p) + " checksum mismatch");
     if (bad == nullptr) return s;  // read path: fail fast
@@ -133,8 +158,7 @@ Status RamBlockDevice::write(uint64_t block, size_t offset, const void* data, si
   DSTORE_RETURN_IF_ERROR(check_io(cfg_, block, offset, len));
   auto r = submit_io(IoDesc{block, offset, len, data, nullptr});
   if (!r.is_ok()) return r.status();
-  uint64_t now = now_ns();
-  if (r.value() > now) spin_for_ns(r.value() - now);
+  spin_until_ns(r.value());
   return Status::ok();
 }
 
@@ -142,8 +166,7 @@ Status RamBlockDevice::read(uint64_t block, size_t offset, void* out, size_t len
   DSTORE_RETURN_IF_ERROR(check_io(cfg_, block, offset, len));
   auto r = const_cast<RamBlockDevice*>(this)->submit_io(IoDesc{block, offset, len, nullptr, out});
   if (!r.is_ok()) return r.status();
-  uint64_t now = now_ns();
-  if (r.value() > now) spin_for_ns(r.value() - now);
+  spin_until_ns(r.value());
   return Status::ok();
 }
 
@@ -219,6 +242,7 @@ Result<uint64_t> RamBlockDevice::submit_io(const IoDesc& d) {
   uint64_t t0 = now_ns();
   char* src = cfg_.power_loss_protection ? media_.get() : cache_view_.get();
   std::vector<uint64_t>& tags = cfg_.power_loss_protection ? tags_media_ : tags_cache_;
+  uint32_t* crcs = page_crcs_to_fill(cfg_, d, pos);
   Status verdict = Status::ok();
   {
     UniqueLock g(mu_, std::defer_lock);
@@ -233,7 +257,7 @@ Result<uint64_t> RamBlockDevice::submit_io(const IoDesc& d) {
     std::memcpy(d.rbuf, src + pos, d.len);
     // Verify every page the transfer overlaps (full pages from media, so a
     // flip outside the requested byte range is still caught).
-    verdict = verify_view(src, tags, pos, d.len, nullptr);
+    verdict = verify_view(src, tags, pos, d.len, nullptr, crcs);
   }
   if (!verdict.is_ok()) return verdict;
   stats_.bytes_read.fetch_add(d.len, std::memory_order_relaxed);
@@ -264,10 +288,8 @@ Status RamBlockDevice::verify_pages(uint64_t block, size_t offset, size_t len,
   stats_.read_ios.fetch_add(1, std::memory_order_relaxed);
   // A scrub pass is a media read: queue its bandwidth share on the shared
   // channel and wait it out, so scrubbing self-limits against frontend IO.
-  uint64_t deadline = bw_channel_.reserve_from(t0 + cfg_.latency.ssd_read_base_ns,
-                                               cfg_.latency.ssd_per_kb_ns * (len / 1024));
-  uint64_t now = now_ns();
-  if (deadline > now) spin_for_ns(deadline - now);
+  spin_until_ns(bw_channel_.reserve_from(t0 + cfg_.latency.ssd_read_base_ns,
+                                         cfg_.latency.ssd_per_kb_ns * (len / 1024)));
   return s;
 }
 
@@ -396,7 +418,7 @@ void FileBlockDevice::retag_range(uint64_t pos, size_t len, const char* buf, int
 }
 
 Status FileBlockDevice::verify_range(uint64_t pos, size_t len, const char* buf,
-                                     std::vector<uint64_t>* bad) const {
+                                     std::vector<uint64_t>* bad, uint32_t* crcs) const {
   if (!cfg_.checksum_pages || len == 0) return Status::ok();
   size_t ps = cfg_.page_size;
   uint64_t first = pos / ps;
@@ -407,7 +429,8 @@ Status FileBlockDevice::verify_range(uint64_t pos, size_t len, const char* buf,
     uint64_t tag = tags_[p];
     if (tag == 0) continue;
     const char* page;
-    if (buf != nullptr && p * ps >= pos && (p + 1) * ps <= pos + len) {
+    const bool whole = p * ps >= pos && (p + 1) * ps <= pos + len;
+    if (buf != nullptr && whole) {
       page = buf + (p * ps - pos);
     } else {
       tmp.resize(ps);
@@ -416,7 +439,11 @@ Status FileBlockDevice::verify_range(uint64_t pos, size_t len, const char* buf,
       }
       page = tmp.data();
     }
-    if (crc32c(page, ps, p) == static_cast<uint32_t>(tag)) continue;
+    uint32_t crc = crc32c(page, ps, p);
+    if (crc == static_cast<uint32_t>(tag)) {
+      if (crcs != nullptr && whole) crcs[p - first] = reportable(crc);
+      continue;
+    }
     stats_.read_crc_failures.fetch_add(1, std::memory_order_relaxed);
     s = Status::corruption("ssd page " + std::to_string(p) + " checksum mismatch");
     if (bad == nullptr) return s;
@@ -503,9 +530,11 @@ Result<uint64_t> FileBlockDevice::submit_io(const IoDesc& d) {
         (void)!pwrite(fd_, &c, 1, bpos);
       }
     }
+    uint32_t* crcs = page_crcs_to_fill(cfg_, d, pos);
     ssize_t n = pread(fd_, d.rbuf, d.len, (off_t)pos);
     if (n != (ssize_t)d.len) return Status::io_error("pread short/failed");
-    DSTORE_RETURN_IF_ERROR(verify_range(pos, d.len, static_cast<const char*>(d.rbuf), nullptr));
+    DSTORE_RETURN_IF_ERROR(
+        verify_range(pos, d.len, static_cast<const char*>(d.rbuf), nullptr, crcs));
     stats_.bytes_read.fetch_add(d.len, std::memory_order_relaxed);
     stats_.read_ios.fetch_add(1, std::memory_order_relaxed);
   }

@@ -56,6 +56,15 @@ struct IoDesc {
   size_t len = 0;
   const void* wbuf = nullptr;  // write source; write iff non-null
   void* rbuf = nullptr;        // read destination
+  // Reads only, optional: ceil(len / page_size) entries, one per page of
+  // the transfer. A read that succeeds sets entry i to the sidecar CRC the
+  // device verified for the transfer's i-th page — crc32c(page, page_size,
+  // absolute page number), the protection information a real NVMe read
+  // hands the host with the data — or to 0 ("unknown") when it vouches for
+  // none: the transfer does not start on a page boundary, the page is a
+  // partial tail, it was never written, its stored CRC is 1 (possibly a
+  // remapped 0), or the device keeps no sidecar.
+  uint32_t* page_crcs = nullptr;
 
   bool is_write() const { return wbuf != nullptr; }
 };
@@ -207,9 +216,11 @@ class RamBlockDevice final : public BlockDevice {
   void retag_pages(const char* view, std::vector<uint64_t>& tags, uint64_t pos,
                    size_t len, int64_t seed_delta);
   // Verify tags over [pos, pos+len) of `view`. With `bad` set, collects
-  // every failing page and keeps going; otherwise fails fast.
-  Status verify_view(const char* view, const std::vector<uint64_t>& tags,
-                     uint64_t pos, size_t len, std::vector<uint64_t>* bad) const;
+  // every failing page and keeps going; otherwise fails fast. With `crcs`
+  // set (a read's IoDesc::page_crcs, zeroed, `pos` page-aligned), records
+  // the verified CRC of every whole page.
+  Status verify_view(const char* view, const std::vector<uint64_t>& tags, uint64_t pos,
+                     size_t len, std::vector<uint64_t>* bad, uint32_t* crcs = nullptr) const;
 
   // A calloc'd buffer: large ones arrive as the kernel's zero pages, so the
   // device writes nothing at construction and each page is first touched
@@ -277,8 +288,9 @@ class FileBlockDevice final : public BlockDevice {
                   const fault::Outcome& fo);
   // Verify tags over [pos, pos+len); pages fully inside the caller's buffer
   // are checksummed from it, boundary pages are re-read from the file.
-  Status verify_range(uint64_t pos, size_t len, const char* buf,
-                      std::vector<uint64_t>* bad) const;
+  // `crcs` as in RamBlockDevice::verify_view.
+  Status verify_range(uint64_t pos, size_t len, const char* buf, std::vector<uint64_t>* bad,
+                      uint32_t* crcs = nullptr) const;
   void retag_range(uint64_t pos, size_t len, const char* buf, int64_t seed_delta);
   void load_sidecar();
   void save_sidecar();

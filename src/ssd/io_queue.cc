@@ -32,24 +32,32 @@ size_t IoQueue::submit(const IoDesc& d) {
 }
 
 size_t IoQueue::poll() {
-  uint64_t now = now_ns();
-  for (Sub& s : subs_) {
-    if (!s.done && s.deadline <= now) {
-      s.done = true;
-      inflight_--;
-    }
-  }
+  reap(now_ns());
   return inflight_;
 }
 
-void IoQueue::reap_until_below(size_t target) {
-  while (poll() >= target) {
-    uint64_t earliest = UINT64_MAX;
-    for (const Sub& s : subs_) {
-      if (!s.done) earliest = std::min(earliest, s.deadline);
+uint64_t IoQueue::reap(uint64_t now) {
+  uint64_t earliest = UINT64_MAX;
+  for (Sub& s : subs_) {
+    if (s.done) continue;
+    if (s.deadline <= now) {
+      s.done = true;
+      inflight_--;
+    } else {
+      earliest = std::min(earliest, s.deadline);
     }
-    uint64_t now = now_ns();
-    if (earliest != UINT64_MAX && earliest > now) spin_for_ns(earliest - now);
+  }
+  return earliest;
+}
+
+void IoQueue::reap_until_below(size_t target) {
+  if (inflight_ < target) return;
+  // Each wait ends on the earliest outstanding deadline, and the reading it
+  // woke on reaps: no second clock read between the wait and the reap.
+  for (uint64_t now = now_ns();;) {
+    uint64_t earliest = reap(now);
+    if (inflight_ < target) return;
+    now = spin_until_ns(earliest);
   }
 }
 
@@ -65,8 +73,7 @@ Status IoQueue::resubmit(size_t id) {
     if (sub.status.code() == Code::kCorruption) crc_failures_++;
     return sub.status;
   }
-  uint64_t now = now_ns();
-  if (r.value() > now) spin_for_ns(r.value() - now);
+  spin_until_ns(r.value());
   sub.status = Status::ok();
   sub.done = true;
   return sub.status;

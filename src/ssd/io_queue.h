@@ -92,8 +92,11 @@ class IoQueue {
     bool done = false;
   };
 
-  // Reap what is ready; if still at/above `target` in flight, sleep until
-  // the earliest outstanding deadline and reap again.
+  // Mark every submission whose deadline is at or before `now` done;
+  // returns the earliest deadline still outstanding (UINT64_MAX if none).
+  uint64_t reap(uint64_t now);
+  // Return at once when fewer than `target` IOs are in flight; otherwise
+  // reap, wait until the earliest outstanding deadline, and reap again.
   void reap_until_below(size_t target);
 
   BlockDevice* dev_;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/crc32c.h"
 #include "ssd/block_device.h"
 
 namespace dstore::ssd {
@@ -19,6 +20,73 @@ DeviceConfig small_cfg(bool plp = true) {
   cfg.num_blocks = 64;
   cfg.power_loss_protection = plp;
   return cfg;
+}
+
+// A read's page-CRC report (IoDesc::page_crcs) on `dev` (small_cfg pages):
+// the verified CRC of every whole, written page of a page-aligned read, 0
+// for everything else.
+void check_page_crc_report(BlockDevice& dev) {
+  const size_t ps = 4096;
+  std::vector<char> in(3 * ps);
+  for (size_t i = 0; i < in.size(); i++) in[i] = char(i * 7 + i / ps);
+  ASSERT_TRUE(dev.submit_io(IoDesc{4, 0, in.size(), in.data(), nullptr}).is_ok());  // 4..6
+  std::vector<char> out(4 * ps);
+  uint32_t crcs[4];
+  auto read = [&](uint64_t block, size_t offset, size_t len) {
+    std::fill(std::begin(crcs), std::end(crcs), 0xdeadbeefu);
+    return dev.submit_io(IoDesc{block, offset, len, nullptr, out.data(), crcs}).is_ok();
+  };
+  const bool tagged = dev.has_page_checksums();
+  auto expect = [&](size_t i) {
+    return tagged ? crc32c(in.data() + i * ps, ps, 4 + i) : 0u;
+  };
+  // Whole, written pages are reported; the never-written fourth is not.
+  ASSERT_TRUE(read(4, 0, 4 * ps));
+  for (size_t i = 0; i < 3; i++) EXPECT_EQ(crcs[i], expect(i)) << "page " << i;
+  EXPECT_EQ(crcs[3], 0u);
+  if (tagged) {
+    EXPECT_EQ(crc32c_compose_pages(crcs, 3, [](size_t i) { return 4 + i; }),
+              crc32c(in.data(), in.size()));
+  }
+  // A partial tail page is not.
+  ASSERT_TRUE(read(4, 0, 2 * ps + 100));
+  EXPECT_EQ(crcs[0], expect(0));
+  EXPECT_EQ(crcs[1], expect(1));
+  EXPECT_EQ(crcs[2], 0u);
+  // A read that starts mid-page reports none.
+  ASSERT_TRUE(read(4, 512, 2 * ps + 100));  // 3 entries
+  for (size_t i = 0; i < 3; i++) EXPECT_EQ(crcs[i], 0u) << "page " << i;
+}
+
+TEST(RamDevice, ReadsReportVerifiedPageCrcs) {
+  for (bool plp : {true, false}) {
+    SCOPED_TRACE(plp ? "plp" : "no plp");
+    RamBlockDevice dev(small_cfg(plp));
+    check_page_crc_report(dev);
+  }
+}
+
+TEST(RamDevice, NoSidecarReportsNoPageCrcs) {
+  DeviceConfig cfg = small_cfg();
+  cfg.checksum_pages = false;
+  RamBlockDevice dev(cfg);
+  check_page_crc_report(dev);
+}
+
+TEST(FileDevice, ReadsReportVerifiedPageCrcs) {
+  for (bool checksums : {true, false}) {
+    SCOPED_TRACE(checksums ? "sidecar" : "no sidecar");
+    auto path = std::filesystem::temp_directory_path() / "dstore_blockdev_page_crcs.bin";
+    DeviceConfig cfg = small_cfg();
+    cfg.checksum_pages = checksums;
+    {
+      auto dev = FileBlockDevice::open(path.string(), cfg, /*create=*/true);
+      ASSERT_TRUE(dev.is_ok());
+      check_page_crc_report(*dev.value());
+    }
+    std::filesystem::remove(path);
+    std::filesystem::remove(path.string() + ".crc");
+  }
 }
 
 TEST(RamDevice, WriteReadRoundTrip) {

@@ -277,6 +277,22 @@ TEST(Clock, SpinForWaits) {
   EXPECT_GE(now_ns() - start, 200000u);
 }
 
+TEST(Clock, SpinUntilEndsOnTheDeadline) {
+  // Short (spinning) and long (sleeping first) waits both wake at or past
+  // the deadline and return the reading they woke on.
+  for (uint64_t ns : {uint64_t{20000}, uint64_t{300000}}) {
+    uint64_t deadline = now_ns() + ns;
+    uint64_t woke = spin_until_ns(deadline);
+    EXPECT_GE(woke, deadline);
+    EXPECT_LE(woke, now_ns());
+  }
+  // A deadline already past returns at once, with the current reading.
+  uint64_t before = now_ns();
+  uint64_t woke = spin_until_ns(before - 1000);
+  EXPECT_GE(woke, before);
+  EXPECT_LT(woke - before, 100000u);
+}
+
 TEST(StopWatchTest, MeasuresElapsed) {
   StopWatch w;
   spin_for_ns(100000);
@@ -429,6 +445,66 @@ TEST(Crc32c, ComputedZeroIsRemappedToOne) {
   uint32_t raw = crc32c_extend(crc32c_extend_u64(0xffffffffu, 0), data.data(), data.size());
   ASSERT_EQ(raw ^ 0xffffffffu, 0u);
   EXPECT_EQ(crc32c(data.data(), data.size()), 1u);
+}
+
+// The identity crc32c_compose_pages rests on: with R(s, D) the raw register
+// after D from state s and S_p = crc32c_extend_u64(~0, p), a page's
+// location-seeded CRC satisfies R(0, page) = ~crc_p ^ shift4k(S_p).
+TEST(Crc32c, PageCrcStripsItsSeedByOneShift) {
+  Rng rng(11);
+  std::string page(kCrc32cComposePage, '\0');
+  for (int trial = 0; trial < 20; trial++) {
+    for (char& c : page) c = (char)rng.next();
+    uint64_t p = rng.next();
+    uint32_t crc = crc32c(page.data(), page.size(), p);
+    if (crc == 1) continue;  // possibly a remapped 0
+    uint32_t s_p = crc32c_extend_u64(0xffffffffu, p);
+    EXPECT_EQ(crc32c_extend(0, page.data(), page.size()),
+              ~crc ^ crc32c_detail::shift_page(s_p));
+  }
+}
+
+TEST(Crc32c, ComposedPagesMatchOneShot) {
+  Rng rng(23);
+  std::string value(64 * kCrc32cComposePage, '\0');
+  for (int trial = 0; trial < 100; trial++) {
+    size_t n = 1 + rng.next_below(64);
+    for (size_t i = 0; i < n * kCrc32cComposePage; i++) value[i] = (char)rng.next();
+    std::vector<uint64_t> page_no(n);
+    std::vector<uint32_t> crcs(n);
+    for (size_t i = 0; i < n; i++) {
+      page_no[i] = rng.next_below(1ull << 40);
+      crcs[i] = crc32c(value.data() + i * kCrc32cComposePage, kCrc32cComposePage, page_no[i]);
+    }
+    uint32_t composed =
+        crc32c_compose_pages(crcs.data(), n, [&](size_t i) { return page_no[i]; });
+    uint32_t hashed = crc32c(value.data(), n * kCrc32cComposePage);
+    bool usable = true;
+    for (uint32_t c : crcs) usable = usable && c > 1;
+    EXPECT_EQ(composed, usable ? hashed : 0u) << n << " pages";
+  }
+}
+
+TEST(Crc32c, ComposeRefusesUnusablePageCrcs) {
+  // A page whose location-seeded CRC is a computed 0, stored as 1: the 1
+  // cannot be told from a real 1, so composing must refuse rather than
+  // produce a wrong CRC.
+  const uint64_t p = 77;
+  std::string page(kCrc32cComposePage - sizeof(uint32_t), 'z');
+  uint32_t s = crc32c_extend(crc32c_extend_u64(0xffffffffu, p), page.data(), page.size());
+  uint32_t w = unshift_zero_word(0xffffffffu) ^ s;
+  page.append(reinterpret_cast<const char*>(&w), sizeof(w));
+  const uint32_t stored = crc32c(page.data(), page.size(), p);
+  ASSERT_EQ(stored, 1u);
+  std::string other(kCrc32cComposePage, 'o');
+  const uint32_t good = crc32c(other.data(), other.size(), p + 1);
+  auto seq = [&](size_t i) { return p + i; };
+  for (uint32_t bad : {0u, stored}) {
+    uint32_t crcs[2] = {bad, good};
+    EXPECT_EQ(crc32c_compose_pages(crcs, 2, seq), 0u);
+    uint32_t last_bad[2] = {good, bad};
+    EXPECT_EQ(crc32c_compose_pages(last_bad, 2, [&](size_t i) { return p + 1 - i; }), 0u);
+  }
 }
 
 }  // namespace

@@ -217,10 +217,12 @@ TEST(DStoreCrash, HeavyChurnSmallPoolsStressReuse) {
 // An unfinished put begun before a finished one. Replay must not drop the
 // unfinished record — its allocation shaped the finished one's blocks — and
 // must not trust it blindly either: its data decides it (DESIGN.md §13).
-// Both puts are 4 KB so each takes exactly one block, next to each other.
+// Both puts are `bytes` long (4 KB by default, so each takes exactly one
+// block), next to each other.
 struct PendingPair {
-  std::string va = std::string(4096, 'A');
-  std::string vb = std::string(4096, 'B');
+  explicit PendingPair(size_t bytes = 4096) : va(bytes, 'A'), vb(bytes, 'B') {}
+  std::string va;
+  std::string vb;
   std::unique_ptr<DStore::WriteOp> a;
 
   // Begin a, begin b, finish b (acked), then cut the power while a is
@@ -243,7 +245,7 @@ struct PendingPair {
   }
 
   Result<std::string> read(StoreRig& rig, const std::string& key) {
-    std::string out(8192, 0);
+    std::string out(2 * va.size(), 0);
     auto r = rig.store->oget(rig.ctx, key, out.data(), out.size());
     if (!r.is_ok()) return r.status();
     out.resize(r.value());
@@ -267,15 +269,21 @@ TEST(DStoreCrash, AckedPutSurvivesEarlierPendingPut) {
   EXPECT_TRUE(rig.store->validate().is_ok());
 }
 
-TEST(DStoreCrash, AckedPutSurvivesEarlierPutWhoseDataNeverLanded) {
+// With `tagged`, every block held data before the pair ran, so a's pages
+// carry sidecar tags and verify clean: the content tier runs on the CRC
+// composed from their page CRCs instead of hashing the bytes.
+void acked_put_survives_lost_data(size_t bytes, bool tagged) {
   fault::FaultInjector inj;  // outlives the rig wired to it
   StoreRig rig(crash_cfg());
+  if (tagged) {
+    ASSERT_TRUE(rig.tag_every_page().is_ok());
+  }
   rig.device->set_fault_injector(&inj);
   fault::FaultPlan plan;
   plan.add({"ssd.write", 1, fault::FaultType::kError, 0, 1});
   inj.set_plan(plan);
   inj.disarm();
-  PendingPair p;
+  PendingPair p(bytes);
   ASSERT_NO_FATAL_FAILURE(p.run(rig, &inj));
   auto b = p.read(rig, "b");
   ASSERT_TRUE(b.is_ok()) << b.status().to_string();
@@ -292,6 +300,18 @@ TEST(DStoreCrash, AckedPutSurvivesEarlierPutWhoseDataNeverLanded) {
         << a.status().to_string();
   }
   EXPECT_TRUE(rig.store->validate().is_ok());
+}
+
+TEST(DStoreCrash, AckedPutSurvivesEarlierPutWhoseDataNeverLanded) {
+  acked_put_survives_lost_data(4096, /*tagged=*/false);
+}
+
+TEST(DStoreCrash, AckedPutSurvivesEarlierPutWhoseDataNeverLanded4KB) {
+  acked_put_survives_lost_data(4096, /*tagged=*/true);
+}
+
+TEST(DStoreCrash, AckedPutSurvivesEarlierPutWhoseDataNeverLanded16KB) {
+  acked_put_survives_lost_data(16384, /*tagged=*/true);
 }
 
 // An owrite that tears in place over a put whose commit flag never got a

@@ -45,7 +45,7 @@ Status put(StoreRig& f, const std::string& k, const std::string& v) {
 }
 
 Result<std::string> get(StoreRig& f, const std::string& k) {
-  std::vector<char> buf(8192);
+  std::vector<char> buf(32768);
   auto r = f.store->oget(f.ctx, k, buf.data(), buf.size());
   if (!r.is_ok()) return r.status();
   return std::string(buf.data(), r.value());
@@ -327,6 +327,68 @@ TEST(Integrity, MisdirectedWriteNeverReturnsStaleBytes) {
   }
 }
 
+// The same on whole-page values over blocks that held data before: every
+// intended page still carries a sidecar tag and verifies clean, so the
+// content tier runs on the CRC composed from the page CRCs the read
+// reported (a never-written page has no tag and is hashed instead). The
+// misdirected write lands 8 blocks away, clear of the intended span, so
+// only the content tier can catch the stale pages; clean objects read
+// first must not trip it.
+void misdirected_whole_page_write_is_caught(size_t value_bytes) {
+  FaultInjector inj;  // outlives the rig wired to it
+  StoreRig f(integrity_cfg(/*repair_logging=*/false));
+  ASSERT_TRUE(f.tag_every_page().is_ok());
+  f.device->set_fault_injector(&inj);
+  for (char t : {'x', 'y'}) {
+    const std::string clean = value_of(t, value_bytes);
+    const std::string key(1, t);
+    ASSERT_TRUE(put(f, key, clean).is_ok());
+    auto r = get(f, key);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(r.value(), clean);
+  }
+  EXPECT_EQ(f.store->counters().checksum_failures, 0u);
+
+  FaultPlan plan;
+  plan.add({"ssd.write", 1, FaultType::kMisdirectedWrite, 8, 1});
+  inj.set_plan(plan);
+  inj.arm();
+  Status s = put(f, "victim", value_of('m', value_bytes));
+  inj.disarm();
+  ASSERT_TRUE(s.is_ok()) << s.to_string();
+  auto r = get(f, "victim");
+  ASSERT_FALSE(r.is_ok()) << "stale pages returned as the victim's value";
+  EXPECT_EQ(r.status().code(), Code::kCorruption) << r.status().to_string();
+  EXPECT_EQ(f.store->counters().checksum_failures, 1u);
+  EXPECT_EQ(f.device->stats().read_crc_failures.load(), 0u);  // the sidecar saw nothing
+}
+
+TEST(Integrity, MisdirectedWriteNeverReturnsStaleBytes4KB) {
+  misdirected_whole_page_write_is_caught(4096);
+}
+
+TEST(Integrity, MisdirectedWriteNeverReturnsStaleBytes16KB) {
+  misdirected_whole_page_write_is_caught(16384);
+}
+
+// One scrub pass over whole-page objects reads each object once: the read's
+// completion is the sidecar tier, its page CRCs the content tier.
+TEST(Integrity, ScrubReadsEachObjectOnce) {
+  StoreRig f(integrity_cfg(/*repair_logging=*/false));
+  ASSERT_TRUE(f.tag_every_page().is_ok());
+  const size_t kObjects = 4, kBytes = 16384;
+  for (size_t i = 0; i < kObjects; i++) {
+    ASSERT_TRUE(put(f, "s" + std::to_string(i), value_of(char('a' + i), kBytes)).is_ok());
+  }
+  const uint64_t before = f.device->stats().bytes_read.load();
+  DStore::ScrubReport rep;
+  ASSERT_TRUE(f.store->scrub_now(&rep).is_ok());
+  EXPECT_EQ(f.device->stats().bytes_read.load() - before, kObjects * kBytes);
+  EXPECT_EQ(rep.objects_scanned, kObjects);
+  EXPECT_EQ(rep.pages_verified, kObjects * kBytes / 4096);
+  EXPECT_EQ(rep.checksum_failures, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Log-record corruption: fail-stop at recovery, never silent replay
 // ---------------------------------------------------------------------------
@@ -384,9 +446,7 @@ TEST(Integrity, CorruptSlotReadsAsCorruptNotEmpty) {
 // The corruption sweep (mirrors the exhaustive crash sweep)
 // ---------------------------------------------------------------------------
 
-TEST(CorruptionSweep, NoScheduleEverReturnsSilentlyWrongBytes) {
-  RigOptions opt;
-  opt.repair_logging = true;
+void run_corruption_sweep(const RigOptions& opt) {
   auto space = CrashRig::enumerate_schedule(opt);
   std::vector<FaultPlan> plans = all_corruption_plans(space);
   ASSERT_GE(plans.size(), 50u) << "sweep space unexpectedly small";
@@ -409,9 +469,33 @@ TEST(CorruptionSweep, NoScheduleEverReturnsSilentlyWrongBytes) {
   // many flips land on pages that are overwritten or deleted before any
   // read (legitimately invisible), but across hundreds of schedules a
   // healthy integrity layer detects plenty.
-  RecordProperty("plans", (int)plans.size());
-  RecordProperty("detected", (int)detected_total);
+  ::testing::Test::RecordProperty("plans", (int)plans.size());
+  ::testing::Test::RecordProperty("detected", (int)detected_total);
   EXPECT_GE(detected_total, plans.size() / 20);
+}
+
+TEST(CorruptionSweep, NoScheduleEverReturnsSilentlyWrongBytes) {
+  RigOptions opt;
+  opt.repair_logging = true;
+  run_corruption_sweep(opt);
+}
+
+// Whole-page values over pre-written blocks: every read the oracle checks
+// goes through the content CRC composed from verified page CRCs.
+TEST(CorruptionSweep, NoScheduleEverReturnsSilentlyWrongBytes4KB) {
+  RigOptions opt;
+  opt.repair_logging = true;
+  opt.value_bytes = 4096;
+  opt.tag_every_page = true;
+  run_corruption_sweep(opt);
+}
+
+TEST(CorruptionSweep, NoScheduleEverReturnsSilentlyWrongBytes16KB) {
+  RigOptions opt;
+  opt.repair_logging = true;
+  opt.value_bytes = 16384;
+  opt.tag_every_page = true;
+  run_corruption_sweep(opt);
 }
 
 }  // namespace

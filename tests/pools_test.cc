@@ -195,6 +195,47 @@ TEST(ReadCount, DistinctNamesIndependent) {
   t.dec(Key::from("a"));
 }
 
+TEST(ReadCount, FullProbeWindowFallsBackToTheHomeSlot) {
+  // kMaxProbe + 1 names with one home slot, on a table four windows wide:
+  // the first kMaxProbe fill the window, the last finds it full and shares
+  // the home slot, although slots past the window are still free.
+  constexpr size_t kWindow = NameCountTable::kMaxProbe;
+  constexpr size_t kCap = 4 * kWindow;
+  NameCountTable t(kCap);
+  auto home = [](const Key& k) {
+    uint64_t h = k.hash();
+    return (h == 0 ? 1 : h) & (kCap - 1);
+  };
+  const size_t target = home(Key::from("n0"));
+  std::vector<Key> mates;
+  for (int i = 0; mates.size() < kWindow + 1; i++) {
+    Key k = Key::from("n" + std::to_string(i));
+    if (home(k) == target) mates.push_back(k);
+  }
+  std::vector<NameCountTable::Slot*> window;
+  for (size_t i = 0; i < kWindow; i++) window.push_back(&t.slot(mates[i]));
+  for (size_t i = 0; i < kWindow; i++) {
+    for (size_t j = i + 1; j < kWindow; j++) ASSERT_NE(window[i], window[j]);
+  }
+  NameCountTable::Slot& last = t.slot(mates[kWindow]);
+  EXPECT_EQ(&last, window[0]);                // the home slot, shared
+  EXPECT_EQ(&t.slot(mates[kWindow]), &last);  // and for good
+  EXPECT_EQ(&t.slot(mates[1]), window[1]);    // window names keep theirs
+  // The slot just past the window was free all along: a name homed there
+  // claims it.
+  Key beyond;
+  for (int i = 0;; i++) {
+    beyond = Key::from("b" + std::to_string(i));
+    if (home(beyond) == ((target + kWindow) & (kCap - 1))) break;
+  }
+  NameCountTable::Slot& own = t.slot(beyond);
+  for (NameCountTable::Slot* s : window) EXPECT_NE(&own, s);
+  t.inc(mates[kWindow]);
+  EXPECT_EQ(t.load(mates[0]), 1);
+  EXPECT_EQ(t.load(beyond), 0);
+  t.dec(mates[kWindow]);
+}
+
 TEST_F(PoolTest, SlotHintOnSaturatedTable) {
   // Three names on two slots: the third collapses onto its home slot and
   // shares it, count and hint, with the name that claimed it.
